@@ -158,21 +158,17 @@ def _raw_spectrum(params: ModelParams, rng: np.random.Generator):
         if N == 1:
             break
         scale = max(1.0, float(np.abs(vals).max()))
-        gap = min(
-            abs(vals[i] - vals[j]) for i in range(N) for j in range(i + 1, N)
-        )
+        i, j = np.triu_indices(N, 1)
+        gap = np.abs(vals[i] - vals[j]).min()
         if gap > 1e-7 * scale:
             break
     else:
         raise DegenerateCombination(
             "random combinations kept producing clustered eigenvalues"
         )
-    E = np.empty((N, len(mats)), dtype=complex)
-    for i in range(N):
-        v = vecs[:, i]
-        nrm = np.vdot(v, v)
-        for r, M in enumerate(mats):
-            E[i, r] = np.vdot(v, M @ v) / nrm
+    conj = vecs.conj()
+    nrm = np.einsum("ki,ki->i", conj, vecs)
+    E = np.stack([np.einsum("ki,ki->i", conj, M @ vecs) for M in mats], axis=1) / nrm[:, None]
     return E, vecs, w, labels
 
 
@@ -180,9 +176,8 @@ def _min_gap(E: np.ndarray) -> float:
     N = E.shape[0]
     if N < 2:
         return math.inf
-    return min(
-        float(np.linalg.norm(E[i] - E[j])) for i in range(N) for j in range(i + 1, N)
-    )
+    i, j = np.triu_indices(N, 1)
+    return float(np.linalg.norm(E[i] - E[j], axis=1).min())
 
 
 def _match_rows(E_new: np.ndarray, E_ref: np.ndarray) -> np.ndarray:
@@ -209,9 +204,7 @@ def joint_spectrum(params: ModelParams, seed: int = 0) -> SpectrumResult:
     C = np.array([closed[nu] for nu in labels], dtype=complex)
     perm = _match_rows(E_raw, C)
     gap0 = _min_gap(C)
-    moved = max(
-        float(np.linalg.norm(E_raw[perm[i]] - C[i])) for i in range(len(labels))
-    )
+    moved = float(np.linalg.norm(E_raw[perm] - C, axis=1).max())
     if moved >= _GAP_SAFETY * gap0:
         raise TrackingAmbiguity(
             f"p=0 spectrum does not match the closed form (moved {moved:.3e}, gap {gap0:.3e})"
@@ -231,9 +224,7 @@ def joint_spectrum(params: ModelParams, seed: int = 0) -> SpectrumResult:
         E_new, vecs_new, w_new, _ = _raw_spectrum(params.with_p(p_next), rng)
         perm = _match_rows(E_new, E_cur)
         gap = _min_gap(E_cur)
-        moved = max(
-            float(np.linalg.norm(E_new[perm[i]] - E_cur[i])) for i in range(len(labels))
-        )
+        moved = float(np.linalg.norm(E_new[perm] - E_cur, axis=1).max())
         if moved < _GAP_SAFETY * gap:
             E_cur = E_new[perm]
             vec_cur = vecs_new[:, perm]

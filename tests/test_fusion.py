@@ -131,6 +131,21 @@ def test_smatrix_first_row_and_identity():
     assert sm.det_residual() < 1e-6
 
 
+def test_smatrix_det_residual_finite_at_large_nome():
+    # det S and its closed form both overflow binary64 here; the residual
+    # is compared in log space.
+    sm = s_matrix(ModelParams.locked(4, 4, 0.7, 0.9))
+    res = sm.det_residual()
+    assert math.isfinite(res) and res < 1e-6
+
+
+def test_smatrix_even_in_the_nome():
+    plus = s_matrix(ModelParams.locked(3, 3, 0.7, 0.6))
+    minus = s_matrix(ModelParams.locked(3, 3, 0.7, -0.6))
+    assert np.array_equal(plus.S, minus.S)
+    assert np.array_equal(plus.Sinv, minus.Sinv)
+
+
 def test_smatrix_classical_point_matches_sine_oracle():
     for n, m in [(2, 1), (3, 2)]:
         params = ModelParams.locked(n, m, 1.0, 0.0)

@@ -1,7 +1,14 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import ellfusion
 
 from ellfusion.errors import GenericityViolation, NonConvergent, SingularDenominator
 from ellfusion.kernel import (
@@ -157,3 +164,76 @@ def test_extended_precision_backend_matches_double():
         assert abs(a - b) < 1e-13 * max(1.0, abs(a))
     with pytest.raises(ValueError):
         ModelParams.locked(2, 1, 0.7, 0.0, precision="single")
+
+
+def _jtheta_ratio(w, p):
+    """theta1(w)/theta1'(0) and its w-derivative at 60 digits (sin, cos at p = 0)."""
+    with mpmath.workdps(60):
+        if p == 0:
+            return complex(mpmath.sin(w)), complex(mpmath.cos(w))
+        d0 = mpmath.jtheta(1, 0, p, 1)
+        return complex(mpmath.jtheta(1, w, p) / d0), complex(mpmath.jtheta(1, w, p, 1) / d0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.floats(-20.0, 20.0),
+    y=st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
+    p=st.floats(-0.97, 0.97),
+)
+def test_bracket_and_theta1_match_jtheta(x, y, p):
+    # Both regimes are accurate to 1e-12 relative, except that the direct
+    # series (|p| < 0.5) is only backward stable in w next to the zeros:
+    # rounding (2l+1)w costs about eps*|w| in the argument, hence the
+    # second tolerance term.  The floor 1e-30 absorbs the reference's own
+    # error at the zero z = 0 (the 60-digit ratio reads 4e-34 there at |p| = 0.97).
+    params = ModelParams.locked(2, 1, 0.7, p)
+    z = complex(x, y)
+    with mpmath.workdps(60):
+        w = mpmath.mpf(params.alpha) * mpmath.mpc(z) / 2
+        ref, dref = _jtheta_ratio(w, p)
+        theta_ref = complex(mpmath.jtheta(1, mpmath.mpc(z), p))
+        dtheta_ref = complex(mpmath.jtheta(1, mpmath.mpc(z), p, 1))
+    half = params.alpha / 2.0
+    got = bracket(z, params) * half
+    assert abs(got - ref) <= 1e-12 * abs(ref) + 1e-14 * abs(w) * abs(dref) + 1e-30
+    got = theta1(z, p)
+    assert abs(got - theta_ref) <= 1e-12 * abs(theta_ref) + 1e-14 * abs(z) * abs(dtheta_ref) + 1e-30
+
+
+@pytest.mark.parametrize("p", [0.3, 0.6, 0.9, 0.97])
+def test_bracket_is_exactly_even_in_the_nome(p):
+    plus = ModelParams.locked(3, 2, 0.7, p)
+    minus = ModelParams.locked(3, 2, 0.7, -p)
+    for z in (0.3, 1.1, 2.7, 3.8, -6.2, 0.4 + 0.3j):
+        assert bracket(z, plus) == bracket(z, minus)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.9, -0.97])
+def test_theta1_prime0_matches_jtheta(p):
+    with mpmath.workdps(60):
+        want = complex(mpmath.jtheta(1, 0, p, 1))
+    assert abs(theta1_prime0(p) - want) <= 1e-13 * abs(want)
+
+
+def test_bracket_beyond_binary64_range_raises_typed_error():
+    params = ModelParams.locked(2, 1, 0.7, 0.999)
+    # next to a zero the bracket is still representable ...
+    v = bracket(0.05, params)
+    assert math.isfinite(v.real) and v.real > 0.0
+    # ... mid-period it is about exp(2470) and cannot be
+    with pytest.raises(NonConvergent):
+        bracket(1.2, params)
+
+
+def test_double_precision_never_imports_mpmath():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ellfusion.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, ellfusion\n"
+        "sm = ellfusion.s_matrix(ellfusion.ModelParams.locked(3, 3, 0.7, 0.9))\n"
+        "assert sm.identity_residual() < 1e-8\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -6,8 +6,11 @@ import pytest
 from ellfusion import coeffs
 from ellfusion.kernel import ModelParams, bracket
 from ellfusion.operators import (
+    _min_gap,
+    _raw_spectrum,
     apply_D,
     build_truncated,
+    conjugated_matrices,
     delta_vector,
     dual_orthogonality_check,
     joint_spectrum,
@@ -178,3 +181,33 @@ def test_spectrum_deterministic_in_seed():
     b = joint_spectrum(params, seed=3)
     for nu in a.labels:
         assert a.points[nu].e == b.points[nu].e
+
+
+def test_homotopy_steps_at_large_nome():
+    params = ModelParams.locked(4, 4, 0.7, 0.9)
+    spec = joint_spectrum(params, seed=0)
+    assert len(spec.homotopy_steps) == 39
+    assert spec.homotopy_steps[-1] == 0.9
+
+
+@pytest.mark.parametrize("N,k", [(1, 2), (2, 1), (7, 3), (35, 3), (60, 4)])
+def test_min_gap_matches_pair_loop(N, k):
+    rng = np.random.default_rng(N)
+    E = rng.standard_normal((N, k)) + 1j * rng.standard_normal((N, k))
+    want = min(
+        (float(np.linalg.norm(E[i] - E[j])) for i in range(N) for j in range(i + 1, N)),
+        default=math.inf,
+    )
+    got = _min_gap(E)
+    assert got == want or abs(got - want) <= 1e-15 * want
+
+
+def test_rayleigh_quotients_match_per_vector_loop():
+    params = ModelParams.locked(3, 3, 0.7, 0.6)
+    E, vecs, _, _ = _raw_spectrum(params, np.random.default_rng(1))
+    mats, _, _ = conjugated_matrices(params)
+    for i in range(vecs.shape[1]):
+        v = vecs[:, i]
+        for r, M in enumerate(mats):
+            want = np.vdot(v, M @ v) / np.vdot(v, v)
+            assert abs(E[i, r] - want) <= 1e-14 * max(1.0, abs(want))
