@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -136,7 +137,15 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _emit_json(payload: dict, out_path: str | None) -> None:
-    _emit(json.dumps(payload, indent=2) + "\n", out_path)
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:  # NaN or infinity: strict JSON has no spelling for them
+        raise ComputationError(f"non-finite value in the {payload['command']} payload") from exc
+    _emit(text + "\n", out_path)
+
+
+def _finite_or_null(x: float) -> float | None:
+    return x if math.isfinite(x) else None
 
 
 def _emit_csv(rows: list[list], header: list[str], out_path: str | None) -> None:
@@ -295,8 +304,11 @@ def _cmd_smatrix(args, parser) -> int:
     payload["Sinv"] = [[_cnum(z) for z in row] for row in sm.Sinv]
     payload["normalization"] = sm.normalization
     payload["identity_residual"] = sm.identity_residual()
-    payload["det_magnitude"] = sm.det_magnitude()
-    payload["det_closed_form"] = sm.det_closed_form()
+    # The linear values overflow binary64 at large nomes; their logs do not.
+    payload["det_magnitude"] = _finite_or_null(sm.det_magnitude())
+    payload["det_closed_form"] = _finite_or_null(sm.det_closed_form())
+    payload["log_det_magnitude"] = _finite_or_null(sm.log_det_magnitude())
+    payload["log_det_closed_form"] = _finite_or_null(sm.log_det_closed_form())
     payload["det_residual"] = sm.det_residual()
     _emit_json(payload, args.out)
     return 0

@@ -26,7 +26,11 @@ class GenericityViolation(ComputationError):
 
 
 class NonTerminating(ComputationError):
-    """Basis peeling failed to reduce the residual (precision failure)."""
+    """An iteration failed to terminate.
+
+    Basis expansion is a direct triangular solve and no longer raises it;
+    the class stays for callers that catch it.
+    """
 
 
 class TrackingAmbiguity(ComputationError):

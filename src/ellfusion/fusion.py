@@ -135,6 +135,13 @@ def structure_constants_lr(
     return (fine, flags) if return_flags else fine
 
 
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class SMatrixData:
     """Spectral transform between the polynomial and point-mass bases."""
@@ -151,20 +158,24 @@ class SMatrixData:
         N = len(self.labels)
         return float(np.abs(self.S @ self.Sinv - np.eye(N)).max())
 
-    def det_magnitude(self) -> float:
-        return float(abs(np.linalg.det(self.S)))
+    def log_det_magnitude(self) -> float:
+        """ln |det S|, summed from the LU factors so that it cannot overflow."""
+        return float(np.linalg.slogdet(self.S)[1])
 
-    def _closed_form_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(c_lam, Delta_lam, dual_lam) over the labels, as in det_closed_form."""
+    def log_det_closed_form(self) -> float:
+        """ln of the closed form |det S| = 1 / prod_lam c_lam^2 sqrt(Delta_lam * dual_lam)."""
         cvec = np.array([realify(coeffs.c_norm(lam, self.params)) for lam in self.labels])
         dvec = delta_vector(self.params, self.labels)
         dual = np.array([self.spectrum.points[nu].dual_norm for nu in self.labels])
-        return cvec, dvec, dual
+        return float(-np.sum(2.0 * np.log(np.abs(cvec)) + 0.5 * np.log(dvec * dual)))
+
+    def det_magnitude(self) -> float:
+        """|det S|; inf where it leaves the binary64 range."""
+        return _exp_or_inf(self.log_det_magnitude())
 
     def det_closed_form(self) -> float:
-        """|det S| = 1 / prod_lam c_lam^2 sqrt(Delta_lam * dual_lam)."""
-        cvec, dvec, dual = self._closed_form_factors()
-        return float(1.0 / np.prod(cvec**2 * np.sqrt(dvec * dual)))
+        """The closed form of |det S|; inf where it leaves the binary64 range."""
+        return _exp_or_inf(self.log_det_closed_form())
 
     def det_residual(self) -> float:
         """Relative deviation of |det S| from its closed form.
@@ -172,10 +183,7 @@ class SMatrixData:
         Compared in log space, since both sides leave the binary64 range at
         large nomes (n=4, m=4, p=0.9 already overflows det S).
         """
-        cvec, dvec, dual = self._closed_form_factors()
-        log_closed = -np.sum(2.0 * np.log(np.abs(cvec)) + 0.5 * np.log(dvec * dual))
-        log_det = np.linalg.slogdet(self.S)[1]
-        return abs(math.expm1(float(log_det - log_closed)))
+        return abs(math.expm1(self.log_det_magnitude() - self.log_det_closed_form()))
 
 
 def s_matrix(params: ModelParams, spectrum: SpectrumResult | None = None, seed: int = 0) -> SMatrixData:

@@ -1,20 +1,27 @@
 """Products in the eigenpolynomial basis and their structure coefficients.
 
 Multiplication is a sparse convolution under key addition (the monomial
-basis is multiplicative).  Basis expansion peels the dominance-maximal key
-greedily; since dominance implies lexicographic order, the lexicographically
-largest remaining key is always a valid (and deterministic) choice.
+basis is multiplicative).  Basis expansion is one dense triangular solve:
+the keys of weight w, first part <= M and last part >= L form a stratum
+that the unitriangular basis maps into itself, and its matrix U (row kappa
+holding P_kappa, see ``polynomials.stratum``) gives the coefficients a of
+F = sum a_kappa P_kappa from its monomial coefficients f as U^T a = f,
+solved by one packed BLAS triangular solve.
+A product P_lam * P_mu lies in the stratum (|lam| + |mu|, lam_1 + mu_1,
+lam_n + mu_n).
 """
 
 from __future__ import annotations
 
-from .errors import ComputationError, NonTerminating
+import numpy as np
+from scipy.linalg.blas import dtpsv
+
+from .errors import ComputationError
 from .kernel import ModelParams
-from .partitions import Partition, add, check_partition, contains, weight
-from .polynomials import PolynomialInE, build_P
+from .partitions import Partition, add, check_partition, weight
+from .polynomials import PolynomialInE, Stratum, build_P, encode_keys, stratum
 
 SUPPORT_CUT = 1e-9
-_PEEL_FLOOR_REL = 1e-12
 
 
 def multiply_monomial(P: PolynomialInE, Q: PolynomialInE) -> PolynomialInE:
@@ -29,35 +36,37 @@ def multiply_monomial(P: PolynomialInE, Q: PolynomialInE) -> PolynomialInE:
     return PolynomialInE(P.n, out)
 
 
+def _solve(table: Stratum, codes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Basis coefficients over the stratum of sum_i values[i] * e_{key coded codes[i]}.
+
+    Repeated codes are summed.  Every code must be a key of the stratum.
+    """
+    f = np.bincount(np.searchsorted(table.codes, codes), weights=values, minlength=len(table.keys))
+    # Back substitution on U^T: from the largest key down, subtract a_kappa
+    # times the row of P_kappa, the greedy peel without any cut.
+    return dtpsv(len(table.keys), table.packed, f, lower=0, trans=0, diag=1, overwrite_x=1)
+
+
 def expand_in_P(F: PolynomialInE, params: ModelParams) -> dict[Partition, float]:
     """Expansion coefficients of F over the eigenpolynomial basis.
 
-    Greedy peeling: repeatedly subtract coeff * P_kappa for the
-    lexicographically largest remaining key kappa.  Unitriangularity makes
-    each step cancel kappa exactly and only introduce smaller keys, so the
-    loop terminates; a guard converts a stalled peel into NonTerminating.
+    Keys are grouped by weight; each group is solved on the stratum bounded
+    by its largest first part and smallest last part.  Exact zeros are
+    left out.
     """
-    work = dict(F.coeffs)
-    if not work:
-        return {}
-    scale = max(abs(v) for v in work.values())
-    floor = _PEEL_FLOOR_REL * scale
+    if F.n != params.n:
+        raise ValueError(f"polynomial has n={F.n}, parameters have n={params.n}")
+    groups: dict[int, list[Partition]] = {}
+    for key in F.coeffs:
+        groups.setdefault(weight(key), []).append(key)
     out: dict[Partition, float] = {}
-    max_steps = 64 * (len(work) + 8) ** 2
-    steps = 0
-    while work:
-        steps += 1
-        if steps > max_steps:
-            raise NonTerminating("basis peeling failed to exhaust the residual")
-        kappa = max(work)
-        c = work.pop(kappa)
-        if abs(c) <= floor:
-            continue
-        out[kappa] = c
-        for k, u in build_P(kappa, params).items():
-            if k == kappa:
-                continue
-            work[k] = work.get(k, 0.0) - c * u
+    for w, keys in sorted(groups.items()):
+        table = stratum(params, w, max(k[0] for k in keys), min(k[-1] for k in keys))
+        key_array = np.array(keys, dtype=np.int64)
+        values = np.array([F.coeffs[k] for k in keys])
+        a = _solve(table, encode_keys(key_array, w), values)
+        for i in np.flatnonzero(a)[::-1]:
+            out[table.keys[i]] = float(a[i])
     return out
 
 
@@ -70,19 +79,20 @@ def lr_coefficients(lam, mu, params: ModelParams) -> dict[Partition, float]:
     """
     lam = check_partition(lam)
     mu = check_partition(mu)
-    product = multiply_monomial(build_P(lam, params), build_P(mu, params))
-    raw = expand_in_P(product, params)
-    if not raw:
-        return {}
-    cut = SUPPORT_CUT * max(1.0, max(abs(v) for v in raw.values()))
-    target = weight(lam) + weight(mu)
-    out: dict[Partition, float] = {}
-    for nu, v in raw.items():
-        if abs(v) <= cut:
-            continue
-        if not (contains(lam, nu) and contains(mu, nu) and weight(nu) == target):
-            raise ComputationError(
-                f"support violation: key {nu} with coefficient {v!r} in {lam} * {mu}"
-            )
-        out[nu] = v
-    return out
+    keys_l, vals_l = build_P(lam, params).arrays()
+    keys_m, vals_m = build_P(mu, params).arrays()
+    w = weight(lam) + weight(mu)
+    table = stratum(params, w, lam[0] + mu[0], lam[-1] + mu[-1])
+    codes = encode_keys(keys_l, w)[:, None] + encode_keys(keys_m, w)[None, :]
+    a = _solve(table, codes.ravel(), np.outer(vals_l, vals_m).ravel())
+    mag = np.abs(a)
+    cut = SUPPORT_CUT * max(1.0, float(mag.max(initial=0.0)))
+    kept = np.flatnonzero(mag > cut)[::-1]
+    # Weights are additive on the whole stratum; containment is checked here.
+    outside = ~(table.key_array[kept] >= np.maximum(lam, mu)).all(axis=1)
+    if outside.any():
+        i = kept[np.argmax(outside)]
+        raise ComputationError(
+            f"support violation: key {table.keys[i]} with coefficient {float(a[i])!r} in {lam} * {mu}"
+        )
+    return {table.keys[i]: float(a[i]) for i in kept}

@@ -9,9 +9,18 @@ dominated by mu, with all keys sharing the weight |mu|.
 The recurrence is resolved iteratively over the dependency cone ordered by
 the (span, leading-run) induction, so recursion depth never grows with the
 weight.  The table of built polynomials is append-only and idempotent.
+
+Every key of P_kappa is dominated by kappa, so it has the same weight, a
+first part <= kappa_1 and a last part >= kappa_n.  The partitions of weight
+w with first part <= M and last part >= L therefore span a subspace that the
+basis maps into itself: a stratum.  ``stratum`` returns its keys in
+ascending lexicographic order with the unit lower-triangular matrix whose
+row kappa holds the coefficients of P_kappa, stored packed.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import GenericityViolation
 from .kernel import GENERICITY_TOL, ModelParams, g_regularity_margin, realify
@@ -19,6 +28,7 @@ from .partitions import (
     Partition,
     check_partition,
     column,
+    partitions_of_weight,
     r_index,
     span,
     vertical_strips,
@@ -33,11 +43,12 @@ PRUNE_REL = 1e-13
 class PolynomialInE:
     """Sparse real-coefficient polynomial keyed by partition exponents."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "coeffs", "_arrays")
 
     def __init__(self, n: int, coeffs: dict[Partition, float] | None = None, prune: bool = True):
         self.n = n
         self.coeffs: dict[Partition, float] = dict(coeffs or {})
+        self._arrays = None
         if prune:
             self.prune()
 
@@ -51,6 +62,19 @@ class PolynomialInE:
             return
         cut = PRUNE_REL * max(abs(v) for v in self.coeffs.values())
         self.coeffs = {k: v for k, v in self.coeffs.items() if abs(v) > cut}
+        self._arrays = None
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Keys as an int64 (terms, n) array and the matching coefficients.
+
+        Built on first use and kept; the coefficients must not be mutated
+        afterwards.
+        """
+        if self._arrays is None:
+            keys = np.array(list(self.coeffs), dtype=np.int64).reshape(len(self.coeffs), self.n)
+            vals = np.fromiter(self.coeffs.values(), dtype=float, count=len(self.coeffs))
+            self._arrays = (keys, vals)
+        return self._arrays
 
     def max_abs(self) -> float:
         return max((abs(v) for v in self.coeffs.values()), default=0.0)
@@ -67,10 +91,14 @@ class PolynomialInE:
 
 
 _P_CACHE: dict[tuple[ModelParams, Partition], PolynomialInE] = {}
+# (params, w, L) -> the stratum of weight w and last part >= L, for the
+# largest first-part bound requested so far; smaller bounds are leading blocks.
+_STRATUM_CACHE: dict[tuple[ModelParams, int, int], "Stratum"] = {}
 
 
 def clear_poly_cache() -> None:
     _P_CACHE.clear()
+    _STRATUM_CACHE.clear()
 
 
 def _check_buildable(mu: Partition, params: ModelParams) -> None:
@@ -107,13 +135,13 @@ def build_P(mu, params: ModelParams) -> PolynomialInE:
     The dependency cone is resolved with an explicit worklist.
     """
     mu = check_partition(mu)
+    key = (params, mu)
+    cached = _P_CACHE.get(key)
+    if cached is not None:  # passed the length and admission checks when built
+        return cached
     if len(mu) != params.n:
         raise ValueError(f"partition length {len(mu)} does not match n={params.n}")
     _check_buildable(mu, params)
-    key = (params, mu)
-    cached = _P_CACHE.get(key)
-    if cached is not None:
-        return cached
 
     stack = [mu]
     while stack:
@@ -147,6 +175,95 @@ def build_P(mu, params: ModelParams) -> PolynomialInE:
         _P_CACHE[(params, top)] = poly
 
     return _P_CACHE[key]
+
+
+def encode_keys(key_array: np.ndarray, w: int) -> np.ndarray:
+    """Keys of weight <= w as base-(w+1) integers.
+
+    The code order is the lexicographic order of the keys, and a sum of keys
+    whose weight stays <= w encodes to the sum of their codes.
+    """
+    n = key_array.shape[-1]
+    return key_array @ (w + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+class Stratum:
+    """The keys of weight w, first part <= bound, last part >= L, with their basis.
+
+    ``keys`` are in ascending lexicographic order, ``key_array`` holds them
+    as rows and ``codes`` as ``encode_keys(key_array, w)``.  The matrix U
+    whose row i is P_{keys[i]} in the monomial basis is unit lower-triangular,
+    so F = sum_i a_i P_{keys[i]} has monomial coefficients f = U^T a.
+    ``packed`` holds the rows' lower triangles one after the other (row i,
+    on keys[0..i], starts at i(i+1)/2), which is U^T in BLAS packed upper
+    storage; the first k(k+1)/2 entries are the leading k x k block.
+    """
+
+    __slots__ = ("w", "bound", "keys", "key_array", "codes", "packed")
+
+    def __init__(
+        self,
+        w: int,
+        bound: int,
+        keys: list[Partition],
+        key_array: np.ndarray,
+        codes: np.ndarray,
+        packed: np.ndarray,
+    ):
+        self.w = w
+        self.bound = bound
+        self.keys = keys
+        self.key_array = key_array
+        self.codes = codes
+        self.packed = packed
+
+    def block(self, M: int) -> "Stratum":
+        """The sub-stratum of first part <= M <= bound: a leading block."""
+        if M >= self.bound:
+            return self
+        n = self.key_array.shape[1]
+        k = int(np.searchsorted(self.codes, (M + 1) * (self.w + 1) ** (n - 1)))
+        return Stratum(
+            self.w, M, self.keys[:k], self.key_array[:k], self.codes[:k], self.packed[: k * (k + 1) // 2]
+        )
+
+
+def stratum(params: ModelParams, w: int, M: int, L: int = 0) -> Stratum:
+    """The basis stratum of weight w, first part <= M, last part >= L.
+
+    Built once per (params, w, L) for the largest M requested so far and
+    grown by appending rows when a larger M comes; a smaller M takes a
+    leading block, so the entries do not depend on the order of requests.
+    """
+    n = params.n
+    M = min(M, w - (n - 1) * L)  # the largest first part the stratum can hold
+    cache_key = (params, w, L)
+    table = _STRATUM_CACHE.get(cache_key)
+    if table is not None and table.bound >= M:
+        return table.block(M)
+
+    if (w + 1) ** n > np.iinfo(np.int64).max:
+        raise ValueError(f"weight {w} is too large for int64 key codes at n={n}")
+    keys = partitions_of_weight(n, w - n * L, max_part=M - L) if M >= L else []
+    keys = [tuple(x + L for x in k) for k in reversed(keys)]
+    key_array = np.array(keys, dtype=np.int64).reshape(len(keys), n)
+    N = len(keys)
+    packed = np.zeros(N * (N + 1) // 2)
+    done = 0
+    if table is not None:
+        done = len(table.keys)
+        packed[: table.packed.size] = table.packed
+    index = {k: i for i, k in enumerate(keys)}
+    for i in range(done, N):
+        start = i * (i + 1) // 2
+        for k, v in build_P(keys[i], params).items():
+            j = index.get(k, N)
+            if j > i:
+                raise AssertionError(f"P_{keys[i]} leaves its stratum at {k}")
+            packed[start + j] = v
+    table = Stratum(w, M, keys, key_array, encode_keys(key_array, w), packed)
+    _STRATUM_CACHE[cache_key] = table
+    return table
 
 
 def evaluate(P: PolynomialInE, e) -> complex:

@@ -1,4 +1,5 @@
 import json
+import math
 
 from ellfusion.cli import main
 
@@ -93,6 +94,35 @@ def test_smatrix_command(capsys):
     assert payload["identity_residual"] < 1e-8
     assert payload["det_residual"] < 1e-6
     assert len(payload["S"]) == 3
+
+
+def test_smatrix_command_writes_strict_json_at_large_nome(capsys, recwarn):
+    # |det S| and its closed form overflow binary64 here: their logs are
+    # written, the linear values are null, and numpy raises no warning.
+    code, out, err = run_cli(
+        ["smatrix", "--n", "4", "--m", "4", "--g", "0.7", "--p", "0.9"], capsys
+    )
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["det_magnitude"] is None
+    assert payload["det_closed_form"] is None
+    assert math.isfinite(payload["log_det_magnitude"])
+    assert abs(payload["log_det_magnitude"] - payload["log_det_closed_form"]) < 1e-6
+    assert payload["det_residual"] < 1e-6
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_smatrix_command_linear_det_in_range(capsys):
+    code, out, err = run_cli(
+        ["smatrix", "--n", "2", "--m", "2", "--g", "0.8", "--p", "0.2"], capsys
+    )
+    payload = json.loads(out)
+    assert abs(math.log(payload["det_magnitude"]) - payload["log_det_magnitude"]) < 1e-12
+    assert abs(math.log(payload["det_closed_form"]) - payload["log_det_closed_form"]) < 1e-12
 
 
 def test_verify_command(capsys):

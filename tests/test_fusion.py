@@ -121,6 +121,26 @@ def test_fusion_table_associativity():
                     assert abs(left - right) < 1e-8
 
 
+def test_lr_route_pairs_near_the_support_cut_at_level_8():
+    # These products carry large cancelling coefficients; residuals a basis
+    # expansion leaves unpropagated surface as support violations.
+    params = ModelParams.locked(3, 8, 0.7, 0.3)
+    sm = s_matrix(params)
+    pairs = [
+        ((8, 1, 0), (7, 3, 0)),
+        ((7, 3, 0), (8, 1, 0)),
+        ((8, 1, 0), (8, 3, 0)),
+        ((8, 3, 0), (8, 1, 0)),
+        ((8, 2, 0), (8, 2, 0)),
+    ]
+    for lam, mu in pairs:
+        got, flags = structure_constants_lr(lam, mu, params, return_flags=True)
+        assert flags == set()
+        want = structure_constants_verlinde(lam, mu, params, spectrum=sm.spectrum)
+        for k in set(got) | set(want):
+            assert abs(got.get(k, 0.0) - want.get(k, 0.0)) < 1e-7, (lam, mu, k)
+
+
 def test_smatrix_first_row_and_identity():
     params = ModelParams.locked(3, 2, 0.7, 0.4)
     sm = s_matrix(params)

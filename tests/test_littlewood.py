@@ -1,5 +1,7 @@
+from hypothesis import assume, given, settings, strategies as st
+
 from ellfusion import coeffs
-from ellfusion.kernel import ModelParams, realify
+from ellfusion.kernel import ModelParams, g_regularity_margin, realify
 from ellfusion.littlewood import expand_in_P, lr_coefficients, multiply_monomial
 from ellfusion.oracles import macdonald_lr_p0
 from ellfusion.partitions import (
@@ -11,7 +13,7 @@ from ellfusion.partitions import (
     vertical_strips,
     weight,
 )
-from ellfusion.polynomials import PolynomialInE, build_P
+from ellfusion.polynomials import PolynomialInE, build_P, clear_poly_cache
 
 FREE2 = ModelParams.free(2, g=0.7, p=0.3, alpha=2.0)
 FREE3 = ModelParams.free(3, g=0.65, p=0.3, alpha=2.0)
@@ -138,3 +140,71 @@ def test_lr_translation_covariance():
         assert set(a) == set(b)
         for k in a:
             assert abs(a[k] - b[k]) <= 1e-10 * max(1.0, abs(a[k]))
+
+
+def _label(n):
+    """A partition with n rows and parts <= 3 (the last part may be nonzero)."""
+    return st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
+        lambda xs: tuple(sorted(xs, reverse=True))
+    )
+
+
+@st.composite
+def _lr_case(draw):
+    n = draw(st.sampled_from((2, 3, 4)))
+    g = draw(st.floats(0.3, 1.7))
+    p = draw(st.floats(-0.6, 0.6))
+    if draw(st.booleans()):
+        params = ModelParams.locked(n, draw(st.integers(1, 4)), g, p)
+    else:
+        params = ModelParams.free(n, g=g, p=p, alpha=draw(st.floats(1.0, 3.0)))
+    return params, draw(_label(n)), draw(_label(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lr_case())
+def test_lr_coefficients_reconstruct_the_product(case):
+    """sum_kappa a_kappa P_kappa rebuilds P_lam * P_mu, convolved key by key."""
+    params, lam, mu = case
+    window = weight(lam) + weight(mu)
+    margin = g_regularity_margin(params.alpha, params.g, params.n, window, jmax=params.n - 1)
+    assume(margin > 0.05)
+    product = multiply_monomial(build_P(lam, params), build_P(mu, params))
+    rebuilt = {}
+    for kappa, a in lr_coefficients(lam, mu, params).items():
+        for k, u in build_P(kappa, params).items():
+            rebuilt[k] = rebuilt.get(k, 0.0) + a * u
+    scale = product.max_abs()
+    for k in set(rebuilt) | set(product.coeffs):
+        assert abs(rebuilt.get(k, 0.0) - product.coeffs.get(k, 0.0)) <= 1e-10 * scale
+
+
+def test_lr_coefficients_do_not_depend_on_cache_state():
+    """Bit-identical on a cold cache, after larger strata are built, and after a clear."""
+    params = ModelParams.locked(3, 4, 0.7, 0.3)
+    lam, mu = (3, 1, 0), (2, 2, 0)
+    clear_poly_cache()
+    cold = lr_coefficients(lam, mu, params)
+    # Equal and larger weight and first part: the weight-8 stratum grows past
+    # first part 5, and the weight-9 one is built.
+    for a, b in [((4, 0, 0), (4, 0, 0)), ((4, 4, 0), (4, 0, 0)), ((4, 1, 0), (4, 0, 0))]:
+        lr_coefficients(a, b, params)
+    warm = lr_coefficients(lam, mu, params)
+    clear_poly_cache()
+    cleared = lr_coefficients(lam, mu, params)
+    assert list(cold.items()) == list(warm.items()) == list(cleared.items())
+    swapped = lr_coefficients(mu, lam, params)
+    assert set(swapped) == set(cold)
+    for k, v in cold.items():
+        assert abs(swapped[k] - v) <= 1e-12 * max(1.0, abs(v))
+
+
+def test_expand_groups_by_weight():
+    """A mixed-weight polynomial expands weight by weight."""
+    F = multiply_monomial(build_P((1, 0), FREE2), build_P((1, 0), FREE2))
+    mixed = PolynomialInE(2, {**F.coeffs, (1, 0): 2.0, (1, 1): -0.5})
+    got = expand_in_P(mixed, FREE2)
+    want = expand_in_P(F, FREE2)
+    assert abs(got[(1, 0)] - 2.0) < 1e-14
+    assert abs(got[(2, 0)] - want[(2, 0)]) < 1e-14
+    assert abs(got[(1, 1)] - (want[(1, 1)] - 0.5)) < 1e-12

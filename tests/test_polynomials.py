@@ -15,10 +15,12 @@ from ellfusion.partitions import (
 )
 from ellfusion.polynomials import (
     build_P,
+    clear_poly_cache,
     elementary_symmetric,
     evaluate,
     evaluate_R,
     normalized_p,
+    stratum,
 )
 
 FREE2 = ModelParams.free(2, g=0.7, p=0.3, alpha=2.0)
@@ -157,3 +159,28 @@ def test_length_mismatch_rejected():
         build_P((1, 0, 0), FREE2)
     with pytest.raises(ValueError):
         evaluate(build_P((1, 0), FREE2), (1.0, 2.0, 3.0))
+
+
+def test_stratum_rows_are_the_basis_and_smaller_bounds_are_leading_blocks():
+    params = ModelParams.locked(3, 4, 0.7, 0.3)
+    clear_poly_cache()
+    small = stratum(params, 7, 4)
+    big = stratum(params, 7, 9)  # clamped to the largest first part, 7
+    again = stratum(params, 7, 4)
+    assert big.keys == sorted(partitions_of_weight(3, 7))
+    assert small.keys == big.keys[: len(small.keys)] == again.keys
+    assert all(k[0] <= 4 for k in small.keys) and big.keys[len(small.keys)][0] == 5
+    assert np.array_equal(again.packed, small.packed)
+    for i, kappa in enumerate(big.keys):
+        row = np.zeros(i + 1)
+        for k, v in build_P(kappa, params).items():
+            row[big.keys.index(k)] = v  # raises if P_kappa leaves the first i + 1 keys
+        assert row[i] == 1.0
+        assert np.array_equal(big.packed[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2], row)
+
+
+def test_stratum_with_a_last_part_bound():
+    params = ModelParams.free(3, g=0.45, p=0.2, alpha=2.0)
+    table = stratum(params, 9, 5, L=2)
+    assert table.keys == [(3, 3, 3), (4, 3, 2), (5, 2, 2)]
+    assert table.packed[1] == build_P((4, 3, 2), params).coeffs[(3, 3, 3)]  # row 1 starts at 1
