@@ -70,6 +70,6 @@ from .oracles import (
     schur_eval,
     schur_in_elementary,
 )
-from .verification import limits_suite, ring_suite, run_suite, spectrum_suite
+from .verification import run_suite
 
 __version__ = "0.1.0"

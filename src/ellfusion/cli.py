@@ -24,7 +24,7 @@ from .operators import joint_spectrum
 from .partitions import canonical_key, vertical_strips
 from .polynomials import build_P
 from .fusion import fusion_pieri, fusion_table, s_matrix
-from .verification import run_suite
+from .verification import SUITES, run_suite
 from . import coeffs
 from .kernel import realify
 
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("verify", help="run a verification suite")
     _add_model_flags(sp, locked_only=True, require_gp=False)
     _add_output_flags(sp)
-    sp.add_argument("--suite", choices=("limits", "ring", "spectrum", "all"), default="all")
+    sp.add_argument("--suite", choices=(*SUITES, "all"), default="all")
 
     return parser
 

@@ -316,21 +316,26 @@ def fusion_table(
     seed: int = 0,
 ) -> FusionTable:
     """Structure constants for every ordered pair of labels on the level cone."""
+    if route == "verlinde":
+        return _verlinde_table(s_matrix(params, spectrum=spectrum, seed=seed))
+    if route != "lr":
+        raise ValueError(f"unknown route {route!r}")
     labels = tuple(enumerate_level(params.n, params.m))
     entries: dict[tuple[Partition, Partition], dict[Partition, float]] = {}
     flagged: dict[tuple[Partition, Partition], set[Partition]] = {}
-    if route == "verlinde":
-        sm = s_matrix(params, spectrum=spectrum, seed=seed)
-        for lam in labels:
-            for mu in labels:
-                entries[(lam, mu)] = _verlinde_from_smatrix(lam, mu, sm)
-    elif route == "lr":
-        for lam in labels:
-            for mu in labels:
-                out, flags = structure_constants_lr(lam, mu, params, return_flags=True)
-                entries[(lam, mu)] = out
-                if flags:
-                    flagged[(lam, mu)] = flags
-    else:
-        raise ValueError(f"unknown route {route!r}")
+    for lam in labels:
+        for mu in labels:
+            out, flags = structure_constants_lr(lam, mu, params, return_flags=True)
+            entries[(lam, mu)] = out
+            if flags:
+                flagged[(lam, mu)] = flags
     return FusionTable(params=params, labels=labels, entries=entries, route=route, flagged=flagged)
+
+
+def _verlinde_table(sm: SMatrixData) -> FusionTable:
+    """The Verlinde-route table of one S-matrix."""
+    labels = tuple(enumerate_level(sm.params.n, sm.params.m))
+    entries = {(lam, mu): _verlinde_from_smatrix(lam, mu, sm) for lam in labels for mu in labels}
+    return FusionTable(
+        params=sm.params, labels=labels, entries=entries, route="verlinde", flagged={}
+    )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -240,6 +241,13 @@ def kac_peterson_smatrix(n: int, m: int) -> tuple[list[Partition], np.ndarray]:
     return labels, S
 
 
+@lru_cache(maxsize=16)
+def _classical_transform(n: int, m: int):
+    """(labels, label index, S, Sinv) of the sine-form matrix, built once per (n, m)."""
+    labels, S = kac_peterson_smatrix(n, m)
+    return labels, {l: i for i, l in enumerate(labels)}, S, np.linalg.inv(S)
+
+
 def classical_fusion(lam, mu, n: int, m: int) -> dict[Partition, int]:
     """Classical level-m fusion coefficients from the sine-form spectral sum.
 
@@ -248,9 +256,7 @@ def classical_fusion(lam, mu, n: int, m: int) -> dict[Partition, int]:
     """
     lam = check_partition(lam)
     mu = check_partition(mu)
-    labels, S = kac_peterson_smatrix(n, m)
-    Sinv = np.linalg.inv(S)
-    index = {l: i for i, l in enumerate(labels)}
+    labels, index, S, Sinv = _classical_transform(n, m)
     i_lam, i_mu = index[lam], index[mu]
     weights = S[i_lam, :] * S[i_mu, :] / S[0, :]
     vec = weights @ Sinv

@@ -1,16 +1,25 @@
-"""Verification suites: ring identities, spectral checks, limit endpoints.
+"""Check registry: ring identities, spectral checks, limit endpoints.
 
-Each check returns an :class:`~ellfusion.oracles.OracleReport`; the three
-suite runners bundle them for the CLI ``verify`` command and for the
-acceptance tests.  Checks that hit a genuine parameter resonance (an exact
-boundary zero against a divergent normalization) re-verify the identity at
-couplings nudged by 1e-6 on both sides instead of skipping the grid point.
+Every check is one :class:`Check` entry in :data:`REGISTRY`: a report name,
+the suites that run it, a tolerance, a measure function and the acceptance
+grid.  A measure function returns the worst deviation over its grid point;
+an entry with tolerance 0 is exact and counts violations.  ``run_suite``
+(the CLI ``verify`` command) and the acceptance tests both read the table,
+so each criterion is computed in one place.  Spectra, S-matrices and
+Verlinde tables are shared between the checks of one run through a
+:class:`CheckContext`.  Checks that hit a genuine parameter resonance (an
+exact boundary zero against a divergent normalization) re-verify the
+identity at couplings nudged by 1e-6 on both sides instead of skipping the
+grid point.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product
+from dataclasses import dataclass
+from functools import cache
+from itertools import combinations, product
+from typing import Callable
 
 import numpy as np
 
@@ -28,15 +37,20 @@ from .partitions import (
     Partition,
     add,
     column,
+    contains,
+    dominance_leq,
     enumerate_level,
+    is_partition,
     partitions_of_weight,
     span,
     underline,
     vertical_strips,
     weight,
 )
-from .polynomials import build_P, evaluate, evaluate_R, evaluation_scale
+from .polynomials import build_P, evaluate, evaluate_R, evaluation_scale, normalized_p
 from .fusion import (
+    _verlinde_from_smatrix,
+    _verlinde_table,
     fusion_pieri,
     fusion_table,
     reduce_mod_ideal,
@@ -49,51 +63,67 @@ from .oracles import (
     kac_peterson_smatrix,
     macdonald_lr_p0,
     macdonald_pieri_p0,
-    make_report,
     principal_normalization_p0,
+    schur_eval,
     schur_in_elementary,
 )
 from . import coeffs
 
 _FREE_ALPHA = 2.0
 _NUDGE = 1e-6
+_CLASSICAL_TOL = 1e-5
+
+SUITES = ("limits", "ring", "spectrum")
 
 
-def _value_report(name: str, value: float, tol: float) -> OracleReport:
-    return OracleReport(name, float(value), float(value), tol, float(value) < tol)
+class CheckContext:
+    """Results shared by the checks of one run, keyed by locked parameters.
+
+    Each joint spectrum, S-matrix and Verlinde table (built from that
+    S-matrix) is computed once per parameter set at the run's seed and kept
+    as long as the context.  The LR route is never stored here, so a check
+    comparing it with the Verlinde table compares two computations.
+    """
+
+    def __init__(self, seed: int = 0):
+        self.seed = seed
+        self.spectrum = cache(lambda params: joint_spectrum(params, seed=seed))
+        self.smatrix = cache(lambda params: s_matrix(params, spectrum=self.spectrum(params)))
+        self.table = cache(lambda params: _verlinde_table(self.smatrix(params)))
+
+
+def _worst(pairs) -> float:
+    """Largest |computed - expected| over (computed, expected) pairs."""
+    return max((abs(complex(a) - complex(b)) for a, b in pairs), default=0.0)
 
 
 def _dict_deviation(a: dict, b: dict) -> float:
-    keys = set(a) | set(b)
-    return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys), default=0.0)
+    return _worst((a.get(k, 0.0), b.get(k, 0.0)) for k in set(a) | set(b))
+
+
+def _locked(n: int, m: int, g_values, p_values) -> list[ModelParams]:
+    return [ModelParams.locked(n, m, g, p) for g, p in product(g_values, p_values)]
+
+
+def _free(n: int, g: float, p: float) -> ModelParams:
+    return ModelParams.free(n, g=g, p=p, alpha=_FREE_ALPHA)
+
+
+def _shapes(n: int, lo: int, hi: int, max_part: int | None = None) -> list[Partition]:
+    """Partitions with n rows of every weight lo..hi."""
+    return [mu for w in range(lo, hi + 1) for mu in partitions_of_weight(n, w, max_part)]
+
+
+def _ideal_generators(n: int, m: int) -> list[Partition]:
+    """Shapes with first part m+1, last part 0, and any admissible middle rows."""
+    shapes = ((m + 1,) + mid + (0,) for mid in product(range(m + 2), repeat=max(n - 2, 0)))
+    return [mu for mu in shapes if is_partition(mu)]
 
 
 # ---------------------------------------------------------------------------
 # Ring checks
 
-def _ideal_generators(n: int, m: int) -> list[Partition]:
-    """Shapes with first part m+1, last part 0, and any admissible middle rows."""
-    gens = []
-    for mid in product(range(m + 2), repeat=max(n - 2, 0)):
-        mu = (m + 1,) + mid + (0,)
-        if all(mu[i] >= mu[i + 1] for i in range(n - 1)):
-            gens.append(mu)
-    return gens
-
-
-def _gauge_pair(mu, nu, params):
-    lhs = coeffs.psi_prime(mu, nu, params) * coeffs.c_norm(mu, params)
-    rhs = coeffs.hop_B(mu, nu, params) * coeffs.c_norm(nu, params)
-    return lhs, rhs
-
-
-def check_gauge_identity(
-    n: int,
-    m: int,
-    g_values=(0.3, 1.0, 1.7),
-    p_values=(-0.5, 0.0, 0.5),
-    tol: float = 1e-11,
-) -> OracleReport:
+def _gauge_identity(ctx, n, m, g_values=(0.3, 1.0, 1.7), p_values=(-0.5, 0.0, 0.5)):
     """psi'_{nu/mu} c_mu = B_{nu/mu} c_nu over the cone and all its strips.
 
     All strips are checked at a free (non-resonant) phase scale, where both
@@ -101,89 +131,91 @@ def check_gauge_identity(
     onto every boundary strip, turning the identity there into the
     indeterminate form 0 * inf for every coupling; in locked mode the check
     therefore covers the strips that stay inside the level cone.
+    Relative to the right-hand side.
     """
-    pairs = []
+    worst = 0.0
     for g, p in product(g_values, p_values):
-        free = ModelParams.free(n, g=g, p=p, alpha=_FREE_ALPHA)
-        locked = ModelParams.locked(n, m, g, p)
+        free, locked = _free(n, g, p), ModelParams.locked(n, m, g, p)
         for mu in enumerate_level(n, m):
             for r in range(1, n + 1):
                 for nu in vertical_strips(mu, r):
-                    pairs.append(_gauge_pair(mu, nu, free))
-                    if span(nu) <= m:
-                        pairs.append(_gauge_pair(mu, nu, locked))
-    return make_report("gauge_identity", pairs, tol, relative=True)
+                    for params in (free, locked) if span(nu) <= m else (free,):
+                        lhs = coeffs.psi_prime(mu, nu, params) * coeffs.c_norm(mu, params)
+                        rhs = coeffs.hop_B(mu, nu, params) * coeffs.c_norm(nu, params)
+                        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
+    return worst
 
 
-def check_level_boundary(
-    n: int, m: int, g_values=(0.4, 0.7, 1.3), p_values=(0.0, 0.4), tol: float = 1e-11
-) -> OracleReport:
+def _level_boundary(ctx, n, m, g_values=(0.4, 0.7, 1.3), p_values=(0.0, 0.4)):
     """psi' vanishes when hopping from span m+1 back into the level cone."""
-    pairs = []
-    for g, p in product(g_values, p_values):
-        params = ModelParams.locked(n, m, g, p)
-        for lam in _ideal_generators(n, m):
-            for r in range(1, n + 1):
-                for nu in vertical_strips(lam, r):
-                    if span(nu) <= m:
-                        pairs.append((coeffs.psi_prime(lam, nu, params), 0.0))
-    return make_report("level_boundary", pairs, tol)
+    return _worst(
+        (coeffs.psi_prime(lam, nu, params), 0.0)
+        for params in _locked(n, m, g_values, p_values)
+        for lam in _ideal_generators(n, m)
+        for r in range(1, n + 1)
+        for nu in vertical_strips(lam, r)
+        if span(nu) <= m
+    )
 
 
-def check_pieri_ring_identity(
-    n: int, max_weight: int = 5, g: float = 0.65, p_values=(0.0, 0.4), tol: float = 1e-10
-) -> OracleReport:
-    """e_s * P_mu = sum over strips of psi' P_nu, as polynomial identities."""
+def _pieri_ring_identity(ctx, n, max_weight=4, g=0.65, p_values=(0.0, 0.4)):
+    """e_s * P_mu = sum over strips of psi' P_nu, relative to max |coeff| of the lhs."""
     worst = 0.0
     for p in p_values:
-        params = ModelParams.free(n, g=g, p=p, alpha=_FREE_ALPHA)
-        for w in range(max_weight + 1):
-            for mu in partitions_of_weight(n, w):
-                P = build_P(mu, params)
-                for s in range(1, n + 1):
-                    lhs = {add(k, column(n, s)): v for k, v in P.items()}
-                    rhs: dict[Partition, float] = {}
-                    for nu in vertical_strips(mu, s):
-                        wgt = realify(coeffs.psi_prime(mu, nu, params))
-                        for k, v in build_P(nu, params).items():
-                            rhs[k] = rhs.get(k, 0.0) + wgt * v
-                    scale = max(max(abs(v) for v in lhs.values()), 1.0)
-                    worst = max(worst, _dict_deviation(lhs, rhs) / scale)
-    return _value_report("pieri_ring_identity", worst, tol)
+        params = _free(n, g, p)
+        for mu in _shapes(n, 0, max_weight):
+            P = build_P(mu, params)
+            for s in range(1, n + 1):
+                lhs = {add(k, column(n, s)): v for k, v in P.items()}
+                rhs: dict[Partition, float] = {}
+                for nu in vertical_strips(mu, s):
+                    wgt = realify(coeffs.psi_prime(mu, nu, params))
+                    for k, v in build_P(nu, params).items():
+                        rhs[k] = rhs.get(k, 0.0) + wgt * v
+                scale = max(abs(v) for v in lhs.values())
+                worst = max(worst, _dict_deviation(lhs, rhs) / scale)
+    return worst
 
 
-def check_lr_commutativity(
-    n: int, max_weight: int = 3, g: float = 0.65, p: float = 0.3, tol: float = 1e-10
-) -> OracleReport:
-    params = ModelParams.free(n, g=g, p=p, alpha=_FREE_ALPHA)
-    shapes = [
-        mu
-        for w in range(max_weight + 1)
-        for mu in partitions_of_weight(n, w)
-    ]
-    worst = 0.0
-    for lam in shapes:
-        for mu in shapes:
-            worst = max(
-                worst,
-                _dict_deviation(
-                    lr_coefficients(lam, mu, params), lr_coefficients(mu, lam, params)
-                ),
-            )
-    return _value_report("lr_commutativity", worst, tol)
+def _unitriangularity(ctx, n, max_weight=4, g=0.45, p=0.2):
+    """Violations of P_mu = m_mu + (keys of the same weight dominated by mu)."""
+    params = _free(n, g, p)
+    bad = 0
+    for mu in _shapes(n, 0, max_weight):
+        P = build_P(mu, params)
+        bad += P.coeffs.get(mu) != 1.0
+        bad += sum(weight(k) != weight(mu) or not dominance_leq(k, mu) for k in P.coeffs)
+    return bad
 
 
-def check_lr_associativity(
-    n: int, g: float = 0.65, p: float = 0.3, tol: float = 1e-9
-) -> OracleReport:
+def _lr_support(ctx, n, max_weight=3, g=0.65, p=0.3):
+    """Output keys of c^nu_{lam,mu} outside lam, mu ⊂ nu, |nu| = |lam| + |mu|."""
+    params = _free(n, g, p)
+    shapes = _shapes(n, 1, max_weight)
+    return sum(
+        not (contains(lam, nu) and contains(mu, nu)) or weight(nu) != weight(lam) + weight(mu)
+        for lam in shapes
+        for mu in shapes
+        for nu in lr_coefficients(lam, mu, params)
+    )
+
+
+def _lr_commutativity(ctx, n, max_weight=3, g=0.65, p=0.3):
+    params = _free(n, g, p)
+    shapes = _shapes(n, 0, max_weight)
+    return max(
+        _dict_deviation(lr_coefficients(lam, mu, params), lr_coefficients(mu, lam, params))
+        for lam in shapes
+        for mu in shapes
+    )
+
+
+def _lr_associativity(ctx, n, g=0.65, p=0.3):
     """sum_kappa c^kappa_{lam,mu} c^nu_{kappa,sig} vs the other association."""
-    params = ModelParams.free(n, g=g, p=p, alpha=_FREE_ALPHA)
-    triples = [
-        ((1,) + (0,) * (n - 1), (1, 1) + (0,) * (n - 2), (1,) + (0,) * (n - 1)),
-        ((2,) + (0,) * (n - 1), (1,) + (0,) * (n - 1), (1, 1) + (0,) * (n - 2)),
-    ]
+    params = _free(n, g, p)
+    one, two = (1,) + (0,) * (n - 1), (1, 1) + (0,) * (n - 2)
     worst = 0.0
-    for lam, mu, sig in triples:
+    for lam, mu, sig in [(one, two, one), ((2,) + (0,) * (n - 1), one, two)]:
         left: dict[Partition, float] = {}
         for kappa, c1 in lr_coefficients(lam, mu, params).items():
             for nu, c2 in lr_coefficients(kappa, sig, params).items():
@@ -193,96 +225,63 @@ def check_lr_associativity(
             for nu, c2 in lr_coefficients(lam, kappa, params).items():
                 right[nu] = right.get(nu, 0.0) + c1 * c2
         worst = max(worst, _dict_deviation(left, right))
-    return _value_report("lr_associativity", worst, tol)
+    return worst
 
 
-def check_lr_translation(
-    n: int, g: float = 0.65, p: float = 0.3, tol: float = 1e-10
-) -> OracleReport:
+def _lr_translation(ctx, n, g=0.65, p=0.3):
     """Shifting one factor by a full column shifts every output key likewise."""
-    params = ModelParams.free(n, g=g, p=p, alpha=_FREE_ALPHA)
-    cases = [
-        ((1,) + (0,) * (n - 1), (1, 1) + (0,) * (n - 2)),
-        ((2, 1) + (0,) * (n - 2), (1,) + (0,) * (n - 1)),
-    ]
-    worst = 0.0
-    full = column(n, n)
-    for lam, mu in cases:
-        plain = {underline(k): v for k, v in lr_coefficients(lam, mu, params).items()}
-        shifted = {
-            underline(k): v
-            for k, v in lr_coefficients(add(lam, full), mu, params).items()
-        }
-        worst = max(worst, _dict_deviation(plain, shifted))
-    return _value_report("lr_translation", worst, tol)
+    params = _free(n, g, p)
+    one, two = (1,) + (0,) * (n - 1), (1, 1) + (0,) * (n - 2)
+
+    def underlined(lam, mu):
+        return {underline(k): v for k, v in lr_coefficients(lam, mu, params).items()}
+
+    return max(
+        _dict_deviation(underlined(lam, mu), underlined(add(lam, column(n, n)), mu))
+        for lam, mu in [(one, two), ((2, 1) + (0,) * (n - 2), one)]
+    )
 
 
-def check_lr_macdonald_p0(
-    n: int, g: float = 0.65, max_weight: int = 3, tol: float = 1e-9
-) -> OracleReport:
+def _lr_macdonald_p0(ctx, n, g=0.65, max_weight=3):
     """Trigonometric limit of the structure coefficients vs the seeded oracle."""
-    params = ModelParams.free(n, g=g, p=0.0, alpha=_FREE_ALPHA)
-    shapes = [
-        mu for w in range(1, max_weight + 1) for mu in partitions_of_weight(n, w)
-    ]
-    worst = 0.0
-    for lam in shapes:
-        for mu in shapes:
-            got = lr_coefficients(lam, mu, params)
-            want = macdonald_lr_p0(lam, mu, _FREE_ALPHA, g)
-            worst = max(worst, _dict_deviation(got, want))
-    return _value_report("lr_macdonald_p0", worst, tol)
+    params = _free(n, g, 0.0)
+    shapes = _shapes(n, 1, max_weight)
+    return max(
+        _dict_deviation(lr_coefficients(lam, mu, params), macdonald_lr_p0(lam, mu, _FREE_ALPHA, g))
+        for lam in shapes
+        for mu in shapes
+    )
 
 
-def check_route_agreement(
-    n: int, m: int, g_values=(0.7, 1.3), p_values=(0.0, 0.4), tol: float = 1e-7, seed: int = 0
-) -> OracleReport:
+def _route_agreement(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
     """Ring-route and spectral-route fusion tables agree at generic couplings."""
-    worst = 0.0
-    for g, p in product(g_values, p_values):
-        params = ModelParams.locked(n, m, g, p)
-        t_lr = fusion_table(params, route="lr")
-        t_v = fusion_table(params, route="verlinde", seed=seed)
-        worst = max(worst, t_lr.max_difference(t_v))
-    return _value_report("route_agreement", worst, tol)
+    return max(
+        fusion_table(params, route="lr").max_difference(ctx.table(params))
+        for params in _locked(n, m, g_values, p_values)
+    )
 
 
 # ---------------------------------------------------------------------------
 # Spectral checks
 
-def check_truncated_commutativity(
-    n_values=(2, 3, 4), m_values=(1, 2, 3), g_values=(0.6, 1.0, 1.7),
-    p_values=(-0.4, 0.0, 0.4), tol: float = 1e-9
-) -> OracleReport:
-    """Relative Frobenius norm of [D_r, D_s] over the level grids."""
+def _truncated_commutativity(ctx, n, m, g_values=(0.6, 1.0, 1.7), p_values=(-0.4, 0.0, 0.4)):
+    """Relative Frobenius norm of [D_r, D_s] (zero below n = 3: one operator)."""
     worst = 0.0
-    for n, m in product(n_values, m_values):
-        if n < 3:
-            continue  # a single truncated operator, nothing to commute
-        for g, p in product(g_values, p_values):
-            params = ModelParams.locked(n, m, g, p)
-            mats = [build_truncated(r, params).matrix for r in range(1, n)]
-            for i in range(len(mats)):
-                for j in range(i + 1, len(mats)):
-                    comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-                    denom = np.linalg.norm(mats[i], "fro") * np.linalg.norm(mats[j], "fro")
-                    worst = max(worst, np.linalg.norm(comm, "fro") / max(denom, 1e-300))
-    return _value_report("truncated_commutativity", worst, tol)
+    for params in _locked(n, m, g_values, p_values) if n >= 3 else ():
+        mats = [build_truncated(r, params).matrix for r in range(1, n)]
+        for a, b in combinations(mats, 2):
+            denom = np.linalg.norm(a, "fro") * np.linalg.norm(b, "fro")
+            worst = max(worst, np.linalg.norm(a @ b - b @ a, "fro") / max(denom, 1e-300))
+    return worst
 
 
-def check_full_lattice_commutativity(
-    n: int, g: float = 0.65, p: float = 0.3, tol: float = 1e-10, seed: int = 0
-) -> OracleReport:
+def _full_lattice_commutativity(ctx, n, g=0.65, p=0.3):
     """[D_r, D_s] f = 0 for random finitely supported f on the full lattice."""
-    params = ModelParams.free(n, g=g, p=p, alpha=_FREE_ALPHA)
-    rng = np.random.default_rng(seed)
+    params = _free(n, g, p)
+    rng = np.random.default_rng(ctx.seed)
     base = (2, 1) + (0,) * (n - 2)
-    support = []
-    for off in product(range(3), repeat=n):
-        kappa = add(base, off)
-        if all(kappa[i] >= kappa[i + 1] for i in range(n - 1)):
-            support.append(kappa)
-    f = {kappa: complex(*rng.standard_normal(2)) for kappa in support}
+    support = (add(base, off) for off in product(range(3), repeat=n))
+    f = {kappa: complex(*rng.standard_normal(2)) for kappa in support if is_partition(kappa)}
 
     def compose(r, s, lam):
         total = 0.0 + 0.0j
@@ -293,315 +292,325 @@ def check_full_lattice_commutativity(
         return total
 
     worst = 0.0
-    for r in range(1, n + 1):
-        for s in range(r + 1, n + 1):
-            for lam in [base, (1,) + (0,) * (n - 1), (0,) * n]:
-                a = compose(r, s, lam)
-                b = compose(s, r, lam)
-                scale = max(1.0, abs(a) + abs(b))
-                worst = max(worst, abs(a - b) / scale)
-    return _value_report("full_lattice_commutativity", worst, tol)
+    for r, s in combinations(range(1, n + 1), 2):
+        for lam in [base, (1,) + (0,) * (n - 1), (0,) * n]:
+            a, b = compose(r, s, lam), compose(s, r, lam)
+            worst = max(worst, abs(a - b) / max(1.0, abs(a) + abs(b)))
+    return worst
 
 
-def check_normality(
-    n: int, m: int, g_values=(0.7, 1.3), p_values=(0.0, 0.4), tol: float = 1e-9
-) -> OracleReport:
-    worst = 0.0
-    for g, p in product(g_values, p_values):
-        params = ModelParams.locked(n, m, g, p)
-        for r in range(1, n):
-            worst = max(worst, normality_residual(build_truncated(r, params)))
-    return _value_report("weighted_normality", worst, tol)
+def _normality(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
+    return max(
+        normality_residual(build_truncated(r, params))
+        for params in _locked(n, m, g_values, p_values)
+        for r in range(1, n)
+    )
 
 
-def check_spectrum_p0(
-    n: int, m: int, g: float = 0.8, tol: float = 1e-10, seed: int = 0
-) -> OracleReport:
+def _spectrum_count(ctx, n, m, g=0.8):
+    """|number of spectral points - binomial(n-1+m, m)|."""
+    spec = ctx.spectrum(ModelParams.locked(n, m, g, 0.0))
+    return abs(len(spec.labels) - math.comb(n - 1 + m, m))
+
+
+def _spectrum_p0(ctx, n, m, g=0.8):
     """Rayleigh eigenvalues at p = 0 against the trigonometric closed form."""
     params = ModelParams.locked(n, m, g, 0.0)
-    spec = joint_spectrum(params, seed=seed)
+    spec = ctx.spectrum(params)
     closed = spectral_points_p0(params)
-    pairs = []
-    count_ok = len(spec.labels) == math.comb(n - 1 + m, m)
-    for nu in spec.labels:
-        got = np.array(spec.points[nu].e[:-1])
-        want = closed[nu]
-        for a, b in zip(got, want):
-            pairs.append((a, b))
-    report = make_report(f"spectrum_p0_closed_form", pairs, tol)
-    if not count_ok:
-        report = OracleReport(report.comparison, report.max_abs, report.max_rel, tol, False)
-    return report
+    return _worst(
+        pair for nu in spec.labels for pair in zip(spec.points[nu].e[:-1], closed[nu])
+    )
 
 
-def check_eigenvector_consistency(
-    n: int, m: int, g: float = 0.7, p: float = 0.4, tol: float = 1e-8, seed: int = 0
-) -> OracleReport:
+def _eigenvector_consistency(ctx, n, m, g=0.7, p=0.4):
     """Matrix eigenvectors match the normalized polynomial values."""
-    from .polynomials import normalized_p
-
     params = ModelParams.locked(n, m, g, p)
-    spec = joint_spectrum(params, seed=seed)
+    spec = ctx.spectrum(params)
     worst = 0.0
     for nu in spec.labels:
         pt = spec.points[nu]
         for lam in spec.labels:
             want = normalized_p(lam, pt.e, params)
-            got = pt.eigenvector[lam]
             # entries are pinned to 1 at the origin site, so 1 is the scale
             # floor; exactly-zero entries are compared absolutely
-            worst = max(worst, abs(got - want) / max(abs(want), 1.0))
-    return _value_report("eigenvector_consistency", worst, tol)
+            worst = max(worst, abs(pt.eigenvector[lam] - want) / max(abs(want), 1.0))
+    return worst
 
 
-def check_spectral_variety(
-    n: int, m: int, g_values=(0.7, 1.3), p_values=(0.0, 0.4), tol: float = 1e-7, seed: int = 0
-) -> OracleReport:
+def _spectral_variety(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
     """Ideal generators vanish on every spectral point (relative to scale)."""
     worst = 0.0
-    for g, p in product(g_values, p_values):
-        params = ModelParams.locked(n, m, g, p)
-        spec = joint_spectrum(params, seed=seed)
+    for params in _locked(n, m, g_values, p_values):
+        spec = ctx.spectrum(params)
         for mu in _ideal_generators(n, m):
             P = build_P(mu, params)
             for nu in spec.labels:
                 e = spec.points[nu].e
                 worst = max(worst, abs(evaluate(P, e)) / evaluation_scale(P, e))
-    return _value_report("spectral_variety", worst, tol)
+    return worst
 
 
-def check_dual_orthogonality(
-    n: int, m: int, g_values=(0.7, 1.3), p_values=(0.0, 0.4), tol: float = 1e-8, seed: int = 0
-) -> OracleReport:
+def _dual_orthogonality(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
+    return max(
+        dual_orthogonality_check(params, spectrum=ctx.spectrum(params))
+        for params in _locked(n, m, g_values, p_values)
+    )
+
+
+def _smatrix_identity(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
+    """|S Sinv - I|."""
+    grid = _locked(n, m, g_values, p_values)
+    return max(ctx.smatrix(params).identity_residual() for params in grid)
+
+
+def _smatrix_determinant(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
+    """log|det S| against its closed form."""
+    grid = _locked(n, m, g_values, p_values)
+    return max(ctx.smatrix(params).det_residual() for params in grid)
+
+
+def _verlinde_vs_projection(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
+    """Spectral (S-matrix) sum against direct projection onto the spectrum."""
     worst = 0.0
-    for g, p in product(g_values, p_values):
-        params = ModelParams.locked(n, m, g, p)
-        worst = max(worst, dual_orthogonality_check(params, seed=seed))
-    return _value_report("dual_orthogonality", worst, tol)
-
-
-def check_smatrix_consistency(
-    n: int, m: int, g_values=(0.7, 1.3), p_values=(0.0, 0.4),
-    tol_identity: float = 1e-8, tol_det: float = 1e-6, seed: int = 0
-) -> list[OracleReport]:
-    """S Sinv = I, the determinant closed form, and spectral-vs-projection sums."""
-    worst_id = worst_det = worst_routes = 0.0
-    for g, p in product(g_values, p_values):
-        params = ModelParams.locked(n, m, g, p)
-        sm = s_matrix(params, seed=seed)
-        worst_id = max(worst_id, sm.identity_residual())
-        worst_det = max(worst_det, sm.det_residual())
-        labels = sm.labels
-        from .fusion import _verlinde_from_smatrix
-
-        for lam in labels:
-            for mu in labels:
-                a = _verlinde_from_smatrix(lam, mu, sm)
-                b = structure_constants_projection(lam, mu, params, spectrum=sm.spectrum)
-                worst_routes = max(worst_routes, _dict_deviation(a, b))
-    return [
-        _value_report("smatrix_identity", worst_id, tol_identity),
-        _value_report("smatrix_determinant", worst_det, tol_det),
-        _value_report("verlinde_vs_projection", worst_routes, tol_identity),
-    ]
+    for params in _locked(n, m, g_values, p_values):
+        sm = ctx.smatrix(params)
+        for lam, mu in product(sm.labels, repeat=2):
+            a = _verlinde_from_smatrix(lam, mu, sm)
+            b = structure_constants_projection(lam, mu, params, spectrum=sm.spectrum)
+            worst = max(worst, _dict_deviation(a, b))
+    return worst
 
 
 # ---------------------------------------------------------------------------
 # Limit endpoints
 
-def check_poly_g1_schur(n: int, max_weight: int = 4, p: float = 0.3, tol: float = 1e-4) -> OracleReport:
+def _poly_g1_schur(ctx, n, max_weight=4, p=0.3):
     """Coefficients of P_mu at g -> 1 (free mode) against the Schur expansion."""
-    lo = ModelParams.free(n, g=1.0 - _NUDGE, p=p, alpha=_FREE_ALPHA)
-    hi = ModelParams.free(n, g=1.0 + _NUDGE, p=p, alpha=_FREE_ALPHA)
+    lo, hi = _free(n, 1.0 - _NUDGE, p), _free(n, 1.0 + _NUDGE, p)
     worst = 0.0
-    for w in range(max_weight + 1):
-        for mu in partitions_of_weight(n, w):
-            a = build_P(mu, lo).coeffs
-            b = build_P(mu, hi).coeffs
-            mean = {k: 0.5 * (a.get(k, 0.0) + b.get(k, 0.0)) for k in set(a) | set(b)}
-            want = {k: float(v) for k, v in schur_in_elementary(mu, n).items()}
-            worst = max(worst, _dict_deviation(mean, want))
-    return _value_report("poly_g1_schur_in_e", worst, tol)
+    for mu in _shapes(n, 0, max_weight):
+        a, b = build_P(mu, lo).coeffs, build_P(mu, hi).coeffs
+        mean = {k: 0.5 * (a.get(k, 0.0) + b.get(k, 0.0)) for k in set(a) | set(b)}
+        worst = max(worst, _dict_deviation(mean, schur_in_elementary(mu, n)))
+    return worst
 
 
-def check_evaluate_R_g1(n: int, p: float = 0.3, tol: float = 1e-4, seed: int = 0) -> OracleReport:
-    """Symmetric-polynomial values at g -> 1 against tableau sums."""
-    from .oracles import schur_eval
-
-    rng = np.random.default_rng(seed)
-    lo = ModelParams.free(n, g=1.0 - _NUDGE, p=p, alpha=_FREE_ALPHA)
-    hi = ModelParams.free(n, g=1.0 + _NUDGE, p=p, alpha=_FREE_ALPHA)
+def _evaluate_R_g1(ctx, n, p=0.3):
+    """Symmetric-polynomial values at g -> 1 against tableau sums, absolute."""
+    rng = np.random.default_rng(ctx.seed)
+    lo, hi = _free(n, 1.0 - _NUDGE, p), _free(n, 1.0 + _NUDGE, p)
     pairs = []
-    shapes = [mu for w in range(5) for mu in partitions_of_weight(n, w)]
-    for mu in shapes:
+    for mu in _shapes(n, 0, 4):
         x = rng.uniform(0.5, 1.5, n) + 1j * rng.uniform(-0.5, 0.5, n)
-        got = 0.5 * (evaluate_R(mu, x, lo) + evaluate_R(mu, x, hi))
-        pairs.append((got, schur_eval(mu, x)))
-    return make_report("evaluate_R_g1_schur", pairs, tol)
+        pairs.append((0.5 * (evaluate_R(mu, x, lo) + evaluate_R(mu, x, hi)), schur_eval(mu, x)))
+    return _worst(pairs)
 
 
-def check_pieri_p0_trig(n: int, m: int, g: float = 0.75, tol: float = 1e-12) -> OracleReport:
+def _pieri_p0_trig(ctx, n, m, g=0.75):
     """Strip weights at p = 0 against the sine-ratio products."""
     params = ModelParams.locked(n, m, g, 0.0)
-    pairs = []
-    shapes = [mu for w in range(5) for mu in partitions_of_weight(n, w, max_part=4)]
-    for lam in shapes:
-        for r in range(1, n + 1):
-            for nu in vertical_strips(lam, r):
-                pairs.append(
-                    (
-                        coeffs.psi_prime(lam, nu, params),
-                        macdonald_pieri_p0(lam, nu, params.alpha, params.g),
-                    )
-                )
-    return make_report("pieri_p0_trig", pairs, tol)
+    return _worst(
+        (coeffs.psi_prime(lam, nu, params), macdonald_pieri_p0(lam, nu, params.alpha, g))
+        for lam in _shapes(n, 0, 4, max_part=4)
+        for r in range(1, n + 1)
+        for nu in vertical_strips(lam, r)
+    )
 
 
-def check_refined_pieri_p0(n: int, m: int, g: float = 0.85, tol: float = 1e-12) -> OracleReport:
+def _refined_pieri_p0(ctx, n, m, g=0.85):
     """Fusion coefficients for column multiplication at p = 0 vs trig products."""
     params = ModelParams.locked(n, m, g, 0.0)
-    pairs = []
+    worst = 0.0
     for lam in enumerate_level(n, m):
         for r in range(1, n):
-            got = fusion_pieri(lam, r, params)
-            want: dict[Partition, float] = {}
-            for nu in vertical_strips(lam, r):
-                if span(nu) <= m:
-                    want[underline(nu)] = macdonald_pieri_p0(lam, nu, params.alpha, params.g)
-            for k in set(got) | set(want):
-                pairs.append((got.get(k, 0.0), want.get(k, 0.0)))
-    return make_report("refined_pieri_p0", pairs, tol)
+            want = {
+                underline(nu): macdonald_pieri_p0(lam, nu, params.alpha, g)
+                for nu in vertical_strips(lam, r)
+                if span(nu) <= m
+            }
+            worst = max(worst, _dict_deviation(fusion_pieri(lam, r, params), want))
+    return worst
 
 
-def check_refined_fusion_p0(n: int, m: int, g: float = 0.8, tol: float = 1e-8, seed: int = 0) -> OracleReport:
+def _refined_fusion_p0(ctx, n, m, g=0.8):
     """Spectral-route fusion at p = 0 against the trigonometric oracle tables."""
     params = ModelParams.locked(n, m, g, 0.0)
-    table = fusion_table(params, route="verlinde", seed=seed)
-    worst = 0.0
-    for lam in table.labels:
-        for mu in table.labels:
-            want = reduce_mod_ideal(macdonald_lr_p0(lam, mu, params.alpha, g), params)
-            worst = max(worst, _dict_deviation(table.entries[(lam, mu)], want))
-    return _value_report("refined_fusion_p0", worst, tol)
+    table = ctx.table(params)
+    return max(
+        _dict_deviation(
+            table.entries[(lam, mu)],
+            reduce_mod_ideal(macdonald_lr_p0(lam, mu, params.alpha, g), params),
+        )
+        for lam, mu in product(table.labels, repeat=2)
+    )
 
 
-def check_fusion_g1_classical(n: int, m: int, tol: float = 1e-5, seed: int = 0) -> OracleReport:
-    """Fusion table at g = 1 is integral and equals the classical coefficients."""
-    params = ModelParams.locked(n, m, 1.0, 0.0)
-    table = fusion_table(params, route="verlinde", seed=seed)
-    worst = 0.0
-    ok = True
-    for lam in table.labels:
-        for mu in table.labels:
-            want = classical_fusion(lam, mu, n, m)
-            got = table.entries[(lam, mu)]
-            for k in set(got) | set(want):
-                v = got.get(k, 0.0)
-                worst = max(worst, abs(v - want.get(k, 0)))
-                if round(v) != want.get(k, 0) or v < -tol:
-                    ok = False
-    report = _value_report("fusion_g1_classical", worst, tol)
-    if not ok:
-        report = OracleReport(report.comparison, report.max_abs, report.max_rel, tol, False)
-    return report
+def _classical_pairs(ctx, n, m):
+    """(table value, classical coefficient) over every key of the g = 1 table."""
+    table = ctx.table(ModelParams.locked(n, m, 1.0, 0.0))
+    for lam, mu in product(table.labels, repeat=2):
+        got, want = table.entries[(lam, mu)], classical_fusion(lam, mu, n, m)
+        for k in set(got) | set(want):
+            yield got.get(k, 0.0), want.get(k, 0)
 
 
-def check_fusion_g1_p_independent(n: int, m: int, p: float = 0.5, tol: float = 1e-9, seed: int = 0) -> OracleReport:
-    a = fusion_table(ModelParams.locked(n, m, 1.0, 0.0), route="verlinde", seed=seed)
-    b = fusion_table(ModelParams.locked(n, m, 1.0, p), route="verlinde", seed=seed)
-    return _value_report("fusion_g1_p_independent", a.max_difference(b), tol)
+def _fusion_g1_classical(ctx, n, m):
+    """Fusion table at g = 1 against the classical coefficients."""
+    return _worst(_classical_pairs(ctx, n, m))
 
 
-def check_smatrix_kac_peterson(n: int, m: int, tol: float = 1e-8, seed: int = 0) -> OracleReport:
+def _fusion_g1_integers(ctx, n, m):
+    """Table values at g = 1 that do not round to the classical, nonnegative integer."""
+    return sum(
+        round(v) != want or round(v) < 0 or v < -_CLASSICAL_TOL
+        for v, want in _classical_pairs(ctx, n, m)
+    )
+
+
+def _fusion_g1_p_independent(ctx, n, m, p=0.5):
+    tables = [ctx.table(ModelParams.locked(n, m, 1.0, q)) for q in (0.0, p)]
+    return tables[0].max_difference(tables[1])
+
+
+def _smatrix_kac_peterson(ctx, n, m):
     """S-matrix at (g, p) = (1, 0) against the sine-form oracle, entrywise.
 
-    At p = 0 the gauge factor relating the two is identically 1.  The
-    conventionally normalized scale is checked against its closed form.
+    At p = 0 the gauge factor relating the two is identically 1.
     """
-    params = ModelParams.locked(n, m, 1.0, 0.0)
-    sm = s_matrix(params, seed=seed)
-    labels, KP = kac_peterson_smatrix(n, m)
-    worst = float(np.abs(sm.S - KP).max())
+    sm = ctx.smatrix(ModelParams.locked(n, m, 1.0, 0.0))
+    return float(np.abs(sm.S - kac_peterson_smatrix(n, m)[1]).max())
+
+
+def _kac_peterson_normalization(ctx, n, m):
+    """Conventional scale at (g, p) = (1, 0) against its closed form, relative."""
     alpha = 2.0 * math.pi / (m + n)
-    denom = 1.0
-    for j in range(n):
-        for k in range(j + 1, n):
-            denom *= trig_bracket(k - j, alpha) ** 2
+    denom = math.prod(
+        trig_bracket(k - j, alpha) ** 2 for j in range(n) for k in range(j + 1, n)
+    )
     closed = (2.0 * math.sin(math.pi / (m + n))) ** (-n * (n - 1)) * n * (n + m) ** (n - 1) / denom
-    rel = abs(sm.normalization - closed) / abs(closed)
-    name = "smatrix_kac_peterson"
-    return OracleReport(name, worst, rel, tol, worst < tol and rel < tol)
+    got = ctx.smatrix(ModelParams.locked(n, m, 1.0, 0.0)).normalization
+    return abs(got - closed) / abs(closed)
 
 
-def check_principal_specialization(n: int, m: int, g: float = 0.8, tol: float = 1e-9) -> OracleReport:
+def _principal_specialization(ctx, n, m, g=0.8):
     """Principal values of the embedded polynomials vs the product form at p=0."""
     params = ModelParams.locked(n, m, g, 0.0)
     xs = [qpow(params.alpha, (n - 1 - j) * g) for j in range(n - 1)] + [1.0 + 0.0j]
     pairs = []
     for nu in enumerate_level(n, m):
-        got = qpow(params.alpha, -weight(nu) * (n - 1) * g / 2.0) * evaluate_R(nu, xs, params)
         want = principal_normalization_p0(nu, params.alpha, g)
-        pairs.append((got, want))
-        pairs.append((1.0 / realify(coeffs.c_norm(nu, params)), want))
-    return make_report("principal_specialization", pairs, tol)
+        got = qpow(params.alpha, -weight(nu) * (n - 1) * g / 2.0) * evaluate_R(nu, xs, params)
+        pairs += [(got, want), (1.0 / realify(coeffs.c_norm(nu, params)), want)]
+    return _worst(pairs)
 
 
 # ---------------------------------------------------------------------------
-# Suites
+# Registry
 
-def limits_suite(n: int, m: int, seed: int = 0) -> list[OracleReport]:
-    return [
-        check_poly_g1_schur(n),
-        check_evaluate_R_g1(n, seed=seed),
-        check_pieri_p0_trig(n, m),
-        check_spectrum_p0(n, m, seed=seed),
-        check_fusion_g1_classical(n, m, seed=seed),
-        check_fusion_g1_p_independent(n, m, seed=seed),
-        check_refined_pieri_p0(n, m),
-        check_refined_fusion_p0(n, m, seed=seed),
-        check_smatrix_kac_peterson(n, m, seed=seed),
-        check_principal_specialization(n, m),
-    ]
+def _grid(ns, ms=None, **fixed) -> tuple[dict, ...]:
+    """Acceptance grid: every (n, m) of ns x ms (n only if ms is None)."""
+    if ms is None:
+        return tuple({"n": n, **fixed} for n in ns)
+    return tuple({"n": n, "m": m, **fixed} for n, m in product(ns, ms))
 
 
-def ring_suite(n: int, m: int, seed: int = 0) -> list[OracleReport]:
-    return [
-        check_gauge_identity(n, m),
-        check_level_boundary(n, m),
-        check_pieri_ring_identity(n, max_weight=4),
-        check_lr_commutativity(n),
-        check_lr_associativity(n),
-        check_lr_translation(n),
-        check_lr_macdonald_p0(n),
-        check_route_agreement(n, m, seed=seed),
-    ]
+@dataclass(frozen=True)
+class Check:
+    """One registry entry.
+
+    ``measure(ctx, **point)`` returns the worst deviation at one grid
+    point.  A suite run at (n, m) measures the point ``n=n, m=m``, or ``n=n``
+    for a ``free`` (free-mode) check; ``acceptance`` lists the points of
+    acceptance criterion ``criterion`` (0: none).  ``tol == 0`` marks an
+    exact check, whose measure counts violations.
+    """
+
+    name: str
+    suites: tuple[str, ...]
+    tol: float
+    measure: Callable[..., float]
+    criterion: int = 0
+    title: str = ""
+    acceptance: tuple[dict, ...] = ()
+    free: bool = False
+
+    def report(self, points, ctx: CheckContext) -> OracleReport:
+        measured = float(max(self.measure(ctx, **point) for point in points))
+        passed = measured == 0.0 if self.tol == 0.0 else measured < self.tol
+        return OracleReport(self.name, measured, measured, self.tol, passed)
 
 
-def spectrum_suite(n: int, m: int, seed: int = 0) -> list[OracleReport]:
-    reports = [
-        check_truncated_commutativity((max(n, 2),), (m,)),
-        check_full_lattice_commutativity(n, seed=seed),
-        check_normality(n, m),
-        check_spectrum_p0(n, m, seed=seed),
-        check_eigenvector_consistency(n, m, seed=seed),
-        check_spectral_variety(n, m, seed=seed),
-        check_dual_orthogonality(n, m, seed=seed),
-    ]
-    reports.extend(check_smatrix_consistency(n, m, seed=seed))
-    return reports
+_NM = _grid((2, 3), (1, 2))
+
+REGISTRY: tuple[Check, ...] = (
+    # limits
+    Check("poly_g1_schur_in_e", ("limits",), 1e-4, _poly_g1_schur, free=True),
+    Check("evaluate_R_g1_schur", ("limits",), 1e-4, _evaluate_R_g1,
+          14, "tableau-sum limit of embedded polynomials", _grid((3,)), free=True),
+    Check("pieri_p0_trig", ("limits",), 1e-12, _pieri_p0_trig,
+          14, "strip weights at nome zero", _grid((2, 3), (2,))),
+    Check("spectrum_count", ("limits", "spectrum"), 0.0, _spectrum_count,
+          6, "spectrum count = binomial(n-1+m, m)", _grid((2, 3), (1, 2, 3))),
+    Check("spectrum_p0_closed_form", ("limits", "spectrum"), 1e-10, _spectrum_p0,
+          6, "trigonometric spectrum closed form", _grid((2, 3), (1, 2, 3))),
+    Check("fusion_g1_classical", ("limits",), _CLASSICAL_TOL, _fusion_g1_classical,
+          11, "integrality at unit coupling", _NM),
+    Check("fusion_g1_classical_integers", ("limits",), 0.0, _fusion_g1_integers,
+          11, "fusion table equals the classical coefficients", _NM),
+    Check("fusion_g1_p_independent", ("limits",), 1e-9, _fusion_g1_p_independent,
+          11, "unit-coupling table is nome independent", _NM),
+    Check("refined_pieri_p0", ("limits",), 1e-12, _refined_pieri_p0,
+          12, "refined strip coefficients at nome zero", _NM),
+    Check("refined_fusion_p0", ("limits",), 1e-8, _refined_fusion_p0),
+    Check("smatrix_kac_peterson", ("limits",), 1e-8, _smatrix_kac_peterson,
+          13, "sine-form transition matrix entrywise", _NM),
+    Check("kac_peterson_normalization", ("limits",), 1e-8, _kac_peterson_normalization,
+          13, "normalization closed form (relative)", _NM),
+    Check("principal_specialization", ("limits",), 1e-9, _principal_specialization),
+    # ring
+    Check("gauge_identity", ("ring",), 1e-11, _gauge_identity,
+          2, "gauge identity over the (3,3) cone", _grid((3,), (3,))),
+    Check("level_boundary", ("ring",), 1e-11, _level_boundary),
+    Check("pieri_ring_identity", ("ring",), 1e-10, _pieri_ring_identity,
+          3, "column-multiplication ring identity", _grid((2, 3), max_weight=5), free=True),
+    Check("unitriangularity", ("ring",), 0.0, _unitriangularity,
+          4, "unitriangularity and homogeneity (hard)", _grid((3,), max_weight=6), free=True),
+    Check("lr_support", ("ring",), 0.0, _lr_support,
+          5, "structure-coefficient support (exact key sets)", _grid((3,)), free=True),
+    Check("lr_commutativity", ("ring",), 1e-10, _lr_commutativity, free=True),
+    Check("lr_associativity", ("ring",), 1e-9, _lr_associativity, free=True),
+    Check("lr_translation", ("ring",), 1e-10, _lr_translation, free=True),
+    Check("lr_macdonald_p0", ("ring",), 1e-9, _lr_macdonald_p0, free=True),
+    Check("route_agreement", ("ring",), 1e-7, _route_agreement,
+          10, "ring route vs spectral route", _NM),
+    # spectrum
+    Check("truncated_commutativity", ("spectrum",), 1e-9, _truncated_commutativity,
+          1, "truncated operator commutativity", _grid((2, 3, 4), (1, 2, 3))),
+    Check("full_lattice_commutativity", ("spectrum",), 1e-10, _full_lattice_commutativity,
+          free=True),
+    Check("weighted_normality", ("spectrum",), 1e-9, _normality),
+    Check("eigenvector_consistency", ("spectrum",), 1e-8, _eigenvector_consistency),
+    Check("spectral_variety", ("spectrum",), 1e-7, _spectral_variety,
+          7, "ideal generators vanish on the spectrum", _NM),
+    Check("dual_orthogonality", ("spectrum",), 1e-8, _dual_orthogonality,
+          8, "dual orthogonality with norm closed form", _NM),
+    Check("verlinde_vs_projection", ("spectrum",), 1e-8, _verlinde_vs_projection,
+          9, "spectral sum vs direct projection", _NM),
+    Check("smatrix_identity", ("spectrum",), 1e-8, _smatrix_identity,
+          9, "S Sinv = identity", _NM),
+    Check("smatrix_determinant", ("spectrum",), 1e-6, _smatrix_determinant,
+          9, "|det S| closed form (relative)", _NM),
+)
 
 
 def run_suite(name: str, n: int, m: int, seed: int = 0) -> list[OracleReport]:
-    if name == "limits":
-        return limits_suite(n, m, seed=seed)
-    if name == "ring":
-        return ring_suite(n, m, seed=seed)
-    if name == "spectrum":
-        return spectrum_suite(n, m, seed=seed)
-    if name == "all":
-        return (
-            limits_suite(n, m, seed=seed)
-            + ring_suite(n, m, seed=seed)
-            + spectrum_suite(n, m, seed=seed)
-        )
-    raise ValueError(f"unknown suite {name!r}")
+    """Run every registry check of one suite (``all``: each check once)."""
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    ctx = CheckContext(seed)
+    return [
+        check.report([{"n": n} if check.free else {"n": n, "m": m}], ctx)
+        for check in REGISTRY
+        if name == "all" or name in check.suites
+    ]

@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from ellfusion.cli import main
 
 
@@ -135,8 +137,15 @@ def test_verify_command(capsys):
     assert "FAIL" not in out.replace("FAILED", "")
 
 
-def test_output_is_deterministic(tmp_path, capsys):
-    args = ["spectrum", "--n", "2", "--m", "2", "--g", "0.7", "--p", "0.4", "--seed", "5"]
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--n", "2", "--m", "2", "--g", "0.7", "--p", "0.4", "--seed", "5"],
+        ["verify", "--suite", "all", "--n", "2", "--m", "2"],
+    ],
+    ids=["spectrum", "verify"],
+)
+def test_output_is_deterministic(args, tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0

@@ -101,6 +101,25 @@ def test_classical_fusion_ring_axioms():
         assert tables[(zero, mu)] == {mu: 1}
 
 
+def test_classical_fusion_builds_the_sine_matrix_once(monkeypatch):
+    from ellfusion import oracles
+    from ellfusion.partitions import enumerate_level
+
+    calls = []
+    monkeypatch.setattr(
+        oracles, "kac_peterson_smatrix",
+        lambda n, m: calls.append((n, m)) or kac_peterson_smatrix(n, m),
+    )
+    oracles._classical_transform.cache_clear()
+    labels = enumerate_level(3, 3)
+    tables = [classical_fusion(lam, mu, 3, 3) for lam in labels for mu in labels]
+    oracles._classical_transform.cache_clear()
+    assert calls == [(3, 3)]
+    assert tables[0] == {(0, 0, 0): 1}
+    # the public builder still hands out a fresh array
+    assert kac_peterson_smatrix(2, 2)[1] is not kac_peterson_smatrix(2, 2)[1]
+
+
 def test_trig_structure_coefficients_support_and_symmetry():
     shapes = [mu for w in range(1, 4) for mu in partitions_of_weight(3, w)]
     for lam in shapes:

@@ -1,46 +1,72 @@
 import pytest
 
-from ellfusion.verification import (
-    check_fusion_g1_classical,
-    check_gauge_identity,
-    check_level_boundary,
-    check_route_agreement,
-    check_smatrix_kac_peterson,
-    limits_suite,
-    ring_suite,
-    run_suite,
-    spectrum_suite,
-)
+from ellfusion.verification import REGISTRY, CheckContext, run_suite
+
+
+def _report(name, **point):
+    check = next(c for c in REGISTRY if c.name == name)
+    return check.report([point], CheckContext())
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1)])
 def test_limits_suite_passes(n, m):
-    for report in limits_suite(n, m):
+    for report in run_suite("limits", n, m):
         assert report.passed, report
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (3, 2)])
 def test_ring_suite_passes(n, m):
-    for report in ring_suite(n, m):
+    for report in run_suite("ring", n, m):
         assert report.passed, report
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2)])
 def test_spectrum_suite_passes(n, m):
-    for report in spectrum_suite(n, m):
+    for report in run_suite("spectrum", n, m):
         assert report.passed, report
 
 
 def test_individual_checks_report_structure():
-    r = check_gauge_identity(2, 1, g_values=(0.7,), p_values=(0.3,))
+    r = _report("gauge_identity", n=2, m=1, g_values=(0.7,), p_values=(0.3,))
     assert r.passed and r.max_abs >= 0.0 and r.max_rel >= 0.0
-    assert check_level_boundary(3, 1).passed
-    assert check_route_agreement(2, 1).passed
-    assert check_smatrix_kac_peterson(2, 2).passed
-    assert check_fusion_g1_classical(3, 1).passed
+    assert _report("level_boundary", n=3, m=1).passed
+    assert _report("route_agreement", n=2, m=1).passed
+    assert _report("smatrix_kac_peterson", n=2, m=2).passed
+    assert _report("kac_peterson_normalization", n=2, m=2).passed
+    assert _report("fusion_g1_classical", n=3, m=1).passed
+    assert _report("fusion_g1_classical_integers", n=3, m=1).passed
 
 
 def test_run_suite_dispatch():
     assert run_suite("limits", 2, 1)
     with pytest.raises(ValueError):
         run_suite("bogus", 2, 1)
+
+
+def test_all_runs_each_check_once():
+    names = [r.comparison for r in run_suite("all", 2, 1)]
+    assert names == [c.name for c in REGISTRY]
+    for suite in ("limits", "spectrum"):
+        assert "spectrum_p0_closed_form" in [r.comparison for r in run_suite(suite, 2, 1)]
+
+
+def test_context_shares_spectra_within_a_run(monkeypatch):
+    from ellfusion import fusion, verification
+
+    calls = {"joint_spectrum": [], "s_matrix": []}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(params, *args, **kwargs):
+            calls[name].append(params)
+            return real(params, *args, **kwargs)
+
+        return counted
+
+    for module in (fusion, verification):
+        for name in calls:
+            monkeypatch.setattr(module, name, counting(module, name))
+    run_suite("all", 2, 2)
+    for made in calls.values():
+        assert made and len(made) == len(set(made))
