@@ -241,17 +241,17 @@ def _cmd_spectrum(args, parser) -> int:
 
 
 def _fusion_payload(table) -> list[dict]:
+    labels = table.labels
     out = []
-    for lam in table.labels:
-        for mu in table.labels:
-            entries = table.entries[(lam, mu)]
+    for i, lam in enumerate(labels):
+        for j, mu in enumerate(labels):
+            row = table.values[i, j].tolist()
             out.append(
                 {
                     "lam": list(lam),
                     "mu": list(mu),
                     "entries": [
-                        {"kappa": list(k), "value": v}
-                        for k, v in sorted(entries.items(), key=lambda kv: canonical_key(kv[0]))
+                        {"kappa": list(labels[k]), "value": v} for k, v in enumerate(row) if v
                     ],
                     "flagged": [
                         list(k)

@@ -1,23 +1,31 @@
 """Level-truncated fusion ring: ideal reduction, structure constants, S-matrix.
 
-Two independent routes to the structure constants are kept side by side.
-The spectral (Verlinde) route sums S-matrix entries over the joint spectrum
-and works for every positive coupling; the ring (LR) route reduces products
-of eigenpolynomials modulo the level ideal and needs a generic coupling, or
-the two-sided limit protocol when the coupling is resonant.
+A fusion table is one float64 array ``values[lam, mu, kappa]`` over the
+level cone's labels in canonical order, built one row lam at a time.  The
+spectral (Verlinde) route, valid at every positive coupling, sums S-matrix
+entries over the joint spectrum; its cross-check, the projection route,
+pairs products with each P_kappa over the spectrum without reading S.  The
+ring (LR) route reduces products of eigenpolynomials modulo the level ideal
+and needs a generic coupling, or the two-sided limit protocol at resonance.
+N^kappa_{lam,mu} vanishes unless s = (|lam| + |mu| - |kappa|) / n is a
+non-negative integer and kappa + s 1^n (whose underline is kappa) contains
+lam and mu row by row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ComputationError, GenericityViolation
 from .kernel import GENERICITY_TOL, ModelParams, g_regularity_margin, realify
-from .littlewood import lr_coefficients
-from .operators import SpectrumResult, delta_vector, joint_spectrum
+from .littlewood import _lr_coefficients
+from .operators import SpectrumResult, joint_spectrum, norm_vectors, value_table
 from .partitions import (
     Partition,
     check_partition,
@@ -27,7 +35,6 @@ from .partitions import (
     vertical_strips,
     weight,
 )
-from .polynomials import build_P, evaluate
 from . import coeffs
 
 LIMIT_DELTAS = (1e-5, 1e-6)
@@ -68,30 +75,8 @@ def fusion_pieri(lam, r: int, params: ModelParams) -> dict[Partition, float]:
     return out
 
 
-def _admissible_outputs(lam: Partition, mu: Partition, n: int, m: int) -> set[Partition]:
-    """underline(nu) over nu containing both factors with additive weight, span <= m."""
-    total = weight(lam) + weight(mu)
-    out: set[Partition] = set()
-
-    def rec(prefix: tuple[int, ...], remaining: int) -> None:
-        j = len(prefix)
-        if j == n:
-            if remaining == 0:
-                nu = prefix
-                if nu[0] - nu[-1] <= m:
-                    out.add(underline(nu))
-            return
-        lo = max(lam[j], mu[j])
-        hi = min(prefix[j - 1], remaining) if j else remaining
-        for v in range(lo, hi + 1):
-            rec(prefix + (v,), remaining - v)
-
-    rec((), total)
-    return out
-
-
 def _lr_route_once(lam: Partition, mu: Partition, params: ModelParams) -> dict[Partition, float]:
-    return reduce_mod_ideal(lr_coefficients(lam, mu, params), params)
+    return reduce_mod_ideal(_lr_coefficients(lam, mu, params), params)
 
 
 def _average_maps(a: dict[Partition, float], b: dict[Partition, float]) -> dict[Partition, float]:
@@ -164,9 +149,7 @@ class SMatrixData:
 
     def log_det_closed_form(self) -> float:
         """ln of the closed form |det S| = 1 / prod_lam c_lam^2 sqrt(Delta_lam * dual_lam)."""
-        cvec = np.array([realify(coeffs.c_norm(lam, self.params)) for lam in self.labels])
-        dvec = delta_vector(self.params, self.labels)
-        dual = np.array([self.spectrum.points[nu].dual_norm for nu in self.labels])
+        cvec, dvec, dual = norm_vectors(self.params, self.spectrum)
         return float(-np.sum(2.0 * np.log(np.abs(cvec)) + 0.5 * np.log(dvec * dual)))
 
     def det_magnitude(self) -> float:
@@ -194,21 +177,12 @@ def s_matrix(params: ModelParams, spectrum: SpectrumResult | None = None, seed: 
     The conventional normalization is n = sum_lam Delta_lam.
     """
     spec = spectrum if spectrum is not None else joint_spectrum(params, seed=seed)
-    labels = spec.labels
-    N = len(labels)
-    cvec = np.array([realify(coeffs.c_norm(lam, params)) for lam in labels])
-    dvec = delta_vector(params, labels)
-    dual = np.array([spec.points[nu].dual_norm for nu in labels])
-    polys = [build_P(lam, params) for lam in labels]
-    S = np.empty((N, N), dtype=complex)
-    for j, nu in enumerate(labels):
-        e_full = spec.points[nu].e
-        for i in range(N):
-            S[i, j] = evaluate(polys[i], e_full) / cvec[j]
+    cvec, dvec, dual = norm_vectors(params, spec)
+    S = value_table(params, spec) / cvec[None, :]
     Sinv = (cvec**2 * dual)[:, None] * S.conj().T * (cvec**2 * dvec)[None, :]
     return SMatrixData(
         params=params,
-        labels=labels,
+        labels=spec.labels,
         S=S,
         Sinv=Sinv,
         normalization=float(dvec.sum()),
@@ -216,24 +190,57 @@ def s_matrix(params: ModelParams, spectrum: SpectrumResult | None = None, seed: 
     )
 
 
-def _finalize_fusion_entries(
-    raw: dict[Partition, complex],
-    support: set[Partition],
-    context: str,
-) -> dict[Partition, float]:
-    scale = max((abs(v) for v in raw.values()), default=0.0)
-    out: dict[Partition, float] = {}
-    for kappa, v in raw.items():
-        if kappa not in support:
-            if abs(v) > FUSION_IMAG_TOL * max(1.0, scale):
-                raise ComputationError(
-                    f"fusion coefficient outside the support: {kappa} -> {v!r} in {context}"
-                )
-            continue
-        val = realify(v, FUSION_IMAG_TOL)
-        if abs(val) > _DROP_REL * max(1.0, scale):
-            out[kappa] = val
-    return out
+def _support_row(keys: np.ndarray, i: int) -> np.ndarray:
+    """Support mask [mu, kappa] of the row lam = keys[i]; kappa_n = 0 forces s >= 0."""
+    w = keys.sum(axis=1)
+    s, rem = np.divmod(w[i] + w[:, None] - w[None, :], keys.shape[1])
+    cover = np.maximum(keys[i], keys)
+    inside = (keys[None, :, :] + s[:, :, None] >= cover[:, None, :]).all(axis=2)
+    return (rem == 0) & inside
+
+
+def _fusion_row(raw: np.ndarray, labels: tuple[Partition, ...], i: int, route: str) -> np.ndarray:
+    """Real structure constants [mu, kappa] of the row lam = labels[i] from its raw block.
+
+    Per pair, scale = max(1, max |raw|).  Off the support |raw| > FUSION_IMAG_TOL * scale,
+    or on it an imaginary part > FUSION_IMAG_TOL * max(1, |real|), raises; real parts on
+    the support up to _DROP_REL * scale become zero.
+    """
+    mask = _support_row(np.array(labels), i)
+    mag, re = np.abs(raw), raw.real
+    scale = np.maximum(1.0, mag.max(axis=1, keepdims=True))
+    residue = np.abs(raw.imag) > FUSION_IMAG_TOL * np.maximum(1.0, np.abs(re))
+    bad = np.where(mask, residue, mag > FUSION_IMAG_TOL * scale)
+    if bad.any():
+        j, k = np.argwhere(bad)[0]
+        what = "imaginary residue" if mask[j, k] else "coefficient outside the support"
+        raise ComputationError(
+            f"fusion {what}: {labels[k]} -> {complex(raw[j, k])!r} "
+            f"in {labels[i]} x {labels[j]} ({route})"
+        )
+    return np.where(mask & (np.abs(re) > _DROP_REL * scale), re, 0.0)
+
+
+def _verlinde_rows(sm: SMatrixData):
+    """Raw row i: sum_nu S_{i,nu} S_{mu,nu} Sinv_{nu,kappa} / S_{0,nu}."""
+    return lambda i: (sm.S[i] * sm.S / sm.S[0]) @ sm.Sinv
+
+
+def _projection_rows(params: ModelParams, spec: SpectrumResult):
+    """Raw row i: c_kappa^2 Delta_kappa sum_nu P_i P_mu conj(P_kappa) dual_nu at e_nu."""
+    V = value_table(params, spec)  # evaluated once for every row
+    cvec, dvec, dual = norm_vectors(params, spec)
+    paired = V.conj().T * (cvec**2 * dvec)[None, :]
+    return lambda i: (V[i] * dual * V) @ paired
+
+
+def _nonzero(labels: tuple[Partition, ...], vec: np.ndarray) -> dict[Partition, float]:
+    return {labels[k]: v for k, v in enumerate(vec.tolist()) if v}
+
+
+def _pair(labels, lam, mu, rows, route: str) -> dict[Partition, float]:
+    i, j = labels.index(check_partition(lam)), labels.index(check_partition(mu))
+    return _nonzero(labels, _fusion_row(rows(i), labels, i, route)[j])
 
 
 def structure_constants_verlinde(
@@ -244,20 +251,7 @@ def structure_constants_verlinde(
     N^kappa_{lam,mu} = sum_nu S_{lam,nu} S_{mu,nu} Sinv_{nu,kappa} / S_{0,nu}.
     """
     sm = s_matrix(params, spectrum=spectrum, seed=seed)
-    return _verlinde_from_smatrix(lam, mu, sm)
-
-
-def _verlinde_from_smatrix(lam, mu, sm: SMatrixData) -> dict[Partition, float]:
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    labels = sm.labels
-    index = {l: i for i, l in enumerate(labels)}
-    i_lam, i_mu = index[lam], index[mu]
-    weights = sm.S[i_lam, :] * sm.S[i_mu, :] / sm.S[0, :]
-    vec = weights @ sm.Sinv
-    raw = {kappa: complex(vec[k]) for k, kappa in enumerate(labels)}
-    support = _admissible_outputs(lam, mu, sm.params.n, sm.params.m)
-    return _finalize_fusion_entries(raw, support, f"{lam} x {mu} (spectral)")
+    return _pair(sm.labels, lam, mu, _verlinde_rows(sm), "verlinde")
 
 
 def structure_constants_projection(
@@ -268,45 +262,52 @@ def structure_constants_projection(
     N^kappa = c_kappa^2 Delta_kappa sum_nu P_lam(e_nu) P_mu(e_nu)
     conj(P_kappa(e_nu)) dual_nu.  Used as a cross-check of the spectral sum.
     """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
     spec = spectrum if spectrum is not None else joint_spectrum(params, seed=seed)
-    labels = spec.labels
-    cvec = np.array([realify(coeffs.c_norm(l, params)) for l in labels])
-    dvec = delta_vector(params, labels)
-    dual = np.array([spec.points[nu].dual_norm for nu in labels])
-    polys = {l: build_P(l, params) for l in labels}
-    pl = np.array([evaluate(polys[lam], spec.points[nu].e) for nu in labels])
-    pm = np.array([evaluate(polys[mu], spec.points[nu].e) for nu in labels])
-    raw: dict[Partition, complex] = {}
-    for k, kappa in enumerate(labels):
-        pk = np.array([evaluate(polys[kappa], spec.points[nu].e) for nu in labels])
-        raw[kappa] = complex(cvec[k] ** 2 * dvec[k] * np.sum(pl * pm * np.conj(pk) * dual))
-    support = _admissible_outputs(lam, mu, params.n, params.m)
-    return _finalize_fusion_entries(raw, support, f"{lam} x {mu} (projection)")
+    return _pair(spec.labels, lam, mu, _projection_rows(params, spec), "projection")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusionTable:
-    """Full table of structure constants over the level cone."""
+    """Structure constants N^kappa_{lam,mu} = values[lam, mu, kappa] over ``labels``."""
 
     params: ModelParams
     labels: tuple[Partition, ...]
-    entries: dict[tuple[Partition, Partition], dict[Partition, float]]
+    values: np.ndarray  # read-only
     route: str
     flagged: dict[tuple[Partition, Partition], set[Partition]]
 
-    def coefficient(self, lam, mu, kappa) -> float:
-        return self.entries.get((tuple(lam), tuple(mu)), {}).get(tuple(kappa), 0.0)
+    def __post_init__(self):
+        self.values.flags.writeable = False
+
+    @cached_property
+    def entries(self):
+        """Read-only view: the nonzero values of each ordered pair, keyed by kappa."""
+        pairs = product(enumerate(self.labels), repeat=2)
+        view = {(a, b): _nonzero(self.labels, self.values[i, j]) for (i, a), (j, b) in pairs}
+        return MappingProxyType({pair: MappingProxyType(d) for pair, d in view.items()})
 
     def max_difference(self, other: "FusionTable") -> float:
-        worst = 0.0
-        for pair in set(self.entries) | set(other.entries):
-            a = self.entries.get(pair, {})
-            b = other.entries.get(pair, {})
-            for kappa in set(a) | set(b):
-                worst = max(worst, abs(a.get(kappa, 0.0) - b.get(kappa, 0.0)))
-        return worst
+        if self.labels != other.labels:
+            raise ValueError("the tables have different labels")
+        return float(np.abs(self.values - other.values).max())
+
+
+def _table(params: ModelParams, labels, rows, route: str) -> FusionTable:
+    N = len(labels)
+    values = np.empty((N, N, N))
+    for i in range(N):
+        values[i] = _fusion_row(rows(i), labels, i, route)
+    return FusionTable(params=params, labels=labels, values=values, route=route, flagged={})
+
+
+def _verlinde_table(sm: SMatrixData) -> FusionTable:
+    """The Verlinde-route table of one S-matrix."""
+    return _table(sm.params, sm.labels, _verlinde_rows(sm), "verlinde")
+
+
+def _projection_table(spec: SpectrumResult) -> FusionTable:
+    """The projection-route table of one spectrum, computed without S or Sinv."""
+    return _table(spec.params, spec.labels, _projection_rows(spec.params, spec), "projection")
 
 
 def fusion_table(
@@ -321,21 +322,13 @@ def fusion_table(
     if route != "lr":
         raise ValueError(f"unknown route {route!r}")
     labels = tuple(enumerate_level(params.n, params.m))
-    entries: dict[tuple[Partition, Partition], dict[Partition, float]] = {}
+    index = {kappa: k for k, kappa in enumerate(labels)}
+    values = np.zeros((len(labels),) * 3)
     flagged: dict[tuple[Partition, Partition], set[Partition]] = {}
-    for lam in labels:
-        for mu in labels:
+    for i, lam in enumerate(labels):
+        for j, mu in enumerate(labels):
             out, flags = structure_constants_lr(lam, mu, params, return_flags=True)
-            entries[(lam, mu)] = out
+            values[i, j, [index[kappa] for kappa in out]] = list(out.values())
             if flags:
                 flagged[(lam, mu)] = flags
-    return FusionTable(params=params, labels=labels, entries=entries, route=route, flagged=flagged)
-
-
-def _verlinde_table(sm: SMatrixData) -> FusionTable:
-    """The Verlinde-route table of one S-matrix."""
-    labels = tuple(enumerate_level(sm.params.n, sm.params.m))
-    entries = {(lam, mu): _verlinde_from_smatrix(lam, mu, sm) for lam in labels for mu in labels}
-    return FusionTable(
-        params=sm.params, labels=labels, entries=entries, route="verlinde", flagged={}
-    )
+    return FusionTable(params=params, labels=labels, values=values, route=route, flagged=flagged)

@@ -19,7 +19,7 @@ from scipy.linalg.blas import dtpsv
 from .errors import ComputationError
 from .kernel import ModelParams
 from .partitions import Partition, add, check_partition, weight
-from .polynomials import PolynomialInE, Stratum, build_P, encode_keys, stratum
+from .polynomials import PolynomialInE, Stratum, _build_P, encode_keys, stratum
 
 SUPPORT_CUT = 1e-9
 
@@ -77,10 +77,13 @@ def lr_coefficients(lam, mu, params: ModelParams) -> dict[Partition, float]:
     obey the support constraints (both factors contained, weights additive);
     a sizable coefficient outside the support is a hard error.
     """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    keys_l, vals_l = build_P(lam, params).arrays()
-    keys_m, vals_m = build_P(mu, params).arrays()
+    return _lr_coefficients(check_partition(lam), check_partition(mu), params)
+
+
+def _lr_coefficients(lam: Partition, mu: Partition, params: ModelParams) -> dict[Partition, float]:
+    """``lr_coefficients`` of two partition tuples that are already validated."""
+    keys_l, vals_l = _build_P(lam, params).arrays()
+    keys_m, vals_m = _build_P(mu, params).arrays()
     w = weight(lam) + weight(mu)
     table = stratum(params, w, lam[0] + mu[0], lam[-1] + mu[-1])
     codes = encode_keys(keys_l, w)[:, None] + encode_keys(keys_m, w)[None, :]

@@ -264,6 +264,19 @@ def joint_spectrum(params: ModelParams, seed: int = 0) -> SpectrumResult:
     )
 
 
+def value_table(params: ModelParams, spec: SpectrumResult) -> np.ndarray:
+    """V[lam, nu] = P_lam(e_nu) over the labels of a spectrum."""
+    polys = [build_P(lam, params) for lam in spec.labels]
+    return np.array([[evaluate(P, spec.points[nu].e) for nu in spec.labels] for P in polys])
+
+
+def norm_vectors(params: ModelParams, spec: SpectrumResult):
+    """c_lam, Delta_lam and the dual norms over the labels of a spectrum."""
+    cvec = np.array([realify(coeffs.c_norm(lam, params)) for lam in spec.labels])
+    dual = np.array([spec.points[nu].dual_norm for nu in spec.labels])
+    return cvec, delta_vector(params, spec.labels), dual
+
+
 def dual_orthogonality_check(
     params: ModelParams, spectrum: SpectrumResult | None = None, seed: int = 0
 ) -> float:
@@ -274,20 +287,10 @@ def dual_orthogonality_check(
     1 / (c_lam^2 Delta_lam).
     """
     spec = spectrum if spectrum is not None else joint_spectrum(params, seed=seed)
-    labels = spec.labels
-    N = len(labels)
-    polys = [build_P(lam, params) for lam in labels]
-    vals = np.array(
-        [
-            [evaluate(polys[i], spec.points[nu].e) for nu in labels]
-            for i in range(N)
-        ],
-        dtype=complex,
-    )
-    dual = np.array([spec.points[nu].dual_norm for nu in labels])
+    N = len(spec.labels)
+    vals = value_table(params, spec)
+    cvec, dvec, dual = norm_vectors(params, spec)
     G = (vals * dual[None, :]) @ vals.conj().T
-    cvec = np.array([realify(coeffs.c_norm(lam, params)) for lam in labels])
-    dvec = delta_vector(params, labels)
     targets = 1.0 / (cvec**2 * dvec)
     worst = 0.0
     for i in range(N):

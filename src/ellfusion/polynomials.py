@@ -134,7 +134,11 @@ def build_P(mu, params: ModelParams) -> PolynomialInE:
 
     The dependency cone is resolved with an explicit worklist.
     """
-    mu = check_partition(mu)
+    return _build_P(check_partition(mu), params)
+
+
+def _build_P(mu: Partition, params: ModelParams) -> PolynomialInE:
+    """``build_P`` of a partition tuple that is already validated."""
     key = (params, mu)
     cached = _P_CACHE.get(key)
     if cached is not None:  # passed the length and admission checks when built
@@ -256,7 +260,7 @@ def stratum(params: ModelParams, w: int, M: int, L: int = 0) -> Stratum:
     index = {k: i for i, k in enumerate(keys)}
     for i in range(done, N):
         start = i * (i + 1) // 2
-        for k, v in build_P(keys[i], params).items():
+        for k, v in _build_P(keys[i], params).items():
             j = index.get(k, N)
             if j > i:
                 raise AssertionError(f"P_{keys[i]} leaves its stratum at {k}")
@@ -313,7 +317,7 @@ def normalized_p(mu, e, params: ModelParams) -> complex:
     """Normalized lattice value c_mu * P_mu(e)."""
     mu = check_partition(mu)
     c = realify(coeffs.c_norm(mu, params))
-    return c * evaluate(build_P(mu, params), e)
+    return c * evaluate(_build_P(mu, params), e)
 
 
 def elementary_symmetric(x) -> list[complex]:
@@ -330,4 +334,4 @@ def evaluate_R(mu, x, params: ModelParams) -> complex:
     mu = check_partition(mu)
     if len(x) != params.n:
         raise ValueError(f"point has {len(x)} variables, expected n={params.n}")
-    return evaluate(build_P(mu, params), elementary_symmetric(x))
+    return evaluate(_build_P(mu, params), elementary_symmetric(x))

@@ -49,13 +49,12 @@ from .partitions import (
 )
 from .polynomials import build_P, evaluate, evaluate_R, evaluation_scale, normalized_p
 from .fusion import (
-    _verlinde_from_smatrix,
+    _projection_table,
     _verlinde_table,
     fusion_pieri,
     fusion_table,
     reduce_mod_ideal,
     s_matrix,
-    structure_constants_projection,
 )
 from .oracles import (
     OracleReport,
@@ -372,14 +371,10 @@ def _smatrix_determinant(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
 
 def _verlinde_vs_projection(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
     """Spectral (S-matrix) sum against direct projection onto the spectrum."""
-    worst = 0.0
-    for params in _locked(n, m, g_values, p_values):
-        sm = ctx.smatrix(params)
-        for lam, mu in product(sm.labels, repeat=2):
-            a = _verlinde_from_smatrix(lam, mu, sm)
-            b = structure_constants_projection(lam, mu, params, spectrum=sm.spectrum)
-            worst = max(worst, _dict_deviation(a, b))
-    return worst
+    return max(
+        ctx.table(params).max_difference(_projection_table(ctx.spectrum(params)))
+        for params in _locked(n, m, g_values, p_values)
+    )
 
 
 # ---------------------------------------------------------------------------

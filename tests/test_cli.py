@@ -142,8 +142,9 @@ def test_verify_command(capsys):
     [
         ["spectrum", "--n", "2", "--m", "2", "--g", "0.7", "--p", "0.4", "--seed", "5"],
         ["verify", "--suite", "all", "--n", "2", "--m", "2"],
+        ["fusion", "--n", "3", "--m", "3", "--g", "0.7", "--p", "0.3", "--route", "both"],
     ],
-    ids=["spectrum", "verify"],
+    ids=["spectrum", "verify", "fusion"],
 )
 def test_output_is_deterministic(args, tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"

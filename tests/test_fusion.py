@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
+import pytest
 
-from ellfusion import coeffs
+from ellfusion import coeffs, fusion
+from ellfusion.errors import ComputationError
 from ellfusion.kernel import ModelParams, realify, trig_bracket
 from ellfusion.fusion import (
     fusion_pieri,
@@ -14,7 +17,15 @@ from ellfusion.fusion import (
     structure_constants_verlinde,
 )
 from ellfusion.oracles import kac_peterson_smatrix, macdonald_pieri_p0
-from ellfusion.partitions import enumerate_level, span, underline, vertical_strips
+from ellfusion.partitions import (
+    contains,
+    enumerate_level,
+    partitions_of_weight,
+    span,
+    underline,
+    vertical_strips,
+    weight,
+)
 
 
 def test_reduce_mod_ideal_examples():
@@ -102,6 +113,62 @@ def test_fusion_table_symmetry_and_support():
             for k in set(a) | set(b):
                 assert abs(a.get(k, 0.0) - b.get(k, 0.0)) < 1e-9
             assert all(kappa in table.labels for kappa in a)
+
+
+def _brute_support(lam, mu, m):
+    """underline(nu) over nu of weight |lam| + |mu| containing lam and mu, span(nu) <= m."""
+    return {
+        underline(nu)
+        for nu in partitions_of_weight(len(lam), weight(lam) + weight(mu))
+        if contains(lam, nu) and contains(mu, nu) and span(nu) <= m
+    }
+
+
+def test_support_mask_matches_brute_force():
+    for n in (2, 3, 4):
+        for m in range(1, 5):
+            labels = enumerate_level(n, m)
+            for i, lam in enumerate(labels):
+                mask = fusion._support_row(np.array(labels), i)
+                for j, mu in enumerate(labels):
+                    got = {labels[k] for k in np.flatnonzero(mask[j])}
+                    assert got == _brute_support(lam, mu, m), (n, m, lam, mu)
+
+
+def test_table_rows_and_pairs_agree():
+    params = ModelParams.locked(3, 3, 0.7, 0.3)
+    sm = s_matrix(params)
+    table = fusion_table(params, spectrum=sm.spectrum)
+    projection = fusion._projection_table(sm.spectrum)
+    assert table.max_difference(projection) < 1e-8
+    labels = table.labels
+    for i, lam in enumerate(labels):
+        for j, mu in enumerate(labels):
+            want = {k: v for k, v in zip(labels, table.values[i, j].tolist()) if v}
+            assert table.entries[(lam, mu)] == want
+            assert structure_constants_verlinde(lam, mu, params, spectrum=sm.spectrum) == want
+            got = structure_constants_projection(lam, mu, params, spectrum=sm.spectrum)
+            assert got == {k: v for k, v in zip(labels, projection.values[i, j].tolist()) if v}
+
+
+def test_fusion_table_is_read_only_and_compares_equal_labels_only():
+    table = fusion_table(ModelParams.locked(2, 1, 0.7, 0.3))
+    with pytest.raises(ValueError):
+        table.values[0, 0, 0] = 2.0
+    with pytest.raises(TypeError):
+        table.entries[((0, 0), (0, 0))] = {}
+    with pytest.raises(ValueError):
+        table.max_difference(fusion_table(ModelParams.locked(2, 2, 0.7, 0.3)))
+
+
+def test_perturbed_inverse_is_caught_by_the_support():
+    sm = s_matrix(ModelParams.locked(3, 2, 0.7, 0.3))
+    Sinv = sm.Sinv.copy()
+    Sinv[2, 3] += 1e-3
+    label = r"\(\d, \d, \d\)"
+    message = rf"^fusion .+: {label} -> .+ in {label} x {label} \(verlinde\)$"
+    with pytest.raises(ComputationError, match=message):
+        fusion._verlinde_table(dataclasses.replace(sm, Sinv=Sinv))
 
 
 def test_fusion_table_associativity():

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ellfusion import coeffs
@@ -208,3 +209,41 @@ def test_expand_groups_by_weight():
     assert abs(got[(1, 0)] - 2.0) < 1e-14
     assert abs(got[(2, 0)] - want[(2, 0)]) < 1e-14
     assert abs(got[(1, 1)] - (want[(1, 1)] - 0.5)) < 1e-12
+
+
+def test_bad_partitions_are_rejected_with_warm_caches():
+    """Validation does not depend on what the caches already hold."""
+    params = ModelParams.locked(2, 2, 0.7, 0.3)
+    lr_coefficients((1, 0), (1, 0), params)
+    build_P((0, 0), params)
+    for bad in [(0, 1), (1, -1), [1, -1]]:
+        with pytest.raises(ValueError):
+            build_P(bad, params)
+        with pytest.raises(ValueError):
+            lr_coefficients(bad, (1, 0), params)
+        with pytest.raises(ValueError):
+            lr_coefficients((1, 0), bad, params)
+
+
+def test_lr_path_validates_each_factor_once(monkeypatch):
+    from ellfusion import fusion, littlewood, partitions, polynomials
+
+    calls = []
+
+    def counted(parts):
+        calls.append(parts)
+        return partitions.check_partition(parts)
+
+    for module in (fusion, littlewood, polynomials):
+        monkeypatch.setattr(module, "check_partition", counted)
+    params = ModelParams.locked(3, 3, 0.7, 0.3)
+    fusion.structure_constants_lr((2, 1, 0), (1, 1, 0), params)
+    assert calls == [(2, 1, 0), (1, 1, 0)]
+    calls.clear()
+    # the limit protocol at a resonant coupling: four products, one validation
+    products = []
+    real = littlewood._lr_coefficients
+    monkeypatch.setattr(fusion, "_lr_coefficients", lambda *a: products.append(a) or real(*a))
+    fusion.structure_constants_lr([1, 0], (1, 0), ModelParams.locked(2, 1, 1.0, 0.0))
+    assert len(products) == 4
+    assert calls == [[1, 0], (1, 0)]

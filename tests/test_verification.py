@@ -3,9 +3,9 @@ import pytest
 from ellfusion.verification import REGISTRY, CheckContext, run_suite
 
 
-def _report(name, **point):
+def _report(name, ctx=None, **point):
     check = next(c for c in REGISTRY if c.name == name)
-    return check.report([point], CheckContext())
+    return check.report([point], ctx or CheckContext())
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1)])
@@ -70,3 +70,25 @@ def test_context_shares_spectra_within_a_run(monkeypatch):
     run_suite("all", 2, 2)
     for made in calls.values():
         assert made and len(made) == len(set(made))
+
+
+def test_projection_check_evaluates_each_value_once(monkeypatch):
+    """The projection route evaluates P_l(e_nu) once per label and spectral point."""
+    from ellfusion import fusion, operators, polynomials, verification
+
+    ctx = CheckContext()
+    grid = verification._locked(3, 3, (0.7, 1.3), (0.0, 0.4))
+    for params in grid:  # the S-matrices and Verlinde tables of the check
+        ctx.table(params)
+    calls = []
+
+    def counted(P, e):
+        calls.append(P)
+        return polynomials.evaluate(P, e)
+
+    # Count every evaluation of the check, whichever module makes it.
+    for module in (fusion, operators):
+        monkeypatch.setattr(module, "evaluate", counted, raising=False)
+    assert _report("verlinde_vs_projection", n=3, m=3, ctx=ctx).passed
+    N = len(ctx.spectrum(grid[0]).labels)
+    assert len(calls) == len(grid) * N * N
