@@ -226,14 +226,14 @@ def _cmd_spectrum(args, parser) -> int:
     payload["points"] = [
         {
             "nu": list(nu),
-            "e": [_cnum(z) for z in spec.points[nu].e],
-            "dual_norm": spec.points[nu].dual_norm,
+            "e": [_cnum(z) for z in spec.e[j]],
+            "dual_norm": float(spec.dual_norms[j]),
             "eigenvector": [
-                {"lam": list(lam), "value": _cnum(spec.points[nu].eigenvector[lam])}
-                for lam in spec.labels
+                {"lam": list(lam), "value": _cnum(f)}
+                for lam, f in zip(spec.labels, spec.vectors[:, j])
             ],
         }
-        for nu in spec.labels
+        for j, nu in enumerate(spec.labels)
     ]
     payload["homotopy_steps"] = list(spec.homotopy_steps)
     _emit_json(payload, args.out)
@@ -264,6 +264,8 @@ def _fusion_payload(table) -> list[dict]:
 
 def _cmd_fusion(args, parser) -> int:
     params = _make_params(args, parser, locked_only=True)
+    if args.route == "both" and args.format == "csv":
+        parser.error("--format csv is not available with --route both")
     payload = _header("fusion", params, args.seed)
     payload["route"] = args.route
     if args.route in ("verlinde", "lr"):
@@ -289,8 +291,6 @@ def _cmd_fusion(args, parser) -> int:
         payload["table"] = _fusion_payload(t_v)
         payload["lr_table"] = _fusion_payload(t_lr)
         payload["diff"] = {"max_abs": t_v.max_difference(t_lr)}
-        if args.format == "csv":
-            parser.error("--format csv is not available with --route both")
     _emit_json(payload, args.out)
     return 0
 

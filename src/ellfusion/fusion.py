@@ -3,13 +3,14 @@
 A fusion table is one float64 array ``values[lam, mu, kappa]`` over the
 level cone's labels in canonical order, built one row lam at a time.  The
 spectral (Verlinde) route, valid at every positive coupling, sums S-matrix
-entries over the joint spectrum; its cross-check, the projection route,
-pairs products with each P_kappa over the spectrum without reading S.  The
-ring (LR) route reduces products of eigenpolynomials modulo the level ideal
-and needs a generic coupling, or the two-sided limit protocol at resonance.
-N^kappa_{lam,mu} vanishes unless s = (|lam| + |mu| - |kappa|) / n is a
-non-negative integer and kappa + s 1^n (whose underline is kappa) contains
-lam and mu row by row.
+entries over the joint spectrum; S comes straight from the eigenvectors, so
+this route evaluates no polynomial.  Its cross-check, the projection route,
+pairs products with each P_kappa evaluated at the spectral points, without
+reading S.  The ring (LR) route reduces products of eigenpolynomials modulo
+the level ideal and needs a generic coupling, or the two-sided limit
+protocol at resonance.  N^kappa_{lam,mu} vanishes unless
+s = (|lam| + |mu| - |kappa|) / n is a non-negative integer and
+kappa + s 1^n (whose underline is kappa) contains lam and mu row by row.
 """
 
 from __future__ import annotations
@@ -172,13 +173,15 @@ class SMatrixData:
 def s_matrix(params: ModelParams, spectrum: SpectrumResult | None = None, seed: int = 0) -> SMatrixData:
     """S_{lam,nu} = P_lam(e_nu) / c_nu with the explicit inverse and scale.
 
+    S is read off the eigenvectors, f_nu(lam) = c_lam P_lam(e_nu), as
+    S_{lam,nu} = f_nu(lam) / (c_lam c_nu); no polynomial is evaluated.
     The inverse comes from dual orthogonality:
     Sinv_{lam,nu} = c_lam^2 dual_lam conj(S_{nu,lam}) c_nu^2 Delta_nu.
     The conventional normalization is n = sum_lam Delta_lam.
     """
     spec = spectrum if spectrum is not None else joint_spectrum(params, seed=seed)
     cvec, dvec, dual = norm_vectors(params, spec)
-    S = value_table(params, spec) / cvec[None, :]
+    S = spec.vectors / (cvec[:, None] * cvec[None, :])
     Sinv = (cvec**2 * dual)[:, None] * S.conj().T * (cvec**2 * dvec)[None, :]
     return SMatrixData(
         params=params,

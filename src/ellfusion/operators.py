@@ -7,7 +7,9 @@ orthogonality weights they become normal matrices, so the joint spectrum is
 obtained by diagonalizing a random real combination and reading off Rayleigh
 ratios.  Labels are assigned at p = 0 against the trigonometric closed form
 and continued analytically in the nome with an adaptive step that keeps
-every eigenvalue within half the minimal inter-eigenvalue gap.
+every eigenvalue within half the minimal inter-eigenvalue gap.  The dual
+norms come from the eigenvectors; only ``value_table``, for the check
+routes, evaluates polynomials at the spectral points.
 """
 
 from __future__ import annotations
@@ -122,28 +124,31 @@ def spectral_points_p0(params: ModelParams) -> dict[Partition, np.ndarray]:
     return out
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
-    """One joint eigenvalue: full e-vector (e_n = 1), eigenvector, dual norm."""
-
-    e: tuple[complex, ...]
-    eigenvector: dict[Partition, complex]
-    dual_norm: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumResult:
-    """Joint spectrum of the truncated operators, labeled over the level cone."""
+    """Joint spectrum of the truncated operators as read-only arrays over ``labels``.
+
+    ``e[nu]`` is the full e-vector of the point nu (e_n = 1);
+    ``vectors[lam, nu]`` = f_nu(lam) = c_lam P_lam(e_nu), the eigenvector of
+    the point nu scaled to 1 at the origin row; ``dual_norms[nu]`` is
+    1 / sum_lam |f_nu(lam)|^2 Delta_lam.
+    """
 
     params: ModelParams
     labels: tuple[Partition, ...]
-    points: dict[Partition, SpectralPoint]
+    e: np.ndarray
+    vectors: np.ndarray
+    dual_norms: np.ndarray
     seed: int
     homotopy_steps: tuple[float, ...]
 
+    def __post_init__(self):
+        for arr in (self.e, self.vectors, self.dual_norms):
+            arr.flags.writeable = False
+
     def e_matrix(self) -> np.ndarray:
         """Rows of truncated eigenvalues (without the trailing 1), label order."""
-        return np.array([self.points[nu].e[:-1] for nu in self.labels], dtype=complex)
+        return self.e[:, :-1]
 
 
 def _raw_spectrum(params: ModelParams, rng: np.random.Generator):
@@ -238,27 +243,16 @@ def joint_spectrum(params: ModelParams, seed: int = 0) -> SpectrumResult:
                     f"homotopy step fell below {_MIN_STEP} at p={p_cur}"
                 )
 
-    cvec = [realify(coeffs.c_norm(lam, params)) for lam in labels]
-    polys = [build_P(lam, params) for lam in labels]
-    dvec = delta_vector(params, labels)
-    points: dict[Partition, SpectralPoint] = {}
-    for i, nu in enumerate(labels):
-        e_full = tuple(E_cur[i]) + (1.0 + 0.0j,)
-        f = vec_cur[:, i] / w_cur
-        if abs(f[0]) < 1e-12 * np.abs(f).max():
-            raise ComputationError("eigenvector vanishes at the origin site")
-        f = f / f[0]
-        pv = np.array([cvec[j] * evaluate(polys[j], e_full) for j in range(len(labels))])
-        nrm = float(np.sum(np.abs(pv) ** 2 * dvec))
-        points[nu] = SpectralPoint(
-            e=e_full,
-            eigenvector={lam: complex(f[j]) for j, lam in enumerate(labels)},
-            dual_norm=1.0 / nrm,
-        )
+    F = vec_cur / w_cur[:, None]
+    if np.any(np.abs(F[0]) < 1e-12 * np.abs(F).max(axis=0)):
+        raise ComputationError("eigenvector vanishes at the origin site")
+    F = F / F[0]
     return SpectrumResult(
         params=params,
         labels=tuple(labels),
-        points=points,
+        e=np.hstack([E_cur, np.ones((len(labels), 1), dtype=complex)]),
+        vectors=F,
+        dual_norms=1.0 / (np.abs(F) ** 2 * delta_vector(params, labels)[:, None]).sum(axis=0),
         seed=seed,
         homotopy_steps=tuple(steps),
     )
@@ -267,14 +261,13 @@ def joint_spectrum(params: ModelParams, seed: int = 0) -> SpectrumResult:
 def value_table(params: ModelParams, spec: SpectrumResult) -> np.ndarray:
     """V[lam, nu] = P_lam(e_nu) over the labels of a spectrum."""
     polys = [build_P(lam, params) for lam in spec.labels]
-    return np.array([[evaluate(P, spec.points[nu].e) for nu in spec.labels] for P in polys])
+    return np.array([[evaluate(P, e) for e in spec.e] for P in polys])
 
 
 def norm_vectors(params: ModelParams, spec: SpectrumResult):
     """c_lam, Delta_lam and the dual norms over the labels of a spectrum."""
     cvec = np.array([realify(coeffs.c_norm(lam, params)) for lam in spec.labels])
-    dual = np.array([spec.points[nu].dual_norm for nu in spec.labels])
-    return cvec, delta_vector(params, spec.labels), dual
+    return cvec, delta_vector(params, spec.labels), spec.dual_norms
 
 
 def dual_orthogonality_check(
@@ -287,15 +280,11 @@ def dual_orthogonality_check(
     1 / (c_lam^2 Delta_lam).
     """
     spec = spectrum if spectrum is not None else joint_spectrum(params, seed=seed)
-    N = len(spec.labels)
     vals = value_table(params, spec)
     cvec, dvec, dual = norm_vectors(params, spec)
     G = (vals * dual[None, :]) @ vals.conj().T
     targets = 1.0 / (cvec**2 * dvec)
-    worst = 0.0
-    for i in range(N):
-        worst = max(worst, abs(G[i, i] - targets[i]) / abs(targets[i]))
-        for j in range(N):
-            if i != j:
-                worst = max(worst, abs(G[i, j]) / math.sqrt(abs(G[i, i]) * abs(G[j, j])))
-    return float(worst)
+    diag = np.abs(np.diag(G))
+    off = np.abs(G) / np.sqrt(diag[:, None] * diag[None, :])
+    np.fill_diagonal(off, 0.0)
+    return float(max((np.abs(np.diag(G) - targets) / np.abs(targets)).max(), off.max()))

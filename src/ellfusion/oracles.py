@@ -155,6 +155,12 @@ def principal_normalization_p0(nu, alpha: float, g: float) -> float:
 # (an independent seed for the nome -> 0 comparisons; deliberately separate
 # from the elliptic polynomial table)
 
+@lru_cache(maxsize=16)
+def _trig_table(n: int, alpha: float, g: float) -> dict:
+    """The trigonometric basis table of one (n, alpha, g), filled on demand."""
+    return {}
+
+
 def _trig_polys(mu: Partition, alpha: float, g: float, table: dict) -> dict:
     stack = [mu]
     n = len(mu)
@@ -192,11 +198,12 @@ def macdonald_lr_p0(lam, mu, alpha: float, g: float) -> dict[Partition, float]:
     """Structure coefficients of the trigonometric basis polynomials.
 
     Multiplies the two expansions and peels greedily against the same
-    trigonometric table; independent of the elliptic code path.
+    trigonometric table, kept across calls per (n, alpha, g); independent
+    of the elliptic code path.
     """
     lam = check_partition(lam)
     mu = check_partition(mu)
-    table: dict = {}
+    table = _trig_table(len(lam), alpha, g)
     P = _trig_polys(lam, alpha, g, table)
     Q = _trig_polys(mu, alpha, g, table)
     work: dict[Partition, float] = {}

@@ -318,7 +318,7 @@ def _spectrum_p0(ctx, n, m, g=0.8):
     spec = ctx.spectrum(params)
     closed = spectral_points_p0(params)
     return _worst(
-        pair for nu in spec.labels for pair in zip(spec.points[nu].e[:-1], closed[nu])
+        pair for nu, e in zip(spec.labels, spec.e_matrix()) for pair in zip(e, closed[nu])
     )
 
 
@@ -327,13 +327,12 @@ def _eigenvector_consistency(ctx, n, m, g=0.7, p=0.4):
     params = ModelParams.locked(n, m, g, p)
     spec = ctx.spectrum(params)
     worst = 0.0
-    for nu in spec.labels:
-        pt = spec.points[nu]
-        for lam in spec.labels:
-            want = normalized_p(lam, pt.e, params)
+    for j, e in enumerate(spec.e):
+        for i, lam in enumerate(spec.labels):
+            want = normalized_p(lam, e, params)
             # entries are pinned to 1 at the origin site, so 1 is the scale
             # floor; exactly-zero entries are compared absolutely
-            worst = max(worst, abs(pt.eigenvector[lam] - want) / max(abs(want), 1.0))
+            worst = max(worst, abs(spec.vectors[i, j] - want) / max(abs(want), 1.0))
     return worst
 
 
@@ -344,8 +343,7 @@ def _spectral_variety(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
         spec = ctx.spectrum(params)
         for mu in _ideal_generators(n, m):
             P = build_P(mu, params)
-            for nu in spec.labels:
-                e = spec.points[nu].e
+            for e in spec.e:
                 worst = max(worst, abs(evaluate(P, e)) / evaluation_scale(P, e))
     return worst
 

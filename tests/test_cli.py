@@ -49,6 +49,19 @@ def test_fusion_both_routes_reports_diff(capsys):
     assert "lr_table" in payload
 
 
+def test_fusion_both_csv_is_rejected_before_any_table(monkeypatch, capsys):
+    from ellfusion import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fusion_table called")
+
+    monkeypatch.setattr(cli, "fusion_table", refuse)
+    args = ["fusion", "--n", "4", "--m", "4", "--g", "0.7", "--p", "0.3"]
+    code, out, err = run_cli([*args, "--route", "both", "--format", "csv"], capsys)
+    assert code == 2
+    assert "--format csv is not available with --route both" in err
+
+
 def test_lr_command_csv(capsys):
     code, out, err = run_cli(
         [

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
-from ellfusion import coeffs, fusion
-from ellfusion.errors import ComputationError
+from ellfusion import coeffs, fusion, operators, polynomials
+from ellfusion.errors import ComputationError, TrackingAmbiguity
 from ellfusion.kernel import ModelParams, realify, trig_bracket
 from ellfusion.fusion import (
     fusion_pieri,
@@ -16,6 +17,7 @@ from ellfusion.fusion import (
     structure_constants_projection,
     structure_constants_verlinde,
 )
+from ellfusion.operators import delta_vector, joint_spectrum, value_table
 from ellfusion.oracles import kac_peterson_smatrix, macdonald_pieri_p0
 from ellfusion.partitions import (
     contains,
@@ -26,6 +28,7 @@ from ellfusion.partitions import (
     vertical_strips,
     weight,
 )
+from ellfusion.polynomials import build_P, evaluate, evaluation_scale
 
 
 def test_reduce_mod_ideal_examples():
@@ -287,3 +290,66 @@ def test_refined_pieri_at_trigonometric_point():
             assert set(got) == set(want)
             for k in want:
                 assert abs(got[k] - want[k]) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    m=st.integers(1, 3),
+    g=st.floats(0.3, 1.9),
+    p=st.floats(-0.9, 0.9),
+)
+def test_eigenvector_data_match_polynomial_values(n, m, g, p):
+    """S and the dual norms read off the eigenvectors agree with evaluate.
+
+    The dual norm is compared within 1e-10 relative, times the condition
+    number kappa >= 1 of the evaluated sum: c_lam P_lam(e_nu) can be a small
+    difference of large terms (kappa reaches 2e5 at n=4 m=2 g=1.9 p=0.9,
+    where the eigenvectors match extended-precision ones to 4e-15).  A point
+    whose continuation fails has no eigenvectors to compare; the known one is
+    pinned in test_operators.py.
+    """
+    params = ModelParams.locked(n, m, g, p)
+    try:
+        spec = joint_spectrum(params)
+    except TrackingAmbiguity:
+        reject()
+    cvec = np.array([realify(coeffs.c_norm(lam, params)) for lam in spec.labels])
+    S = s_matrix(params, spectrum=spec).S
+    assert np.abs(S - value_table(params, spec) / cvec[None, :]).max() <= 1e-10 * np.abs(S).max()
+    dvec = delta_vector(params, spec.labels)
+    polys = [build_P(lam, params) for lam in spec.labels]
+    for j, e in enumerate(spec.e):
+        f = np.array([c * evaluate(P, e) for c, P in zip(cvec, polys)])
+        bound = np.array([c * evaluation_scale(P, e) for c, P in zip(cvec, polys)])
+        total = float(np.sum(np.abs(f) ** 2 * dvec))
+        kappa = float(np.sum(np.abs(f) * bound * dvec)) / total
+        assert abs(spec.dual_norms[j] - 1.0 / total) <= 1e-10 * kappa / total
+
+
+def test_verlinde_route_evaluates_no_polynomial(monkeypatch):
+    calls = []
+
+    def counted(P, e):
+        calls.append(P)
+        return evaluate(P, e)
+
+    # evaluate is patched wherever the spectrum or the Verlinde route could call it
+    for module in (operators, fusion, polynomials):
+        monkeypatch.setattr(module, "evaluate", counted, raising=False)
+    params = ModelParams.locked(3, 3, 0.7, 0.4)
+    spec = joint_spectrum(params)
+    sm = s_matrix(params, spectrum=spec)
+    table = fusion_table(params, route="verlinde", spectrum=spec)
+    assert calls == []
+    assert sm.identity_residual() < 1e-8 and table.values.shape == (10, 10, 10)
+
+
+def test_spectrum_arrays_are_read_only():
+    spec = joint_spectrum(ModelParams.locked(2, 2, 0.7, 0.3))
+    N = len(spec.labels)
+    assert spec.e.shape == (N, 2) and spec.vectors.shape == (N, N) and spec.dual_norms.shape == (N,)
+    assert np.all(spec.vectors[0] == 1.0)
+    for arr in (spec.e, spec.vectors, spec.dual_norms, spec.e_matrix()):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0

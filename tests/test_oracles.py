@@ -120,6 +120,20 @@ def test_classical_fusion_builds_the_sine_matrix_once(monkeypatch):
     assert kac_peterson_smatrix(2, 2)[1] is not kac_peterson_smatrix(2, 2)[1]
 
 
+def test_repeated_trig_structure_coefficients_reuse_the_table(monkeypatch):
+    from ellfusion import oracles
+
+    first = macdonald_lr_p0((2, 1, 0), (1, 1, 0), 2.0, 0.65)
+    calls = []
+    real = oracles.macdonald_pieri_p0
+    monkeypatch.setattr(
+        oracles, "macdonald_pieri_p0", lambda *args: calls.append(args) or real(*args)
+    )
+    again = macdonald_lr_p0((2, 1, 0), (1, 1, 0), 2.0, 0.65)
+    assert calls == []
+    assert again == first
+
+
 def test_trig_structure_coefficients_support_and_symmetry():
     shapes = [mu for w in range(1, 4) for mu in partitions_of_weight(3, w)]
     for lam in shapes:
