@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 
 from .errors import ComputationError
 from .kernel import ModelParams
@@ -136,9 +137,85 @@ def _emit(text: str, out_path: str | None) -> None:
         raise
 
 
+_STR_ONLY = frozenset([str])
+
+
+def _float_text(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError("Out of range float values are not JSON compliant")
+    return float.__repr__(x)
+
+
+def _json_text(payload) -> str:
+    """``json.dumps(payload, indent=2, allow_nan=False)``, byte for byte.
+
+    With an indent, json falls back to its pure-Python encoder, one
+    generator per container.  This writer appends to one list of chunks
+    instead, writes scalars inline and a list of plain ints or floats with
+    one join.  It handles dicts with str keys, lists, tuples, str, int,
+    float, bool and None of exactly those types; any other value (a
+    subclass, a non-string key) goes to json.dumps, its newlines indented to
+    its depth.
+    """
+    chunks: list[str] = []
+    put = chunks.append
+    text_of = {
+        str: encode_basestring_ascii,
+        float: _float_text,
+        int: int.__repr__,
+        bool: lambda b: "true" if b else "false",
+        type(None): lambda _: "null",
+    }.get
+
+    def write(o, newline: str) -> None:
+        """Write the container o, whose line starts with newline (scalars are the caller's)."""
+        kind = type(o)
+        inner = newline + "  "
+        if kind is list or kind is tuple:
+            if not o:
+                put("[]")
+                return
+            kinds = set(map(type, o))
+            if len(kinds) == 1 and kinds <= {int, float}:
+                put("[" + inner + ("," + inner).join(map(text_of(kinds.pop()), o)) + newline + "]")
+                return
+            sep = "[" + inner
+            for v in o:
+                text = text_of(type(v))
+                if text is None:
+                    put(sep)
+                    write(v, inner)
+                else:
+                    put(sep + text(v))
+                sep = "," + inner
+            put(newline + "]")
+        elif kind is dict and _STR_ONLY.issuperset(map(type, o)):
+            if not o:
+                put("{}")
+                return
+            sep = "{" + inner
+            for k, v in o.items():
+                text = text_of(type(v))
+                if text is None:
+                    put(sep + encode_basestring_ascii(k) + ": ")
+                    write(v, inner)
+                else:
+                    put(sep + encode_basestring_ascii(k) + ": " + text(v))
+                sep = "," + inner
+            put(newline + "}")
+        else:  # subclasses, non-string keys, and what json rejects
+            put(json.dumps(o, indent=2, allow_nan=False).replace("\n", newline))
+
+    text = text_of(type(payload))
+    if text is not None:
+        return text(payload)
+    write(payload, "\n")
+    return "".join(chunks)
+
+
 def _emit_json(payload: dict, out_path: str | None) -> None:
     try:
-        text = json.dumps(payload, indent=2, allow_nan=False)
+        text = _json_text(payload)
     except ValueError as exc:  # NaN or infinity: strict JSON has no spelling for them
         raise ComputationError(f"non-finite value in the {payload['command']} payload") from exc
     _emit(text + "\n", out_path)

@@ -2,9 +2,16 @@
 
 Four product formulas drive everything downstream: the hopping weights
 B_{nu/lam}, the recurrence/Pieri weights psi'_{nu/lam}, the normalization
-c_mu, and the orthogonality weights Delta_lam.  All four are evaluated on the
-complex path and memoized per parameter set; values are real in the
-level-locked regime and converted at API boundaries by the callers.
+c_mu, and the orthogonality weights Delta_lam.  Every factor of all four is
+a ratio of theta brackets [a + b*g] with integers 0 <= a <= span(lam) and
+0 <= b <= n.  One bracket table per (alpha, g, |p|, precision) holds those
+brackets, filled by the scalar ``bracket`` and grown on demand, together
+with the factor tables derived from it; the brackets depend on the nome
+only through |p|, so -p reads the table of p.  The scalar functions read
+the table from Python lists; ``level_hops``, ``level_delta`` and
+``level_c`` gather whole level cones from its numpy copy.  Values are
+complex and real in the level-locked regime; callers convert them at API
+boundaries.
 
 Denominator brackets below ``SINGULAR_TOL`` in magnitude raise
 :class:`SingularDenominator`; zeros appearing in numerators are genuine
@@ -13,13 +20,20 @@ Denominator brackets below ``SINGULAR_TOL`` in magnitude raise
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import NotAStrip, SingularDenominator
 from .kernel import SINGULAR_TOL, ModelParams, bracket
-from .partitions import Partition, is_partition
+from .partitions import Partition, enumerate_level, is_partition, span, underline, vertical_strips
 
-_CACHE_SIZE = 1 << 18
+# One nome_sweep pass (n=4 m=4, p = +-0.3, +-0.6, +-0.9) visits 42 distinct
+# |p| along its homotopy paths; the bound leaves room for a few such sweeps.
+TABLE_LIMIT = 256
+_NAN = complex(float("nan"), 0.0)
 
 
 def strip_pattern(lam: Partition, nu: Partition) -> tuple[int, ...]:
@@ -32,22 +46,116 @@ def strip_pattern(lam: Partition, nu: Partition) -> tuple[int, ...]:
     return theta
 
 
-def _ratio(num_arg: float, den_arg: float, params: ModelParams) -> complex:
-    den = bracket(den_arg, params)
-    if abs(den) < SINGULAR_TOL:
-        raise SingularDenominator(f"bracket [{den_arg}] vanished (|.| < {SINGULAR_TOL})")
-    return bracket(num_arg, params) / den
+class BracketTable:
+    """Brackets [a + b*g] for 0 <= a < rows, 0 <= b < cols at one parameter set.
+
+    ``values[a][b]`` is ``bracket(a + b*g, params)``, bit for bit.  The factor
+    tables below are indexed [a][s] with the pair distance 1 <= s <= cols-2;
+    an entry whose denominator is below ``SINGULAR_TOL`` holds NaN, so that
+    every product reading it is NaN and the reader can raise.
+
+    * ``hop[t + 1][a][s]`` = [a + (s+t)g] / [a + sg], t in {-1, 0, 1}: the
+      hopping factor of a pair at distance a whose strip increments differ
+      by t, and the two psi' factors (t = 1 at a - 1, t = -1 at a).
+    * ``c[a][s]`` = prod_{l<a} [l + sg] / [l + (s+1)g].
+    * ``delta_head[a][s]`` = [a + sg] / [sg] and
+      ``delta_tail[a][s]`` = prod_{l<a} [l + (s+1)g] / [l + 1 + (s-1)g].
+
+    The lists are what the scalar functions read; ``hop_array``,
+    ``c_array`` and ``delta_array`` (head and tail stacked on a last axis)
+    are their numpy copies for the gathers over a level cone, which multiply
+    the factors in the order of the scalar loops and so give the same bits.
+    """
+
+    def __init__(self, params: ModelParams):
+        self.params = params
+        self.values: list[list[complex]] = []
+        self.rows = 0
+        self.cols = 0
+
+    def grow(self, rows: int, cols: int) -> None:
+        """Extend to at least rows x cols, evaluating only the new brackets."""
+        rows, cols = max(rows, self.rows), max(cols, self.cols)
+        g, params = self.params.g, self.params
+        for a, row in enumerate(self.values):
+            row.extend(bracket(a + b * g, params) for b in range(self.cols, cols))
+        for a in range(self.rows, rows):
+            self.values.append([bracket(a + b * g, params) for b in range(cols)])
+        self.rows, self.cols = rows, cols
+        self._derive()
+
+    def _derive(self) -> None:
+        B, R, K = self.values, self.rows, self.cols
+
+        def ratio(num: complex, den: complex) -> complex:
+            return _NAN if abs(den) < SINGULAR_TOL else num / den
+
+        blank = [[_NAN] * K for _ in range(R)]
+        hop = [[row[:] for row in blank] for _ in range(3)]
+        c = [row[:] for row in blank]
+        head = [row[:] for row in blank]
+        tail = [row[:] for row in blank]
+        for s in range(1, K - 1):
+            cum_c = 1.0 + 0.0j
+            cum_tail = 1.0 + 0.0j
+            for a in range(R):
+                for t in (-1, 0, 1):
+                    hop[t + 1][a][s] = ratio(B[a][s + t], B[a][s])
+                head[a][s] = ratio(B[a][s], B[0][s])
+                c[a][s] = cum_c
+                tail[a][s] = cum_tail
+                cum_c *= ratio(B[a][s], B[a][s + 1])
+                if a + 1 < R:
+                    cum_tail *= ratio(B[a][s + 1], B[a + 1][s - 1])
+        self.hop, self.c, self.delta_head, self.delta_tail = hop, c, head, tail
+        self.hop_array = np.array(hop, dtype=complex).reshape(3, R, K)
+        self.c_array = np.array(c, dtype=complex).reshape(R, K)
+        self.delta_array = np.stack(
+            [np.array(head, dtype=complex).reshape(R, K), np.array(tail, dtype=complex).reshape(R, K)],
+            axis=-1,
+        )
+
+    def raise_singular(self, dens) -> None:
+        """Raise for the first vanishing bracket among the (a, b) in dens, if any."""
+        g = self.params.g
+        for a, b in dens:
+            if abs(self.values[a][b]) < SINGULAR_TOL:
+                raise SingularDenominator(f"bracket [{a + b * g}] vanished (|.| < {SINGULAR_TOL})")
 
 
-def _factorial_ratio(num_base: float, den_base: float, k: int, params: ModelParams) -> complex:
-    """Factor-by-factor ratio of ascending bracket products of equal length."""
-    out = 1.0 + 0.0j
-    for l in range(k):
-        out *= _ratio(num_base + l, den_base + l, params)
+_TABLES: OrderedDict[tuple, BracketTable] = OrderedDict()
+# Growing appends rows in place, so two threads must not grow one table at once.
+_TABLES_LOCK = threading.Lock()
+
+
+def _table(params: ModelParams, rows: int, cols: int) -> BracketTable:
+    """The bracket table of params, grown to at least rows x cols (bounded LRU)."""
+    key = (params.alpha, params.g, abs(params.p), params.precision)
+    with _TABLES_LOCK:
+        table = _TABLES.get(key)
+        if table is None:
+            table = _TABLES[key] = BracketTable(params)
+            if len(_TABLES) > TABLE_LIMIT:
+                _TABLES.popitem(last=False)
+        else:
+            _TABLES.move_to_end(key)
+        if rows > table.rows or cols > table.cols:
+            table.grow(rows, cols)
+    return table
+
+
+def bracket_table(params: ModelParams, rows: int, cols: int) -> np.ndarray:
+    """Read-only copy of [a + b*g] for 0 <= a < rows, 0 <= b < cols."""
+    table = _table(params, rows, cols)
+    out = np.array(table.values, dtype=complex)[:rows, :cols]
+    out.flags.writeable = False
     return out
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+def _pairs(n: int):
+    return [(j, k) for j in range(n) for k in range(j + 1, n)]
+
+
 def hop_B(lam: Partition, nu: Partition, params: ModelParams) -> complex:
     """Hopping weight of the discrete difference operator for the move lam -> nu.
 
@@ -55,17 +163,19 @@ def hop_B(lam: Partition, nu: Partition, params: ModelParams) -> complex:
     [lam_j - lam_k + g(k - j + theta_j - theta_k)] / [lam_j - lam_k + g(k - j)].
     """
     theta = strip_pattern(lam, nu)
-    g = params.g
     n = len(lam)
+    table = _table(params, lam[0] - lam[-1] + 1, n + 1)
+    hop = table.hop
     out = 1.0 + 0.0j
     for j in range(n):
+        tj = theta[j] + 1
         for k in range(j + 1, n):
-            d = lam[j] - lam[k]
-            out *= _ratio(d + g * (k - j + theta[j] - theta[k]), d + g * (k - j), params)
+            out *= hop[tj - theta[k]][lam[j] - lam[k]][k - j]
+    if out != out:
+        table.raise_singular((lam[j] - lam[k], k - j) for j, k in _pairs(n))
     return out
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def psi_prime(lam: Partition, nu: Partition, params: ModelParams) -> complex:
     """Recurrence/Pieri weight for the strip nu over lam.
 
@@ -74,52 +184,163 @@ def psi_prime(lam: Partition, nu: Partition, params: ModelParams) -> complex:
     [lam_j-lam_k+g(k-j-1)]/[lam_j-lam_k+g(k-j)].
     """
     theta = strip_pattern(lam, nu)
-    g = params.g
     n = len(lam)
+    table = _table(params, lam[0] - lam[-1] + 1, n + 1)
+    down, _, up = table.hop
     out = 1.0 + 0.0j
     for j in range(n):
+        if theta[j]:
+            continue
         for k in range(j + 1, n):
-            if theta[j] - theta[k] != -1:
-                continue
-            dn = nu[j] - nu[k]
-            dl = lam[j] - lam[k]
-            out *= _ratio(dn + g * (k - j + 1), dn + g * (k - j), params)
-            out *= _ratio(dl + g * (k - j - 1), dl + g * (k - j), params)
+            if theta[k]:
+                d = lam[j] - lam[k]  # >= 1, and nu_j - nu_k = d - 1
+                out *= up[d - 1][k - j]
+                out *= down[d][k - j]
+    if out != out:
+        table.raise_singular(
+            (a, k - j)
+            for j, k in _pairs(n)
+            if theta[k] - theta[j] == 1
+            for a in (lam[j] - lam[k] - 1, lam[j] - lam[k])
+        )
     return out
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+def _check_partition(mu: Partition) -> None:
+    if not is_partition(mu):
+        raise ValueError(f"{mu} is not a partition")
+
+
 def c_norm(mu: Partition, params: ModelParams) -> complex:
     """Normalization coefficient: product of elliptic-factorial ratios.
 
-    Positive for mu in the level cone when g > 0 in level-locked mode.
+    Product over pairs j < k, with d = mu_j - mu_k and s = k - j, of
+    prod_{l<d} [l + sg] / [l + (s+1)g].  Positive for mu in the level cone
+    when g > 0 in level-locked mode.
     """
-    g = params.g
+    _check_partition(mu)
     n = len(mu)
+    table = _table(params, mu[0] - mu[-1] + 1, n + 1)
+    c = table.c
     out = 1.0 + 0.0j
     for j in range(n):
         for k in range(j + 1, n):
-            out *= _factorial_ratio((k - j) * g, (k - j + 1) * g, mu[j] - mu[k], params)
+            out *= c[mu[j] - mu[k]][k - j]
+    if out != out:
+        table.raise_singular(
+            (l, k - j + 1) for j, k in _pairs(n) for l in range(mu[j] - mu[k])
+        )
     return out
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def delta_weight(lam: Partition, params: ModelParams) -> complex:
-    """Orthogonality weight of the inner product on the level cone."""
-    g = params.g
+    """Orthogonality weight of the inner product on the level cone.
+
+    Product over pairs j < k, with d = lam_j - lam_k and s = k - j, of
+    [d + sg]/[sg] * prod_{l<d} [l + (s+1)g] / [l + 1 + (s-1)g].
+    """
+    _check_partition(lam)
     n = len(lam)
+    table = _table(params, lam[0] - lam[-1] + 1, n + 1)
+    head, tail = table.delta_head, table.delta_tail
     out = 1.0 + 0.0j
     for j in range(n):
         for k in range(j + 1, n):
             d = lam[j] - lam[k]
-            out *= _ratio(d + (k - j) * g, (k - j) * g, params)
-            out *= _factorial_ratio((k - j + 1) * g, 1.0 + (k - j - 1) * g, d, params)
+            out *= head[d][k - j]
+            out *= tail[d][k - j]
+    if out != out:
+        table.raise_singular(
+            den
+            for j, k in _pairs(n)
+            for den in [(0, k - j)] + [(l + 1, k - j - 1) for l in range(lam[j] - lam[k])]
+        )
     return out
 
 
+# -- whole level cones as gathers -------------------------------------------
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False  # shared by every caller through the caches below
+    return arrays
+
+
+@lru_cache(maxsize=64)
+def _label_index(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair distances d[i, q] = lam_j - lam_k of every label and s[q] = k - j."""
+    pairs = _pairs(n)
+    labels = enumerate_level(n, m)
+    d = np.array([[lam[j] - lam[k] for j, k in pairs] for lam in labels], dtype=np.intp)
+    s = np.array([k - j for j, k in pairs], dtype=np.intp)
+    return _frozen(d.reshape(len(labels), len(pairs)), s)
+
+
+@lru_cache(maxsize=64)
+def _strip_index(n: int, m: int, r: int):
+    """Every size-r strip that stays in the level-m cone, as index arrays.
+
+    Returns (strips, rows, cols, d, t, s): strip i goes from label rows[i] to
+    the label cols[i] = underline(nu); d[i, q] is the pair distance of lam,
+    t[i, q] the hop-table layer theta_j - theta_k + 1, s[q] = k - j.
+    """
+    pairs = _pairs(n)
+    labels = enumerate_level(n, m)
+    index = {lam: i for i, lam in enumerate(labels)}
+    strips, rows, cols, t = [], [], [], []
+    for i, lam in enumerate(labels):
+        for nu in vertical_strips(lam, r):
+            if span(nu) <= m:
+                strips.append((lam, nu))
+                rows.append(i)
+                cols.append(index[underline(nu)])
+                t.append([nu[j] - lam[j] - nu[k] + lam[k] + 1 for j, k in pairs])
+    d, s = _label_index(n, m)
+    rows = np.array(rows, dtype=np.intp)
+    t = np.array(t, dtype=np.intp).reshape(len(strips), len(pairs))
+    return (strips, *_frozen(rows, np.array(cols, dtype=np.intp), d[rows], t), s)
+
+
+def level_hops(r: int, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, B) over every size-r strip nu of every label lam of the level cone.
+
+    Only strips with span(nu) <= m are listed; strip i carries B_{nu/lam}
+    from label rows[i] to label cols[i] = underline(nu), labels in the order
+    of ``enumerate_level(n, m)``.
+    """
+    n, m = params.n, params.m
+    strips, rows, cols, d, t, s = _strip_index(n, m, r)
+    table = _table(params, m + 1, n + 1)
+    vals = table.hop_array[t, d, s].prod(axis=1)
+    bad = np.flatnonzero(np.isnan(vals))
+    if bad.size:
+        hop_B(*strips[bad[0]], params)
+    return rows, cols, vals
+
+
+def level_delta(params: ModelParams) -> np.ndarray:
+    """Delta_lam over the level cone, in the order of ``enumerate_level(n, m)``."""
+    return _level_gather(params, "delta_array", delta_weight)
+
+
+def level_c(params: ModelParams) -> np.ndarray:
+    """c_lam over the level cone, in the order of ``enumerate_level(n, m)``."""
+    return _level_gather(params, "c_array", c_norm)
+
+
+def _level_gather(params: ModelParams, family: str, scalar) -> np.ndarray:
+    n, m = params.n, params.m
+    d, s = _label_index(n, m)
+    factors = getattr(_table(params, m + 1, n + 1), family)[d, s]
+    vals = factors.reshape(d.shape[0], -1).prod(axis=1)
+    bad = np.flatnonzero(np.isnan(vals))
+    if bad.size:
+        scalar(enumerate_level(n, m)[bad[0]], params)
+    return vals
+
+
 def clear_coeff_caches() -> None:
-    """Drop all memoized coefficients (mainly for tests and long sweeps)."""
-    hop_B.cache_clear()
-    psi_prime.cache_clear()
-    c_norm.cache_clear()
-    delta_weight.cache_clear()
+    """Drop every bracket table (mainly for tests and long sweeps)."""
+    with _TABLES_LOCK:
+        _TABLES.clear()

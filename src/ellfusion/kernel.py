@@ -29,7 +29,9 @@ real w in [-20, 20]: the direct series keeps a worst relative error below
 transformed form stays within 2e-15 from 0.3 to 0.75 and 2e-14 at 0.97, at
 the same cost per call as the direct series at 0.5.  mpmath is imported only
 for an explicit ``precision="mp<digits>"``.  All evaluators here are
-stateless and safe to call concurrently.
+stateless and safe to call concurrently; the bracket is not cached here,
+because ``coeffs`` keeps one table of the brackets it needs per
+(alpha, g, |p|, precision).
 """
 
 from __future__ import annotations
@@ -254,12 +256,6 @@ def theta1_prime0(p: float) -> complex:
     return 2.0 * quarter * (scale * den)
 
 
-@lru_cache(maxsize=1_000_000)
-def _bracket_cached(z: complex, alpha: float, abs_p: float) -> complex:
-    num, den, _ = _reduced_theta(alpha * z / 2.0, abs_p)
-    return num / ((alpha / 2.0) * den)
-
-
 def _bracket_mp(z: complex, alpha: float, p: float, digits: int) -> complex:
     """Extended-precision bracket via mpmath; result is rounded to binary64."""
     num = _sine_series_mp(alpha * z / 2.0, p, digits)
@@ -325,7 +321,8 @@ class ModelParams:
     zero [m + n*g] = 0 that truncates everything to the level-m cone.  Free
     mode takes alpha directly and requires the coupling to clear the
     genericity gate.  Instances are immutable and hashable; they double as
-    memoization keys everywhere downstream.
+    memoization keys everywhere downstream, so the hash of the fields is
+    computed once, in ``__post_init__``.
     """
 
     n: int
@@ -350,6 +347,17 @@ class ModelParams:
             if abs(self.alpha * (self.m + self.n * self.g) - _TWO_PI) > 1e-14 * _TWO_PI:
                 raise ValueError("alpha is not locked to 2*pi/(m + n*g)")
         _check_precision(self.precision)
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def _fields(self) -> tuple:
+        return (self.n, self.m, self.g, self.p, self.alpha, self.level_locked, self.precision)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__: a pickled string hash is stale in another process.
+        return (type(self), self._fields())
 
     @classmethod
     def locked(cls, n: int, m: int, g: float, p: float, precision: str = "double") -> "ModelParams":
@@ -407,13 +415,16 @@ def bracket(z, params: ModelParams) -> complex:
 
     Evaluated from the reduced sums so the branch factor p^(1/4) cancels
     exactly; at p = 0 this equals (2/alpha)*sin(alpha*z/2).  The reduced
-    sums depend on p only through p^2, so the cache is keyed on |p| and the
-    brackets at -p are those at p.
+    sums depend on p only through p^2, so the brackets at -p are those at p.
+    Nothing is cached here: ``coeffs`` keeps one table of the brackets it
+    needs per (alpha, g, |p|, precision).
     """
     _check_nome(params.p)
+    alpha = params.alpha
     if params.precision != "double":
-        return _bracket_mp(complex(z), params.alpha, params.p, int(params.precision[2:]))
-    return _bracket_cached(complex(z), params.alpha, abs(params.p))
+        return _bracket_mp(complex(z), alpha, params.p, int(params.precision[2:]))
+    num, den, _ = _reduced_theta(alpha * complex(z) / 2.0, abs(params.p))
+    return num / ((alpha / 2.0) * den)
 
 
 def elliptic_factorial(z, k: int, params: ModelParams) -> complex:

@@ -21,8 +21,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import ComputationError, DegenerateCombination, TrackingAmbiguity
-from .kernel import ModelParams, qpow, realify
-from .partitions import Partition, enumerate_level, span, underline, vertical_strips, weight
+from .kernel import IMAG_TOL, ModelParams, qpow
+from .partitions import Partition, enumerate_level, vertical_strips, weight
 from .polynomials import build_P, elementary_symmetric, evaluate
 from . import coeffs
 
@@ -60,27 +60,30 @@ def build_truncated(r: int, params: ModelParams) -> TruncatedOperator:
     """Matrix of the r-th truncated operator on the level-m cone.
 
     Row lam gets the hop weight B_{nu/lam} in column underline(nu) for every
-    size-r strip nu with span(nu) <= m; other entries are zero.
+    size-r strip nu with span(nu) <= m; other entries are zero.  The weights
+    of all strips come from one gather over the bracket table.
     """
     if not params.level_locked:
         raise ValueError("truncated operators require level-locked parameters")
     if not 1 <= r <= params.n - 1:
         raise ValueError(f"need 1 <= r <= n-1, got r={r}")
     labels = enumerate_level(params.n, params.m)
-    index = {lam: i for i, lam in enumerate(labels)}
+    rows, cols, vals = coeffs.level_hops(r, params)
     mat = np.zeros((len(labels), len(labels)), dtype=complex)
-    for i, lam in enumerate(labels):
-        for nu in vertical_strips(lam, r):
-            if span(nu) <= params.m:
-                mat[i, index[underline(nu)]] = coeffs.hop_B(lam, nu, params)
+    mat[rows, cols] = vals
     return TruncatedOperator(r, params, tuple(labels), mat)
 
 
-def delta_vector(params: ModelParams, labels=None) -> np.ndarray:
+def _realify_all(values: np.ndarray, what: str) -> np.ndarray:
+    """Real parts of values that must be real, as ``realify`` checks one value."""
+    if np.any(np.abs(values.imag) > IMAG_TOL * np.maximum(1.0, np.abs(values.real))):
+        raise ComputationError(f"unexpected imaginary residue in the {what}")
+    return values.real.copy()
+
+
+def delta_vector(params: ModelParams) -> np.ndarray:
     """Orthogonality weights over the level cone, checked real positive."""
-    if labels is None:
-        labels = enumerate_level(params.n, params.m)
-    vals = np.array([realify(coeffs.delta_weight(lam, params)) for lam in labels])
+    vals = _realify_all(coeffs.level_delta(params), "orthogonality weights")
     if np.any(vals <= 0):
         raise ComputationError("orthogonality weights must be positive on the level cone")
     return vals
@@ -89,15 +92,14 @@ def delta_vector(params: ModelParams, labels=None) -> np.ndarray:
 def conjugated_matrices(params: ModelParams) -> tuple[list[np.ndarray], np.ndarray, tuple[Partition, ...]]:
     """W D_r W^-1 for r = 1..n-1 with W = diag(sqrt(Delta)); these are normal."""
     ops = [build_truncated(r, params) for r in range(1, params.n)]
-    labels = ops[0].labels
-    w = np.sqrt(delta_vector(params, labels))
+    w = np.sqrt(delta_vector(params))
     mats = [(w[:, None] * op.matrix) / w[None, :] for op in ops]
-    return mats, w, labels
+    return mats, w, ops[0].labels
 
 
 def normality_residual(op: TruncatedOperator) -> float:
     """Relative Frobenius residual of M M* - M* M for M = W D W^-1."""
-    w = np.sqrt(delta_vector(op.params, op.labels))
+    w = np.sqrt(delta_vector(op.params))
     M = (w[:, None] * op.matrix) / w[None, :]
     comm = M @ M.conj().T - M.conj().T @ M
     denom = np.linalg.norm(M, "fro") ** 2
@@ -252,7 +254,7 @@ def joint_spectrum(params: ModelParams, seed: int = 0) -> SpectrumResult:
         labels=tuple(labels),
         e=np.hstack([E_cur, np.ones((len(labels), 1), dtype=complex)]),
         vectors=F,
-        dual_norms=1.0 / (np.abs(F) ** 2 * delta_vector(params, labels)[:, None]).sum(axis=0),
+        dual_norms=1.0 / (np.abs(F) ** 2 * delta_vector(params)[:, None]).sum(axis=0),
         seed=seed,
         homotopy_steps=tuple(steps),
     )
@@ -265,9 +267,9 @@ def value_table(params: ModelParams, spec: SpectrumResult) -> np.ndarray:
 
 
 def norm_vectors(params: ModelParams, spec: SpectrumResult):
-    """c_lam, Delta_lam and the dual norms over the labels of a spectrum."""
-    cvec = np.array([realify(coeffs.c_norm(lam, params)) for lam in spec.labels])
-    return cvec, delta_vector(params, spec.labels), spec.dual_norms
+    """c_lam, Delta_lam and the dual norms over the labels of a spectrum (the level cone)."""
+    cvec = _realify_all(coeffs.level_c(params), "normalizations")
+    return cvec, delta_vector(params), spec.dual_norms
 
 
 def dual_orthogonality_check(

@@ -8,6 +8,7 @@ zero rows.  Partitions serialize as plain JSON integer arrays.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 Partition = tuple[int, ...]
@@ -77,15 +78,21 @@ def enumerate_level(n: int, m: int) -> list[Partition]:
     """All partitions with lam_n = 0 and lam_1 <= m, in canonical order.
 
     This is the level-m cone of fusion labels; its size is
-    binomial(n - 1 + m, m).
+    binomial(n - 1 + m, m).  Each call returns a new list; the enumeration
+    is done once per (n, m), because every homotopy step asks for the cone.
     """
+    return list(_level_cone(n, m))
+
+
+@lru_cache(maxsize=64)
+def _level_cone(n: int, m: int) -> tuple[Partition, ...]:
     if n < 1:
         raise ValueError("n must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
     out: list[Partition] = []
     if n == 1:
-        return [(0,)]
+        return ((0,),)
 
     def descend(prefix: Partition, rows_left: int, cap: int) -> None:
         if rows_left == 0:
@@ -96,7 +103,7 @@ def enumerate_level(n: int, m: int) -> list[Partition]:
 
     descend((), n - 1, m)
     out.sort(key=canonical_key)
-    return out
+    return tuple(out)
 
 
 def r_index(mu: Partition) -> int:

@@ -2,8 +2,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ellfusion.cli import main
+from ellfusion.cli import _emit_json, _json_text, main
+from ellfusion.errors import ComputationError
 
 
 def run_cli(args, capsys):
@@ -195,3 +197,53 @@ def test_header_embeds_params(capsys):
     assert payload["params"]["n"] == 2
     assert payload["params"]["level_locked"] is False
     assert payload["params"]["alpha"] == 2.0
+
+
+_json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(),
+)
+_json_payloads = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_payloads)
+def test_json_writer_matches_indented_json_dumps(payload):
+    """Same bytes as json.dumps(indent=2, allow_nan=False), empty containers and non-ASCII text included."""
+    assert _json_text(payload) == json.dumps(payload, indent=2, allow_nan=False)
+
+
+class _Label(str):
+    pass
+
+
+def test_json_writer_edge_values():
+    cases = [
+        [True, 1, False, 0, 1.0],  # bools never print as ints, nor ints as floats
+        (1, 2, 3),
+        {"a": [], "b": {}, "c": [[]], "d": [1.5, 2], "e": "\u00e9\u2603"},
+        {1: "int key", 2.5: [None], True: {}},
+        {"sub": [_Label("x"), 2**80, -0.0, 1e300]},
+        "top-level string",
+        17,
+    ]
+    for payload in cases:
+        assert _json_text(payload) == json.dumps(payload, indent=2, allow_nan=False)
+    with pytest.raises(TypeError):
+        _json_text({"set": {1, 2}})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_payload_value_raises(bad, capsys):
+    with pytest.raises(ComputationError, match="non-finite value in the probe payload"):
+        _emit_json({"command": "probe", "rows": [[1.0, bad]]}, None)
+    with pytest.raises(ComputationError):
+        _emit_json({"command": "probe", "rows": [{"x": bad}]}, None)
+    assert capsys.readouterr().out == ""

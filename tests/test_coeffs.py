@@ -1,10 +1,16 @@
-import pytest
+import math
+import sys
+import threading
 
-from ellfusion import coeffs
-from ellfusion.errors import NotAStrip
+import numpy as np
+import pytest
+from hypothesis import given, reject, settings, strategies as st
+
+from ellfusion import coeffs, fusion
+from ellfusion.errors import GenericityViolation, NotAStrip, SingularDenominator
 from ellfusion.kernel import ModelParams, bracket, realify
 from ellfusion.oracles import macdonald_pieri_p0
-from ellfusion.partitions import enumerate_level, partitions_of_weight, span, vertical_strips
+from ellfusion.partitions import enumerate_level, partitions_of_weight, span, underline, vertical_strips
 
 FREE = ModelParams.free(2, g=0.7, p=0.25, alpha=2.0)
 
@@ -141,3 +147,232 @@ def test_coupling_one_limit_of_recurrence_weight():
             for r in (1, 2, 3):
                 for nu in vertical_strips(lam, r):
                     assert abs(coeffs.psi_prime(lam, nu, params) - 1.0) < 1e-4
+
+
+# -- the bracket table and the level-cone gathers ------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(0, 8),
+    g=st.floats(0.1, 2.0),
+    p=st.floats(-0.95, 0.95),
+    alpha=st.floats(0.3, 3.0),
+    locked=st.booleans(),
+    rows=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+)
+def test_bracket_table_entries_are_the_scalar_bracket(n, m, g, p, alpha, locked, rows):
+    """Every entry is bracket(a + b*g) bit for bit, however the table grew."""
+    if locked:
+        params = ModelParams.locked(n, m, g, p)
+    else:
+        try:
+            params = ModelParams.free(n, g=g, p=p, alpha=alpha, m=m)
+        except GenericityViolation:
+            reject()
+    coeffs.clear_coeff_caches()
+    for i, r in enumerate(rows):  # grow in rows and, on the second request, in columns
+        coeffs.bracket_table(params, r, n + 1 + min(i, 1))
+    shape = (max(rows), n + 1 + min(len(rows) - 1, 1))
+    table = coeffs.bracket_table(params, *shape)
+    want = np.array(
+        [[bracket(a + b * params.g, params) for b in range(shape[1])] for a in range(shape[0])],
+        dtype=complex,
+    )
+    assert table.shape == shape
+    assert np.array_equal(table.view(np.int64), want.view(np.int64))
+    assert not table.flags.writeable
+
+
+def _ratio(num: float, den: float, params: ModelParams) -> complex:
+    return bracket(num, params) / bracket(den, params)
+
+
+def _hop_reference(lam, nu, params) -> complex:
+    g, out = params.g, 1.0 + 0.0j
+    for j in range(len(lam)):
+        for k in range(j + 1, len(lam)):
+            d, t = lam[j] - lam[k], (nu[j] - lam[j]) - (nu[k] - lam[k])
+            out *= _ratio(d + g * (k - j + t), d + g * (k - j), params)
+    return out
+
+
+def _c_reference(mu, params) -> complex:
+    g, out = params.g, 1.0 + 0.0j
+    for j in range(len(mu)):
+        for k in range(j + 1, len(mu)):
+            for l in range(mu[j] - mu[k]):
+                out *= _ratio(l + (k - j) * g, l + (k - j + 1) * g, params)
+    return out
+
+
+def _delta_reference(lam, params) -> complex:
+    g, out = params.g, 1.0 + 0.0j
+    for j in range(len(lam)):
+        for k in range(j + 1, len(lam)):
+            d, s = lam[j] - lam[k], k - j
+            out *= _ratio(d + s * g, s * g, params)
+            for l in range(d):
+                out *= _ratio(l + (s + 1) * g, 1.0 + l + (s - 1) * g, params)
+    return out
+
+
+def _psi_reference(lam, nu, params) -> complex:
+    g, out = params.g, 1.0 + 0.0j
+    for j in range(len(lam)):
+        for k in range(j + 1, len(lam)):
+            if (nu[j] - lam[j]) - (nu[k] - lam[k]) == -1:
+                dn, dl, s = nu[j] - nu[k], lam[j] - lam[k], k - j
+                out *= _ratio(dn + g * (s + 1), dn + g * s, params)
+                out *= _ratio(dl + g * (s - 1), dl + g * s, params)
+    return out
+
+
+def _close(got, want) -> bool:
+    return abs(got - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in (2, 3, 4) for m in range(5)] + [(5, 3)])
+def test_level_gathers_match_scalar_products(n, m):
+    """Array and scalar weights against the products written out with ``bracket``."""
+    params = ModelParams.locked(n, m, 0.7, 0.45)
+    labels = enumerate_level(n, m)
+    index = {lam: i for i, lam in enumerate(labels)}
+    delta, c = coeffs.level_delta(params), coeffs.level_c(params)
+    assert delta.shape == c.shape == (len(labels),)
+    for i, lam in enumerate(labels):
+        assert _close(delta[i], _delta_reference(lam, params))
+        assert _close(coeffs.delta_weight(lam, params), _delta_reference(lam, params))
+        assert _close(c[i], _c_reference(lam, params))
+        assert _close(coeffs.c_norm(lam, params), _c_reference(lam, params))
+    for r in range(1, n):
+        rows, cols, vals = coeffs.level_hops(r, params)
+        want = {
+            (index[lam], index[underline(nu)]): _hop_reference(lam, nu, params)
+            for lam in labels
+            for nu in vertical_strips(lam, r)
+            if span(nu) <= m
+        }
+        got = {(int(i), int(j)): v for i, j, v in zip(rows, cols, vals)}
+        assert len(rows) == len(want) and got.keys() == want.keys()
+        for key, value in want.items():
+            assert _close(got[key], value)
+    for lam in labels:
+        for r in range(1, n + 1):
+            for nu in vertical_strips(lam, r):
+                assert _close(coeffs.hop_B(lam, nu, params), _hop_reference(lam, nu, params))
+                assert _close(coeffs.psi_prime(lam, nu, params), _psi_reference(lam, nu, params))
+
+
+def _resonant(n: int, m: int, zero: float) -> ModelParams:
+    """Free parameters with the bracket zero 2*pi/alpha at ``zero`` (past the genericity gate)."""
+    return ModelParams(n, m, 0.7, 0.3, 2.0 * math.pi / zero, level_locked=False)
+
+
+def test_singular_denominator_through_scalar_and_array_paths():
+    params = _resonant(2, 1, 1.7)  # [1 + g] = 0
+    with pytest.raises(SingularDenominator, match=r"bracket \[1\.7\] vanished"):
+        coeffs.psi_prime((1, 0), (1, 1), params)
+    with pytest.raises(SingularDenominator, match=r"bracket \[1\.7\] vanished"):
+        coeffs.hop_B((1, 0), (1, 1), params)
+    with pytest.raises(SingularDenominator, match=r"bracket \[1\.7\] vanished"):
+        coeffs.level_hops(1, params)
+    assert coeffs.psi_prime((0, 0), (1, 0), params) == 1.0  # no pair with theta_j - theta_k = -1
+    params = _resonant(2, 1, 1.4)  # [2g] = 0
+    with pytest.raises(SingularDenominator, match=r"bracket \[1\.4\] vanished"):
+        coeffs.c_norm((1, 0), params)
+    with pytest.raises(SingularDenominator, match=r"bracket \[1\.4\] vanished"):
+        coeffs.level_c(params)
+    params = _resonant(2, 1, 0.7)  # [g] = 0
+    with pytest.raises(SingularDenominator, match=r"bracket \[0\.7\] vanished"):
+        coeffs.delta_weight((0, 0), params)
+    with pytest.raises(SingularDenominator, match=r"bracket \[0\.7\] vanished"):
+        coeffs.level_delta(params)
+
+
+def test_level_gathers_of_an_empty_strip_set():
+    params = ModelParams.locked(3, 0, 0.7, 0.3)
+    for r in (1, 2):
+        rows, cols, vals = coeffs.level_hops(r, params)
+        assert rows.dtype == cols.dtype == np.intp and vals.shape == (0,)
+    assert coeffs.level_delta(params).tolist() == [1.0] and coeffs.level_c(params).tolist() == [1.0]
+
+
+def test_opposite_nome_reuses_every_bracket(monkeypatch):
+    """The tables are keyed on |p|: s_matrix at -p evaluates no bracket after p."""
+    calls = []
+
+    def counted(z, params):
+        calls.append(z)
+        return bracket(z, params)
+
+    monkeypatch.setattr(coeffs, "bracket", counted)
+    params = ModelParams.locked(4, 4, 0.7, 0.6)
+    first = fusion.s_matrix(params)
+    assert calls
+    calls.clear()
+    second = fusion.s_matrix(params.with_p(-0.6))
+    assert calls == []
+    assert np.array_equal(first.spectrum.e, second.spectrum.e)
+
+
+def test_weights_reject_non_partitions():
+    params = ModelParams.locked(2, 2, 0.7, 0.3)
+    with pytest.raises(ValueError):
+        coeffs.c_norm((0, 1), params)
+    with pytest.raises(ValueError):
+        coeffs.delta_weight((0, 2), params)
+
+
+def test_bracket_tables_are_a_bounded_lru(monkeypatch):
+    calls = []
+
+    def counted(z, params):
+        calls.append(z)
+        return bracket(z, params)
+
+    monkeypatch.setattr(coeffs, "bracket", counted)
+    coeffs.clear_coeff_caches()
+    sweep = [ModelParams.locked(2, 1, 0.7, k / 1000) for k in range(coeffs.TABLE_LIMIT + 1)]
+    for params in sweep:
+        coeffs.bracket_table(params, 1, 3)
+    calls.clear()
+    coeffs.bracket_table(sweep[-1], 1, 3)
+    assert calls == []
+    coeffs.bracket_table(sweep[0], 1, 3)  # the least recently used table was dropped
+    assert len(calls) == 3
+    coeffs.clear_coeff_caches()
+
+
+def test_concurrent_growth_keeps_every_entry():
+    """Threads growing one table at once leave it equal to the scalar brackets."""
+    params = ModelParams.free(3, g=0.65, p=0.4, alpha=1.3)
+    lams = [(w, w // 3, 0) for w in range(2, 30)]
+    want = {lam: coeffs.c_norm(lam, params) for lam in lams}
+    coeffs.clear_coeff_caches()
+    got: dict = {}
+    errors: list = []
+
+    def work(order):
+        try:
+            for lam in order:
+                got[lam] = coeffs.c_norm(lam, params)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(lams[k::2] + lams[::-1],)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert got == want
+    table = coeffs.bracket_table(params, 30, 4)
+    expected = np.array([[bracket(a + b * params.g, params) for b in range(4)] for a in range(30)])
+    assert np.array_equal(table.view(np.int64), expected.view(np.int64))

@@ -317,7 +317,7 @@ def test_eigenvector_data_match_polynomial_values(n, m, g, p):
     cvec = np.array([realify(coeffs.c_norm(lam, params)) for lam in spec.labels])
     S = s_matrix(params, spectrum=spec).S
     assert np.abs(S - value_table(params, spec) / cvec[None, :]).max() <= 1e-10 * np.abs(S).max()
-    dvec = delta_vector(params, spec.labels)
+    dvec = delta_vector(params)
     polys = [build_P(lam, params) for lam in spec.labels]
     for j, e in enumerate(spec.e):
         f = np.array([c * evaluate(P, e) for c, P in zip(cvec, polys)])

@@ -1,6 +1,8 @@
 import cmath
+import dataclasses
 import math
 import os
+import pickle
 import subprocess
 import sys
 
@@ -237,3 +239,23 @@ def test_double_precision_never_imports_mpmath():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_model_params_hash_is_stored_and_consistent():
+    params = ModelParams.locked(3, 2, 0.6, 0.1)
+    twin = ModelParams.locked(3, 2, 0.6, 0.1)
+    round_trip = params.with_p(-0.4).with_p(0.1)
+    assert params == twin == round_trip
+    assert hash(params) == hash(twin) == hash(round_trip)
+    assert hash(params.with_p(0.4)) != hash(params)
+    assert {params: 1}[round_trip] == 1
+    restored = pickle.loads(pickle.dumps(params))
+    assert restored == params and hash(restored) == hash(params)
+    free = ModelParams.free(2, g=0.7, p=0.25, alpha=2.0)
+    assert hash(dataclasses.replace(free, p=0.25)) == hash(free)
+    assert "_hash" not in free.as_dict()
+    assert [f.name for f in dataclasses.fields(ModelParams)] == list(free.as_dict())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.p = 0.2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params._hash = 0
