@@ -16,7 +16,10 @@ import math
 import os
 import sys
 import tempfile
+from itertools import islice
 from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from .errors import ComputationError
 from .kernel import ModelParams
@@ -24,7 +27,7 @@ from .littlewood import lr_coefficients
 from .operators import joint_spectrum
 from .partitions import canonical_key, vertical_strips
 from .polynomials import build_P
-from .fusion import fusion_pieri, fusion_table, s_matrix
+from .fusion import FusionTable, fusion_pieri, fusion_table, s_matrix
 from .verification import SUITES, run_suite
 from . import coeffs
 from .kernel import realify
@@ -155,7 +158,8 @@ def _json_text(payload) -> str:
     one join.  It handles dicts with str keys, lists, tuples, str, int,
     float, bool and None of exactly those types; any other value (a
     subclass, a non-string key) goes to json.dumps, its newlines indented to
-    its depth.
+    its depth.  A ``FusionTable`` is written as its list of per-pair blocks
+    (see ``_fusion_table_chunks``).
     """
     chunks: list[str] = []
     put = chunks.append
@@ -177,7 +181,7 @@ def _json_text(payload) -> str:
                 return
             kinds = set(map(type, o))
             if len(kinds) == 1 and kinds <= {int, float}:
-                put("[" + inner + ("," + inner).join(map(text_of(kinds.pop()), o)) + newline + "]")
+                put(_list_text(map(text_of(kinds.pop()), o), newline))
                 return
             sep = "[" + inner
             for v in o:
@@ -203,6 +207,8 @@ def _json_text(payload) -> str:
                     put(sep + encode_basestring_ascii(k) + ": " + text(v))
                 sep = "," + inner
             put(newline + "}")
+        elif kind is FusionTable:
+            chunks.extend(_fusion_table_chunks(o, newline))
         else:  # subclasses, non-string keys, and what json rejects
             put(json.dumps(o, indent=2, allow_nan=False).replace("\n", newline))
 
@@ -211,6 +217,55 @@ def _json_text(payload) -> str:
         return text(payload)
     write(payload, "\n")
     return "".join(chunks)
+
+
+def _list_text(items, newline: str) -> str:
+    """An indented JSON list of item texts, whose line starts with newline."""
+    inner = newline + "  "
+    text = ("," + inner).join(items)
+    return "[" + inner + text + newline + "]" if text else "[]"
+
+
+def _fusion_table_chunks(table: FusionTable, newline: str):
+    """The blocks of a fusion table as indented JSON, read from ``table.values``.
+
+    One block per ordered pair (lam, mu), in label order: ``{"lam", "mu",
+    "entries": [{"kappa", "value"}, ...], "flagged": [...]}``, with the
+    nonzero values in kappa order and the flagged kappas in canonical order.
+    The chunks join to the bytes of ``json.dumps(blocks, indent=2)`` at this
+    depth; each label's text is built once per depth, and a non-finite value
+    raises ValueError, as json.dumps does.
+    """
+    values, labels = table.values, table.labels
+    if not np.isfinite(values).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    i1 = newline + "  "  # a block
+    i2 = i1 + "  "  # its keys
+    i3 = i2 + "  "  # an entry, a flagged label
+    i4 = i3 + "  "  # an entry's keys
+    pair_text = [_list_text(map(int.__repr__, lam), i2) for lam in labels]
+    entry_head = [
+        "{" + i4 + '"kappa": ' + _list_text(map(int.__repr__, kappa), i4) + "," + i4 + '"value": '
+        for kappa in labels
+    ]
+    nonzero = values != 0
+    counts = iter(nonzero.sum(axis=2).ravel().tolist())  # pair by pair
+    entries = zip(np.nonzero(nonzero)[2].tolist(), values[nonzero].tolist())  # and kappa ascending
+    lead = "[" + i1
+    for i, lam in enumerate(labels):
+        head = "{" + i2 + '"lam": ' + pair_text[i] + "," + i2 + '"mu": '
+        for j, mu in enumerate(labels):
+            body = _list_text(
+                (entry_head[k] + float.__repr__(v) + i3 + "}" for k, v in islice(entries, next(counts))), i2
+            )
+            flags = sorted(table.flagged.get((lam, mu), ()), key=canonical_key)
+            flagged = _list_text((_list_text(map(int.__repr__, k), i3) for k in flags), i2)
+            yield (
+                lead + head + pair_text[j] + "," + i2 + '"entries": ' + body
+                + "," + i2 + '"flagged": ' + flagged + i1 + "}"
+            )
+            lead = "," + i1
+    yield newline + "]"
 
 
 def _emit_json(payload: dict, out_path: str | None) -> None:
@@ -317,26 +372,14 @@ def _cmd_spectrum(args, parser) -> int:
     return 0
 
 
-def _fusion_payload(table) -> list[dict]:
-    labels = table.labels
-    out = []
-    for i, lam in enumerate(labels):
-        for j, mu in enumerate(labels):
-            row = table.values[i, j].tolist()
-            out.append(
-                {
-                    "lam": list(lam),
-                    "mu": list(mu),
-                    "entries": [
-                        {"kappa": list(labels[k]), "value": v} for k, v in enumerate(row) if v
-                    ],
-                    "flagged": [
-                        list(k)
-                        for k in sorted(table.flagged.get((lam, mu), ()), key=canonical_key)
-                    ],
-                }
-            )
-    return out
+def _fusion_csv_rows(table: FusionTable) -> list[list]:
+    """One row (lam, mu, kappa, value) per nonzero value, in label order."""
+    text = [_fmt_partition(lam) for lam in table.labels]
+    nonzero = table.values != 0
+    index = zip(*(axis.tolist() for axis in np.nonzero(nonzero)))
+    return [
+        [text[i], text[j], text[k], v] for (i, j, k), v in zip(index, table.values[nonzero].tolist())
+    ]
 
 
 def _cmd_fusion(args, parser) -> int:
@@ -347,26 +390,15 @@ def _cmd_fusion(args, parser) -> int:
     payload["route"] = args.route
     if args.route in ("verlinde", "lr"):
         table = fusion_table(params, route=args.route, seed=args.seed)
-        payload["table"] = _fusion_payload(table)
         if args.format == "csv":
-            rows = []
-            for block in payload["table"]:
-                for e in block["entries"]:
-                    rows.append(
-                        [
-                            _fmt_partition(block["lam"]),
-                            _fmt_partition(block["mu"]),
-                            _fmt_partition(e["kappa"]),
-                            e["value"],
-                        ]
-                    )
-            _emit_csv(rows, ["lam", "mu", "kappa", "value"], args.out)
+            _emit_csv(_fusion_csv_rows(table), ["lam", "mu", "kappa", "value"], args.out)
             return 0
+        payload["table"] = table
     else:
         t_v = fusion_table(params, route="verlinde", seed=args.seed)
         t_lr = fusion_table(params, route="lr", seed=args.seed)
-        payload["table"] = _fusion_payload(t_v)
-        payload["lr_table"] = _fusion_payload(t_lr)
+        payload["table"] = t_v
+        payload["lr_table"] = t_lr
         payload["diff"] = {"max_abs": t_v.max_difference(t_lr)}
     _emit_json(payload, args.out)
     return 0

@@ -205,10 +205,17 @@ def _support_row(keys: np.ndarray, i: int) -> np.ndarray:
 def _fusion_row(raw: np.ndarray, labels: tuple[Partition, ...], i: int, route: str) -> np.ndarray:
     """Real structure constants [mu, kappa] of the row lam = labels[i] from its raw block.
 
-    Per pair, scale = max(1, max |raw|).  Off the support |raw| > FUSION_IMAG_TOL * scale,
-    or on it an imaginary part > FUSION_IMAG_TOL * max(1, |real|), raises; real parts on
-    the support up to _DROP_REL * scale become zero.
+    A non-finite value raises.  Per pair, scale = max(1, max |raw|).  Off the support
+    |raw| > FUSION_IMAG_TOL * scale, or on it an imaginary part > FUSION_IMAG_TOL *
+    max(1, |real|), raises; real parts on the support up to _DROP_REL * scale become zero.
     """
+    finite = np.isfinite(raw)
+    if not finite.all():  # NaN fails every comparison below, and would be written as 0.0
+        j, k = np.argwhere(~finite)[0]
+        raise ComputationError(
+            f"fusion non-finite value: {labels[k]} -> {complex(raw[j, k])!r} "
+            f"in {labels[i]} x {labels[j]} ({route})"
+        )
     mask = _support_row(np.array(labels), i)
     mag, re = np.abs(raw), raw.real
     scale = np.maximum(1.0, mag.max(axis=1, keepdims=True))

@@ -7,9 +7,12 @@ orthogonality weights they become normal matrices, so the joint spectrum is
 obtained by diagonalizing a random real combination and reading off Rayleigh
 ratios.  Labels are assigned at p = 0 against the trigonometric closed form
 and continued analytically in the nome with an adaptive step that keeps
-every eigenvalue within half the minimal inter-eigenvalue gap.  The dual
-norms come from the eigenvectors; only ``value_table``, for the check
-routes, evaluates polynomials at the spectral points.
+every eigenvalue within half the minimal inter-eigenvalue gap.  Each point
+is matched to its nearest new point: balls of half the gap are disjoint, so
+a match that passes that test is the optimal assignment, and no assignment
+solver is needed.  The dual norms come from the eigenvectors; only
+``value_table``, for the check routes, evaluates polynomials at the spectral
+points.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ComputationError, DegenerateCombination, TrackingAmbiguity
 from .kernel import IMAG_TOL, ModelParams, qpow
@@ -188,12 +190,19 @@ def _min_gap(E: np.ndarray) -> float:
 
 
 def _match_rows(E_new: np.ndarray, E_ref: np.ndarray) -> np.ndarray:
-    """Bijective nearest-distance matching; perm[i] is the new row for ref row i."""
+    """Nearest new row for each reference row; perm[i] is the new row for ref row i.
+
+    The map need not be injective, and it needs no assignment solver: every
+    caller accepts a match only if each row moved less than _GAP_SAFETY * gap,
+    gap being the least distance between two reference rows.  With
+    _GAP_SAFETY <= 1/2 the balls of radius gap/2 about the reference rows are
+    disjoint, so in an accepted match each reference row's nearest new row is
+    unique and is its partner, and the optimal assignment is the same
+    permutation.  A map that sends two reference rows to one new row moves one
+    of them by at least gap/2, and is rejected, as the assignment would be.
+    """
     dist = np.linalg.norm(E_new[None, :, :] - E_ref[:, None, :], axis=2)
-    rows, cols = linear_sum_assignment(dist)
-    perm = np.empty(E_ref.shape[0], dtype=int)
-    perm[rows] = cols
-    return perm
+    return dist.argmin(axis=1)
 
 
 def joint_spectrum(params: ModelParams, seed: int = 0) -> SpectrumResult:
@@ -201,8 +210,11 @@ def joint_spectrum(params: ModelParams, seed: int = 0) -> SpectrumResult:
 
     Labels are assigned at p = 0 against the closed form; for p != 0 the
     points are continued from p = 0 with adaptive steps (start 0.05, halve
-    on ambiguity, floor 1e-4), matching by nearest distance and requiring
-    every movement to stay below half the minimal gap.
+    on ambiguity, floor 1e-4), matching each point to its nearest new point
+    and requiring every movement to stay below half the minimal gap.  That
+    test makes the nearest-point match exact: balls of half the gap about
+    the old points are disjoint, so an accepted match is the optimal
+    assignment (see ``_match_rows``).
     """
     rng = np.random.default_rng(seed)
     base_params = params.with_p(0.0)
@@ -212,7 +224,7 @@ def joint_spectrum(params: ModelParams, seed: int = 0) -> SpectrumResult:
     perm = _match_rows(E_raw, C)
     gap0 = _min_gap(C)
     moved = float(np.linalg.norm(E_raw[perm] - C, axis=1).max())
-    if moved >= _GAP_SAFETY * gap0:
+    if not moved < _GAP_SAFETY * gap0:  # the continuation's test; it also rejects a NaN
         raise TrackingAmbiguity(
             f"p=0 spectrum does not match the closed form (moved {moved:.3e}, gap {gap0:.3e})"
         )

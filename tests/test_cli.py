@@ -1,11 +1,19 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ellfusion.cli import _emit_json, _json_text, main
+from ellfusion.cli import _emit_json, _fusion_csv_rows, _json_text, main
 from ellfusion.errors import ComputationError
+from ellfusion.fusion import FusionTable, fusion_table
+from ellfusion.kernel import ModelParams
+from ellfusion.partitions import canonical_key, enumerate_level
 
 
 def run_cli(args, capsys):
@@ -247,3 +255,118 @@ def test_non_finite_payload_value_raises(bad, capsys):
     with pytest.raises(ComputationError):
         _emit_json({"command": "probe", "rows": [{"x": bad}]}, None)
     assert capsys.readouterr().out == ""
+
+
+def test_import_leaves_out_scipy_optimize():
+    """The CLI's import path loads no assignment solver (scipy.optimize costs about 0.3 s)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ellfusion.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
+
+
+def _blocks(table):
+    """The per-pair blocks of the fusion payload, built from ``table.values`` as dicts."""
+    labels = table.labels
+    return [
+        {
+            "lam": list(lam),
+            "mu": list(mu),
+            "entries": [
+                {"kappa": list(labels[k]), "value": v}
+                for k, v in enumerate(table.values[i, j].tolist())
+                if v
+            ],
+            "flagged": [list(k) for k in sorted(table.flagged.get((lam, mu), ()), key=canonical_key)],
+        }
+        for i, lam in enumerate(labels)
+        for j, mu in enumerate(labels)
+    ]
+
+
+def _csv_rows(table):
+    """The (lam, mu, kappa, value) rows of ``fusion --format csv``, read off the blocks."""
+    fmt = " ".join
+    return [
+        [fmt(map(str, b["lam"])), fmt(map(str, b["mu"])), fmt(map(str, e["kappa"])), e["value"]]
+        for b in _blocks(table)
+        for e in b["entries"]
+    ]
+
+
+@pytest.mark.parametrize(
+    "n,m,g,p,route",
+    [
+        (2, 2, 0.7, 0.3, "verlinde"),
+        (3, 2, 0.7, -0.6, "verlinde"),
+        (2, 2, 0.7, 0.3, "lr"),
+        (3, 2, 1.0, 0.0, "lr"),
+        (3, 2, 0.7, 0.3, "both"),
+    ],
+)
+def test_fusion_payload_is_the_indented_dump_of_its_blocks(n, m, g, p, route, capsys):
+    args = ["fusion", "--n", str(n), "--m", str(m), "--g", str(g), "--p", str(p), "--route", route]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0
+    params = ModelParams.locked(n, m, g, p)
+    payload = {"command": "fusion", "params": params.as_dict(), "seed": 0, "route": route}
+    if route == "both":
+        t_v, t_lr = fusion_table(params, route="verlinde"), fusion_table(params, route="lr")
+        payload |= {"table": _blocks(t_v), "lr_table": _blocks(t_lr),
+                    "diff": {"max_abs": t_v.max_difference(t_lr)}}
+    else:
+        payload["table"] = _blocks(fusion_table(params, route=route))
+    assert out == json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def _hand_table(**changes):
+    """A FusionTable over the n=3 m=2 cone with flagged keys, signs, tiny values and an empty pair."""
+    labels = tuple(enumerate_level(3, 2))
+    N = len(labels)
+    rng = np.random.default_rng(4)
+    values = np.where(rng.random((N, N, N)) < 0.4, rng.standard_normal((N, N, N)), 0.0)
+    values[0, 1, :4] = [-1.5, 5e-324, -1e-300, 1e300]
+    values[1, 0, :2] = [-0.0, 0.1]  # -0.0 counts as zero, as ``if v`` does
+    values[2, 3] = 0.0
+    for k, v in changes.items():
+        values[tuple(map(int, k.split("_")))] = v
+    flagged = {
+        (labels[0], labels[1]): {labels[3], labels[0], labels[5]},
+        (labels[2], labels[3]): {labels[1]},
+    }
+    return FusionTable(params=ModelParams.locked(3, 2, 1.0, 0.0), labels=labels, values=values,
+                       route="lr", flagged=flagged)
+
+
+def test_fusion_writer_on_a_hand_built_table():
+    table = _hand_table()
+    blocks = _blocks(table)
+    assert blocks[1]["flagged"] and blocks[1]["entries"][1]["value"] == 5e-324
+    assert blocks[2 * len(table.labels) + 3]["entries"] == []
+    for payload, want in [
+        (table, blocks),
+        ({"route": "lr", "table": table}, {"route": "lr", "table": blocks}),
+        ([{"a": [table]}, table], [{"a": [blocks]}, blocks]),
+    ]:
+        assert _json_text(payload) == json.dumps(want, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fusion_writer_rejects_a_non_finite_value(bad, capsys):
+    table = _hand_table(**{"2_3_0": bad})
+    with pytest.raises(ComputationError, match="^non-finite value in the fusion payload$"):
+        _emit_json({"command": "fusion", "table": table}, None)
+    assert capsys.readouterr().out == ""
+
+
+def test_fusion_csv_rows_are_those_of_the_blocks(tmp_path, capsys):
+    table = _hand_table()
+    assert _fusion_csv_rows(table) == _csv_rows(table)
+    for route in ("verlinde", "lr"):
+        path = tmp_path / f"{route}.csv"
+        args = ["fusion", "--n", "3", "--m", "2", "--g", "0.7", "--p", "0.3", "--route", route]
+        assert main([*args, "--format", "csv", "--out", str(path)]) == 0
+        rows = _csv_rows(fusion_table(ModelParams.locked(3, 2, 0.7, 0.3), route=route))
+        want = "\n".join(["lam,mu,kappa,value", *(",".join(map(str, row)) for row in rows)]) + "\n"
+        assert path.read_text() == want

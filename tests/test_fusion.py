@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -172,6 +173,26 @@ def test_perturbed_inverse_is_caught_by_the_support():
     message = rf"^fusion .+: {label} -> .+ in {label} x {label} \(verlinde\)$"
     with pytest.raises(ComputationError, match=message):
         fusion._verlinde_table(dataclasses.replace(sm, Sinv=Sinv))
+
+
+@pytest.mark.parametrize("route", ["verlinde", "projection"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
+@pytest.mark.parametrize("on_support", [True, False])
+def test_non_finite_raw_value_raises(route, bad, on_support):
+    """A NaN or infinity in a raw row is an error naming the pair and route, never a 0.0."""
+    params = ModelParams.locked(2, 2, 0.7, 0.3)
+    sm = s_matrix(params)
+    rows = fusion._verlinde_rows(sm) if route == "verlinde" else fusion._projection_rows(params, sm.spectrum)
+    labels, i = sm.labels, 1
+    mask = fusion._support_row(np.array(labels), i)
+    j, k = np.argwhere(mask if on_support else ~mask)[0]
+    raw = rows(i).copy()
+    fusion._fusion_row(raw, labels, i, route)  # finite: no error
+    raw[j, k] = bad
+    kappa, lam, mu = (re.escape(str(labels[x])) for x in (k, i, j))
+    message = rf"^fusion non-finite value: {kappa} -> .+ in {lam} x {mu} \({route}\)$"
+    with pytest.raises(ComputationError, match=message):
+        fusion._fusion_row(raw, labels, i, route)
 
 
 def test_fusion_table_associativity():

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from ellfusion import coeffs
 from ellfusion.errors import TrackingAmbiguity
 from ellfusion.kernel import ModelParams, bracket
 from ellfusion.operators import (
+    _GAP_SAFETY,
+    _match_rows,
     _min_gap,
     _raw_spectrum,
     apply_D,
@@ -230,3 +234,55 @@ def test_rayleigh_quotients_match_per_vector_loop():
         for r, M in enumerate(mats):
             want = np.vdot(v, M @ v) / np.vdot(v, v)
             assert abs(E[i, r] - want) <= 1e-14 * max(1.0, abs(want))
+
+
+def _moved(E_new, E_ref, perm):
+    return float(np.linalg.norm(E_new[perm] - E_ref, axis=1).max())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    N=st.integers(2, 40),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    reach=st.floats(0.0, 1.5),
+    toward=st.booleans(),
+)
+def test_nearest_row_match_is_the_assignment_under_the_gap_test(N, k, seed, reach, toward):
+    """Nearest-row matching accepts exactly when the optimal assignment does, with the same permutation.
+
+    The new rows are the reference rows in C^k moved by up to reach * gap, at
+    random or toward their nearest neighbour, then shuffled; reach runs past
+    1/2, so both sides of the acceptance test are drawn.
+    """
+    assert _GAP_SAFETY <= 0.5  # the equivalence rests on it
+    rng = np.random.default_rng(seed)
+    E_ref = rng.standard_normal((N, k)) + 1j * rng.standard_normal((N, k))
+    gap = _min_gap(E_ref)
+    if toward:
+        dist = np.linalg.norm(E_ref[None, :, :] - E_ref[:, None, :], axis=2)
+        np.fill_diagonal(dist, np.inf)
+        step = E_ref[dist.argmin(axis=1)] - E_ref
+        step /= np.linalg.norm(step, axis=1, keepdims=True)
+    else:
+        step = rng.standard_normal((N, k)) + 1j * rng.standard_normal((N, k))
+        step /= np.linalg.norm(step, axis=1, keepdims=True)
+    E_new = E_ref + rng.uniform(0.0, reach * gap, (N, 1)) * step
+    E_new = E_new[rng.permutation(N)]
+
+    nearest = _match_rows(E_new, E_ref)
+    rows, cols = linear_sum_assignment(np.linalg.norm(E_new[None, :, :] - E_ref[:, None, :], axis=2))
+    assignment = cols[np.argsort(rows)]
+    nearest_ok = _moved(E_new, E_ref, nearest) < _GAP_SAFETY * gap
+    assignment_ok = _moved(E_new, E_ref, assignment) < _GAP_SAFETY * gap
+    assert nearest_ok == assignment_ok
+    if nearest_ok:
+        assert nearest.tolist() == assignment.tolist()
+
+
+def test_nearest_row_match_rejects_a_shared_row():
+    E_ref = np.array([[0.0], [1.0], [3.0]], dtype=complex)
+    E_new = np.array([[0.4], [5.0], [3.0]], dtype=complex)  # 0.4 is nearest to both 0 and 1
+    perm = _match_rows(E_new, E_ref)
+    assert perm.tolist() == [0, 0, 2]
+    assert _moved(E_new, E_ref, perm) >= _GAP_SAFETY * _min_gap(E_ref)
