@@ -7,11 +7,12 @@ a ratio of theta brackets [a + b*g] with integers 0 <= a <= span(lam) and
 0 <= b <= n.  One bracket table per (alpha, g, |p|, precision) holds those
 brackets, filled by the scalar ``bracket`` and grown on demand, together
 with the factor tables derived from it; the brackets depend on the nome
-only through |p|, so -p reads the table of p.  The scalar functions read
-the table from Python lists; ``level_hops``, ``level_delta`` and
-``level_c`` gather whole level cones from its numpy copy.  Values are
-complex and real in the level-locked regime; callers convert them at API
-boundaries.
+only through |p|, so -p reads the table of p.  The table also stores the
+eigenpolynomials built at its parameters, so its LRU bounds all that is
+kept per parameter set.  The scalar functions read the table from Python
+lists; ``level_hops``, ``level_delta`` and ``level_c`` gather whole level
+cones from its numpy copy.  Values are complex and real in the
+level-locked regime; callers convert them at API boundaries.
 
 Denominator brackets below ``SINGULAR_TOL`` in magnitude raise
 :class:`SingularDenominator`; zeros appearing in numerators are genuine
@@ -65,6 +66,11 @@ class BracketTable:
     ``c_array`` and ``delta_array`` (head and tail stacked on a last axis)
     are their numpy copies for the gathers over a level cone, which multiply
     the factors in the order of the scalar loops and so give the same bits.
+
+    ``polys`` (mu -> P_mu) and ``strata`` ((n, w, L) -> stratum) are filled by
+    ``polynomials``.  The recurrence weights are products of these brackets,
+    so its results depend on the parameters only through this table's key;
+    evicting the table frees them.
     """
 
     def __init__(self, params: ModelParams):
@@ -72,6 +78,8 @@ class BracketTable:
         self.values: list[list[complex]] = []
         self.rows = 0
         self.cols = 0
+        self.polys: dict = {}
+        self.strata: dict = {}
 
     def grow(self, rows: int, cols: int) -> None:
         """Extend to at least rows x cols, evaluating only the new brackets."""
@@ -128,7 +136,7 @@ _TABLES: OrderedDict[tuple, BracketTable] = OrderedDict()
 _TABLES_LOCK = threading.Lock()
 
 
-def _table(params: ModelParams, rows: int, cols: int) -> BracketTable:
+def _table(params: ModelParams, rows: int = 0, cols: int = 0) -> BracketTable:
     """The bracket table of params, grown to at least rows x cols (bounded LRU)."""
     key = (params.alpha, params.g, abs(params.p), params.precision)
     with _TABLES_LOCK:
@@ -341,6 +349,6 @@ def _level_gather(params: ModelParams, family: str, scalar) -> np.ndarray:
 
 
 def clear_coeff_caches() -> None:
-    """Drop every bracket table (mainly for tests and long sweeps)."""
+    """Drop every bracket table with its polynomials (mainly for tests and long sweeps)."""
     with _TABLES_LOCK:
         _TABLES.clear()

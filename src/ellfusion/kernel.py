@@ -65,64 +65,20 @@ def _check_nome(p: float) -> None:
         raise NonConvergent(f"nome p={p!r} must satisfy |p| < 1")
 
 
-def _sine_series_mp(w: complex, p: float, digits: int) -> complex:
-    """Extended-precision reduced sine series, rounded back to binary64."""
-    import mpmath
-
-    with mpmath.workdps(digits):
-        wv = mpmath.mpc(w)
-        pv = mpmath.mpf(p)
-        total = mpmath.mpc(0)
-        power = mpmath.mpf(1)
-        cutoff = mpmath.mpf(10) ** (-digits)
-        small = 0
-        for l in range(_MAX_TERMS):
-            term = (-1) ** (l % 2) * power * mpmath.sin((2 * l + 1) * wv)
-            total += term
-            if abs(term) <= cutoff * max(abs(total), mpmath.mpf(10) ** -300):
-                small += 1
-                if small >= 2:
-                    return complex(total)
-            else:
-                small = 0
-            power *= pv ** (2 * (l + 1))
-    raise NonConvergent(f"theta series did not converge for p={p!r}")
-
-
-def _derivative_series0_mp(p: float, digits: int) -> float:
-    import mpmath
-
-    with mpmath.workdps(digits):
-        pv = mpmath.mpf(p)
-        total = mpmath.mpf(0)
-        power = mpmath.mpf(1)
-        cutoff = mpmath.mpf(10) ** (-digits)
-        small = 0
-        for l in range(_MAX_TERMS):
-            term = (-1) ** (l % 2) * (2 * l + 1) * power
-            total += term
-            if abs(term) <= cutoff * max(abs(total), mpmath.mpf(10) ** -300):
-                small += 1
-                if small >= 2:
-                    return float(total)
-            else:
-                small = 0
-            power *= pv ** (2 * (l + 1))
-    raise NonConvergent(f"theta derivative series did not converge for p={p!r}")
-
-
-def _sine_series(w: complex, p: float, rtol: float = TRUNCATION_RTOL) -> complex:
+def _sine_series(w: complex, p: float, rtol: float = TRUNCATION_RTOL, sin=cmath.sin) -> complex:
     """sum_{l>=0} (-1)^l p^(l(l+1)) sin((2l+1) w), truncated adaptively.
 
     Terms are added until two consecutive terms fall below rtol relative to
     the running sum; l(l+1) is always even, so negative nomes need no
-    special casing.  Used below ``MODULAR_CROSSOVER`` only.
+    special casing.  In binary64 it is used below ``MODULAR_CROSSOVER``
+    only; with mpmath numbers for w, p and rtol and ``sin=mpmath.sin`` it
+    is the extended-precision series.
     """
     total = 0.0 + 0.0j
     power = 1.0  # p^(l(l+1))
     small = 0
     for l in range(_MAX_TERMS):
-        term = (-1) ** (l % 2) * power * cmath.sin((2 * l + 1) * w)
+        term = (-1) ** (l % 2) * power * sin((2 * l + 1) * w)
         total += term
         if abs(term) <= rtol * max(abs(total), 1e-300):
             small += 1
@@ -257,10 +213,15 @@ def theta1_prime0(p: float) -> complex:
 
 
 def _bracket_mp(z: complex, alpha: float, p: float, digits: int) -> complex:
-    """Extended-precision bracket via mpmath; result is rounded to binary64."""
-    num = _sine_series_mp(alpha * z / 2.0, p, digits)
-    den = (alpha / 2.0) * _derivative_series0_mp(p, digits)
-    return num / den
+    """Extended-precision bracket: the direct series summed in mpmath, rounded to binary64."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        rtol = mpmath.mpf(10) ** (-digits)
+        pv = mpmath.mpf(p)
+        num = complex(_sine_series(mpmath.mpc(alpha * z / 2.0), pv, rtol, mpmath.sin))
+        den = float(_derivative_series0(pv, rtol))
+    return num / ((alpha / 2.0) * den)
 
 
 def qpow(alpha: float, x: float) -> complex:
@@ -320,9 +281,7 @@ class ModelParams:
     Level-locked mode ties alpha = 2*pi/(m + n*g), which places the bracket
     zero [m + n*g] = 0 that truncates everything to the level-m cone.  Free
     mode takes alpha directly and requires the coupling to clear the
-    genericity gate.  Instances are immutable and hashable; they double as
-    memoization keys everywhere downstream, so the hash of the fields is
-    computed once, in ``__post_init__``.
+    genericity gate.  Instances are immutable and hashable.
     """
 
     n: int
@@ -347,17 +306,6 @@ class ModelParams:
             if abs(self.alpha * (self.m + self.n * self.g) - _TWO_PI) > 1e-14 * _TWO_PI:
                 raise ValueError("alpha is not locked to 2*pi/(m + n*g)")
         _check_precision(self.precision)
-        object.__setattr__(self, "_hash", hash(self._fields()))
-
-    def _fields(self) -> tuple:
-        return (self.n, self.m, self.g, self.p, self.alpha, self.level_locked, self.precision)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # Rebuild through __init__: a pickled string hash is stale in another process.
-        return (type(self), self._fields())
 
     @classmethod
     def locked(cls, n: int, m: int, g: float, p: float, precision: str = "double") -> "ModelParams":

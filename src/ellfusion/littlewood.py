@@ -19,7 +19,9 @@ from scipy.linalg.blas import dtpsv
 from .errors import ComputationError
 from .kernel import ModelParams
 from .partitions import Partition, add, check_partition, weight
-from .polynomials import PolynomialInE, Stratum, _build_P, encode_keys, stratum
+from .polynomials import PolynomialInE, Stratum, encode_keys, stratum
+from .polynomials import _admits, _check_stratum, _poly, _stratum
+from . import coeffs
 
 SUPPORT_CUT = 1e-9
 
@@ -82,10 +84,15 @@ def lr_coefficients(lam, mu, params: ModelParams) -> dict[Partition, float]:
 
 def _lr_coefficients(lam: Partition, mu: Partition, params: ModelParams) -> dict[Partition, float]:
     """``lr_coefficients`` of two partition tuples that are already validated."""
-    keys_l, vals_l = _build_P(lam, params).arrays()
-    keys_m, vals_m = _build_P(mu, params).arrays()
-    w = weight(lam) + weight(mu)
-    table = stratum(params, w, lam[0] + mu[0], lam[-1] + mu[-1])
+    w, L = weight(lam) + weight(mu), lam[-1] + mu[-1]
+    M = min(lam[0] + mu[0], w - (params.n - 1) * L)
+    # The gate runs on store hits too: the store is shared across m, locking and the sign of p.
+    if not (len(lam) == len(mu) == params.n and _admits(params, w, M - L)):
+        _check_stratum(params, w, M, L, (lam, mu))
+    store = coeffs._table(params)  # one lookup for the factors and the stratum
+    keys_l, vals_l = _poly(lam, params, store.polys).arrays()
+    keys_m, vals_m = _poly(mu, params, store.polys).arrays()
+    table = _stratum(params, store, w, M, L)
     codes = encode_keys(keys_l, w)[:, None] + encode_keys(keys_m, w)[None, :]
     a = _solve(table, codes.ravel(), np.outer(vals_l, vals_m).ravel())
     mag = np.abs(a)

@@ -8,7 +8,9 @@ dominated by mu, with all keys sharing the weight |mu|.
 
 The recurrence is resolved iteratively over the dependency cone ordered by
 the (span, leading-run) induction, so recursion depth never grows with the
-weight.  The table of built polynomials is append-only and idempotent.
+weight.  Built polynomials and strata are kept in the bracket table of
+their parameters (``coeffs``), which is bounded: an evicted table takes its
+polynomials with it, and a later request rebuilds the same bits.
 
 Every key of P_kappa is dominated by kappa, so it has the same weight, a
 first part <= kappa_1 and a last part >= kappa_n.  The partitions of weight
@@ -90,33 +92,31 @@ class PolynomialInE:
         return f"PolynomialInE(n={self.n}, {{{body}}})"
 
 
-_P_CACHE: dict[tuple[ModelParams, Partition], PolynomialInE] = {}
-# (params, w, L) -> the stratum of weight w and last part >= L, for the
-# largest first-part bound requested so far; smaller bounds are leading blocks.
-_STRATUM_CACHE: dict[tuple[ModelParams, int, int], "Stratum"] = {}
+def _admits(params: ModelParams, w: int, top: int) -> bool:
+    """Whether params admits every P of weight <= w and span <= top.
 
-
-def clear_poly_cache() -> None:
-    _P_CACHE.clear()
-    _STRATUM_CACHE.clear()
+    Level-locked spans up to m+1 always are; otherwise the coupling must be
+    generic.  The recurrence only divides by brackets at x + j*g with
+    j <= n - 1, so the margin is probed on that range.
+    """
+    if params.level_locked and top <= params.m + 1:
+        return True
+    return g_regularity_margin(params.alpha, params.g, params.n, max(w, 1), params.n - 1) >= GENERICITY_TOL
 
 
 def _check_buildable(mu: Partition, params: ModelParams) -> None:
-    """Admission gate: level-locked spans up to m+1, otherwise generic coupling.
+    """Admission gate of a request for P_mu: its length, then the coupling.
 
-    The recurrence only divides by brackets at x + j*g with j <= n - 1, so
-    the margin is probed on that range.
+    The polynomials are stored per bracket table, which is shared across m,
+    ``level_locked`` and the sign of p, so the gate runs on every request.
     """
-    if params.level_locked and span(mu) <= params.m + 1:
-        return
-    window = max(weight(mu), 1)
-    margin = g_regularity_margin(params.alpha, params.g, params.n, window, jmax=params.n - 1)
-    if margin >= GENERICITY_TOL:
-        return
-    raise GenericityViolation(
-        f"cannot build P_{mu}: coupling g={params.g} is resonant for this span "
-        f"(level_locked={params.level_locked}, span={span(mu)}, m={params.m})"
-    )
+    if len(mu) != params.n:
+        raise ValueError(f"partition length {len(mu)} does not match n={params.n}")
+    if not _admits(params, weight(mu), span(mu)):
+        raise GenericityViolation(
+            f"cannot build P_{mu}: coupling g={params.g} is resonant for this span "
+            f"(level_locked={params.level_locked}, span={span(mu)}, m={params.m})"
+        )
 
 
 def _shift_by_column(poly: PolynomialInE, r: int) -> dict[Partition, float]:
@@ -126,7 +126,7 @@ def _shift_by_column(poly: PolynomialInE, r: int) -> dict[Partition, float]:
 
 
 def build_P(mu, params: ModelParams) -> PolynomialInE:
-    """Eigenpolynomial P_mu from the strip recurrence, memoized per params.
+    """Eigenpolynomial P_mu from the strip recurrence, memoized per bracket table.
 
     P_0 = 1 and, for mu != 0 with r the leading-run index and lam = mu - 1^r,
 
@@ -139,46 +139,51 @@ def build_P(mu, params: ModelParams) -> PolynomialInE:
 
 def _build_P(mu: Partition, params: ModelParams) -> PolynomialInE:
     """``build_P`` of a partition tuple that is already validated."""
-    key = (params, mu)
-    cached = _P_CACHE.get(key)
-    if cached is not None:  # passed the length and admission checks when built
-        return cached
-    if len(mu) != params.n:
-        raise ValueError(f"partition length {len(mu)} does not match n={params.n}")
     _check_buildable(mu, params)
+    return _poly(mu, params, coeffs._table(params).polys)
 
+
+def _poly(mu: Partition, params: ModelParams, polys: dict) -> PolynomialInE:
+    """P_mu from polys, the store of params' bracket table, built there if missing.
+
+    mu must have passed ``_check_buildable``; so then has every polynomial
+    of its dependency cone, whose spans and weights are at most those of mu.
+    """
+    got = polys.get(mu)
+    if got is not None:
+        return got
     stack = [mu]
     while stack:
         top = stack[-1]
-        if (params, top) in _P_CACHE:
+        if top in polys:
             stack.pop()
             continue
         if weight(top) == 0:
-            _P_CACHE[(params, top)] = PolynomialInE.one(params.n)
+            polys[top] = PolynomialInE.one(params.n)
             stack.pop()
             continue
         r = r_index(top)
         lam = tuple(x - 1 if i < r else x for i, x in enumerate(top))
         siblings = [nu for nu in vertical_strips(lam, r) if nu != top]
-        missing = [dep for dep in [lam, *siblings] if (params, dep) not in _P_CACHE]
+        missing = [dep for dep in [lam, *siblings] if dep not in polys]
         if missing:
             stack.extend(missing)
             continue
         stack.pop()
 
-        acc = _shift_by_column(_P_CACHE[(params, lam)], r)
+        acc = _shift_by_column(polys[lam], r)
         for nu in siblings:
             w = realify(coeffs.psi_prime(lam, nu, params))
-            for k, v in _P_CACHE[(params, nu)].items():
+            for k, v in polys[nu].items():
                 acc[k] = acc.get(k, 0.0) - w * v
         acc[top] = 1.0  # unit leading coefficient, set rather than computed
         poly = PolynomialInE(params.n, acc)
         wt = weight(top)
         if any(weight(k) != wt for k in poly.coeffs):
             raise AssertionError(f"inhomogeneous expansion for {top}")
-        _P_CACHE[(params, top)] = poly
+        polys[top] = poly
 
-    return _P_CACHE[key]
+    return polys[mu]
 
 
 def encode_keys(key_array: np.ndarray, w: int) -> np.ndarray:
@@ -235,21 +240,46 @@ class Stratum:
 def stratum(params: ModelParams, w: int, M: int, L: int = 0) -> Stratum:
     """The basis stratum of weight w, first part <= M, last part >= L.
 
-    Built once per (params, w, L) for the largest M requested so far and
-    grown by appending rows when a larger M comes; a smaller M takes a
-    leading block, so the entries do not depend on the order of requests.
+    Built once per (n, w, L) in the store of params' bracket table for the
+    largest M requested so far and grown by appending rows when a larger M
+    comes; a smaller M takes a leading block, so the entries do not depend
+    on the order of requests.
     """
-    n = params.n
-    M = min(M, w - (n - 1) * L)  # the largest first part the stratum can hold
-    cache_key = (params, w, L)
-    table = _STRATUM_CACHE.get(cache_key)
-    if table is not None and table.bound >= M:
-        return table.block(M)
+    M = min(M, w - (params.n - 1) * L)  # the largest first part the stratum can hold
+    if not _admits(params, w, M - L):
+        _check_stratum(params, w, M, L)
+    return _stratum(params, coeffs._table(params), w, M, L)
 
+
+def _stratum_keys(n: int, w: int, M: int, L: int) -> list[Partition]:
+    """The keys of the stratum (w, M, L), in ascending lexicographic order."""
     if (w + 1) ** n > np.iinfo(np.int64).max:
         raise ValueError(f"weight {w} is too large for int64 key codes at n={n}")
     keys = partitions_of_weight(n, w - n * L, max_part=M - L) if M >= L else []
-    keys = [tuple(x + L for x in k) for k in reversed(keys)]
+    return [tuple(x + L for x in k) for k in reversed(keys)]
+
+
+def _check_stratum(params: ModelParams, w: int, M: int, L: int, heads=()) -> None:
+    """``_check_buildable`` for each of heads, then for every key of the stratum (w, M, L).
+
+    Callers first try ``_admits(params, w, M - L)``: it admits every key and
+    every head of a product in the stratum at once, since all have weight
+    <= w and span <= M - L.
+    """
+    for mu in heads:
+        _check_buildable(mu, params)
+    for kappa in _stratum_keys(params.n, w, M, L):
+        _check_buildable(kappa, params)
+
+
+def _stratum(params: ModelParams, store: "coeffs.BracketTable", w: int, M: int, L: int) -> Stratum:
+    """``stratum`` from store, params' bracket table, with M clamped and admitted."""
+    n = params.n
+    table = store.strata.get((n, w, L))
+    if table is not None and table.bound >= M:
+        return table.block(M)
+
+    keys = _stratum_keys(n, w, M, L)
     key_array = np.array(keys, dtype=np.int64).reshape(len(keys), n)
     N = len(keys)
     packed = np.zeros(N * (N + 1) // 2)
@@ -260,13 +290,13 @@ def stratum(params: ModelParams, w: int, M: int, L: int = 0) -> Stratum:
     index = {k: i for i, k in enumerate(keys)}
     for i in range(done, N):
         start = i * (i + 1) // 2
-        for k, v in _build_P(keys[i], params).items():
+        for k, v in _poly(keys[i], params, store.polys).items():
             j = index.get(k, N)
             if j > i:
                 raise AssertionError(f"P_{keys[i]} leaves its stratum at {k}")
             packed[start + j] = v
     table = Stratum(w, M, keys, key_array, encode_keys(key_array, w), packed)
-    _STRATUM_CACHE[cache_key] = table
+    store.strata[(n, w, L)] = table
     return table
 
 

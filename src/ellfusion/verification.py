@@ -426,26 +426,26 @@ def _refined_pieri_p0(ctx, n, m, g=0.85):
     return worst
 
 
+def _on_labels(table, i: int, j: int, want: dict) -> zip:
+    """(table value, expected value) for every kappa of the pair labels[i] x labels[j]."""
+    return zip(table.values[i, j].tolist(), [want.get(kappa, 0) for kappa in table.labels])
+
+
 def _refined_fusion_p0(ctx, n, m, g=0.8):
     """Spectral-route fusion at p = 0 against the trigonometric oracle tables."""
     params = ModelParams.locked(n, m, g, 0.0)
     table = ctx.table(params)
     return max(
-        _dict_deviation(
-            table.entries[(lam, mu)],
-            reduce_mod_ideal(macdonald_lr_p0(lam, mu, params.alpha, g), params),
-        )
-        for lam, mu in product(table.labels, repeat=2)
+        _worst(_on_labels(table, i, j, reduce_mod_ideal(macdonald_lr_p0(lam, mu, params.alpha, g), params)))
+        for (i, lam), (j, mu) in product(enumerate(table.labels), repeat=2)
     )
 
 
 def _classical_pairs(ctx, n, m):
-    """(table value, classical coefficient) over every key of the g = 1 table."""
+    """(table value, classical coefficient) over every kappa of every pair of the g = 1 table."""
     table = ctx.table(ModelParams.locked(n, m, 1.0, 0.0))
-    for lam, mu in product(table.labels, repeat=2):
-        got, want = table.entries[(lam, mu)], classical_fusion(lam, mu, n, m)
-        for k in set(got) | set(want):
-            yield got.get(k, 0.0), want.get(k, 0)
+    for (i, lam), (j, mu) in product(enumerate(table.labels), repeat=2):
+        yield from _on_labels(table, i, j, classical_fusion(lam, mu, n, m))
 
 
 def _fusion_g1_classical(ctx, n, m):

@@ -96,6 +96,16 @@ def test_limit_protocol_at_resonant_coupling():
     assert abs(got[(0, 0)] - t_v[(0, 0)]) < 1e-7
 
 
+@pytest.mark.xfail(raises=ComputationError, strict=True,
+                   reason="the g - 1e-6 leg leaves 4.0e-9 on (7, 5, 5), above SUPPORT_CUT")
+def test_limit_protocol_at_a_half_integer_resonance():
+    params = ModelParams.locked(3, 6, 0.5, 0.3)  # [7 + g] vanishes
+    got, flags = structure_constants_lr((5, 0, 0), (6, 6, 0), params, return_flags=True)
+    want = structure_constants_verlinde((5, 0, 0), (6, 6, 0), params)
+    assert not flags and set(got) == set(want)
+    assert all(abs(got[k] - want[k]) < 1e-7 for k in want)
+
+
 def test_projection_route_matches_spectral_sum():
     params = ModelParams.locked(3, 2, 0.7, 0.4)
     sm = s_matrix(params)

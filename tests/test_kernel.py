@@ -241,7 +241,7 @@ def test_double_precision_never_imports_mpmath():
     assert out.stdout.strip() == "False"
 
 
-def test_model_params_hash_is_stored_and_consistent():
+def test_model_params_hash_is_consistent():
     params = ModelParams.locked(3, 2, 0.6, 0.1)
     twin = ModelParams.locked(3, 2, 0.6, 0.1)
     round_trip = params.with_p(-0.4).with_p(0.1)
@@ -253,9 +253,6 @@ def test_model_params_hash_is_stored_and_consistent():
     assert restored == params and hash(restored) == hash(params)
     free = ModelParams.free(2, g=0.7, p=0.25, alpha=2.0)
     assert hash(dataclasses.replace(free, p=0.25)) == hash(free)
-    assert "_hash" not in free.as_dict()
     assert [f.name for f in dataclasses.fields(ModelParams)] == list(free.as_dict())
     with pytest.raises(dataclasses.FrozenInstanceError):
         params.p = 0.2
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        params._hash = 0

@@ -14,7 +14,7 @@ from ellfusion.partitions import (
     vertical_strips,
     weight,
 )
-from ellfusion.polynomials import PolynomialInE, build_P, clear_poly_cache
+from ellfusion.polynomials import PolynomialInE, build_P
 
 FREE2 = ModelParams.free(2, g=0.7, p=0.3, alpha=2.0)
 FREE3 = ModelParams.free(3, g=0.65, p=0.3, alpha=2.0)
@@ -184,14 +184,14 @@ def test_lr_coefficients_do_not_depend_on_cache_state():
     """Bit-identical on a cold cache, after larger strata are built, and after a clear."""
     params = ModelParams.locked(3, 4, 0.7, 0.3)
     lam, mu = (3, 1, 0), (2, 2, 0)
-    clear_poly_cache()
+    coeffs.clear_coeff_caches()
     cold = lr_coefficients(lam, mu, params)
     # Equal and larger weight and first part: the weight-8 stratum grows past
     # first part 5, and the weight-9 one is built.
     for a, b in [((4, 0, 0), (4, 0, 0)), ((4, 4, 0), (4, 0, 0)), ((4, 1, 0), (4, 0, 0))]:
         lr_coefficients(a, b, params)
     warm = lr_coefficients(lam, mu, params)
-    clear_poly_cache()
+    coeffs.clear_coeff_caches()
     cleared = lr_coefficients(lam, mu, params)
     assert list(cold.items()) == list(warm.items()) == list(cleared.items())
     swapped = lr_coefficients(mu, lam, params)

@@ -1,9 +1,14 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from ellfusion import coeffs
 from ellfusion.errors import GenericityViolation
+from ellfusion.fusion import fusion_table
 from ellfusion.kernel import ModelParams, realify
+from ellfusion.littlewood import lr_coefficients
 from ellfusion.oracles import schur_eval, schur_in_elementary
 from ellfusion.partitions import (
     add,
@@ -15,7 +20,6 @@ from ellfusion.partitions import (
 )
 from ellfusion.polynomials import (
     build_P,
-    clear_poly_cache,
     elementary_symmetric,
     evaluate,
     evaluate_R,
@@ -163,7 +167,7 @@ def test_length_mismatch_rejected():
 
 def test_stratum_rows_are_the_basis_and_smaller_bounds_are_leading_blocks():
     params = ModelParams.locked(3, 4, 0.7, 0.3)
-    clear_poly_cache()
+    coeffs.clear_coeff_caches()
     small = stratum(params, 7, 4)
     big = stratum(params, 7, 9)  # clamped to the largest first part, 7
     again = stratum(params, 7, 4)
@@ -184,3 +188,60 @@ def test_stratum_with_a_last_part_bound():
     table = stratum(params, 9, 5, L=2)
     assert table.keys == [(3, 3, 3), (4, 3, 2), (5, 2, 2)]
     assert table.packed[1] == build_P((4, 3, 2), params).coeffs[(3, 3, 3)]  # row 1 starts at 1
+
+
+def _count_psi_prime(monkeypatch) -> list:
+    calls = []
+    real = coeffs.psi_prime
+
+    def counted(lam, nu, params):
+        calls.append(lam)
+        return real(lam, nu, params)
+
+    monkeypatch.setattr(coeffs, "psi_prime", counted)
+    return calls
+
+
+def test_evicting_a_bracket_table_drops_its_polynomials(monkeypatch):
+    monkeypatch.setattr(coeffs, "TABLE_LIMIT", 2)
+    coeffs.clear_coeff_caches()
+    params = ModelParams.locked(3, 4, 0.7, 0.3)
+    mu = (3, 1, 0)
+    first = build_P(mu, params).coeffs
+    packed = stratum(params, 7, 4).packed
+    store = weakref.ref(coeffs._table(params, 0, 0))
+    calls = _count_psi_prime(monkeypatch)
+    for p in (0.4, 0.5):  # two more tables push the first one out
+        build_P(mu, params.with_p(p))
+    gc.collect()
+    assert store() is None  # nothing else holds the table, its P's or its strata
+    calls.clear()
+    assert np.array_equal(stratum(params, 7, 4).packed, packed)
+    assert calls  # rebuilt from the recurrence
+    assert build_P(mu, params).coeffs == first
+    coeffs.clear_coeff_caches()
+
+
+def test_lr_table_at_minus_p_reuses_the_polynomials_of_plus_p(monkeypatch):
+    coeffs.clear_coeff_caches()
+    calls = _count_psi_prime(monkeypatch)
+    plus = fusion_table(ModelParams.locked(3, 8, 0.7, 0.3), route="lr")
+    assert calls
+    calls.clear()
+    minus = fusion_table(ModelParams.locked(3, 8, 0.7, -0.3), route="lr")
+    assert calls == []
+    assert np.array_equal(plus.values, minus.values)
+
+
+def test_gate_runs_on_a_store_hit():
+    """A P built under the level lock is not handed out at a resonant free coupling."""
+    locked = ModelParams.locked(3, 13, 0.5, 0.3)  # span 14 = m + 1 is analytic
+    free = ModelParams.free(3, 0.5, 0.3, alpha=locked.alpha)  # same bracket table
+    build_P((14, 0, 0), locked)
+    assert (14, 0, 0) in coeffs._table(free).polys
+    with pytest.raises(GenericityViolation):
+        build_P((14, 0, 0), free)  # [14 + g] vanishes at this alpha
+    with pytest.raises(GenericityViolation):
+        lr_coefficients((14, 0, 0), (0, 0, 0), free)
+    with pytest.raises(GenericityViolation):
+        stratum(free, 14, 14)
