@@ -1,12 +1,12 @@
 """Products in the eigenpolynomial basis and their structure coefficients.
 
 Multiplication is a sparse convolution under key addition (the monomial
-basis is multiplicative).  Basis expansion is one dense triangular solve:
+basis is multiplicative).  Basis expansion is one vector-matrix product:
 the keys of weight w, first part <= M and last part >= L form a stratum
 that the unitriangular basis maps into itself, and its matrix U (row kappa
 holding P_kappa, see ``polynomials.stratum``) gives the coefficients a of
-F = sum a_kappa P_kappa from its monomial coefficients f as U^T a = f,
-solved by one packed BLAS triangular solve.
+F = sum a_kappa P_kappa from its monomial coefficients f as U^T a = f, so
+a = f U^-1 with the inverse the stratum stores.
 A product P_lam * P_mu lies in the stratum (|lam| + |mu|, lam_1 + mu_1,
 lam_n + mu_n).
 """
@@ -14,7 +14,6 @@ lam_n + mu_n).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dtpsv
 
 from .errors import ComputationError
 from .kernel import ModelParams
@@ -41,12 +40,12 @@ def multiply_monomial(P: PolynomialInE, Q: PolynomialInE) -> PolynomialInE:
 def _solve(table: Stratum, codes: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Basis coefficients over the stratum of sum_i values[i] * e_{key coded codes[i]}.
 
-    Repeated codes are summed.  Every code must be a key of the stratum.
+    Repeated codes are summed into the monomial coefficients f, and U^T a = f
+    is solved as a = f U^-1 with the stratum's stored inverse.  Every code
+    must be a key of the stratum.
     """
     f = np.bincount(np.searchsorted(table.codes, codes), weights=values, minlength=len(table.keys))
-    # Back substitution on U^T: from the largest key down, subtract a_kappa
-    # times the row of P_kappa, the greedy peel without any cut.
-    return dtpsv(len(table.keys), table.packed, f, lower=0, trans=0, diag=1, overwrite_x=1)
+    return f @ table.inverse
 
 
 def expand_in_P(F: PolynomialInE, params: ModelParams) -> dict[Partition, float]:

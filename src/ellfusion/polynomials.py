@@ -15,9 +15,12 @@ polynomials with it, and a later request rebuilds the same bits.
 Every key of P_kappa is dominated by kappa, so it has the same weight, a
 first part <= kappa_1 and a last part >= kappa_n.  The partitions of weight
 w with first part <= M and last part >= L therefore span a subspace that the
-basis maps into itself: a stratum.  ``stratum`` returns its keys in
-ascending lexicographic order with the unit lower-triangular matrix whose
-row kappa holds the coefficients of P_kappa, stored packed.
+basis maps into itself: a stratum.  Its matrix U, whose row kappa holds the
+coefficients of P_kappa, is unit lower-triangular in the ascending
+lexicographic order of the keys.  ``stratum`` returns the keys with the
+inverse U^-1, which is unit lower-triangular too and is built row by row:
+a row of U^-1 depends only on the rows before it, so a stratum grows by
+appending rows.
 """
 
 from __future__ import annotations
@@ -202,13 +205,12 @@ class Stratum:
     ``keys`` are in ascending lexicographic order, ``key_array`` holds them
     as rows and ``codes`` as ``encode_keys(key_array, w)``.  The matrix U
     whose row i is P_{keys[i]} in the monomial basis is unit lower-triangular,
-    so F = sum_i a_i P_{keys[i]} has monomial coefficients f = U^T a.
-    ``packed`` holds the rows' lower triangles one after the other (row i,
-    on keys[0..i], starts at i(i+1)/2), which is U^T in BLAS packed upper
-    storage; the first k(k+1)/2 entries are the leading k x k block.
+    so F = sum_i a_i P_{keys[i]} has monomial coefficients f = U^T a, and
+    a = f @ ``inverse``, where ``inverse`` is the dense unit lower-triangular
+    U^-1.  Its leading k x k block is the inverse of the leading block of U.
     """
 
-    __slots__ = ("w", "bound", "keys", "key_array", "codes", "packed")
+    __slots__ = ("w", "bound", "keys", "key_array", "codes", "inverse")
 
     def __init__(
         self,
@@ -217,33 +219,32 @@ class Stratum:
         keys: list[Partition],
         key_array: np.ndarray,
         codes: np.ndarray,
-        packed: np.ndarray,
+        inverse: np.ndarray,
     ):
         self.w = w
         self.bound = bound
         self.keys = keys
         self.key_array = key_array
         self.codes = codes
-        self.packed = packed
+        self.inverse = inverse
 
     def block(self, M: int) -> "Stratum":
-        """The sub-stratum of first part <= M <= bound: a leading block."""
+        """The sub-stratum of first part <= M <= bound: a leading block, sliced without a copy."""
         if M >= self.bound:
             return self
         n = self.key_array.shape[1]
         k = int(np.searchsorted(self.codes, (M + 1) * (self.w + 1) ** (n - 1)))
-        return Stratum(
-            self.w, M, self.keys[:k], self.key_array[:k], self.codes[:k], self.packed[: k * (k + 1) // 2]
-        )
+        return Stratum(self.w, M, self.keys[:k], self.key_array[:k], self.codes[:k], self.inverse[:k, :k])
 
 
 def stratum(params: ModelParams, w: int, M: int, L: int = 0) -> Stratum:
     """The basis stratum of weight w, first part <= M, last part >= L.
 
     Built once per (n, w, L) in the store of params' bracket table for the
-    largest M requested so far and grown by appending rows when a larger M
-    comes; a smaller M takes a leading block, so the entries do not depend
-    on the order of requests.
+    largest M requested so far.  A larger M grows it: the keys with larger
+    first parts come last, so the rows of U^-1 built so far are kept and the
+    new rows appended.  A smaller M takes a leading block, so the entries do
+    not depend on the order of requests.
     """
     M = min(M, w - (params.n - 1) * L)  # the largest first part the stratum can hold
     if not _admits(params, w, M - L):
@@ -282,20 +283,24 @@ def _stratum(params: ModelParams, store: "coeffs.BracketTable", w: int, M: int, 
     keys = _stratum_keys(n, w, M, L)
     key_array = np.array(keys, dtype=np.int64).reshape(len(keys), n)
     N = len(keys)
-    packed = np.zeros(N * (N + 1) // 2)
+    inverse = np.zeros((N, N))
     done = 0
     if table is not None:
         done = len(table.keys)
-        packed[: table.packed.size] = table.packed
+        inverse[:done, :done] = table.inverse
     index = {k: i for i, k in enumerate(keys)}
     for i in range(done, N):
-        start = i * (i + 1) // 2
+        row = np.zeros(i)  # U[i, :i], the coefficients of P_{keys[i]} below its head
         for k, v in _poly(keys[i], params, store.polys).items():
             j = index.get(k, N)
             if j > i:
                 raise AssertionError(f"P_{keys[i]} leaves its stratum at {k}")
-            packed[start + j] = v
-    table = Stratum(w, M, keys, key_array, encode_keys(key_array, w), packed)
+            if j < i:
+                row[j] = v
+        # Row i of U U^-1 = I: U[i, :i] U^-1[:i, :i] + U^-1[i, :i] = 0.
+        inverse[i, :i] = -(row @ inverse[:i, :i])
+        inverse[i, i] = 1.0
+    table = Stratum(w, M, keys, key_array, encode_keys(key_array, w), inverse)
     store.strata[(n, w, L)] = table
     return table
 

@@ -257,13 +257,24 @@ def test_non_finite_payload_value_raises(bad, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_import_leaves_out_scipy_optimize():
-    """The CLI's import path loads no assignment solver (scipy.optimize costs about 0.3 s)."""
+def test_cli_and_lr_path_load_no_scipy():
+    """Importing the CLI, an LR product, an expansion and a verify run load no scipy module."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, ellfusion.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    code = """
+import sys
+import ellfusion.cli as cli
+from ellfusion.kernel import ModelParams
+from ellfusion.littlewood import expand_in_P, lr_coefficients, multiply_monomial
+from ellfusion.polynomials import build_P
+params = ModelParams.locked(3, 3, 0.7, 0.3)
+lr_coefficients((2, 1, 0), (1, 1, 0), params)
+expand_in_P(multiply_monomial(build_P((2, 0, 0), params), build_P((1, 1, 0), params)), params)
+assert cli.main(["verify", "--suite", "ring", "--n", "2", "--m", "2"]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def _blocks(table):

@@ -165,6 +165,15 @@ def test_length_mismatch_rejected():
         evaluate(build_P((1, 0), FREE2), (1.0, 2.0, 3.0))
 
 
+def _basis_rows(table, params) -> np.ndarray:
+    """The matrix U of the stratum, row i rebuilt from build_P(keys[i])."""
+    U = np.zeros((len(table.keys), len(table.keys)))
+    for i, kappa in enumerate(table.keys):
+        for k, v in build_P(kappa, params).items():
+            U[i, table.keys.index(k)] = v  # raises if P_kappa leaves the stratum
+    return U
+
+
 def test_stratum_rows_are_the_basis_and_smaller_bounds_are_leading_blocks():
     params = ModelParams.locked(3, 4, 0.7, 0.3)
     coeffs.clear_coeff_caches()
@@ -174,20 +183,26 @@ def test_stratum_rows_are_the_basis_and_smaller_bounds_are_leading_blocks():
     assert big.keys == sorted(partitions_of_weight(3, 7))
     assert small.keys == big.keys[: len(small.keys)] == again.keys
     assert all(k[0] <= 4 for k in small.keys) and big.keys[len(small.keys)][0] == 5
-    assert np.array_equal(again.packed, small.packed)
-    for i, kappa in enumerate(big.keys):
-        row = np.zeros(i + 1)
-        for k, v in build_P(kappa, params).items():
-            row[big.keys.index(k)] = v  # raises if P_kappa leaves the first i + 1 keys
-        assert row[i] == 1.0
-        assert np.array_equal(big.packed[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2], row)
+    k = len(small.keys)
+    assert np.array_equal(big.inverse[:k, :k], small.inverse)
+    assert np.array_equal(again.inverse, small.inverse)
+    assert np.shares_memory(again.inverse, big.inverse)  # a leading block is a slice
+    U, X = _basis_rows(big, params), big.inverse
+    assert np.array_equal(U, np.tril(U)) and np.all(np.diag(U) == 1.0)
+    assert np.array_equal(X, np.tril(X)) and np.all(np.diag(X) == 1.0)
+    scale = np.abs(U).max() * np.abs(X).max()
+    assert np.abs(U @ X - np.eye(len(big.keys))).max() <= 1e-12 * scale
 
 
 def test_stratum_with_a_last_part_bound():
     params = ModelParams.free(3, g=0.45, p=0.2, alpha=2.0)
     table = stratum(params, 9, 5, L=2)
     assert table.keys == [(3, 3, 3), (4, 3, 2), (5, 2, 2)]
-    assert table.packed[1] == build_P((4, 3, 2), params).coeffs[(3, 3, 3)]  # row 1 starts at 1
+    # row 1 of U^-1 below the diagonal is minus row 1 of U, since U[0] = e_0
+    assert table.inverse[1, 0] == -build_P((4, 3, 2), params).coeffs[(3, 3, 3)]
+    U = _basis_rows(table, params)
+    scale = np.abs(U).max() * np.abs(table.inverse).max()
+    assert np.abs(U @ table.inverse - np.eye(3)).max() <= 1e-12 * scale
 
 
 def _count_psi_prime(monkeypatch) -> list:
@@ -208,7 +223,7 @@ def test_evicting_a_bracket_table_drops_its_polynomials(monkeypatch):
     params = ModelParams.locked(3, 4, 0.7, 0.3)
     mu = (3, 1, 0)
     first = build_P(mu, params).coeffs
-    packed = stratum(params, 7, 4).packed
+    inverse = stratum(params, 7, 4).inverse
     store = weakref.ref(coeffs._table(params, 0, 0))
     calls = _count_psi_prime(monkeypatch)
     for p in (0.4, 0.5):  # two more tables push the first one out
@@ -216,7 +231,7 @@ def test_evicting_a_bracket_table_drops_its_polynomials(monkeypatch):
     gc.collect()
     assert store() is None  # nothing else holds the table, its P's or its strata
     calls.clear()
-    assert np.array_equal(stratum(params, 7, 4).packed, packed)
+    assert np.array_equal(stratum(params, 7, 4).inverse, inverse)
     assert calls  # rebuilt from the recurrence
     assert build_P(mu, params).coeffs == first
     coeffs.clear_coeff_caches()
