@@ -41,7 +41,7 @@ from .partitions import (
     vertical_strips,
 )
 from .coeffs import c_norm, delta_weight, hop_B, psi_prime
-from .polynomials import PolynomialInE, build_P, evaluate, evaluate_R, normalized_p
+from .polynomials import PolynomialInE, build_P, evaluate, evaluate_R, evaluate_batch, normalized_p
 from .littlewood import expand_in_P, lr_coefficients, multiply_monomial
 from .operators import (
     SpectrumResult,

@@ -5,7 +5,8 @@ canonical JSON (CSV for the tabular commands): keys in fixed order, floats
 in shortest round-trip form, complex numbers as {"re":, "im":} pairs, and
 the full parameter header plus RNG seed embedded in every payload.  Files
 are written atomically.  Exit codes: 0 success, 1 computational error
-(error class name on stderr), 2 usage error.
+(error class name on stderr), 2 usage error (a bad flag, or a ValueError of
+the library's argument validation, in one line on stderr).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import ComputationError
 from .kernel import ModelParams
 from .littlewood import lr_coefficients
 from .operators import joint_spectrum
-from .partitions import canonical_key, vertical_strips
+from .partitions import canonical_key, check_partition, vertical_strips
 from .polynomials import build_P
 from .fusion import FusionTable, fusion_pieri, fusion_table, s_matrix
 from .verification import SUITES, run_suite
@@ -308,9 +309,8 @@ def _cmd_poly(args, parser) -> int:
     return 0
 
 
-def _cmd_lr(args, parser) -> int:
-    params = _make_params(args, parser, locked_only=False)
-    table = lr_coefficients(args.lam, args.mu, params)
+def _emit_entries(args, params: ModelParams, table: dict, **fields) -> int:
+    """The output of lr and pieri: the entries of table by nu, as CSV or after fields in JSON."""
     entries = [
         {"nu": list(k), "value": v}
         for k, v in sorted(table.items(), key=lambda kv: canonical_key(kv[0]))
@@ -318,12 +318,16 @@ def _cmd_lr(args, parser) -> int:
     if args.format == "csv":
         _emit_csv([[_fmt_partition(e["nu"]), e["value"]] for e in entries], ["nu", "value"], args.out)
         return 0
-    payload = _header("lr", params, args.seed)
-    payload["lam"] = list(args.lam)
-    payload["mu"] = list(args.mu)
+    payload = _header(args.command, params, args.seed) | fields
     payload["entries"] = entries
     _emit_json(payload, args.out)
     return 0
+
+
+def _cmd_lr(args, parser) -> int:
+    params = _make_params(args, parser, locked_only=False)
+    table = lr_coefficients(args.lam, args.mu, params)
+    return _emit_entries(args, params, table, lam=list(args.lam), mu=list(args.mu))
 
 
 def _cmd_pieri(args, parser) -> int:
@@ -331,23 +335,11 @@ def _cmd_pieri(args, parser) -> int:
     if params.level_locked:
         table = fusion_pieri(args.lam, args.r, params)
     else:
-        table = {
-            nu: realify(coeffs.psi_prime(tuple(args.lam), nu, params))
-            for nu in vertical_strips(tuple(args.lam), args.r)
-        }
-    entries = [
-        {"nu": list(k), "value": v}
-        for k, v in sorted(table.items(), key=lambda kv: canonical_key(kv[0]))
-    ]
-    if args.format == "csv":
-        _emit_csv([[_fmt_partition(e["nu"]), e["value"]] for e in entries], ["nu", "value"], args.out)
-        return 0
-    payload = _header("pieri", params, args.seed)
-    payload["lam"] = list(args.lam)
-    payload["r"] = args.r
-    payload["entries"] = entries
-    _emit_json(payload, args.out)
-    return 0
+        lam = check_partition(args.lam)
+        if len(lam) != params.n:
+            raise ValueError(f"partition length {len(lam)} does not match n={params.n}")
+        table = {nu: realify(coeffs.psi_prime(lam, nu, params)) for nu in vertical_strips(lam, args.r)}
+    return _emit_entries(args, params, table, lam=list(args.lam), r=args.r)
 
 
 def _cmd_spectrum(args, parser) -> int:
@@ -465,9 +457,12 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args, parser)
     except SystemExit as exc:  # parser.error inside a handler
         return int(exc.code or 0)
-    except ComputationError as exc:
+    except (ComputationError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError too
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # the library's argument validation
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def run() -> None:

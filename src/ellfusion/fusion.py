@@ -67,6 +67,8 @@ def fusion_pieri(lam, r: int, params: ModelParams) -> dict[Partition, float]:
     where the generic LR route is not.
     """
     lam = check_partition(lam)
+    if len(lam) != params.n:
+        raise ValueError(f"partition length {len(lam)} does not match n={params.n}")
     if not 1 <= r <= params.n - 1:
         raise ValueError(f"need 1 <= r <= n-1, got r={r}")
     out: dict[Partition, float] = {}

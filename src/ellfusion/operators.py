@@ -12,7 +12,7 @@ is matched to its nearest new point: balls of half the gap are disjoint, so
 a match that passes that test is the optimal assignment, and no assignment
 solver is needed.  The dual norms come from the eigenvectors; only
 ``value_table``, for the check routes, evaluates polynomials at the spectral
-points.
+points, all of them in one ``evaluate_batch`` call.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ComputationError, DegenerateCombination, TrackingAmbiguity
 from .kernel import IMAG_TOL, ModelParams, qpow
 from .partitions import Partition, enumerate_level, vertical_strips, weight
-from .polynomials import build_P, elementary_symmetric, evaluate
+from .polynomials import build_P, elementary_symmetric, evaluate_batch
 from . import coeffs
 
 LatticeFunction = dict[Partition, complex]
@@ -273,9 +273,8 @@ def joint_spectrum(params: ModelParams, seed: int = 0) -> SpectrumResult:
 
 
 def value_table(params: ModelParams, spec: SpectrumResult) -> np.ndarray:
-    """V[lam, nu] = P_lam(e_nu) over the labels of a spectrum."""
-    polys = [build_P(lam, params) for lam in spec.labels]
-    return np.array([[evaluate(P, e) for e in spec.e] for P in polys])
+    """V[lam, nu] = P_lam(e_nu) over the labels of a spectrum, in one batch."""
+    return evaluate_batch([build_P(lam, params) for lam in spec.labels], spec.e)[0]
 
 
 def norm_vectors(params: ModelParams, spec: SpectrumResult):

@@ -21,6 +21,11 @@ lexicographic order of the keys.  ``stratum`` returns the keys with the
 inverse U^-1, which is unit lower-triangular too and is built row by row:
 a row of U^-1 depends only on the rows before it, so a stratum grows by
 appending rows.
+
+Polynomials are evaluated in one place, ``evaluate_batch``: many
+polynomials at many points as one coefficient-by-monomial matrix product,
+with the absolute-value sums that scale its errors.  ``evaluate`` and
+``evaluation_scale`` are its one-point calls.
 """
 
 from __future__ import annotations
@@ -305,47 +310,36 @@ def _stratum(params: ModelParams, store: "coeffs.BracketTable", w: int, M: int, 
     return table
 
 
+def evaluate_batch(polys, points) -> tuple[np.ndarray, np.ndarray]:
+    """Values P(e) and conditioning scales of every P of the list polys at every point.
+
+    Both arrays have shape (len(polys), len(points)).  The terms of all the
+    polynomials are taken apart into their e-exponents kappa_j - kappa_{j+1},
+    the distinct monomials are formed once from one power table per e_j,
+    and with C[poly, monomial] the coefficients, values = C @ M.  The scale
+    is the same sum with every factor in absolute value, max(|C| @ |M|, 1).
+    """
+    pts = np.asarray(points, dtype=complex)
+    if pts.ndim != 2 or any(P.n != pts.shape[1] for P in polys):
+        raise ValueError(f"points of shape {pts.shape} for polynomials in n={sorted({P.n for P in polys})}")
+    keys, vals = (np.concatenate(part) for part in zip(*(P.arrays() for P in polys)))
+    monos, col = np.unique(-np.diff(keys, axis=1, append=0), axis=0, return_inverse=True)
+    M = np.ones((len(monos), len(pts)), dtype=complex)
+    for j, e in enumerate(pts.T):
+        M *= (e ** np.arange(monos[:, j].max(initial=0) + 1)[:, None])[monos[:, j]]
+    C = np.zeros((len(polys), len(monos)))
+    C[np.repeat(np.arange(len(polys)), [len(P) for P in polys]), col.ravel()] = vals
+    return C @ M, np.maximum(np.abs(C) @ np.abs(M), 1.0)
+
+
 def evaluate(P: PolynomialInE, e) -> complex:
-    """Evaluate at a point e = (e_1, ..., e_n); powers are memoized per call."""
-    if len(e) != P.n:
-        raise ValueError(f"evaluation point has length {len(e)}, expected {P.n}")
-    ev = [complex(x) for x in e]
-    powers: dict[tuple[int, int], complex] = {}
-
-    def pw(j: int, k: int) -> complex:
-        if k == 0:
-            return 1.0 + 0.0j
-        got = powers.get((j, k))
-        if got is None:
-            got = ev[j] ** k
-            powers[(j, k)] = got
-        return got
-
-    n = P.n
-    total = 0.0 + 0.0j
-    for kappa, u in P.items():
-        term = complex(u)
-        for j in range(n):
-            exp = kappa[j] - (kappa[j + 1] if j + 1 < n else 0)
-            if exp:
-                term *= pw(j, exp)
-        total += term
-    return total
+    """P at one point e = (e_1, ..., e_n)."""
+    return complex(evaluate_batch([P], [e])[0][0, 0])
 
 
 def evaluation_scale(P: PolynomialInE, e) -> float:
-    """Conditioning scale: the same sum with every factor in absolute value."""
-    ev = [abs(complex(x)) for x in e]
-    n = P.n
-    total = 0.0
-    for kappa, u in P.items():
-        term = abs(u)
-        for j in range(n):
-            exp = kappa[j] - (kappa[j + 1] if j + 1 < n else 0)
-            if exp:
-                term *= ev[j] ** exp
-        total += term
-    return max(total, 1.0)
+    """Conditioning scale of P at e: the sum of its terms in absolute value, at least 1."""
+    return float(evaluate_batch([P], [e])[1][0, 0])
 
 
 def normalized_p(mu, e, params: ModelParams) -> complex:

@@ -30,8 +30,10 @@ from .operators import (
     build_truncated,
     dual_orthogonality_check,
     joint_spectrum,
+    norm_vectors,
     normality_residual,
     spectral_points_p0,
+    value_table,
 )
 from .partitions import (
     Partition,
@@ -47,7 +49,7 @@ from .partitions import (
     vertical_strips,
     weight,
 )
-from .polynomials import build_P, evaluate, evaluate_R, evaluation_scale, normalized_p
+from .polynomials import build_P, evaluate_R, evaluate_batch
 from .fusion import (
     _projection_table,
     _verlinde_table,
@@ -326,25 +328,19 @@ def _eigenvector_consistency(ctx, n, m, g=0.7, p=0.4):
     """Matrix eigenvectors match the normalized polynomial values."""
     params = ModelParams.locked(n, m, g, p)
     spec = ctx.spectrum(params)
-    worst = 0.0
-    for j, e in enumerate(spec.e):
-        for i, lam in enumerate(spec.labels):
-            want = normalized_p(lam, e, params)
-            # entries are pinned to 1 at the origin site, so 1 is the scale
-            # floor; exactly-zero entries are compared absolutely
-            worst = max(worst, abs(spec.vectors[i, j] - want) / max(abs(want), 1.0))
-    return worst
+    want = norm_vectors(params, spec)[0][:, None] * value_table(params, spec)
+    # entries are pinned to 1 at the origin site, so 1 is the scale floor;
+    # exactly-zero entries are compared absolutely
+    return float((np.abs(spec.vectors - want) / np.maximum(np.abs(want), 1.0)).max())
 
 
 def _spectral_variety(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
     """Ideal generators vanish on every spectral point (relative to scale)."""
     worst = 0.0
     for params in _locked(n, m, g_values, p_values):
-        spec = ctx.spectrum(params)
-        for mu in _ideal_generators(n, m):
-            P = build_P(mu, params)
-            for e in spec.e:
-                worst = max(worst, abs(evaluate(P, e)) / evaluation_scale(P, e))
+        polys = [build_P(mu, params) for mu in _ideal_generators(n, m)]
+        values, scales = evaluate_batch(polys, ctx.spectrum(params).e)
+        worst = max(worst, float((np.abs(values) / scales).max(initial=0.0)))
     return worst
 
 

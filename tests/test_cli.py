@@ -182,6 +182,29 @@ def test_usage_errors_exit_2(capsys):
     # free-mode command without --alpha
     assert main(["poly", "--n", "2", "--mu", "1,0", "--g", "0.7", "--p", "0.3"]) == 2
     capsys.readouterr()
+    gp = ["--g", "0.7", "--p", "0.3"]
+    free = [*gp, "--alpha", "2.0"]
+    # arguments that parse but that the library rejects: one line on stderr
+    for args in (
+        ["lr", "--n", "3", "--lam", "1,2,0", "--mu", "1,0,0", *free],
+        ["poly", "--n", "3", "--mu", "1,0", *free],
+        ["spectrum", "--n", "2", "--m", "2", *gp, "--precision", "quad"],
+        ["spectrum", "--n", "0", "--m", "2", *gp],
+        ["fusion", "--n", "2", "--m", "2", "--g", "-0.7", "--p", "0.3"],
+        ["pieri", "--n", "2", "--lam", "1,0", "--r", "5", *free],
+    ):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2, args
+        assert out == "" and err.startswith("ellfusion: error: ") and err.count("\n") == 1, args
+
+
+@pytest.mark.parametrize("mode", [["--alpha", "2.0"], ["--m", "2", "--level-locked"]])
+def test_pieri_rejects_a_partition_of_another_length(mode, capsys):
+    code, out, err = run_cli(
+        ["pieri", "--n", "3", "--lam", "1,0", "--r", "1", "--g", "0.7", "--p", "0.3", *mode], capsys
+    )
+    assert code == 2 and out == ""
+    assert "partition length 2 does not match n=3" in err
 
 
 def test_computational_errors_exit_1(capsys):

@@ -29,7 +29,7 @@ from ellfusion.partitions import (
     vertical_strips,
     weight,
 )
-from ellfusion.polynomials import build_P, evaluate, evaluation_scale
+from ellfusion.polynomials import build_P, evaluate_batch
 
 
 def test_reduce_mod_ideal_examples():
@@ -48,6 +48,11 @@ def test_fusion_pieri_drops_boundary_strips():
     want = realify(coeffs.psi_prime((1, 0), (1, 1), params))
     assert set(got) == {(0, 0)}
     assert abs(got[(0, 0)] - want) < 1e-14
+
+
+def test_fusion_pieri_rejects_a_partition_of_another_length():
+    with pytest.raises(ValueError, match="does not match n=3"):
+        fusion_pieri((1, 0), 1, ModelParams.locked(3, 2, 0.7, 0.3))
 
 
 def test_two_site_fusion_at_general_coupling():
@@ -331,7 +336,7 @@ def test_refined_pieri_at_trigonometric_point():
     p=st.floats(-0.9, 0.9),
 )
 def test_eigenvector_data_match_polynomial_values(n, m, g, p):
-    """S and the dual norms read off the eigenvectors agree with evaluate.
+    """S and the dual norms read off the eigenvectors agree with evaluate_batch.
 
     The dual norm is compared within 1e-10 relative, times the condition
     number kappa >= 1 of the evaluated sum: c_lam P_lam(e_nu) can be a small
@@ -348,26 +353,25 @@ def test_eigenvector_data_match_polynomial_values(n, m, g, p):
     cvec = np.array([realify(coeffs.c_norm(lam, params)) for lam in spec.labels])
     S = s_matrix(params, spectrum=spec).S
     assert np.abs(S - value_table(params, spec) / cvec[None, :]).max() <= 1e-10 * np.abs(S).max()
-    dvec = delta_vector(params)
-    polys = [build_P(lam, params) for lam in spec.labels]
-    for j, e in enumerate(spec.e):
-        f = np.array([c * evaluate(P, e) for c, P in zip(cvec, polys)])
-        bound = np.array([c * evaluation_scale(P, e) for c, P in zip(cvec, polys)])
-        total = float(np.sum(np.abs(f) ** 2 * dvec))
-        kappa = float(np.sum(np.abs(f) * bound * dvec)) / total
-        assert abs(spec.dual_norms[j] - 1.0 / total) <= 1e-10 * kappa / total
+    dvec = delta_vector(params)[:, None]
+    values, scales = evaluate_batch([build_P(lam, params) for lam in spec.labels], spec.e)
+    f, bound = cvec[:, None] * values, cvec[:, None] * scales  # [lam, nu]
+    total = np.sum(np.abs(f) ** 2 * dvec, axis=0)
+    kappa = np.sum(np.abs(f) * bound * dvec, axis=0) / total
+    assert np.all(np.abs(spec.dual_norms - 1.0 / total) <= 1e-10 * kappa / total)
 
 
 def test_verlinde_route_evaluates_no_polynomial(monkeypatch):
     calls = []
 
-    def counted(P, e):
-        calls.append(P)
-        return evaluate(P, e)
+    def counted(polys, points):
+        calls.append(polys)
+        return evaluate_batch(polys, points)
 
-    # evaluate is patched wherever the spectrum or the Verlinde route could call it
+    # evaluate_batch, the one evaluation path (evaluate calls it too), is
+    # patched wherever the spectrum or the Verlinde route could call it
     for module in (operators, fusion, polynomials):
-        monkeypatch.setattr(module, "evaluate", counted, raising=False)
+        monkeypatch.setattr(module, "evaluate_batch", counted, raising=False)
     params = ModelParams.locked(3, 3, 0.7, 0.4)
     spec = joint_spectrum(params)
     sm = s_matrix(params, spectrum=spec)

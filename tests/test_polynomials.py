@@ -1,14 +1,17 @@
 import gc
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from ellfusion import coeffs
-from ellfusion.errors import GenericityViolation
+from ellfusion.errors import GenericityViolation, TrackingAmbiguity
 from ellfusion.fusion import fusion_table
 from ellfusion.kernel import ModelParams, realify
 from ellfusion.littlewood import lr_coefficients
+from ellfusion.operators import joint_spectrum
 from ellfusion.oracles import schur_eval, schur_in_elementary
 from ellfusion.partitions import (
     add,
@@ -19,10 +22,13 @@ from ellfusion.partitions import (
     weight,
 )
 from ellfusion.polynomials import (
+    PolynomialInE,
     build_P,
     elementary_symmetric,
     evaluate,
+    evaluate_batch,
     evaluate_R,
+    evaluation_scale,
     normalized_p,
     stratum,
 )
@@ -163,6 +169,57 @@ def test_length_mismatch_rejected():
         build_P((1, 0, 0), FREE2)
     with pytest.raises(ValueError):
         evaluate(build_P((1, 0), FREE2), (1.0, 2.0, 3.0))
+    with pytest.raises(ValueError):
+        evaluation_scale(build_P((1, 0), FREE2), (1.0,))
+
+
+def test_evaluate_batch_edge_cases():
+    points = [(1.7, 2.9), (0.3 - 0.4j, -1.1 + 2.0j)]
+    values, scales = evaluate_batch([PolynomialInE(2), build_P((0, 0), FREE2)], points)
+    assert values.shape == scales.shape == (2, 2)
+    assert np.all(values[0] == 0.0) and np.all(scales[0] == 1.0)
+    assert np.all(values[1] == 1.0) and np.all(scales[1] == 1.0)
+    schur = build_P((2, 0), ModelParams.free(2, g=1.0, p=0.0, alpha=2.0))  # e_1^2 - e_2
+    values, scales = evaluate_batch([schur], [(2.0, 4.0)])  # the terms cancel; the scale does not
+    assert abs(values[0, 0]) < 1e-11 and abs(scales[0, 0] - 8.0) < 1e-11
+    with pytest.raises(ValueError):
+        evaluate_batch([build_P((1, 0), FREE2)], [(1.0, 2.0, 3.0)])
+    with pytest.raises(ValueError):
+        evaluate_batch([build_P((1, 0), FREE2), build_P((1, 0, 0), FREE3)], points)
+
+
+def _mp_value(P: PolynomialInE, e) -> complex:
+    """P(e) summed term by term at the working precision of mpmath."""
+    total = mpmath.mpc(0)
+    for kappa, u in P.items():
+        term = mpmath.mpf(u)
+        for j in range(P.n):
+            term *= e[j] ** (kappa[j] - (kappa[j + 1] if j + 1 < P.n else 0))
+        total += term
+    return complex(total)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    m=st.integers(1, 4),
+    g=st.floats(0.3, 1.9),
+    p=st.floats(-0.9, 0.9),
+)
+def test_evaluate_batch_matches_extended_precision(n, m, g, p):
+    """Every value at the spectral points is within 1e-13 x its scale of a 40-digit sum."""
+    params = ModelParams.locked(n, m, g, p)
+    try:
+        spec = joint_spectrum(params)
+    except TrackingAmbiguity:
+        reject()
+    polys = [build_P(lam, params) for lam in spec.labels]
+    values, scales = evaluate_batch(polys, spec.e)
+    with mpmath.workdps(40):
+        for j, e in enumerate(spec.e.tolist()):
+            e = [mpmath.mpc(z) for z in e]
+            want = np.array([_mp_value(P, e) for P in polys])
+            assert np.all(np.abs(values[:, j] - want) <= 1e-13 * scales[:, j])
 
 
 def _basis_rows(table, params) -> np.ndarray:

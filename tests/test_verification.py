@@ -80,15 +80,18 @@ def test_projection_check_evaluates_each_value_once(monkeypatch):
     grid = verification._locked(3, 3, (0.7, 1.3), (0.0, 0.4))
     for params in grid:  # the S-matrices and Verlinde tables of the check
         ctx.table(params)
-    calls = []
+    entries = []
+    batch = polynomials.evaluate_batch
 
-    def counted(P, e):
-        calls.append(P)
-        return polynomials.evaluate(P, e)
+    def counted(polys, points):
+        values, scales = batch(polys, points)
+        entries.append(values.size)
+        return values, scales
 
-    # Count every evaluation of the check, whichever module makes it.
-    for module in (fusion, operators):
-        monkeypatch.setattr(module, "evaluate", counted, raising=False)
+    # Count every evaluated entry of the check, whichever module makes it:
+    # evaluate_batch is the one evaluation path, and evaluate calls it too.
+    for module in (fusion, operators, polynomials):
+        monkeypatch.setattr(module, "evaluate_batch", counted, raising=False)
     assert _report("verlinde_vs_projection", n=3, m=3, ctx=ctx).passed
     N = len(ctx.spectrum(grid[0]).labels)
-    assert len(calls) == len(grid) * N * N
+    assert sum(entries) == len(grid) * N * N
