@@ -8,10 +8,11 @@ a ratio of theta brackets [a + b*g] with integers 0 <= a <= span(lam) and
 brackets, filled by the scalar ``bracket`` and grown on demand, together
 with the factor tables derived from it; the brackets depend on the nome
 only through |p|, so -p reads the table of p.  The table also stores the
-eigenpolynomials built at its parameters, so its LRU bounds all that is
-kept per parameter set.  The scalar functions read the table from Python
-lists; ``level_hops``, ``level_delta`` and ``level_c`` gather whole level
-cones from its numpy copy.  Values are complex and real in the
+eigenpolynomials and strata built at its parameters, and the ring-route
+rows of ``fusion`` with the kernel inputs they are built from, so its LRU
+bounds all that is kept per parameter set.  The scalar functions read the
+table from Python lists; ``level_hops``, ``level_delta`` and ``level_c``
+gather whole level cones from its numpy copy.  Values are complex and real in the
 level-locked regime; callers convert them at API boundaries.
 
 Denominator brackets below ``SINGULAR_TOL`` in magnitude raise
@@ -68,9 +69,12 @@ class BracketTable:
     the factors in the order of the scalar loops and so give the same bits.
 
     ``polys`` (mu -> P_mu) and ``strata`` ((n, w, L) -> stratum) are filled by
-    ``polynomials``.  The recurrence weights are products of these brackets,
-    so its results depend on the parameters only through this table's key;
-    evicting the table frees them.
+    ``polynomials``; ``lr_rows`` ((n, m, level_locked, lam) -> the LR row of
+    lam: values [mu, kappa], flags and per-mu exceptions) and ``cones``
+    ((n, m) -> the level cone's weight groups and stratum-key -> label maps)
+    by ``fusion``.  The recurrence weights are products of these brackets,
+    so all of these depend on the parameters only through this table's key
+    and their own keys; evicting the table frees them.
     """
 
     def __init__(self, params: ModelParams):
@@ -80,6 +84,8 @@ class BracketTable:
         self.cols = 0
         self.polys: dict = {}
         self.strata: dict = {}
+        self.lr_rows: dict = {}
+        self.cones: dict = {}
 
     def grow(self, rows: int, cols: int) -> None:
         """Extend to at least rows x cols, evaluating only the new brackets."""
@@ -349,6 +355,6 @@ def _level_gather(params: ModelParams, family: str, scalar) -> np.ndarray:
 
 
 def clear_coeff_caches() -> None:
-    """Drop every bracket table with its polynomials (mainly for tests and long sweeps)."""
+    """Drop every bracket table with its polynomials, strata and LR rows (mainly for tests and long sweeps)."""
     with _TABLES_LOCK:
         _TABLES.clear()

@@ -8,16 +8,20 @@ this route evaluates no polynomial.  Its cross-check, the projection route,
 pairs products with each P_kappa evaluated at the spectral points, without
 reading S.  The ring (LR) route reduces products of eigenpolynomials modulo
 the level ideal and needs a generic coupling, or the two-sided limit
-protocol at resonance.  N^kappa_{lam,mu} vanishes unless
-s = (|lam| + |mu| - |kappa|) / n is a non-negative integer and
-kappa + s 1^n (whose underline is kappa) contains lam and mu row by row.
+protocol at resonance.  It too is computed one row lam at a time: the mu of
+one weight form a group, whose products with P_lam run as one kernel of
+``littlewood`` and are reduced through a stratum-key -> label map, and the
+finished row is kept on the bracket table of its parameters, so every pair
+call and table of the same (n, m, locking) reads it.  N^kappa_{lam,mu}
+vanishes unless s = (|lam| + |mu| - |kappa|) / n is a non-negative integer
+and kappa + s 1^n (whose underline is kappa) contains lam and mu row by row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from types import MappingProxyType
 
@@ -25,7 +29,7 @@ import numpy as np
 
 from .errors import ComputationError, GenericityViolation
 from .kernel import GENERICITY_TOL, ModelParams, g_regularity_margin, realify
-from .littlewood import _lr_coefficients
+from .littlewood import Factors, _admit, _factors, _products, _supported
 from .operators import SpectrumResult, joint_spectrum, norm_vectors, value_table
 from .partitions import (
     Partition,
@@ -78,13 +82,143 @@ def fusion_pieri(lam, r: int, params: ModelParams) -> dict[Partition, float]:
     return out
 
 
-def _lr_route_once(lam: Partition, mu: Partition, params: ModelParams) -> dict[Partition, float]:
-    return reduce_mod_ideal(_lr_coefficients(lam, mu, params), params)
+class _ConeTerms:
+    """Ring-route kernel inputs of one level cone (n, m), kept on a bracket table.
+
+    ``factors[d]`` are the cone's labels of weight d as one product group,
+    and ``maps[w]`` holds, for each key of the stratum (w, ., 0) in its
+    order, the index of its underline among the labels, or N where its span
+    exceeds m.  A stratum only grows by appending keys, so a map serves
+    every leading block of the stratum it was built for.
+    """
+
+    __slots__ = ("factors", "maps")
+
+    def __init__(self):
+        self.factors: dict[int, Factors] = {}
+        self.maps: dict[int, np.ndarray] = {}
 
 
-def _average_maps(a: dict[Partition, float], b: dict[Partition, float]) -> dict[Partition, float]:
-    keys = set(a) | set(b)
-    return {k: 0.5 * (a.get(k, 0.0) + b.get(k, 0.0)) for k in keys}
+@dataclass(frozen=True, eq=False)
+class _LRRow:
+    """The ring-route structure constants of one label lam against every label mu.
+
+    ``values[mu, kappa]`` is read-only; ``flags`` maps the index of a mu to the
+    labels the limit protocol flagged in lam x mu, and ``errors`` maps the
+    index of a mu whose product raised to that exception.
+    """
+
+    values: np.ndarray
+    flags: dict[int, frozenset]
+    errors: dict[int, Exception]
+
+
+@lru_cache(maxsize=64)
+def _cone(n: int, m: int):
+    """The level cone's labels, their index and its weight groups as label ranges.
+
+    In canonical order the labels of one weight are contiguous.
+    """
+    labels = tuple(enumerate_level(n, m))
+    starts = [i for i, lam in enumerate(labels) if i == 0 or weight(lam) != weight(labels[i - 1])]
+    groups = tuple(zip(starts, starts[1:] + [len(labels)]))
+    return labels, MappingProxyType({lam: i for i, lam in enumerate(labels)}), groups
+
+
+def _label_map(keys, n: int, m: int) -> np.ndarray:
+    """Index of the underline of each key among the labels of (n, m), or N where its span exceeds m."""
+    labels, index, _ = _cone(n, m)
+    return np.array([index[underline(k)] if span(k) <= m else len(labels) for k in keys], dtype=np.intp)
+
+
+def _leg(lam: Partition, heads, params: ModelParams, cone: bool):
+    """The products of lam with heads at params reduced modulo the level ideal.
+
+    Returns values[j, kappa] and the support violation of each j that has
+    one.  With cone set, heads is a weight group of the level cone, whose
+    factors and label maps are kept on params' bracket table; any other
+    group builds them for this call only.
+    """
+    labels, _, _ = _cone(params.n, params.m)
+    N, d = len(labels), weight(heads[0])
+    store = coeffs._table(params)
+    terms = store.cones.setdefault((params.n, params.m), _ConeTerms()) if cone else _ConeTerms()
+    stratum_key = _admit(lam, heads, params)
+    if d not in terms.factors:
+        terms.factors[d] = _factors(heads, params, store)
+    table, a = _products(lam, terms.factors[d], params, store, stratum_key)
+    kept, errors = _supported(lam, heads, table, a)
+    w, size = stratum_key[0], len(table.keys)
+    if len(terms.maps.get(w, ())) < size:
+        terms.maps[w] = _label_map(table.keys, params.n, params.m)
+    # Each kappa sums its keys in descending key order, as reduce_mod_ideal does.
+    index = np.arange(len(heads))[:, None] * (N + 1) + terms.maps[w][:size]
+    weights = np.where(kept, a, 0.0)[:, ::-1]
+    reduced = np.bincount(index[:, ::-1].ravel(), weights=weights.ravel(), minlength=len(heads) * (N + 1))
+    return reduced.reshape(len(heads), N + 1)[:, :N], errors
+
+
+def _group(lam: Partition, heads, params: ModelParams, cone: bool):
+    """values[j, kappa], flags {j: labels} and errors {j: exception} of lam x heads[j].
+
+    The heads share their weight and last part, so the pair window
+    |lam| + |mu| of the genericity gate is one for all of them.  Generic
+    couplings run one leg.  Resonant level-locked couplings (e.g. integer g)
+    use the two-sided limit protocol: symmetric averages at g +- delta for
+    delta in LIMIT_DELTAS, four legs in all, reporting the tighter estimate
+    and flagging the keys where the two estimates disagree by more than
+    LIMIT_FLAG_TOL.  A head raises with the first leg that raised for it.
+    """
+    window = max(weight(lam) + weight(heads[0]), 1)
+    margin = g_regularity_margin(params.alpha, params.g, params.n, window, jmax=params.n - 1)
+    if margin >= GENERICITY_TOL:
+        values, errors = _leg(lam, heads, params, cone)
+        return values, {}, errors
+    labels, _, _ = _cone(params.n, params.m)
+    if not params.level_locked:
+        exc = GenericityViolation("free-mode coupling is resonant on the requested span; no limit protocol")
+        return np.zeros((len(heads), len(labels))), {}, dict.fromkeys(range(len(heads)), exc)
+    legs = [
+        _leg(lam, heads, params.with_g_locked(g), cone)
+        for delta in LIMIT_DELTAS
+        for g in (params.g - delta, params.g + delta)
+    ]
+    errors: dict[int, Exception] = {}
+    for _, leg_errors in legs:
+        for j, exc in leg_errors.items():
+            errors.setdefault(j, exc)
+    coarse, fine = (0.5 * (legs[k][0] + legs[k + 1][0]) for k in (0, 2))
+    flagged = np.abs(coarse - fine) > LIMIT_FLAG_TOL
+    flags = {
+        j: frozenset(labels[k] for k in np.flatnonzero(flagged[j]))
+        for j in np.flatnonzero(flagged.any(axis=1)).tolist()
+        if j not in errors
+    }
+    return fine, flags, errors
+
+
+def _lr_row(lam: Partition, params: ModelParams) -> _LRRow:
+    """The LR row of the label lam, kept on params' bracket table."""
+    store = coeffs._table(params)
+    key = (params.n, params.m, params.level_locked, lam)
+    row = store.lr_rows.get(key)
+    if row is None:
+        labels, _, groups = _cone(params.n, params.m)
+        values = np.empty((len(labels), len(labels)))
+        flags: dict[int, frozenset] = {}
+        errors: dict[int, Exception] = {}
+        for start, stop in groups:
+            values[start:stop], group_flags, group_errors = _group(lam, labels[start:stop], params, True)
+            flags.update((start + j, f) for j, f in group_flags.items())
+            errors.update((start + j, e) for j, e in group_errors.items())
+        values.flags.writeable = False
+        row = store.lr_rows[key] = _LRRow(values, flags, errors)
+    return row
+
+
+def _raise_copy(exc: Exception):
+    """Raise a fresh copy of a kept exception, so that no traceback builds up on it."""
+    raise type(exc)(*exc.args)
 
 
 def structure_constants_lr(
@@ -92,35 +226,25 @@ def structure_constants_lr(
 ):
     """Fusion structure constants via the ring route (reduced LR coefficients).
 
-    Generic couplings are evaluated directly.  Resonant level-locked
-    couplings (e.g. integer g) use the two-sided limit protocol: symmetric
-    averages at g +- delta for delta in LIMIT_DELTAS, reporting the tighter
-    estimate and flagging keys where the two estimates disagree by more
-    than LIMIT_FLAG_TOL.
+    The pair is read from the row of lam, which is computed for every label
+    mu of the level cone at once (see ``_group`` for the limit protocol at
+    resonant couplings) and kept on params' bracket table.  A pair outside
+    the level cone runs alone and is not kept.  The result is a fresh dict,
+    and with return_flags a fresh set of the flagged keys.
     """
     lam = check_partition(lam)
     mu = check_partition(mu)
-    window = max(weight(lam) + weight(mu), 1)
-    margin = g_regularity_margin(params.alpha, params.g, params.n, window, jmax=params.n - 1)
-    if margin >= GENERICITY_TOL:
-        out = _lr_route_once(lam, mu, params)
-        return (out, set()) if return_flags else out
-    if not params.level_locked:
-        raise GenericityViolation(
-            "free-mode coupling is resonant on the requested span; no limit protocol"
-        )
-    estimates = []
-    for delta in LIMIT_DELTAS:
-        lo = _lr_route_once(lam, mu, params.with_g_locked(params.g - delta))
-        hi = _lr_route_once(lam, mu, params.with_g_locked(params.g + delta))
-        estimates.append(_average_maps(lo, hi))
-    coarse, fine = estimates
-    flags = {
-        k
-        for k in set(coarse) | set(fine)
-        if abs(coarse.get(k, 0.0) - fine.get(k, 0.0)) > LIMIT_FLAG_TOL
-    }
-    return (fine, flags) if return_flags else fine
+    labels, index, _ = _cone(params.n, params.m)
+    if lam in index and mu in index:
+        row, j = _lr_row(lam, params), index[mu]
+        values, flags, errors = row.values, row.flags, row.errors
+    else:
+        values, flags, errors = _group(lam, (mu,), params, False)
+        j = 0
+    if j in errors:
+        _raise_copy(errors[j])
+    out = _nonzero(labels, values[j])
+    return (out, set(flags.get(j, ()))) if return_flags else out
 
 
 def _exp_or_inf(x: float) -> float:
@@ -333,14 +457,13 @@ def fusion_table(
         return _verlinde_table(s_matrix(params, spectrum=spectrum, seed=seed))
     if route != "lr":
         raise ValueError(f"unknown route {route!r}")
-    labels = tuple(enumerate_level(params.n, params.m))
-    index = {kappa: k for k, kappa in enumerate(labels)}
-    values = np.zeros((len(labels),) * 3)
+    labels = _cone(params.n, params.m)[0]
+    values = np.empty((len(labels),) * 3)
     flagged: dict[tuple[Partition, Partition], set[Partition]] = {}
     for i, lam in enumerate(labels):
-        for j, mu in enumerate(labels):
-            out, flags = structure_constants_lr(lam, mu, params, return_flags=True)
-            values[i, j, [index[kappa] for kappa in out]] = list(out.values())
-            if flags:
-                flagged[(lam, mu)] = flags
+        row = _lr_row(lam, params)
+        if row.errors:  # the first failing pair in row-major order
+            _raise_copy(row.errors[min(row.errors)])
+        values[i] = row.values
+        flagged.update(((lam, labels[j]), set(f)) for j, f in row.flags.items())
     return FusionTable(params=params, labels=labels, values=values, route=route, flagged=flagged)

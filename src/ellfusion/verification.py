@@ -49,7 +49,7 @@ from .partitions import (
     vertical_strips,
     weight,
 )
-from .polynomials import build_P, evaluate_R, evaluate_batch
+from .polynomials import build_P, elementary_symmetric, evaluate_R, evaluate_batch
 from .fusion import (
     _projection_table,
     _verlinde_table,
@@ -486,10 +486,13 @@ def _principal_specialization(ctx, n, m, g=0.8):
     """Principal values of the embedded polynomials vs the product form at p=0."""
     params = ModelParams.locked(n, m, g, 0.0)
     xs = [qpow(params.alpha, (n - 1 - j) * g) for j in range(n - 1)] + [1.0 + 0.0j]
+    labels = enumerate_level(n, m)
+    # Every P_nu at the one principal point, as one batch: P_nu(e(xs)) = R_nu(xs).
+    values = evaluate_batch([build_P(nu, params) for nu in labels], [elementary_symmetric(xs)])[0][:, 0]
     pairs = []
-    for nu in enumerate_level(n, m):
+    for nu, value in zip(labels, values.tolist()):
         want = principal_normalization_p0(nu, params.alpha, g)
-        got = qpow(params.alpha, -weight(nu) * (n - 1) * g / 2.0) * evaluate_R(nu, xs, params)
+        got = qpow(params.alpha, -weight(nu) * (n - 1) * g / 2.0) * value
         pairs += [(got, want), (1.0 / realify(coeffs.c_norm(nu, params)), want)]
     return _worst(pairs)
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from ellfusion import coeffs, fusion, operators, polynomials
-from ellfusion.errors import ComputationError, TrackingAmbiguity
+from ellfusion import coeffs, fusion, littlewood, operators, polynomials
+from ellfusion.errors import ComputationError, GenericityViolation, TrackingAmbiguity
 from ellfusion.kernel import ModelParams, realify, trig_bracket
+from ellfusion.littlewood import lr_coefficients
 from ellfusion.fusion import (
     fusion_pieri,
     fusion_table,
@@ -109,6 +110,151 @@ def test_limit_protocol_at_a_half_integer_resonance():
     want = structure_constants_verlinde((5, 0, 0), (6, 6, 0), params)
     assert not flags and set(got) == set(want)
     assert all(abs(got[k] - want[k]) < 1e-7 for k in want)
+
+
+def test_other_pairs_of_the_half_integer_resonance_row_match_verlinde():
+    """The row kernel keeps each mu's own exception: one pair raises, the rest of its row do not."""
+    params = ModelParams.locked(3, 6, 0.5, 0.3)
+    coeffs.clear_coeff_caches()
+    with pytest.raises(ComputationError, match=r"support violation: key .+ in \(5, 0, 0\) \* \(6, 6, 0\)"):
+        structure_constants_lr((5, 0, 0), (6, 6, 0), params)
+    sm = s_matrix(params)
+    for mu in sm.labels:
+        if mu == (6, 6, 0):
+            continue
+        got, flags = structure_constants_lr((5, 0, 0), mu, params, return_flags=True)
+        want = structure_constants_verlinde((5, 0, 0), mu, params, spectrum=sm.spectrum)
+        assert not flags
+        for k in set(got) | set(want):
+            assert abs(got.get(k, 0.0) - want.get(k, 0.0)) < 1e-7, (mu, k)
+
+
+def _lr_row_of(table, i, j):
+    labels = table.labels
+    values = {k: v for k, v in zip(labels, table.values[i, j].tolist()) if v}
+    return values, table.flagged.get((labels[i], labels[j]), set())
+
+
+@pytest.mark.parametrize("params", [ModelParams.locked(3, 3, 0.7, 0.3), ModelParams.locked(3, 2, 1.0, 0.3)])
+@pytest.mark.parametrize("table_first", [True, False])
+def test_lr_pairs_are_the_rows_of_the_table(params, table_first):
+    """Pair calls and fusion_table(route="lr") read the same kept rows, bit for bit, in either order."""
+    coeffs.clear_coeff_caches()
+    labels = enumerate_level(params.n, params.m)
+    if table_first:
+        table = fusion_table(params, route="lr")
+    pairs = {
+        (lam, mu): structure_constants_lr(lam, mu, params, return_flags=True) for lam in labels for mu in labels
+    }
+    if not table_first:
+        table = fusion_table(params, route="lr")
+    for i, lam in enumerate(labels):
+        for j, mu in enumerate(labels):
+            assert pairs[(lam, mu)] == _lr_row_of(table, i, j)
+    coeffs.clear_coeff_caches()
+
+
+@pytest.mark.parametrize(
+    "params", [ModelParams.locked(3, 4, 0.7, 0.3), ModelParams.free(3, g=0.65, p=0.3, alpha=2.0, m=3)]
+)
+def test_lr_rows_are_the_reduced_pair_products(params):
+    """Each row kernel gives, bit for bit, the reduced product of every pair taken alone."""
+    coeffs.clear_coeff_caches()
+    labels = enumerate_level(params.n, params.m)
+    for lam in labels:
+        for mu in labels:
+            want = reduce_mod_ideal(lr_coefficients(lam, mu, params), params)
+            assert structure_constants_lr(lam, mu, params) == {k: v for k, v in want.items() if v}
+
+
+def test_lr_results_are_fresh_objects():
+    params = ModelParams.locked(2, 1, 1.0, 0.0)  # resonant: the limit protocol runs
+    first, flags = structure_constants_lr((1, 0), (1, 0), params, return_flags=True)
+    want = (dict(first), set(flags))
+    first[(0, 0)] = 99.0
+    first[(1, 0)] = -1.0
+    flags.add((1, 0))
+    assert structure_constants_lr((1, 0), (1, 0), params, return_flags=True) == want
+    assert structure_constants_lr((1, 0), (1, 0), params) == want[0]
+
+
+@pytest.mark.parametrize(
+    "params, lam, mu",
+    [
+        (ModelParams.locked(3, 2, 0.7, 0.3), (1, 0, 0), (3, 1, 0)),  # mu_1 > m
+        (ModelParams.locked(3, 2, 0.7, 0.3), (2, 1, 0), (2, 1, 1)),  # mu_n > 0
+        (ModelParams.locked(3, 2, 0.7, 0.3), (3, 1, 1), (1, 1, 0)),  # lam outside
+        (ModelParams.free(3, g=0.65, p=0.3, alpha=2.0, m=2), (2, 1, 0), (3, 2, 1)),
+    ],
+)
+def test_lr_pair_outside_the_level_cone(params, lam, mu):
+    """A pair outside the cone runs alone: the reduced LR product, and no row is kept for it."""
+    coeffs.clear_coeff_caches()
+    got, flags = structure_constants_lr(lam, mu, params, return_flags=True)
+    assert flags == set()
+    assert got == reduce_mod_ideal(lr_coefficients(lam, mu, params), params)
+    assert coeffs._table(params).lr_rows == {}
+
+
+def test_lr_pair_outside_the_level_cone_at_a_resonance():
+    """Outside the cone the limit protocol averages the reduced legs, as pair by pair."""
+    params = ModelParams.locked(2, 1, 1.0, 0.0)
+    lam, mu = (1, 0), (2, 0)
+    legs = [
+        reduce_mod_ideal(lr_coefficients(lam, mu, params.with_g_locked(params.g + s * delta)), params)
+        for delta in fusion.LIMIT_DELTAS
+        for s in (-1, 1)
+    ]
+    fine = {k: 0.5 * (legs[2].get(k, 0.0) + legs[3].get(k, 0.0)) for k in set(legs[2]) | set(legs[3])}
+    assert structure_constants_lr(lam, mu, params) == {k: v for k, v in fine.items() if v}
+
+
+def test_free_parameters_that_differ_in_m_share_a_table_but_not_rows():
+    small = ModelParams.free(3, g=0.65, p=0.3, alpha=2.0, m=2)
+    large = ModelParams.free(3, g=0.65, p=0.3, alpha=2.0, m=3)
+    coeffs.clear_coeff_caches()
+    assert coeffs._table(small) is coeffs._table(large)
+    a = structure_constants_lr((2, 1, 0), (2, 0, 0), small)
+    b = structure_constants_lr((2, 1, 0), (2, 0, 0), large)
+    assert a == reduce_mod_ideal(lr_coefficients((2, 1, 0), (2, 0, 0), small), small)
+    assert b == reduce_mod_ideal(lr_coefficients((2, 1, 0), (2, 0, 0), large), large)
+    assert (3, 2, 0) in b and (3, 2, 0) not in a  # span 3 survives only at m = 3
+    rows = coeffs._table(small).lr_rows
+    assert set(rows) == {(3, 2, False, (2, 1, 0)), (3, 3, False, (2, 1, 0))}
+    coeffs.clear_coeff_caches()
+
+
+def test_lr_pairs_after_the_table_run_no_kernel(monkeypatch):
+    """Once fusion_table(route="lr") has run, every pair call reads its row."""
+    params = ModelParams.locked(3, 3, 0.7, 0.3)
+    coeffs.clear_coeff_caches()
+    table = fusion_table(params, route="lr")
+    calls = []
+
+    def counting(name, real):
+        return lambda *args: calls.append(name) or real(*args)
+
+    monkeypatch.setattr(fusion, "_products", counting("_products", fusion._products))
+    for module in (polynomials, littlewood):
+        monkeypatch.setattr(module, "_poly", counting("_poly", module._poly))
+    for i, lam in enumerate(table.labels):
+        for j, mu in enumerate(table.labels):
+            assert structure_constants_lr(lam, mu, params, return_flags=True) == _lr_row_of(table, i, j)
+    assert calls == []
+    coeffs.clear_coeff_caches()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 3), m=st.integers(1, 3), g=st.floats(0.3, 1.9), p=st.floats(-0.6, 0.6))
+def test_lr_table_matches_verlinde(n, m, g, p):
+    """The row kernels give the Verlinde table, with no flags, wherever the ring route applies."""
+    params = ModelParams.locked(n, m, g, p)
+    try:
+        table = fusion_table(params, route="lr")
+    except GenericityViolation:
+        reject()
+    assert not table.flagged
+    assert table.max_difference(fusion_table(params, route="verlinde")) < 1e-7
 
 
 def test_projection_route_matches_spectral_sum():
