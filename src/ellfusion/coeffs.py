@@ -8,12 +8,13 @@ a ratio of theta brackets [a + b*g] with integers 0 <= a <= span(lam) and
 brackets, filled by the scalar ``bracket`` and grown on demand, together
 with the factor tables derived from it; the brackets depend on the nome
 only through |p|, so -p reads the table of p.  The table also stores the
-eigenpolynomials and strata built at its parameters, and the ring-route
-rows of ``fusion`` with the kernel inputs they are built from, so its LRU
-bounds all that is kept per parameter set.  The scalar functions read the
-table from Python lists; ``level_hops``, ``level_delta`` and ``level_c``
-gather whole level cones from its numpy copy.  Values are complex and real in the
-level-locked regime; callers convert them at API boundaries.
+eigenpolynomials and strata built at its parameters, the ring-route rows of
+``fusion`` with the kernel inputs they are built from, and the finished
+joint spectra of ``operators``, so its LRU bounds all that is kept per
+parameter set.  The scalar functions read the table from Python lists;
+``level_hops``, ``level_delta`` and ``level_c`` gather whole level cones
+from its numpy copy.  Values are complex and real in the level-locked
+regime; callers convert them at API boundaries.
 
 Denominator brackets below ``SINGULAR_TOL`` in magnitude raise
 :class:`SingularDenominator`; zeros appearing in numerators are genuine
@@ -32,8 +33,9 @@ from .errors import NotAStrip, SingularDenominator
 from .kernel import SINGULAR_TOL, ModelParams, bracket
 from .partitions import Partition, enumerate_level, is_partition, span, underline, vertical_strips
 
-# One nome_sweep pass (n=4 m=4, p = +-0.3, +-0.6, +-0.9) visits 42 distinct
-# |p| along its homotopy paths; the bound leaves room for a few such sweeps.
+# One nome_sweep pass (n=4 m=4, p = +-0.3, +-0.6, +-0.9) visits 26 distinct
+# |p| along its homotopy paths, rejected steps included (the -p legs read the
+# spectra kept at p); the bound leaves room for several such sweeps.
 TABLE_LIMIT = 256
 _NAN = complex(float("nan"), 0.0)
 
@@ -72,9 +74,11 @@ class BracketTable:
     ``polynomials``; ``lr_rows`` ((n, m, level_locked, lam) -> the LR row of
     lam: values [mu, kappa], flags and per-mu exceptions) and ``cones``
     ((n, m) -> the level cone's weight groups and stratum-key -> label maps)
-    by ``fusion``.  The recurrence weights are products of these brackets,
-    so all of these depend on the parameters only through this table's key
-    and their own keys; evicting the table frees them.
+    by ``fusion``; ``spectra`` ((n, m, level_locked, seed) -> the finished
+    ``SpectrumResult``, returned at p and at -p) by ``operators``.  The
+    recurrence weights and the truncated matrices are products of these
+    brackets, so all of these depend on the parameters only through this
+    table's key and their own keys; evicting the table frees them.
     """
 
     def __init__(self, params: ModelParams):
@@ -86,6 +90,7 @@ class BracketTable:
         self.strata: dict = {}
         self.lr_rows: dict = {}
         self.cones: dict = {}
+        self.spectra: dict = {}
 
     def grow(self, rows: int, cols: int) -> None:
         """Extend to at least rows x cols, evaluating only the new brackets."""
@@ -355,6 +360,6 @@ def _level_gather(params: ModelParams, family: str, scalar) -> np.ndarray:
 
 
 def clear_coeff_caches() -> None:
-    """Drop every bracket table with its polynomials, strata and LR rows (mainly for tests and long sweeps)."""
+    """Drop every bracket table with its polynomials, strata, LR rows and spectra (mainly for tests and long sweeps)."""
     with _TABLES_LOCK:
         _TABLES.clear()

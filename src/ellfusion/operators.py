@@ -6,19 +6,25 @@ square matrices over the level-m cone; conjugated by the square root of the
 orthogonality weights they become normal matrices, so the joint spectrum is
 obtained by diagonalizing a random real combination and reading off Rayleigh
 ratios.  Labels are assigned at p = 0 against the trigonometric closed form
-and continued analytically in the nome with an adaptive step that keeps
-every eigenvalue within half the minimal inter-eigenvalue gap.  Each point
-is matched to its nearest new point: balls of half the gap are disjoint, so
-a match that passes that test is the optimal assignment, and no assignment
-solver is needed.  The dual norms come from the eigenvectors; only
-``value_table``, for the check routes, evaluates polynomials at the spectral
-points, all of them in one ``evaluate_batch`` call.
+and continued analytically in the nome by a guarded predictor-corrector: the
+first step tries the whole distance, later points are predicted by the secant
+through the last two accepted points, and a step is halved unless every new
+point stays within half the least gap of the predicted points from its
+prediction and every prediction within half the least gap of the current
+points from its current point.  Each predicted point is matched to its
+nearest new point: balls of half the gap are disjoint, so a match that
+passes that test is the optimal assignment, and no assignment solver is
+needed.  The finished spectrum is kept on the bracket table of its
+parameters, which p and -p share, so the mirror leg runs no ``eig``.  The
+dual norms come from the eigenvectors; only ``value_table``, for the check
+routes, evaluates polynomials at the spectral points, all of them in one
+``evaluate_batch`` call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +36,6 @@ from . import coeffs
 
 LatticeFunction = dict[Partition, complex]
 
-_START_STEP = 0.05
 _MIN_STEP = 1e-4
 _GAP_SAFETY = 0.5
 _COMBO_ATTEMPTS = 12
@@ -206,19 +211,48 @@ def _match_rows(E_new: np.ndarray, E_ref: np.ndarray) -> np.ndarray:
 
 
 def joint_spectrum(params: ModelParams, seed: int = 0) -> SpectrumResult:
-    """Labeled joint spectrum with eigenvectors and dual norms.
+    """Labeled joint spectrum with eigenvectors and dual norms, kept per parameter set.
 
-    Labels are assigned at p = 0 against the closed form; for p != 0 the
-    points are continued from p = 0 with adaptive steps (start 0.05, halve
-    on ambiguity, floor 1e-4), matching each point to its nearest new point
-    and requiring every movement to stay below half the minimal gap.  That
-    test makes the nearest-point match exact: balls of half the gap about
-    the old points are disjoint, so an accepted match is the optimal
-    assignment (see ``_match_rows``).
+    Labels are assigned at p = 0 against the closed form and continued to p
+    by a guarded predictor-corrector (``_continue``).  The finished result is
+    kept on the bracket table of params, keyed (n, m, level_locked, seed),
+    and evicted with it.  The table is shared by p and -p, and the truncated
+    matrices at -p are those at p bit for bit, so a call at either sign
+    returns the kept arrays with ``params`` replaced and ``homotopy_steps``
+    given the sign of p, and runs no ``eig``.
+    """
+    if not params.level_locked:
+        raise ValueError("the joint spectrum requires level-locked parameters")
+    key = (params.n, params.m, params.level_locked, seed)
+    kept = coeffs._table(params).spectra.get(key)
+    if kept is None:
+        kept = _continue(params, seed)
+        coeffs._table(params).spectra[key] = kept  # looked up again: the path may have evicted it
+    if kept.params == params:
+        return kept
+    # The key leaves only the sign of p free.
+    return replace(kept, params=params, homotopy_steps=tuple(-s for s in kept.homotopy_steps))
+
+
+def _continue(params: ModelParams, seed: int) -> SpectrumResult:
+    """Labeled joint spectrum at params, continued from the closed form at p = 0.
+
+    The first step tries the whole distance to p.  Once two points are
+    accepted, the next points are predicted by the secant through the last
+    two, and the new points are matched nearest-first to the predicted ones
+    (``_match_rows``).  A step is accepted only if (a) every new point lies
+    within _GAP_SAFETY times the least gap of the predicted points from its
+    predicted point, and (b) every predicted point lies within _GAP_SAFETY
+    times the least gap of the current points from its current point;
+    otherwise the step is halved, down to _MIN_STEP.  Test (a) makes the
+    match exact, as balls of half the gap about the predicted points are
+    disjoint; test (b) keeps the predictor from extrapolating through
+    eigenvalues that close in on each other, where it would swap labels.
+    The step is never grown again: growing it after each accepted step took
+    more ``eig`` calls at every large-nome point measured.
     """
     rng = np.random.default_rng(seed)
-    base_params = params.with_p(0.0)
-    E_raw, vecs, w, labels = _raw_spectrum(base_params, rng)
+    E_raw, vecs, w, labels = _raw_spectrum(params.with_p(0.0), rng)
     closed = spectral_points_p0(params)
     C = np.array([closed[nu] for nu in labels], dtype=complex)
     perm = _match_rows(E_raw, C)
@@ -231,30 +265,35 @@ def joint_spectrum(params: ModelParams, seed: int = 0) -> SpectrumResult:
     E_cur = E_raw[perm]
     vec_cur = vecs[:, perm]
     w_cur = w
+    t_prev = E_prev = None
     steps: list[float] = []
 
+    # The path is p = target * t: t and the step h stay dyadic, so sums are
+    # exact and the last point is target itself.
     target = params.p
-    p_cur = 0.0
-    step = math.copysign(_START_STEP, target) if target else 0.0
-    while p_cur != target:
-        p_next = p_cur + step
-        if (target > 0 and p_next > target) or (target < 0 and p_next < target):
-            p_next = target
-        E_new, vecs_new, w_new, _ = _raw_spectrum(params.with_p(p_next), rng)
-        perm = _match_rows(E_new, E_cur)
-        gap = _min_gap(E_cur)
-        moved = float(np.linalg.norm(E_new[perm] - E_cur, axis=1).max())
-        if moved < _GAP_SAFETY * gap:
+    t_cur, h = (0.0, 1.0) if target else (1.0, 0.0)
+    while t_cur < 1.0:
+        t_next = t_cur + h  # at most 1: t_cur is a multiple of h
+        if E_prev is None:
+            E_pred = E_cur
+        else:
+            E_pred = E_cur + (h / (t_cur - t_prev)) * (E_cur - E_prev)
+        E_new, vecs_new, w_new, _ = _raw_spectrum(params.with_p(target * t_next), rng)
+        perm = _match_rows(E_new, E_pred)
+        moved = float(np.linalg.norm(E_new[perm] - E_pred, axis=1).max())
+        jump = float(np.linalg.norm(E_pred - E_cur, axis=1).max())
+        if moved < _GAP_SAFETY * _min_gap(E_pred) and jump < _GAP_SAFETY * _min_gap(E_cur):
+            t_prev, E_prev = t_cur, E_cur
             E_cur = E_new[perm]
             vec_cur = vecs_new[:, perm]
             w_cur = w_new
-            p_cur = p_next
-            steps.append(p_next)
+            t_cur = t_next
+            steps.append(target * t_next)
         else:
-            step /= 2.0
-            if abs(step) < _MIN_STEP:
+            h /= 2.0
+            if abs(target) * h < _MIN_STEP:
                 raise TrackingAmbiguity(
-                    f"homotopy step fell below {_MIN_STEP} at p={p_cur}"
+                    f"homotopy step fell below {_MIN_STEP} at p={target * t_cur}"
                 )
 
     F = vec_cur / w_cur[:, None]

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from ellfusion import coeffs
-from ellfusion.errors import TrackingAmbiguity
+from ellfusion import coeffs, fusion, operators
+from ellfusion.errors import ComputationError, TrackingAmbiguity
 from ellfusion.kernel import ModelParams, bracket
 from ellfusion.operators import (
     _GAP_SAFETY,
@@ -24,7 +24,7 @@ from ellfusion.operators import (
     spectral_points_p0,
     value_table,
 )
-from ellfusion.partitions import add, vertical_strips
+from ellfusion.partitions import add, enumerate_level, vertical_strips
 from ellfusion.polynomials import normalized_p
 
 
@@ -194,7 +194,9 @@ def test_dual_orthogonality_matches_pair_loop():
 
 def test_spectrum_deterministic_in_seed():
     params = ModelParams.locked(3, 2, 0.7, 0.4)
+    coeffs.clear_coeff_caches()
     a = joint_spectrum(params, seed=3)
+    coeffs.clear_coeff_caches()  # so that b is computed, not read from the store
     b = joint_spectrum(params, seed=3)
     assert np.array_equal(a.e, b.e)
 
@@ -202,15 +204,15 @@ def test_spectrum_deterministic_in_seed():
 def test_homotopy_steps_at_large_nome():
     params = ModelParams.locked(4, 4, 0.7, 0.9)
     spec = joint_spectrum(params, seed=0)
-    assert len(spec.homotopy_steps) == 39
+    assert len(spec.homotopy_steps) == 22
+    assert len(spec.homotopy_steps) <= 39  # the fixed-start continuation's count
     assert spec.homotopy_steps[-1] == 0.9
 
 
-@pytest.mark.xfail(raises=TrackingAmbiguity, strict=True,
-                   reason="continuation step falls below its floor near p = 0.896")
-def test_spectrum_tracks_small_coupling_at_large_nome():
-    spec = joint_spectrum(ModelParams.locked(4, 1, 0.3125, 0.8984375), seed=0)
-    assert spec.homotopy_steps[-1] == 0.8984375
+@pytest.mark.parametrize("g,p", [(0.3125, 0.8984375), (0.3, 0.9), (0.3, -0.9)])
+def test_spectrum_tracks_small_coupling_at_large_nome(g, p):
+    spec = joint_spectrum(ModelParams.locked(4, 1, g, p), seed=0)
+    assert spec.homotopy_steps[-1] == p
 
 
 @pytest.mark.parametrize("N,k", [(1, 2), (2, 1), (7, 3), (35, 3), (60, 4)])
@@ -286,3 +288,191 @@ def test_nearest_row_match_rejects_a_shared_row():
     perm = _match_rows(E_new, E_ref)
     assert perm.tolist() == [0, 0, 2]
     assert _moved(E_new, E_ref, perm) >= _GAP_SAFETY * _min_gap(E_ref)
+
+
+# -- the continuation against a fine fixed-step path --------------------------
+
+
+def _fixed_step_reference(params, steps, seed=0):
+    """E at params.p, continued from p = 0 in equal steps, and the largest move/gap ratio.
+
+    Each step matches the new points to the current ones (``_match_rows``);
+    once a ratio reaches _GAP_SAFETY the match is ambiguous and the ratio
+    returned is inf.
+    """
+    rng = np.random.default_rng(seed)
+    E, _, _, labels = _raw_spectrum(params.with_p(0.0), rng)
+    closed = spectral_points_p0(params)
+    E = E[_match_rows(E, np.array([closed[nu] for nu in labels]))]
+    worst = 0.0
+    for k in range(1, steps + 1):
+        E_new = _raw_spectrum(params.with_p(params.p * k / steps), rng)[0]
+        perm = _match_rows(E_new, E)
+        worst = max(worst, _moved(E_new, E, perm) / _min_gap(E))
+        if not worst < _GAP_SAFETY:
+            return E, math.inf
+        E = E_new[perm]
+    return E, worst
+
+
+def test_secant_does_not_extrapolate_through_closing_eigenvalues():
+    """At this point a secant predictor without the current-gap guard swapped all four labels."""
+    params = ModelParams.locked(2, 3, 1.6808, -0.9381)
+    coeffs.clear_coeff_caches()
+    spec = joint_spectrum(params, seed=0)
+    ref, worst = _fixed_step_reference(params, 1000)
+    coeffs.clear_coeff_caches()
+    assert worst < _GAP_SAFETY / 2  # the reference itself is unambiguous, with room
+    assert _match_rows(spec.e_matrix(), ref).tolist() == list(range(len(spec.labels)))
+    assert np.abs(spec.e_matrix() - ref).max() < 1e-10
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    m=st.integers(1, 4),
+    g=st.floats(0.2, 2.0, exclude_min=True, exclude_max=True),
+    p=st.floats(-0.95, 0.95),
+)
+def test_continuation_matches_a_fine_fixed_step_path(n, m, g, p):
+    """Same labels as 100 equal steps wherever both continuations succeed."""
+    params = ModelParams.locked(n, m, g, p)
+    coeffs.clear_coeff_caches()
+    ref, worst = _fixed_step_reference(params, 100)
+    assume(worst < _GAP_SAFETY)
+    try:
+        got = joint_spectrum(params, seed=0).e_matrix()
+    except TrackingAmbiguity:
+        assume(False)
+    finally:
+        coeffs.clear_coeff_caches()
+    scale = max(1.0, float(np.abs(ref).max()))
+    assert np.abs(got - ref).max() <= 1e-10 * scale
+
+
+@pytest.fixture
+def synthetic_path(monkeypatch):
+    """Replace the spectrum at n=2 m=1 by the two points 3p -+ s(p), s(p) = sqrt((p - 0.6)^2 + delta^2).
+
+    The lower point stays the lower one: the two come within 2 delta of each
+    other at p = 0.6 and part again, while both drift by 3p, so that the
+    first steps are rejected and the secant predictor is running when they
+    meet; its straight line through p = 0.6 ends on the other point.  Yields
+    a setter for delta that returns the points as a function of p; the store
+    is cleared before and after, so that no synthetic spectrum outlives the
+    test.
+    """
+    labels = enumerate_level(2, 1)
+    delta = [0.0]
+
+    def points(p):
+        s = math.hypot(p - 0.6, delta[0])
+        return np.array([[3.0 * p - s], [3.0 * p + s]], dtype=complex)
+
+    def raw(params, rng):
+        return points(params.p)[::-1], np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex), np.ones(2), labels
+
+    def set_delta(value):
+        delta[0] = value
+        return points
+
+    monkeypatch.setattr(operators, "_raw_spectrum", raw)
+    monkeypatch.setattr(operators, "spectral_points_p0", lambda params: dict(zip(labels, points(0.0))))
+    coeffs.clear_coeff_caches()
+    yield set_delta
+    coeffs.clear_coeff_caches()
+
+
+def test_near_collision_raises_instead_of_swapping_labels(synthetic_path):
+    synthetic_path(1e-6)  # closer than any step above the floor can resolve
+    with pytest.raises(TrackingAmbiguity):
+        joint_spectrum(ModelParams.locked(2, 1, 0.7, 0.9), seed=0)
+
+
+def test_avoided_crossing_keeps_the_lower_point_lower(synthetic_path):
+    points = synthetic_path(0.05)
+    spec = joint_spectrum(ModelParams.locked(2, 1, 0.7, 0.9), seed=0)
+    assert np.abs(spec.e_matrix() - points(0.9)).max() < 1e-12
+
+
+# -- finished spectra on the per-parameter store -------------------------------
+
+
+def _counting_eig(monkeypatch):
+    calls = []
+    eig = np.linalg.eig
+
+    def counted(a):
+        calls.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    return calls
+
+
+def test_mirrored_spectrum_equals_a_fresh_one_at_minus_p():
+    """Evenness in the nome, tested by two separate computations."""
+    params = ModelParams.locked(4, 3, 0.7, 0.6)
+    coeffs.clear_coeff_caches()
+    fresh = joint_spectrum(params.with_p(-0.6), seed=0)
+    coeffs.clear_coeff_caches()
+    joint_spectrum(params, seed=0)
+    mirrored = joint_spectrum(params.with_p(-0.6), seed=0)
+    coeffs.clear_coeff_caches()
+    for name in ("e", "vectors", "dual_norms"):
+        assert np.array_equal(getattr(fresh, name), getattr(mirrored, name))
+    assert fresh.homotopy_steps == mirrored.homotopy_steps
+
+
+def test_mirrored_spectrum_runs_no_eig(monkeypatch):
+    params = ModelParams.locked(3, 3, 0.7, 0.9)
+    coeffs.clear_coeff_caches()
+    calls = _counting_eig(monkeypatch)
+    plus = joint_spectrum(params, seed=0)
+    assert calls
+    calls.clear()
+    minus_params = params.with_p(-0.9)
+    minus = joint_spectrum(minus_params, seed=0)
+    assert calls == []
+    assert minus.params is minus_params
+    assert minus.homotopy_steps == tuple(-s for s in plus.homotopy_steps)
+    assert minus.homotopy_steps[-1] == -0.9
+    assert minus.e is plus.e and minus.vectors is plus.vectors
+    assert joint_spectrum(params, seed=0) is plus
+    joint_spectrum(params, seed=1)  # another seed is another entry
+    assert calls
+    coeffs.clear_coeff_caches()
+
+
+def test_free_parameters_raise_after_a_locked_hit():
+    locked = ModelParams.locked(3, 2, 0.7, 0.4)
+    joint_spectrum(locked, seed=0)
+    free = ModelParams(3, 2, 0.7, 0.4, locked.alpha, level_locked=False)
+    assert coeffs._table(free) is coeffs._table(locked)
+    with pytest.raises(ValueError):
+        joint_spectrum(free, seed=0)
+
+
+def test_kept_spectrum_is_evicted_with_its_table(monkeypatch):
+    params = ModelParams.locked(3, 2, 0.7, 0.4)
+    coeffs.clear_coeff_caches()
+    first = joint_spectrum(params, seed=0)
+    assert coeffs._table(params).spectra[(3, 2, True, 0)] is first
+    for k in range(coeffs.TABLE_LIMIT):  # unfilled tables at other |p| push it out
+        coeffs._table(params.with_p(0.5 + k / 1000))
+    assert (params.alpha, params.g, 0.4, params.precision) not in coeffs._TABLES
+    calls = _counting_eig(monkeypatch)
+    second = joint_spectrum(params, seed=0)
+    assert calls and second is not first
+    assert np.array_equal(first.e, second.e)
+    coeffs.clear_coeff_caches()
+
+
+@pytest.mark.parametrize("n,m,g,p", [(2, 2, 2.5, 0.97), (2, 2, 1.3, -0.99), (3, 3, 2.5, 0.97)])
+def test_tiny_eigenvalues_never_give_a_silently_bad_s(n, m, g, p):
+    """Eigenvalues far below 1 in size: either a typed error or a sound S."""
+    try:
+        sm = fusion.s_matrix(ModelParams.locked(n, m, g, p))
+    except ComputationError:
+        return
+    assert sm.identity_residual() < 1e-8
