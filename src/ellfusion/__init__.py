@@ -5,8 +5,8 @@ recurrence coefficients; a strip recurrence builds eigenpolynomials with
 unitriangular monomial expansions; products in that basis yield deformed
 Littlewood-Richardson coefficients; truncating to the level cone gives
 commuting normal operators whose joint spectrum diagonalizes the fusion
-ring, with structure constants recovered either by ideal reduction or by a
-spectral (S-matrix) sum.  Independent Schur/trigonometric/sine-matrix
+ring, with structure constants recovered either by the Pieri rule on the
+level cone or by a spectral (S-matrix) sum.  Independent Schur/trigonometric/sine-matrix
 oracles pin down all degeneration endpoints.
 """
 

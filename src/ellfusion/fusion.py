@@ -6,15 +6,16 @@ spectral (Verlinde) route, valid at every positive coupling, sums S-matrix
 entries over the joint spectrum; S comes straight from the eigenvectors, so
 this route evaluates no polynomial.  Its cross-check, the projection route,
 pairs products with each P_kappa evaluated at the spectral points, without
-reading S.  The ring (LR) route reduces products of eigenpolynomials modulo
-the level ideal and needs a generic coupling, or the two-sided limit
-protocol at resonance.  It too is computed one row lam at a time: the mu of
-one weight form a group, whose products with P_lam run as one kernel of
-``littlewood`` and are reduced through a stratum-key -> label map, and the
-finished row is kept on the bracket table of its parameters, so every pair
-call and table of the same (n, m, locking) reads it.  N^kappa_{lam,mu}
-vanishes unless s = (|lam| + |mu| - |kappa|) / n is a non-negative integer
-and kappa + s 1^n (whose underline is kappa) contains lam and mu row by row.
+reading S.  The ring route is the Pieri rule of the factor ring: the
+matrices E_r of multiplication by e_r, from the level-admissible strip
+weights, give each label's monomial, and N^kappa_{lam,mu} is row lam of
+P_mu(E_1, ..., E_{n-1}).  It needs no spectrum and holds at every positive
+level-locked coupling, resonant ones included; its table is kept on the
+bracket table of its parameters, so every pair call and table of the same
+(n, m) reads it.  Every route answers a pair call with the same off-cone
+rule (``_pair_index``).  N^kappa_{lam,mu} vanishes unless
+s = (|lam| + |mu| - |kappa|) / n is a non-negative integer and
+kappa + s 1^n (whose underline is kappa) contains lam and mu row by row.
 """
 
 from __future__ import annotations
@@ -27,23 +28,22 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ComputationError, GenericityViolation
-from .kernel import GENERICITY_TOL, ModelParams, g_regularity_margin, realify
-from .littlewood import Factors, _admit, _factors, _products, _supported
+from .errors import ComputationError
+from .kernel import ModelParams, realify
 from .operators import SpectrumResult, joint_spectrum, norm_vectors, value_table
 from .partitions import (
     Partition,
     check_partition,
     enumerate_level,
+    r_index,
     span,
     underline,
     vertical_strips,
     weight,
 )
+from .polynomials import _build_P
 from . import coeffs
 
-LIMIT_DELTAS = (1e-5, 1e-6)
-LIMIT_FLAG_TOL = 1e-4
 FUSION_IMAG_TOL = 1e-8
 _DROP_REL = 1e-12
 
@@ -67,14 +67,19 @@ def fusion_pieri(lam, r: int, params: ModelParams) -> dict[Partition, float]:
     """Fusion coefficients for multiplication by e_r, from the product formula.
 
     These are the recurrence weights psi' of the level-admissible strips,
-    re-keyed by underline; analytic in g > 0, so valid at resonant couplings
-    where the generic LR route is not.
+    re-keyed by underline; analytic in g > 0, so valid at resonant couplings.
+    They are the rows of the matrices E_r of the ring route.
     """
     lam = check_partition(lam)
     if len(lam) != params.n:
         raise ValueError(f"partition length {len(lam)} does not match n={params.n}")
     if not 1 <= r <= params.n - 1:
         raise ValueError(f"need 1 <= r <= n-1, got r={r}")
+    return _pieri(lam, r, params)
+
+
+def _pieri(lam: Partition, r: int, params: ModelParams) -> dict[Partition, float]:
+    """``fusion_pieri`` of a partition of length n that is already validated."""
     out: dict[Partition, float] = {}
     for nu in vertical_strips(lam, r):
         if span(nu) <= params.m:
@@ -82,169 +87,107 @@ def fusion_pieri(lam, r: int, params: ModelParams) -> dict[Partition, float]:
     return out
 
 
-class _ConeTerms:
-    """Ring-route kernel inputs of one level cone (n, m), kept on a bracket table.
-
-    ``factors[d]`` are the cone's labels of weight d as one product group,
-    and ``maps[w]`` holds, for each key of the stratum (w, ., 0) in its
-    order, the index of its underline among the labels, or N where its span
-    exceeds m.  A stratum only grows by appending keys, so a map serves
-    every leading block of the stratum it was built for.
-    """
-
-    __slots__ = ("factors", "maps")
-
-    def __init__(self):
-        self.factors: dict[int, Factors] = {}
-        self.maps: dict[int, np.ndarray] = {}
-
-
-@dataclass(frozen=True, eq=False)
-class _LRRow:
-    """The ring-route structure constants of one label lam against every label mu.
-
-    ``values[mu, kappa]`` is read-only; ``flags`` maps the index of a mu to the
-    labels the limit protocol flagged in lam x mu, and ``errors`` maps the
-    index of a mu whose product raised to that exception.
-    """
-
-    values: np.ndarray
-    flags: dict[int, frozenset]
-    errors: dict[int, Exception]
-
-
 @lru_cache(maxsize=64)
 def _cone(n: int, m: int):
-    """The level cone's labels, their index and its weight groups as label ranges.
-
-    In canonical order the labels of one weight are contiguous.
-    """
+    """The level cone's labels in canonical order, and the index of each."""
     labels = tuple(enumerate_level(n, m))
-    starts = [i for i, lam in enumerate(labels) if i == 0 or weight(lam) != weight(labels[i - 1])]
-    groups = tuple(zip(starts, starts[1:] + [len(labels)]))
-    return labels, MappingProxyType({lam: i for i, lam in enumerate(labels)}), groups
+    return labels, MappingProxyType({lam: i for i, lam in enumerate(labels)})
 
 
-def _label_map(keys, n: int, m: int) -> np.ndarray:
-    """Index of the underline of each key among the labels of (n, m), or N where its span exceeds m."""
-    labels, index, _ = _cone(n, m)
-    return np.array([index[underline(k)] if span(k) <= m else len(labels) for k in keys], dtype=np.intp)
+def _pair_index(lam, mu, n: int, m: int) -> tuple[int, int] | None:
+    """Indices among the labels of (n, m) of the factors of a pair call, for every route.
 
-
-def _leg(lam: Partition, heads, params: ModelParams, cone: bool):
-    """The products of lam with heads at params reduced modulo the level ideal.
-
-    Returns values[j, kappa] and the support violation of each j that has
-    one.  With cone set, heads is a weight group of the level cone, whose
-    factors and label maps are kept on params' bracket table; any other
-    group builds them for this call only.
+    A partition of another length than n raises ``ValueError``.  A factor
+    outside the level cone stands for its underline, since e_n = 1 in the
+    ring; one of span > m lies in the level ideal, so the pair has no
+    structure constants and the result is None.
     """
-    labels, _, _ = _cone(params.n, params.m)
-    N, d = len(labels), weight(heads[0])
-    store = coeffs._table(params)
-    terms = store.cones.setdefault((params.n, params.m), _ConeTerms()) if cone else _ConeTerms()
-    stratum_key = _admit(lam, heads, params)
-    if d not in terms.factors:
-        terms.factors[d] = _factors(heads, params, store)
-    table, a = _products(lam, terms.factors[d], params, store, stratum_key)
-    kept, errors = _supported(lam, heads, table, a)
-    w, size = stratum_key[0], len(table.keys)
-    if len(terms.maps.get(w, ())) < size:
-        terms.maps[w] = _label_map(table.keys, params.n, params.m)
-    # Each kappa sums its keys in descending key order, as reduce_mod_ideal does.
-    index = np.arange(len(heads))[:, None] * (N + 1) + terms.maps[w][:size]
-    weights = np.where(kept, a, 0.0)[:, ::-1]
-    reduced = np.bincount(index[:, ::-1].ravel(), weights=weights.ravel(), minlength=len(heads) * (N + 1))
-    return reduced.reshape(len(heads), N + 1)[:, :N], errors
+    lam, mu = check_partition(lam), check_partition(mu)
+    index = _cone(n, m)[1]
+    if lam in index and mu in index:
+        return index[lam], index[mu]
+    for part in (lam, mu):
+        if len(part) != n:
+            raise ValueError(f"partition length {len(part)} does not match n={n}")
+    if span(lam) > m or span(mu) > m:
+        return None
+    return index[underline(lam)], index[underline(mu)]
 
 
-def _group(lam: Partition, heads, params: ModelParams, cone: bool):
-    """values[j, kappa], flags {j: labels} and errors {j: exception} of lam x heads[j].
+def _pair(labels, pair: tuple[int, int] | None, row) -> dict[Partition, float]:
+    """The nonzero N^kappa of a pair from ``_pair_index``, with row(i) the finished row [mu, kappa] of labels[i]."""
+    if pair is None:
+        return {}
+    i, j = pair
+    return _nonzero(labels, row(i)[j])
 
-    The heads share their weight and last part, so the pair window
-    |lam| + |mu| of the genericity gate is one for all of them.  Generic
-    couplings run one leg.  Resonant level-locked couplings (e.g. integer g)
-    use the two-sided limit protocol: symmetric averages at g +- delta for
-    delta in LIMIT_DELTAS, four legs in all, reporting the tighter estimate
-    and flagging the keys where the two estimates disagree by more than
-    LIMIT_FLAG_TOL.  A head raises with the first leg that raised for it.
+
+def _ring_raw(params: ModelParams) -> np.ndarray:
+    """Raw ring-route table [lam, mu, kappa] from the Pieri rule on the level cone.
+
+    In the factor ring, e_r P_lam is the sum of the level-admissible strip
+    weights of ``fusion_pieri`` times P_kappa: the matrix E_r[lam, kappa],
+    1 <= r <= n-1, while e_n = 1.  The monomial e^kappa of a label acts as
+    M_kappa = M_{kappa - 1^r} E_r with r = r_index(kappa), and M_0 = I.  A
+    key k of P_mu is the monomial e^underline(k) there, so P_mu acts as
+    sum_k C[mu, k] M_k, and N^kappa_{lam,mu} = sum_k C[mu, k] M_k[lam, kappa].
     """
-    window = max(weight(lam) + weight(heads[0]), 1)
-    margin = g_regularity_margin(params.alpha, params.g, params.n, window, jmax=params.n - 1)
-    if margin >= GENERICITY_TOL:
-        values, errors = _leg(lam, heads, params, cone)
-        return values, {}, errors
-    labels, _, _ = _cone(params.n, params.m)
+    labels, index = _cone(params.n, params.m)
+    N = len(labels)
+    E = np.zeros((params.n, N, N))
+    for i, lam in enumerate(labels):
+        for r in range(1, params.n):
+            for nu, v in _pieri(lam, r, params).items():
+                E[r, i, index[nu]] = v
+    M = np.empty((N, N, N))  # M[k] = M_{labels[k]}; canonical order visits kappa - 1^r first
+    C = np.zeros((N, N))
+    for k, kappa in enumerate(labels):
+        if weight(kappa):
+            r = r_index(kappa)
+            M[k] = M[index[tuple(x - (j < r) for j, x in enumerate(kappa))]] @ E[r]
+        else:
+            M[k] = np.eye(N)
+        keys, vals = _build_P(kappa, params).arrays()
+        C[k, [index[underline(key)] for key in map(tuple, keys.tolist())]] = vals
+    return (C @ M.reshape(N, N * N)).reshape(N, N, N).transpose(1, 0, 2)
+
+
+def _ring_table(params: ModelParams) -> np.ndarray:
+    """The ring-route values [lam, mu, kappa], read-only, kept on params' bracket table.
+
+    One entry per (n, m), shared by p and -p.  Every row passes the
+    finite-value and support checks of the spectral routes.  Without the
+    level lock the keys of span > m form no ideal, so free parameters raise
+    ``ValueError``.
+    """
     if not params.level_locked:
-        exc = GenericityViolation("free-mode coupling is resonant on the requested span; no limit protocol")
-        return np.zeros((len(heads), len(labels))), {}, dict.fromkeys(range(len(heads)), exc)
-    legs = [
-        _leg(lam, heads, params.with_g_locked(g), cone)
-        for delta in LIMIT_DELTAS
-        for g in (params.g - delta, params.g + delta)
-    ]
-    errors: dict[int, Exception] = {}
-    for _, leg_errors in legs:
-        for j, exc in leg_errors.items():
-            errors.setdefault(j, exc)
-    coarse, fine = (0.5 * (legs[k][0] + legs[k + 1][0]) for k in (0, 2))
-    flagged = np.abs(coarse - fine) > LIMIT_FLAG_TOL
-    flags = {
-        j: frozenset(labels[k] for k in np.flatnonzero(flagged[j]))
-        for j in np.flatnonzero(flagged.any(axis=1)).tolist()
-        if j not in errors
-    }
-    return fine, flags, errors
-
-
-def _lr_row(lam: Partition, params: ModelParams) -> _LRRow:
-    """The LR row of the label lam, kept on params' bracket table."""
+        raise ValueError("the ring route requires level-locked parameters")
     store = coeffs._table(params)
-    key = (params.n, params.m, params.level_locked, lam)
-    row = store.lr_rows.get(key)
-    if row is None:
-        labels, _, groups = _cone(params.n, params.m)
-        values = np.empty((len(labels), len(labels)))
-        flags: dict[int, frozenset] = {}
-        errors: dict[int, Exception] = {}
-        for start, stop in groups:
-            values[start:stop], group_flags, group_errors = _group(lam, labels[start:stop], params, True)
-            flags.update((start + j, f) for j, f in group_flags.items())
-            errors.update((start + j, e) for j, e in group_errors.items())
+    values = store.rings.get((params.n, params.m))
+    if values is None:
+        labels = _cone(params.n, params.m)[0]
+        raw = _ring_raw(params)
+        values = np.stack([_fusion_row(raw[i], labels, i, "lr") for i in range(len(labels))])
         values.flags.writeable = False
-        row = store.lr_rows[key] = _LRRow(values, flags, errors)
-    return row
-
-
-def _raise_copy(exc: Exception):
-    """Raise a fresh copy of a kept exception, so that no traceback builds up on it."""
-    raise type(exc)(*exc.args)
+        store.rings[(params.n, params.m)] = values
+    return values
 
 
 def structure_constants_lr(
     lam, mu, params: ModelParams, return_flags: bool = False
 ):
-    """Fusion structure constants via the ring route (reduced LR coefficients).
+    """Fusion structure constants via the ring route (the Pieri rule on the level cone).
 
-    The pair is read from the row of lam, which is computed for every label
-    mu of the level cone at once (see ``_group`` for the limit protocol at
-    resonant couplings) and kept on params' bracket table.  A pair outside
-    the level cone runs alone and is not kept.  The result is a fresh dict,
-    and with return_flags a fresh set of the flagged keys.
+    The pair is read from the table of ``_ring_table``, which works at every
+    positive level-locked coupling, resonant ones included, after the
+    off-cone rule of ``_pair_index``.  The result is a
+    fresh dict; with return_flags it comes with a set of flagged keys, which
+    is always empty.
     """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    labels, index, _ = _cone(params.n, params.m)
-    if lam in index and mu in index:
-        row, j = _lr_row(lam, params), index[mu]
-        values, flags, errors = row.values, row.flags, row.errors
-    else:
-        values, flags, errors = _group(lam, (mu,), params, False)
-        j = 0
-    if j in errors:
-        _raise_copy(errors[j])
-    out = _nonzero(labels, values[j])
-    return (out, set(flags.get(j, ()))) if return_flags else out
+    pair = _pair_index(lam, mu, params.n, params.m)
+    values = _ring_table(params)  # free parameters raise, off the cone too
+    out = _pair(_cone(params.n, params.m)[0], pair, values.__getitem__)
+    return (out, set()) if return_flags else out
 
 
 def _exp_or_inf(x: float) -> float:
@@ -374,11 +317,6 @@ def _nonzero(labels: tuple[Partition, ...], vec: np.ndarray) -> dict[Partition, 
     return {labels[k]: v for k, v in enumerate(vec.tolist()) if v}
 
 
-def _pair(labels, lam, mu, rows, route: str) -> dict[Partition, float]:
-    i, j = labels.index(check_partition(lam)), labels.index(check_partition(mu))
-    return _nonzero(labels, _fusion_row(rows(i), labels, i, route)[j])
-
-
 def structure_constants_verlinde(
     lam, mu, params: ModelParams, spectrum: SpectrumResult | None = None, seed: int = 0
 ) -> dict[Partition, float]:
@@ -386,8 +324,10 @@ def structure_constants_verlinde(
 
     N^kappa_{lam,mu} = sum_nu S_{lam,nu} S_{mu,nu} Sinv_{nu,kappa} / S_{0,nu}.
     """
+    pair = _pair_index(lam, mu, params.n, params.m)
     sm = s_matrix(params, spectrum=spectrum, seed=seed)
-    return _pair(sm.labels, lam, mu, _verlinde_rows(sm), "verlinde")
+    rows = _verlinde_rows(sm)
+    return _pair(sm.labels, pair, lambda i: _fusion_row(rows(i), sm.labels, i, "verlinde"))
 
 
 def structure_constants_projection(
@@ -398,13 +338,19 @@ def structure_constants_projection(
     N^kappa = c_kappa^2 Delta_kappa sum_nu P_lam(e_nu) P_mu(e_nu)
     conj(P_kappa(e_nu)) dual_nu.  Used as a cross-check of the spectral sum.
     """
+    pair = _pair_index(lam, mu, params.n, params.m)
     spec = spectrum if spectrum is not None else joint_spectrum(params, seed=seed)
-    return _pair(spec.labels, lam, mu, _projection_rows(params, spec), "projection")
+    rows = _projection_rows(params, spec)
+    return _pair(spec.labels, pair, lambda i: _fusion_row(rows(i), spec.labels, i, "projection"))
 
 
 @dataclass(frozen=True, eq=False)
 class FusionTable:
-    """Structure constants N^kappa_{lam,mu} = values[lam, mu, kappa] over ``labels``."""
+    """Structure constants N^kappa_{lam,mu} = values[lam, mu, kappa] over ``labels``.
+
+    ``flagged`` maps a pair to keys flagged as unreliable; it keeps the
+    published format of the tables and is empty on every route.
+    """
 
     params: ModelParams
     labels: tuple[Partition, ...]
@@ -458,12 +404,4 @@ def fusion_table(
     if route != "lr":
         raise ValueError(f"unknown route {route!r}")
     labels = _cone(params.n, params.m)[0]
-    values = np.empty((len(labels),) * 3)
-    flagged: dict[tuple[Partition, Partition], set[Partition]] = {}
-    for i, lam in enumerate(labels):
-        row = _lr_row(lam, params)
-        if row.errors:  # the first failing pair in row-major order
-            _raise_copy(row.errors[min(row.errors)])
-        values[i] = row.values
-        flagged.update(((lam, labels[j]), set(f)) for j, f in row.flags.items())
-    return FusionTable(params=params, labels=labels, values=values, route=route, flagged=flagged)
+    return FusionTable(params=params, labels=labels, values=_ring_table(params), route=route, flagged={})

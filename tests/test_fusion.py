@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from ellfusion import coeffs, fusion, littlewood, operators, polynomials
-from ellfusion.errors import ComputationError, GenericityViolation, TrackingAmbiguity
+from ellfusion import coeffs, fusion, operators, polynomials
+from ellfusion.errors import ComputationError, TrackingAmbiguity
 from ellfusion.kernel import ModelParams, realify, trig_bracket
 from ellfusion.littlewood import lr_coefficients
 from ellfusion.fusion import (
@@ -102,8 +102,6 @@ def test_limit_protocol_at_resonant_coupling():
     assert abs(got[(0, 0)] - t_v[(0, 0)]) < 1e-7
 
 
-@pytest.mark.xfail(raises=ComputationError, strict=True,
-                   reason="the g - 1e-6 leg leaves 4.0e-9 on (7, 5, 5), above SUPPORT_CUT")
 def test_limit_protocol_at_a_half_integer_resonance():
     params = ModelParams.locked(3, 6, 0.5, 0.3)  # [7 + g] vanishes
     got, flags = structure_constants_lr((5, 0, 0), (6, 6, 0), params, return_flags=True)
@@ -112,21 +110,24 @@ def test_limit_protocol_at_a_half_integer_resonance():
     assert all(abs(got[k] - want[k]) < 1e-7 for k in want)
 
 
-def test_other_pairs_of_the_half_integer_resonance_row_match_verlinde():
-    """The row kernel keeps each mu's own exception: one pair raises, the rest of its row do not."""
-    params = ModelParams.locked(3, 6, 0.5, 0.3)
-    coeffs.clear_coeff_caches()
-    with pytest.raises(ComputationError, match=r"support violation: key .+ in \(5, 0, 0\) \* \(6, 6, 0\)"):
-        structure_constants_lr((5, 0, 0), (6, 6, 0), params)
-    sm = s_matrix(params)
-    for mu in sm.labels:
-        if mu == (6, 6, 0):
-            continue
-        got, flags = structure_constants_lr((5, 0, 0), mu, params, return_flags=True)
-        want = structure_constants_verlinde((5, 0, 0), mu, params, spectrum=sm.spectrum)
-        assert not flags
-        for k in set(got) | set(want):
-            assert abs(got.get(k, 0.0) - want.get(k, 0.0)) < 1e-7, (mu, k)
+def test_every_pair_of_the_half_integer_resonance_matches_verlinde():
+    """At n=3 m=6 g=0.5, where [7 + g] vanishes, every ordered pair agrees with Verlinde to 1e-7."""
+    for p in (0.0, 0.3):
+        params = ModelParams.locked(3, 6, 0.5, p)
+        t_v = fusion_table(params, route="verlinde")
+        assert fusion_table(params, route="lr").max_difference(t_v) < 1e-7
+        for i, lam in enumerate(t_v.labels):
+            for j, mu in enumerate(t_v.labels):
+                got, flags = structure_constants_lr(lam, mu, params, return_flags=True)
+                want = t_v.values[i, j]
+                assert not flags
+                assert all(abs(got.get(k, 0.0) - w) < 1e-7 for k, w in zip(t_v.labels, want.tolist()))
+                assert set(got) <= {k for k, w in zip(t_v.labels, want.tolist()) if w}
+
+
+def test_lr_table_at_level_8_of_four_sites_matches_verlinde():
+    params = ModelParams.locked(4, 8, 0.7, 0.3)
+    assert fusion_table(params, route="lr").max_difference(fusion_table(params, route="verlinde")) < 1e-7
 
 
 def _lr_row_of(table, i, j):
@@ -138,7 +139,7 @@ def _lr_row_of(table, i, j):
 @pytest.mark.parametrize("params", [ModelParams.locked(3, 3, 0.7, 0.3), ModelParams.locked(3, 2, 1.0, 0.3)])
 @pytest.mark.parametrize("table_first", [True, False])
 def test_lr_pairs_are_the_rows_of_the_table(params, table_first):
-    """Pair calls and fusion_table(route="lr") read the same kept rows, bit for bit, in either order."""
+    """Pair calls and fusion_table(route="lr") read the same kept table, bit for bit, in either order."""
     coeffs.clear_coeff_caches()
     labels = enumerate_level(params.n, params.m)
     if table_first:
@@ -158,13 +159,19 @@ def test_lr_pairs_are_the_rows_of_the_table(params, table_first):
     "params", [ModelParams.locked(3, 4, 0.7, 0.3), ModelParams.free(3, g=0.65, p=0.3, alpha=2.0, m=3)]
 )
 def test_lr_rows_are_the_reduced_pair_products(params):
-    """Each row kernel gives, bit for bit, the reduced product of every pair taken alone."""
+    """Level-locked, the Pieri table is the reduced product of every pair; free parameters raise."""
     coeffs.clear_coeff_caches()
     labels = enumerate_level(params.n, params.m)
+    if not params.level_locked:
+        with pytest.raises(ValueError, match="level-locked"):
+            structure_constants_lr(labels[1], labels[1], params)
+        return
     for lam in labels:
         for mu in labels:
             want = reduce_mod_ideal(lr_coefficients(lam, mu, params), params)
-            assert structure_constants_lr(lam, mu, params) == {k: v for k, v in want.items() if v}
+            got = structure_constants_lr(lam, mu, params)
+            assert set(got) <= set(want)
+            assert all(abs(got.get(k, 0.0) - v) < 1e-9 for k, v in want.items())
 
 
 def test_lr_results_are_fresh_objects():
@@ -178,65 +185,97 @@ def test_lr_results_are_fresh_objects():
     assert structure_constants_lr((1, 0), (1, 0), params) == want[0]
 
 
+_OFF_CONE = ModelParams.locked(3, 2, 0.7, 0.3)
+
+
 @pytest.mark.parametrize(
     "params, lam, mu",
     [
-        (ModelParams.locked(3, 2, 0.7, 0.3), (1, 0, 0), (3, 1, 0)),  # mu_1 > m
-        (ModelParams.locked(3, 2, 0.7, 0.3), (2, 1, 0), (2, 1, 1)),  # mu_n > 0
-        (ModelParams.locked(3, 2, 0.7, 0.3), (3, 1, 1), (1, 1, 0)),  # lam outside
+        (_OFF_CONE, (1, 0, 0), (3, 1, 0)),  # mu_1 > m
+        (_OFF_CONE, (2, 1, 0), (2, 1, 1)),  # mu_n > 0
+        (_OFF_CONE, (3, 1, 1), (1, 1, 0)),  # lam outside
         (ModelParams.free(3, g=0.65, p=0.3, alpha=2.0, m=2), (2, 1, 0), (3, 2, 1)),
     ],
 )
 def test_lr_pair_outside_the_level_cone(params, lam, mu):
-    """A pair outside the cone runs alone: the reduced LR product, and no row is kept for it."""
+    """A factor outside the cone is underlined, one of span > m gives {}; free parameters raise."""
     coeffs.clear_coeff_caches()
+    if not params.level_locked:
+        with pytest.raises(ValueError, match="level-locked"):
+            structure_constants_lr(lam, mu, params, return_flags=True)
+        return
     got, flags = structure_constants_lr(lam, mu, params, return_flags=True)
     assert flags == set()
-    assert got == reduce_mod_ideal(lr_coefficients(lam, mu, params), params)
-    assert coeffs._table(params).lr_rows == {}
+    want = {} if max(span(lam), span(mu)) > params.m else structure_constants_lr(underline(lam), underline(mu), params)
+    assert got == want
+    reduced = reduce_mod_ideal(lr_coefficients(lam, mu, params), params)
+    assert set(got) <= set(reduced)
+    assert all(abs(got.get(k, 0.0) - v) < 1e-9 for k, v in reduced.items())
+
+
+@pytest.mark.parametrize("route", ["lr", "verlinde", "projection"])
+def test_one_off_cone_rule_for_every_pair_function(route):
+    pair_function = {
+        "lr": structure_constants_lr,
+        "verlinde": structure_constants_verlinde,
+        "projection": structure_constants_projection,
+    }[route]
+    params = _OFF_CONE
+    got = pair_function((3, 1, 1), (1, 1, 0), params)
+    assert got == pair_function((2, 0, 0), (1, 1, 0), params)
+    assert abs(got[(1, 0, 0)] - 1.5754) < 1e-4 and set(got) == {(1, 0, 0)}
+    assert pair_function((2, 1, 0), (2, 1, 1), params) == pair_function((2, 1, 0), (1, 0, 0), params)
+    assert pair_function((1, 0, 0), (3, 1, 0), params) == {}
+    assert pair_function((4, 1, 1), (0, 0, 0), params) == {}
+    for bad in [((1, 0), (1, 0, 0)), ((1, 0, 0), (1, 0, 0, 0))]:
+        with pytest.raises(ValueError, match="does not match n=3"):
+            pair_function(*bad, params)
+    with pytest.raises(ValueError):
+        pair_function((0, 1, 0), (1, 0, 0), params)
 
 
 def test_lr_pair_outside_the_level_cone_at_a_resonance():
-    """Outside the cone the limit protocol averages the reduced legs, as pair by pair."""
+    """At a resonant coupling the off-cone rule is the same as at a generic one."""
     params = ModelParams.locked(2, 1, 1.0, 0.0)
-    lam, mu = (1, 0), (2, 0)
-    legs = [
-        reduce_mod_ideal(lr_coefficients(lam, mu, params.with_g_locked(params.g + s * delta)), params)
-        for delta in fusion.LIMIT_DELTAS
-        for s in (-1, 1)
-    ]
-    fine = {k: 0.5 * (legs[2].get(k, 0.0) + legs[3].get(k, 0.0)) for k in set(legs[2]) | set(legs[3])}
-    assert structure_constants_lr(lam, mu, params) == {k: v for k, v in fine.items() if v}
+    assert structure_constants_lr((1, 0), (2, 0), params) == {}
+    assert structure_constants_lr((1, 0), (1, 1), params) == structure_constants_lr((1, 0), (0, 0), params)
+    assert structure_constants_lr((2, 1), (1, 0), params) == structure_constants_lr((1, 0), (1, 0), params)
 
 
 def test_free_parameters_that_differ_in_m_share_a_table_but_not_rows():
+    """Free parameters share a bracket table across m, and the ring route raises for both."""
     small = ModelParams.free(3, g=0.65, p=0.3, alpha=2.0, m=2)
     large = ModelParams.free(3, g=0.65, p=0.3, alpha=2.0, m=3)
     coeffs.clear_coeff_caches()
     assert coeffs._table(small) is coeffs._table(large)
-    a = structure_constants_lr((2, 1, 0), (2, 0, 0), small)
-    b = structure_constants_lr((2, 1, 0), (2, 0, 0), large)
-    assert a == reduce_mod_ideal(lr_coefficients((2, 1, 0), (2, 0, 0), small), small)
-    assert b == reduce_mod_ideal(lr_coefficients((2, 1, 0), (2, 0, 0), large), large)
-    assert (3, 2, 0) in b and (3, 2, 0) not in a  # span 3 survives only at m = 3
-    rows = coeffs._table(small).lr_rows
-    assert set(rows) == {(3, 2, False, (2, 1, 0)), (3, 3, False, (2, 1, 0))}
+    for params in (small, large):
+        with pytest.raises(ValueError, match="level-locked"):
+            structure_constants_lr((2, 1, 0), (2, 0, 0), params)
+        with pytest.raises(ValueError, match="level-locked"):
+            fusion_table(params, route="lr")
+    assert coeffs._table(small).rings == {}
     coeffs.clear_coeff_caches()
 
 
-def test_lr_pairs_after_the_table_run_no_kernel(monkeypatch):
-    """Once fusion_table(route="lr") has run, every pair call reads its row."""
-    params = ModelParams.locked(3, 3, 0.7, 0.3)
-    coeffs.clear_coeff_caches()
-    table = fusion_table(params, route="lr")
+def _count_ring_builders(monkeypatch):
     calls = []
 
     def counting(name, real):
         return lambda *args: calls.append(name) or real(*args)
 
-    monkeypatch.setattr(fusion, "_products", counting("_products", fusion._products))
-    for module in (polynomials, littlewood):
-        monkeypatch.setattr(module, "_poly", counting("_poly", module._poly))
+    for name in ("_build_P", "_pieri"):
+        monkeypatch.setattr(fusion, name, counting(name, getattr(fusion, name)))
+    return calls
+
+
+def test_lr_pairs_after_the_table_run_no_kernel(monkeypatch):
+    """Once fusion_table(route="lr") has run, every pair call reads its table."""
+    params = ModelParams.locked(3, 3, 0.7, 0.3)
+    coeffs.clear_coeff_caches()
+    calls = _count_ring_builders(monkeypatch)
+    table = fusion_table(params, route="lr")
+    assert "_build_P" in calls and "_pieri" in calls
+    calls.clear()
     for i, lam in enumerate(table.labels):
         for j, mu in enumerate(table.labels):
             assert structure_constants_lr(lam, mu, params, return_flags=True) == _lr_row_of(table, i, j)
@@ -244,15 +283,41 @@ def test_lr_pairs_after_the_table_run_no_kernel(monkeypatch):
     coeffs.clear_coeff_caches()
 
 
+def test_lr_table_at_minus_p_is_the_table_at_plus_p(monkeypatch):
+    coeffs.clear_coeff_caches()
+    plus = fusion_table(ModelParams.locked(3, 4, 0.7, 0.3), route="lr")
+    pair = structure_constants_lr((2, 1, 0), (3, 1, 0), ModelParams.locked(3, 4, 0.7, 0.3))
+    calls = _count_ring_builders(monkeypatch)
+    minus_params = ModelParams.locked(3, 4, 0.7, -0.3)
+    assert structure_constants_lr((2, 1, 0), (3, 1, 0), minus_params) == pair
+    minus = fusion_table(minus_params, route="lr")
+    assert calls == []
+    assert minus.values is plus.values and minus.params == minus_params
+    coeffs.clear_coeff_caches()
+
+
+def test_lr_route_runs_without_the_spectrum(monkeypatch):
+    """The ring route reads no spectrum and calls no eig, so route agreement compares two computations."""
+    params = ModelParams.locked(3, 3, 0.7, 0.3)
+    want = fusion_table(params, route="verlinde")
+    coeffs.clear_coeff_caches()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ring route reached the spectral chain")
+
+    monkeypatch.setattr(operators, "joint_spectrum", refuse)
+    monkeypatch.setattr(fusion, "joint_spectrum", refuse)
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    assert fusion_table(params, route="lr").max_difference(want) < 1e-7
+    coeffs.clear_coeff_caches()
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 3), m=st.integers(1, 3), g=st.floats(0.3, 1.9), p=st.floats(-0.6, 0.6))
 def test_lr_table_matches_verlinde(n, m, g, p):
-    """The row kernels give the Verlinde table, with no flags, wherever the ring route applies."""
+    """The Pieri table is the Verlinde table, with no flags, resonant couplings included."""
     params = ModelParams.locked(n, m, g, p)
-    try:
-        table = fusion_table(params, route="lr")
-    except GenericityViolation:
-        reject()
+    table = fusion_table(params, route="lr")
     assert not table.flagged
     assert table.max_difference(fusion_table(params, route="verlinde")) < 1e-7
 

@@ -273,18 +273,3 @@ def test_lr_path_validates_each_factor_once(monkeypatch):
     params = ModelParams.locked(3, 3, 0.7, 0.3)
     fusion.structure_constants_lr((2, 1, 0), (1, 1, 0), params)
     assert calls == [(2, 1, 0), (1, 1, 0)]
-    calls.clear()
-    # the limit protocol at a resonant coupling, one validation: the row of (1, 0) runs
-    # its generic weight-0 group once and its resonant weight-1 group as four legs
-    products = []
-    real = fusion._products
-
-    def counted_products(lam, group, params, *rest):
-        products.append((group.heads, params.g))
-        return real(lam, group, params, *rest)
-
-    monkeypatch.setattr(fusion, "_products", counted_products)
-    fusion.structure_constants_lr([1, 0], (1, 0), ModelParams.locked(2, 1, 1.0, 0.0))
-    assert [heads for heads, _ in products] == [((0, 0),)] + [((1, 0),)] * 4
-    assert len({g for _, g in products[1:]}) == 4
-    assert calls == [[1, 0], (1, 0)]
