@@ -4,7 +4,9 @@ Subcommands: poly, lr, pieri, spectrum, fusion, smatrix, verify.  Output is
 canonical JSON (CSV for the tabular commands): keys in fixed order, floats
 in shortest round-trip form, complex numbers as {"re":, "im":} pairs, and
 the full parameter header plus RNG seed embedded in every payload.  Files
-are written atomically.  Exit codes: 0 success, 1 computational error
+are written atomically, chunk by chunk into a temp file that is renamed into
+place; stdout gets the whole text at once, so an error prints nothing.
+Exit codes: 0 success, 1 computational error
 (error class name on stderr), 2 usage error (a bad flag, or a ValueError of
 the library's argument validation, in one line on stderr).
 """
@@ -17,7 +19,9 @@ import math
 import os
 import sys
 import tempfile
-from itertools import islice
+from collections.abc import Iterable
+from dataclasses import dataclass
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -28,7 +32,7 @@ from .littlewood import lr_coefficients
 from .operators import joint_spectrum
 from .partitions import canonical_key, check_partition, vertical_strips
 from .polynomials import build_P
-from .fusion import FusionTable, fusion_pieri, fusion_table, s_matrix
+from .fusion import FusionTable, _table_rows, fusion_pieri, fusion_table, s_matrix
 from .verification import SUITES, run_suite
 from . import coeffs
 from .kernel import realify
@@ -125,15 +129,21 @@ def _cnum(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(chunks, out_path: str | None) -> None:
+    """Write text chunks to stdout, or into a temp file renamed to out_path.
+
+    stdout gets the chunks joined first, so an error while they are made
+    prints nothing.  A file gets each chunk as it is made; on an error the
+    temp file is removed and a file already at out_path keeps its bytes.
+    """
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.write("".join(chunks))
         return
     directory = os.path.dirname(os.path.abspath(out_path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ellfusion-")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, out_path)
     except BaseException:
         if os.path.exists(tmp):
@@ -150,20 +160,25 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-def _json_text(payload) -> str:
-    """``json.dumps(payload, indent=2, allow_nan=False)``, byte for byte.
+@dataclass(frozen=True)
+class _TableRows:
+    """A fusion table that the writers read once: its labels and its rows values[lam] ([mu, kappa])."""
+
+    labels: tuple
+    rows: Iterable[np.ndarray]
+
+
+def _json_chunks(payload):
+    """The text of ``json.dumps(payload, indent=2, allow_nan=False)``, in chunks made as they are read.
 
     With an indent, json falls back to its pure-Python encoder, one
-    generator per container.  This writer appends to one list of chunks
-    instead, writes scalars inline and a list of plain ints or floats with
-    one join.  It handles dicts with str keys, lists, tuples, str, int,
-    float, bool and None of exactly those types; any other value (a
-    subclass, a non-string key) goes to json.dumps, its newlines indented to
-    its depth.  A ``FusionTable`` is written as its list of per-pair blocks
-    (see ``_fusion_table_chunks``).
+    generator per container.  This writer writes scalars inline and a list
+    of plain ints or floats with one join.  It handles dicts with str keys,
+    lists, tuples, str, int, float, bool and None of exactly those types;
+    any other value (a subclass, a non-string key) goes to json.dumps, its
+    newlines indented to its depth.  A ``FusionTable`` or ``_TableRows`` is
+    written as its list of per-pair blocks (see ``_fusion_table_chunks``).
     """
-    chunks: list[str] = []
-    put = chunks.append
     text_of = {
         str: encode_basestring_ascii,
         float: _float_text,
@@ -172,52 +187,59 @@ def _json_text(payload) -> str:
         type(None): lambda _: "null",
     }.get
 
-    def write(o, newline: str) -> None:
-        """Write the container o, whose line starts with newline (scalars are the caller's)."""
+    def write(o, newline: str):
+        """The chunks of the container o, whose line starts with newline (scalars are the caller's)."""
         kind = type(o)
         inner = newline + "  "
         if kind is list or kind is tuple:
             if not o:
-                put("[]")
+                yield "[]"
                 return
             kinds = set(map(type, o))
             if len(kinds) == 1 and kinds <= {int, float}:
-                put(_list_text(map(text_of(kinds.pop()), o), newline))
+                yield _list_text(map(text_of(kinds.pop()), o), newline)
                 return
             sep = "[" + inner
             for v in o:
                 text = text_of(type(v))
                 if text is None:
-                    put(sep)
-                    write(v, inner)
+                    yield sep
+                    yield from write(v, inner)
                 else:
-                    put(sep + text(v))
+                    yield sep + text(v)
                 sep = "," + inner
-            put(newline + "]")
+            yield newline + "]"
         elif kind is dict and _STR_ONLY.issuperset(map(type, o)):
             if not o:
-                put("{}")
+                yield "{}"
                 return
             sep = "{" + inner
             for k, v in o.items():
                 text = text_of(type(v))
                 if text is None:
-                    put(sep + encode_basestring_ascii(k) + ": ")
-                    write(v, inner)
+                    yield sep + encode_basestring_ascii(k) + ": "
+                    yield from write(v, inner)
                 else:
-                    put(sep + encode_basestring_ascii(k) + ": " + text(v))
+                    yield sep + encode_basestring_ascii(k) + ": " + text(v)
                 sep = "," + inner
-            put(newline + "}")
+            yield newline + "}"
         elif kind is FusionTable:
-            chunks.extend(_fusion_table_chunks(o, newline))
+            yield from _fusion_table_chunks(o.labels, o.values, o.flagged, newline)
+        elif kind is _TableRows:
+            yield from _fusion_table_chunks(o.labels, o.rows, {}, newline)
         else:  # subclasses, non-string keys, and what json rejects
-            put(json.dumps(o, indent=2, allow_nan=False).replace("\n", newline))
+            yield json.dumps(o, indent=2, allow_nan=False).replace("\n", newline)
 
     text = text_of(type(payload))
     if text is not None:
-        return text(payload)
-    write(payload, "\n")
-    return "".join(chunks)
+        yield text(payload)
+    else:
+        yield from write(payload, "\n")
+
+
+def _json_text(payload) -> str:
+    """``json.dumps(payload, indent=2, allow_nan=False)``, byte for byte."""
+    return "".join(_json_chunks(payload))
 
 
 def _list_text(items, newline: str) -> str:
@@ -227,19 +249,17 @@ def _list_text(items, newline: str) -> str:
     return "[" + inner + text + newline + "]" if text else "[]"
 
 
-def _fusion_table_chunks(table: FusionTable, newline: str):
-    """The blocks of a fusion table as indented JSON, read from ``table.values``.
+def _fusion_table_chunks(labels, rows, flagged, newline: str):
+    """The blocks of a fusion table as indented JSON, one row values[lam] ([mu, kappa]) at a time.
 
     One block per ordered pair (lam, mu), in label order: ``{"lam", "mu",
     "entries": [{"kappa", "value"}, ...], "flagged": [...]}``, with the
-    nonzero values in kappa order and the flagged kappas in canonical order.
-    The chunks join to the bytes of ``json.dumps(blocks, indent=2)`` at this
-    depth; each label's text is built once per depth, and a non-finite value
-    raises ValueError, as json.dumps does.
+    nonzero values in kappa order and the flagged kappas (``flagged`` maps a
+    pair to them) in canonical order.  The chunks join to the bytes of
+    ``json.dumps(blocks, indent=2)`` at this depth; each label's text is
+    built once per depth, and a non-finite value raises ValueError, as
+    json.dumps does, before any chunk of its row.
     """
-    values, labels = table.values, table.labels
-    if not np.isfinite(values).all():
-        raise ValueError("Out of range float values are not JSON compliant")
     i1 = newline + "  "  # a block
     i2 = i1 + "  "  # its keys
     i3 = i2 + "  "  # an entry, a flagged label
@@ -249,43 +269,46 @@ def _fusion_table_chunks(table: FusionTable, newline: str):
         "{" + i4 + '"kappa": ' + _list_text(map(int.__repr__, kappa), i4) + "," + i4 + '"value": '
         for kappa in labels
     ]
-    nonzero = values != 0
-    counts = iter(nonzero.sum(axis=2).ravel().tolist())  # pair by pair
-    entries = zip(np.nonzero(nonzero)[2].tolist(), values[nonzero].tolist())  # and kappa ascending
+    entry_sep, entry_end = i3 + "}," + i3, i3 + "}" + i2 + "]"  # between entries, after the last
     lead = "[" + i1
-    for i, lam in enumerate(labels):
+    for i, (lam, row) in enumerate(zip(labels, rows)):
+        if not np.isfinite(row).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        nonzero = row != 0
+        counts = nonzero.sum(axis=1).tolist()  # mu by mu
+        kappas, values = np.nonzero(nonzero)[1].tolist(), row[nonzero].tolist()  # and kappa ascending
+        entries = map(str.__add__, map(entry_head.__getitem__, kappas), map(float.__repr__, values))
         head = "{" + i2 + '"lam": ' + pair_text[i] + "," + i2 + '"mu": '
+        blocks = []
         for j, mu in enumerate(labels):
-            body = _list_text(
-                (entry_head[k] + float.__repr__(v) + i3 + "}" for k, v in islice(entries, next(counts))), i2
+            count = counts[j]
+            body = "[" + i3 + entry_sep.join(islice(entries, count)) + entry_end if count else "[]"
+            flags = sorted(flagged.get((lam, mu), ()), key=canonical_key)
+            flagged_text = _list_text((_list_text(map(int.__repr__, k), i3) for k in flags), i2)
+            blocks.append(
+                head + pair_text[j] + "," + i2 + '"entries": ' + body
+                + "," + i2 + '"flagged": ' + flagged_text + i1 + "}"
             )
-            flags = sorted(table.flagged.get((lam, mu), ()), key=canonical_key)
-            flagged = _list_text((_list_text(map(int.__repr__, k), i3) for k in flags), i2)
-            yield (
-                lead + head + pair_text[j] + "," + i2 + '"entries": ' + body
-                + "," + i2 + '"flagged": ' + flagged + i1 + "}"
-            )
-            lead = "," + i1
+        yield lead + ("," + i1).join(blocks)  # one chunk per row lam
+        lead = "," + i1
     yield newline + "]"
 
 
 def _emit_json(payload: dict, out_path: str | None) -> None:
     try:
-        text = _json_text(payload)
+        _emit(chain(_json_chunks(payload), ["\n"]), out_path)
     except ValueError as exc:  # NaN or infinity: strict JSON has no spelling for them
         raise ComputationError(f"non-finite value in the {payload['command']} payload") from exc
-    _emit(text + "\n", out_path)
 
 
 def _finite_or_null(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def _emit_csv(rows: list[list], header: list[str], out_path: str | None) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(x) for x in row))
-    _emit("\n".join(lines) + "\n", out_path)
+def _emit_csv(rows, header: list[str], out_path: str | None) -> None:
+    """Write the header and then each row, as they are read, one CSV line each."""
+    lines = (",".join(map(str, row)) + "\n" for row in chain([header], rows))
+    _emit(lines, out_path)
 
 
 def _header(command: str, params: ModelParams, seed: int) -> dict:
@@ -364,14 +387,14 @@ def _cmd_spectrum(args, parser) -> int:
     return 0
 
 
-def _fusion_csv_rows(table: FusionTable) -> list[list]:
-    """One row (lam, mu, kappa, value) per nonzero value, in label order."""
-    text = [_fmt_partition(lam) for lam in table.labels]
-    nonzero = table.values != 0
-    index = zip(*(axis.tolist() for axis in np.nonzero(nonzero)))
-    return [
-        [text[i], text[j], text[k], v] for (i, j, k), v in zip(index, table.values[nonzero].tolist())
-    ]
+def _fusion_csv_rows(labels, rows):
+    """One row (lam, mu, kappa, value) per nonzero value, in label order, read one table row at a time."""
+    text = [_fmt_partition(lam) for lam in labels]
+    for i, row in enumerate(rows):
+        nonzero = row != 0
+        index = zip(*(axis.tolist() for axis in np.nonzero(nonzero)))
+        for (j, k), v in zip(index, row[nonzero].tolist()):
+            yield [text[i], text[j], text[k], v]
 
 
 def _cmd_fusion(args, parser) -> int:
@@ -381,11 +404,11 @@ def _cmd_fusion(args, parser) -> int:
     payload = _header("fusion", params, args.seed)
     payload["route"] = args.route
     if args.route in ("verlinde", "lr"):
-        table = fusion_table(params, route=args.route, seed=args.seed)
+        labels, rows = _table_rows(params, args.route, seed=args.seed)  # never the whole table
         if args.format == "csv":
-            _emit_csv(_fusion_csv_rows(table), ["lam", "mu", "kappa", "value"], args.out)
+            _emit_csv(_fusion_csv_rows(labels, rows), ["lam", "mu", "kappa", "value"], args.out)
             return 0
-        payload["table"] = table
+        payload["table"] = _TableRows(labels, rows)
     else:
         t_v = fusion_table(params, route="verlinde", seed=args.seed)
         t_lr = fusion_table(params, route="lr", seed=args.seed)

@@ -165,9 +165,7 @@ def _ring_table(params: ModelParams) -> np.ndarray:
     store = coeffs._table(params)
     values = store.rings.get((params.n, params.m))
     if values is None:
-        labels = _cone(params.n, params.m)[0]
-        raw = _ring_raw(params)
-        values = np.stack([_fusion_row(raw[i], labels, i, "lr") for i in range(len(labels))])
+        values = _stack(_cone(params.n, params.m)[0], _ring_raw(params).__getitem__, "lr")
         values.flags.writeable = False
         store.rings[(params.n, params.m)] = values
     return values
@@ -262,17 +260,18 @@ def s_matrix(params: ModelParams, spectrum: SpectrumResult | None = None, seed: 
     )
 
 
-def _support_row(keys: np.ndarray, i: int) -> np.ndarray:
-    """Support mask [mu, kappa] of the row lam = keys[i]; kappa_n = 0 forces s >= 0."""
-    w = keys.sum(axis=1)
+def _support_row(keys: np.ndarray, w: np.ndarray, i: int) -> np.ndarray:
+    """Support mask [mu, kappa] of the row lam = keys[i], w the label weights; kappa_n = 0 forces s >= 0."""
     s, rem = np.divmod(w[i] + w[:, None] - w[None, :], keys.shape[1])
     cover = np.maximum(keys[i], keys)
     inside = (keys[None, :, :] + s[:, :, None] >= cover[:, None, :]).all(axis=2)
     return (rem == 0) & inside
 
 
-def _fusion_row(raw: np.ndarray, labels: tuple[Partition, ...], i: int, route: str) -> np.ndarray:
-    """Real structure constants [mu, kappa] of the row lam = labels[i] from its raw block.
+def _fusion_row(
+    raw: np.ndarray, labels: tuple[Partition, ...], i: int, route: str, mask: np.ndarray
+) -> np.ndarray:
+    """Real structure constants [mu, kappa] of the row lam = labels[i] from its raw block and support mask.
 
     A non-finite value raises.  Per pair, scale = max(1, max |raw|).  Off the support
     |raw| > FUSION_IMAG_TOL * scale, or on it an imaginary part > FUSION_IMAG_TOL *
@@ -285,7 +284,6 @@ def _fusion_row(raw: np.ndarray, labels: tuple[Partition, ...], i: int, route: s
             f"fusion non-finite value: {labels[k]} -> {complex(raw[j, k])!r} "
             f"in {labels[i]} x {labels[j]} ({route})"
         )
-    mask = _support_row(np.array(labels), i)
     mag, re = np.abs(raw), raw.real
     scale = np.maximum(1.0, mag.max(axis=1, keepdims=True))
     residue = np.abs(raw.imag) > FUSION_IMAG_TOL * np.maximum(1.0, np.abs(re))
@@ -298,6 +296,18 @@ def _fusion_row(raw: np.ndarray, labels: tuple[Partition, ...], i: int, route: s
             f"in {labels[i]} x {labels[j]} ({route})"
         )
     return np.where(mask & (np.abs(re) > _DROP_REL * scale), re, 0.0)
+
+
+def _fusion_rows(labels: tuple[Partition, ...], raw, route: str, indices=None):
+    """The finished rows [mu, kappa] of labels[i] from raw(i), for i in indices (default: each label in order).
+
+    Each row is computed as it is read.  The label array and weights of the
+    support masks are built once per call.
+    """
+    keys = np.array(labels)
+    w = keys.sum(axis=1)
+    for i in range(len(labels)) if indices is None else indices:
+        yield _fusion_row(raw(i), labels, i, route, _support_row(keys, w, i))
 
 
 def _verlinde_rows(sm: SMatrixData):
@@ -327,7 +337,7 @@ def structure_constants_verlinde(
     pair = _pair_index(lam, mu, params.n, params.m)
     sm = s_matrix(params, spectrum=spectrum, seed=seed)
     rows = _verlinde_rows(sm)
-    return _pair(sm.labels, pair, lambda i: _fusion_row(rows(i), sm.labels, i, "verlinde"))
+    return _pair(sm.labels, pair, lambda i: next(_fusion_rows(sm.labels, rows, "verlinde", [i])))
 
 
 def structure_constants_projection(
@@ -341,7 +351,7 @@ def structure_constants_projection(
     pair = _pair_index(lam, mu, params.n, params.m)
     spec = spectrum if spectrum is not None else joint_spectrum(params, seed=seed)
     rows = _projection_rows(params, spec)
-    return _pair(spec.labels, pair, lambda i: _fusion_row(rows(i), spec.labels, i, "projection"))
+    return _pair(spec.labels, pair, lambda i: next(_fusion_rows(spec.labels, rows, "projection", [i])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,11 +384,17 @@ class FusionTable:
         return float(np.abs(self.values - other.values).max())
 
 
-def _table(params: ModelParams, labels, rows, route: str) -> FusionTable:
+def _stack(labels: tuple[Partition, ...], raw, route: str) -> np.ndarray:
+    """The rows of ``_fusion_rows`` in one array [lam, mu, kappa]."""
     N = len(labels)
     values = np.empty((N, N, N))
-    for i in range(N):
-        values[i] = _fusion_row(rows(i), labels, i, route)
+    for i, row in enumerate(_fusion_rows(labels, raw, route)):
+        values[i] = row
+    return values
+
+
+def _table(params: ModelParams, labels, raw, route: str) -> FusionTable:
+    values = _stack(labels, raw, route)
     return FusionTable(params=params, labels=labels, values=values, route=route, flagged={})
 
 
@@ -405,3 +421,16 @@ def fusion_table(
         raise ValueError(f"unknown route {route!r}")
     labels = _cone(params.n, params.m)[0]
     return FusionTable(params=params, labels=labels, values=_ring_table(params), route=route, flagged={})
+
+
+def _table_rows(params: ModelParams, route: str, seed: int = 0):
+    """The labels and the rows values[lam] ([mu, kappa]) of ``fusion_table(params, route)``, in label order.
+
+    For a writer that never holds the whole table: on route "verlinde" the
+    rows are computed as they are read, on route "lr" they are views of the
+    kept read-only table.
+    """
+    if route == "verlinde":
+        sm = s_matrix(params, seed=seed)
+        return sm.labels, _fusion_rows(sm.labels, _verlinde_rows(sm), "verlinde")
+    return _cone(params.n, params.m)[0], iter(_ring_table(params))

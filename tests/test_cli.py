@@ -396,7 +396,7 @@ def test_fusion_writer_rejects_a_non_finite_value(bad, capsys):
 
 def test_fusion_csv_rows_are_those_of_the_blocks(tmp_path, capsys):
     table = _hand_table()
-    assert _fusion_csv_rows(table) == _csv_rows(table)
+    assert list(_fusion_csv_rows(table.labels, table.values)) == _csv_rows(table)
     for route in ("verlinde", "lr"):
         path = tmp_path / f"{route}.csv"
         args = ["fusion", "--n", "3", "--m", "2", "--g", "0.7", "--p", "0.3", "--route", route]
@@ -404,3 +404,98 @@ def test_fusion_csv_rows_are_those_of_the_blocks(tmp_path, capsys):
         rows = _csv_rows(fusion_table(ModelParams.locked(3, 2, 0.7, 0.3), route=route))
         want = "\n".join(["lam,mu,kappa,value", *(",".join(map(str, row)) for row in rows)]) + "\n"
         assert path.read_text() == want
+
+
+def _spy_verlinde_rows(monkeypatch, on_row):
+    """Patch the Verlinde row source so that on_row(i) runs before raw row i is computed."""
+    from ellfusion import fusion
+
+    verlinde_rows = fusion._verlinde_rows
+
+    def spied(sm):
+        raw = verlinde_rows(sm)
+
+        def row(i):
+            on_row(i)
+            return raw(i)
+
+        return row
+
+    monkeypatch.setattr(fusion, "_verlinde_rows", spied)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_an_error_mid_table_writes_nothing(fmt, monkeypatch, tmp_path, capsys):
+    """A row that raises mid-table: exit 1 and one stderr line; a file already at --out
+    keeps its bytes and no temp file is left; without --out stdout stays empty."""
+
+    def fail_at_row_3(i):
+        if i == 3:
+            raise ComputationError("row 3 failed")
+
+    _spy_verlinde_rows(monkeypatch, fail_at_row_3)
+    path = tmp_path / "table.out"
+    path.write_bytes(b"earlier bytes\n")
+    args = ["fusion", "--n", "3", "--m", "2", "--g", "0.7", "--p", "0.3", "--format", fmt]
+    code, out, err = run_cli([*args, "--out", str(path)], capsys)
+    assert (code, out, err) == (1, "", "ComputationError: row 3 failed\n")
+    assert path.read_bytes() == b"earlier bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["table.out"]
+    code, out, err = run_cli(args, capsys)
+    assert (code, out, err) == (1, "", "ComputationError: row 3 failed\n")
+
+
+def test_fusion_file_output_is_written_as_the_rows_are_computed(monkeypatch, tmp_path):
+    """The first table block reaches the file handle before the last row is computed,
+    and the Verlinde route builds no dense (N, N, N) table."""
+    from ellfusion import cli, fusion
+
+    events = []
+    _spy_verlinde_rows(monkeypatch, lambda i: events.append(("row", i)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense table was built")
+
+    monkeypatch.setattr(fusion, "_table", refuse)
+    monkeypatch.setattr(cli, "fusion_table", refuse)
+    fdopen = os.fdopen
+
+    class Handle:
+        """A file that records each chunk written to it."""
+
+        def __init__(self, *args, **kwargs):
+            self.file = fdopen(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.file.__exit__(*exc)
+
+        def write(self, text):
+            events.append(("write", text))
+            return self.file.write(text)
+
+        def writelines(self, lines):
+            for line in lines:
+                self.write(line)
+
+    monkeypatch.setattr(os, "fdopen", Handle)
+    path = tmp_path / "table.json"
+    assert main(["fusion", "--n", "3", "--m", "3", "--g", "0.7", "--p", "0.3", "--out", str(path)]) == 0
+    N = len(enumerate_level(3, 3))
+    assert [e for e in events if e[0] == "row"] == [("row", i) for i in range(N)]
+    first_block = next(k for k, (kind, what) in enumerate(events) if kind == "write" and '"lam"' in what)
+    assert first_block < events.index(("row", N - 1))
+    assert path.read_text() == "".join(what for kind, what in events if kind == "write")
+
+
+def test_lr_rows_are_views_of_the_kept_ring_table():
+    from ellfusion import fusion
+
+    params = ModelParams.locked(3, 3, 0.7, 0.3)
+    labels, rows = fusion._table_rows(params, "lr")
+    table = fusion._ring_table(params)
+    rows = list(rows)
+    assert len(rows) == len(labels) == len(table)
+    assert all(row.base is table for row in rows)

@@ -358,8 +358,9 @@ def test_support_mask_matches_brute_force():
     for n in (2, 3, 4):
         for m in range(1, 5):
             labels = enumerate_level(n, m)
+            keys = np.array(labels)
             for i, lam in enumerate(labels):
-                mask = fusion._support_row(np.array(labels), i)
+                mask = fusion._support_row(keys, keys.sum(axis=1), i)
                 for j, mu in enumerate(labels):
                     got = {labels[k] for k in np.flatnonzero(mask[j])}
                     assert got == _brute_support(lam, mu, m), (n, m, lam, mu)
@@ -410,15 +411,16 @@ def test_non_finite_raw_value_raises(route, bad, on_support):
     sm = s_matrix(params)
     rows = fusion._verlinde_rows(sm) if route == "verlinde" else fusion._projection_rows(params, sm.spectrum)
     labels, i = sm.labels, 1
-    mask = fusion._support_row(np.array(labels), i)
+    keys = np.array(labels)
+    mask = fusion._support_row(keys, keys.sum(axis=1), i)
     j, k = np.argwhere(mask if on_support else ~mask)[0]
     raw = rows(i).copy()
-    fusion._fusion_row(raw, labels, i, route)  # finite: no error
+    fusion._fusion_row(raw, labels, i, route, mask)  # finite: no error
     raw[j, k] = bad
     kappa, lam, mu = (re.escape(str(labels[x])) for x in (k, i, j))
     message = rf"^fusion non-finite value: {kappa} -> .+ in {lam} x {mu} \({route}\)$"
     with pytest.raises(ComputationError, match=message):
-        fusion._fusion_row(raw, labels, i, route)
+        fusion._fusion_row(raw, labels, i, route, mask)
 
 
 def test_fusion_table_associativity():
