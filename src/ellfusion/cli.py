@@ -135,6 +135,8 @@ def _emit(chunks, out_path: str | None) -> None:
     stdout gets the chunks joined first, so an error while they are made
     prints nothing.  A file gets each chunk as it is made; on an error the
     temp file is removed and a file already at out_path keeps its bytes.
+    ``mkstemp`` creates the temp file with mode 0600, so it is given the
+    mode a plain ``open`` would give, 0666 less the umask, before the rename.
     """
     if out_path is None:
         sys.stdout.write("".join(chunks))
@@ -144,6 +146,9 @@ def _emit(chunks, out_path: str | None) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.writelines(chunks)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, out_path)
     except BaseException:
         if os.path.exists(tmp):

@@ -499,3 +499,15 @@ def test_lr_rows_are_views_of_the_kept_ring_table():
     rows = list(rows)
     assert len(rows) == len(labels) == len(table)
     assert all(row.base is table for row in rows)
+
+
+def test_file_output_follows_the_umask(tmp_path):
+    """--out files get 0666 less the umask, as a plain open would give, not mkstemp's 0600."""
+    path = tmp_path / "table.json"
+    old = os.umask(0o022)
+    try:
+        assert main(["fusion", "--n", "2", "--m", "2", "--g", "0.7", "--p", "0.3", "--out", str(path)]) == 0
+    finally:
+        os.umask(old)
+    assert path.stat().st_mode & 0o777 == 0o644
+    assert [p.name for p in tmp_path.iterdir()] == ["table.json"]
