@@ -21,7 +21,7 @@ import sys
 import tempfile
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -177,8 +177,9 @@ def _json_chunks(payload):
     """The text of ``json.dumps(payload, indent=2, allow_nan=False)``, in chunks made as they are read.
 
     With an indent, json falls back to its pure-Python encoder, one
-    generator per container.  This writer writes scalars inline and a list
-    of plain ints or floats with one join.  It handles dicts with str keys,
+    generator per container.  This writer writes scalars inline, and a list
+    of plain ints or floats, or a dict whose values are all scalars (such as
+    a {"re", "im"} pair), as one string.  It handles dicts with str keys,
     lists, tuples, str, int, float, bool and None of exactly those types;
     any other value (a subclass, a non-string key) goes to json.dumps, its
     newlines indented to its depth.  A ``FusionTable`` or ``_TableRows`` is
@@ -192,40 +193,56 @@ def _json_chunks(payload):
         type(None): lambda _: "null",
     }.get
 
+    def inline(o, newline: str):
+        """The text of o if it is a scalar, a list of plain ints or floats or a dict of scalars; else None."""
+        text = text_of(type(o))
+        if text is not None:
+            return text(o)
+        kind = type(o)
+        if kind is list or kind is tuple:
+            if not o:
+                return "[]"
+            kinds = set(map(type, o))
+            if len(kinds) == 1 and kinds <= {int, float}:
+                return _list_text(map(text_of(kinds.pop()), o), newline)
+        elif kind is dict and _STR_ONLY.issuperset(map(type, o)):
+            items = []
+            for k, v in o.items():
+                text = text_of(type(v))
+                if text is None:
+                    return None
+                items.append(encode_basestring_ascii(k) + ": " + text(v))
+            inner = newline + "  "
+            return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+        return None
+
     def write(o, newline: str):
-        """The chunks of the container o, whose line starts with newline (scalars are the caller's)."""
+        """The chunks of o, a value that ``inline`` does not write, whose line starts with newline."""
         kind = type(o)
         inner = newline + "  "
         if kind is list or kind is tuple:
-            if not o:
-                yield "[]"
-                return
-            kinds = set(map(type, o))
-            if len(kinds) == 1 and kinds <= {int, float}:
-                yield _list_text(map(text_of(kinds.pop()), o), newline)
+            texts = [inline(v, inner) for v in o]
+            if None not in texts:
+                yield "[" + inner + ("," + inner).join(texts) + newline + "]"
                 return
             sep = "[" + inner
-            for v in o:
-                text = text_of(type(v))
+            for v, text in zip(o, texts):
                 if text is None:
                     yield sep
                     yield from write(v, inner)
                 else:
-                    yield sep + text(v)
+                    yield sep + text
                 sep = "," + inner
             yield newline + "]"
         elif kind is dict and _STR_ONLY.issuperset(map(type, o)):
-            if not o:
-                yield "{}"
-                return
             sep = "{" + inner
             for k, v in o.items():
-                text = text_of(type(v))
+                text = inline(v, inner)
                 if text is None:
                     yield sep + encode_basestring_ascii(k) + ": "
                     yield from write(v, inner)
                 else:
-                    yield sep + encode_basestring_ascii(k) + ": " + text(v)
+                    yield sep + encode_basestring_ascii(k) + ": " + text
                 sep = "," + inner
             yield newline + "}"
         elif kind is FusionTable:
@@ -235,9 +252,9 @@ def _json_chunks(payload):
         else:  # subclasses, non-string keys, and what json rejects
             yield json.dumps(o, indent=2, allow_nan=False).replace("\n", newline)
 
-    text = text_of(type(payload))
+    text = inline(payload, "\n")
     if text is not None:
-        yield text(payload)
+        yield text
     else:
         yield from write(payload, "\n")
 
@@ -261,40 +278,66 @@ def _fusion_table_chunks(labels, rows, flagged, newline: str):
     "entries": [{"kappa", "value"}, ...], "flagged": [...]}``, with the
     nonzero values in kappa order and the flagged kappas (``flagged`` maps a
     pair to them) in canonical order.  The chunks join to the bytes of
-    ``json.dumps(blocks, indent=2)`` at this depth; each label's text is
-    built once per depth, and a non-finite value raises ValueError, as
-    json.dumps does, before any chunk of its row.
+    ``json.dumps(blocks, indent=2)`` at this depth.  The text of a row is one
+    join over a flat list of parts, all built once per table but the values:
+    each mu's ``"mu": ... "entries":`` head, each kappa's entry head (first in
+    its pair, or after another entry) and the ``"flagged": []`` tail of a pair
+    with no flagged keys.  A non-finite value raises ValueError, as json.dumps
+    does, before any chunk of its row.
     """
     i1 = newline + "  "  # a block
     i2 = i1 + "  "  # its keys
     i3 = i2 + "  "  # an entry, a flagged label
     i4 = i3 + "  "  # an entry's keys
+    N = len(labels)
     pair_text = [_list_text(map(int.__repr__, lam), i2) for lam in labels]
+    mu_head = ["," + i2 + '"mu": ' + text + "," + i2 + '"entries": ' for text in pair_text]
     entry_head = [
         "{" + i4 + '"kappa": ' + _list_text(map(int.__repr__, kappa), i4) + "," + i4 + '"value": '
         for kappa in labels
     ]
-    entry_sep, entry_end = i3 + "}," + i3, i3 + "}" + i2 + "]"  # between entries, after the last
+    # heads[k] opens kappa's entry after another one, heads[N + k] the first entry of a pair
+    heads = [i3 + "}," + i3 + h for h in entry_head] + ["[" + i3 + h for h in entry_head]
+    entries_end = i3 + "}" + i2 + "]"
+
+    def tail(keys) -> str:
+        """The ``"flagged"`` list of a pair with these flagged keys, and the end of its block."""
+        flags = (_list_text(map(int.__repr__, k), i3) for k in sorted(keys, key=canonical_key))
+        return "," + i2 + '"flagged": ' + _list_text(flags, i2) + i1 + "}"
+
+    index = {lam: i for i, lam in enumerate(labels)}
+    flagged_tails: dict[int, dict[int, str]] = {}  # lam's index -> mu's index -> tail
+    for (lam, mu), keys in flagged.items():
+        if lam in index and mu in index:
+            flagged_tails.setdefault(index[lam], {})[index[mu]] = tail(keys)
+    no_flags = tail(())
     lead = "[" + i1
-    for i, (lam, row) in enumerate(zip(labels, rows)):
+    for i, row in zip(range(N), rows):
         if not np.isfinite(row).all():
             raise ValueError("Out of range float values are not JSON compliant")
         nonzero = row != 0
-        counts = nonzero.sum(axis=1).tolist()  # mu by mu
-        kappas, values = np.nonzero(nonzero)[1].tolist(), row[nonzero].tolist()  # and kappa ascending
-        entries = map(str.__add__, map(entry_head.__getitem__, kappas), map(float.__repr__, values))
-        head = "{" + i2 + '"lam": ' + pair_text[i] + "," + i2 + '"mu": '
-        blocks = []
-        for j, mu in enumerate(labels):
-            count = counts[j]
-            body = "[" + i3 + entry_sep.join(islice(entries, count)) + entry_end if count else "[]"
-            flags = sorted(flagged.get((lam, mu), ()), key=canonical_key)
-            flagged_text = _list_text((_list_text(map(int.__repr__, k), i3) for k in flags), i2)
-            blocks.append(
-                head + pair_text[j] + "," + i2 + '"entries": ' + body
-                + "," + i2 + '"flagged": ' + flagged_text + i1 + "}"
-            )
-        yield lead + ("," + i1).join(blocks)  # one chunk per row lam
+        mus, kappas = np.nonzero(nonzero)  # mu by mu, kappa ascending
+        first = np.diff(mus, prepend=-1) != 0
+        entries = [""] * (2 * len(mus))  # head and value of each nonzero entry
+        entries[0::2] = map(heads.__getitem__, (kappas + N * first).tolist())
+        entries[1::2] = map(float.__repr__, row[nonzero].tolist())
+        counts = np.bincount(mus, minlength=N).tolist()
+        block = "{" + i2 + '"lam": ' + pair_text[i]
+        opened = "," + i1 + block  # the next block of the row
+        full, empty = entries_end + no_flags + opened, "[]" + no_flags + opened
+        closes = [full if count else empty for count in counts]  # the text after a pair's entries
+        for j, text in flagged_tails.get(i, {}).items():
+            closes[j] = (entries_end if counts[j] else "[]") + text + opened
+        closes[-1] = closes[-1][: -len(opened)]
+        parts = [lead, block]
+        end = 0
+        for head, count, close in zip(mu_head, counts, closes):
+            parts.append(head)
+            if count:
+                start, end = end, end + 2 * count
+                parts += entries[start:end]
+            parts.append(close)
+        yield "".join(parts)  # one chunk per row lam
         lead = "," + i1
     yield newline + "]"
 

@@ -14,8 +14,9 @@ level-locked coupling, resonant ones included; its table is kept on the
 bracket table of its parameters, so every pair call and table of the same
 (n, m) reads it.  Every route answers a pair call with the same off-cone
 rule (``_pair_index``).  N^kappa_{lam,mu} vanishes unless
-s = (|lam| + |mu| - |kappa|) / n is a non-negative integer and
-kappa + s 1^n (whose underline is kappa) contains lam and mu row by row.
+s = (|lam| + |mu| - |kappa|) / n is an integer and
+s >= max_j(max(lam_j, mu_j) - kappa_j), that is, unless kappa + s 1^n (whose
+underline is kappa) contains lam and mu row by row.
 """
 
 from __future__ import annotations
@@ -261,11 +262,37 @@ def s_matrix(params: ModelParams, spectrum: SpectrumResult | None = None, seed: 
 
 
 def _support_row(keys: np.ndarray, w: np.ndarray, i: int) -> np.ndarray:
-    """Support mask [mu, kappa] of the row lam = keys[i], w the label weights; kappa_n = 0 forces s >= 0."""
-    s, rem = np.divmod(w[i] + w[:, None] - w[None, :], keys.shape[1])
+    """Support mask [mu, kappa] of the row lam = keys[i], w the label weights.
+
+    True where s = (|lam| + |mu| - |kappa|) / n is an integer and
+    s >= max_j(max(lam_j, mu_j) - kappa_j), that is, where kappa + s 1^n contains
+    lam and mu; kappa_n = 0 makes the bound, and so s, non-negative.  The bound
+    D[mu, kappa] is built in place by n - 1 maximum passes over one array, and s
+    and its remainder come from those of each weight by n, so no [mu, kappa]
+    division runs.
+    """
+    n = keys.shape[1]
+    q, r = np.divmod(w, n)
+    carry, rem = np.divmod(r[i] + r, n)  # |lam| + |mu| = n (q[i] + q[mu] + carry[mu]) + rem[mu]
+    s = np.subtract.outer(q[i] + q + carry, q)  # the quotient wherever rem[mu] == r[kappa]
     cover = np.maximum(keys[i], keys)
-    inside = (keys[None, :, :] + s[:, :, None] >= cover[:, None, :]).all(axis=2)
-    return (rem == 0) & inside
+    D = np.subtract.outer(cover[:, 0], keys[:, 0])
+    part = np.empty_like(D)
+    for j in range(1, n):
+        np.maximum(D, np.subtract.outer(cover[:, j], keys[:, j], out=part), out=D)
+    return np.equal.outer(rem, r) & (s >= D)
+
+
+def _support_keys(labels: tuple[Partition, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The label array, in column order, and the label weights for ``_support_row``.
+
+    Both are int16 wherever the weights fit, which makes each pass of a mask cheaper.
+    """
+    keys = np.array(labels, order="F")
+    w = keys.sum(axis=1)
+    if w.max() < 2**15:
+        keys, w = keys.astype(np.int16), w.astype(np.int16)
+    return keys, w
 
 
 def _fusion_row(
@@ -276,26 +303,35 @@ def _fusion_row(
     A non-finite value raises.  Per pair, scale = max(1, max |raw|).  Off the support
     |raw| > FUSION_IMAG_TOL * scale, or on it an imaginary part > FUSION_IMAG_TOL *
     max(1, |real|), raises; real parts on the support up to _DROP_REL * scale become zero.
+    The full residue test runs only where an imaginary part exceeds FUSION_IMAG_TOL or a
+    value off the support is too large; elsewhere it can flag nothing.
     """
-    finite = np.isfinite(raw)
-    if not finite.all():  # NaN fails every comparison below, and would be written as 0.0
-        j, k = np.argwhere(~finite)[0]
-        raise ComputationError(
-            f"fusion non-finite value: {labels[k]} -> {complex(raw[j, k])!r} "
-            f"in {labels[i]} x {labels[j]} ({route})"
-        )
-    mag, re = np.abs(raw), raw.real
-    scale = np.maximum(1.0, mag.max(axis=1, keepdims=True))
-    residue = np.abs(raw.imag) > FUSION_IMAG_TOL * np.maximum(1.0, np.abs(re))
-    bad = np.where(mask, residue, mag > FUSION_IMAG_TOL * scale)
-    if bad.any():
-        j, k = np.argwhere(bad)[0]
-        what = "imaginary residue" if mask[j, k] else "coefficient outside the support"
-        raise ComputationError(
-            f"fusion {what}: {labels[k]} -> {complex(raw[j, k])!r} "
-            f"in {labels[i]} x {labels[j]} ({route})"
-        )
-    return np.where(mask & (np.abs(re) > _DROP_REL * scale), re, 0.0)
+    mag = np.abs(raw)
+    peak = mag.max(axis=1)  # NaN or inf exactly where a row holds a non-finite value (or |raw| overflows)
+    if not np.isfinite(peak).all():  # NaN fails every comparison below, and would be written as 0.0
+        finite = np.isfinite(raw)
+        if not finite.all():
+            j, k = np.argwhere(~finite)[0]
+            raise ComputationError(
+                f"fusion non-finite value: {labels[k]} -> {complex(raw[j, k])!r} "
+                f"in {labels[i]} x {labels[j]} ({route})"
+            )
+    re = raw.real
+    scale = np.maximum(1.0, peak)[:, None]
+    outside = mag > FUSION_IMAG_TOL * scale
+    if (outside > mask).any() or np.abs(raw.imag).max() > FUSION_IMAG_TOL:  # outside & ~mask
+        residue = np.abs(raw.imag) > FUSION_IMAG_TOL * np.maximum(1.0, np.abs(re))
+        bad = np.where(mask, residue, outside)
+        if bad.any():
+            j, k = np.argwhere(bad)[0]
+            what = "imaginary residue" if mask[j, k] else "coefficient outside the support"
+            raise ComputationError(
+                f"fusion {what}: {labels[k]} -> {complex(raw[j, k])!r} "
+                f"in {labels[i]} x {labels[j]} ({route})"
+            )
+    keep = np.abs(re) > _DROP_REL * scale
+    keep &= mask
+    return np.where(keep, re, 0.0)
 
 
 def _fusion_rows(labels: tuple[Partition, ...], raw, route: str, indices=None):
@@ -304,8 +340,7 @@ def _fusion_rows(labels: tuple[Partition, ...], raw, route: str, indices=None):
     Each row is computed as it is read.  The label array and weights of the
     support masks are built once per call.
     """
-    keys = np.array(labels)
-    w = keys.sum(axis=1)
+    keys, w = _support_keys(labels)
     for i in range(len(labels)) if indices is None else indices:
         yield _fusion_row(raw(i), labels, i, route, _support_row(keys, w, i))
 

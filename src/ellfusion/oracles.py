@@ -250,9 +250,11 @@ def kac_peterson_smatrix(n: int, m: int) -> tuple[list[Partition], np.ndarray]:
 
 @lru_cache(maxsize=16)
 def _classical_transform(n: int, m: int):
-    """(labels, label index, S, Sinv) of the sine-form matrix, built once per (n, m)."""
+    """(labels, label index, S, Sinv) of the sine-form matrix, built once per (n, m); read-only."""
     labels, S = kac_peterson_smatrix(n, m)
-    return labels, {l: i for i, l in enumerate(labels)}, S, np.linalg.inv(S)
+    Sinv = np.linalg.inv(S)
+    S.flags.writeable = Sinv.flags.writeable = False
+    return labels, {l: i for i, l in enumerate(labels)}, S, Sinv
 
 
 def classical_fusion(lam, mu, n: int, m: int) -> dict[Partition, int]:

@@ -60,8 +60,8 @@ from .fusion import (
 )
 from .oracles import (
     OracleReport,
+    _classical_transform,
     classical_fusion,
-    kac_peterson_smatrix,
     macdonald_lr_p0,
     macdonald_pieri_p0,
     principal_normalization_p0,
@@ -465,10 +465,11 @@ def _fusion_g1_p_independent(ctx, n, m, p=0.5):
 def _smatrix_kac_peterson(ctx, n, m):
     """S-matrix at (g, p) = (1, 0) against the sine-form oracle, entrywise.
 
-    At p = 0 the gauge factor relating the two is identically 1.
+    At p = 0 the gauge factor relating the two is identically 1.  The oracle's
+    matrix is the one its classical fusion coefficients use, built once per (n, m).
     """
     sm = ctx.smatrix(ModelParams.locked(n, m, 1.0, 0.0))
-    return float(np.abs(sm.S - kac_peterson_smatrix(n, m)[1]).max())
+    return float(np.abs(sm.S - _classical_transform(n, m)[2]).max())
 
 
 def _kac_peterson_normalization(ctx, n, m):

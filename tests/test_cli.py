@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from ellfusion.cli import _emit_json, _fusion_csv_rows, _json_text, main
 from ellfusion.errors import ComputationError
-from ellfusion.fusion import FusionTable, fusion_table
+from ellfusion.fusion import FusionTable, fusion_table, s_matrix
 from ellfusion.kernel import ModelParams
 from ellfusion.partitions import canonical_key, enumerate_level
 
@@ -384,6 +385,41 @@ def test_fusion_writer_on_a_hand_built_table():
         ([{"a": [table]}, table], [{"a": [blocks]}, blocks]),
     ]:
         assert _json_text(payload) == json.dumps(want, indent=2, allow_nan=False)
+
+
+def test_fusion_writer_constant_tail_next_to_flagged_pairs():
+    """A table with a row of empty pairs, written with no flagged pair and with only the last mu of a row flagged."""
+    base = _hand_table(**{"4": 0.0})  # every pair of row 4 empty
+    labels = base.labels
+    assert not base.values[4].any()
+    last = labels[-1]
+    for flagged in (
+        {},
+        {(labels[1], last): {labels[3], labels[0]}},
+        {(labels[4], last): {labels[2]}, (labels[0], labels[1]): set()},
+    ):
+        table = dataclasses.replace(base, values=base.values.copy(), flagged=flagged)
+        assert _json_text(table) == json.dumps(_blocks(table), indent=2, allow_nan=False)
+
+
+def test_smatrix_payload_is_the_indented_dump(capsys):
+    code, out, err = run_cli(["smatrix", "--n", "3", "--m", "2", "--g", "0.7", "--p", "0.3"], capsys)
+    assert code == 0
+    params = ModelParams.locked(3, 2, 0.7, 0.3)
+    sm = s_matrix(params)
+
+    def pairs(matrix):
+        return [[{"re": z.real, "im": z.imag} for z in map(complex, row)] for row in matrix]
+
+    payload = {
+        "command": "smatrix", "params": params.as_dict(), "seed": 0,
+        "labels": [list(nu) for nu in sm.labels], "S": pairs(sm.S), "Sinv": pairs(sm.Sinv),
+        "normalization": sm.normalization, "identity_residual": sm.identity_residual(),
+        "det_magnitude": sm.det_magnitude(), "det_closed_form": sm.det_closed_form(),
+        "log_det_magnitude": sm.log_det_magnitude(), "log_det_closed_form": sm.log_det_closed_form(),
+        "det_residual": sm.det_residual(),
+    }
+    assert out == json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from ellfusion import coeffs, fusion, operators, polynomials
 from ellfusion.errors import ComputationError, TrackingAmbiguity
@@ -367,6 +367,20 @@ def test_support_mask_matches_brute_force():
                     assert got == _brute_support(lam, mu, m), (n, m, lam, mu)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 5), m=st.integers(1, 5), row=st.integers(0, 10**6))
+@example(n=5, m=3, row=17)
+def test_support_mask_property(n, m, row):
+    """A random row of the mask, on the label array the table routes build, against brute force."""
+    labels = enumerate_level(n, m)
+    keys, w = fusion._support_keys(labels)
+    i = row % len(labels)
+    mask = fusion._support_row(keys, w, i)
+    for j, mu in enumerate(labels):
+        got = {labels[k] for k in np.flatnonzero(mask[j])}
+        assert got == _brute_support(labels[i], mu, m), (n, m, labels[i], mu)
+
+
 def test_table_rows_and_pairs_agree():
     params = ModelParams.locked(3, 3, 0.7, 0.3)
     sm = s_matrix(params)
@@ -422,6 +436,36 @@ def test_non_finite_raw_value_raises(route, bad, on_support):
     message = rf"^fusion non-finite value: {kappa} -> .+ in {lam} x {mu} \({route}\)$"
     with pytest.raises(ComputationError, match=message):
         fusion._fusion_row(raw, labels, i, route, mask)
+
+
+def test_fusion_row_names_the_first_bad_value():
+    """Each check of a raw row: an imaginary residue on the support, a value off it, the first of
+    several in row order, and an imaginary part above the tolerance that its real part allows."""
+    params = ModelParams.locked(3, 2, 0.7, 0.3)
+    sm = s_matrix(params)
+    labels, i = sm.labels, 2
+    mask = fusion._support_row(*fusion._support_keys(labels), i)
+    raw = fusion._verlinde_rows(sm)(i)
+    clean = fusion._fusion_row(raw, labels, i, "verlinde", mask)
+    on, off = (tuple(map(int, np.argwhere(m)[-1])) for m in (mask, ~mask))
+
+    def error(changes):
+        bad = raw.copy()
+        for (j, k), z in changes.items():
+            bad[j, k] = z
+        with pytest.raises(ComputationError) as info:
+            fusion._fusion_row(bad, labels, i, "verlinde", mask)
+        return str(info.value)
+
+    assert error({on: raw[on] + 1e-6j}).startswith(f"fusion imaginary residue: {labels[on[1]]} -> ")
+    assert error({off: 1e-6}).startswith(f"fusion coefficient outside the support: {labels[off[1]]} -> ")
+    first = min(on, off)
+    what = "imaginary residue" if mask[first] else "coefficient outside the support"
+    assert error({on: raw[on] + 1e-6j, off: 1e-6}).startswith(f"fusion {what}: {labels[first[1]]} -> ")
+    large = raw.copy()
+    large[on] = 1e9 + 1e-2j  # |imag| > FUSION_IMAG_TOL, yet below FUSION_IMAG_TOL * |real|
+    row = fusion._fusion_row(large, labels, i, "verlinde", mask)
+    assert row[on] == 1e9 and row.tobytes() != clean.tobytes()
 
 
 def test_fusion_table_associativity():

@@ -95,3 +95,25 @@ def test_projection_check_evaluates_each_value_once(monkeypatch):
     assert _report("verlinde_vs_projection", n=3, m=3, ctx=ctx).passed
     N = len(ctx.spectrum(grid[0]).labels)
     assert sum(entries) == len(grid) * N * N
+
+
+def test_limits_suite_builds_the_sine_matrix_once(monkeypatch):
+    """The Kac-Peterson check and the classical fusion checks share the oracle's one S per (n, m)."""
+    from ellfusion import oracles, verification
+
+    calls = []
+    build = oracles.kac_peterson_smatrix
+
+    def counted(n, m):
+        calls.append((n, m))
+        return build(n, m)
+
+    for module in (oracles, verification):  # every name the suite could call it by
+        monkeypatch.setattr(module, "kac_peterson_smatrix", counted, raising=False)
+    oracles._classical_transform.cache_clear()
+    try:
+        reports = run_suite("limits", 3, 2)
+    finally:
+        oracles._classical_transform.cache_clear()
+    assert all(r.passed for r in reports)
+    assert calls == [(3, 2)]
