@@ -32,7 +32,7 @@ from .littlewood import lr_coefficients
 from .operators import joint_spectrum
 from .partitions import canonical_key, check_partition, vertical_strips
 from .polynomials import build_P
-from .fusion import FusionTable, _table_rows, fusion_pieri, fusion_table, s_matrix
+from .fusion import _table_rows, fusion_pieri, fusion_table, s_matrix
 from .verification import SUITES, run_suite
 from . import coeffs
 from .kernel import realify
@@ -182,8 +182,8 @@ def _json_chunks(payload):
     a {"re", "im"} pair), as one string.  It handles dicts with str keys,
     lists, tuples, str, int, float, bool and None of exactly those types;
     any other value (a subclass, a non-string key) goes to json.dumps, its
-    newlines indented to its depth.  A ``FusionTable`` or ``_TableRows`` is
-    written as its list of per-pair blocks (see ``_fusion_table_chunks``).
+    newlines indented to its depth.  A ``_TableRows`` is written as its list
+    of per-pair blocks (see ``_fusion_table_chunks``).
     """
     text_of = {
         str: encode_basestring_ascii,
@@ -245,10 +245,8 @@ def _json_chunks(payload):
                     yield sep + encode_basestring_ascii(k) + ": " + text
                 sep = "," + inner
             yield newline + "}"
-        elif kind is FusionTable:
-            yield from _fusion_table_chunks(o.labels, o.values, o.flagged, newline)
         elif kind is _TableRows:
-            yield from _fusion_table_chunks(o.labels, o.rows, {}, newline)
+            yield from _fusion_table_chunks(o.labels, o.rows, newline)
         else:  # subclasses, non-string keys, and what json rejects
             yield json.dumps(o, indent=2, allow_nan=False).replace("\n", newline)
 
@@ -271,23 +269,23 @@ def _list_text(items, newline: str) -> str:
     return "[" + inner + text + newline + "]" if text else "[]"
 
 
-def _fusion_table_chunks(labels, rows, flagged, newline: str):
+def _fusion_table_chunks(labels, rows, newline: str):
     """The blocks of a fusion table as indented JSON, one row values[lam] ([mu, kappa]) at a time.
 
     One block per ordered pair (lam, mu), in label order: ``{"lam", "mu",
-    "entries": [{"kappa", "value"}, ...], "flagged": [...]}``, with the
-    nonzero values in kappa order and the flagged kappas (``flagged`` maps a
-    pair to them) in canonical order.  The chunks join to the bytes of
-    ``json.dumps(blocks, indent=2)`` at this depth.  The text of a row is one
-    join over a flat list of parts, all built once per table but the values:
-    each mu's ``"mu": ... "entries":`` head, each kappa's entry head (first in
-    its pair, or after another entry) and the ``"flagged": []`` tail of a pair
-    with no flagged keys.  A non-finite value raises ValueError, as json.dumps
-    does, before any chunk of its row.
+    "entries": [{"kappa", "value"}, ...], "flagged": []}``, with the nonzero
+    values in kappa order; the ``"flagged"`` list of the published format is
+    always empty.  The chunks join to the bytes of ``json.dumps(blocks,
+    indent=2)`` at this depth.  The text of a row is one join over a flat
+    list of parts, all built once per table but the values: each mu's
+    ``"mu": ... "entries":`` head, each kappa's entry head (first in its pair,
+    or after another entry) and the ``"flagged": []`` tail of a pair.  A
+    non-finite value raises ValueError, as json.dumps does, before any chunk
+    of its row.
     """
     i1 = newline + "  "  # a block
     i2 = i1 + "  "  # its keys
-    i3 = i2 + "  "  # an entry, a flagged label
+    i3 = i2 + "  "  # an entry
     i4 = i3 + "  "  # an entry's keys
     N = len(labels)
     pair_text = [_list_text(map(int.__repr__, lam), i2) for lam in labels]
@@ -299,18 +297,7 @@ def _fusion_table_chunks(labels, rows, flagged, newline: str):
     # heads[k] opens kappa's entry after another one, heads[N + k] the first entry of a pair
     heads = [i3 + "}," + i3 + h for h in entry_head] + ["[" + i3 + h for h in entry_head]
     entries_end = i3 + "}" + i2 + "]"
-
-    def tail(keys) -> str:
-        """The ``"flagged"`` list of a pair with these flagged keys, and the end of its block."""
-        flags = (_list_text(map(int.__repr__, k), i3) for k in sorted(keys, key=canonical_key))
-        return "," + i2 + '"flagged": ' + _list_text(flags, i2) + i1 + "}"
-
-    index = {lam: i for i, lam in enumerate(labels)}
-    flagged_tails: dict[int, dict[int, str]] = {}  # lam's index -> mu's index -> tail
-    for (lam, mu), keys in flagged.items():
-        if lam in index and mu in index:
-            flagged_tails.setdefault(index[lam], {})[index[mu]] = tail(keys)
-    no_flags = tail(())
+    tail = "," + i2 + '"flagged": []' + i1 + "}"  # the end of a block
     lead = "[" + i1
     for i, row in zip(range(N), rows):
         if not np.isfinite(row).all():
@@ -324,10 +311,8 @@ def _fusion_table_chunks(labels, rows, flagged, newline: str):
         counts = np.bincount(mus, minlength=N).tolist()
         block = "{" + i2 + '"lam": ' + pair_text[i]
         opened = "," + i1 + block  # the next block of the row
-        full, empty = entries_end + no_flags + opened, "[]" + no_flags + opened
+        full, empty = entries_end + tail + opened, "[]" + tail + opened
         closes = [full if count else empty for count in counts]  # the text after a pair's entries
-        for j, text in flagged_tails.get(i, {}).items():
-            closes[j] = (entries_end if counts[j] else "[]") + text + opened
         closes[-1] = closes[-1][: -len(opened)]
         parts = [lead, block]
         end = 0
@@ -460,8 +445,8 @@ def _cmd_fusion(args, parser) -> int:
     else:
         t_v = fusion_table(params, route="verlinde", seed=args.seed)
         t_lr = fusion_table(params, route="lr", seed=args.seed)
-        payload["table"] = t_v
-        payload["lr_table"] = t_lr
+        payload["table"] = _TableRows(t_v.labels, t_v.values)
+        payload["lr_table"] = _TableRows(t_lr.labels, t_lr.values)
         payload["diff"] = {"max_abs": t_v.max_difference(t_lr)}
     _emit_json(payload, args.out)
     return 0

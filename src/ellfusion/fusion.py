@@ -8,12 +8,14 @@ this route evaluates no polynomial.  Its cross-check, the projection route,
 pairs products with each P_kappa evaluated at the spectral points, without
 reading S.  The ring route is the Pieri rule of the factor ring: the
 matrices E_r of multiplication by e_r, from the level-admissible strip
-weights, give each label's monomial, and N^kappa_{lam,mu} is row lam of
-P_mu(E_1, ..., E_{n-1}).  It needs no spectrum and holds at every positive
-level-locked coupling, resonant ones included; its table is kept on the
-bracket table of its parameters, so every pair call and table of the same
-(n, m) reads it.  Every route answers a pair call with the same off-cone
-rule (``_pair_index``).  N^kappa_{lam,mu} vanishes unless
+weights, run the Pieri recurrence of the eigenpolynomials, so values[lam]
+is P_lam(E_1, ..., E_{n-1}), built in place in the one array it is kept in.
+Its [mu, kappa] entry is N^kappa_{mu,lam} = N^kappa_{lam,mu}, as the ring
+is commutative.  It needs no spectrum and builds no polynomial, and holds at
+every positive level-locked coupling, resonant ones included; its table is
+kept on the bracket table of its parameters, so every pair call and table of
+the same (n, m) reads it.  Every route answers a pair call with the same
+off-cone rule (``_pair_index``).  N^kappa_{lam,mu} vanishes unless
 s = (|lam| + |mu| - |kappa|) / n is an integer and
 s >= max_j(max(lam_j, mu_j) - kappa_j), that is, unless kappa + s 1^n (whose
 underline is kappa) contains lam and mu row by row.
@@ -42,7 +44,6 @@ from .partitions import (
     vertical_strips,
     weight,
 )
-from .polynomials import _build_P
 from . import coeffs
 
 FUSION_IMAG_TOL = 1e-8
@@ -123,16 +124,32 @@ def _pair(labels, pair: tuple[int, int] | None, row) -> dict[Partition, float]:
     return _nonzero(labels, row(i)[j])
 
 
-def _ring_raw(params: ModelParams) -> np.ndarray:
-    """Raw ring-route table [lam, mu, kappa] from the Pieri rule on the level cone.
+def _ring_table(params: ModelParams) -> np.ndarray:
+    """The ring-route values [lam, mu, kappa], read-only, kept on params' bracket table.
 
     In the factor ring, e_r P_lam is the sum of the level-admissible strip
     weights of ``fusion_pieri`` times P_kappa: the matrix E_r[lam, kappa],
-    1 <= r <= n-1, while e_n = 1.  The monomial e^kappa of a label acts as
-    M_kappa = M_{kappa - 1^r} E_r with r = r_index(kappa), and M_0 = I.  A
-    key k of P_mu is the monomial e^underline(k) there, so P_mu acts as
-    sum_k C[mu, k] M_k, and N^kappa_{lam,mu} = sum_k C[mu, k] M_k[lam, kappa].
+    1 <= r <= n-1, while e_n = 1.  The Pieri recurrence P_top = e_r P_lam -
+    sum_{sib != top} psi'_{sib/lam} P_sib, with r = r_index(top),
+    lam = top - 1^r and psi'_{top/lam} = 1, holds in the ring, so
+    values[top] = E_r values[lam] - sum psi' values[sib] from values[0] = I
+    gives values[lam] = P_lam(E) in the one array kept.  Its [mu, kappa]
+    entry is N^kappa_{mu,lam} = N^kappa_{lam,mu}, as the ring is commutative.
+    A sibling either meets the last row, so its underline weighs n less than
+    top, or weighs as much and is lexicographically smaller, so labels are
+    visited by weight, then lexicographically ascending.  Each row is then
+    finished in place, with the finite-value and support checks of the
+    spectral routes.
+
+    One entry per (n, m), shared by p and -p.  Without the level lock the
+    keys of span > m form no ideal, so free parameters raise ``ValueError``.
     """
+    if not params.level_locked:
+        raise ValueError("the ring route requires level-locked parameters")
+    store = coeffs._table(params)
+    values = store.rings.get((params.n, params.m))
+    if values is not None:
+        return values
     labels, index = _cone(params.n, params.m)
     N = len(labels)
     E = np.zeros((params.n, N, N))
@@ -140,35 +157,19 @@ def _ring_raw(params: ModelParams) -> np.ndarray:
         for r in range(1, params.n):
             for nu, v in _pieri(lam, r, params).items():
                 E[r, i, index[nu]] = v
-    M = np.empty((N, N, N))  # M[k] = M_{labels[k]}; canonical order visits kappa - 1^r first
-    C = np.zeros((N, N))
-    for k, kappa in enumerate(labels):
-        if weight(kappa):
-            r = r_index(kappa)
-            M[k] = M[index[tuple(x - (j < r) for j, x in enumerate(kappa))]] @ E[r]
-        else:
-            M[k] = np.eye(N)
-        keys, vals = _build_P(kappa, params).arrays()
-        C[k, [index[underline(key)] for key in map(tuple, keys.tolist())]] = vals
-    return (C @ M.reshape(N, N * N)).reshape(N, N, N).transpose(1, 0, 2)
-
-
-def _ring_table(params: ModelParams) -> np.ndarray:
-    """The ring-route values [lam, mu, kappa], read-only, kept on params' bracket table.
-
-    One entry per (n, m), shared by p and -p.  Every row passes the
-    finite-value and support checks of the spectral routes.  Without the
-    level lock the keys of span > m form no ideal, so free parameters raise
-    ``ValueError``.
-    """
-    if not params.level_locked:
-        raise ValueError("the ring route requires level-locked parameters")
-    store = coeffs._table(params)
-    values = store.rings.get((params.n, params.m))
-    if values is None:
-        values = _stack(_cone(params.n, params.m)[0], _ring_raw(params).__getitem__, "lr")
-        values.flags.writeable = False
-        store.rings[(params.n, params.m)] = values
+    values = np.empty((N, N, N))
+    values[0] = np.eye(N)  # labels[0] is the empty partition
+    for top in sorted(labels[1:], key=lambda kappa: (weight(kappa), kappa)):
+        t, r = index[top], r_index(top)
+        lam = index[tuple(x - (j < r) for j, x in enumerate(top))]
+        np.matmul(E[r], values[lam], out=values[t])
+        for k in np.flatnonzero(E[r, lam]).tolist():
+            if k != t:
+                values[t] -= E[r, lam, k] * values[k]
+    for i, row in enumerate(_fusion_rows(labels, values.__getitem__, "lr")):
+        values[i] = row
+    values.flags.writeable = False
+    store.rings[(params.n, params.m)] = values
     return values
 
 
@@ -391,17 +392,12 @@ def structure_constants_projection(
 
 @dataclass(frozen=True, eq=False)
 class FusionTable:
-    """Structure constants N^kappa_{lam,mu} = values[lam, mu, kappa] over ``labels``.
-
-    ``flagged`` maps a pair to keys flagged as unreliable; it keeps the
-    published format of the tables and is empty on every route.
-    """
+    """Structure constants N^kappa_{lam,mu} = values[lam, mu, kappa] over ``labels``."""
 
     params: ModelParams
     labels: tuple[Partition, ...]
     values: np.ndarray  # read-only
     route: str
-    flagged: dict[tuple[Partition, Partition], set[Partition]]
 
     def __post_init__(self):
         self.values.flags.writeable = False
@@ -419,18 +415,13 @@ class FusionTable:
         return float(np.abs(self.values - other.values).max())
 
 
-def _stack(labels: tuple[Partition, ...], raw, route: str) -> np.ndarray:
-    """The rows of ``_fusion_rows`` in one array [lam, mu, kappa]."""
+def _table(params: ModelParams, labels, raw, route: str) -> FusionTable:
+    """The table of the rows of ``_fusion_rows``, written into one array [lam, mu, kappa]."""
     N = len(labels)
     values = np.empty((N, N, N))
     for i, row in enumerate(_fusion_rows(labels, raw, route)):
         values[i] = row
-    return values
-
-
-def _table(params: ModelParams, labels, raw, route: str) -> FusionTable:
-    values = _stack(labels, raw, route)
-    return FusionTable(params=params, labels=labels, values=values, route=route, flagged={})
+    return FusionTable(params=params, labels=labels, values=values, route=route)
 
 
 def _verlinde_table(sm: SMatrixData) -> FusionTable:
@@ -455,7 +446,7 @@ def fusion_table(
     if route != "lr":
         raise ValueError(f"unknown route {route!r}")
     labels = _cone(params.n, params.m)[0]
-    return FusionTable(params=params, labels=labels, values=_ring_table(params), route=route, flagged={})
+    return FusionTable(params=params, labels=labels, values=_ring_table(params), route=route)
 
 
 def _table_rows(params: ModelParams, route: str, seed: int = 0):

@@ -298,19 +298,23 @@ class ModelParams:
         if self.m < 0:
             raise ValueError("m must be >= 0")
         _check_nome(self.p)
+        if self.level_locked and not self.g > 0:
+            raise ValueError("level-locked mode requires g > 0")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-        if self.level_locked:
-            if not self.g > 0:
-                raise ValueError("level-locked mode requires g > 0")
-            if abs(self.alpha * (self.m + self.n * self.g) - _TWO_PI) > 1e-14 * _TWO_PI:
-                raise ValueError("alpha is not locked to 2*pi/(m + n*g)")
+        if self.level_locked and abs(self.alpha * (self.m + self.n * self.g) - _TWO_PI) > 1e-14 * _TWO_PI:
+            raise ValueError("alpha is not locked to 2*pi/(m + n*g)")
         _check_precision(self.precision)
 
     @classmethod
     def locked(cls, n: int, m: int, g: float, p: float, precision: str = "double") -> "ModelParams":
-        """Level-locked constructor: alpha = 2*pi/(m + n*g)."""
-        alpha = _TWO_PI / (m + n * float(g))
+        """Level-locked constructor: alpha = 2*pi/(m + n*g).
+
+        m + n*g > 0 unless n, m or g is out of range; there alpha is NaN, not
+        a division by zero, and the validation names the bad argument.
+        """
+        level = m + n * float(g)
+        alpha = _TWO_PI / level if level > 0 else math.nan
         return cls(n, m, float(g), float(p), alpha, True, precision)
 
     @classmethod

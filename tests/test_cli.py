@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -10,11 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ellfusion.cli import _emit_json, _fusion_csv_rows, _json_text, main
+from ellfusion.cli import _TableRows, _emit_json, _fusion_csv_rows, _json_text, main
 from ellfusion.errors import ComputationError
 from ellfusion.fusion import FusionTable, fusion_table, s_matrix
 from ellfusion.kernel import ModelParams
-from ellfusion.partitions import canonical_key, enumerate_level
+from ellfusion.partitions import enumerate_level
 
 
 def run_cli(args, capsys):
@@ -192,6 +191,8 @@ def test_usage_errors_exit_2(capsys):
         ["spectrum", "--n", "2", "--m", "2", *gp, "--precision", "quad"],
         ["spectrum", "--n", "0", "--m", "2", *gp],
         ["fusion", "--n", "2", "--m", "2", "--g", "-0.7", "--p", "0.3"],
+        ["fusion", "--n", "2", "--m", "0", "--g", "0", "--p", "0.3"],  # m + n*g = 0
+        ["fusion", "--n", "2", "--m", "2", "--g", "-1", "--p", "0.3"],
         ["pieri", "--n", "2", "--lam", "1,0", "--r", "5", *free],
     ):
         code, out, err = run_cli(args, capsys)
@@ -313,7 +314,7 @@ def _blocks(table):
                 for k, v in enumerate(table.values[i, j].tolist())
                 if v
             ],
-            "flagged": [list(k) for k in sorted(table.flagged.get((lam, mu), ()), key=canonical_key)],
+            "flagged": [],
         }
         for i, lam in enumerate(labels)
         for j, mu in enumerate(labels)
@@ -356,7 +357,7 @@ def test_fusion_payload_is_the_indented_dump_of_its_blocks(n, m, g, p, route, ca
 
 
 def _hand_table(**changes):
-    """A FusionTable over the n=3 m=2 cone with flagged keys, signs, tiny values and an empty pair."""
+    """A FusionTable over the n=3 m=2 cone with signs, tiny values and an empty pair."""
     labels = tuple(enumerate_level(3, 2))
     N = len(labels)
     rng = np.random.default_rng(4)
@@ -366,19 +367,15 @@ def _hand_table(**changes):
     values[2, 3] = 0.0
     for k, v in changes.items():
         values[tuple(map(int, k.split("_")))] = v
-    flagged = {
-        (labels[0], labels[1]): {labels[3], labels[0], labels[5]},
-        (labels[2], labels[3]): {labels[1]},
-    }
-    return FusionTable(params=ModelParams.locked(3, 2, 1.0, 0.0), labels=labels, values=values,
-                       route="lr", flagged=flagged)
+    return FusionTable(params=ModelParams.locked(3, 2, 1.0, 0.0), labels=labels, values=values, route="lr")
 
 
 def test_fusion_writer_on_a_hand_built_table():
-    table = _hand_table()
-    blocks = _blocks(table)
-    assert blocks[1]["flagged"] and blocks[1]["entries"][1]["value"] == 5e-324
-    assert blocks[2 * len(table.labels) + 3]["entries"] == []
+    hand = _hand_table()
+    blocks = _blocks(hand)
+    assert blocks[1]["entries"][1]["value"] == 5e-324
+    assert blocks[2 * len(hand.labels) + 3]["entries"] == []
+    table = _TableRows(hand.labels, hand.values)
     for payload, want in [
         (table, blocks),
         ({"route": "lr", "table": table}, {"route": "lr", "table": blocks}),
@@ -387,19 +384,12 @@ def test_fusion_writer_on_a_hand_built_table():
         assert _json_text(payload) == json.dumps(want, indent=2, allow_nan=False)
 
 
-def test_fusion_writer_constant_tail_next_to_flagged_pairs():
-    """A table with a row of empty pairs, written with no flagged pair and with only the last mu of a row flagged."""
-    base = _hand_table(**{"4": 0.0})  # every pair of row 4 empty
-    labels = base.labels
-    assert not base.values[4].any()
-    last = labels[-1]
-    for flagged in (
-        {},
-        {(labels[1], last): {labels[3], labels[0]}},
-        {(labels[4], last): {labels[2]}, (labels[0], labels[1]): set()},
-    ):
-        table = dataclasses.replace(base, values=base.values.copy(), flagged=flagged)
-        assert _json_text(table) == json.dumps(_blocks(table), indent=2, allow_nan=False)
+def test_fusion_writer_on_a_row_of_empty_pairs():
+    """A table with a row of empty pairs, whose last pair ends the row."""
+    table = _hand_table(**{"4": 0.0})  # every pair of row 4 empty
+    assert not table.values[4].any()
+    text = _json_text(_TableRows(table.labels, table.values))
+    assert text == json.dumps(_blocks(table), indent=2, allow_nan=False)
 
 
 def test_smatrix_payload_is_the_indented_dump(capsys):
@@ -424,7 +414,8 @@ def test_smatrix_payload_is_the_indented_dump(capsys):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_fusion_writer_rejects_a_non_finite_value(bad, capsys):
-    table = _hand_table(**{"2_3_0": bad})
+    hand = _hand_table(**{"2_3_0": bad})
+    table = _TableRows(hand.labels, hand.values)
     with pytest.raises(ComputationError, match="^non-finite value in the fusion payload$"):
         _emit_json({"command": "fusion", "table": table}, None)
     assert capsys.readouterr().out == ""

@@ -90,7 +90,6 @@ def test_lr_route_agrees_with_spectral_route():
             t_lr = fusion_table(params, route="lr")
             t_v = fusion_table(params, route="verlinde")
             assert t_lr.max_difference(t_v) < 1e-7
-            assert not t_lr.flagged
 
 
 def test_limit_protocol_at_resonant_coupling():
@@ -133,7 +132,7 @@ def test_lr_table_at_level_8_of_four_sites_matches_verlinde():
 def _lr_row_of(table, i, j):
     labels = table.labels
     values = {k: v for k, v in zip(labels, table.values[i, j].tolist()) if v}
-    return values, table.flagged.get((labels[i], labels[j]), set())
+    return values, set()
 
 
 @pytest.mark.parametrize("params", [ModelParams.locked(3, 3, 0.7, 0.3), ModelParams.locked(3, 2, 1.0, 0.3)])
@@ -263,8 +262,7 @@ def _count_ring_builders(monkeypatch):
     def counting(name, real):
         return lambda *args: calls.append(name) or real(*args)
 
-    for name in ("_build_P", "_pieri"):
-        monkeypatch.setattr(fusion, name, counting(name, getattr(fusion, name)))
+    monkeypatch.setattr(fusion, "_pieri", counting("_pieri", fusion._pieri))
     return calls
 
 
@@ -274,7 +272,7 @@ def test_lr_pairs_after_the_table_run_no_kernel(monkeypatch):
     coeffs.clear_coeff_caches()
     calls = _count_ring_builders(monkeypatch)
     table = fusion_table(params, route="lr")
-    assert "_build_P" in calls and "_pieri" in calls
+    assert "_pieri" in calls
     calls.clear()
     for i, lam in enumerate(table.labels):
         for j, mu in enumerate(table.labels):
@@ -297,7 +295,10 @@ def test_lr_table_at_minus_p_is_the_table_at_plus_p(monkeypatch):
 
 
 def test_lr_route_runs_without_the_spectrum(monkeypatch):
-    """The ring route reads no spectrum and runs no eigensolver, so route agreement compares two computations."""
+    """The ring route reads no spectrum, runs no eigensolver and fills no polynomial table.
+
+    So route agreement compares two computations.
+    """
     params = ModelParams.locked(3, 3, 0.7, 0.3)
     want = fusion_table(params, route="verlinde")
     coeffs.clear_coeff_caches()
@@ -310,16 +311,19 @@ def test_lr_route_runs_without_the_spectrum(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     assert fusion_table(params, route="lr").max_difference(want) < 1e-7
+    store = coeffs._table(params)
+    assert store.polys == {} and (3, 3) in store.rings  # the Pieri recurrence builds no eigenpolynomial
     coeffs.clear_coeff_caches()
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 3), m=st.integers(1, 3), g=st.floats(0.3, 1.9), p=st.floats(-0.6, 0.6))
+@example(n=4, m=4, g=0.7, p=0.3)
+@example(n=5, m=3, g=0.7, p=0.3)
 def test_lr_table_matches_verlinde(n, m, g, p):
-    """The Pieri table is the Verlinde table, with no flags, resonant couplings included."""
+    """The Pieri table is the Verlinde table, resonant couplings included."""
     params = ModelParams.locked(n, m, g, p)
     table = fusion_table(params, route="lr")
-    assert not table.flagged
     assert table.max_difference(fusion_table(params, route="verlinde")) < 1e-7
 
 

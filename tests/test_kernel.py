@@ -139,6 +139,10 @@ def test_model_params_validation():
         ModelParams.locked(2, 1, -0.7, 0.0)
     with pytest.raises(ValueError):
         ModelParams(2, 1, 0.7, 0.0, alpha=1.0, level_locked=True)
+    # m + n*g = 0: the validation's ValueError, not a ZeroDivisionError
+    for n, m, g, what in [(2, 0, 0.0, "g > 0"), (2, 2, -1.0, "g > 0"), (0, 0, 0.7, "n must be")]:
+        with pytest.raises(ValueError, match=what):
+            ModelParams.locked(n, m, g, 0.3)
 
 
 def test_free_mode_gate_rejects_resonance():
