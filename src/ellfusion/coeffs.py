@@ -8,9 +8,9 @@ a ratio of theta brackets [a + b*g] with integers 0 <= a <= span(lam) and
 brackets, filled by the scalar ``bracket`` and grown on demand, together
 with the factor tables derived from it; the brackets depend on the nome
 only through |p|, so -p reads the table of p.  The table also stores the
-eigenpolynomials and strata built at its parameters, the ring-route tables
-of ``fusion`` and the finished joint spectra of ``operators``, so its LRU bounds all that is kept per
-parameter set.  The scalar functions read the table from Python lists;
+eigenpolynomials built at its parameters, the ring-route tables of
+``fusion`` and the finished joint spectra of ``operators``, so its LRU
+bounds all that is kept per parameter set.  The scalar functions read the table from Python lists;
 ``level_hops``, ``level_delta`` and ``level_c`` gather whole level cones
 from its numpy copy.  Values are complex and real in the level-locked
 regime; callers convert them at API boundaries.
@@ -69,11 +69,11 @@ class BracketTable:
     are their numpy copies for the gathers over a level cone, which multiply
     the factors in the order of the scalar loops and so give the same bits.
 
-    ``polys`` (mu -> P_mu) and ``strata`` ((n, w, L) -> stratum) are filled by
-    ``polynomials``; ``rings`` ((n, m) -> the read-only ring-route table
-    [lam, mu, kappa], level-locked only, returned at p and at -p) by
-    ``fusion``; ``spectra`` ((n, m, level_locked, seed) -> the finished
-    ``SpectrumResult``, returned at p and at -p) by ``operators``.  The
+    ``polys`` (mu -> P_mu) is filled by ``polynomials``; ``rings`` ((n, m) ->
+    the read-only ring-route table [lam, mu, kappa], level-locked only,
+    returned at p and at -p) by ``fusion``; ``spectra`` ((n, m, level_locked,
+    seed) -> the finished ``SpectrumResult``, returned at p and at -p) by
+    ``operators``.  The
     recurrence weights and the truncated matrices are products of these
     brackets, so all of these depend on the parameters only through this
     table's key and their own keys; evicting the table frees them.
@@ -85,7 +85,6 @@ class BracketTable:
         self.rows = 0
         self.cols = 0
         self.polys: dict = {}
-        self.strata: dict = {}
         self.rings: dict = {}
         self.spectra: dict = {}
 
@@ -357,6 +356,6 @@ def _level_gather(params: ModelParams, family: str, scalar) -> np.ndarray:
 
 
 def clear_coeff_caches() -> None:
-    """Drop every bracket table with its polynomials, strata, ring tables and spectra (mainly for tests and long sweeps)."""
+    """Drop every bracket table with its polynomials, ring tables and spectra (mainly for tests and long sweeps)."""
     with _TABLES_LOCK:
         _TABLES.clear()

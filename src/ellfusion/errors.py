@@ -28,8 +28,8 @@ class GenericityViolation(ComputationError):
 class NonTerminating(ComputationError):
     """An iteration failed to terminate.
 
-    Basis expansion is a direct triangular solve and no longer raises it;
-    the class stays for callers that catch it.
+    No routine of the package raises it now: basis expansion is a finite
+    back substitution.  The class stays for callers that catch it.
     """
 
 

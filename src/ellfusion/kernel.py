@@ -281,7 +281,9 @@ class ModelParams:
     Level-locked mode ties alpha = 2*pi/(m + n*g), which places the bracket
     zero [m + n*g] = 0 that truncates everything to the level-m cone.  Free
     mode takes alpha directly and requires the coupling to clear the
-    genericity gate.  Instances are immutable and hashable.
+    genericity gate.  An argument out of range (a nome with |p| >= 1
+    included) is a ValueError that names it.  Instances are immutable and
+    hashable.
     """
 
     n: int
@@ -297,11 +299,14 @@ class ModelParams:
             raise ValueError("n must be >= 1")
         if self.m < 0:
             raise ValueError("m must be >= 0")
-        _check_nome(self.p)
+        if not abs(self.p) < 1.0:
+            raise ValueError(f"nome p={self.p!r} must satisfy |p| < 1")
+        if not math.isfinite(self.g):
+            raise ValueError(f"coupling g={self.g!r} must be finite")
         if self.level_locked and not self.g > 0:
             raise ValueError("level-locked mode requires g > 0")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha={self.alpha!r} must be finite and positive")
         if self.level_locked and abs(self.alpha * (self.m + self.n * self.g) - _TWO_PI) > 1e-14 * _TWO_PI:
             raise ValueError("alpha is not locked to 2*pi/(m + n*g)")
         _check_precision(self.precision)
@@ -326,15 +331,15 @@ class ModelParams:
         alpha: float,
         m: int = 0,
         precision: str = "double",
-        gate_window: int = DEFAULT_GATE_WINDOW,
     ) -> "ModelParams":
-        """Free constructor: explicit alpha, rejected near coupling resonances."""
-        margin = g_regularity_margin(float(alpha), float(g), n, gate_window)
+        """Free constructor: explicit alpha, validated, then rejected near coupling resonances."""
+        params = cls(n, m, float(g), float(p), float(alpha), False, precision)
+        margin = g_regularity_margin(params.alpha, params.g, n, DEFAULT_GATE_WINDOW)
         if margin < GENERICITY_TOL:
             raise GenericityViolation(
                 f"coupling g={g} is within {margin:.2e} of a resonance for alpha={alpha}"
             )
-        return cls(n, m, float(g), float(p), float(alpha), False, precision)
+        return params
 
     @property
     def q(self) -> complex:
@@ -343,12 +348,6 @@ class ModelParams:
 
     def with_p(self, p: float) -> "ModelParams":
         return dataclasses.replace(self, p=float(p))
-
-    def with_g_locked(self, g: float) -> "ModelParams":
-        """Re-locked copy at a new coupling (alpha follows the lock)."""
-        if not self.level_locked:
-            raise ValueError("with_g_locked only applies to level-locked parameters")
-        return ModelParams.locked(self.n, self.m, g, self.p, self.precision)
 
     def as_dict(self) -> dict:
         return {

@@ -1,17 +1,18 @@
 """Products in the eigenpolynomial basis and their structure coefficients.
 
 Multiplication is a sparse convolution under key addition (the monomial
-basis is multiplicative).  Basis expansion is one matrix product: the keys
-of weight w, first part <= M and last part >= L form a stratum that the
-unitriangular basis maps into itself, and its matrix U (row kappa holding
-P_kappa, see ``polynomials.stratum``) gives the coefficients a of
-F = sum a_kappa P_kappa from its monomial coefficients f as U^T a = f, so
-a = f U^-1 with the inverse the stratum stores (``_solve``).
+basis is multiplicative).  Basis expansion is back substitution: every key
+of P_kappa is dominated by kappa, so it is lexicographically below kappa
+and the leading coefficient of P_kappa is 1.  Walking the basis keys from
+the largest down, the coefficient a_kappa of F = sum a_kappa P_kappa is
+what is left of F at kappa, and a_kappa P_kappa is then taken off
+(``_back_substitute``).  The keys walked are those of ``basis_keys``, a
+subspace that the basis maps into itself.
 
-A product P_lam * P_mu lies in the stratum (|lam| + |mu|, lam_1 + mu_1,
-lam_n + mu_n): ``lr_coefficients`` scatters its terms there with one
-``bincount``, solves, and applies the support cut and the containment check.
-``expand_in_P`` solves one stratum per weight with the same scatter.
+A product P_lam * P_mu lies in the subspace (|lam| + |mu|, lam_1 + mu_1,
+lam_n + mu_n): ``lr_coefficients`` expands the exact product there, then
+applies the support cut and the containment check.  ``expand_in_P`` runs
+the same substitution once per weight.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ import numpy as np
 
 from .errors import ComputationError
 from .kernel import ModelParams
-from .partitions import Partition, add, check_partition, weight
-from .polynomials import PolynomialInE, Stratum, encode_keys, stratum
-from .polynomials import _admits, _check_stratum, _poly, _stratum
+from .partitions import Partition, add, check_partition, contains, weight
+from .polynomials import PolynomialInE, _poly, basis_keys
 from . import coeffs
 
 SUPPORT_CUT = 1e-9
@@ -40,38 +40,41 @@ def multiply_monomial(P: PolynomialInE, Q: PolynomialInE) -> PolynomialInE:
     return PolynomialInE(P.n, out)
 
 
-def _solve(table: Stratum, codes: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Basis coefficients a[i] over the stratum of sum_t values[t] * e_{key coded codes[t]}.
+def _back_substitute(f: dict, keys: list[Partition], params: ModelParams, polys: dict) -> dict[Partition, float]:
+    """Coefficients a of F = sum_kappa a_kappa P_kappa from its monomial coefficients f.
 
-    codes and values have one shape, and every code must be a key of the
-    stratum.  Repeated codes are summed into the monomial coefficients f,
-    and U^T a = f is solved as a = f U^-1 with the stratum's stored inverse.
+    keys are admitted basis keys in ascending lexicographic order that hold
+    every key of f; polys is the store of params' bracket table.  From the
+    largest key down, a_kappa = f_kappa and then f -= a_kappa P_kappa, with
+    f updated in place.  The result holds the nonzero a_kappa, largest key
+    first.
     """
-    index = np.searchsorted(table.codes, codes).ravel()
-    f = np.bincount(index, weights=np.ravel(values), minlength=len(table.keys))
-    return f @ table.inverse
+    out: dict[Partition, float] = {}
+    for kappa in reversed(keys):
+        a = f.get(kappa, 0.0)
+        if a:
+            out[kappa] = a
+            for k, v in _poly(kappa, params, polys).items():
+                f[k] = f.get(k, 0.0) - a * v
+    return out
 
 
 def expand_in_P(F: PolynomialInE, params: ModelParams) -> dict[Partition, float]:
     """Expansion coefficients of F over the eigenpolynomial basis.
 
-    Keys are grouped by weight; each group is solved on the stratum bounded
-    by its largest first part and smallest last part.  Exact zeros are
-    left out.
+    Keys are grouped by weight; each group is substituted back over the
+    basis keys bounded by its largest first part and smallest last part.
+    Exact zeros are left out.
     """
     if F.n != params.n:
         raise ValueError(f"polynomial has n={F.n}, parameters have n={params.n}")
-    groups: dict[int, list[Partition]] = {}
-    for key in F.coeffs:
-        groups.setdefault(weight(key), []).append(key)
+    groups: dict[int, dict[Partition, float]] = {}
+    for key, v in F.items():
+        groups.setdefault(weight(key), {})[key] = v
     out: dict[Partition, float] = {}
-    for w, keys in sorted(groups.items()):
-        table = stratum(params, w, max(k[0] for k in keys), min(k[-1] for k in keys))
-        key_array = np.array(keys, dtype=np.int64)
-        values = np.array([F.coeffs[k] for k in keys])
-        a = _solve(table, encode_keys(key_array, w), values)
-        for i in np.flatnonzero(a)[::-1]:
-            out[table.keys[i]] = float(a[i])
+    for w, f in sorted(groups.items()):
+        keys = basis_keys(params, w, max(k[0] for k in f), min(k[-1] for k in f))
+        out.update(_back_substitute(f, keys, params, coeffs._table(params).polys))
     return out
 
 
@@ -81,27 +84,24 @@ def lr_coefficients(lam, mu, params: ModelParams) -> dict[Partition, float]:
     Keys are filtered at SUPPORT_CUT relative to the product scale (at least
     1) and must obey the support constraints (both factors contained,
     weights additive); a sizable coefficient outside the support is a hard
-    error naming the last such key in the stratum's order.
+    error naming the largest such key.  Keys come in descending
+    lexicographic order.
     """
     lam, mu = check_partition(lam), check_partition(mu)
-    n = params.n
-    w, L = weight(lam) + weight(mu), lam[-1] + mu[-1]
-    M = min(lam[0] + mu[0], w - (n - 1) * L)
+    w = weight(lam) + weight(mu)
     # The gate runs on store hits too: the store is shared across m, locking and the sign of p.
-    if not (len(lam) == n and len(mu) == n and _admits(params, w, M - L)):
-        _check_stratum(params, w, M, L, (lam, mu))
-    store = coeffs._table(params)  # one lookup for the factors and the stratum
-    keys_l, vals_l = _poly(lam, params, store.polys).arrays()
-    keys_m, vals_m = _poly(mu, params, store.polys).arrays()
-    table = _stratum(params, store, w, M, L)
-    codes = encode_keys(keys_l, w)[:, None] + encode_keys(keys_m, w)[None, :]
-    a = _solve(table, codes, np.outer(vals_l, vals_m))
-    mag = np.abs(a)
-    kept = mag > SUPPORT_CUT * max(1.0, mag.max(initial=0.0))
-    outside = kept & ~(table.key_array >= np.maximum(np.array(lam), np.array(mu))).all(axis=1)
-    if outside.any():
-        i = np.flatnonzero(outside)[-1]
-        raise ComputationError(
-            f"support violation: key {table.keys[i]} with coefficient {float(a[i])!r} in {lam} * {mu}"
-        )
-    return {table.keys[i]: float(a[i]) for i in np.flatnonzero(kept)[::-1]}
+    keys = basis_keys(params, w, lam[0] + mu[0], lam[-1] + mu[-1], (lam, mu))
+    polys = coeffs._table(params).polys
+    keys_l, vals_l = _poly(lam, params, polys).arrays()
+    keys_m, vals_m = _poly(mu, params, polys).arrays()
+    f: dict[Partition, float] = {}  # the exact product, its terms summed in the order of the factors
+    terms = (keys_l[:, None] + keys_m[None]).reshape(-1, params.n).tolist()
+    for k, v in zip(map(tuple, terms), np.outer(vals_l, vals_m).ravel().tolist()):
+        f[k] = f.get(k, 0.0) + v
+    a = _back_substitute(f, keys, params, polys)
+    cut = SUPPORT_CUT * max(1.0, max(map(abs, a.values()), default=0.0))
+    out = {kappa: v for kappa, v in a.items() if abs(v) > cut}
+    for kappa, v in out.items():
+        if not (contains(lam, kappa) and contains(mu, kappa)):
+            raise ComputationError(f"support violation: key {kappa} with coefficient {v!r} in {lam} * {mu}")
+    return out

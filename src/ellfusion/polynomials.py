@@ -8,19 +8,16 @@ dominated by mu, with all keys sharing the weight |mu|.
 
 The recurrence is resolved iteratively over the dependency cone ordered by
 the (span, leading-run) induction, so recursion depth never grows with the
-weight.  Built polynomials and strata are kept in the bracket table of
-their parameters (``coeffs``), which is bounded: an evicted table takes its
+weight.  Built polynomials are kept in the bracket table of their
+parameters (``coeffs``), which is bounded: an evicted table takes its
 polynomials with it, and a later request rebuilds the same bits.
 
 Every key of P_kappa is dominated by kappa, so it has the same weight, a
 first part <= kappa_1 and a last part >= kappa_n.  The partitions of weight
 w with first part <= M and last part >= L therefore span a subspace that the
-basis maps into itself: a stratum.  Its matrix U, whose row kappa holds the
-coefficients of P_kappa, is unit lower-triangular in the ascending
-lexicographic order of the keys.  ``stratum`` returns the keys with the
-inverse U^-1, which is unit lower-triangular too and is built row by row:
-a row of U^-1 depends only on the rows before it, so a stratum grows by
-appending rows.
+basis maps into itself; ``basis_keys`` lists them, in the ascending
+lexicographic order in which the basis is unit lower-triangular, after the
+admission gate.
 
 Polynomials are evaluated in one place, ``evaluate_batch``: many
 polynomials at many points as one coefficient-by-monomial matrix product,
@@ -194,120 +191,24 @@ def _poly(mu: Partition, params: ModelParams, polys: dict) -> PolynomialInE:
     return polys[mu]
 
 
-def encode_keys(key_array: np.ndarray, w: int) -> np.ndarray:
-    """Keys of weight <= w as base-(w+1) integers.
+def basis_keys(params: ModelParams, w: int, M: int, L: int = 0, heads=()) -> list[Partition]:
+    """The keys of weight w, first part <= M and last part >= L, in ascending lexicographic order.
 
-    The code order is the lexicographic order of the keys, and a sum of keys
-    whose weight stays <= w encodes to the sum of their codes.
+    Every key of P_kappa is dominated by kappa, so these keys span a subspace
+    that the basis maps into itself.  M is first clamped to the largest first
+    part such a key can have.  The admission gate runs on heads (the factors
+    of a product in this subspace) and on every key: ``_admits`` clears them
+    all at once, since all have weight <= w and span <= M - L; otherwise
+    each goes through ``_check_buildable``, which names the first bad one.
     """
-    n = key_array.shape[-1]
-    return key_array @ (w + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-
-
-class Stratum:
-    """The keys of weight w, first part <= bound, last part >= L, with their basis.
-
-    ``keys`` are in ascending lexicographic order, ``key_array`` holds them
-    as rows and ``codes`` as ``encode_keys(key_array, w)``.  The matrix U
-    whose row i is P_{keys[i]} in the monomial basis is unit lower-triangular,
-    so F = sum_i a_i P_{keys[i]} has monomial coefficients f = U^T a, and
-    a = f @ ``inverse``, where ``inverse`` is the dense unit lower-triangular
-    U^-1.  Its leading k x k block is the inverse of the leading block of U.
-    """
-
-    __slots__ = ("w", "bound", "keys", "key_array", "codes", "inverse")
-
-    def __init__(
-        self,
-        w: int,
-        bound: int,
-        keys: list[Partition],
-        key_array: np.ndarray,
-        codes: np.ndarray,
-        inverse: np.ndarray,
-    ):
-        self.w = w
-        self.bound = bound
-        self.keys = keys
-        self.key_array = key_array
-        self.codes = codes
-        self.inverse = inverse
-
-    def block(self, M: int) -> "Stratum":
-        """The sub-stratum of first part <= M <= bound: a leading block, sliced without a copy."""
-        if M >= self.bound:
-            return self
-        n = self.key_array.shape[1]
-        k = int(np.searchsorted(self.codes, (M + 1) * (self.w + 1) ** (n - 1)))
-        return Stratum(self.w, M, self.keys[:k], self.key_array[:k], self.codes[:k], self.inverse[:k, :k])
-
-
-def stratum(params: ModelParams, w: int, M: int, L: int = 0) -> Stratum:
-    """The basis stratum of weight w, first part <= M, last part >= L.
-
-    Built once per (n, w, L) in the store of params' bracket table for the
-    largest M requested so far.  A larger M grows it: the keys with larger
-    first parts come last, so the rows of U^-1 built so far are kept and the
-    new rows appended.  A smaller M takes a leading block, so the entries do
-    not depend on the order of requests.
-    """
-    M = min(M, w - (params.n - 1) * L)  # the largest first part the stratum can hold
-    if not _admits(params, w, M - L):
-        _check_stratum(params, w, M, L)
-    return _stratum(params, coeffs._table(params), w, M, L)
-
-
-def _stratum_keys(n: int, w: int, M: int, L: int) -> list[Partition]:
-    """The keys of the stratum (w, M, L), in ascending lexicographic order."""
-    if (w + 1) ** n > np.iinfo(np.int64).max:
-        raise ValueError(f"weight {w} is too large for int64 key codes at n={n}")
-    keys = partitions_of_weight(n, w - n * L, max_part=M - L) if M >= L else []
-    return [tuple(x + L for x in k) for k in reversed(keys)]
-
-
-def _check_stratum(params: ModelParams, w: int, M: int, L: int, heads=()) -> None:
-    """``_check_buildable`` for each of heads, then for every key of the stratum (w, M, L).
-
-    Callers first try ``_admits(params, w, M - L)``: it admits every key and
-    every head of a product in the stratum at once, since all have weight
-    <= w and span <= M - L.
-    """
-    for mu in heads:
-        _check_buildable(mu, params)
-    for kappa in _stratum_keys(params.n, w, M, L):
-        _check_buildable(kappa, params)
-
-
-def _stratum(params: ModelParams, store: "coeffs.BracketTable", w: int, M: int, L: int) -> Stratum:
-    """``stratum`` from store, params' bracket table, with M clamped and admitted."""
     n = params.n
-    table = store.strata.get((n, w, L))
-    if table is not None and table.bound >= M:
-        return table.block(M)
-
-    keys = _stratum_keys(n, w, M, L)
-    key_array = np.array(keys, dtype=np.int64).reshape(len(keys), n)
-    N = len(keys)
-    inverse = np.zeros((N, N))
-    done = 0
-    if table is not None:
-        done = len(table.keys)
-        inverse[:done, :done] = table.inverse
-    index = {k: i for i, k in enumerate(keys)}
-    for i in range(done, N):
-        row = np.zeros(i)  # U[i, :i], the coefficients of P_{keys[i]} below its head
-        for k, v in _poly(keys[i], params, store.polys).items():
-            j = index.get(k, N)
-            if j > i:
-                raise AssertionError(f"P_{keys[i]} leaves its stratum at {k}")
-            if j < i:
-                row[j] = v
-        # Row i of U U^-1 = I: U[i, :i] U^-1[:i, :i] + U^-1[i, :i] = 0.
-        inverse[i, :i] = -(row @ inverse[:i, :i])
-        inverse[i, i] = 1.0
-    table = Stratum(w, M, keys, key_array, encode_keys(key_array, w), inverse)
-    store.strata[(n, w, L)] = table
-    return table
+    M = min(M, w - (n - 1) * L)
+    keys = partitions_of_weight(n, w - n * L, max_part=M - L) if M >= L else []
+    keys = [tuple(x + L for x in k) for k in reversed(keys)]
+    if not (all(len(mu) == n for mu in heads) and _admits(params, w, M - L)):
+        for mu in (*heads, *keys):
+            _check_buildable(mu, params)
+    return keys
 
 
 def evaluate_batch(polys, points) -> tuple[np.ndarray, np.ndarray]:

@@ -184,6 +184,7 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
     gp = ["--g", "0.7", "--p", "0.3"]
     free = [*gp, "--alpha", "2.0"]
+    lr = ["lr", "--n", "2", "--lam", "1,0", "--mu", "1,0", "--p", "0.3"]
     # arguments that parse but that the library rejects: one line on stderr
     for args in (
         ["lr", "--n", "3", "--lam", "1,2,0", "--mu", "1,0,0", *free],
@@ -194,6 +195,15 @@ def test_usage_errors_exit_2(capsys):
         ["fusion", "--n", "2", "--m", "0", "--g", "0", "--p", "0.3"],  # m + n*g = 0
         ["fusion", "--n", "2", "--m", "2", "--g", "-1", "--p", "0.3"],
         ["pieri", "--n", "2", "--lam", "1,0", "--r", "5", *free],
+        # out-of-range model arguments, checked before the free-mode gate
+        [*lr, "--g", "0.7", "--alpha", "0"],
+        [*lr, "--g", "0.7", "--alpha", "inf"],
+        [*lr, "--g", "0.7", "--alpha", "nan"],
+        [*lr, "--g", "inf", "--alpha", "2"],
+        [*lr, "--g", "nan", "--alpha", "2"],
+        ["fusion", "--n", "2", "--m", "2", "--g", "inf", "--p", "0.3"],
+        ["fusion", "--n", "2", "--m", "2", "--g", "0.7", "--p", "1.5"],
+        ["fusion", "--n", "2", "--m", "2", "--g", "0.7", "--p", "nan"],
     ):
         code, out, err = run_cli(args, capsys)
         assert code == 2, args

@@ -173,6 +173,24 @@ def test_lr_rows_are_the_reduced_pair_products(params):
             assert all(abs(got.get(k, 0.0) - v) < 1e-9 for k, v in want.items())
 
 
+@pytest.mark.parametrize(
+    "lam, mu",
+    [
+        ((8, 1, 0), (7, 3, 0)),
+        ((7, 3, 0), (8, 1, 0)),
+        ((8, 1, 0), (8, 3, 0)),
+        ((8, 3, 0), (8, 1, 0)),
+        ((8, 2, 0), (8, 2, 0)),
+    ],
+)
+def test_free_ring_products_reduce_to_the_ring_route_at_level_8(lam, mu):
+    """Pairs whose free-ring expansion once broke its own support check agree with the Pieri table."""
+    params = ModelParams.locked(3, 8, 0.7, 0.3)
+    want = structure_constants_lr(lam, mu, params)
+    got = reduce_mod_ideal(lr_coefficients(lam, mu, params), params)
+    assert all(abs(got.get(k, 0.0) - want.get(k, 0.0)) <= 1e-7 for k in set(got) | set(want))
+
+
 def test_lr_results_are_fresh_objects():
     params = ModelParams.locked(2, 1, 1.0, 0.0)  # resonant: the limit protocol runs
     first, flags = structure_constants_lr((1, 0), (1, 0), params, return_flags=True)

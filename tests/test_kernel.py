@@ -133,7 +133,7 @@ def test_model_params_level_lock():
 
 
 def test_model_params_validation():
-    with pytest.raises(NonConvergent):
+    with pytest.raises(ValueError, match="nome p=1.5"):
         ModelParams.locked(2, 1, 0.7, 1.5)
     with pytest.raises(ValueError):
         ModelParams.locked(2, 1, -0.7, 0.0)
@@ -143,6 +143,32 @@ def test_model_params_validation():
     for n, m, g, what in [(2, 0, 0.0, "g > 0"), (2, 2, -1.0, "g > 0"), (0, 0, 0.7, "n must be")]:
         with pytest.raises(ValueError, match=what):
             ModelParams.locked(n, m, g, 0.3)
+
+
+_BAD_ARGUMENTS = [
+    ("free", 0.7, 0.3, 0.0, "alpha=0.0"),
+    ("free", 0.7, 0.3, math.inf, "alpha=inf"),
+    ("free", 0.7, 0.3, math.nan, "alpha=nan"),
+    ("free", math.inf, 0.3, 2.0, "g=inf"),
+    ("free", math.nan, 0.3, 2.0, "g=nan"),
+    ("free", 0.7, 1.5, 2.0, "p=1.5"),
+    ("locked", math.inf, 0.3, None, "g=inf"),
+    ("locked", math.nan, 0.3, None, "g=nan"),
+    ("locked", 0.7, 1.5, None, "p=1.5"),
+    ("locked", 0.7, math.nan, None, "p=nan"),
+]
+
+
+@pytest.mark.parametrize(
+    "mode, g, p, alpha, what", _BAD_ARGUMENTS, ids=[f"{c[0]}-{c[4]}" for c in _BAD_ARGUMENTS]
+)
+def test_out_of_range_arguments_raise_a_value_error_that_names_them(mode, g, p, alpha, what):
+    """Checked before the free-mode gate, which would divide by alpha or round g / period."""
+    with pytest.raises(ValueError, match=what):
+        if mode == "free":
+            ModelParams.free(2, g=g, p=p, alpha=alpha)
+        else:
+            ModelParams.locked(2, 2, g, p)
 
 
 def test_free_mode_gate_rejects_resonance():

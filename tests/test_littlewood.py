@@ -1,10 +1,9 @@
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ellfusion import coeffs
 from ellfusion.kernel import ModelParams, g_regularity_margin, realify
-from ellfusion.littlewood import _solve, expand_in_P, lr_coefficients, multiply_monomial
+from ellfusion.littlewood import expand_in_P, lr_coefficients, multiply_monomial
 from ellfusion.oracles import macdonald_lr_p0
 from ellfusion.partitions import (
     add,
@@ -15,7 +14,7 @@ from ellfusion.partitions import (
     vertical_strips,
     weight,
 )
-from ellfusion.polynomials import PolynomialInE, build_P, stratum
+from ellfusion.polynomials import PolynomialInE, build_P
 
 FREE2 = ModelParams.free(2, g=0.7, p=0.3, alpha=2.0)
 FREE3 = ModelParams.free(3, g=0.65, p=0.3, alpha=2.0)
@@ -181,47 +180,13 @@ def test_lr_coefficients_reconstruct_the_product(case):
         assert abs(rebuilt.get(k, 0.0) - product.coeffs.get(k, 0.0)) <= 1e-10 * scale
 
 
-@st.composite
-def _stratum_case(draw):
-    n = draw(st.sampled_from((2, 3, 4)))
-    params = ModelParams.free(
-        n, g=draw(st.floats(0.3, 1.7)), p=draw(st.floats(-0.9, 0.9)), alpha=draw(st.floats(1.0, 3.0))
-    )
-    w = draw(st.integers(0, 9))
-    L = draw(st.integers(0, w // n))
-    return params, w, draw(st.integers(L, w)), L
-
-
-@settings(max_examples=60, deadline=None)
-@given(_stratum_case(), st.data())
-def test_solve_matches_back_substitution(case, data):
-    """f U^-1 with the stored inverse agrees with back substitution on U^T a = f."""
-    params, w, M, L = case
-    assume(g_regularity_margin(params.alpha, params.g, params.n, max(w, 1), jmax=params.n - 1) > 0.05)
-    table = stratum(params, w, M, L)
-    N = len(table.keys)
-    assume(N > 0)
-    idx = data.draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=2 * N))
-    values = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(idx), max_size=len(idx)))
-    f = [0.0] * N
-    for i, v in zip(idx, values):  # repeated keys are summed
-        f[i] += v
-    rows = [build_P(kappa, params).coeffs for kappa in table.keys]
-    a = [0.0] * N
-    for i in reversed(range(N)):  # row i of U^T a = f: a_i + sum_{j > i} U[j, i] a_j = f_i
-        a[i] = f[i] - sum(rows[j].get(table.keys[i], 0.0) * a[j] for j in range(i + 1, N))
-    got = _solve(table, table.codes[idx], np.array(values))
-    assert np.abs(got - np.array(a)).max() <= 1e-12 * max(abs(x) for x in a)
-
-
 def test_lr_coefficients_do_not_depend_on_cache_state():
-    """Bit-identical on a cold cache, after larger strata are built, and after a clear."""
+    """Bit-identical on a cold cache, after larger products are expanded, and after a clear."""
     params = ModelParams.locked(3, 4, 0.7, 0.3)
     lam, mu = (3, 1, 0), (2, 2, 0)
     coeffs.clear_coeff_caches()
     cold = lr_coefficients(lam, mu, params)
-    # Equal and larger weight and first part: the weight-8 stratum grows past
-    # first part 5, and the weight-9 one is built.
+    # Equal and larger weight and first part: their bases are built first.
     for a, b in [((4, 0, 0), (4, 0, 0)), ((4, 4, 0), (4, 0, 0)), ((4, 1, 0), (4, 0, 0))]:
         lr_coefficients(a, b, params)
     warm = lr_coefficients(lam, mu, params)

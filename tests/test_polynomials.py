@@ -10,7 +10,7 @@ from ellfusion import coeffs
 from ellfusion.errors import GenericityViolation, TrackingAmbiguity
 from ellfusion.fusion import fusion_table
 from ellfusion.kernel import ModelParams, realify
-from ellfusion.littlewood import lr_coefficients
+from ellfusion.littlewood import expand_in_P, lr_coefficients, multiply_monomial
 from ellfusion.operators import joint_spectrum
 from ellfusion.oracles import schur_eval, schur_in_elementary
 from ellfusion.partitions import (
@@ -30,7 +30,6 @@ from ellfusion.polynomials import (
     evaluate_R,
     evaluation_scale,
     normalized_p,
-    stratum,
 )
 
 FREE2 = ModelParams.free(2, g=0.7, p=0.3, alpha=2.0)
@@ -222,46 +221,6 @@ def test_evaluate_batch_matches_extended_precision(n, m, g, p):
             assert np.all(np.abs(values[:, j] - want) <= 1e-13 * scales[:, j])
 
 
-def _basis_rows(table, params) -> np.ndarray:
-    """The matrix U of the stratum, row i rebuilt from build_P(keys[i])."""
-    U = np.zeros((len(table.keys), len(table.keys)))
-    for i, kappa in enumerate(table.keys):
-        for k, v in build_P(kappa, params).items():
-            U[i, table.keys.index(k)] = v  # raises if P_kappa leaves the stratum
-    return U
-
-
-def test_stratum_rows_are_the_basis_and_smaller_bounds_are_leading_blocks():
-    params = ModelParams.locked(3, 4, 0.7, 0.3)
-    coeffs.clear_coeff_caches()
-    small = stratum(params, 7, 4)
-    big = stratum(params, 7, 9)  # clamped to the largest first part, 7
-    again = stratum(params, 7, 4)
-    assert big.keys == sorted(partitions_of_weight(3, 7))
-    assert small.keys == big.keys[: len(small.keys)] == again.keys
-    assert all(k[0] <= 4 for k in small.keys) and big.keys[len(small.keys)][0] == 5
-    k = len(small.keys)
-    assert np.array_equal(big.inverse[:k, :k], small.inverse)
-    assert np.array_equal(again.inverse, small.inverse)
-    assert np.shares_memory(again.inverse, big.inverse)  # a leading block is a slice
-    U, X = _basis_rows(big, params), big.inverse
-    assert np.array_equal(U, np.tril(U)) and np.all(np.diag(U) == 1.0)
-    assert np.array_equal(X, np.tril(X)) and np.all(np.diag(X) == 1.0)
-    scale = np.abs(U).max() * np.abs(X).max()
-    assert np.abs(U @ X - np.eye(len(big.keys))).max() <= 1e-12 * scale
-
-
-def test_stratum_with_a_last_part_bound():
-    params = ModelParams.free(3, g=0.45, p=0.2, alpha=2.0)
-    table = stratum(params, 9, 5, L=2)
-    assert table.keys == [(3, 3, 3), (4, 3, 2), (5, 2, 2)]
-    # row 1 of U^-1 below the diagonal is minus row 1 of U, since U[0] = e_0
-    assert table.inverse[1, 0] == -build_P((4, 3, 2), params).coeffs[(3, 3, 3)]
-    U = _basis_rows(table, params)
-    scale = np.abs(U).max() * np.abs(table.inverse).max()
-    assert np.abs(U @ table.inverse - np.eye(3)).max() <= 1e-12 * scale
-
-
 def _count_psi_prime(monkeypatch) -> list:
     calls = []
     real = coeffs.psi_prime
@@ -280,16 +239,19 @@ def test_evicting_a_bracket_table_drops_its_polynomials(monkeypatch):
     params = ModelParams.locked(3, 4, 0.7, 0.3)
     mu = (3, 1, 0)
     first = build_P(mu, params).coeffs
-    inverse = stratum(params, 7, 4).inverse
+    F = multiply_monomial(build_P((2, 1, 0), params), build_P((2, 2, 0), params))
+    expansion = expand_in_P(F, params)
+    products = lr_coefficients((2, 1, 0), (2, 2, 0), params)
     store = weakref.ref(coeffs._table(params, 0, 0))
     calls = _count_psi_prime(monkeypatch)
     for p in (0.4, 0.5):  # two more tables push the first one out
         build_P(mu, params.with_p(p))
     gc.collect()
-    assert store() is None  # nothing else holds the table, its P's or its strata
+    assert store() is None  # nothing else holds the table or its P's
     calls.clear()
-    assert np.array_equal(stratum(params, 7, 4).inverse, inverse)
+    assert expand_in_P(F, params) == expansion
     assert calls  # rebuilt from the recurrence
+    assert lr_coefficients((2, 1, 0), (2, 2, 0), params) == products
     assert build_P(mu, params).coeffs == first
     coeffs.clear_coeff_caches()
 
@@ -316,4 +278,4 @@ def test_gate_runs_on_a_store_hit():
     with pytest.raises(GenericityViolation):
         lr_coefficients((14, 0, 0), (0, 0, 0), free)
     with pytest.raises(GenericityViolation):
-        stratum(free, 14, 14)
+        expand_in_P(PolynomialInE(3, {(14, 0, 0): 1.0}), free)
