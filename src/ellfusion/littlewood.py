@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ComputationError
 from .kernel import ModelParams
-from .partitions import Partition, add, check_partition, contains, weight
+from .partitions import Partition, add, check_partition, contains, is_partition, weight
 from .polynomials import PolynomialInE, _poly, basis_keys
 from . import coeffs
 
@@ -64,12 +64,15 @@ def expand_in_P(F: PolynomialInE, params: ModelParams) -> dict[Partition, float]
 
     Keys are grouped by weight; each group is substituted back over the
     basis keys bounded by its largest first part and smallest last part.
-    Exact zeros are left out.
+    Exact zeros are left out.  A key that is not a partition with n rows
+    raises ValueError.
     """
     if F.n != params.n:
         raise ValueError(f"polynomial has n={F.n}, parameters have n={params.n}")
     groups: dict[int, dict[Partition, float]] = {}
     for key, v in F.items():
+        if len(key) != params.n or not is_partition(key):
+            raise ValueError(f"key {key} is not a partition with {params.n} rows")
         groups.setdefault(weight(key), {})[key] = v
     out: dict[Partition, float] = {}
     for w, f in sorted(groups.items()):

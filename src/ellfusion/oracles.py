@@ -4,8 +4,8 @@ Nothing in this module touches the elliptic kernel or the eigenpolynomial
 table: Schur polynomials come from semistandard tableau enumeration (and
 from the dual determinant identity for expansions over elementary symmetric
 polynomials), the trigonometric recurrence weights are direct sine-ratio
-products, and classical fusion coefficients come from a sine-form spectral
-sum with a numerically inverted matrix.
+products, the sine-form modular matrix is one batched Weyl determinant per
+(n, m), and the classical fusion tensor is one spectral sum per (n, m).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import NonIntegral, NotAStrip
-from .kernel import qpow, trig_bracket, trig_factorial
+from .kernel import trig_bracket, trig_factorial
 from .partitions import (
     Partition,
     check_partition,
@@ -229,55 +229,55 @@ def macdonald_lr_p0(lam, mu, alpha: float, g: float) -> dict[Partition, float]:
 # Classical fusion via the sine-form spectral sum
 
 def kac_peterson_smatrix(n: int, m: int) -> tuple[list[Partition], np.ndarray]:
-    """Sine-form modular matrix built from Schur principal specializations.
+    """Sine-form modular matrix from the Weyl character formula.
 
-    S_{lam,nu} = q^(-|lam||nu|/n - (n-1)(|lam|+|nu|)/2)
-                 * s_lam(q^(nu_1+n-1), ..., q^(nu_{n-1}+1), 1)
-                 * s_nu(q^(n-1), ..., q, 1),  q = exp(2 pi i / (m+n)).
+    S_{lam,nu} = q^(-|lam||nu|/n - (n-1)(|lam|+|nu|)/2) * s_lam(q^(nu+rho)) * s_nu(q^rho),
+    q = exp(2 pi i / (m+n)), rho = (n-1, ..., 1, 0).  With one batched determinant
+    A[lam, nu] = det_ij q^((lam+rho)_i (nu+rho)_j), s_lam(q^(nu+rho)) = A[lam, nu] / A[0, nu]
+    (Kac & Peterson, Adv. Math. 53 (1984)); A is symmetric, so S = prefactor * A / A[0, 0].
     """
     labels = enumerate_level(n, m)
     alpha = _TWO_PI / (m + n)
-    xs0 = [qpow(alpha, n - 1 - j) for j in range(n)]
-    S = np.empty((len(labels), len(labels)), dtype=complex)
-    for j, nu in enumerate(labels):
-        xs = [qpow(alpha, nu[i] + n - 1 - i) for i in range(n - 1)] + [1.0 + 0.0j]
-        s_nu0 = schur_eval(nu, xs0)
-        for i, lam in enumerate(labels):
-            pref = qpow(alpha, -weight(lam) * weight(nu) / n - (n - 1) * (weight(lam) + weight(nu)) / 2.0)
-            S[i, j] = pref * schur_eval(lam, xs) * s_nu0
-    return labels, S
+    parts = np.array(labels, dtype=np.int64)
+    shifted = parts + np.arange(n - 1, -1, -1)
+    # Integer exponents, reduced mod m+n: every entry is a root of unity at full accuracy.
+    exponents = shifted[:, None, :, None] * shifted[None, :, None, :] % (m + n)
+    A = np.linalg.det(np.exp(1j * alpha * exponents))
+    w = parts.sum(axis=1)
+    pref = np.exp(1j * alpha * (-np.outer(w, w) / n - (n - 1) * (w[:, None] + w[None, :]) / 2.0))
+    return labels, pref * A / A[0, 0]
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=4)
 def _classical_transform(n: int, m: int):
-    """(labels, label index, S, Sinv) of the sine-form matrix, built once per (n, m); read-only."""
+    """(labels, label index, S, N) of the sine-form matrix, built once per (n, m); read-only.
+
+    N[lam, mu, kappa] = rint((S[lam] S / S[0]) Sinv) row by row, and an entry more than
+    1e-6 from its integer raises NonIntegral.  N is N^3 floats (36 MB at N = 165): few are kept.
+    """
     labels, S = kac_peterson_smatrix(n, m)
     Sinv = np.linalg.inv(S)
-    S.flags.writeable = Sinv.flags.writeable = False
-    return labels, {l: i for i, l in enumerate(labels)}, S, Sinv
+    table = np.empty((len(labels),) * 3)
+    for i, lam in enumerate(labels):
+        raw = (S[i] * S / S[0]) @ Sinv
+        table[i] = np.rint(raw.real)
+        off = np.abs(raw - table[i])
+        if not off.max() <= 1e-6:  # NaN fails too
+            j, k = np.unravel_index(off.argmax(), off.shape)
+            raise NonIntegral(f"value {complex(raw[j, k])} for {labels[k]} in {lam} x {labels[j]} is not integral")
+    S.flags.writeable = table.flags.writeable = False
+    return labels, {l: i for i, l in enumerate(labels)}, S, table
 
 
 def classical_fusion(lam, mu, n: int, m: int) -> dict[Partition, int]:
-    """Classical level-m fusion coefficients from the sine-form spectral sum.
+    """Classical level-m fusion coefficients: one pair's row of the classical tensor.
 
-    Values are rounded to the nearest integer; a rounding residue above
-    1e-6 raises NonIntegral.
+    The tensor comes from the sine-form spectral sum, rounded to the nearest
+    integer; a rounding residue above 1e-6 anywhere raises NonIntegral.
     """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    labels, index, S, Sinv = _classical_transform(n, m)
-    i_lam, i_mu = index[lam], index[mu]
-    weights = S[i_lam, :] * S[i_mu, :] / S[0, :]
-    vec = weights @ Sinv
-    out: dict[Partition, int] = {}
-    for k, kappa in enumerate(labels):
-        v = complex(vec[k])
-        nearest = round(v.real)
-        if abs(v - nearest) > 1e-6:
-            raise NonIntegral(f"fusion value {v!r} for {kappa} is not integral")
-        if nearest:
-            out[kappa] = int(nearest)
-    return out
+    labels, index, _, table = _classical_transform(n, m)
+    row = table[index[check_partition(lam)], index[check_partition(mu)]]
+    return {labels[k]: int(v) for k, v in enumerate(row.tolist()) if v}
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +302,3 @@ class OracleReport:
             "passed": self.passed,
         }
 
-
-def make_report(comparison: str, pairs, tol: float, relative: bool = False) -> OracleReport:
-    """Build a report from (computed, expected) pairs of complex scalars."""
-    max_abs = 0.0
-    max_rel = 0.0
-    for got, want in pairs:
-        diff = abs(complex(got) - complex(want))
-        max_abs = max(max_abs, diff)
-        max_rel = max(max_rel, diff / max(1e-300, abs(complex(want))))
-    measured = max_rel if relative else max_abs
-    return OracleReport(comparison, max_abs, max_rel, tol, measured < tol)

@@ -61,7 +61,6 @@ from .fusion import (
 from .oracles import (
     OracleReport,
     _classical_transform,
-    classical_fusion,
     macdonald_lr_p0,
     macdonald_pieri_p0,
     principal_normalization_p0,
@@ -437,24 +436,26 @@ def _refined_fusion_p0(ctx, n, m, g=0.8):
     )
 
 
-def _classical_pairs(ctx, n, m):
-    """(table value, classical coefficient) over every kappa of every pair of the g = 1 table."""
+def _classical_values(ctx, n, m):
+    """The g = 1 table values [lam, mu, kappa] and the classical tensor over the same labels."""
     table = ctx.table(ModelParams.locked(n, m, 1.0, 0.0))
-    for (i, lam), (j, mu) in product(enumerate(table.labels), repeat=2):
-        yield from _on_labels(table, i, j, classical_fusion(lam, mu, n, m))
+    labels, _, _, classical = _classical_transform(n, m)
+    if tuple(labels) != table.labels:
+        raise ValueError("the g = 1 table and the classical tensor have different labels")
+    return table.values, classical
 
 
 def _fusion_g1_classical(ctx, n, m):
     """Fusion table at g = 1 against the classical coefficients."""
-    return _worst(_classical_pairs(ctx, n, m))
+    values, classical = _classical_values(ctx, n, m)
+    return float(np.abs(values - classical).max())
 
 
 def _fusion_g1_integers(ctx, n, m):
-    """Table values at g = 1 that do not round to the classical, nonnegative integer."""
-    return sum(
-        round(v) != want or round(v) < 0 or v < -_CLASSICAL_TOL
-        for v, want in _classical_pairs(ctx, n, m)
-    )
+    """Table values at g = 1 that do not round (half to even) to the classical, nonnegative integer."""
+    values, classical = _classical_values(ctx, n, m)
+    nearest = np.rint(values)
+    return int(np.count_nonzero((nearest != classical) | (nearest < 0) | (values < -_CLASSICAL_TOL)))
 
 
 def _fusion_g1_p_independent(ctx, n, m, p=0.5):
@@ -466,7 +467,7 @@ def _smatrix_kac_peterson(ctx, n, m):
     """S-matrix at (g, p) = (1, 0) against the sine-form oracle, entrywise.
 
     At p = 0 the gauge factor relating the two is identically 1.  The oracle's
-    matrix is the one its classical fusion coefficients use, built once per (n, m).
+    matrix is the one its classical fusion tensor uses, built once per (n, m).
     """
     sm = ctx.smatrix(ModelParams.locked(n, m, 1.0, 0.0))
     return float(np.abs(sm.S - _classical_transform(n, m)[2]).max())

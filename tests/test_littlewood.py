@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -52,6 +54,15 @@ def test_expand_square_of_first_monomial():
 
 def test_expand_zero_polynomial():
     assert expand_in_P(PolynomialInE(2, {}), FREE2) == {}
+
+
+@pytest.mark.parametrize(
+    "coeffs_, bad",
+    [({(2, 0): 1.0, (0, 2): 1.0}, (0, 2)), ({(1, -1): 1.0}, (1, -1)), ({(0, 1): 1.0}, (0, 1))],
+)
+def test_expand_rejects_keys_that_are_not_partitions(coeffs_, bad):
+    with pytest.raises(ValueError, match=re.escape(str(bad))):
+        expand_in_P(PolynomialInE(2, coeffs_), FREE2)
 
 
 def test_lr_with_unit_factor():

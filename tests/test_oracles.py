@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from ellfusion.errors import NotAStrip
-from ellfusion.kernel import trig_bracket
+from ellfusion.errors import NonIntegral, NotAStrip
+from ellfusion.kernel import qpow, trig_bracket
 from ellfusion.oracles import (
     classical_fusion,
     kac_peterson_smatrix,
     macdonald_lr_p0,
     macdonald_pieri_p0,
-    make_report,
     schur_eval,
     schur_in_elementary,
 )
@@ -75,6 +74,21 @@ def test_kac_peterson_unitary_after_normalization():
         assert np.abs(G - scale * np.eye(len(labels))).max() < 1e-12 * scale
 
 
+@pytest.mark.parametrize("n, m", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 2)])
+def test_determinant_smatrix_matches_tableau_sums(n, m):
+    """The Weyl-determinant S equals the sine form with every Schur value summed over tableaux."""
+    labels, S = kac_peterson_smatrix(n, m)
+    alpha = 2.0 * np.pi / (m + n)
+    rho = [qpow(alpha, n - 1 - j) for j in range(n)]
+    want = np.empty_like(S)
+    for j, nu in enumerate(labels):
+        point = [qpow(alpha, nu[i] + n - 1 - i) for i in range(n)]
+        for i, lam in enumerate(labels):
+            pref = qpow(alpha, -weight(lam) * weight(nu) / n - (n - 1) * (weight(lam) + weight(nu)) / 2.0)
+            want[i, j] = pref * schur_eval(lam, point) * schur_eval(nu, rho)
+    assert np.abs(S - want).max() < 1e-12 * np.abs(want).max()
+
+
 def test_classical_fusion_examples():
     assert classical_fusion((1, 0), (1, 0), 2, 1) == {(0, 0): 1}
     assert classical_fusion((1, 0), (1, 0), 2, 2) == {(0, 0): 1, (2, 0): 1}
@@ -120,6 +134,23 @@ def test_classical_fusion_builds_the_sine_matrix_once(monkeypatch):
     assert kac_peterson_smatrix(2, 2)[1] is not kac_peterson_smatrix(2, 2)[1]
 
 
+def test_non_integral_classical_tensor_names_a_label(monkeypatch):
+    from ellfusion import oracles
+
+    def perturbed(n, m):
+        labels, S = kac_peterson_smatrix(n, m)
+        S[1, 1] *= 1.1
+        return labels, S
+
+    monkeypatch.setattr(oracles, "kac_peterson_smatrix", perturbed)
+    oracles._classical_transform.cache_clear()
+    try:
+        with pytest.raises(NonIntegral, match=r"for \(\d, \d, \d\) in \(\d, \d, \d\) x \(\d, \d, \d\)"):
+            classical_fusion((0, 0, 0), (1, 0, 0), 3, 2)
+    finally:
+        oracles._classical_transform.cache_clear()
+
+
 def test_repeated_trig_structure_coefficients_reuse_the_table(monkeypatch):
     from ellfusion import oracles
 
@@ -146,9 +177,3 @@ def test_trig_structure_coefficients_support_and_symmetry():
                 assert weight(k) == weight(lam) + weight(mu)
                 assert abs(v - b[k]) < 1e-11
 
-
-def test_make_report():
-    good = make_report("demo", [(1.0, 1.0 + 1e-13)], tol=1e-9)
-    assert good.passed and good.max_abs < 1e-12
-    bad = make_report("demo", [(1.0, 2.0)], tol=1e-9)
-    assert not bad.passed

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from ellfusion.verification import REGISTRY, CheckContext, run_suite
@@ -35,6 +37,26 @@ def test_individual_checks_report_structure():
     assert _report("kac_peterson_normalization", n=2, m=2).passed
     assert _report("fusion_g1_classical", n=3, m=1).passed
     assert _report("fusion_g1_classical_integers", n=3, m=1).passed
+
+
+def test_unit_coupling_checks_see_one_entry_off_by_a_half():
+    """Both g = 1 checks compare whole arrays: one entry 1 -> 1.5 reads 0.5 and rounds to 2."""
+    import numpy as np
+
+    from ellfusion.kernel import ModelParams
+    from ellfusion.oracles import _classical_transform
+
+    table = CheckContext().table(ModelParams.locked(3, 2, 1.0, 0.0))
+    values = table.values.copy()
+    entry = tuple(np.argwhere(_classical_transform(3, 2)[3] == 1)[-1])
+    values[entry] += 0.5
+
+    class StubContext:
+        def table(self, params):
+            return SimpleNamespace(labels=table.labels, values=values)
+
+    assert abs(_report("fusion_g1_classical", StubContext(), n=3, m=2).max_abs - 0.5) < 1e-12
+    assert _report("fusion_g1_classical_integers", StubContext(), n=3, m=2).max_abs == 1
 
 
 def test_run_suite_dispatch():
