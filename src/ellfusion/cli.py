@@ -173,6 +173,13 @@ class _TableRows:
     rows: Iterable[np.ndarray]
 
 
+@dataclass(frozen=True)
+class _ComplexRows:
+    """A complex matrix, written as its list of rows of {"re", "im"} pairs (see ``_complex_rows_chunks``)."""
+
+    matrix: np.ndarray
+
+
 def _json_chunks(payload):
     """The text of ``json.dumps(payload, indent=2, allow_nan=False)``, in chunks made as they are read.
 
@@ -183,7 +190,8 @@ def _json_chunks(payload):
     lists, tuples, str, int, float, bool and None of exactly those types;
     any other value (a subclass, a non-string key) goes to json.dumps, its
     newlines indented to its depth.  A ``_TableRows`` is written as its list
-    of per-pair blocks (see ``_fusion_table_chunks``).
+    of per-pair blocks (see ``_fusion_table_chunks``), a ``_ComplexRows`` as
+    its list of rows (see ``_complex_rows_chunks``).
     """
     text_of = {
         str: encode_basestring_ascii,
@@ -247,6 +255,8 @@ def _json_chunks(payload):
             yield newline + "}"
         elif kind is _TableRows:
             yield from _fusion_table_chunks(o.labels, o.rows, newline)
+        elif kind is _ComplexRows:
+            yield from _complex_rows_chunks(o.matrix, newline)
         else:  # subclasses, non-string keys, and what json rejects
             yield json.dumps(o, indent=2, allow_nan=False).replace("\n", newline)
 
@@ -325,6 +335,31 @@ def _fusion_table_chunks(labels, rows, newline: str):
         yield "".join(parts)  # one chunk per row lam
         lead = "," + i1
     yield newline + "]"
+
+
+def _complex_rows_chunks(matrix: np.ndarray, newline: str):
+    """The rows of a complex matrix as indented JSON lists of {"re", "im"} pairs, one chunk per row.
+
+    The chunks join to the bytes of ``json.dumps`` of the rows as lists of
+    ``{"re": z.real, "im": z.imag}`` dicts at this depth.  Each row is one
+    %-format of a template built once, over the reprs of its parts; a
+    non-finite part raises ValueError, as json.dumps does, before any chunk
+    of its row.
+    """
+    i1 = newline + "  "  # a row
+    i2 = i1 + "  "  # a pair
+    i3 = i2 + "  "  # its keys
+    pair = "{" + i3 + '"re": %s,' + i3 + '"im": %s' + i2 + "}"
+    template = "[" + i2 + ("," + i2).join([pair] * matrix.shape[1]) + i1 + "]" if matrix.shape[1] else "[]"
+    lead = "[" + i1
+    for row in matrix:
+        if not np.isfinite(row).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        parts = np.empty(2 * len(row))
+        parts[0::2], parts[1::2] = row.real, row.imag
+        yield lead + template % tuple(map(float.__repr__, parts.tolist()))
+        lead = "," + i1
+    yield newline + "]" if len(matrix) else "[]"
 
 
 def _emit_json(payload: dict, out_path: str | None) -> None:
@@ -457,8 +492,8 @@ def _cmd_smatrix(args, parser) -> int:
     sm = s_matrix(params, seed=args.seed)
     payload = _header("smatrix", params, args.seed)
     payload["labels"] = [list(nu) for nu in sm.labels]
-    payload["S"] = [[_cnum(z) for z in row] for row in sm.S]
-    payload["Sinv"] = [[_cnum(z) for z in row] for row in sm.Sinv]
+    payload["S"] = _ComplexRows(sm.S)
+    payload["Sinv"] = _ComplexRows(sm.Sinv)
     payload["normalization"] = sm.normalization
     payload["identity_residual"] = sm.identity_residual()
     # The linear values overflow binary64 at large nomes; their logs do not.

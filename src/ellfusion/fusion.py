@@ -96,16 +96,23 @@ def _cone(n: int, m: int):
     return labels, MappingProxyType({lam: i for i, lam in enumerate(labels)})
 
 
-def _pair_index(lam, mu, n: int, m: int) -> tuple[int, int] | None:
-    """Indices among the labels of (n, m) of the factors of a pair call, for every route.
+def _pair_index(lam, mu, index, n: int, m: int) -> tuple[int, int] | None:
+    """Indices in ``index``, the label index of the cone (n, m), of a pair call's factors, for every route.
 
-    A partition of another length than n raises ``ValueError``.  A factor
-    outside the level cone stands for its underline, since e_n = 1 in the
-    ring; one of span > m lies in the level ideal, so the pair has no
-    structure constants and the result is None.
+    Factors that are labels of the cone, as they are, take one lookup each.
+    Any other spelling (a list, an array, a factor off the cone or malformed)
+    goes through ``check_partition`` first; a key that compares equal to a
+    label (numpy ints, True) is one it turns into that label.  A partition of
+    another length than n raises ``ValueError``.  A factor outside the level
+    cone stands for its underline, since e_n = 1 in the ring; one of span > m
+    lies in the level ideal, so the pair has no structure constants and the
+    result is None.
     """
+    try:
+        return index[lam], index[mu]
+    except (KeyError, TypeError):  # off the cone, malformed, or unhashable
+        pass
     lam, mu = check_partition(lam), check_partition(mu)
-    index = _cone(n, m)[1]
     if lam in index and mu in index:
         return index[lam], index[mu]
     for part in (lam, mu):
@@ -116,12 +123,18 @@ def _pair_index(lam, mu, n: int, m: int) -> tuple[int, int] | None:
     return index[underline(lam)], index[underline(mu)]
 
 
-def _pair(labels, pair: tuple[int, int] | None, row) -> dict[Partition, float]:
-    """The nonzero N^kappa of a pair from ``_pair_index``, with row(i) the finished row [mu, kappa] of labels[i]."""
+def _spectral_pair(labels, pair: tuple[int, int] | None, raw, route: str) -> dict[Partition, float]:
+    """The nonzero N^kappa of a pair from ``_pair_index``, from the raw block raw(i, mus) of its row.
+
+    Only the block row [kappa] of mu = labels[j] is computed, with its row of
+    the support mask, and finished by ``_fusion_row`` as a one-row block.
+    """
     if pair is None:
         return {}
     i, j = pair
-    return _nonzero(labels, row(i)[j])
+    mus = slice(j, j + 1)
+    mask = _support_row(*_support_keys(labels), i, mus)
+    return _nonzero(labels, _fusion_row(raw(i, mus), labels, i, route, mask, j)[0])
 
 
 def _ring_table(params: ModelParams) -> np.ndarray:
@@ -184,9 +197,10 @@ def structure_constants_lr(
     fresh dict; with return_flags it comes with a set of flagged keys, which
     is always empty.
     """
-    pair = _pair_index(lam, mu, params.n, params.m)
+    labels, index = _cone(params.n, params.m)
+    pair = _pair_index(lam, mu, index, params.n, params.m)
     values = _ring_table(params)  # free parameters raise, off the cone too
-    out = _pair(_cone(params.n, params.m)[0], pair, values.__getitem__)
+    out = {} if pair is None else _nonzero(labels, values[pair])
     return (out, set()) if return_flags else out
 
 
@@ -262,8 +276,8 @@ def s_matrix(params: ModelParams, spectrum: SpectrumResult | None = None, seed: 
     )
 
 
-def _support_row(keys: np.ndarray, w: np.ndarray, i: int) -> np.ndarray:
-    """Support mask [mu, kappa] of the row lam = keys[i], w the label weights.
+def _support_row(keys: np.ndarray, w: np.ndarray, i: int, mus=slice(None)) -> np.ndarray:
+    """Support mask [mu, kappa] of the row lam = keys[i], w the label weights, for the mu of the slice mus.
 
     True where s = (|lam| + |mu| - |kappa|) / n is an integer and
     s >= max_j(max(lam_j, mu_j) - kappa_j), that is, where kappa + s 1^n contains
@@ -274,9 +288,9 @@ def _support_row(keys: np.ndarray, w: np.ndarray, i: int) -> np.ndarray:
     """
     n = keys.shape[1]
     q, r = np.divmod(w, n)
-    carry, rem = np.divmod(r[i] + r, n)  # |lam| + |mu| = n (q[i] + q[mu] + carry[mu]) + rem[mu]
-    s = np.subtract.outer(q[i] + q + carry, q)  # the quotient wherever rem[mu] == r[kappa]
-    cover = np.maximum(keys[i], keys)
+    carry, rem = np.divmod(r[i] + r[mus], n)  # |lam| + |mu| = n (q[i] + q[mu] + carry[mu]) + rem[mu]
+    s = np.subtract.outer(q[i] + q[mus] + carry, q)  # the quotient wherever rem[mu] == r[kappa]
+    cover = np.maximum(keys[i], keys[mus])
     D = np.subtract.outer(cover[:, 0], keys[:, 0])
     part = np.empty_like(D)
     for j in range(1, n):
@@ -297,13 +311,14 @@ def _support_keys(labels: tuple[Partition, ...]) -> tuple[np.ndarray, np.ndarray
 
 
 def _fusion_row(
-    raw: np.ndarray, labels: tuple[Partition, ...], i: int, route: str, mask: np.ndarray
+    raw: np.ndarray, labels: tuple[Partition, ...], i: int, route: str, mask: np.ndarray, first: int = 0
 ) -> np.ndarray:
     """Real structure constants [mu, kappa] of the row lam = labels[i] from its raw block and support mask.
 
-    A non-finite value raises.  Per pair, scale = max(1, max |raw|).  Off the support
-    |raw| > FUSION_IMAG_TOL * scale, or on it an imaginary part > FUSION_IMAG_TOL *
-    max(1, |real|), raises; real parts on the support up to _DROP_REL * scale become zero.
+    Block row j is that of mu = labels[first + j].  A non-finite value raises.  Per pair,
+    scale = max(1, max |raw|).  Off the support |raw| > FUSION_IMAG_TOL * scale, or on it
+    an imaginary part > FUSION_IMAG_TOL * max(1, |real|), raises; real parts on the
+    support up to _DROP_REL * scale become zero.
     The full residue test runs only where an imaginary part exceeds FUSION_IMAG_TOL or a
     value off the support is too large; elsewhere it can flag nothing.
     """
@@ -315,7 +330,7 @@ def _fusion_row(
             j, k = np.argwhere(~finite)[0]
             raise ComputationError(
                 f"fusion non-finite value: {labels[k]} -> {complex(raw[j, k])!r} "
-                f"in {labels[i]} x {labels[j]} ({route})"
+                f"in {labels[i]} x {labels[first + j]} ({route})"
             )
     re = raw.real
     scale = np.maximum(1.0, peak)[:, None]
@@ -328,35 +343,35 @@ def _fusion_row(
             what = "imaginary residue" if mask[j, k] else "coefficient outside the support"
             raise ComputationError(
                 f"fusion {what}: {labels[k]} -> {complex(raw[j, k])!r} "
-                f"in {labels[i]} x {labels[j]} ({route})"
+                f"in {labels[i]} x {labels[first + j]} ({route})"
             )
     keep = np.abs(re) > _DROP_REL * scale
     keep &= mask
     return np.where(keep, re, 0.0)
 
 
-def _fusion_rows(labels: tuple[Partition, ...], raw, route: str, indices=None):
-    """The finished rows [mu, kappa] of labels[i] from raw(i), for i in indices (default: each label in order).
+def _fusion_rows(labels: tuple[Partition, ...], raw, route: str):
+    """The finished rows [mu, kappa] of labels[i] from raw(i), for each label in order.
 
     Each row is computed as it is read.  The label array and weights of the
     support masks are built once per call.
     """
     keys, w = _support_keys(labels)
-    for i in range(len(labels)) if indices is None else indices:
+    for i in range(len(labels)):
         yield _fusion_row(raw(i), labels, i, route, _support_row(keys, w, i))
 
 
 def _verlinde_rows(sm: SMatrixData):
-    """Raw row i: sum_nu S_{i,nu} S_{mu,nu} Sinv_{nu,kappa} / S_{0,nu}."""
-    return lambda i: (sm.S[i] * sm.S / sm.S[0]) @ sm.Sinv
+    """Raw block i: sum_nu S_{i,nu} S_{mu,nu} Sinv_{nu,kappa} / S_{0,nu}, for mu in the slice mus."""
+    return lambda i, mus=slice(None): (sm.S[i] * sm.S[mus] / sm.S[0]) @ sm.Sinv
 
 
 def _projection_rows(params: ModelParams, spec: SpectrumResult):
-    """Raw row i: c_kappa^2 Delta_kappa sum_nu P_i P_mu conj(P_kappa) dual_nu at e_nu."""
+    """Raw block i: c_kappa^2 Delta_kappa sum_nu P_i P_mu conj(P_kappa) dual_nu at e_nu, for mu in mus."""
     V = value_table(params, spec)  # evaluated once for every row
     cvec, dvec, dual = norm_vectors(params, spec)
     paired = V.conj().T * (cvec**2 * dvec)[None, :]
-    return lambda i: (V[i] * dual * V) @ paired
+    return lambda i, mus=slice(None): (V[i] * dual * V[mus]) @ paired
 
 
 def _nonzero(labels: tuple[Partition, ...], vec: np.ndarray) -> dict[Partition, float]:
@@ -370,10 +385,9 @@ def structure_constants_verlinde(
 
     N^kappa_{lam,mu} = sum_nu S_{lam,nu} S_{mu,nu} Sinv_{nu,kappa} / S_{0,nu}.
     """
-    pair = _pair_index(lam, mu, params.n, params.m)
+    pair = _pair_index(lam, mu, _cone(params.n, params.m)[1], params.n, params.m)
     sm = s_matrix(params, spectrum=spectrum, seed=seed)
-    rows = _verlinde_rows(sm)
-    return _pair(sm.labels, pair, lambda i: next(_fusion_rows(sm.labels, rows, "verlinde", [i])))
+    return _spectral_pair(sm.labels, pair, _verlinde_rows(sm), "verlinde")
 
 
 def structure_constants_projection(
@@ -384,10 +398,9 @@ def structure_constants_projection(
     N^kappa = c_kappa^2 Delta_kappa sum_nu P_lam(e_nu) P_mu(e_nu)
     conj(P_kappa(e_nu)) dual_nu.  Used as a cross-check of the spectral sum.
     """
-    pair = _pair_index(lam, mu, params.n, params.m)
+    pair = _pair_index(lam, mu, _cone(params.n, params.m)[1], params.n, params.m)
     spec = spectrum if spectrum is not None else joint_spectrum(params, seed=seed)
-    rows = _projection_rows(params, spec)
-    return _pair(spec.labels, pair, lambda i: next(_fusion_rows(spec.labels, rows, "projection", [i])))
+    return _spectral_pair(spec.labels, pair, _projection_rows(params, spec), "projection")
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ellfusion.cli import _TableRows, _emit_json, _fusion_csv_rows, _json_text, main
+from ellfusion.cli import _ComplexRows, _TableRows, _emit_json, _fusion_csv_rows, _json_text, main
 from ellfusion.errors import ComputationError
 from ellfusion.fusion import FusionTable, fusion_table, s_matrix
 from ellfusion.kernel import ModelParams
@@ -402,24 +402,65 @@ def test_fusion_writer_on_a_row_of_empty_pairs():
     assert text == json.dumps(_blocks(table), indent=2, allow_nan=False)
 
 
-def test_smatrix_payload_is_the_indented_dump(capsys):
-    code, out, err = run_cli(["smatrix", "--n", "3", "--m", "2", "--g", "0.7", "--p", "0.3"], capsys)
-    assert code == 0
-    params = ModelParams.locked(3, 2, 0.7, 0.3)
+def _complex_pairs(matrix):
+    return [[{"re": z.real, "im": z.imag} for z in map(complex, row)] for row in matrix]
+
+
+def _smatrix_payload(params):
+    """The smatrix payload of params as plain JSON data, the S rows as lists of {"re", "im"} dicts."""
     sm = s_matrix(params)
 
-    def pairs(matrix):
-        return [[{"re": z.real, "im": z.imag} for z in map(complex, row)] for row in matrix]
+    def finite(x):
+        return x if math.isfinite(x) else None
 
-    payload = {
+    return {
         "command": "smatrix", "params": params.as_dict(), "seed": 0,
-        "labels": [list(nu) for nu in sm.labels], "S": pairs(sm.S), "Sinv": pairs(sm.Sinv),
+        "labels": [list(nu) for nu in sm.labels], "S": _complex_pairs(sm.S), "Sinv": _complex_pairs(sm.Sinv),
         "normalization": sm.normalization, "identity_residual": sm.identity_residual(),
-        "det_magnitude": sm.det_magnitude(), "det_closed_form": sm.det_closed_form(),
+        "det_magnitude": finite(sm.det_magnitude()), "det_closed_form": finite(sm.det_closed_form()),
         "log_det_magnitude": sm.log_det_magnitude(), "log_det_closed_form": sm.log_det_closed_form(),
         "det_residual": sm.det_residual(),
     }
+
+
+def test_smatrix_payload_is_the_indented_dump(capsys):
+    code, out, err = run_cli(["smatrix", "--n", "3", "--m", "2", "--g", "0.7", "--p", "0.3"], capsys)
+    assert code == 0
+    payload = _smatrix_payload(ModelParams.locked(3, 2, 0.7, 0.3))
     assert out == json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def test_smatrix_payload_at_a_large_nome_is_the_indented_dump(capsys):
+    code, out, err = run_cli(["smatrix", "--n", "4", "--m", "4", "--g", "0.7", "--p", "0.9"], capsys)
+    assert code == 0
+    payload = _smatrix_payload(ModelParams.locked(4, 4, 0.7, 0.9))
+    assert payload["det_magnitude"] is None  # the linear value overflows here
+    assert out == json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def test_complex_rows_writer_edge_values():
+    matrix = np.array([[1.0, -0.0 + 5e-324j, complex(1e300, -2.5)], [-0.0j, 3j, 0.1 + 0.2j]])
+    for payload, want in [
+        (_ComplexRows(matrix), _complex_pairs(matrix)),
+        (
+            {"S": _ComplexRows(matrix), "x": [_ComplexRows(matrix[:1])]},
+            {"S": _complex_pairs(matrix), "x": [_complex_pairs(matrix[:1])]},
+        ),
+        (
+            {"a": _ComplexRows(np.zeros((0, 0), complex)), "b": _ComplexRows(np.zeros((2, 0), complex))},
+            {"a": [], "b": [[], []]},
+        ),
+    ]:
+        assert _json_text(payload) == json.dumps(want, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf), complex(0.0, math.nan)])
+def test_complex_rows_writer_rejects_a_non_finite_part(bad, capsys):
+    matrix = np.ones((3, 3), complex)
+    matrix[2, 1] = bad
+    with pytest.raises(ComputationError, match="^non-finite value in the smatrix payload$"):
+        _emit_json({"command": "smatrix", "S": _ComplexRows(matrix)}, None)
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

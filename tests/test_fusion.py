@@ -251,6 +251,55 @@ def test_one_off_cone_rule_for_every_pair_function(route):
         pair_function((0, 1, 0), (1, 0, 0), params)
 
 
+_PAIR_FUNCTIONS = [structure_constants_lr, structure_constants_verlinde, structure_constants_projection]
+
+
+def _spellings(label):
+    """The ways a caller may spell a cone label: all of them stand for the label itself."""
+    return [
+        tuple(label),
+        list(label),
+        tuple(np.int64(x) for x in label),
+        np.array(label),
+        tuple({0: False, 1: True}.get(x, x) for x in label),
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 4), m=st.integers(1, 4), i=st.integers(0, 10**6), j=st.integers(0, 10**6))
+@example(n=4, m=4, i=1, j=5)
+def test_every_spelling_of_a_label_gives_the_same_pair(n, m, i, j):
+    """Each pair function returns the same dict, keys in the same order, for every spelling of its factors."""
+    params = ModelParams.locked(n, m, 0.7, 0.3)
+    labels = enumerate_level(n, m)
+    lam, mu = labels[i % len(labels)], labels[j % len(labels)]
+    for pair_function in _PAIR_FUNCTIONS:
+        want = list(pair_function(lam, mu, params).items())
+        for a, b in zip(_spellings(lam), _spellings(mu)):
+            assert list(pair_function(a, b, params).items()) == want
+        assert list(pair_function(list(lam), mu, params).items()) == want
+        assert list(pair_function(lam, np.array(mu), params).items()) == want
+
+
+@pytest.mark.parametrize("pair_function", _PAIR_FUNCTIONS)
+@pytest.mark.parametrize(
+    "lam, mu, message",
+    [
+        ((1, 0), (1, 0, 0), "partition length 2 does not match n=3"),
+        ((1, 0, 0), (1, 0, 0, 0), "partition length 4 does not match n=3"),
+        ((0, 1, 0), (1, 0, 0), "parts must be non-increasing: (0, 1, 0)"),
+        ((1, 0, 0), (2, 3, 0), "parts must be non-increasing: (2, 3, 0)"),
+        ((1, -1, 0), (1, 0, 0), "negative part in (1, -1, 0)"),
+        ((1, 0, 0), (0, 0, -2), "negative part in (0, 0, -2)"),
+    ],
+)
+def test_malformed_factors_raise_the_validation_error(pair_function, lam, mu, message):
+    """A malformed factor, in any spelling, raises the ValueError of ``check_partition`` or the length check."""
+    for a, b in [(lam, mu), (list(lam), list(mu)), (np.array(lam), np.array(mu))]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pair_function(a, b, _OFF_CONE)
+
+
 def test_lr_pair_outside_the_level_cone_at_a_resonance():
     """At a resonant coupling the off-cone rule is the same as at a generic one."""
     params = ModelParams.locked(2, 1, 1.0, 0.0)
@@ -403,7 +452,24 @@ def test_support_mask_property(n, m, row):
         assert got == _brute_support(labels[i], mu, m), (n, m, labels[i], mu)
 
 
+def _assert_pair_is_the_row(got, labels, row):
+    """A spectral pair call against its table row: the same support, values within 1e-12 * max(1, max|row|)."""
+    assert list(got) == [labels[k] for k in np.flatnonzero(row)]
+    bound = 1e-12 * max(1.0, float(np.abs(row).max()))
+    assert max((abs(v - row[labels.index(k)]) for k, v in got.items()), default=0.0) <= bound
+
+
+def test_support_mask_slice_is_rows_of_the_mask():
+    labels = enumerate_level(4, 4)
+    keys, w = fusion._support_keys(labels)
+    for i in (0, 7, len(labels) - 1):
+        mask = fusion._support_row(keys, w, i)
+        for j in (0, 11, len(labels) - 1):
+            assert np.array_equal(fusion._support_row(keys, w, i, slice(j, j + 1)), mask[j : j + 1])
+
+
 def test_table_rows_and_pairs_agree():
+    """Entries are the table rows bit for bit; spectral pair calls, which compute one vector, are them to rounding."""
     params = ModelParams.locked(3, 3, 0.7, 0.3)
     sm = s_matrix(params)
     table = fusion_table(params, spectrum=sm.spectrum)
@@ -414,9 +480,46 @@ def test_table_rows_and_pairs_agree():
         for j, mu in enumerate(labels):
             want = {k: v for k, v in zip(labels, table.values[i, j].tolist()) if v}
             assert table.entries[(lam, mu)] == want
-            assert structure_constants_verlinde(lam, mu, params, spectrum=sm.spectrum) == want
+            got = structure_constants_verlinde(lam, mu, params, spectrum=sm.spectrum)
+            _assert_pair_is_the_row(got, labels, table.values[i, j])
             got = structure_constants_projection(lam, mu, params, spectrum=sm.spectrum)
-            assert got == {k: v for k, v in zip(labels, projection.values[i, j].tolist()) if v}
+            _assert_pair_is_the_row(got, labels, projection.values[i, j])
+
+
+@pytest.mark.parametrize("n, m", [(4, 4), (5, 3)])
+def test_spectral_pair_calls_are_the_table_rows(n, m):
+    """The one-vector pair calls against the Verlinde and projection tables, on a seeded sample of pairs."""
+    params = ModelParams.locked(n, m, 0.7, 0.3)
+    sm = s_matrix(params)
+    tables = {
+        structure_constants_verlinde: fusion_table(params, spectrum=sm.spectrum),
+        structure_constants_projection: fusion._projection_table(sm.spectrum),
+    }
+    labels = sm.labels
+    rng = np.random.default_rng(5)
+    for i, j in [(0, 0), (len(labels) - 1, len(labels) - 1), *rng.integers(len(labels), size=(40, 2)).tolist()]:
+        for pair_function, table in tables.items():
+            got = pair_function(labels[i], labels[j], params, spectrum=sm.spectrum)
+            _assert_pair_is_the_row(got, labels, table.values[i, j])
+
+
+@pytest.mark.parametrize("bad", [1e-3, math.nan])
+def test_spectral_pair_errors_name_the_pair(bad):
+    """A pair finished as a one-row block names its own (lam, mu) in a check error."""
+    sm = s_matrix(ModelParams.locked(3, 2, 0.7, 0.3))
+    Sinv = sm.Sinv.copy()
+    Sinv[2, 3] += bad
+    rows = fusion._verlinde_rows(dataclasses.replace(sm, Sinv=Sinv))
+    labels = sm.labels
+    raised = set()
+    for i, lam in enumerate(labels):
+        for j, mu in enumerate(labels):
+            try:
+                fusion._spectral_pair(labels, (i, j), rows, "verlinde")
+            except ComputationError as exc:
+                assert str(exc).endswith(f" in {lam} x {mu} (verlinde)"), (lam, mu, str(exc))
+                raised.add(j)
+    assert max(raised) > 0
 
 
 def test_fusion_table_is_read_only_and_compares_equal_labels_only():

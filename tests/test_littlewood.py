@@ -248,4 +248,6 @@ def test_lr_path_validates_each_factor_once(monkeypatch):
         monkeypatch.setattr(module, "check_partition", counted)
     params = ModelParams.locked(3, 3, 0.7, 0.3)
     fusion.structure_constants_lr((2, 1, 0), (1, 1, 0), params)
-    assert calls == [(2, 1, 0), (1, 1, 0)]
+    assert calls == []  # labels of the cone are looked up as they are
+    fusion.structure_constants_lr([2, 1, 0], (2, 1, 1), params)  # a list, and a factor off the cone
+    assert calls == [[2, 1, 0], (2, 1, 1)]
