@@ -9,23 +9,23 @@ combination A of them.  It is obtained by one ``eigh``, refined by one
 first-order step against A, and the joint eigenvalues are read off as
 Rayleigh quotients.  Labels are assigned at p = 0 against the trigonometric
 closed form and continued analytically in the nome by a guarded
-predictor-corrector: the first step tries the whole distance, later points
+predictor-corrector, which starts from the kept p = 0 spectrum of the same
+coupling and seed: the first step tries the whole distance, later points
 are predicted by the secant through the last two accepted points, and a step
-is halved unless every new point stays within half the least gap of the
-predicted points from its prediction and every prediction within half the
-least gap of the current points from its current point.  Each predicted
-point is matched to its nearest new point: balls of half the gap are
-disjoint, so a match that passes that test is the optimal assignment, and no
-assignment solver is needed.  The finished spectrum is kept on the bracket
-table of its parameters, which p and -p share, so the mirror leg runs no
-eigensolve.  The dual norms come from the eigenvectors; only
+is halved unless every new point stays within half its prediction's own gap
+(the distance to the nearest other prediction) from that prediction, and
+every prediction within half its current point's own gap from that point.
+Each predicted point is matched to its nearest new point: balls of half the
+own gaps are disjoint, so a match that passes that test is the optimal
+assignment, and no assignment solver is needed.  The finished spectrum is
+kept on the bracket table of its parameters, which p and -p share, so the
+mirror leg runs no eigensolve.  The dual norms come from the eigenvectors; only
 ``value_table``, for the check routes, evaluates polynomials at the spectral
 points, all of them in one ``evaluate_batch`` call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -203,25 +203,37 @@ def _raw_spectrum(params: ModelParams, rng: np.random.Generator):
     return E, vecs, w, labels
 
 
-def _min_gap(E: np.ndarray) -> float:
-    N = E.shape[0]
-    if N < 2:
-        return math.inf
-    i, j = np.triu_indices(N, 1)
-    return float(np.linalg.norm(E[i] - E[j], axis=1).min())
+def _row_gaps(E: np.ndarray) -> np.ndarray:
+    """Distance from each row of E to its nearest other row (inf for a lone row)."""
+    dist = np.linalg.norm(E[None, :, :] - E[:, None, :], axis=2)
+    np.fill_diagonal(dist, np.inf)
+    return dist.min(axis=1)
+
+
+def _within_gaps(E_new: np.ndarray, E_ref: np.ndarray) -> bool:
+    """Whether each row i of E_new lies strictly within _GAP_SAFETY * gap_i of row i of E_ref.
+
+    gap_i is the distance from row i of E_ref to its nearest other row
+    (``_row_gaps``).  A NaN in either array fails the test.
+    """
+    moved = np.linalg.norm(E_new - E_ref, axis=1)
+    return bool(np.all(moved < _GAP_SAFETY * _row_gaps(E_ref)))
 
 
 def _match_rows(E_new: np.ndarray, E_ref: np.ndarray) -> np.ndarray:
     """Nearest new row for each reference row; perm[i] is the new row for ref row i.
 
     The map need not be injective, and it needs no assignment solver: every
-    caller accepts a match only if each row moved less than _GAP_SAFETY * gap,
-    gap being the least distance between two reference rows.  With
-    _GAP_SAFETY <= 1/2 the balls of radius gap/2 about the reference rows are
-    disjoint, so in an accepted match each reference row's nearest new row is
-    unique and is its partner, and the optimal assignment is the same
-    permutation.  A map that sends two reference rows to one new row moves one
-    of them by at least gap/2, and is rejected, as the assignment would be.
+    caller accepts a match only if ``_within_gaps(E_new[perm], E_ref)``, that
+    is if each reference row i moved less than r_i = _GAP_SAFETY * gap_i,
+    gap_i being its own distance to the nearest other reference row.  With
+    _GAP_SAFETY <= 1/2, r_i + r_j <= |E_ref[i] - E_ref[j]|, so the open balls
+    of radius r_i about the reference rows are disjoint.  In an accepted
+    match each ball holds its row's nearest new row, so the map is injective;
+    any other new row lies in another ball and is farther than r_i from row
+    i, so the optimal assignment is the same permutation, and the unique one.
+    A map that sends two reference rows to one new row leaves one of them
+    outside its ball, and is rejected, as the assignment would be.
     """
     dist = np.linalg.norm(E_new[None, :, :] - E_ref[:, None, :], axis=2)
     return dist.argmin(axis=1)
@@ -254,40 +266,44 @@ def joint_spectrum(params: ModelParams, seed: int = 0) -> SpectrumResult:
 def _continue(params: ModelParams, seed: int) -> SpectrumResult:
     """Labeled joint spectrum at params, continued from the closed form at p = 0.
 
-    The first step tries the whole distance to p.  Once two points are
-    accepted, the next points are predicted by the secant through the last
-    two, and the new points are matched nearest-first to the predicted ones
+    At p = 0 the raw points are matched to the closed form under the gap test
+    below.  At p != 0 the walk starts from the labeled spectrum at p = 0,
+    ``joint_spectrum(params.with_p(0.0), seed)``, which the p = 0 bracket
+    table keeps, so every nome of one (n, m, g, seed) shares one p = 0 solve;
+    the walk draws its combinations from its own generator of the seed, so
+    its result does not depend on whether that start was kept.  The first
+    step tries the whole distance to p.  Once two points are accepted, the
+    next points are predicted by the secant through the last two, and the
+    new points are matched nearest-first to the predicted ones
     (``_match_rows``).  A step is accepted only if (a) every new point lies
-    within _GAP_SAFETY times the least gap of the predicted points from its
-    predicted point, and (b) every predicted point lies within _GAP_SAFETY
-    times the least gap of the current points from its current point;
-    otherwise the step is halved, down to _MIN_STEP.  Test (a) makes the
-    match exact, as balls of half the gap about the predicted points are
-    disjoint; test (b) keeps the predictor from extrapolating through
-    eigenvalues that close in on each other, where it would swap labels.
-    The step is never grown again: growing it after each accepted step took
-    more eigensolves at every large-nome point measured.
+    within _GAP_SAFETY times its predicted point's own gap (the distance to
+    the nearest other predicted point) from that predicted point, and (b)
+    every predicted point lies within _GAP_SAFETY times its current point's
+    own gap among the current points from that current point
+    (``_within_gaps``); otherwise the step is halved, down to _MIN_STEP.
+    Test (a) makes the match exact, as those balls about the predicted
+    points are disjoint; test (b) keeps the predictor from extrapolating
+    through eigenvalues that close in on each other, where it would swap
+    labels.  The step is never grown again: growing it after each accepted
+    step took more eigensolves at every large-nome point measured.
     """
     rng = np.random.default_rng(seed)
-    E_raw, vecs, w, labels = _raw_spectrum(params.with_p(0.0), rng)
-    closed = spectral_points_p0(params)
-    C = np.array([closed[nu] for nu in labels], dtype=complex)
-    perm = _match_rows(E_raw, C)
-    gap0 = _min_gap(C)
-    moved = float(np.linalg.norm(E_raw[perm] - C, axis=1).max())
-    if not moved < _GAP_SAFETY * gap0:  # the continuation's test; it also rejects a NaN
-        raise TrackingAmbiguity(
-            f"p=0 spectrum does not match the closed form (moved {moved:.3e}, gap {gap0:.3e})"
-        )
-    E_cur = E_raw[perm]
-    vec_cur = vecs[:, perm]
-    w_cur = w
+    target = params.p
+    if target == 0:
+        E_raw, vecs, w, labels = _raw_spectrum(params, rng)
+        closed = spectral_points_p0(params)
+        C = np.array([closed[nu] for nu in labels], dtype=complex)
+        perm = _match_rows(E_raw, C)
+        if not _within_gaps(E_raw[perm], C):  # the continuation's test; it also rejects a NaN
+            raise TrackingAmbiguity("p=0 spectrum does not match the closed form")
+        E_cur, vec_cur, w_cur = E_raw[perm], vecs[:, perm], w
+    else:
+        E_cur = joint_spectrum(params.with_p(0.0), seed).e_matrix()
     t_prev = E_prev = None
     steps: list[float] = []
 
     # The path is p = target * t: t and the step h stay dyadic, so sums are
     # exact and the last point is target itself.
-    target = params.p
     t_cur, h = (0.0, 1.0) if target else (1.0, 0.0)
     while t_cur < 1.0:
         t_next = t_cur + h  # at most 1: t_cur is a multiple of h
@@ -295,11 +311,9 @@ def _continue(params: ModelParams, seed: int) -> SpectrumResult:
             E_pred = E_cur
         else:
             E_pred = E_cur + (h / (t_cur - t_prev)) * (E_cur - E_prev)
-        E_new, vecs_new, w_new, _ = _raw_spectrum(params.with_p(target * t_next), rng)
+        E_new, vecs_new, w_new, labels = _raw_spectrum(params.with_p(target * t_next), rng)
         perm = _match_rows(E_new, E_pred)
-        moved = float(np.linalg.norm(E_new[perm] - E_pred, axis=1).max())
-        jump = float(np.linalg.norm(E_pred - E_cur, axis=1).max())
-        if moved < _GAP_SAFETY * _min_gap(E_pred) and jump < _GAP_SAFETY * _min_gap(E_cur):
+        if _within_gaps(E_new[perm], E_pred) and _within_gaps(E_pred, E_cur):
             t_prev, E_prev = t_cur, E_cur
             E_cur = E_new[perm]
             vec_cur = vecs_new[:, perm]

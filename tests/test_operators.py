@@ -11,8 +11,9 @@ from ellfusion.kernel import ModelParams, bracket
 from ellfusion.operators import (
     _GAP_SAFETY,
     _match_rows,
-    _min_gap,
     _raw_spectrum,
+    _row_gaps,
+    _within_gaps,
     apply_D,
     build_truncated,
     conjugated_matrices,
@@ -204,7 +205,7 @@ def test_spectrum_deterministic_in_seed():
 def test_homotopy_steps_at_large_nome():
     params = ModelParams.locked(4, 4, 0.7, 0.9)
     spec = joint_spectrum(params, seed=0)
-    assert len(spec.homotopy_steps) == 22
+    assert len(spec.homotopy_steps) == 13
     assert len(spec.homotopy_steps) <= 39  # the fixed-start continuation's count
     assert spec.homotopy_steps[-1] == 0.9
 
@@ -216,15 +217,14 @@ def test_spectrum_tracks_small_coupling_at_large_nome(g, p):
 
 
 @pytest.mark.parametrize("N,k", [(1, 2), (2, 1), (7, 3), (35, 3), (60, 4)])
-def test_min_gap_matches_pair_loop(N, k):
+def test_row_gaps_match_pair_loop(N, k):
     rng = np.random.default_rng(N)
     E = rng.standard_normal((N, k)) + 1j * rng.standard_normal((N, k))
-    want = min(
-        (float(np.linalg.norm(E[i] - E[j])) for i in range(N) for j in range(i + 1, N)),
-        default=math.inf,
-    )
-    got = _min_gap(E)
-    assert got == want or abs(got - want) <= 1e-15 * want
+    got = _row_gaps(E)
+    assert got.shape == (N,)
+    for i in range(N):
+        want = min((float(np.linalg.norm(E[i] - E[j])) for j in range(N) if j != i), default=math.inf)
+        assert got[i] == want or abs(got[i] - want) <= 1e-15 * want
 
 
 def test_rayleigh_quotients_match_per_vector_loop():
@@ -308,7 +308,7 @@ def test_nearest_row_match_is_the_assignment_under_the_gap_test(N, k, seed, reac
     assert _GAP_SAFETY <= 0.5  # the equivalence rests on it
     rng = np.random.default_rng(seed)
     E_ref = rng.standard_normal((N, k)) + 1j * rng.standard_normal((N, k))
-    gap = _min_gap(E_ref)
+    gap = _row_gaps(E_ref).min()
     if toward:
         dist = np.linalg.norm(E_ref[None, :, :] - E_ref[:, None, :], axis=2)
         np.fill_diagonal(dist, np.inf)
@@ -335,7 +335,84 @@ def test_nearest_row_match_rejects_a_shared_row():
     E_new = np.array([[0.4], [5.0], [3.0]], dtype=complex)  # 0.4 is nearest to both 0 and 1
     perm = _match_rows(E_new, E_ref)
     assert perm.tolist() == [0, 0, 2]
-    assert _moved(E_new, E_ref, perm) >= _GAP_SAFETY * _min_gap(E_ref)
+    assert _moved(E_new, E_ref, perm) >= _GAP_SAFETY * _row_gaps(E_ref).min()
+    assert not _within_gaps(E_new[perm], E_ref)
+
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    N=st.integers(2, 40),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    reach=st.floats(0.0, 1.5),
+    toward=st.booleans(),
+)
+def test_nearest_row_match_is_the_assignment_under_the_per_row_gap_test(N, k, seed, reach, toward):
+    """Under each row's own gap, nearest-row matching accepts exactly when the optimal assignment does.
+
+    The new rows are the reference rows in C^k, row i moved by up to
+    reach * gap_i (its own nearest-neighbour distance), at random or toward
+    that neighbour, then shuffled; reach runs past 1/2, so both sides of the
+    acceptance test are drawn.  Accepted, both give the same permutation.
+    """
+    assert _GAP_SAFETY <= 0.5  # the disjoint balls rest on it
+    rng = np.random.default_rng(seed)
+    E_ref = rng.standard_normal((N, k)) + 1j * rng.standard_normal((N, k))
+    gaps = _row_gaps(E_ref)
+    if toward:
+        dist = np.linalg.norm(E_ref[None, :, :] - E_ref[:, None, :], axis=2)
+        np.fill_diagonal(dist, np.inf)
+        step = E_ref[dist.argmin(axis=1)] - E_ref
+    else:
+        step = rng.standard_normal((N, k)) + 1j * rng.standard_normal((N, k))
+    step /= np.linalg.norm(step, axis=1, keepdims=True)
+    E_new = E_ref + (rng.uniform(0.0, reach, N) * gaps)[:, None] * step
+    E_new = E_new[rng.permutation(N)]
+
+    nearest = _match_rows(E_new, E_ref)
+    rows, cols = linear_sum_assignment(np.linalg.norm(E_new[None, :, :] - E_ref[:, None, :], axis=2))
+    assignment = cols[np.argsort(rows)]
+    nearest_ok = _within_gaps(E_new[nearest], E_ref)
+    assert nearest_ok == _within_gaps(E_new[assignment], E_ref)
+    if nearest_ok:
+        assert nearest.tolist() == assignment.tolist()
+
+
+def test_per_row_gap_test_reads_each_rows_own_gap():
+    E_ref = np.array([[0.0], [1.0], [10.0]], dtype=complex)  # own gaps 1, 1, 9
+    assert _within_gaps(E_ref + np.array([[0.4], [-0.4], [4.4]]), E_ref)
+    assert not _within_gaps(E_ref + np.array([[0.0], [0.0], [4.5]]), E_ref)  # strict
+    assert not _within_gaps(E_ref + np.array([[0.5], [0.0], [0.0]]), E_ref)
+
+
+@pytest.mark.parametrize("where", ["new", "ref"])
+def test_per_row_gap_test_rejects_a_nan_row(where):
+    E_ref = np.array([[0.0, 1.0], [1.0, 0.0], [3.0, 3.0]], dtype=complex)
+    E_new = E_ref.copy()
+    (E_new if where == "new" else E_ref)[1, 0] = complex(math.nan, 0.0)
+    assert not _within_gaps(E_new, E_ref)
+
+
+def test_a_nan_row_rejects_the_step(monkeypatch):
+    """A raw spectrum with a NaN row past p = 0.5 stops the walk there instead of labelling it."""
+    raw = operators._raw_spectrum
+
+    def poisoned(params, rng):
+        E, vecs, w, labels = raw(params, rng)
+        if params.p > 0.5:
+            E = E.copy()
+            E[1, 0] = complex(math.nan, 0.0)
+        return E, vecs, w, labels
+
+    monkeypatch.setattr(operators, "_raw_spectrum", poisoned)
+    coeffs.clear_coeff_caches()
+    try:
+        with pytest.raises(TrackingAmbiguity, match="homotopy step fell below") as info:
+            joint_spectrum(ModelParams.locked(3, 2, 0.7, 0.9), seed=0)
+        assert 0.49 < float(str(info.value).rsplit("p=", 1)[1]) <= 0.5
+    finally:
+        coeffs.clear_coeff_caches()
 
 
 # -- the continuation against a fine fixed-step path --------------------------
@@ -356,7 +433,7 @@ def _fixed_step_reference(params, steps, seed=0):
     for k in range(1, steps + 1):
         E_new = _raw_spectrum(params.with_p(params.p * k / steps), rng)[0]
         perm = _match_rows(E_new, E)
-        worst = max(worst, _moved(E_new, E, perm) / _min_gap(E))
+        worst = max(worst, _moved(E_new, E, perm) / _row_gaps(E).min())
         if not worst < _GAP_SAFETY:
             return E, math.inf
         E = E_new[perm]
@@ -373,6 +450,19 @@ def test_secant_does_not_extrapolate_through_closing_eigenvalues():
     assert worst < _GAP_SAFETY / 2  # the reference itself is unambiguous, with room
     assert _match_rows(spec.e_matrix(), ref).tolist() == list(range(len(spec.labels)))
     assert np.abs(spec.e_matrix() - ref).max() < 1e-10
+
+
+@pytest.mark.parametrize("n,m,g,p", [(5, 3, 0.7, 0.9), (4, 3, 1.9, 0.9)])
+def test_per_row_gaps_keep_the_labels_of_a_1000_step_path(n, m, g, p):
+    """Where the per-row gap test cuts the steps most (36 -> 13 and 46 -> 20), the labels stay those of a fine path."""
+    params = ModelParams.locked(n, m, g, p)
+    coeffs.clear_coeff_caches()
+    spec = joint_spectrum(params, seed=0)
+    ref, worst = _fixed_step_reference(params, 1000)
+    coeffs.clear_coeff_caches()
+    assert worst < _GAP_SAFETY / 2  # 0.198 and 0.241: the reference itself is unambiguous
+    assert _match_rows(spec.e_matrix(), ref).tolist() == list(range(len(spec.labels)))
+    assert np.abs(spec.e_matrix() - ref).max() <= 1e-10 * max(1.0, float(np.abs(ref).max()))
 
 
 @settings(max_examples=20, deadline=None)
@@ -491,6 +581,47 @@ def test_mirrored_spectrum_runs_no_eig(monkeypatch):
     joint_spectrum(params, seed=1)  # another seed is another entry
     assert calls
     coeffs.clear_coeff_caches()
+
+
+
+def test_nomes_of_one_coupling_share_one_p0_solve(monkeypatch):
+    """Every nome starts from the kept p = 0 spectrum, and the -p leg still runs no eigensolve."""
+    params = ModelParams.locked(4, 3, 0.7, 0.3)
+    raw = operators._raw_spectrum
+    at_p0 = []
+
+    def counted(params, rng):
+        if params.p == 0:
+            at_p0.append(params)
+        return raw(params, rng)
+
+    monkeypatch.setattr(operators, "_raw_spectrum", counted)
+    coeffs.clear_coeff_caches()
+    for p in (0.3, 0.6, 0.9):
+        assert joint_spectrum(params.with_p(p), seed=0).homotopy_steps[-1] == p
+    assert len(at_p0) == 1
+    calls = _counting_eig(monkeypatch)
+    assert joint_spectrum(params.with_p(-0.6), seed=0).homotopy_steps[-1] == -0.6
+    assert calls == [] and len(at_p0) == 1
+    joint_spectrum(params, seed=1)  # another seed has its own start
+    assert len(at_p0) == 2
+    coeffs.clear_coeff_caches()
+
+
+@pytest.mark.parametrize("p", [0.6, -0.9])
+def test_spectrum_does_not_depend_on_a_kept_p0_start(p):
+    params = ModelParams.locked(4, 3, 0.7, p)
+    coeffs.clear_coeff_caches()
+    fresh = joint_spectrum(params, seed=2)  # computes its start on the way
+    coeffs.clear_coeff_caches()
+    joint_spectrum(params.with_p(0.0), seed=2)
+    joint_spectrum(params.with_p(0.3), seed=2)
+    kept = joint_spectrum(params, seed=2)  # reads the kept start
+    coeffs.clear_coeff_caches()
+    assert fresh is not kept
+    for name in ("e", "vectors", "dual_norms"):
+        assert getattr(fresh, name).tobytes() == getattr(kept, name).tobytes()
+    assert fresh.homotopy_steps == kept.homotopy_steps
 
 
 def test_free_parameters_raise_after_a_locked_hit():
