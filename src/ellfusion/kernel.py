@@ -350,15 +350,7 @@ class ModelParams:
         return dataclasses.replace(self, p=float(p))
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "g": self.g,
-            "p": self.p,
-            "alpha": self.alpha,
-            "level_locked": self.level_locked,
-            "precision": self.precision,
-        }
+        return dataclasses.asdict(self)
 
 
 def bracket(z, params: ModelParams) -> complex:

@@ -5,13 +5,14 @@ table: Schur polynomials come from semistandard tableau enumeration (and
 from the dual determinant identity for expansions over elementary symmetric
 polynomials), the trigonometric recurrence weights are direct sine-ratio
 products, the sine-form modular matrix is one batched Weyl determinant per
-(n, m), and the classical fusion tensor is one spectral sum per (n, m).
+(n, m), and the classical and refined fusion tensors are Verlinde sums over
+the sine-form and the trigonometric p = 0 spectra.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import permutations
 
@@ -248,18 +249,27 @@ def kac_peterson_smatrix(n: int, m: int) -> tuple[list[Partition], np.ndarray]:
     return labels, pref * A / A[0, 0]
 
 
+def _verlinde_rows(V: np.ndarray):
+    """Rows N[lam] = (V[lam] * V) @ inv(V) of the Verlinde tensor, one lam at a time.
+
+    V[kappa, nu] is basis element kappa at spectral point nu, so P_lam P_mu =
+    sum_kappa N[lam, mu, kappa] P_kappa on the spectrum.
+    """
+    Vinv = np.linalg.inv(V)
+    for row in V:
+        yield (row * V) @ Vinv
+
+
 @lru_cache(maxsize=4)
 def _classical_transform(n: int, m: int):
     """(labels, label index, S, N) of the sine-form matrix, built once per (n, m); read-only.
 
-    N[lam, mu, kappa] = rint((S[lam] S / S[0]) Sinv) row by row, and an entry more than
-    1e-6 from its integer raises NonIntegral.  N is N^3 floats (36 MB at N = 165): few are kept.
+    N = rint of the Verlinde rows of V = S / S[0], and an entry more than 1e-6 from its
+    integer raises NonIntegral.  N is N^3 floats (36 MB at N = 165): few are kept.
     """
     labels, S = kac_peterson_smatrix(n, m)
-    Sinv = np.linalg.inv(S)
     table = np.empty((len(labels),) * 3)
-    for i, lam in enumerate(labels):
-        raw = (S[i] * S / S[0]) @ Sinv
+    for i, (lam, raw) in enumerate(zip(labels, _verlinde_rows(S / S[0]))):
         table[i] = np.rint(raw.real)
         off = np.abs(raw - table[i])
         if not off.max() <= 1e-6:  # NaN fails too
@@ -273,11 +283,34 @@ def classical_fusion(lam, mu, n: int, m: int) -> dict[Partition, int]:
     """Classical level-m fusion coefficients: one pair's row of the classical tensor.
 
     The tensor comes from the sine-form spectral sum, rounded to the nearest
-    integer; a rounding residue above 1e-6 anywhere raises NonIntegral.
+    integer; a rounding residue above 1e-6 anywhere raises NonIntegral, and a
+    factor off the (n, m) cone raises ValueError.
     """
     labels, index, _, table = _classical_transform(n, m)
-    row = table[index[check_partition(lam)], index[check_partition(mu)]]
+    try:
+        row = table[index[check_partition(lam)], index[check_partition(mu)]]
+    except KeyError as err:
+        raise ValueError(f"factor {err.args[0]} is not a label of the level cone n={n} m={m}") from None
     return {labels[k]: int(v) for k, v in enumerate(row.tolist()) if v}
+
+
+def refined_tensor(n: int, m: int, g: float) -> tuple[list[Partition], np.ndarray]:
+    """Labels and the refined level-m fusion tensor at p = 0, built on every call.
+
+    The real part of the Verlinde rows of V[kappa, nu] = P^trig_kappa(e_nu) (Aganagic &
+    Shakirov, arXiv:1105.5117) at the closed-form points e_{r,nu} = e_r(q^(nu_j + (n-1-j)g
+    - |nu|/n - (n-1)g/2)), q = exp(2 pi i/(m + n g)), and e_n = 1.
+    """
+    labels = enumerate_level(n, m)
+    alpha = _TWO_PI / (m + n * g)
+    parts = np.array(labels)
+    shift = parts.sum(axis=1, keepdims=True) / n + (n - 1) * g / 2.0
+    # np.poly(-x)[r] = e_r(x); a key kappa is the monomial prod_{j<n} e_j^(kappa_j - kappa_{j+1})
+    e = np.array([np.poly(-x)[1:n] for x in np.exp(1j * alpha * (parts + g * np.arange(n - 1, -1, -1) - shift))])
+    table: dict = {}
+    polys = [_trig_polys(kappa, alpha, g, table) for kappa in labels]
+    V = np.array([np.fromiter(P.values(), float) @ np.prod(e ** -np.diff(list(P))[:, None], axis=2) for P in polys])
+    return labels, np.array([row.real for row in _verlinde_rows(V)])
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +327,4 @@ class OracleReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "comparison": self.comparison,
-            "max_abs": self.max_abs,
-            "max_rel": self.max_rel,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
-
+        return asdict(self)

@@ -55,7 +55,6 @@ from .fusion import (
     _verlinde_table,
     fusion_pieri,
     fusion_table,
-    reduce_mod_ideal,
     s_matrix,
 )
 from .oracles import (
@@ -64,6 +63,7 @@ from .oracles import (
     macdonald_lr_p0,
     macdonald_pieri_p0,
     principal_normalization_p0,
+    refined_tensor,
     schur_eval,
     schur_in_elementary,
 )
@@ -421,39 +421,30 @@ def _refined_pieri_p0(ctx, n, m, g=0.85):
     return worst
 
 
-def _on_labels(table, i: int, j: int, want: dict) -> zip:
-    """(table value, expected value) for every kappa of the pair labels[i] x labels[j]."""
-    return zip(table.values[i, j].tolist(), [want.get(kappa, 0) for kappa in table.labels])
+def _table_values(ctx, params, labels) -> np.ndarray:
+    """The spectral-route table values [lam, mu, kappa] at params, checked to run over an oracle's labels."""
+    table = ctx.table(params)
+    if tuple(labels) != table.labels:
+        raise ValueError(f"the table at {params} and its oracle have different labels")
+    return table.values
 
 
 def _refined_fusion_p0(ctx, n, m, g=0.8):
-    """Spectral-route fusion at p = 0 against the trigonometric oracle tables."""
-    params = ModelParams.locked(n, m, g, 0.0)
-    table = ctx.table(params)
-    return max(
-        _worst(_on_labels(table, i, j, reduce_mod_ideal(macdonald_lr_p0(lam, mu, params.alpha, g), params)))
-        for (i, lam), (j, mu) in product(enumerate(table.labels), repeat=2)
-    )
-
-
-def _classical_values(ctx, n, m):
-    """The g = 1 table values [lam, mu, kappa] and the classical tensor over the same labels."""
-    table = ctx.table(ModelParams.locked(n, m, 1.0, 0.0))
-    labels, _, _, classical = _classical_transform(n, m)
-    if tuple(labels) != table.labels:
-        raise ValueError("the g = 1 table and the classical tensor have different labels")
-    return table.values, classical
+    """Spectral-route fusion at p = 0 against the trigonometric Verlinde tensor, as whole arrays."""
+    labels, tensor = refined_tensor(n, m, g)
+    return float(np.abs(_table_values(ctx, ModelParams.locked(n, m, g, 0.0), labels) - tensor).max())
 
 
 def _fusion_g1_classical(ctx, n, m):
     """Fusion table at g = 1 against the classical coefficients."""
-    values, classical = _classical_values(ctx, n, m)
-    return float(np.abs(values - classical).max())
+    labels, _, _, classical = _classical_transform(n, m)
+    return float(np.abs(_table_values(ctx, ModelParams.locked(n, m, 1.0, 0.0), labels) - classical).max())
 
 
 def _fusion_g1_integers(ctx, n, m):
     """Table values at g = 1 that do not round (half to even) to the classical, nonnegative integer."""
-    values, classical = _classical_values(ctx, n, m)
+    labels, _, _, classical = _classical_transform(n, m)
+    values = _table_values(ctx, ModelParams.locked(n, m, 1.0, 0.0), labels)
     nearest = np.rint(values)
     return int(np.count_nonzero((nearest != classical) | (nearest < 0) | (values < -_CLASSICAL_TOL)))
 

@@ -8,6 +8,7 @@ from ellfusion.oracles import (
     kac_peterson_smatrix,
     macdonald_lr_p0,
     macdonald_pieri_p0,
+    refined_tensor,
     schur_eval,
     schur_in_elementary,
 )
@@ -97,6 +98,14 @@ def test_classical_fusion_examples():
     assert got == {(0, 0, 0): 1, (2, 1, 0): 1}
 
 
+@pytest.mark.parametrize("factor", [(3, 0), (1, 1), (1, 0, 0)])
+def test_classical_fusion_rejects_a_factor_off_the_cone(factor):
+    with pytest.raises(ValueError, match=r"is not a label of the level cone n=2 m=2"):
+        classical_fusion(factor, (1, 0), 2, 2)
+    with pytest.raises(ValueError, match=r"factor \(.*\) is not a label"):
+        classical_fusion((1, 0), factor, 2, 2)
+
+
 def test_classical_fusion_ring_axioms():
     n, m = 3, 2
     from ellfusion.partitions import enumerate_level
@@ -177,3 +186,42 @@ def test_trig_structure_coefficients_support_and_symmetry():
                 assert weight(k) == weight(lam) + weight(mu)
                 assert abs(v - b[k]) < 1e-11
 
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (4, 4)])
+def test_refined_tensor_matches_the_reduced_trig_structure_coefficients(n, m):
+    """At low weight the greedy peel is sound: the Verlinde tensor equals it, reduced, on every pair."""
+    from ellfusion.fusion import reduce_mod_ideal
+    from ellfusion.kernel import ModelParams
+
+    g = 0.8
+    params = ModelParams.locked(n, m, g, 0.0)
+    labels, tensor = refined_tensor(n, m, g)
+    assert tensor.shape == (len(labels),) * 3
+    for i, lam in enumerate(labels):
+        for j, mu in enumerate(labels):
+            want = reduce_mod_ideal(macdonald_lr_p0(lam, mu, params.alpha, g), params)
+            assert np.abs(tensor[i, j] - [want.get(kappa, 0.0) for kappa in labels]).max() < 1e-12
+
+
+def test_refined_tensor_matches_the_ring_route_where_the_peel_fails(monkeypatch):
+    """n=4 m=8: within 1e-8 of the ring route on (8,8,4,0) x (8,8,3,0), where the binary64 peel
+    is 1e-6 off; the imaginary parts that the tensor drops are rounding."""
+    from ellfusion import oracles
+    from ellfusion.fusion import _ring_table
+    from ellfusion.kernel import ModelParams
+
+    dropped = []
+    rows = oracles._verlinde_rows
+
+    def recorded(V):
+        for row in rows(V):
+            dropped.append(np.abs(row.imag).max())
+            yield row
+
+    monkeypatch.setattr(oracles, "_verlinde_rows", recorded)
+    labels, tensor = refined_tensor(4, 8, 0.8)
+    assert len(dropped) == len(labels) == 165 and max(dropped) <= 1e-10
+    ring = _ring_table(ModelParams.locked(4, 8, 0.8, 0.0))
+    i, j = labels.index((8, 8, 4, 0)), labels.index((8, 8, 3, 0))
+    assert np.abs(tensor[i, j] - ring[i, j]).max() < 1e-8

@@ -59,6 +59,31 @@ def test_unit_coupling_checks_see_one_entry_off_by_a_half():
     assert _report("fusion_g1_classical_integers", StubContext(), n=3, m=2).max_abs == 1
 
 
+def test_refined_check_compares_whole_arrays_over_the_labels():
+    """One entry of a stub p = 0 table moved by 0.5 reads 0.5; a table over other labels raises."""
+    import numpy as np
+
+    from ellfusion.oracles import refined_tensor
+
+    labels, tensor = refined_tensor(3, 2, 0.8)
+    values = tensor.copy()
+    values[2, 3, 4] += 0.5
+
+    class StubContext:
+        def __init__(self, labels):
+            self.labels = labels
+
+        def table(self, params):
+            assert params.p == 0.0
+            return SimpleNamespace(labels=self.labels, values=values)
+
+    assert abs(_report("refined_fusion_p0", StubContext(tuple(labels)), n=3, m=2).max_abs - 0.5) < 1e-12
+    with pytest.raises(ValueError, match="different labels"):
+        _report("refined_fusion_p0", StubContext(tuple(reversed(labels))), n=3, m=2)
+    with pytest.raises(ValueError, match="different labels"):
+        _report("fusion_g1_classical", StubContext(tuple(labels[1:])), n=3, m=2)
+
+
 def test_run_suite_dispatch():
     assert run_suite("limits", 2, 1)
     with pytest.raises(ValueError):
