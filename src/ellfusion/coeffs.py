@@ -6,18 +6,23 @@ c_mu, and the orthogonality weights Delta_lam.  Every factor of all four is
 a ratio of theta brackets [a + b*g] with integers 0 <= a <= span(lam) and
 0 <= b <= n.  One bracket table per (alpha, g, |p|, precision) holds those
 brackets, filled by the scalar ``bracket`` and grown on demand, together
-with the factor tables derived from it; the brackets depend on the nome
-only through |p|, so -p reads the table of p.  The table also stores the
-eigenpolynomials built at its parameters, the ring-route tables of
-``fusion`` and the finished joint spectra of ``operators``, so its LRU
-bounds all that is kept per parameter set.  The scalar functions read the table from Python lists;
-``level_hops``, ``level_delta`` and ``level_c`` gather whole level cones
-from its numpy copy.  Values are complex and real in the level-locked
-regime; callers convert them at API boundaries.
+with the factor table derived from it, as numpy arrays only; the brackets
+depend on the nome only through |p|, so -p reads the table of p.  The table
+also stores the eigenpolynomials built at its parameters, the ring-route
+tables of ``fusion`` and the finished joint spectra of ``operators``, so
+its LRU bounds all that is kept per parameter set.  A coefficient is a
+product of factor cells taken in order: the scalar functions multiply the
+cells of one strip or label, and ``level_hops``, ``level_psi``,
+``level_delta`` and ``level_c`` gather the cells of a whole level cone from
+the same array, so both give the same bits (a test pins this).  Values are
+complex and real in the level-locked regime; callers convert them at API
+boundaries.
 
-Denominator brackets below ``SINGULAR_TOL`` in magnitude raise
-:class:`SingularDenominator`; zeros appearing in numerators are genuine
-(boundary) zeros and pass through.
+Denominator brackets below ``SINGULAR_TOL`` in magnitude make their factor
+NaN, and the table records which bracket vanished there, so a NaN product
+raises :class:`SingularDenominator` naming it, through the scalar and the
+gathered paths alike; zeros appearing in numerators are genuine (boundary)
+zeros and pass through.
 """
 
 from __future__ import annotations
@@ -49,25 +54,32 @@ def strip_pattern(lam: Partition, nu: Partition) -> tuple[int, ...]:
     return theta
 
 
+# Layers of the factor table, see ``BracketTable``: the hopping factor with
+# increment difference t is layer t + 1.
+_C, _HEAD, _TAIL = 3, 4, 5
+
+
 class BracketTable:
     """Brackets [a + b*g] for 0 <= a < rows, 0 <= b < cols at one parameter set.
 
-    ``values[a][b]`` is ``bracket(a + b*g, params)``, bit for bit.  The factor
-    tables below are indexed [a][s] with the pair distance 1 <= s <= cols-2;
-    an entry whose denominator is below ``SINGULAR_TOL`` holds NaN, so that
-    every product reading it is NaN and the reader can raise.
+    ``values[a, b]`` is ``bracket(a + b*g, params)``, bit for bit.  Every
+    factor of the four coefficient families is a cell ``factors[layer, a, s]``
+    with the pair distance 1 <= s <= cols-2; a product of cells taken in
+    order is the coefficient, so the scalar functions and the gathers over a
+    level cone read the same array and give the same bits.  The layers are
 
-    * ``hop[t + 1][a][s]`` = [a + (s+t)g] / [a + sg], t in {-1, 0, 1}: the
+    * 0, 1, 2: [a + (s+t)g] / [a + sg] with t = layer - 1 in {-1, 0, 1}: the
       hopping factor of a pair at distance a whose strip increments differ
-      by t, and the two psi' factors (t = 1 at a - 1, t = -1 at a).
-    * ``c[a][s]`` = prod_{l<a} [l + sg] / [l + (s+1)g].
-    * ``delta_head[a][s]`` = [a + sg] / [sg] and
-      ``delta_tail[a][s]`` = prod_{l<a} [l + (s+1)g] / [l + 1 + (s-1)g].
+      by t, and the two psi' factors (t = 1 at a - 1, t = -1 at a);
+    * 3: prod_{l<a} [l + sg] / [l + (s+1)g], the c factor;
+    * 4 and 5: [a + sg] / [sg] and prod_{l<a} [l + (s+1)g] / [l + 1 + (s-1)g],
+      the head and tail of the Delta factor.
 
-    The lists are what the scalar functions read; ``hop_array``,
-    ``c_array`` and ``delta_array`` (head and tail stacked on a last axis)
-    are their numpy copies for the gathers over a level cone, which multiply
-    the factors in the order of the scalar loops and so give the same bits.
+    A cell with a denominator below ``SINGULAR_TOL`` (in layers 3 and 5, any
+    of its running product's) holds NaN, and ``vanished`` holds there the
+    argument a + b*g of that bracket (of the first, in a running product),
+    NaN elsewhere, so the reader of a NaN product can name it.  The arrays
+    are read-only and replaced, not written, when the table grows.
 
     ``polys`` (mu -> P_mu) is filled by ``polynomials``; ``rings`` ((n, m) ->
     the read-only ring-route table [lam, mu, kappa], level-locked only,
@@ -81,38 +93,34 @@ class BracketTable:
 
     def __init__(self, params: ModelParams):
         self.params = params
-        self.values: list[list[complex]] = []
-        self.rows = 0
-        self.cols = 0
+        self.values = np.empty((0, 0), dtype=complex)
         self.polys: dict = {}
         self.rings: dict = {}
         self.spectra: dict = {}
 
     def grow(self, rows: int, cols: int) -> None:
         """Extend to at least rows x cols, evaluating only the new brackets."""
-        rows, cols = max(rows, self.rows), max(cols, self.cols)
+        R, K = self.values.shape
+        rows, cols = max(rows, R), max(cols, K)
         g, params = self.params.g, self.params
-        for a, row in enumerate(self.values):
-            row.extend(bracket(a + b * g, params) for b in range(self.cols, cols))
-        for a in range(self.rows, rows):
-            self.values.append([bracket(a + b * g, params) for b in range(cols)])
-        self.rows, self.cols = rows, cols
-        self._derive()
+        B = self.values.tolist()
+        for a, row in enumerate(B):
+            row.extend(bracket(a + b * g, params) for b in range(K, cols))
+        B += [[bracket(a + b * g, params) for b in range(cols)] for a in range(R, rows)]
+        self.values = np.array(B, dtype=complex).reshape(rows, cols)
+        self._derive(B)
 
-    def _derive(self) -> None:
-        B, R, K = self.values, self.rows, self.cols
+    def _derive(self, B: list[list[complex]]) -> None:
+        (R, K), g = self.values.shape, self.params.g
 
         def ratio(num: complex, den: complex) -> complex:
+            # Python's complex division: numpy's differs in the last bit.
             return _NAN if abs(den) < SINGULAR_TOL else num / den
 
-        blank = [[_NAN] * K for _ in range(R)]
-        hop = [[row[:] for row in blank] for _ in range(3)]
-        c = [row[:] for row in blank]
-        head = [row[:] for row in blank]
-        tail = [row[:] for row in blank]
+        factors = [[[_NAN] * K for _ in range(R)] for _ in range(6)]
+        hop, c, head, tail = factors[:3], factors[_C], factors[_HEAD], factors[_TAIL]
         for s in range(1, K - 1):
-            cum_c = 1.0 + 0.0j
-            cum_tail = 1.0 + 0.0j
+            cum_c = cum_tail = 1.0 + 0.0j
             for a in range(R):
                 for t in (-1, 0, 1):
                     hop[t + 1][a][s] = ratio(B[a][s + t], B[a][s])
@@ -122,24 +130,39 @@ class BracketTable:
                 cum_c *= ratio(B[a][s], B[a][s + 1])
                 if a + 1 < R:
                     cum_tail *= ratio(B[a][s + 1], B[a + 1][s - 1])
-        self.hop, self.c, self.delta_head, self.delta_tail = hop, c, head, tail
-        self.hop_array = np.array(hop, dtype=complex).reshape(3, R, K)
-        self.c_array = np.array(c, dtype=complex).reshape(R, K)
-        self.delta_array = np.stack(
-            [np.array(head, dtype=complex).reshape(R, K), np.array(tail, dtype=complex).reshape(R, K)],
-            axis=-1,
-        )
+        self.factors = np.array(factors, dtype=complex).reshape(6, R, K)
 
-    def raise_singular(self, dens) -> None:
-        """Raise for the first vanishing bracket among the (a, b) in dens, if any."""
-        g = self.params.g
-        for a, b in dens:
-            if abs(self.values[a][b]) < SINGULAR_TOL:
-                raise SingularDenominator(f"bracket [{a + b * g}] vanished (|.| < {SINGULAR_TOL})")
+        # The argument a + b*g of each vanished denominator.  A running product
+        # (layers 3 and 5) records its first, which is also its least: its
+        # denominators [l + b*g] run up l = 0, 1, ... in one column b.
+        zero = np.where(np.abs(self.values) < SINGULAR_TOL, np.arange(R)[:, None] + np.arange(K) * g, np.nan)
+        none = np.full((1, K), np.nan)
+        c_zero = np.fmin.accumulate(np.vstack([none, zero[:-1]]), axis=0)  # least over l < a
+        tail_zero = np.fmin.accumulate(np.vstack([none, zero[1:]]), axis=0)  # least over 1 <= l <= a
+        vanished = np.full((6, R, K), np.nan)
+        vanished[:3, :, 1:-1] = zero[:, 1:-1]
+        vanished[_C, :, 1:-1] = c_zero[:, 2:]
+        vanished[_HEAD, :, 1:-1] = zero[0, 1:-1]
+        vanished[_TAIL, :, 1:-1] = tail_zero[:, :-2]
+        self.vanished = vanished
+        _frozen(self.values, self.factors, self.vanished)
+
+
+def _raise_vanished(arguments) -> None:
+    """Raise for the first recorded vanished bracket argument, if any."""
+    for z in arguments:
+        if z == z:
+            raise SingularDenominator(f"bracket [{z}] vanished (|.| < {SINGULAR_TOL})")
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False  # shared by every caller through the caches below
+    return arrays
 
 
 _TABLES: OrderedDict[tuple, BracketTable] = OrderedDict()
-# Growing appends rows in place, so two threads must not grow one table at once.
+# Growing replaces the table's arrays, so two threads must not grow one table at once.
 _TABLES_LOCK = threading.Lock()
 
 
@@ -154,21 +177,31 @@ def _table(params: ModelParams, rows: int = 0, cols: int = 0) -> BracketTable:
                 _TABLES.popitem(last=False)
         else:
             _TABLES.move_to_end(key)
-        if rows > table.rows or cols > table.cols:
+        R, K = table.values.shape
+        if rows > R or cols > K:
             table.grow(rows, cols)
     return table
 
 
 def bracket_table(params: ModelParams, rows: int, cols: int) -> np.ndarray:
-    """Read-only copy of [a + b*g] for 0 <= a < rows, 0 <= b < cols."""
-    table = _table(params, rows, cols)
-    out = np.array(table.values, dtype=complex)[:rows, :cols]
-    out.flags.writeable = False
+    """Read-only view of [a + b*g] for 0 <= a < rows, 0 <= b < cols."""
+    return _table(params, rows, cols).values[:rows, :cols]
+
+
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((j, k) for j in range(n) for k in range(j + 1, n))
+
+
+def _product(table: BracketTable, cells: list[tuple[int, int, int]]) -> complex:
+    """Product of the factor cells (layer, a, s), in order, from 1; raises if a cell vanished."""
+    factors = table.factors
+    out = 1.0 + 0.0j
+    for cell in cells:
+        out *= factors.item(cell)
+    if out != out:
+        _raise_vanished([table.vanished.item(cell) for cell in cells])
     return out
-
-
-def _pairs(n: int):
-    return [(j, k) for j in range(n) for k in range(j + 1, n)]
 
 
 def hop_B(lam: Partition, nu: Partition, params: ModelParams) -> complex:
@@ -180,15 +213,7 @@ def hop_B(lam: Partition, nu: Partition, params: ModelParams) -> complex:
     theta = strip_pattern(lam, nu)
     n = len(lam)
     table = _table(params, lam[0] - lam[-1] + 1, n + 1)
-    hop = table.hop
-    out = 1.0 + 0.0j
-    for j in range(n):
-        tj = theta[j] + 1
-        for k in range(j + 1, n):
-            out *= hop[tj - theta[k]][lam[j] - lam[k]][k - j]
-    if out != out:
-        table.raise_singular((lam[j] - lam[k], k - j) for j, k in _pairs(n))
-    return out
+    return _product(table, [(theta[j] - theta[k] + 1, lam[j] - lam[k], k - j) for j, k in _pairs(n)])
 
 
 def psi_prime(lam: Partition, nu: Partition, params: ModelParams) -> complex:
@@ -201,24 +226,12 @@ def psi_prime(lam: Partition, nu: Partition, params: ModelParams) -> complex:
     theta = strip_pattern(lam, nu)
     n = len(lam)
     table = _table(params, lam[0] - lam[-1] + 1, n + 1)
-    down, _, up = table.hop
-    out = 1.0 + 0.0j
-    for j in range(n):
-        if theta[j]:
-            continue
-        for k in range(j + 1, n):
-            if theta[k]:
-                d = lam[j] - lam[k]  # >= 1, and nu_j - nu_k = d - 1
-                out *= up[d - 1][k - j]
-                out *= down[d][k - j]
-    if out != out:
-        table.raise_singular(
-            (a, k - j)
-            for j, k in _pairs(n)
-            if theta[k] - theta[j] == 1
-            for a in (lam[j] - lam[k] - 1, lam[j] - lam[k])
-        )
-    return out
+    cells = []
+    for j, k in _pairs(n):
+        if theta[k] - theta[j] == 1:
+            d = lam[j] - lam[k]  # >= 1, and nu_j - nu_k = d - 1
+            cells += [(2, d - 1, k - j), (0, d, k - j)]
+    return _product(table, cells)
 
 
 def _check_partition(mu: Partition) -> None:
@@ -236,16 +249,7 @@ def c_norm(mu: Partition, params: ModelParams) -> complex:
     _check_partition(mu)
     n = len(mu)
     table = _table(params, mu[0] - mu[-1] + 1, n + 1)
-    c = table.c
-    out = 1.0 + 0.0j
-    for j in range(n):
-        for k in range(j + 1, n):
-            out *= c[mu[j] - mu[k]][k - j]
-    if out != out:
-        table.raise_singular(
-            (l, k - j + 1) for j, k in _pairs(n) for l in range(mu[j] - mu[k])
-        )
-    return out
+    return _product(table, [(_C, mu[j] - mu[k], k - j) for j, k in _pairs(n)])
 
 
 def delta_weight(lam: Partition, params: ModelParams) -> complex:
@@ -257,29 +261,11 @@ def delta_weight(lam: Partition, params: ModelParams) -> complex:
     _check_partition(lam)
     n = len(lam)
     table = _table(params, lam[0] - lam[-1] + 1, n + 1)
-    head, tail = table.delta_head, table.delta_tail
-    out = 1.0 + 0.0j
-    for j in range(n):
-        for k in range(j + 1, n):
-            d = lam[j] - lam[k]
-            out *= head[d][k - j]
-            out *= tail[d][k - j]
-    if out != out:
-        table.raise_singular(
-            den
-            for j, k in _pairs(n)
-            for den in [(0, k - j)] + [(l + 1, k - j - 1) for l in range(lam[j] - lam[k])]
-        )
-    return out
+    cells = [(layer, lam[j] - lam[k], k - j) for j, k in _pairs(n) for layer in (_HEAD, _TAIL)]
+    return _product(table, cells)
 
 
 # -- whole level cones as gathers -------------------------------------------
-
-
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.flags.writeable = False  # shared by every caller through the caches below
-    return arrays
 
 
 @lru_cache(maxsize=64)
@@ -296,25 +282,34 @@ def _label_index(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 def _strip_index(n: int, m: int, r: int):
     """Every size-r strip that stays in the level-m cone, as index arrays.
 
-    Returns (strips, rows, cols, d, t, s): strip i goes from label rows[i] to
-    the label cols[i] = underline(nu); d[i, q] is the pair distance of lam,
-    t[i, q] the hop-table layer theta_j - theta_k + 1, s[q] = k - j.
+    Returns (rows, cols, d, t, s): strip i goes from label rows[i] to the
+    label cols[i] = underline(nu); d[i, q] is the pair distance of lam,
+    t[i, q] the hop layer theta_j - theta_k + 1, s[q] = k - j.
     """
     pairs = _pairs(n)
     labels = enumerate_level(n, m)
     index = {lam: i for i, lam in enumerate(labels)}
-    strips, rows, cols, t = [], [], [], []
+    rows, cols, t = [], [], []
     for i, lam in enumerate(labels):
         for nu in vertical_strips(lam, r):
             if span(nu) <= m:
-                strips.append((lam, nu))
                 rows.append(i)
                 cols.append(index[underline(nu)])
                 t.append([nu[j] - lam[j] - nu[k] + lam[k] + 1 for j, k in pairs])
     d, s = _label_index(n, m)
     rows = np.array(rows, dtype=np.intp)
-    t = np.array(t, dtype=np.intp).reshape(len(strips), len(pairs))
-    return (strips, *_frozen(rows, np.array(cols, dtype=np.intp), d[rows], t), s)
+    t = np.array(t, dtype=np.intp).reshape(len(rows), len(pairs))
+    return (*_frozen(rows, np.array(cols, dtype=np.intp), d[rows], t), s)
+
+
+def _gather(params: ModelParams, cells: tuple, where=True) -> np.ndarray:
+    """Products over the last axis of the factor cells (layer, a, s), as ``_product`` takes them."""
+    table = _table(params, params.m + 1, params.n + 1)
+    vals = table.factors[cells].prod(axis=-1, where=where)
+    bad = np.isnan(vals)
+    if bad.any():
+        _raise_vanished(np.where(where, table.vanished[cells], np.nan)[bad].ravel().tolist())
+    return vals
 
 
 def level_hops(r: int, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -324,35 +319,37 @@ def level_hops(r: int, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.
     from label rows[i] to label cols[i] = underline(nu), labels in the order
     of ``enumerate_level(n, m)``.
     """
-    n, m = params.n, params.m
-    strips, rows, cols, d, t, s = _strip_index(n, m, r)
-    table = _table(params, m + 1, n + 1)
-    vals = table.hop_array[t, d, s].prod(axis=1)
-    bad = np.flatnonzero(np.isnan(vals))
-    if bad.size:
-        hop_B(*strips[bad[0]], params)
-    return rows, cols, vals
+    rows, cols, d, t, s = _strip_index(params.n, params.m, r)
+    return rows, cols, _gather(params, (t, d, s))
+
+
+def level_psi(r: int, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, psi') over the strips of ``level_hops``, in the same order.
+
+    A pair with theta_j - theta_k = -1 (hop layer 0) contributes the cells
+    (2, d - 1, s) and (0, d, s), as in ``psi_prime``; the others none.
+    """
+    rows, cols, d, t, s = _strip_index(params.n, params.m, r)
+    cells = (np.tile([2, 0], len(s)), np.repeat(d, 2, axis=1) - np.tile([1, 0], len(s)), np.repeat(s, 2))
+    return rows, cols, _gather(params, cells, where=np.repeat(t == 0, 2, axis=1))
+
+
+@lru_cache(maxsize=64)
+def _delta_cells(n: int, m: int) -> tuple[np.ndarray, ...]:
+    """The head and tail cells of every pair of every label, pair by pair."""
+    d, s = _label_index(n, m)
+    return _frozen(np.tile([_HEAD, _TAIL], len(s)), np.repeat(d, 2, axis=1), np.repeat(s, 2))
 
 
 def level_delta(params: ModelParams) -> np.ndarray:
     """Delta_lam over the level cone, in the order of ``enumerate_level(n, m)``."""
-    return _level_gather(params, "delta_array", delta_weight)
+    return _gather(params, _delta_cells(params.n, params.m))
 
 
 def level_c(params: ModelParams) -> np.ndarray:
     """c_lam over the level cone, in the order of ``enumerate_level(n, m)``."""
-    return _level_gather(params, "c_array", c_norm)
-
-
-def _level_gather(params: ModelParams, family: str, scalar) -> np.ndarray:
-    n, m = params.n, params.m
-    d, s = _label_index(n, m)
-    factors = getattr(_table(params, m + 1, n + 1), family)[d, s]
-    vals = factors.reshape(d.shape[0], -1).prod(axis=1)
-    bad = np.flatnonzero(np.isnan(vals))
-    if bad.size:
-        scalar(enumerate_level(n, m)[bad[0]], params)
-    return vals
+    d, s = _label_index(params.n, params.m)
+    return _gather(params, (_C, d, s))
 
 
 def clear_coeff_caches() -> None:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ComputationError
 from .kernel import ModelParams, realify
-from .operators import SpectrumResult, joint_spectrum, norm_vectors, value_table
+from .operators import SpectrumResult, _realify_all, joint_spectrum, norm_vectors, value_table
 from .partitions import (
     Partition,
     check_partition,
@@ -77,11 +77,6 @@ def fusion_pieri(lam, r: int, params: ModelParams) -> dict[Partition, float]:
         raise ValueError(f"partition length {len(lam)} does not match n={params.n}")
     if not 1 <= r <= params.n - 1:
         raise ValueError(f"need 1 <= r <= n-1, got r={r}")
-    return _pieri(lam, r, params)
-
-
-def _pieri(lam: Partition, r: int, params: ModelParams) -> dict[Partition, float]:
-    """``fusion_pieri`` of a partition of length n that is already validated."""
     out: dict[Partition, float] = {}
     for nu in vertical_strips(lam, r):
         if span(nu) <= params.m:
@@ -142,7 +137,8 @@ def _ring_table(params: ModelParams) -> np.ndarray:
 
     In the factor ring, e_r P_lam is the sum of the level-admissible strip
     weights of ``fusion_pieri`` times P_kappa: the matrix E_r[lam, kappa],
-    1 <= r <= n-1, while e_n = 1.  The Pieri recurrence P_top = e_r P_lam -
+    1 <= r <= n-1, gathered for the whole cone by ``coeffs.level_psi``,
+    while e_n = 1.  The Pieri recurrence P_top = e_r P_lam -
     sum_{sib != top} psi'_{sib/lam} P_sib, with r = r_index(top),
     lam = top - 1^r and psi'_{top/lam} = 1, holds in the ring, so
     values[top] = E_r values[lam] - sum psi' values[sib] from values[0] = I
@@ -166,10 +162,9 @@ def _ring_table(params: ModelParams) -> np.ndarray:
     labels, index = _cone(params.n, params.m)
     N = len(labels)
     E = np.zeros((params.n, N, N))
-    for i, lam in enumerate(labels):
-        for r in range(1, params.n):
-            for nu, v in _pieri(lam, r, params).items():
-                E[r, i, index[nu]] = v
+    for r in range(1, params.n):
+        rows, cols, vals = coeffs.level_psi(r, params)
+        E[r, rows, cols] = _realify_all(vals, "Pieri weights")
     values = np.empty((N, N, N))
     values[0] = np.eye(N)  # labels[0] is the empty partition
     for top in sorted(labels[1:], key=lambda kappa: (weight(kappa), kappa)):

@@ -229,6 +229,10 @@ def _psi_reference(lam, nu, params) -> complex:
     return out
 
 
+def _bits(values) -> np.ndarray:
+    return np.asarray(values).view(np.int64)
+
+
 def _close(got, want) -> bool:
     return abs(got - want) <= 1e-14 * abs(want)
 
@@ -247,22 +251,58 @@ def test_level_gathers_match_scalar_products(n, m):
         assert _close(c[i], _c_reference(lam, params))
         assert _close(coeffs.c_norm(lam, params), _c_reference(lam, params))
     for r in range(1, n):
-        rows, cols, vals = coeffs.level_hops(r, params)
-        want = {
-            (index[lam], index[underline(nu)]): _hop_reference(lam, nu, params)
-            for lam in labels
-            for nu in vertical_strips(lam, r)
-            if span(nu) <= m
+        for gather, reference in ((coeffs.level_hops, _hop_reference), (coeffs.level_psi, _psi_reference)):
+            rows, cols, vals = gather(r, params)
+            want = {
+                (index[lam], index[underline(nu)]): reference(lam, nu, params)
+                for lam in labels
+                for nu in vertical_strips(lam, r)
+                if span(nu) <= m
+            }
+            got = {(int(i), int(j)): v for i, j, v in zip(rows, cols, vals)}
+            assert len(rows) == len(want) and got.keys() == want.keys()
+            for key, value in want.items():
+                assert _close(got[key], value)
+        # The rows of the ring route's E_r, against fusion_pieri, which enumerates its own strips.
+        rows, cols, vals = coeffs.level_psi(r, params)
+        pieri = {
+            (i, index[kappa]): v
+            for i, lam in enumerate(labels)
+            for kappa, v in fusion.fusion_pieri(lam, r, params).items()
         }
-        got = {(int(i), int(j)): v for i, j, v in zip(rows, cols, vals)}
-        assert len(rows) == len(want) and got.keys() == want.keys()
-        for key, value in want.items():
-            assert _close(got[key], value)
+        assert list(zip(rows.tolist(), cols.tolist())) == list(pieri)
+        assert _bits(vals.real.tolist()).tolist() == _bits(list(pieri.values())).tolist()
     for lam in labels:
         for r in range(1, n + 1):
             for nu in vertical_strips(lam, r):
                 assert _close(coeffs.hop_B(lam, nu, params), _hop_reference(lam, nu, params))
                 assert _close(coeffs.psi_prime(lam, nu, params), _psi_reference(lam, nu, params))
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 6) for m in range(6)])
+def test_scalar_coefficients_are_their_gathers_bit_for_bit(n, m):
+    """hop_B, psi_prime, c_norm and delta_weight equal their level-cone gathers in every bit.
+
+    Both kernel regimes (|p| < 0.5 and |p| >= 0.5) at both signs of p, at
+    couplings across [0.3, 1.9], a resonant one included.
+    """
+    labels = enumerate_level(n, m)
+    strips = {
+        r: [(i, nu) for i, lam in enumerate(labels) for nu in vertical_strips(lam, r) if span(nu) <= m]
+        for r in range(1, n)
+    }
+    for g in (0.3, 1.0, 1.9):
+        for p in (0.3, -0.3, 0.7, -0.7):
+            params = ModelParams.locked(n, m, g, p)
+            for gather, scalar in ((coeffs.level_c, coeffs.c_norm), (coeffs.level_delta, coeffs.delta_weight)):
+                want = [scalar(lam, params) for lam in labels]
+                assert _bits(gather(params)).tolist() == _bits(want).tolist()
+            for r, listed in strips.items():
+                for gather, scalar in ((coeffs.level_hops, coeffs.hop_B), (coeffs.level_psi, coeffs.psi_prime)):
+                    rows, _, vals = gather(r, params)
+                    want = [scalar(labels[i], nu, params) for i, nu in listed]
+                    assert rows.tolist() == [i for i, _ in listed]
+                    assert _bits(vals).tolist() == _bits(np.array(want, dtype=complex)).tolist()
 
 
 def _resonant(n: int, m: int, zero: float) -> ModelParams:
@@ -278,6 +318,8 @@ def test_singular_denominator_through_scalar_and_array_paths():
         coeffs.hop_B((1, 0), (1, 1), params)
     with pytest.raises(SingularDenominator, match=r"bracket \[1\.7\] vanished"):
         coeffs.level_hops(1, params)
+    with pytest.raises(SingularDenominator, match=r"bracket \[1\.7\] vanished"):
+        coeffs.level_psi(1, params)
     assert coeffs.psi_prime((0, 0), (1, 0), params) == 1.0  # no pair with theta_j - theta_k = -1
     params = _resonant(2, 1, 1.4)  # [2g] = 0
     with pytest.raises(SingularDenominator, match=r"bracket \[1\.4\] vanished"):
@@ -288,6 +330,11 @@ def test_singular_denominator_through_scalar_and_array_paths():
     with pytest.raises(SingularDenominator, match=r"bracket \[0\.7\] vanished"):
         coeffs.delta_weight((0, 0), params)
     with pytest.raises(SingularDenominator, match=r"bracket \[0\.7\] vanished"):
+        coeffs.level_delta(params)
+    params = _resonant(2, 1, 1.0)  # [1] = 0, in the running product of the Delta tail
+    with pytest.raises(SingularDenominator, match=r"bracket \[1\.0\] vanished"):
+        coeffs.delta_weight((1, 0), params)
+    with pytest.raises(SingularDenominator, match=r"bracket \[1\.0\] vanished"):
         coeffs.level_delta(params)
 
 

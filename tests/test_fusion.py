@@ -329,7 +329,7 @@ def _count_ring_builders(monkeypatch):
     def counting(name, real):
         return lambda *args: calls.append(name) or real(*args)
 
-    monkeypatch.setattr(fusion, "_pieri", counting("_pieri", fusion._pieri))
+    monkeypatch.setattr(coeffs, "level_psi", counting("level_psi", coeffs.level_psi))
     return calls
 
 
@@ -339,7 +339,7 @@ def test_lr_pairs_after_the_table_run_no_kernel(monkeypatch):
     coeffs.clear_coeff_caches()
     calls = _count_ring_builders(monkeypatch)
     table = fusion_table(params, route="lr")
-    assert "_pieri" in calls
+    assert "level_psi" in calls
     calls.clear()
     for i, lam in enumerate(table.labels):
         for j, mu in enumerate(table.labels):

@@ -258,7 +258,9 @@ def test_evicting_a_bracket_table_drops_its_polynomials(monkeypatch):
 
 def test_lr_table_at_minus_p_reuses_the_polynomials_of_plus_p(monkeypatch):
     coeffs.clear_coeff_caches()
-    calls = _count_psi_prime(monkeypatch)
+    calls = []
+    real = coeffs.level_psi  # the ring route's one source of Pieri weights
+    monkeypatch.setattr(coeffs, "level_psi", lambda r, params: calls.append(r) or real(r, params))
     plus = fusion_table(ModelParams.locked(3, 8, 0.7, 0.3), route="lr")
     assert calls
     calls.clear()
