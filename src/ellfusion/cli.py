@@ -3,12 +3,16 @@
 Subcommands: poly, lr, pieri, spectrum, fusion, smatrix, verify.  Output is
 canonical JSON (CSV for the tabular commands): keys in fixed order, floats
 in shortest round-trip form, complex numbers as {"re":, "im":} pairs, and
-the full parameter header plus RNG seed embedded in every payload.  Files
-are written atomically, chunk by chunk into a temp file that is renamed into
-place; stdout gets the whole text at once, so an error prints nothing.
+the full parameter header plus RNG seed embedded in every payload.  The
+JSON is the bytes of ``json.dumps(payload, indent=2)``: the small values go
+through json.dumps, the bulk arrays (the fusion table, S and Sinv, the
+spectral points) through one row writer each.  Files are written
+atomically, chunk by chunk into a temp file that is renamed into place;
+stdout gets the whole text at once, so an error prints nothing.
 Exit codes: 0 success, 1 computational error
-(error class name on stderr), 2 usage error (a bad flag, or a ValueError of
-the library's argument validation, in one line on stderr).
+(error class name on stderr), 2 usage error (a bad flag, a ValueError of
+the library's argument validation, or an --out path that cannot be
+written, in one line on stderr).
 """
 
 from __future__ import annotations
@@ -19,17 +23,15 @@ import math
 import os
 import sys
 import tempfile
-from collections.abc import Iterable
-from dataclasses import dataclass
-from itertools import chain
-from json.encoder import encode_basestring_ascii
+from functools import partial
+from itertools import chain, repeat
 
 import numpy as np
 
 from .errors import ComputationError
 from .kernel import ModelParams
 from .littlewood import lr_coefficients
-from .operators import joint_spectrum
+from .operators import SpectrumResult, joint_spectrum
 from .partitions import canonical_key, check_partition, vertical_strips
 from .polynomials import build_P
 from .fusion import _table_rows, fusion_pieri, fusion_table, s_matrix
@@ -124,17 +126,14 @@ def _make_params(args, parser: argparse.ArgumentParser, locked_only: bool) -> Mo
     )
 
 
-def _cnum(z: complex) -> dict:
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
-
-
 def _emit(chunks, out_path: str | None) -> None:
     """Write text chunks to stdout, or into a temp file renamed to out_path.
 
     stdout gets the chunks joined first, so an error while they are made
     prints nothing.  A file gets each chunk as it is made; on an error the
     temp file is removed and a file already at out_path keeps its bytes.
+    An OSError of the temp file or the rename (a missing directory, a
+    directory at out_path) is a ValueError naming out_path: a usage error.
     ``mkstemp`` creates the temp file with mode 0600, so it is given the
     mode a plain ``open`` would give, 0666 less the umask, before the rename.
     """
@@ -142,134 +141,42 @@ def _emit(chunks, out_path: str | None) -> None:
         sys.stdout.write("".join(chunks))
         return
     directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ellfusion-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ellfusion-")
         with os.fdopen(fd, "w") as handle:
             handle.writelines(chunks)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ValueError(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from exc
         raise
 
 
-_STR_ONLY = frozenset([str])
-
-
-def _float_text(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError("Out of range float values are not JSON compliant")
-    return float.__repr__(x)
-
-
-@dataclass(frozen=True)
-class _TableRows:
-    """A fusion table that the writers read once: its labels and its rows values[lam] ([mu, kappa])."""
-
-    labels: tuple
-    rows: Iterable[np.ndarray]
-
-
-@dataclass(frozen=True)
-class _ComplexRows:
-    """A complex matrix, written as its list of rows of {"re", "im"} pairs (see ``_complex_rows_chunks``)."""
-
-    matrix: np.ndarray
-
-
-def _json_chunks(payload):
+def _json_chunks(payload: dict):
     """The text of ``json.dumps(payload, indent=2, allow_nan=False)``, in chunks made as they are read.
 
-    With an indent, json falls back to its pure-Python encoder, one
-    generator per container.  This writer writes scalars inline, and a list
-    of plain ints or floats, or a dict whose values are all scalars (such as
-    a {"re", "im"} pair), as one string.  It handles dicts with str keys,
-    lists, tuples, str, int, float, bool and None of exactly those types;
-    any other value (a subclass, a non-string key) goes to json.dumps, its
-    newlines indented to its depth.  A ``_TableRows`` is written as its list
-    of per-pair blocks (see ``_fusion_table_chunks``), a ``_ComplexRows`` as
-    its list of rows (see ``_complex_rows_chunks``).
+    payload is the top-level dict of a command.  A value is written by
+    ``json.dumps``, its newlines indented one level, unless it is callable:
+    then it is a bulk array's row writer, called with the newline of its
+    key's line (see ``_fusion_table_chunks``, ``_complex_rows_chunks`` and
+    ``_points_chunks``).  No JSON value is callable.
     """
-    text_of = {
-        str: encode_basestring_ascii,
-        float: _float_text,
-        int: int.__repr__,
-        bool: lambda b: "true" if b else "false",
-        type(None): lambda _: "null",
-    }.get
-
-    def inline(o, newline: str):
-        """The text of o if it is a scalar, a list of plain ints or floats or a dict of scalars; else None."""
-        text = text_of(type(o))
-        if text is not None:
-            return text(o)
-        kind = type(o)
-        if kind is list or kind is tuple:
-            if not o:
-                return "[]"
-            kinds = set(map(type, o))
-            if len(kinds) == 1 and kinds <= {int, float}:
-                return _list_text(map(text_of(kinds.pop()), o), newline)
-        elif kind is dict and _STR_ONLY.issuperset(map(type, o)):
-            items = []
-            for k, v in o.items():
-                text = text_of(type(v))
-                if text is None:
-                    return None
-                items.append(encode_basestring_ascii(k) + ": " + text(v))
-            inner = newline + "  "
-            return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
-        return None
-
-    def write(o, newline: str):
-        """The chunks of o, a value that ``inline`` does not write, whose line starts with newline."""
-        kind = type(o)
-        inner = newline + "  "
-        if kind is list or kind is tuple:
-            texts = [inline(v, inner) for v in o]
-            if None not in texts:
-                yield "[" + inner + ("," + inner).join(texts) + newline + "]"
-                return
-            sep = "[" + inner
-            for v, text in zip(o, texts):
-                if text is None:
-                    yield sep
-                    yield from write(v, inner)
-                else:
-                    yield sep + text
-                sep = "," + inner
-            yield newline + "]"
-        elif kind is dict and _STR_ONLY.issuperset(map(type, o)):
-            sep = "{" + inner
-            for k, v in o.items():
-                text = inline(v, inner)
-                if text is None:
-                    yield sep + encode_basestring_ascii(k) + ": "
-                    yield from write(v, inner)
-                else:
-                    yield sep + encode_basestring_ascii(k) + ": " + text
-                sep = "," + inner
-            yield newline + "}"
-        elif kind is _TableRows:
-            yield from _fusion_table_chunks(o.labels, o.rows, newline)
-        elif kind is _ComplexRows:
-            yield from _complex_rows_chunks(o.matrix, newline)
-        else:  # subclasses, non-string keys, and what json rejects
-            yield json.dumps(o, indent=2, allow_nan=False).replace("\n", newline)
-
-    text = inline(payload, "\n")
-    if text is not None:
-        yield text
-    else:
-        yield from write(payload, "\n")
-
-
-def _json_text(payload) -> str:
-    """``json.dumps(payload, indent=2, allow_nan=False)``, byte for byte."""
-    return "".join(_json_chunks(payload))
+    sep = "{"
+    for key, value in payload.items():
+        head = sep + "\n  " + json.dumps(key) + ": "
+        if callable(value):
+            yield head
+            yield from value("\n  ")
+        else:
+            yield head + json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
+        sep = ","
+    yield "\n}" if payload else "{}"
 
 
 def _list_text(items, newline: str) -> str:
@@ -277,6 +184,12 @@ def _list_text(items, newline: str) -> str:
     inner = newline + "  "
     text = ("," + inner).join(items)
     return "[" + inner + text + newline + "]" if text else "[]"
+
+
+def _pair_text(newline: str) -> str:
+    """The template of a {"re", "im"} pair whose line starts with newline: two %s for the reprs."""
+    inner = newline + "  "
+    return "{" + inner + '"re": %s,' + inner + '"im": %s' + newline + "}"
 
 
 def _fusion_table_chunks(labels, rows, newline: str):
@@ -298,8 +211,8 @@ def _fusion_table_chunks(labels, rows, newline: str):
     i3 = i2 + "  "  # an entry
     i4 = i3 + "  "  # an entry's keys
     N = len(labels)
-    pair_text = [_list_text(map(int.__repr__, lam), i2) for lam in labels]
-    mu_head = ["," + i2 + '"mu": ' + text + "," + i2 + '"entries": ' for text in pair_text]
+    label_text = [_list_text(map(int.__repr__, lam), i2) for lam in labels]
+    mu_head = ["," + i2 + '"mu": ' + text + "," + i2 + '"entries": ' for text in label_text]
     entry_head = [
         "{" + i4 + '"kappa": ' + _list_text(map(int.__repr__, kappa), i4) + "," + i4 + '"value": '
         for kappa in labels
@@ -319,7 +232,7 @@ def _fusion_table_chunks(labels, rows, newline: str):
         entries[0::2] = map(heads.__getitem__, (kappas + N * first).tolist())
         entries[1::2] = map(float.__repr__, row[nonzero].tolist())
         counts = np.bincount(mus, minlength=N).tolist()
-        block = "{" + i2 + '"lam": ' + pair_text[i]
+        block = "{" + i2 + '"lam": ' + label_text[i]
         opened = "," + i1 + block  # the next block of the row
         full, empty = entries_end + tail + opened, "[]" + tail + opened
         closes = [full if count else empty for count in counts]  # the text after a pair's entries
@@ -337,36 +250,78 @@ def _fusion_table_chunks(labels, rows, newline: str):
     yield newline + "]"
 
 
+def _re_im(matrix: np.ndarray) -> np.ndarray:
+    """The rows of a complex matrix as real rows (re, im, re, im, ...)."""
+    return np.ascontiguousarray(matrix, dtype=complex).view(float)
+
+
+def _template_rows(values: np.ndarray, template: str, heads, newline: str):
+    """An indented JSON list, one chunk per row of values: its head, then template %-formatted over the row.
+
+    The template is built once and holds a %s for each value of a row; a
+    value is written as its repr, as json.dumps writes a float.  A
+    non-finite value raises ValueError, as json.dumps does, before any chunk.
+    """
+    if not np.isfinite(values).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    lead = "[" + newline + "  "
+    for head, row in zip(heads, values):
+        yield lead + head + template % tuple(map(float.__repr__, row.tolist()))
+        lead = "," + newline + "  "
+    yield newline + "]" if len(values) else "[]"
+
+
 def _complex_rows_chunks(matrix: np.ndarray, newline: str):
     """The rows of a complex matrix as indented JSON lists of {"re", "im"} pairs, one chunk per row.
 
     The chunks join to the bytes of ``json.dumps`` of the rows as lists of
-    ``{"re": z.real, "im": z.imag}`` dicts at this depth.  Each row is one
-    %-format of a template built once, over the reprs of its parts; a
-    non-finite part raises ValueError, as json.dumps does, before any chunk
-    of its row.
+    ``{"re": z.real, "im": z.imag}`` dicts at this depth.
     """
-    i1 = newline + "  "  # a row
-    i2 = i1 + "  "  # a pair
-    i3 = i2 + "  "  # its keys
-    pair = "{" + i3 + '"re": %s,' + i3 + '"im": %s' + i2 + "}"
-    template = "[" + i2 + ("," + i2).join([pair] * matrix.shape[1]) + i1 + "]" if matrix.shape[1] else "[]"
-    lead = "[" + i1
-    for row in matrix:
-        if not np.isfinite(row).all():
-            raise ValueError("Out of range float values are not JSON compliant")
-        parts = np.empty(2 * len(row))
-        parts[0::2], parts[1::2] = row.real, row.imag
-        yield lead + template % tuple(map(float.__repr__, parts.tolist()))
-        lead = "," + i1
-    yield newline + "]" if len(matrix) else "[]"
+    row = _list_text([_pair_text(newline + "    ")] * matrix.shape[1], newline + "  ")
+    return _template_rows(_re_im(matrix), row, repeat(""), newline)
+
+
+def _points_chunks(spec: SpectrumResult, newline: str):
+    """The points of a joint spectrum as indented JSON, one chunk per point nu, read from its arrays.
+
+    The chunks join to the bytes of ``json.dumps`` of the list of ``{"nu",
+    "e": [{"re", "im"}, ...], "dual_norm", "eigenvector": [{"lam", "value":
+    {"re", "im"}}, ...]}`` dicts at this depth, where "e" is the row e[nu]
+    and the eigenvector the column vectors[:, nu].  All of a point's text
+    but its "nu" head is one template, built once, with the "lam" of each
+    eigenvector entry in it.
+    """
+    i1 = newline + "  "  # a point
+    i2 = i1 + "  "  # its keys
+    i3 = i2 + "  "  # an e pair or an eigenvector entry
+    i4 = i3 + "  "  # an entry's keys
+    heads = [
+        "{" + i2 + '"nu": ' + _list_text(map(int.__repr__, nu), i2) + "," + i2 + '"e": '
+        for nu in spec.labels
+    ]
+    entries = [
+        "{" + i4 + '"lam": ' + _list_text(map(int.__repr__, lam), i4) + "," + i4
+        + '"value": ' + _pair_text(i4) + i3 + "}"
+        for lam in spec.labels
+    ]
+    point = (
+        _list_text([_pair_text(i3)] * spec.e.shape[1], i2)
+        + "," + i2 + '"dual_norm": %s,'
+        + i2 + '"eigenvector": ' + _list_text(entries, i2) + i1 + "}"
+    )
+    values = np.hstack([_re_im(spec.e), spec.dual_norms[:, None], _re_im(spec.vectors.T)])
+    return _template_rows(values, point, heads, newline)
 
 
 def _emit_json(payload: dict, out_path: str | None) -> None:
-    try:
-        _emit(chain(_json_chunks(payload), ["\n"]), out_path)
-    except ValueError as exc:  # NaN or infinity: strict JSON has no spelling for them
-        raise ComputationError(f"non-finite value in the {payload['command']} payload") from exc
+    def chunks():
+        try:
+            yield from _json_chunks(payload)
+        except ValueError as exc:  # NaN or infinity: strict JSON has no spelling for them
+            raise ComputationError(f"non-finite value in the {payload['command']} payload") from exc
+        yield "\n"
+
+    _emit(chunks(), out_path)
 
 
 def _finite_or_null(x: float) -> float | None:
@@ -438,18 +393,7 @@ def _cmd_spectrum(args, parser) -> int:
     spec = joint_spectrum(params, seed=args.seed)
     payload = _header("spectrum", params, args.seed)
     payload["labels"] = [list(nu) for nu in spec.labels]
-    payload["points"] = [
-        {
-            "nu": list(nu),
-            "e": [_cnum(z) for z in spec.e[j]],
-            "dual_norm": float(spec.dual_norms[j]),
-            "eigenvector": [
-                {"lam": list(lam), "value": _cnum(f)}
-                for lam, f in zip(spec.labels, spec.vectors[:, j])
-            ],
-        }
-        for j, nu in enumerate(spec.labels)
-    ]
+    payload["points"] = partial(_points_chunks, spec)
     payload["homotopy_steps"] = list(spec.homotopy_steps)
     _emit_json(payload, args.out)
     return 0
@@ -476,12 +420,12 @@ def _cmd_fusion(args, parser) -> int:
         if args.format == "csv":
             _emit_csv(_fusion_csv_rows(labels, rows), ["lam", "mu", "kappa", "value"], args.out)
             return 0
-        payload["table"] = _TableRows(labels, rows)
+        payload["table"] = partial(_fusion_table_chunks, labels, rows)
     else:
         t_v = fusion_table(params, route="verlinde", seed=args.seed)
         t_lr = fusion_table(params, route="lr", seed=args.seed)
-        payload["table"] = _TableRows(t_v.labels, t_v.values)
-        payload["lr_table"] = _TableRows(t_lr.labels, t_lr.values)
+        payload["table"] = partial(_fusion_table_chunks, t_v.labels, t_v.values)
+        payload["lr_table"] = partial(_fusion_table_chunks, t_lr.labels, t_lr.values)
         payload["diff"] = {"max_abs": t_v.max_difference(t_lr)}
     _emit_json(payload, args.out)
     return 0
@@ -492,8 +436,8 @@ def _cmd_smatrix(args, parser) -> int:
     sm = s_matrix(params, seed=args.seed)
     payload = _header("smatrix", params, args.seed)
     payload["labels"] = [list(nu) for nu in sm.labels]
-    payload["S"] = _ComplexRows(sm.S)
-    payload["Sinv"] = _ComplexRows(sm.Sinv)
+    payload["S"] = partial(_complex_rows_chunks, sm.S)
+    payload["Sinv"] = partial(_complex_rows_chunks, sm.Sinv)
     payload["normalization"] = sm.normalization
     payload["identity_residual"] = sm.identity_residual()
     # The linear values overflow binary64 at large nomes; their logs do not.
@@ -551,7 +495,7 @@ def main(argv=None) -> int:
     except (ComputationError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError too
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # the library's argument validation
+    except ValueError as exc:  # the library's argument validation, or an --out that cannot be written
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

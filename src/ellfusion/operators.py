@@ -252,6 +252,8 @@ def joint_spectrum(params: ModelParams, seed: int = 0) -> SpectrumResult:
     """
     if not params.level_locked:
         raise ValueError("the joint spectrum requires level-locked parameters")
+    if params.n < 2:
+        raise ValueError(f"the joint spectrum requires n >= 2, got n={params.n}")
     key = (params.n, params.m, params.level_locked, seed)
     kept = coeffs._table(params).spectra.get(key)
     if kept is None:

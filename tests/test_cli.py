@@ -3,16 +3,26 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ellfusion.cli import _ComplexRows, _TableRows, _emit_json, _fusion_csv_rows, _json_text, main
+from ellfusion.cli import (
+    _complex_rows_chunks,
+    _emit_json,
+    _fusion_csv_rows,
+    _fusion_table_chunks,
+    _json_chunks,
+    main,
+)
 from ellfusion.errors import ComputationError
 from ellfusion.fusion import FusionTable, fusion_table, s_matrix
 from ellfusion.kernel import ModelParams
+from ellfusion.operators import joint_spectrum
 from ellfusion.partitions import enumerate_level
 
 
@@ -20,6 +30,10 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _json_text(payload):
+    return "".join(_json_chunks(payload))
 
 
 def test_poly_command(capsys):
@@ -204,6 +218,11 @@ def test_usage_errors_exit_2(capsys):
         ["fusion", "--n", "2", "--m", "2", "--g", "inf", "--p", "0.3"],
         ["fusion", "--n", "2", "--m", "2", "--g", "0.7", "--p", "1.5"],
         ["fusion", "--n", "2", "--m", "2", "--g", "0.7", "--p", "nan"],
+        # one row: no operators D_1 .. D_{n-1}, so no joint spectrum
+        ["spectrum", "--n", "1", "--m", "1", *gp],
+        ["smatrix", "--n", "1", "--m", "1", *gp],
+        ["fusion", "--n", "1", "--m", "1", *gp],
+        ["verify", "--n", "1", "--m", "1"],
     ):
         code, out, err = run_cli(args, capsys)
         assert code == 2, args
@@ -257,7 +276,7 @@ _json_payloads = st.recursive(
 
 
 @settings(max_examples=300, deadline=None)
-@given(_json_payloads)
+@given(st.dictionaries(st.text(max_size=6), _json_payloads, max_size=5))
 def test_json_writer_matches_indented_json_dumps(payload):
     """Same bytes as json.dumps(indent=2, allow_nan=False), empty containers and non-ASCII text included."""
     assert _json_text(payload) == json.dumps(payload, indent=2, allow_nan=False)
@@ -277,7 +296,8 @@ def test_json_writer_edge_values():
         "top-level string",
         17,
     ]
-    for payload in cases:
+    for case in cases:
+        payload = {"v": case}
         assert _json_text(payload) == json.dumps(payload, indent=2, allow_nan=False)
     with pytest.raises(TypeError):
         _json_text({"set": {1, 2}})
@@ -385,11 +405,10 @@ def test_fusion_writer_on_a_hand_built_table():
     blocks = _blocks(hand)
     assert blocks[1]["entries"][1]["value"] == 5e-324
     assert blocks[2 * len(hand.labels) + 3]["entries"] == []
-    table = _TableRows(hand.labels, hand.values)
+    table = partial(_fusion_table_chunks, hand.labels, hand.values)
     for payload, want in [
-        (table, blocks),
+        ({"v": table}, {"v": blocks}),
         ({"route": "lr", "table": table}, {"route": "lr", "table": blocks}),
-        ([{"a": [table]}, table], [{"a": [blocks]}, blocks]),
     ]:
         assert _json_text(payload) == json.dumps(want, indent=2, allow_nan=False)
 
@@ -398,8 +417,8 @@ def test_fusion_writer_on_a_row_of_empty_pairs():
     """A table with a row of empty pairs, whose last pair ends the row."""
     table = _hand_table(**{"4": 0.0})  # every pair of row 4 empty
     assert not table.values[4].any()
-    text = _json_text(_TableRows(table.labels, table.values))
-    assert text == json.dumps(_blocks(table), indent=2, allow_nan=False)
+    text = _json_text({"v": partial(_fusion_table_chunks, table.labels, table.values)})
+    assert text == json.dumps({"v": _blocks(table)}, indent=2, allow_nan=False)
 
 
 def _complex_pairs(matrix):
@@ -440,14 +459,18 @@ def test_smatrix_payload_at_a_large_nome_is_the_indented_dump(capsys):
 
 def test_complex_rows_writer_edge_values():
     matrix = np.array([[1.0, -0.0 + 5e-324j, complex(1e300, -2.5)], [-0.0j, 3j, 0.1 + 0.2j]])
+
+    def rows(m):
+        return partial(_complex_rows_chunks, m)
+
     for payload, want in [
-        (_ComplexRows(matrix), _complex_pairs(matrix)),
+        ({"v": rows(matrix)}, {"v": _complex_pairs(matrix)}),
         (
-            {"S": _ComplexRows(matrix), "x": [_ComplexRows(matrix[:1])]},
-            {"S": _complex_pairs(matrix), "x": [_complex_pairs(matrix[:1])]},
+            {"S": rows(matrix), "x": [1.5], "Sinv": rows(matrix[:1])},
+            {"S": _complex_pairs(matrix), "x": [1.5], "Sinv": _complex_pairs(matrix[:1])},
         ),
         (
-            {"a": _ComplexRows(np.zeros((0, 0), complex)), "b": _ComplexRows(np.zeros((2, 0), complex))},
+            {"a": rows(np.zeros((0, 0), complex)), "b": rows(np.zeros((2, 0), complex))},
             {"a": [], "b": [[], []]},
         ),
     ]:
@@ -459,14 +482,14 @@ def test_complex_rows_writer_rejects_a_non_finite_part(bad, capsys):
     matrix = np.ones((3, 3), complex)
     matrix[2, 1] = bad
     with pytest.raises(ComputationError, match="^non-finite value in the smatrix payload$"):
-        _emit_json({"command": "smatrix", "S": _ComplexRows(matrix)}, None)
+        _emit_json({"command": "smatrix", "S": partial(_complex_rows_chunks, matrix)}, None)
     assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_fusion_writer_rejects_a_non_finite_value(bad, capsys):
     hand = _hand_table(**{"2_3_0": bad})
-    table = _TableRows(hand.labels, hand.values)
+    table = partial(_fusion_table_chunks, hand.labels, hand.values)
     with pytest.raises(ComputationError, match="^non-finite value in the fusion payload$"):
         _emit_json({"command": "fusion", "table": table}, None)
     assert capsys.readouterr().out == ""
@@ -482,6 +505,94 @@ def test_fusion_csv_rows_are_those_of_the_blocks(tmp_path, capsys):
         rows = _csv_rows(fusion_table(ModelParams.locked(3, 2, 0.7, 0.3), route=route))
         want = "\n".join(["lam,mu,kappa,value", *(",".join(map(str, row)) for row in rows)]) + "\n"
         assert path.read_text() == want
+
+
+def _spectrum_payload(params):
+    """The spectrum payload of params as plain JSON data, each {"re", "im"} pair a dict."""
+    spec = joint_spectrum(params)
+    labels = [list(nu) for nu in spec.labels]
+    e_rows, vector_columns = _complex_pairs(spec.e), _complex_pairs(spec.vectors.T)
+    return {
+        "command": "spectrum", "params": params.as_dict(), "seed": 0, "labels": labels,
+        "points": [
+            {
+                "nu": nu, "e": e_rows[j], "dual_norm": float(spec.dual_norms[j]),
+                "eigenvector": [{"lam": lam, "value": f} for lam, f in zip(labels, vector_columns[j])],
+            }
+            for j, nu in enumerate(labels)
+        ],
+        "homotopy_steps": list(spec.homotopy_steps),
+    }
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.integers(2, 4),
+    m=st.integers(0, 3),  # m = 0 is the one-point cone
+    g=st.sampled_from([0.4, 0.7, 1.0, 1.6]),
+    p=st.sampled_from([0.0, 0.9, -0.9]),
+)
+def test_spectrum_payload_is_the_indented_dump(n, m, g, p, tmp_path, capsys):
+    args = ["spectrum", "--n", str(n), "--m", str(m), "--g", str(g), "--p", str(p)]
+    want = json.dumps(_spectrum_payload(ModelParams.locked(n, m, g, p)), indent=2, allow_nan=False) + "\n"
+    path = tmp_path / "spectrum.json"
+    assert main([*args, "--out", str(path)]) == 0
+    assert path.read_text() == want
+    assert run_cli(args, capsys) == (0, want, "")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("where", ["e", "dual_norms", "vectors"])
+def test_spectrum_writer_rejects_a_non_finite_point(where, bad, monkeypatch, tmp_path, capsys):
+    """A non-finite value in the last point: exit 1 before any point is written, to a file or to stdout."""
+    from ellfusion import cli
+
+    spec = joint_spectrum(ModelParams.locked(3, 2, 0.7, 0.3))
+    values = getattr(spec, where).copy()
+    values.flat[-1] = bad
+    monkeypatch.setattr(cli, "joint_spectrum", lambda params, seed: replace(spec, **{where: values}))
+    path = tmp_path / "spectrum.json"
+    path.write_bytes(b"earlier bytes\n")
+    args = ["spectrum", "--n", "3", "--m", "2", "--g", "0.7", "--p", "0.3"]
+    failed = (1, "", "ComputationError: non-finite value in the spectrum payload\n")
+    assert run_cli([*args, "--out", str(path)], capsys) == failed
+    assert path.read_bytes() == b"earlier bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["spectrum.json"]
+    assert run_cli(args, capsys) == failed
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--n", "2", "--m", "1", "--g", "0.7", "--p", "0.3"],
+        ["fusion", "--n", "2", "--m", "1", "--g", "0.7", "--p", "0.3", "--format", "csv"],
+    ],
+    ids=["json", "csv"],
+)
+def test_an_unwritable_out_path_is_a_usage_error(args, tmp_path, capsys):
+    """A missing directory, or a directory at the path: exit 2 and one stderr line naming the path,
+    with no temp file left and the directory's contents kept."""
+    missing = tmp_path / "missing" / "out.json"
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    (directory / "kept.txt").write_bytes(b"kept\n")
+    for path in (missing, directory):
+        code, out, err = run_cli([*args, "--out", str(path)], capsys)
+        assert code == 2 and out == "", path
+        assert err.startswith(f"ellfusion: error: cannot write --out {str(path)!r}: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+    assert [p.name for p in directory.iterdir()] == ["kept.txt"]
+    assert (directory / "kept.txt").read_bytes() == b"kept\n"
+
+
+def test_a_stdout_error_is_not_an_out_error(monkeypatch):
+    class Broken:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Broken())
+    with pytest.raises(BrokenPipeError):
+        main(["spectrum", "--n", "2", "--m", "1", "--g", "0.7", "--p", "0.3"])
 
 
 def _spy_verlinde_rows(monkeypatch, on_row):

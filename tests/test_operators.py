@@ -633,6 +633,17 @@ def test_free_parameters_raise_after_a_locked_hit():
         joint_spectrum(free, seed=0)
 
 
+def test_one_row_has_no_joint_spectrum(monkeypatch):
+    """n = 1 has no operators D_1..D_{n-1}: a ValueError naming n, raised before any table is read."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bracket table was read")
+
+    monkeypatch.setattr(coeffs, "_table", refuse)
+    with pytest.raises(ValueError, match=r"^the joint spectrum requires n >= 2, got n=1$"):
+        joint_spectrum(ModelParams.locked(1, 1, 0.7, 0.3), seed=0)
+
+
 def test_kept_spectrum_is_evicted_with_its_table(monkeypatch):
     params = ModelParams.locked(3, 2, 0.7, 0.4)
     coeffs.clear_coeff_caches()
