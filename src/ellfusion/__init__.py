@@ -14,6 +14,7 @@ from .errors import (
     ComputationError,
     DegenerateCombination,
     GenericityViolation,
+    GradingViolation,
     NonConvergent,
     NonIntegral,
     NonTerminating,

@@ -8,7 +8,8 @@ JSON is the bytes of ``json.dumps(payload, indent=2)``: the small values go
 through json.dumps, the bulk arrays (the fusion table, S and Sinv, the
 spectral points) through one row writer each.  Files are written
 atomically, chunk by chunk into a temp file that is renamed into place;
-stdout gets the whole text at once, so an error prints nothing.
+stdout, and an --out target that is a device or a FIFO, get the whole
+text at once, so an error prints nothing.
 Exit codes: 0 success, 1 computational error
 (error class name on stderr), 2 usage error (a bad flag, a ValueError of
 the library's argument validation, or an --out path that cannot be
@@ -21,6 +22,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from functools import partial
@@ -132,18 +134,25 @@ def _emit(chunks, out_path: str | None) -> None:
     stdout gets the chunks joined first, so an error while they are made
     prints nothing.  A file gets each chunk as it is made; on an error the
     temp file is removed and a file already at out_path keeps its bytes.
-    An OSError of the temp file or the rename (a missing directory, a
-    directory at out_path) is a ValueError naming out_path: a usage error.
-    ``mkstemp`` creates the temp file with mode 0600, so it is given the
-    mode a plain ``open`` would give, 0666 less the umask, before the rename.
+    An existing out_path that is neither a regular file nor a directory (a
+    device, a FIFO) cannot be replaced: it is opened and written in place,
+    like stdout, with the chunks joined first.  An OSError of the temp file,
+    the rename or the in-place write (a missing directory, a directory at
+    out_path) is a ValueError naming out_path: a usage error.  ``mkstemp``
+    creates the temp file with mode 0600, so it is given the mode a plain
+    ``open`` would give, 0666 less the umask, before the rename.
     """
     if out_path is None:
         sys.stdout.write("".join(chunks))
         return
-    directory = os.path.dirname(os.path.abspath(out_path))
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ellfusion-")
+        if _is_special(out_path):
+            text = "".join(chunks)
+            with open(out_path, "w") as handle:
+                handle.write(text)
+            return
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out_path)), prefix=".ellfusion-")
         with os.fdopen(fd, "w") as handle:
             handle.writelines(chunks)
         umask = os.umask(0)
@@ -156,6 +165,15 @@ def _emit(chunks, out_path: str | None) -> None:
         if isinstance(exc, OSError):
             raise ValueError(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from exc
         raise
+
+
+def _is_special(path: str) -> bool:
+    """Whether path exists and is neither a regular file nor a directory (after symlinks)."""
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        return False
+    return not (stat.S_ISREG(mode) or stat.S_ISDIR(mode))
 
 
 def _json_chunks(payload: dict):

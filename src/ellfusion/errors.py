@@ -37,6 +37,10 @@ class TrackingAmbiguity(ComputationError):
     """An eigenvalue homotopy step could not be matched unambiguously."""
 
 
+class GradingViolation(ComputationError):
+    """The Z_n grading of the joint spectrum by the simple current failed a check."""
+
+
 class DegenerateCombination(ComputationError):
     """A random operator combination had (near-)repeated eigenvalues."""
 

@@ -5,32 +5,44 @@ lattice.  ``build_truncated`` materializes the level-truncated operators as
 square matrices over the level-m cone; conjugated by the square root of the
 orthogonality weights they become normal, commuting matrices, so the joint
 eigenbasis is that of the Hermitian matrix A + A^H for a random complex
-combination A of them.  It is obtained by one ``eigh``, refined by one
-first-order step against A, and the joint eigenvalues are read off as
-Rayleigh quotients.  Labels are assigned at p = 0 against the trigonometric
-closed form and continued analytically in the nome by a guarded
-predictor-corrector, which starts from the kept p = 0 spectrum of the same
-coupling and seed: the first step tries the whole distance, later points
-are predicted by the secant through the last two accepted points, and a step
-is halved unless every new point stays within half its prediction's own gap
-(the distance to the nearest other prediction) from that prediction, and
-every prediction within half its current point's own gap from that point.
-Each predicted point is matched to its nearest new point: balls of half the
-own gaps are disjoint, so a match that passes that test is the optimal
-assignment, and no assignment solver is needed.  The finished spectrum is
-kept on the bracket table of its parameters, which p and -p share, so the
-mirror leg runs no eigensolve.  The dual norms come from the eigenvectors; only
-``value_table``, for the check routes, evaluates polynomials at the spectral
-points, all of them in one ``evaluate_batch`` call.
+combination A of them, its coefficients drawn from stdlib ``random`` (so the
+spectral path never imports ``numpy.random``).  It is obtained by one
+``eigh``, refined by one first-order step against A, and the joint
+eigenvalues are read off as Rayleigh quotients.  The spectrum is graded by
+the simple current J of the level cone: the monomial matrix T with
+T[lam, J lam] = t_lam, its weights read from the edges of the conjugated
+D_1, commutes with every conjugated D_r (checked on every edge), and T^n =
+c I, so each spectral point carries a charge k, T's eigenvalue there being
+c^(1/n) w^k with w = exp(2 pi i / n); the charge is read from T's Rayleigh
+quotient and cannot change along the nome path.  Labels are assigned at
+p = 0 against the trigonometric closed form and continued analytically in
+the nome by a guarded predictor-corrector, which starts from the kept p = 0
+spectrum of the same coupling and seed: the first step tries the whole
+distance, later points are predicted by the secant through the last two
+accepted points, and a step is halved unless every new point stays within
+half its prediction's own gap (the distance to the nearest other prediction
+of the same charge) from that prediction, and every prediction within half
+its current point's own gap from that point.  Each predicted point is
+matched to its nearest new point of the same charge: balls of half the own
+gaps are disjoint within a charge sector, so a match that passes that test
+is the optimal assignment, and no assignment solver is needed; points of
+different charge are never compared, so a near-crossing between sectors
+costs no halving.  The finished spectrum is kept on the bracket table of
+its parameters, which p and -p share, so the mirror leg runs no eigensolve.
+The dual norms come from the eigenvectors; only ``value_table``, for the
+check routes, evaluates polynomials at the spectral points, all of them in
+one ``evaluate_batch`` call.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import ComputationError, DegenerateCombination, TrackingAmbiguity
+from .errors import ComputationError, DegenerateCombination, GradingViolation, TrackingAmbiguity
 from .kernel import IMAG_TOL, ModelParams, qpow
 from .partitions import Partition, enumerate_level, vertical_strips, weight
 from .polynomials import build_P, elementary_symmetric, evaluate_batch
@@ -41,6 +53,12 @@ LatticeFunction = dict[Partition, complex]
 _MIN_STEP = 1e-4
 _GAP_SAFETY = 0.5
 _COMBO_ATTEMPTS = 12
+# A relative residual of one edge of [T, M_r] above this raises GradingViolation;
+# 4e-14 measured at n <= 5, m <= 8, up to p = 0.97.
+_COMMUTATOR_TOL = 1e-8
+# So does a phase of T's Rayleigh quotient further than this (in radians) from
+# every c^(1/n) w^k; 1e-15 measured on the same points.
+_PHASE_TOL = 1e-6
 
 
 def apply_D(r: int, f: LatticeFunction, lam: Partition, params: ModelParams) -> complex:
@@ -142,7 +160,8 @@ class SpectrumResult:
     ``e[nu]`` is the full e-vector of the point nu (e_n = 1);
     ``vectors[lam, nu]`` = f_nu(lam) = c_lam P_lam(e_nu), the eigenvector of
     the point nu scaled to 1 at the origin row; ``dual_norms[nu]`` is
-    1 / sum_lam |f_nu(lam)|^2 Delta_lam.
+    1 / sum_lam |f_nu(lam)|^2 Delta_lam; ``sectors[nu]`` is the Z_n charge
+    of the point nu (``_charges``), read at p = 0 and kept by every nome.
     """
 
     params: ModelParams
@@ -150,11 +169,12 @@ class SpectrumResult:
     e: np.ndarray
     vectors: np.ndarray
     dual_norms: np.ndarray
+    sectors: np.ndarray
     seed: int
     homotopy_steps: tuple[float, ...]
 
     def __post_init__(self):
-        for arr in (self.e, self.vectors, self.dual_norms):
+        for arr in (self.e, self.vectors, self.dual_norms, self.sectors):
             arr.flags.writeable = False
 
     def e_matrix(self) -> np.ndarray:
@@ -162,27 +182,105 @@ class SpectrumResult:
         return self.e[:, :-1]
 
 
-def _raw_spectrum(params: ModelParams, rng: np.random.Generator):
+@lru_cache(maxsize=64)
+def _simple_current(n: int, m: int):
+    """The simple current of the level cone and a spanning tree of D_1.
+
+    Returns (J, parents, children, orbit).  J[i] is the index of
+    J(labels[i]), J(lam) = (m, lam_1, ..., lam_{n-1}) - lam_{n-1} (Gepner &
+    Witten, Nucl. Phys. B 278 (1986)), a permutation of the cone with J^n = 1.
+    (parents[i], children[i]) is an edge of D_1 that adds one box, one for
+    every label but the empty one; labels are in canonical order, so a
+    parent comes before its children.  orbit = (J^j(empty))_{j<n}.
+    """
+    labels = enumerate_level(n, m)
+    index = {lam: i for i, lam in enumerate(labels)}
+    J = [index[tuple(x - lam[-2] for x in (m, *lam[:-1]))] for lam in labels]
+    rows, cols = coeffs._strip_index(n, m, 1)[:2]
+    parent: dict[int, int] = {}
+    for lam, kappa in zip(rows.tolist(), cols.tolist()):
+        if weight(labels[kappa]) == weight(labels[lam]) + 1:
+            parent.setdefault(kappa, lam)
+    children = sorted(parent)
+    orbit = [0]
+    while len(orbit) < n:
+        orbit.append(J[orbit[-1]])
+    return coeffs._frozen(
+        *(np.array(a, dtype=np.intp) for a in (J, [parent[k] for k in children], children, orbit))
+    )
+
+
+def _current_weights(mats: list[np.ndarray], n: int, m: int) -> np.ndarray:
+    """The weights t of the monomial T[lam, J lam] = t_lam, with t = 1 at the empty label.
+
+    T commutes with the conjugated M_r exactly when t_lam M_r[J lam, J kappa]
+    = M_r[lam, kappa] t_kappa on every edge, so the ratios
+    t_kappa / t_lam = M_1[J lam, J kappa] / M_1[lam, kappa] along the tree
+    of ``_simple_current`` fix t; ``_charges`` checks every other edge.
+    """
+    J, parents, children, _ = _simple_current(n, m)
+    M1 = mats[0]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a vanished edge gives inf or NaN, which the check rejects
+        ratio = M1[J[parents], J[children]] / M1[parents, children]
+    t = [1.0 + 0.0j] * len(J)
+    for lam, kappa, x in zip(parents.tolist(), children.tolist(), ratio.tolist()):
+        t[kappa] = t[lam] * x
+    return np.array(t)
+
+
+def _charges(mats: list[np.ndarray], vecs: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The Z_n charge k of each column of vecs, a joint eigenvector of the conjugated M_r.
+
+    T (``_current_weights``) is checked to commute with every M_r, edge by
+    edge over the strips of D_r (``coeffs._strip_index``), in O(nnz): a
+    relative residual above _COMMUTATOR_TOL raises ``GradingViolation``.
+    In the conjugated frame T / |c|^(1/n) is a unitary phase-permutation
+    with T^n = c I, c the product of t over the orbit of the empty label,
+    so T is normal and its eigenvalue at a joint eigenvector, read as the
+    Rayleigh quotient (T V is the gather t[:, None] * V[J]), is
+    c^(1/n) w^k, w = exp(2 pi i / n), the reference phase being arg(c) / n.
+    A phase further than _PHASE_TOL from every such value raises
+    ``GradingViolation``.
+    """
+    J, _, _, orbit = _simple_current(n, m)
+    t = _current_weights(mats, n, m)
+    for r, M in enumerate(mats, start=1):
+        rows, cols = coeffs._strip_index(n, m, r)[:2]
+        lhs = t[rows] * M[J[rows], J[cols]]  # (T M_r)[lam, J kappa]
+        rhs = M[rows, cols] * t[cols]  # (M_r T)[lam, J kappa]
+        if not np.all(np.abs(lhs - rhs) <= _COMMUTATOR_TOL * (np.abs(lhs) + np.abs(rhs))):
+            raise GradingViolation(f"the simple current does not commute with M_{r}")
+    quotients = np.einsum("ki,ki->i", vecs.conj(), t[:, None] * vecs[J])  # times a positive norm
+    turns = (np.angle(quotients) - np.angle(np.prod(t[orbit])) / n) * (n / (2.0 * np.pi))
+    k = np.rint(turns)
+    if not np.all(np.abs(turns - k) <= _PHASE_TOL * n / (2.0 * np.pi)):
+        raise GradingViolation("an eigenvalue of the simple current is off every c^(1/n) w^k")
+    return k.astype(np.intp) % n
+
+
+def _raw_spectrum(params: ModelParams, rng: random.Random):
     """Unlabeled joint eigen-data of the conjugated ops, from one Hermitian eigensolve.
 
     The conjugated M_r are normal and commute, so A = sum_r t_r M_r with
     complex t_r is normal, and H = A + A^H is Hermitian with the same
-    eigenvectors (Fuglede's theorem) and eigenvalues 2 Re(lambda_A).  ``eigh``
-    of H gives them as an orthonormal basis; a draw of t is retried while two
-    eigenvalues of H lie within 1e-7 * max(1, max|h|).  One refinement step
-    then removes the error of order eps * |A| / gap that H's conditioning
-    leaves: with B = V^H A V and d = diag B, V <- V + V X, where
-    X_ij = B_ij / (d_j - d_i) off the diagonal, and |d_j - d_i| is at least
-    half the accepted gap of H.  The joint eigenvalues are the Rayleigh
-    quotients of the refined vectors.  Every product is a dense BLAS one:
-    sparse gathers over the few nonzeros per row of M_r took longer with
-    numpy at every size measured, up to N = 495.
+    eigenvectors (Fuglede's theorem) and eigenvalues 2 Re(lambda_A).  The
+    real parts of t, then the imaginary parts, are ``rng.gauss`` draws.
+    ``eigh`` of H gives the eigenvectors as an orthonormal basis; a draw of
+    t is retried while two eigenvalues of H lie within 1e-7 * max(1, max|h|).
+    One refinement step then removes the error of order eps * |A| / gap that
+    H's conditioning leaves: with B = V^H A V and d = diag B, V <- V + V X,
+    where X_ij = B_ij / (d_j - d_i) off the diagonal, and |d_j - d_i| is at
+    least half the accepted gap of H.  The joint eigenvalues are the
+    Rayleigh quotients of the refined vectors, and their Z_n charges are
+    read by ``_charges``.  Every product is a dense BLAS one: sparse gathers
+    over the few nonzeros per row of M_r took longer with numpy at every
+    size measured, up to N = 495.
     """
     mats, w, labels = conjugated_matrices(params)
-    N = len(labels)
+    N, k = len(labels), len(mats)
     for _ in range(_COMBO_ATTEMPTS):
-        re_t, im_t = rng.standard_normal((2, len(mats)))
-        A = sum(ti * Mi for ti, Mi in zip(re_t + 1j * im_t, mats))
+        z = [rng.gauss(0.0, 1.0) for _ in range(2 * k)]
+        A = sum(complex(a, b) * Mi for a, b, Mi in zip(z[:k], z[k:], mats))
         h, V = np.linalg.eigh(A + A.conj().T)
         if N == 1 or np.diff(h).min() > 1e-7 * max(1.0, float(np.abs(h).max())):
             break
@@ -200,43 +298,56 @@ def _raw_spectrum(params: ModelParams, rng: np.random.Generator):
     conj = vecs.conj()
     nrm = np.einsum("ki,ki->i", conj, vecs)
     E = np.stack([np.einsum("ki,ki->i", conj, M @ vecs) for M in mats], axis=1) / nrm[:, None]
-    return E, vecs, w, labels
+    return E, vecs, w, labels, _charges(mats, vecs, params.n, params.m)
 
 
-def _row_gaps(E: np.ndarray) -> np.ndarray:
-    """Distance from each row of E to its nearest other row (inf for a lone row)."""
-    dist = np.linalg.norm(E[None, :, :] - E[:, None, :], axis=2)
+def _sector_distances(E_a: np.ndarray, k_a: np.ndarray, E_b: np.ndarray, k_b: np.ndarray) -> np.ndarray:
+    """|E_a[i] - E_b[j]| for rows of the same charge, inf between charges."""
+    dist = np.linalg.norm(E_b[None, :, :] - E_a[:, None, :], axis=2)
+    dist[k_a[:, None] != k_b[None, :]] = np.inf
+    return dist
+
+
+def _row_gaps(E: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Distance from each row of E to its nearest other row of the same charge k (inf for a lone row)."""
+    dist = _sector_distances(E, k, E, k)
     np.fill_diagonal(dist, np.inf)
     return dist.min(axis=1)
 
 
-def _within_gaps(E_new: np.ndarray, E_ref: np.ndarray) -> bool:
+def _within_gaps(E_new: np.ndarray, E_ref: np.ndarray, k: np.ndarray) -> bool:
     """Whether each row i of E_new lies strictly within _GAP_SAFETY * gap_i of row i of E_ref.
 
-    gap_i is the distance from row i of E_ref to its nearest other row
-    (``_row_gaps``).  A NaN in either array fails the test.
+    Row i of both has charge k[i]; gap_i is the distance from row i of E_ref
+    to its nearest other row of that charge (``_row_gaps``), inf for a lone
+    row.  A NaN in either array fails the test.
     """
     moved = np.linalg.norm(E_new - E_ref, axis=1)
-    return bool(np.all(moved < _GAP_SAFETY * _row_gaps(E_ref)))
+    return bool(np.all(moved < _GAP_SAFETY * _row_gaps(E_ref, k)))
 
 
-def _match_rows(E_new: np.ndarray, E_ref: np.ndarray) -> np.ndarray:
-    """Nearest new row for each reference row; perm[i] is the new row for ref row i.
+def _match_rows(E_new: np.ndarray, k_new: np.ndarray, E_ref: np.ndarray, k_ref: np.ndarray) -> np.ndarray:
+    """Nearest new row of the same charge for each reference row; perm[i] is the new row for ref row i.
 
-    The map need not be injective, and it needs no assignment solver: every
-    caller accepts a match only if ``_within_gaps(E_new[perm], E_ref)``, that
-    is if each reference row i moved less than r_i = _GAP_SAFETY * gap_i,
-    gap_i being its own distance to the nearest other reference row.  With
-    _GAP_SAFETY <= 1/2, r_i + r_j <= |E_ref[i] - E_ref[j]|, so the open balls
-    of radius r_i about the reference rows are disjoint.  In an accepted
-    match each ball holds its row's nearest new row, so the map is injective;
-    any other new row lies in another ball and is farther than r_i from row
-    i, so the optimal assignment is the same permutation, and the unique one.
-    A map that sends two reference rows to one new row leaves one of them
-    outside its ball, and is rejected, as the assignment would be.
+    Every charge of k_ref must occur in k_new, so k_new[perm] = k_ref.  The
+    map need not be injective, and it needs no assignment solver: every
+    caller accepts a match only if ``_within_gaps(E_new[perm], E_ref, k_ref)``,
+    that is if each reference row i moved less than r_i = _GAP_SAFETY * gap_i,
+    gap_i being its own distance to the nearest other reference row of its
+    charge.  With _GAP_SAFETY <= 1/2, r_i + r_j <= |E_ref[i] - E_ref[j]| for
+    rows of one charge, so the open balls of radius r_i about the reference
+    rows of one sector are disjoint.  In an accepted match each ball holds
+    its row's nearest new row of that charge, so the map is injective; any
+    other new row of the charge lies in another ball and is farther than
+    r_i from row i, so the optimal assignment within the sector is the same
+    permutation, and the unique one.  Rows of different charge are never
+    matched: the optimal assignment that keeps charges is this one, sector
+    by sector.  A map that sends two reference rows to one new row leaves
+    one of them outside its ball, and is rejected, as the assignment would
+    be.  A lone row of its charge (gap inf) is matched to the one new row of
+    that charge.
     """
-    dist = np.linalg.norm(E_new[None, :, :] - E_ref[:, None, :], axis=2)
-    return dist.argmin(axis=1)
+    return _sector_distances(E_ref, k_ref, E_new, k_new).argmin(axis=1)
 
 
 def joint_spectrum(params: ModelParams, seed: int = 0) -> SpectrumResult:
@@ -269,38 +380,46 @@ def _continue(params: ModelParams, seed: int) -> SpectrumResult:
     """Labeled joint spectrum at params, continued from the closed form at p = 0.
 
     At p = 0 the raw points are matched to the closed form under the gap test
-    below.  At p != 0 the walk starts from the labeled spectrum at p = 0,
-    ``joint_spectrum(params.with_p(0.0), seed)``, which the p = 0 bracket
-    table keeps, so every nome of one (n, m, g, seed) shares one p = 0 solve;
-    the walk draws its combinations from its own generator of the seed, so
-    its result does not depend on whether that start was kept.  The first
-    step tries the whole distance to p.  Once two points are accepted, the
-    next points are predicted by the secant through the last two, and the
-    new points are matched nearest-first to the predicted ones
-    (``_match_rows``).  A step is accepted only if (a) every new point lies
-    within _GAP_SAFETY times its predicted point's own gap (the distance to
-    the nearest other predicted point) from that predicted point, and (b)
-    every predicted point lies within _GAP_SAFETY times its current point's
-    own gap among the current points from that current point
-    (``_within_gaps``); otherwise the step is halved, down to _MIN_STEP.
-    Test (a) makes the match exact, as those balls about the predicted
-    points are disjoint; test (b) keeps the predictor from extrapolating
-    through eigenvalues that close in on each other, where it would swap
-    labels.  The step is never grown again: growing it after each accepted
-    step took more eigensolves at every large-nome point measured.
+    below, in one sector (the closed form carries no charges), and each
+    label keeps the charge of its point as ``sectors``.  At p != 0 the walk
+    starts from the labeled spectrum at p = 0, ``joint_spectrum(
+    params.with_p(0.0), seed)``, which the p = 0 bracket table keeps, so every
+    nome of one (n, m, g, seed) shares one p = 0 solve, and its charges; the
+    walk draws its combinations from its own ``random.Random(seed)``, so its
+    result does not depend on whether that start was kept.  A solve whose
+    sector sizes differ from those at p = 0 raises ``GradingViolation``.  The
+    first step tries the whole distance to p.  Once two points are accepted,
+    the next points are predicted by the secant through the last two, and
+    each predicted point is matched to its nearest new point of the same
+    charge (``_match_rows``).  A step is accepted only if (a) every new point
+    lies within _GAP_SAFETY times its predicted point's own gap (the distance
+    to the nearest other predicted point of its charge) from that predicted
+    point, and (b) every predicted point lies within _GAP_SAFETY times its
+    current point's own gap among the current points of its charge from that
+    current point (``_within_gaps``); otherwise the step is halved, down to
+    _MIN_STEP.  Test (a) makes the match exact, as those balls about the
+    predicted points of one charge are disjoint, and points of different
+    charge are never swapped; test (b) keeps the predictor from
+    extrapolating through eigenvalues of one charge that close in on each
+    other, where it would swap labels.  Eigenvalues of different charges
+    may cross freely.  The step is never grown again: growing it after each
+    accepted step took more eigensolves at every large-nome point measured.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     target = params.p
     if target == 0:
-        E_raw, vecs, w, labels = _raw_spectrum(params, rng)
+        E_raw, vecs, w, labels, k_raw = _raw_spectrum(params, rng)
         closed = spectral_points_p0(params)
         C = np.array([closed[nu] for nu in labels], dtype=complex)
-        perm = _match_rows(E_raw, C)
-        if not _within_gaps(E_raw[perm], C):  # the continuation's test; it also rejects a NaN
+        one = np.zeros(len(labels), dtype=np.intp)
+        perm = _match_rows(E_raw, one, C, one)
+        if not _within_gaps(E_raw[perm], C, one):  # the continuation's test; it also rejects a NaN
             raise TrackingAmbiguity("p=0 spectrum does not match the closed form")
-        E_cur, vec_cur, w_cur = E_raw[perm], vecs[:, perm], w
+        E_cur, vec_cur, w_cur, sectors = E_raw[perm], vecs[:, perm], w, k_raw[perm]
     else:
-        E_cur = joint_spectrum(params.with_p(0.0), seed).e_matrix()
+        start = joint_spectrum(params.with_p(0.0), seed)
+        E_cur, sectors = start.e_matrix(), start.sectors
+    sizes = np.bincount(sectors, minlength=params.n)
     t_prev = E_prev = None
     steps: list[float] = []
 
@@ -313,9 +432,13 @@ def _continue(params: ModelParams, seed: int) -> SpectrumResult:
             E_pred = E_cur
         else:
             E_pred = E_cur + (h / (t_cur - t_prev)) * (E_cur - E_prev)
-        E_new, vecs_new, w_new, labels = _raw_spectrum(params.with_p(target * t_next), rng)
-        perm = _match_rows(E_new, E_pred)
-        if _within_gaps(E_new[perm], E_pred) and _within_gaps(E_pred, E_cur):
+        E_new, vecs_new, w_new, labels, k_new = _raw_spectrum(params.with_p(target * t_next), rng)
+        if not np.array_equal(np.bincount(k_new, minlength=params.n), sizes):
+            raise GradingViolation(
+                f"charge sector sizes at p={target * t_next} differ from those at p=0"
+            )
+        perm = _match_rows(E_new, k_new, E_pred, sectors)
+        if _within_gaps(E_new[perm], E_pred, sectors) and _within_gaps(E_pred, E_cur, sectors):
             t_prev, E_prev = t_cur, E_cur
             E_cur = E_new[perm]
             vec_cur = vecs_new[:, perm]
@@ -339,6 +462,7 @@ def _continue(params: ModelParams, seed: int) -> SpectrumResult:
         e=np.hstack([E_cur, np.ones((len(labels), 1), dtype=complex)]),
         vectors=F,
         dual_norms=1.0 / (np.abs(F) ** 2 * delta_vector(params)[:, None]).sum(axis=0),
+        sectors=sectors,
         seed=seed,
         homotopy_steps=tuple(steps),
     )

@@ -585,6 +585,28 @@ def test_an_unwritable_out_path_is_a_usage_error(args, tmp_path, capsys):
     assert (directory / "kept.txt").read_bytes() == b"kept\n"
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_fifo_out_target_is_written_in_place(tmp_path, capsys):
+    """A FIFO at --out stays a FIFO and its reader gets the bytes a regular file gets; no temp file is left."""
+    import stat
+    import threading
+
+    args = ["spectrum", "--n", "3", "--m", "2", "--g", "0.7", "--p", "0.3"]
+    plain = tmp_path / "plain.json"
+    assert run_cli([*args, "--out", str(plain)], capsys)[0] == 0
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code, out, err = run_cli([*args, "--out", str(fifo)], capsys)
+    reader.join(timeout=60)
+    assert (code, out, err) == (0, "", "")
+    assert got == [plain.read_bytes()]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe", "plain.json"]
+
+
 def test_a_stdout_error_is_not_an_out_error(monkeypatch):
     class Broken:
         def write(self, text):

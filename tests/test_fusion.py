@@ -265,6 +265,30 @@ def _spellings(label):
     ]
 
 
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 4), m=st.integers(1, 3), g=st.floats(0.3, 1.9), p=st.floats(-0.9, 0.9))
+@example(n=4, m=3, g=1.9, p=0.9)
+def test_ring_route_simple_current_is_monomial(n, m, g, p):
+    """N_J, the ring-route fusion matrix of J(0) = (m, 0, ..., 0), is monomial on the simple current
+    J(lam) = (m, lam_1, ..., lam_{n-1}) - lam_{n-1}, and N_J^n = c I.
+
+    The ring route reads no spectrum, so this is independent of the grading
+    that the continuation reads from the conjugated D_1.
+    """
+    params = ModelParams.locked(n, m, g, p)
+    table = fusion_table(params, route="lr")
+    index = {lam: i for i, lam in enumerate(table.labels)}
+    J = [index[tuple(x - lam[n - 2] for x in (m,) + lam[: n - 1])] for lam in table.labels]
+    NJ = table.values[index[(m,) + (0,) * (n - 1)]]  # [mu, kappa] = N^kappa_{J(0), mu}
+    on = NJ[np.arange(len(J)), J]
+    off = NJ.copy()
+    off[np.arange(len(J)), J] = 0.0
+    assert np.all(on != 0.0) and np.abs(off).max() <= 1e-12 * np.abs(NJ).max()
+    power = np.linalg.matrix_power(NJ, n)
+    c = power[0, 0]
+    assert c != 0.0 and np.abs(power - c * np.eye(len(J))).max() <= 1e-10 * abs(c)
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(2, 4), m=st.integers(1, 4), i=st.integers(0, 10**6), j=st.integers(0, 10**6))
 @example(n=4, m=4, i=1, j=5)

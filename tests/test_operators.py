@@ -1,4 +1,8 @@
 import math
+import os
+import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,13 +10,16 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from ellfusion import coeffs, fusion, operators
-from ellfusion.errors import ComputationError, TrackingAmbiguity
+from ellfusion.errors import ComputationError, DegenerateCombination, GradingViolation, TrackingAmbiguity
 from ellfusion.kernel import ModelParams, bracket
 from ellfusion.operators import (
     _GAP_SAFETY,
+    _charges,
+    _current_weights,
     _match_rows,
     _raw_spectrum,
     _row_gaps,
+    _simple_current,
     _within_gaps,
     apply_D,
     build_truncated,
@@ -25,7 +32,7 @@ from ellfusion.operators import (
     spectral_points_p0,
     value_table,
 )
-from ellfusion.partitions import add, enumerate_level, vertical_strips
+from ellfusion.partitions import add, enumerate_level, vertical_strips, weight
 from ellfusion.polynomials import normalized_p
 
 
@@ -205,7 +212,7 @@ def test_spectrum_deterministic_in_seed():
 def test_homotopy_steps_at_large_nome():
     params = ModelParams.locked(4, 4, 0.7, 0.9)
     spec = joint_spectrum(params, seed=0)
-    assert len(spec.homotopy_steps) == 13
+    assert len(spec.homotopy_steps) == 6
     assert len(spec.homotopy_steps) <= 39  # the fixed-start continuation's count
     assert spec.homotopy_steps[-1] == 0.9
 
@@ -218,24 +225,171 @@ def test_spectrum_tracks_small_coupling_at_large_nome(g, p):
 
 @pytest.mark.parametrize("N,k", [(1, 2), (2, 1), (7, 3), (35, 3), (60, 4)])
 def test_row_gaps_match_pair_loop(N, k):
+    """In one sector and in three: the distance to the nearest other row of the same charge."""
     rng = np.random.default_rng(N)
     E = rng.standard_normal((N, k)) + 1j * rng.standard_normal((N, k))
-    got = _row_gaps(E)
-    assert got.shape == (N,)
-    for i in range(N):
-        want = min((float(np.linalg.norm(E[i] - E[j])) for j in range(N) if j != i), default=math.inf)
-        assert got[i] == want or abs(got[i] - want) <= 1e-15 * want
+    for sectors in (1, 3):
+        charge = rng.integers(sectors, size=N)
+        got = _row_gaps(E, charge)
+        assert got.shape == (N,)
+        for i in range(N):
+            others = (j for j in range(N) if j != i and charge[j] == charge[i])
+            want = min((float(np.linalg.norm(E[i] - E[j])) for j in others), default=math.inf)
+            assert got[i] == want or abs(got[i] - want) <= 1e-15 * want
 
 
 def test_rayleigh_quotients_match_per_vector_loop():
     params = ModelParams.locked(3, 3, 0.7, 0.6)
-    E, vecs, _, _ = _raw_spectrum(params, np.random.default_rng(1))
+    E, vecs, _, _, _ = _raw_spectrum(params, random.Random(1))
     mats, _, _ = conjugated_matrices(params)
     for i in range(vecs.shape[1]):
         v = vecs[:, i]
         for r, M in enumerate(mats):
             want = np.vdot(v, M @ v) / np.vdot(v, v)
             assert abs(E[i, r] - want) <= 1e-14 * max(1.0, abs(want))
+
+
+# -- the Z_n grading by the simple current ----------------------------------
+
+
+def _current_matrix(params):
+    """T as a dense matrix, T[lam, J lam] = t_lam, with J from its formula and the conjugated ops."""
+    mats, _, labels = conjugated_matrices(params)
+    index = {lam: i for i, lam in enumerate(labels)}
+    n, m = params.n, params.m
+    J = [index[tuple(x - lam[n - 2] for x in (m,) + lam[: n - 1])] for lam in labels]
+    T = np.zeros((len(labels), len(labels)), dtype=complex)
+    T[np.arange(len(labels)), J] = _current_weights(mats, n, m)
+    return T, mats
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    m=st.integers(1, 3),
+    g=st.floats(0.3, 1.9),
+    p=st.floats(-0.9, 0.9),
+)
+@example(n=4, m=3, g=1.9, p=0.9)
+def test_simple_current_commutes_and_keeps_the_sector_sizes(n, m, g, p):
+    """T commutes with every conjugated M_r as dense products, T^n is a scalar, and the charges
+    of the raw spectrum fill the same sectors at p as at p = 0."""
+    params = ModelParams.locked(n, m, g, p)
+    T, mats = _current_matrix(params)
+    for M in mats:
+        assert np.abs(T @ M - M @ T).max() <= 1e-12 * np.abs(T).max() * np.abs(M).max()
+    Tn = np.linalg.matrix_power(T, n)
+    assert np.abs(Tn - Tn[0, 0] * np.eye(len(T))).max() <= 1e-12 * abs(Tn[0, 0])
+    try:
+        sizes = [np.bincount(_raw_spectrum(pp, random.Random(0))[4], minlength=n) for pp in (params.with_p(0.0), params)]
+    except DegenerateCombination:
+        assume(False)
+    assert sizes[0].tolist() == sizes[1].tolist()
+
+
+@pytest.mark.parametrize("n,m,g", [(2, 3, 0.7), (3, 4, 0.7), (4, 4, 0.7), (4, 3, 1.9), (5, 3, 0.7)])
+def test_charge_at_p0_is_a_function_of_the_weight_mod_n(n, m, g):
+    spec = joint_spectrum(ModelParams.locked(n, m, g, 0.0), seed=0)
+    charge_of = {}
+    for nu, k in zip(spec.labels, spec.sectors.tolist()):
+        assert charge_of.setdefault(weight(nu) % n, k) == k, nu
+    assert sorted(charge_of.values()) == list(range(n))  # and one of n distinct charges
+    assert not spec.sectors.flags.writeable
+
+
+def test_nonzero_nomes_read_the_charges_of_the_p0_spectrum():
+    params = ModelParams.locked(4, 3, 0.7, 0.6)
+    coeffs.clear_coeff_caches()
+    start = joint_spectrum(params.with_p(0.0), seed=0)
+    assert joint_spectrum(params, seed=0).sectors is start.sectors
+    assert joint_spectrum(params.with_p(-0.6), seed=0).sectors is start.sectors
+    coeffs.clear_coeff_caches()
+
+
+def test_a_wrong_simple_current_raises(monkeypatch):
+    """J with two labels swapped is no symmetry of the M_r: GradingViolation, not a spectrum."""
+    simple_current = operators._simple_current
+
+    def wrong(n, m):
+        J, *rest = simple_current(n, m)
+        J = J.copy()
+        J[[3, 4]] = J[[4, 3]]
+        return (J, *rest)
+
+    monkeypatch.setattr(operators, "_simple_current", wrong)
+    with pytest.raises(GradingViolation, match="does not commute with M_1"):
+        _raw_spectrum(ModelParams.locked(3, 3, 0.7, 0.6), random.Random(0))
+
+
+@pytest.mark.parametrize("label", [1, 7])
+def test_one_scaled_weight_of_the_simple_current_raises(monkeypatch, label):
+    weights = operators._current_weights
+
+    def scaled(mats, n, m):
+        t = weights(mats, n, m)
+        t[label] *= 1.0 + 1e-6
+        return t
+
+    monkeypatch.setattr(operators, "_current_weights", scaled)
+    with pytest.raises(GradingViolation, match="does not commute"):
+        _raw_spectrum(ModelParams.locked(4, 3, 0.7, 0.9), random.Random(0))
+
+
+def test_a_mixed_eigenvector_has_no_charge():
+    """A vector spanning two charge sectors has a Rayleigh quotient between two c^(1/n) w^k."""
+    params = ModelParams.locked(3, 3, 0.7, 0.3)
+    _, vecs, _, _, charge = _raw_spectrum(params, random.Random(0))
+    mats = conjugated_matrices(params)[0]
+    assert _charges(mats, vecs, 3, 3).tolist() == charge.tolist()
+    other = int(np.flatnonzero(charge != charge[0])[0])
+    mixed = vecs.copy()
+    mixed[:, 0] = vecs[:, 0] + vecs[:, other]
+    with pytest.raises(GradingViolation, match="off every"):
+        _charges(mats, mixed, 3, 3)
+
+
+def test_a_changed_sector_count_raises(monkeypatch):
+    raw = operators._raw_spectrum
+
+    def moved(params, rng):
+        E, vecs, w, labels, charge = raw(params, rng)
+        if params.p:
+            charge = charge.copy()
+            charge[0] = (charge[0] + 1) % params.n
+        return E, vecs, w, labels, charge
+
+    monkeypatch.setattr(operators, "_raw_spectrum", moved)
+    coeffs.clear_coeff_caches()
+    try:
+        with pytest.raises(GradingViolation, match="sector sizes at p=0.6 differ"):
+            joint_spectrum(ModelParams.locked(4, 3, 0.7, 0.6), seed=0)
+    finally:
+        coeffs.clear_coeff_caches()
+
+
+def test_simple_current_tables_are_kept_per_cone():
+    J, parents, children, orbit = _simple_current(3, 2)
+    labels = enumerate_level(3, 2)
+    # labels: (0,0,0) (1,0,0) (2,0,0) (1,1,0) (2,1,0) (2,2,0); J(lam) = (2 - lam_2, lam_1 - lam_2, 0)
+    assert [labels[i] for i in J] == [(2, 0, 0), (2, 1, 0), (2, 2, 0), (1, 0, 0), (1, 1, 0), (0, 0, 0)]
+    assert [labels[i] for i in orbit] == [(0, 0, 0), (2, 0, 0), (2, 2, 0)]
+    assert children.tolist() == list(range(1, len(labels)))
+    assert all(weight(labels[a]) + 1 == weight(labels[b]) for a, b in zip(parents, children))
+    assert not J.flags.writeable
+    assert _simple_current(3, 2) is _simple_current(3, 2)
+
+
+def test_the_spectral_path_never_imports_numpy_random():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(operators.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, ellfusion\n"
+        "sm = ellfusion.s_matrix(ellfusion.ModelParams.locked(3, 3, 0.7, 0.6))\n"
+        "assert sm.identity_residual() < 1e-8\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def _joint_residual(params, spec):
@@ -308,7 +462,7 @@ def test_nearest_row_match_is_the_assignment_under_the_gap_test(N, k, seed, reac
     assert _GAP_SAFETY <= 0.5  # the equivalence rests on it
     rng = np.random.default_rng(seed)
     E_ref = rng.standard_normal((N, k)) + 1j * rng.standard_normal((N, k))
-    gap = _row_gaps(E_ref).min()
+    gap = _row_gaps(E_ref, np.zeros(N, dtype=np.intp)).min()
     if toward:
         dist = np.linalg.norm(E_ref[None, :, :] - E_ref[:, None, :], axis=2)
         np.fill_diagonal(dist, np.inf)
@@ -320,7 +474,8 @@ def test_nearest_row_match_is_the_assignment_under_the_gap_test(N, k, seed, reac
     E_new = E_ref + rng.uniform(0.0, reach * gap, (N, 1)) * step
     E_new = E_new[rng.permutation(N)]
 
-    nearest = _match_rows(E_new, E_ref)
+    one = np.zeros(N, dtype=np.intp)
+    nearest = _match_rows(E_new, one, E_ref, one)
     rows, cols = linear_sum_assignment(np.linalg.norm(E_new[None, :, :] - E_ref[:, None, :], axis=2))
     assignment = cols[np.argsort(rows)]
     nearest_ok = _moved(E_new, E_ref, nearest) < _GAP_SAFETY * gap
@@ -333,57 +488,92 @@ def test_nearest_row_match_is_the_assignment_under_the_gap_test(N, k, seed, reac
 def test_nearest_row_match_rejects_a_shared_row():
     E_ref = np.array([[0.0], [1.0], [3.0]], dtype=complex)
     E_new = np.array([[0.4], [5.0], [3.0]], dtype=complex)  # 0.4 is nearest to both 0 and 1
-    perm = _match_rows(E_new, E_ref)
+    one = np.zeros(3, dtype=np.intp)
+    perm = _match_rows(E_new, one, E_ref, one)
     assert perm.tolist() == [0, 0, 2]
-    assert _moved(E_new, E_ref, perm) >= _GAP_SAFETY * _row_gaps(E_ref).min()
-    assert not _within_gaps(E_new[perm], E_ref)
+    assert _moved(E_new, E_ref, perm) >= _GAP_SAFETY * _row_gaps(E_ref, one).min()
+    assert not _within_gaps(E_new[perm], E_ref, one)
 
+
+def test_points_of_different_charge_are_never_matched():
+    """Two points of different charge cross: the graded match follows the charges, and a lone point has gap inf.
+
+    Without charges the same points would be matched across the crossing,
+    and that match passes the ungraded gap test.
+    """
+    E_ref = np.array([[0.0], [1.0], [3.0]], dtype=complex)
+    charge = np.array([0, 1, 1])
+    E_new = np.array([[0.1], [0.9], [2.9]], dtype=complex)
+    k_new = np.array([1, 0, 1])
+    perm = _match_rows(E_new, k_new, E_ref, charge)
+    assert perm.tolist() == [1, 0, 2]
+    assert _row_gaps(E_ref, charge).tolist() == [math.inf, 2.0, 2.0]
+    assert _within_gaps(E_new[perm], E_ref, charge)
+    one = np.zeros(3, dtype=np.intp)
+    assert _match_rows(E_new, one, E_ref, one).tolist() == [0, 1, 2]
+    assert _within_gaps(E_new, E_ref, one)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     N=st.integers(2, 40),
     k=st.integers(1, 4),
+    sectors=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
     reach=st.floats(0.0, 1.5),
     toward=st.booleans(),
 )
-def test_nearest_row_match_is_the_assignment_under_the_per_row_gap_test(N, k, seed, reach, toward):
-    """Under each row's own gap, nearest-row matching accepts exactly when the optimal assignment does.
+def test_nearest_row_match_is_the_assignment_under_the_per_row_gap_test(N, k, sectors, seed, reach, toward):
+    """Under each row's own gap in its charge sector, nearest-row matching accepts exactly when the
+    optimal charge-keeping assignment does.
 
-    The new rows are the reference rows in C^k, row i moved by up to
-    reach * gap_i (its own nearest-neighbour distance), at random or toward
-    that neighbour, then shuffled; reach runs past 1/2, so both sides of the
-    acceptance test are drawn.  Accepted, both give the same permutation.
+    The reference rows in C^k get random charges in range(sectors) (one
+    sector is the ungraded case).  The new rows are the reference rows, row
+    i moved by up to reach * gap_i (its own distance to the nearest row of
+    its charge, where that is finite; else by up to reach), at random or
+    toward that neighbour, then shuffled with their charges; reach runs past
+    1/2, so both sides of the acceptance test are drawn.  The assignment
+    forbids pairs of different charge.  Accepted, both give the same
+    permutation.
     """
     assert _GAP_SAFETY <= 0.5  # the disjoint balls rest on it
     rng = np.random.default_rng(seed)
     E_ref = rng.standard_normal((N, k)) + 1j * rng.standard_normal((N, k))
-    gaps = _row_gaps(E_ref)
+    charge = rng.integers(sectors, size=N)
+    gaps = _row_gaps(E_ref, charge)
+    step = rng.standard_normal((N, k)) + 1j * rng.standard_normal((N, k))
     if toward:
         dist = np.linalg.norm(E_ref[None, :, :] - E_ref[:, None, :], axis=2)
+        dist[charge[:, None] != charge[None, :]] = np.inf
         np.fill_diagonal(dist, np.inf)
-        step = E_ref[dist.argmin(axis=1)] - E_ref
-    else:
-        step = rng.standard_normal((N, k)) + 1j * rng.standard_normal((N, k))
+        lone = np.isinf(gaps)
+        step[~lone] = E_ref[dist.argmin(axis=1)][~lone] - E_ref[~lone]
     step /= np.linalg.norm(step, axis=1, keepdims=True)
-    E_new = E_ref + (rng.uniform(0.0, reach, N) * gaps)[:, None] * step
-    E_new = E_new[rng.permutation(N)]
+    E_new = E_ref + (rng.uniform(0.0, reach, N) * np.where(np.isinf(gaps), 1.0, gaps))[:, None] * step
+    shuffle = rng.permutation(N)
+    E_new, k_new = E_new[shuffle], charge[shuffle]
 
-    nearest = _match_rows(E_new, E_ref)
-    rows, cols = linear_sum_assignment(np.linalg.norm(E_new[None, :, :] - E_ref[:, None, :], axis=2))
+    nearest = _match_rows(E_new, k_new, E_ref, charge)
+    cost = np.linalg.norm(E_new[None, :, :] - E_ref[:, None, :], axis=2)
+    cost[charge[:, None] != k_new[None, :]] = np.inf
+    rows, cols = linear_sum_assignment(cost)
     assignment = cols[np.argsort(rows)]
-    nearest_ok = _within_gaps(E_new[nearest], E_ref)
-    assert nearest_ok == _within_gaps(E_new[assignment], E_ref)
+    assert k_new[nearest].tolist() == charge.tolist() == k_new[assignment].tolist()
+    nearest_ok = _within_gaps(E_new[nearest], E_ref, charge)
+    assert nearest_ok == _within_gaps(E_new[assignment], E_ref, charge)
     if nearest_ok:
         assert nearest.tolist() == assignment.tolist()
 
 
 def test_per_row_gap_test_reads_each_rows_own_gap():
     E_ref = np.array([[0.0], [1.0], [10.0]], dtype=complex)  # own gaps 1, 1, 9
-    assert _within_gaps(E_ref + np.array([[0.4], [-0.4], [4.4]]), E_ref)
-    assert not _within_gaps(E_ref + np.array([[0.0], [0.0], [4.5]]), E_ref)  # strict
-    assert not _within_gaps(E_ref + np.array([[0.5], [0.0], [0.0]]), E_ref)
+    one = np.zeros(3, dtype=np.intp)
+    assert _within_gaps(E_ref + np.array([[0.4], [-0.4], [4.4]]), E_ref, one)
+    assert not _within_gaps(E_ref + np.array([[0.0], [0.0], [4.5]]), E_ref, one)  # strict
+    assert not _within_gaps(E_ref + np.array([[0.5], [0.0], [0.0]]), E_ref, one)
+    graded = np.array([0, 1, 1])  # own gaps inf, 9, 9
+    assert _within_gaps(E_ref + np.array([[1e6], [4.4], [-4.4]]), E_ref, graded)
+    assert not _within_gaps(E_ref + np.array([[0.0], [4.5], [0.0]]), E_ref, graded)
 
 
 @pytest.mark.parametrize("where", ["new", "ref"])
@@ -391,7 +581,7 @@ def test_per_row_gap_test_rejects_a_nan_row(where):
     E_ref = np.array([[0.0, 1.0], [1.0, 0.0], [3.0, 3.0]], dtype=complex)
     E_new = E_ref.copy()
     (E_new if where == "new" else E_ref)[1, 0] = complex(math.nan, 0.0)
-    assert not _within_gaps(E_new, E_ref)
+    assert not _within_gaps(E_new, E_ref, np.zeros(3, dtype=np.intp))
 
 
 def test_a_nan_row_rejects_the_step(monkeypatch):
@@ -399,11 +589,11 @@ def test_a_nan_row_rejects_the_step(monkeypatch):
     raw = operators._raw_spectrum
 
     def poisoned(params, rng):
-        E, vecs, w, labels = raw(params, rng)
+        E, vecs, w, labels, charge = raw(params, rng)
         if params.p > 0.5:
             E = E.copy()
             E[1, 0] = complex(math.nan, 0.0)
-        return E, vecs, w, labels
+        return E, vecs, w, labels, charge
 
     monkeypatch.setattr(operators, "_raw_spectrum", poisoned)
     coeffs.clear_coeff_caches()
@@ -421,19 +611,21 @@ def test_a_nan_row_rejects_the_step(monkeypatch):
 def _fixed_step_reference(params, steps, seed=0):
     """E at params.p, continued from p = 0 in equal steps, and the largest move/gap ratio.
 
-    Each step matches the new points to the current ones (``_match_rows``);
-    once a ratio reaches _GAP_SAFETY the match is ambiguous and the ratio
-    returned is inf.
+    Each step matches the new points to the current ones (``_match_rows``)
+    in one sector, ignoring the charges, so that the path is independent of
+    the grading; once a ratio reaches _GAP_SAFETY the match is ambiguous
+    and the ratio returned is inf.
     """
-    rng = np.random.default_rng(seed)
-    E, _, _, labels = _raw_spectrum(params.with_p(0.0), rng)
+    rng = random.Random(seed)
+    E, _, _, labels, _ = _raw_spectrum(params.with_p(0.0), rng)
+    one = np.zeros(len(labels), dtype=np.intp)
     closed = spectral_points_p0(params)
-    E = E[_match_rows(E, np.array([closed[nu] for nu in labels]))]
+    E = E[_match_rows(E, one, np.array([closed[nu] for nu in labels]), one)]
     worst = 0.0
     for k in range(1, steps + 1):
         E_new = _raw_spectrum(params.with_p(params.p * k / steps), rng)[0]
-        perm = _match_rows(E_new, E)
-        worst = max(worst, _moved(E_new, E, perm) / _row_gaps(E).min())
+        perm = _match_rows(E_new, one, E, one)
+        worst = max(worst, _moved(E_new, E, perm) / _row_gaps(E, one).min())
         if not worst < _GAP_SAFETY:
             return E, math.inf
         E = E_new[perm]
@@ -448,7 +640,8 @@ def test_secant_does_not_extrapolate_through_closing_eigenvalues():
     ref, worst = _fixed_step_reference(params, 1000)
     coeffs.clear_coeff_caches()
     assert worst < _GAP_SAFETY / 2  # the reference itself is unambiguous, with room
-    assert _match_rows(spec.e_matrix(), ref).tolist() == list(range(len(spec.labels)))
+    one = np.zeros(len(spec.labels), dtype=np.intp)
+    assert _match_rows(spec.e_matrix(), one, ref, one).tolist() == list(range(len(spec.labels)))
     assert np.abs(spec.e_matrix() - ref).max() < 1e-10
 
 
@@ -461,7 +654,8 @@ def test_per_row_gaps_keep_the_labels_of_a_1000_step_path(n, m, g, p):
     ref, worst = _fixed_step_reference(params, 1000)
     coeffs.clear_coeff_caches()
     assert worst < _GAP_SAFETY / 2  # 0.198 and 0.241: the reference itself is unambiguous
-    assert _match_rows(spec.e_matrix(), ref).tolist() == list(range(len(spec.labels)))
+    one = np.zeros(len(spec.labels), dtype=np.intp)
+    assert _match_rows(spec.e_matrix(), one, ref, one).tolist() == list(range(len(spec.labels)))
     assert np.abs(spec.e_matrix() - ref).max() <= 1e-10 * max(1.0, float(np.abs(ref).max()))
 
 
@@ -507,8 +701,9 @@ def synthetic_path(monkeypatch):
         s = math.hypot(p - 0.6, delta[0])
         return np.array([[3.0 * p - s], [3.0 * p + s]], dtype=complex)
 
-    def raw(params, rng):
-        return points(params.p)[::-1], np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex), np.ones(2), labels
+    def raw(params, rng):  # both points of one charge: the ungraded case
+        vecs = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
+        return points(params.p)[::-1], vecs, np.ones(2), labels, np.zeros(2, dtype=np.intp)
 
     def set_delta(value):
         delta[0] = value
@@ -576,7 +771,7 @@ def test_mirrored_spectrum_runs_no_eig(monkeypatch):
     assert minus.params is minus_params
     assert minus.homotopy_steps == tuple(-s for s in plus.homotopy_steps)
     assert minus.homotopy_steps[-1] == -0.9
-    assert minus.e is plus.e and minus.vectors is plus.vectors
+    assert minus.e is plus.e and minus.vectors is plus.vectors and minus.sectors is plus.sectors
     assert joint_spectrum(params, seed=0) is plus
     joint_spectrum(params, seed=1)  # another seed is another entry
     assert calls
@@ -619,7 +814,7 @@ def test_spectrum_does_not_depend_on_a_kept_p0_start(p):
     kept = joint_spectrum(params, seed=2)  # reads the kept start
     coeffs.clear_coeff_caches()
     assert fresh is not kept
-    for name in ("e", "vectors", "dual_norms"):
+    for name in ("e", "vectors", "dual_norms", "sectors"):
         assert getattr(fresh, name).tobytes() == getattr(kept, name).tobytes()
     assert fresh.homotopy_steps == kept.homotopy_steps
 
