@@ -17,7 +17,6 @@ from .errors import (
     GradingViolation,
     NonConvergent,
     NonIntegral,
-    NonTerminating,
     NotAStrip,
     SingularDenominator,
     TrackingAmbiguity,

@@ -25,14 +25,6 @@ class GenericityViolation(ComputationError):
     """The coupling sits too close to a resonance for direct evaluation."""
 
 
-class NonTerminating(ComputationError):
-    """An iteration failed to terminate.
-
-    No routine of the package raises it now: basis expansion is a finite
-    back substitution.  The class stays for callers that catch it.
-    """
-
-
 class TrackingAmbiguity(ComputationError):
     """An eigenvalue homotopy step could not be matched unambiguously."""
 

@@ -14,10 +14,12 @@ T[lam, J lam] = t_lam, its weights read from the edges of the conjugated
 D_1, commutes with every conjugated D_r (checked on every edge), and T^n =
 c I, so each spectral point carries a charge k, T's eigenvalue there being
 c^(1/n) w^k with w = exp(2 pi i / n); the charge is read from T's Rayleigh
-quotient and cannot change along the nome path.  Labels are assigned at
-p = 0 against the trigonometric closed form and continued analytically in
-the nome by a guarded predictor-corrector, which starts from the kept p = 0
-spectrum of the same coupling and seed: the first step tries the whole
+quotient and cannot change along the nome path.  At p = 0 the points have a
+trigonometric closed form, and the point nu has the charge k = -|nu| mod n
+(minus its n-ality, Schellekens & Yankielowicz, Int. J. Mod. Phys. A 5
+(1990)).  The labels are continued analytically in the nome from that
+closed form by a guarded predictor-corrector, which solves no p = 0
+spectrum unless p = 0 is asked for: the first step tries the whole
 distance, later points are predicted by the secant through the last two
 accepted points, and a step is halved unless every new point stays within
 half its prediction's own gap (the distance to the nearest other prediction
@@ -160,8 +162,7 @@ class SpectrumResult:
     ``e[nu]`` is the full e-vector of the point nu (e_n = 1);
     ``vectors[lam, nu]`` = f_nu(lam) = c_lam P_lam(e_nu), the eigenvector of
     the point nu scaled to 1 at the origin row; ``dual_norms[nu]`` is
-    1 / sum_lam |f_nu(lam)|^2 Delta_lam; ``sectors[nu]`` is the Z_n charge
-    of the point nu (``_charges``), read at p = 0 and kept by every nome.
+    1 / sum_lam |f_nu(lam)|^2 Delta_lam.
     """
 
     params: ModelParams
@@ -169,12 +170,11 @@ class SpectrumResult:
     e: np.ndarray
     vectors: np.ndarray
     dual_norms: np.ndarray
-    sectors: np.ndarray
     seed: int
     homotopy_steps: tuple[float, ...]
 
     def __post_init__(self):
-        for arr in (self.e, self.vectors, self.dual_norms, self.sectors):
+        for arr in (self.e, self.vectors, self.dual_norms):
             arr.flags.writeable = False
 
     def e_matrix(self) -> np.ndarray:
@@ -353,8 +353,8 @@ def _match_rows(E_new: np.ndarray, k_new: np.ndarray, E_ref: np.ndarray, k_ref: 
 def joint_spectrum(params: ModelParams, seed: int = 0) -> SpectrumResult:
     """Labeled joint spectrum with eigenvectors and dual norms, kept per parameter set.
 
-    Labels are assigned at p = 0 against the closed form and continued to p
-    by a guarded predictor-corrector (``_continue``).  The finished result is
+    Labels come from the closed form at p = 0 and are continued to p by a
+    guarded predictor-corrector (``_continue``).  The finished result is
     kept on the bracket table of params, keyed (n, m, level_locked, seed),
     and evicted with it.  The table is shared by p and -p, and the truncated
     matrices at -p are those at p bit for bit, so a call at either sign
@@ -376,18 +376,20 @@ def joint_spectrum(params: ModelParams, seed: int = 0) -> SpectrumResult:
     return replace(kept, params=params, homotopy_steps=tuple(-s for s in kept.homotopy_steps))
 
 
+def _label_charges(labels: tuple[Partition, ...], n: int) -> np.ndarray:
+    """The Z_n charge of each label's spectral point, k = -|nu| mod n (minus its n-ality)."""
+    return np.array([-weight(nu) % n for nu in labels], dtype=np.intp)
+
+
 def _continue(params: ModelParams, seed: int) -> SpectrumResult:
     """Labeled joint spectrum at params, continued from the closed form at p = 0.
 
-    At p = 0 the raw points are matched to the closed form under the gap test
-    below, in one sector (the closed form carries no charges), and each
-    label keeps the charge of its point as ``sectors``.  At p != 0 the walk
-    starts from the labeled spectrum at p = 0, ``joint_spectrum(
-    params.with_p(0.0), seed)``, which the p = 0 bracket table keeps, so every
-    nome of one (n, m, g, seed) shares one p = 0 solve, and its charges; the
-    walk draws its combinations from its own ``random.Random(seed)``, so its
-    result does not depend on whether that start was kept.  A solve whose
-    sector sizes differ from those at p = 0 raises ``GradingViolation``.  The
+    The walk starts at p = 0 from the trigonometric closed form
+    (``spectral_points_p0``), whose point nu has the charge k = -|nu| mod n
+    (``_label_charges``); the charge cannot change along the path, so a
+    solve whose sector sizes differ from those of the labels raises
+    ``GradingViolation``.  The path is p = target * t, so at p = 0 the walk
+    is one solve, matched to the closed form, and records no step.  The
     first step tries the whole distance to p.  Once two points are accepted,
     the next points are predicted by the secant through the last two, and
     each predicted point is matched to its nearest new point of the same
@@ -397,45 +399,38 @@ def _continue(params: ModelParams, seed: int) -> SpectrumResult:
     point, and (b) every predicted point lies within _GAP_SAFETY times its
     current point's own gap among the current points of its charge from that
     current point (``_within_gaps``); otherwise the step is halved, down to
-    _MIN_STEP.  Test (a) makes the match exact, as those balls about the
-    predicted points of one charge are disjoint, and points of different
-    charge are never swapped; test (b) keeps the predictor from
-    extrapolating through eigenvalues of one charge that close in on each
-    other, where it would swap labels.  Eigenvalues of different charges
-    may cross freely.  The step is never grown again: growing it after each
-    accepted step took more eigensolves at every large-nome point measured.
+    _MIN_STEP, and at p = 0 a failed match raises at once.  Test (a) makes
+    the match exact, as those balls about the predicted points of one charge
+    are disjoint, and points of different charge are never swapped; test (b)
+    keeps the predictor from extrapolating through eigenvalues of one charge
+    that close in on each other, where it would swap labels.  Eigenvalues of
+    different charges may cross freely.  The step is never grown again:
+    growing it after each accepted step took more eigensolves at every
+    large-nome point measured.
     """
     rng = random.Random(seed)
     target = params.p
-    if target == 0:
-        E_raw, vecs, w, labels, k_raw = _raw_spectrum(params, rng)
-        closed = spectral_points_p0(params)
-        C = np.array([closed[nu] for nu in labels], dtype=complex)
-        one = np.zeros(len(labels), dtype=np.intp)
-        perm = _match_rows(E_raw, one, C, one)
-        if not _within_gaps(E_raw[perm], C, one):  # the continuation's test; it also rejects a NaN
-            raise TrackingAmbiguity("p=0 spectrum does not match the closed form")
-        E_cur, vec_cur, w_cur, sectors = E_raw[perm], vecs[:, perm], w, k_raw[perm]
-    else:
-        start = joint_spectrum(params.with_p(0.0), seed)
-        E_cur, sectors = start.e_matrix(), start.sectors
+    labels = tuple(enumerate_level(params.n, params.m))
+    closed = spectral_points_p0(params)
+    E_cur = np.array([closed[nu] for nu in labels], dtype=complex)
+    sectors = _label_charges(labels, params.n)
     sizes = np.bincount(sectors, minlength=params.n)
     t_prev = E_prev = None
     steps: list[float] = []
 
     # The path is p = target * t: t and the step h stay dyadic, so sums are
     # exact and the last point is target itself.
-    t_cur, h = (0.0, 1.0) if target else (1.0, 0.0)
+    t_cur, h = 0.0, 1.0
     while t_cur < 1.0:
         t_next = t_cur + h  # at most 1: t_cur is a multiple of h
         if E_prev is None:
             E_pred = E_cur
         else:
             E_pred = E_cur + (h / (t_cur - t_prev)) * (E_cur - E_prev)
-        E_new, vecs_new, w_new, labels, k_new = _raw_spectrum(params.with_p(target * t_next), rng)
+        E_new, vecs_new, w_new, _, k_new = _raw_spectrum(params.with_p(target * t_next), rng)
         if not np.array_equal(np.bincount(k_new, minlength=params.n), sizes):
             raise GradingViolation(
-                f"charge sector sizes at p={target * t_next} differ from those at p=0"
+                f"charge sector sizes at p={target * t_next} differ from those of -|nu| mod n"
             )
         perm = _match_rows(E_new, k_new, E_pred, sectors)
         if _within_gaps(E_new[perm], E_pred, sectors) and _within_gaps(E_pred, E_cur, sectors):
@@ -444,7 +439,8 @@ def _continue(params: ModelParams, seed: int) -> SpectrumResult:
             vec_cur = vecs_new[:, perm]
             w_cur = w_new
             t_cur = t_next
-            steps.append(target * t_next)
+            if target:
+                steps.append(target * t_next)
         else:
             h /= 2.0
             if abs(target) * h < _MIN_STEP:
@@ -458,11 +454,10 @@ def _continue(params: ModelParams, seed: int) -> SpectrumResult:
     F = F / F[0]
     return SpectrumResult(
         params=params,
-        labels=tuple(labels),
+        labels=labels,
         e=np.hstack([E_cur, np.ones((len(labels), 1), dtype=complex)]),
         vectors=F,
         dual_norms=1.0 / (np.abs(F) ** 2 * delta_vector(params)[:, None]).sum(axis=0),
-        sectors=sectors,
         seed=seed,
         homotopy_steps=tuple(steps),
     )

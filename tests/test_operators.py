@@ -144,6 +144,16 @@ def test_spectrum_count_and_p0_match(n, m):
         assert np.abs(got - closed[nu]).max() < 1e-10
 
 
+def test_a_p0_solve_off_the_closed_form_raises(monkeypatch):
+    """At p = 0 the walk is one solve, which must match the closed form under the graded gap test."""
+    closed = operators.spectral_points_p0
+    monkeypatch.setattr(operators, "spectral_points_p0", lambda params: {nu: e + 10.0 for nu, e in closed(params).items()})
+    coeffs.clear_coeff_caches()
+    with pytest.raises(TrackingAmbiguity, match="at p=0.0"):
+        joint_spectrum(ModelParams.locked(3, 3, 0.7, 0.0), seed=0)
+    coeffs.clear_coeff_caches()
+
+
 def test_spectrum_tracks_into_elliptic_regime():
     params = ModelParams.locked(3, 2, 0.7, 0.4)
     spec = joint_spectrum(params, seed=0)
@@ -287,23 +297,31 @@ def test_simple_current_commutes_and_keeps_the_sector_sizes(n, m, g, p):
     assert sizes[0].tolist() == sizes[1].tolist()
 
 
-@pytest.mark.parametrize("n,m,g", [(2, 3, 0.7), (3, 4, 0.7), (4, 4, 0.7), (4, 3, 1.9), (5, 3, 0.7)])
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 5), m=st.integers(1, 4), g=st.floats(0.3, 1.9))
+@example(n=5, m=4, g=0.7)
+@example(n=4, m=3, g=1.9)
 def test_charge_at_p0_is_a_function_of_the_weight_mod_n(n, m, g):
-    spec = joint_spectrum(ModelParams.locked(n, m, g, 0.0), seed=0)
-    charge_of = {}
-    for nu, k in zip(spec.labels, spec.sectors.tolist()):
-        assert charge_of.setdefault(weight(nu) % n, k) == k, nu
-    assert sorted(charge_of.values()) == list(range(n))  # and one of n distinct charges
-    assert not spec.sectors.flags.writeable
+    """At p = 0 the Rayleigh charge of the point nu is -|nu| mod n, and T^n = c I with c = 1.
 
-
-def test_nonzero_nomes_read_the_charges_of_the_p0_spectrum():
-    params = ModelParams.locked(4, 3, 0.7, 0.6)
-    coeffs.clear_coeff_caches()
-    start = joint_spectrum(params.with_p(0.0), seed=0)
-    assert joint_spectrum(params, seed=0).sectors is start.sectors
-    assert joint_spectrum(params.with_p(-0.6), seed=0).sectors is start.sectors
-    coeffs.clear_coeff_caches()
+    The charges come from one solve matched in one sector to the closed
+    form, so the property does not read ``_label_charges``, which the walk
+    starts from; the helper must give the same charges.
+    """
+    params = ModelParams.locked(n, m, g, 0.0)
+    try:
+        E, _, _, labels, charge = _raw_spectrum(params, random.Random(0))
+    except DegenerateCombination:
+        assume(False)
+    closed = spectral_points_p0(params)
+    C = np.array([closed[nu] for nu in labels])
+    one = np.zeros(len(labels), dtype=np.intp)
+    perm = _match_rows(E, one, C, one)
+    assert _within_gaps(E[perm], C, one)
+    assert charge[perm].tolist() == [-weight(nu) % n for nu in labels]
+    assert operators._label_charges(labels, n).tolist() == charge[perm].tolist()
+    t = _current_weights(conjugated_matrices(params)[0], n, m)
+    assert abs(np.prod(t[_simple_current(n, m)[3]]) - 1.0) <= 1e-12
 
 
 def test_a_wrong_simple_current_raises(monkeypatch):
@@ -711,6 +729,7 @@ def synthetic_path(monkeypatch):
 
     monkeypatch.setattr(operators, "_raw_spectrum", raw)
     monkeypatch.setattr(operators, "spectral_points_p0", lambda params: dict(zip(labels, points(0.0))))
+    monkeypatch.setattr(operators, "_label_charges", lambda labels, n: np.zeros(len(labels), dtype=np.intp))
     coeffs.clear_coeff_caches()
     yield set_delta
     coeffs.clear_coeff_caches()
@@ -771,7 +790,7 @@ def test_mirrored_spectrum_runs_no_eig(monkeypatch):
     assert minus.params is minus_params
     assert minus.homotopy_steps == tuple(-s for s in plus.homotopy_steps)
     assert minus.homotopy_steps[-1] == -0.9
-    assert minus.e is plus.e and minus.vectors is plus.vectors and minus.sectors is plus.sectors
+    assert minus.e is plus.e and minus.vectors is plus.vectors
     assert joint_spectrum(params, seed=0) is plus
     joint_spectrum(params, seed=1)  # another seed is another entry
     assert calls
@@ -779,27 +798,26 @@ def test_mirrored_spectrum_runs_no_eig(monkeypatch):
 
 
 
-def test_nomes_of_one_coupling_share_one_p0_solve(monkeypatch):
-    """Every nome starts from the kept p = 0 spectrum, and the -p leg still runs no eigensolve."""
+def test_nonzero_nomes_solve_no_p0_spectrum(monkeypatch):
+    """The walk starts from the closed form: no solve at p = 0, and the -p leg runs no eigensolve."""
     params = ModelParams.locked(4, 3, 0.7, 0.3)
     raw = operators._raw_spectrum
-    at_p0 = []
+    solved = []
 
     def counted(params, rng):
-        if params.p == 0:
-            at_p0.append(params)
+        solved.append(params.p)
         return raw(params, rng)
 
     monkeypatch.setattr(operators, "_raw_spectrum", counted)
     coeffs.clear_coeff_caches()
     for p in (0.3, 0.6, 0.9):
         assert joint_spectrum(params.with_p(p), seed=0).homotopy_steps[-1] == p
-    assert len(at_p0) == 1
+    assert solved and 0.0 not in solved
     calls = _counting_eig(monkeypatch)
     assert joint_spectrum(params.with_p(-0.6), seed=0).homotopy_steps[-1] == -0.6
-    assert calls == [] and len(at_p0) == 1
-    joint_spectrum(params, seed=1)  # another seed has its own start
-    assert len(at_p0) == 2
+    assert calls == []
+    assert joint_spectrum(params.with_p(0.0), seed=0).homotopy_steps == ()
+    assert solved[-1] == 0.0 and len(calls) == 1  # p = 0 itself is one solve
     coeffs.clear_coeff_caches()
 
 
@@ -807,14 +825,14 @@ def test_nomes_of_one_coupling_share_one_p0_solve(monkeypatch):
 def test_spectrum_does_not_depend_on_a_kept_p0_start(p):
     params = ModelParams.locked(4, 3, 0.7, p)
     coeffs.clear_coeff_caches()
-    fresh = joint_spectrum(params, seed=2)  # computes its start on the way
+    fresh = joint_spectrum(params, seed=2)  # nothing else kept
     coeffs.clear_coeff_caches()
     joint_spectrum(params.with_p(0.0), seed=2)
     joint_spectrum(params.with_p(0.3), seed=2)
-    kept = joint_spectrum(params, seed=2)  # reads the kept start
+    kept = joint_spectrum(params, seed=2)  # other spectra of this coupling kept
     coeffs.clear_coeff_caches()
     assert fresh is not kept
-    for name in ("e", "vectors", "dual_norms", "sectors"):
+    for name in ("e", "vectors", "dual_norms"):
         assert getattr(fresh, name).tobytes() == getattr(kept, name).tobytes()
     assert fresh.homotopy_steps == kept.homotopy_steps
 
