@@ -36,6 +36,7 @@ from .partitions import (
     Partition,
     dominance_leq,
     enumerate_level,
+    level_cone,
     r_index,
     underline,
     vertical_strips,

@@ -30,12 +30,13 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from .errors import NotAStrip, SingularDenominator
 from .kernel import SINGULAR_TOL, ModelParams, bracket
-from .partitions import Partition, enumerate_level, is_partition, span, underline, vertical_strips
+from .partitions import Partition, _read_only, is_partition, level_cone
 
 # One nome_sweep pass (n=4 m=4, p = +-0.3, +-0.6, +-0.9) visits 26 distinct
 # |p| along its homotopy paths, rejected steps included (the -p legs read the
@@ -145,7 +146,7 @@ class BracketTable:
         vanished[_HEAD, :, 1:-1] = zero[0, 1:-1]
         vanished[_TAIL, :, 1:-1] = tail_zero[:, :-2]
         self.vanished = vanished
-        _frozen(self.values, self.factors, self.vanished)
+        _read_only(self.values, self.factors, self.vanished)
 
 
 def _raise_vanished(arguments) -> None:
@@ -153,12 +154,6 @@ def _raise_vanished(arguments) -> None:
     for z in arguments:
         if z == z:
             raise SingularDenominator(f"bracket [{z}] vanished (|.| < {SINGULAR_TOL})")
-
-
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.flags.writeable = False  # shared by every caller through the caches below
-    return arrays
 
 
 _TABLES: OrderedDict[tuple, BracketTable] = OrderedDict()
@@ -188,11 +183,6 @@ def bracket_table(params: ModelParams, rows: int, cols: int) -> np.ndarray:
     return _table(params, rows, cols).values[:rows, :cols]
 
 
-@lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((j, k) for j in range(n) for k in range(j + 1, n))
-
-
 def _product(table: BracketTable, cells: list[tuple[int, int, int]]) -> complex:
     """Product of the factor cells (layer, a, s), in order, from 1; raises if a cell vanished."""
     factors = table.factors
@@ -213,7 +203,7 @@ def hop_B(lam: Partition, nu: Partition, params: ModelParams) -> complex:
     theta = strip_pattern(lam, nu)
     n = len(lam)
     table = _table(params, lam[0] - lam[-1] + 1, n + 1)
-    return _product(table, [(theta[j] - theta[k] + 1, lam[j] - lam[k], k - j) for j, k in _pairs(n)])
+    return _product(table, [(theta[j] - theta[k] + 1, lam[j] - lam[k], k - j) for j, k in combinations(range(n), 2)])
 
 
 def psi_prime(lam: Partition, nu: Partition, params: ModelParams) -> complex:
@@ -227,7 +217,7 @@ def psi_prime(lam: Partition, nu: Partition, params: ModelParams) -> complex:
     n = len(lam)
     table = _table(params, lam[0] - lam[-1] + 1, n + 1)
     cells = []
-    for j, k in _pairs(n):
+    for j, k in combinations(range(n), 2):
         if theta[k] - theta[j] == 1:
             d = lam[j] - lam[k]  # >= 1, and nu_j - nu_k = d - 1
             cells += [(2, d - 1, k - j), (0, d, k - j)]
@@ -249,7 +239,7 @@ def c_norm(mu: Partition, params: ModelParams) -> complex:
     _check_partition(mu)
     n = len(mu)
     table = _table(params, mu[0] - mu[-1] + 1, n + 1)
-    return _product(table, [(_C, mu[j] - mu[k], k - j) for j, k in _pairs(n)])
+    return _product(table, [(_C, mu[j] - mu[k], k - j) for j, k in combinations(range(n), 2)])
 
 
 def delta_weight(lam: Partition, params: ModelParams) -> complex:
@@ -261,7 +251,7 @@ def delta_weight(lam: Partition, params: ModelParams) -> complex:
     _check_partition(lam)
     n = len(lam)
     table = _table(params, lam[0] - lam[-1] + 1, n + 1)
-    cells = [(layer, lam[j] - lam[k], k - j) for j, k in _pairs(n) for layer in (_HEAD, _TAIL)]
+    cells = [(layer, lam[j] - lam[k], k - j) for j, k in combinations(range(n), 2) for layer in (_HEAD, _TAIL)]
     return _product(table, cells)
 
 
@@ -269,37 +259,11 @@ def delta_weight(lam: Partition, params: ModelParams) -> complex:
 
 
 @lru_cache(maxsize=64)
-def _label_index(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pair distances d[i, q] = lam_j - lam_k of every label and s[q] = k - j."""
-    pairs = _pairs(n)
-    labels = enumerate_level(n, m)
-    d = np.array([[lam[j] - lam[k] for j, k in pairs] for lam in labels], dtype=np.intp)
-    s = np.array([k - j for j, k in pairs], dtype=np.intp)
-    return _frozen(d.reshape(len(labels), len(pairs)), s)
-
-
-@lru_cache(maxsize=64)
-def _strip_index(n: int, m: int, r: int):
-    """Every size-r strip that stays in the level-m cone, as index arrays.
-
-    Returns (rows, cols, d, t, s): strip i goes from label rows[i] to the
-    label cols[i] = underline(nu); d[i, q] is the pair distance of lam,
-    t[i, q] the hop layer theta_j - theta_k + 1, s[q] = k - j.
-    """
-    pairs = _pairs(n)
-    labels = enumerate_level(n, m)
-    index = {lam: i for i, lam in enumerate(labels)}
-    rows, cols, t = [], [], []
-    for i, lam in enumerate(labels):
-        for nu in vertical_strips(lam, r):
-            if span(nu) <= m:
-                rows.append(i)
-                cols.append(index[underline(nu)])
-                t.append([nu[j] - lam[j] - nu[k] + lam[k] + 1 for j, k in pairs])
-    d, s = _label_index(n, m)
-    rows = np.array(rows, dtype=np.intp)
-    t = np.array(t, dtype=np.intp).reshape(len(rows), len(pairs))
-    return (*_frozen(rows, np.array(cols, dtype=np.intp), d[rows], t), s)
+def _hop_cells(n: int, m: int, r: int) -> tuple[np.ndarray, ...]:
+    """The cells (t, d, s) of ``level_cone(n, m).strips(r)``: hop layer t = theta_j - theta_k + 1, d of lam."""
+    cone = level_cone(n, m)
+    rows, _, diff = cone.strips(r)
+    return (*_read_only(diff + 1, cone.d[rows]), cone.s)
 
 
 def _gather(params: ModelParams, cells: tuple, where=True) -> np.ndarray:
@@ -316,11 +280,11 @@ def level_hops(r: int, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.
     """(rows, cols, B) over every size-r strip nu of every label lam of the level cone.
 
     Only strips with span(nu) <= m are listed; strip i carries B_{nu/lam}
-    from label rows[i] to label cols[i] = underline(nu), labels in the order
-    of ``enumerate_level(n, m)``.
+    from label rows[i] to label cols[i] = underline(nu), as in
+    ``level_cone(n, m).strips(r)``.
     """
-    rows, cols, d, t, s = _strip_index(params.n, params.m, r)
-    return rows, cols, _gather(params, (t, d, s))
+    rows, cols, _ = level_cone(params.n, params.m).strips(r)
+    return rows, cols, _gather(params, _hop_cells(params.n, params.m, r))
 
 
 def level_psi(r: int, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -329,7 +293,8 @@ def level_psi(r: int, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.n
     A pair with theta_j - theta_k = -1 (hop layer 0) contributes the cells
     (2, d - 1, s) and (0, d, s), as in ``psi_prime``; the others none.
     """
-    rows, cols, d, t, s = _strip_index(params.n, params.m, r)
+    rows, cols, _ = level_cone(params.n, params.m).strips(r)
+    t, d, s = _hop_cells(params.n, params.m, r)
     cells = (np.tile([2, 0], len(s)), np.repeat(d, 2, axis=1) - np.tile([1, 0], len(s)), np.repeat(s, 2))
     return rows, cols, _gather(params, cells, where=np.repeat(t == 0, 2, axis=1))
 
@@ -337,19 +302,19 @@ def level_psi(r: int, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.n
 @lru_cache(maxsize=64)
 def _delta_cells(n: int, m: int) -> tuple[np.ndarray, ...]:
     """The head and tail cells of every pair of every label, pair by pair."""
-    d, s = _label_index(n, m)
-    return _frozen(np.tile([_HEAD, _TAIL], len(s)), np.repeat(d, 2, axis=1), np.repeat(s, 2))
+    cone = level_cone(n, m)
+    return _read_only(np.tile([_HEAD, _TAIL], len(cone.s)), np.repeat(cone.d, 2, axis=1), np.repeat(cone.s, 2))
 
 
 def level_delta(params: ModelParams) -> np.ndarray:
-    """Delta_lam over the level cone, in the order of ``enumerate_level(n, m)``."""
+    """Delta_lam over the labels of ``level_cone(n, m)``."""
     return _gather(params, _delta_cells(params.n, params.m))
 
 
 def level_c(params: ModelParams) -> np.ndarray:
-    """c_lam over the level cone, in the order of ``enumerate_level(n, m)``."""
-    d, s = _label_index(params.n, params.m)
-    return _gather(params, (_C, d, s))
+    """c_lam over the labels of ``level_cone(n, m)``."""
+    cone = level_cone(params.n, params.m)
+    return _gather(params, (_C, cone.d, cone.s))
 
 
 def clear_coeff_caches() -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 from types import MappingProxyType
 
@@ -35,9 +35,10 @@ from .errors import ComputationError
 from .kernel import ModelParams, realify
 from .operators import SpectrumResult, _realify_all, joint_spectrum, norm_vectors, value_table
 from .partitions import (
+    LevelCone,
     Partition,
     check_partition,
-    enumerate_level,
+    level_cone,
     r_index,
     span,
     underline,
@@ -84,15 +85,8 @@ def fusion_pieri(lam, r: int, params: ModelParams) -> dict[Partition, float]:
     return out
 
 
-@lru_cache(maxsize=64)
-def _cone(n: int, m: int):
-    """The level cone's labels in canonical order, and the index of each."""
-    labels = tuple(enumerate_level(n, m))
-    return labels, MappingProxyType({lam: i for i, lam in enumerate(labels)})
-
-
-def _pair_index(lam, mu, index, n: int, m: int) -> tuple[int, int] | None:
-    """Indices in ``index``, the label index of the cone (n, m), of a pair call's factors, for every route.
+def _pair_index(lam, mu, cone: LevelCone) -> tuple[int, int] | None:
+    """Indices in ``cone.index`` of a pair call's factors, for every route.
 
     Factors that are labels of the cone, as they are, take one lookup each.
     Any other spelling (a list, an array, a factor off the cone or malformed)
@@ -103,6 +97,7 @@ def _pair_index(lam, mu, index, n: int, m: int) -> tuple[int, int] | None:
     lies in the level ideal, so the pair has no structure constants and the
     result is None.
     """
+    index, n = cone.index, cone.n
     try:
         return index[lam], index[mu]
     except (KeyError, TypeError):  # off the cone, malformed, or unhashable
@@ -113,12 +108,12 @@ def _pair_index(lam, mu, index, n: int, m: int) -> tuple[int, int] | None:
     for part in (lam, mu):
         if len(part) != n:
             raise ValueError(f"partition length {len(part)} does not match n={n}")
-    if span(lam) > m or span(mu) > m:
+    if span(lam) > cone.m or span(mu) > cone.m:
         return None
     return index[underline(lam)], index[underline(mu)]
 
 
-def _spectral_pair(labels, pair: tuple[int, int] | None, raw, route: str) -> dict[Partition, float]:
+def _spectral_pair(cone: LevelCone, pair: tuple[int, int] | None, raw, route: str) -> dict[Partition, float]:
     """The nonzero N^kappa of a pair from ``_pair_index``, from the raw block raw(i, mus) of its row.
 
     Only the block row [kappa] of mu = labels[j] is computed, with its row of
@@ -128,8 +123,8 @@ def _spectral_pair(labels, pair: tuple[int, int] | None, raw, route: str) -> dic
         return {}
     i, j = pair
     mus = slice(j, j + 1)
-    mask = _support_row(*_support_keys(labels), i, mus)
-    return _nonzero(labels, _fusion_row(raw(i, mus), labels, i, route, mask, j)[0])
+    mask = _support_row(cone.keys, cone.weights, i, mus)
+    return _nonzero(cone.labels, _fusion_row(raw(i, mus), cone.labels, i, route, mask, j)[0])
 
 
 def _ring_table(params: ModelParams) -> np.ndarray:
@@ -159,7 +154,8 @@ def _ring_table(params: ModelParams) -> np.ndarray:
     values = store.rings.get((params.n, params.m))
     if values is not None:
         return values
-    labels, index = _cone(params.n, params.m)
+    cone = level_cone(params.n, params.m)
+    labels, index = cone.labels, cone.index
     N = len(labels)
     E = np.zeros((params.n, N, N))
     for r in range(1, params.n):
@@ -174,7 +170,7 @@ def _ring_table(params: ModelParams) -> np.ndarray:
         for k in np.flatnonzero(E[r, lam]).tolist():
             if k != t:
                 values[t] -= E[r, lam, k] * values[k]
-    for i, row in enumerate(_fusion_rows(labels, values.__getitem__, "lr")):
+    for i, row in enumerate(_fusion_rows(cone, values.__getitem__, "lr")):
         values[i] = row
     values.flags.writeable = False
     store.rings[(params.n, params.m)] = values
@@ -192,10 +188,10 @@ def structure_constants_lr(
     fresh dict; with return_flags it comes with a set of flagged keys, which
     is always empty.
     """
-    labels, index = _cone(params.n, params.m)
-    pair = _pair_index(lam, mu, index, params.n, params.m)
+    cone = level_cone(params.n, params.m)
+    pair = _pair_index(lam, mu, cone)
     values = _ring_table(params)  # free parameters raise, off the cone too
-    out = {} if pair is None else _nonzero(labels, values[pair])
+    out = {} if pair is None else _nonzero(cone.labels, values[pair])
     return (out, set()) if return_flags else out
 
 
@@ -293,18 +289,6 @@ def _support_row(keys: np.ndarray, w: np.ndarray, i: int, mus=slice(None)) -> np
     return np.equal.outer(rem, r) & (s >= D)
 
 
-def _support_keys(labels: tuple[Partition, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The label array, in column order, and the label weights for ``_support_row``.
-
-    Both are int16 wherever the weights fit, which makes each pass of a mask cheaper.
-    """
-    keys = np.array(labels, order="F")
-    w = keys.sum(axis=1)
-    if w.max() < 2**15:
-        keys, w = keys.astype(np.int16), w.astype(np.int16)
-    return keys, w
-
-
 def _fusion_row(
     raw: np.ndarray, labels: tuple[Partition, ...], i: int, route: str, mask: np.ndarray, first: int = 0
 ) -> np.ndarray:
@@ -345,15 +329,10 @@ def _fusion_row(
     return np.where(keep, re, 0.0)
 
 
-def _fusion_rows(labels: tuple[Partition, ...], raw, route: str):
-    """The finished rows [mu, kappa] of labels[i] from raw(i), for each label in order.
-
-    Each row is computed as it is read.  The label array and weights of the
-    support masks are built once per call.
-    """
-    keys, w = _support_keys(labels)
-    for i in range(len(labels)):
-        yield _fusion_row(raw(i), labels, i, route, _support_row(keys, w, i))
+def _fusion_rows(cone: LevelCone, raw, route: str):
+    """The finished rows [mu, kappa] of cone.labels[i] from raw(i), for each label in order, computed as read."""
+    for i in range(len(cone.labels)):
+        yield _fusion_row(raw(i), cone.labels, i, route, _support_row(cone.keys, cone.weights, i))
 
 
 def _verlinde_rows(sm: SMatrixData):
@@ -380,9 +359,10 @@ def structure_constants_verlinde(
 
     N^kappa_{lam,mu} = sum_nu S_{lam,nu} S_{mu,nu} Sinv_{nu,kappa} / S_{0,nu}.
     """
-    pair = _pair_index(lam, mu, _cone(params.n, params.m)[1], params.n, params.m)
+    cone = level_cone(params.n, params.m)
+    pair = _pair_index(lam, mu, cone)
     sm = s_matrix(params, spectrum=spectrum, seed=seed)
-    return _spectral_pair(sm.labels, pair, _verlinde_rows(sm), "verlinde")
+    return _spectral_pair(cone, pair, _verlinde_rows(sm), "verlinde")
 
 
 def structure_constants_projection(
@@ -393,9 +373,10 @@ def structure_constants_projection(
     N^kappa = c_kappa^2 Delta_kappa sum_nu P_lam(e_nu) P_mu(e_nu)
     conj(P_kappa(e_nu)) dual_nu.  Used as a cross-check of the spectral sum.
     """
-    pair = _pair_index(lam, mu, _cone(params.n, params.m)[1], params.n, params.m)
+    cone = level_cone(params.n, params.m)
+    pair = _pair_index(lam, mu, cone)
     spec = spectrum if spectrum is not None else joint_spectrum(params, seed=seed)
-    return _spectral_pair(spec.labels, pair, _projection_rows(params, spec), "projection")
+    return _spectral_pair(cone, pair, _projection_rows(params, spec), "projection")
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,23 +404,24 @@ class FusionTable:
         return float(np.abs(self.values - other.values).max())
 
 
-def _table(params: ModelParams, labels, raw, route: str) -> FusionTable:
+def _table(params: ModelParams, raw, route: str) -> FusionTable:
     """The table of the rows of ``_fusion_rows``, written into one array [lam, mu, kappa]."""
-    N = len(labels)
+    cone = level_cone(params.n, params.m)
+    N = len(cone.labels)
     values = np.empty((N, N, N))
-    for i, row in enumerate(_fusion_rows(labels, raw, route)):
+    for i, row in enumerate(_fusion_rows(cone, raw, route)):
         values[i] = row
-    return FusionTable(params=params, labels=labels, values=values, route=route)
+    return FusionTable(params=params, labels=cone.labels, values=values, route=route)
 
 
 def _verlinde_table(sm: SMatrixData) -> FusionTable:
     """The Verlinde-route table of one S-matrix."""
-    return _table(sm.params, sm.labels, _verlinde_rows(sm), "verlinde")
+    return _table(sm.params, _verlinde_rows(sm), "verlinde")
 
 
 def _projection_table(spec: SpectrumResult) -> FusionTable:
     """The projection-route table of one spectrum, computed without S or Sinv."""
-    return _table(spec.params, spec.labels, _projection_rows(spec.params, spec), "projection")
+    return _table(spec.params, _projection_rows(spec.params, spec), "projection")
 
 
 def fusion_table(
@@ -453,7 +435,7 @@ def fusion_table(
         return _verlinde_table(s_matrix(params, spectrum=spectrum, seed=seed))
     if route != "lr":
         raise ValueError(f"unknown route {route!r}")
-    labels = _cone(params.n, params.m)[0]
+    labels = level_cone(params.n, params.m).labels
     return FusionTable(params=params, labels=labels, values=_ring_table(params), route=route)
 
 
@@ -464,7 +446,8 @@ def _table_rows(params: ModelParams, route: str, seed: int = 0):
     rows are computed as they are read, on route "lr" they are views of the
     kept read-only table.
     """
+    cone = level_cone(params.n, params.m)
     if route == "verlinde":
         sm = s_matrix(params, seed=seed)
-        return sm.labels, _fusion_rows(sm.labels, _verlinde_rows(sm), "verlinde")
-    return _cone(params.n, params.m)[0], iter(_ring_table(params))
+        return cone.labels, _fusion_rows(cone, _verlinde_rows(sm), "verlinde")
+    return cone.labels, iter(_ring_table(params))

@@ -40,13 +40,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ComputationError, DegenerateCombination, GradingViolation, TrackingAmbiguity
 from .kernel import IMAG_TOL, ModelParams, qpow
-from .partitions import Partition, enumerate_level, vertical_strips, weight
+from .partitions import Partition, level_cone, vertical_strips, weight
 from .polynomials import build_P, elementary_symmetric, evaluate_batch
 from . import coeffs
 
@@ -96,11 +95,11 @@ def build_truncated(r: int, params: ModelParams) -> TruncatedOperator:
         raise ValueError("truncated operators require level-locked parameters")
     if not 1 <= r <= params.n - 1:
         raise ValueError(f"need 1 <= r <= n-1, got r={r}")
-    labels = enumerate_level(params.n, params.m)
+    labels = level_cone(params.n, params.m).labels
     rows, cols, vals = coeffs.level_hops(r, params)
     mat = np.zeros((len(labels), len(labels)), dtype=complex)
     mat[rows, cols] = vals
-    return TruncatedOperator(r, params, tuple(labels), mat)
+    return TruncatedOperator(r, params, labels, mat)
 
 
 def _realify_all(values: np.ndarray, what: str) -> np.ndarray:
@@ -143,7 +142,7 @@ def spectral_points_p0(params: ModelParams) -> dict[Partition, np.ndarray]:
     """
     n, g, alpha = params.n, params.g, params.alpha
     out: dict[Partition, np.ndarray] = {}
-    for nu in enumerate_level(params.n, params.m):
+    for nu in level_cone(params.n, params.m).labels:
         xs = [qpow(alpha, nu[j] + (n - 1 - j) * g) for j in range(n - 1)] + [1.0 + 0.0j]
         es = elementary_symmetric(xs)
         wnu = weight(nu)
@@ -182,43 +181,16 @@ class SpectrumResult:
         return self.e[:, :-1]
 
 
-@lru_cache(maxsize=64)
-def _simple_current(n: int, m: int):
-    """The simple current of the level cone and a spanning tree of D_1.
-
-    Returns (J, parents, children, orbit).  J[i] is the index of
-    J(labels[i]), J(lam) = (m, lam_1, ..., lam_{n-1}) - lam_{n-1} (Gepner &
-    Witten, Nucl. Phys. B 278 (1986)), a permutation of the cone with J^n = 1.
-    (parents[i], children[i]) is an edge of D_1 that adds one box, one for
-    every label but the empty one; labels are in canonical order, so a
-    parent comes before its children.  orbit = (J^j(empty))_{j<n}.
-    """
-    labels = enumerate_level(n, m)
-    index = {lam: i for i, lam in enumerate(labels)}
-    J = [index[tuple(x - lam[-2] for x in (m, *lam[:-1]))] for lam in labels]
-    rows, cols = coeffs._strip_index(n, m, 1)[:2]
-    parent: dict[int, int] = {}
-    for lam, kappa in zip(rows.tolist(), cols.tolist()):
-        if weight(labels[kappa]) == weight(labels[lam]) + 1:
-            parent.setdefault(kappa, lam)
-    children = sorted(parent)
-    orbit = [0]
-    while len(orbit) < n:
-        orbit.append(J[orbit[-1]])
-    return coeffs._frozen(
-        *(np.array(a, dtype=np.intp) for a in (J, [parent[k] for k in children], children, orbit))
-    )
-
-
 def _current_weights(mats: list[np.ndarray], n: int, m: int) -> np.ndarray:
     """The weights t of the monomial T[lam, J lam] = t_lam, with t = 1 at the empty label.
 
     T commutes with the conjugated M_r exactly when t_lam M_r[J lam, J kappa]
     = M_r[lam, kappa] t_kappa on every edge, so the ratios
-    t_kappa / t_lam = M_1[J lam, J kappa] / M_1[lam, kappa] along the tree
-    of ``_simple_current`` fix t; ``_charges`` checks every other edge.
+    t_kappa / t_lam = M_1[J lam, J kappa] / M_1[lam, kappa] along the
+    spanning tree ``level_cone(n, m).tree`` fix t; ``_charges`` checks every other edge.
     """
-    J, parents, children, _ = _simple_current(n, m)
+    cone = level_cone(n, m)
+    J, (parents, children) = cone.J, cone.tree
     M1 = mats[0]
     with np.errstate(divide="ignore", invalid="ignore"):  # a vanished edge gives inf or NaN, which the check rejects
         ratio = M1[J[parents], J[children]] / M1[parents, children]
@@ -232,7 +204,7 @@ def _charges(mats: list[np.ndarray], vecs: np.ndarray, n: int, m: int) -> np.nda
     """The Z_n charge k of each column of vecs, a joint eigenvector of the conjugated M_r.
 
     T (``_current_weights``) is checked to commute with every M_r, edge by
-    edge over the strips of D_r (``coeffs._strip_index``), in O(nnz): a
+    edge over the strips of D_r (``level_cone(n, m).strips(r)``), in O(nnz): a
     relative residual above _COMMUTATOR_TOL raises ``GradingViolation``.
     In the conjugated frame T / |c|^(1/n) is a unitary phase-permutation
     with T^n = c I, c the product of t over the orbit of the empty label,
@@ -242,16 +214,16 @@ def _charges(mats: list[np.ndarray], vecs: np.ndarray, n: int, m: int) -> np.nda
     A phase further than _PHASE_TOL from every such value raises
     ``GradingViolation``.
     """
-    J, _, _, orbit = _simple_current(n, m)
-    t = _current_weights(mats, n, m)
+    cone = level_cone(n, m)
+    J, t = cone.J, _current_weights(mats, n, m)
     for r, M in enumerate(mats, start=1):
-        rows, cols = coeffs._strip_index(n, m, r)[:2]
+        rows, cols, _ = cone.strips(r)
         lhs = t[rows] * M[J[rows], J[cols]]  # (T M_r)[lam, J kappa]
         rhs = M[rows, cols] * t[cols]  # (M_r T)[lam, J kappa]
         if not np.all(np.abs(lhs - rhs) <= _COMMUTATOR_TOL * (np.abs(lhs) + np.abs(rhs))):
             raise GradingViolation(f"the simple current does not commute with M_{r}")
     quotients = np.einsum("ki,ki->i", vecs.conj(), t[:, None] * vecs[J])  # times a positive norm
-    turns = (np.angle(quotients) - np.angle(np.prod(t[orbit])) / n) * (n / (2.0 * np.pi))
+    turns = (np.angle(quotients) - np.angle(np.prod(t[cone.orbit])) / n) * (n / (2.0 * np.pi))
     k = np.rint(turns)
     if not np.all(np.abs(turns - k) <= _PHASE_TOL * n / (2.0 * np.pi)):
         raise GradingViolation("an eigenvalue of the simple current is off every c^(1/n) w^k")
@@ -376,19 +348,14 @@ def joint_spectrum(params: ModelParams, seed: int = 0) -> SpectrumResult:
     return replace(kept, params=params, homotopy_steps=tuple(-s for s in kept.homotopy_steps))
 
 
-def _label_charges(labels: tuple[Partition, ...], n: int) -> np.ndarray:
-    """The Z_n charge of each label's spectral point, k = -|nu| mod n (minus its n-ality)."""
-    return np.array([-weight(nu) % n for nu in labels], dtype=np.intp)
-
-
 def _continue(params: ModelParams, seed: int) -> SpectrumResult:
     """Labeled joint spectrum at params, continued from the closed form at p = 0.
 
     The walk starts at p = 0 from the trigonometric closed form
     (``spectral_points_p0``), whose point nu has the charge k = -|nu| mod n
-    (``_label_charges``); the charge cannot change along the path, so a
-    solve whose sector sizes differ from those of the labels raises
-    ``GradingViolation``.  The path is p = target * t, so at p = 0 the walk
+    (from the weights of ``level_cone``); the charge cannot change along the
+    path, so a solve whose sector sizes differ from those of the labels
+    raises ``GradingViolation``.  The path is p = target * t, so at p = 0 the walk
     is one solve, matched to the closed form, and records no step.  The
     first step tries the whole distance to p.  Once two points are accepted,
     the next points are predicted by the secant through the last two, and
@@ -410,10 +377,10 @@ def _continue(params: ModelParams, seed: int) -> SpectrumResult:
     """
     rng = random.Random(seed)
     target = params.p
-    labels = tuple(enumerate_level(params.n, params.m))
+    cone = level_cone(params.n, params.m)
     closed = spectral_points_p0(params)
-    E_cur = np.array([closed[nu] for nu in labels], dtype=complex)
-    sectors = _label_charges(labels, params.n)
+    E_cur = np.array([closed[nu] for nu in cone.labels], dtype=complex)
+    sectors = -cone.weights.astype(np.intp) % params.n  # minus the n-ality
     sizes = np.bincount(sectors, minlength=params.n)
     t_prev = E_prev = None
     steps: list[float] = []
@@ -441,6 +408,8 @@ def _continue(params: ModelParams, seed: int) -> SpectrumResult:
             t_cur = t_next
             if target:
                 steps.append(target * t_next)
+        elif not target:
+            raise TrackingAmbiguity("the p = 0 solve does not match the closed form")
         else:
             h /= 2.0
             if abs(target) * h < _MIN_STEP:
@@ -454,8 +423,8 @@ def _continue(params: ModelParams, seed: int) -> SpectrumResult:
     F = F / F[0]
     return SpectrumResult(
         params=params,
-        labels=labels,
-        e=np.hstack([E_cur, np.ones((len(labels), 1), dtype=complex)]),
+        labels=cone.labels,
+        e=np.hstack([E_cur, np.ones((len(cone.labels), 1), dtype=complex)]),
         vectors=F,
         dual_norms=1.0 / (np.abs(F) ** 2 * delta_vector(params)[:, None]).sum(axis=0),
         seed=seed,

@@ -4,12 +4,21 @@ A partition is a fixed-length tuple of non-increasing non-negative integers.
 The length n is always explicit and trailing zeros are stored, because the
 coefficient formulas range over all index pairs 1 <= j < k <= n including
 zero rows.  Partitions serialize as plain JSON integer arrays.
+
+``level_cone(n, m)`` is the one home of the per-cone index data: the labels
+of the level cone with their index, label array, weights and pair distances,
+the strips of each size that stay in the cone, and the simple current.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from itertools import combinations, combinations_with_replacement
+from types import MappingProxyType
+
+import numpy as np
 
 Partition = tuple[int, ...]
 
@@ -75,35 +84,107 @@ def underline(nu: Partition) -> Partition:
 
 
 def enumerate_level(n: int, m: int) -> list[Partition]:
-    """All partitions with lam_n = 0 and lam_1 <= m, in canonical order.
+    """All partitions with lam_n = 0 and lam_1 <= m, in canonical order: a new list of ``level_cone(n, m).labels``."""
+    return list(level_cone(n, m).labels)
 
-    This is the level-m cone of fusion labels; its size is
-    binomial(n - 1 + m, m).  Each call returns a new list; the enumeration
-    is done once per (n, m), because every homotopy step asks for the cone.
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False  # shared by every caller through a cache
+    return arrays
+
+
+def _pair_distances(parts, n: int) -> np.ndarray:
+    """D[i, q] = parts[i][j] - parts[i][k] at the q-th pair j < k, pairs in lexicographic order."""
+    a = np.array(parts, dtype=np.intp).reshape(len(parts), n)
+    j, k = np.triu_indices(n, 1)
+    return np.ascontiguousarray(a[:, j] - a[:, k])
+
+
+@dataclass(frozen=True, eq=False)
+class LevelCone:
+    """The level cone of (n, m) and the read-only index arrays every layer reads, kept by ``level_cone``.
+
+    ``labels``: the partitions with lam_n = 0 and lam_1 <= m in canonical
+    order, binomial(n - 1 + m, m) of them; ``index`` maps each to its
+    position.  ``keys``: the label array in column order, and ``weights``,
+    both int16 wherever the weights fit (each pass of a support mask is then
+    cheaper).  ``d[i, q]``: the pair distances of label i (``_pair_distances``);
+    ``s[q]`` = k - j.  The strips and the simple current are built on first use.
     """
-    return list(_level_cone(n, m))
+
+    n: int
+    m: int
+    labels: tuple[Partition, ...]
+    index: Mapping[Partition, int]
+    keys: np.ndarray
+    weights: np.ndarray
+    d: np.ndarray
+    s: np.ndarray
+    _strips: dict = field(default_factory=dict, init=False, repr=False)
+
+    def strips(self, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, diff): every size-r strip nu of a label lam with span(nu) <= m, in label order.
+
+        Strip i goes from label rows[i] to label cols[i] = underline(nu), and
+        diff[i, q] = theta_j - theta_k at the q-th pair of ``d``, theta = nu - lam.
+        """
+        if r not in self._strips:
+            strips = [(i, nu) for i, lam in enumerate(self.labels) for nu in vertical_strips(lam, r)]
+            strips = [(i, nu) for i, nu in strips if span(nu) <= self.m]
+            rows = np.array([i for i, _ in strips], dtype=np.intp)
+            cols = np.array([self.index[underline(nu)] for _, nu in strips], dtype=np.intp)
+            diff = _pair_distances([nu for _, nu in strips], self.n) - self.d[rows]
+            self._strips.setdefault(r, _read_only(rows, cols, diff))
+        return self._strips[r]
+
+    @cached_property
+    def J(self) -> np.ndarray:
+        """J[i] is the index of J(labels[i]), the simple current J(lam) = (m, lam_1, ..., lam_{n-1}) - lam_{n-1}.
+
+        J permutes the cone, with J^n = 1 (Gepner & Witten, Nucl. Phys. B 278 (1986)).
+        """
+        image = [tuple(x - lam[-2] for x in (self.m, *lam[:-1])) for lam in self.labels]
+        return _read_only(np.array([self.index[lam] for lam in image], dtype=np.intp))[0]
+
+    @cached_property
+    def tree(self) -> tuple[np.ndarray, np.ndarray]:
+        """(parents, children): a spanning tree of D_1 whose edges add one box, children in label order.
+
+        A label's parent has one box less in its last nonzero row: of the labels
+        one box smaller, it comes first in canonical order, and before the child.
+        """
+        parents = []
+        for kappa in self.labels[1:]:
+            j = sum(x > 0 for x in kappa) - 1
+            parents.append(self.index[(*kappa[:j], kappa[j] - 1, *kappa[j + 1 :])])
+        return _read_only(np.array(parents, dtype=np.intp), np.arange(1, len(self.labels), dtype=np.intp))
+
+    @cached_property
+    def orbit(self) -> np.ndarray:
+        """(J^j(empty))_{j<n} = (m^j, 0^(n-j)), the orbit of the empty label under the simple current."""
+        orbit = [self.index[(self.m,) * j + (0,) * (self.n - j)] for j in range(self.n)]
+        return _read_only(np.array(orbit, dtype=np.intp))[0]
 
 
 @lru_cache(maxsize=64)
-def _level_cone(n: int, m: int) -> tuple[Partition, ...]:
+def level_cone(n: int, m: int) -> LevelCone:
+    """The one kept record of the level-m cone of (n, m)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
-    out: list[Partition] = []
-    if n == 1:
-        return ((0,),)
-
-    def descend(prefix: Partition, rows_left: int, cap: int) -> None:
-        if rows_left == 0:
-            out.append(prefix + (0,))
-            return
-        for v in range(cap, -1, -1):
-            descend(prefix + (v,), rows_left - 1, v)
-
-    descend((), n - 1, m)
-    out.sort(key=canonical_key)
-    return tuple(out)
+    # Tuples drawn from a descending range are non-increasing.
+    heads = combinations_with_replacement(range(m, -1, -1), n - 1)
+    labels = tuple(sorted((head + (0,) for head in heads), key=canonical_key))
+    keys = np.array(labels, dtype=np.intp)
+    weights = keys.sum(axis=1)
+    if weights.max() < 2**15:
+        keys, weights = keys.astype(np.int16), weights.astype(np.int16)
+    j, k = np.triu_indices(n, 1)
+    d, s = _pair_distances(labels, n), k - j
+    index = MappingProxyType({lam: i for i, lam in enumerate(labels)})
+    return LevelCone(n, m, labels, index, *_read_only(np.asfortranarray(keys), weights, d, s))
 
 
 def r_index(mu: Partition) -> int:

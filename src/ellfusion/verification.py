@@ -41,8 +41,8 @@ from .partitions import (
     column,
     contains,
     dominance_leq,
-    enumerate_level,
     is_partition,
+    level_cone,
     partitions_of_weight,
     span,
     underline,
@@ -136,7 +136,7 @@ def _gauge_identity(ctx, n, m, g_values=(0.3, 1.0, 1.7), p_values=(-0.5, 0.0, 0.
     worst = 0.0
     for g, p in product(g_values, p_values):
         free, locked = _free(n, g, p), ModelParams.locked(n, m, g, p)
-        for mu in enumerate_level(n, m):
+        for mu in level_cone(n, m).labels:
             for r in range(1, n + 1):
                 for nu in vertical_strips(mu, r):
                     for params in (free, locked) if span(nu) <= m else (free,):
@@ -410,7 +410,7 @@ def _refined_pieri_p0(ctx, n, m, g=0.85):
     """Fusion coefficients for column multiplication at p = 0 vs trig products."""
     params = ModelParams.locked(n, m, g, 0.0)
     worst = 0.0
-    for lam in enumerate_level(n, m):
+    for lam in level_cone(n, m).labels:
         for r in range(1, n):
             want = {
                 underline(nu): macdonald_pieri_p0(lam, nu, params.alpha, g)
@@ -479,7 +479,7 @@ def _principal_specialization(ctx, n, m, g=0.8):
     """Principal values of the embedded polynomials vs the product form at p=0."""
     params = ModelParams.locked(n, m, g, 0.0)
     xs = [qpow(params.alpha, (n - 1 - j) * g) for j in range(n - 1)] + [1.0 + 0.0j]
-    labels = enumerate_level(n, m)
+    labels = level_cone(n, m).labels
     # Every P_nu at the one principal point, as one batch: P_nu(e(xs)) = R_nu(xs).
     values = evaluate_batch([build_P(nu, params) for nu in labels], [elementary_symmetric(xs)])[0][:, 0]
     pairs = []

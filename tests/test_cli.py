@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ellfusion import coeffs, operators
 from ellfusion.cli import (
     _complex_rows_chunks,
     _emit_json,
@@ -247,6 +248,24 @@ def test_computational_errors_exit_1(capsys):
     )
     assert code == 1
     assert "GenericityViolation" in err
+
+
+def test_clustered_combinations_exit_1(monkeypatch, capsys):
+    """Identity operators make every random combination cluster: DegenerateCombination, exit code 1."""
+    conjugated = operators.conjugated_matrices
+
+    def identities(params):
+        mats, w, labels = conjugated(params)
+        return [np.eye(len(labels), dtype=complex) for _ in mats], w, labels
+
+    monkeypatch.setattr(operators, "conjugated_matrices", identities)
+    coeffs.clear_coeff_caches()  # no kept spectrum may answer the call
+    try:
+        code, out, err = run_cli(["spectrum", "--n", "3", "--m", "2", "--g", "0.7", "--p", "0.3"], capsys)
+    finally:
+        coeffs.clear_coeff_caches()
+    assert code == 1 and out == ""
+    assert err.startswith("DegenerateCombination: ") and "Traceback" not in err
 
 
 def test_header_embeds_params(capsys):

@@ -24,6 +24,7 @@ from ellfusion.oracles import kac_peterson_smatrix, macdonald_pieri_p0
 from ellfusion.partitions import (
     contains,
     enumerate_level,
+    level_cone,
     partitions_of_weight,
     span,
     underline,
@@ -524,8 +525,8 @@ def test_support_mask_matches_brute_force():
 @example(n=5, m=3, row=17)
 def test_support_mask_property(n, m, row):
     """A random row of the mask, on the label array the table routes build, against brute force."""
-    labels = enumerate_level(n, m)
-    keys, w = fusion._support_keys(labels)
+    cone = level_cone(n, m)
+    labels, keys, w = cone.labels, cone.keys, cone.weights
     i = row % len(labels)
     mask = fusion._support_row(keys, w, i)
     for j, mu in enumerate(labels):
@@ -541,8 +542,8 @@ def _assert_pair_is_the_row(got, labels, row):
 
 
 def test_support_mask_slice_is_rows_of_the_mask():
-    labels = enumerate_level(4, 4)
-    keys, w = fusion._support_keys(labels)
+    cone = level_cone(4, 4)
+    labels, keys, w = cone.labels, cone.keys, cone.weights
     for i in (0, 7, len(labels) - 1):
         mask = fusion._support_row(keys, w, i)
         for j in (0, 11, len(labels) - 1):
@@ -596,7 +597,7 @@ def test_spectral_pair_errors_name_the_pair(bad):
     for i, lam in enumerate(labels):
         for j, mu in enumerate(labels):
             try:
-                fusion._spectral_pair(labels, (i, j), rows, "verlinde")
+                fusion._spectral_pair(level_cone(3, 2), (i, j), rows, "verlinde")
             except ComputationError as exc:
                 assert str(exc).endswith(f" in {lam} x {mu} (verlinde)"), (lam, mu, str(exc))
                 raised.add(j)
@@ -650,7 +651,7 @@ def test_fusion_row_names_the_first_bad_value():
     params = ModelParams.locked(3, 2, 0.7, 0.3)
     sm = s_matrix(params)
     labels, i = sm.labels, 2
-    mask = fusion._support_row(*fusion._support_keys(labels), i)
+    mask = fusion._support_row(level_cone(3, 2).keys, level_cone(3, 2).weights, i)
     raw = fusion._verlinde_rows(sm)(i)
     clean = fusion._fusion_row(raw, labels, i, "verlinde", mask)
     on, off = (tuple(map(int, np.argwhere(m)[-1])) for m in (mask, ~mask))

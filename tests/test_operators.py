@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -19,7 +20,6 @@ from ellfusion.operators import (
     _match_rows,
     _raw_spectrum,
     _row_gaps,
-    _simple_current,
     _within_gaps,
     apply_D,
     build_truncated,
@@ -32,7 +32,7 @@ from ellfusion.operators import (
     spectral_points_p0,
     value_table,
 )
-from ellfusion.partitions import add, enumerate_level, vertical_strips, weight
+from ellfusion.partitions import add, enumerate_level, level_cone, vertical_strips, weight
 from ellfusion.polynomials import normalized_p
 
 
@@ -149,7 +149,7 @@ def test_a_p0_solve_off_the_closed_form_raises(monkeypatch):
     closed = operators.spectral_points_p0
     monkeypatch.setattr(operators, "spectral_points_p0", lambda params: {nu: e + 10.0 for nu, e in closed(params).items()})
     coeffs.clear_coeff_caches()
-    with pytest.raises(TrackingAmbiguity, match="at p=0.0"):
+    with pytest.raises(TrackingAmbiguity, match="^the p = 0 solve does not match the closed form$"):
         joint_spectrum(ModelParams.locked(3, 3, 0.7, 0.0), seed=0)
     coeffs.clear_coeff_caches()
 
@@ -305,8 +305,8 @@ def test_charge_at_p0_is_a_function_of_the_weight_mod_n(n, m, g):
     """At p = 0 the Rayleigh charge of the point nu is -|nu| mod n, and T^n = c I with c = 1.
 
     The charges come from one solve matched in one sector to the closed
-    form, so the property does not read ``_label_charges``, which the walk
-    starts from; the helper must give the same charges.
+    form, so the property does not read the label weights of ``level_cone``,
+    which the walk starts from; they must give the same charges.
     """
     params = ModelParams.locked(n, m, g, 0.0)
     try:
@@ -319,22 +319,18 @@ def test_charge_at_p0_is_a_function_of_the_weight_mod_n(n, m, g):
     perm = _match_rows(E, one, C, one)
     assert _within_gaps(E[perm], C, one)
     assert charge[perm].tolist() == [-weight(nu) % n for nu in labels]
-    assert operators._label_charges(labels, n).tolist() == charge[perm].tolist()
+    assert (-level_cone(n, m).weights.astype(np.intp) % n).tolist() == charge[perm].tolist()
     t = _current_weights(conjugated_matrices(params)[0], n, m)
-    assert abs(np.prod(t[_simple_current(n, m)[3]]) - 1.0) <= 1e-12
+    assert abs(np.prod(t[level_cone(n, m).orbit]) - 1.0) <= 1e-12
 
 
 def test_a_wrong_simple_current_raises(monkeypatch):
     """J with two labels swapped is no symmetry of the M_r: GradingViolation, not a spectrum."""
-    simple_current = operators._simple_current
-
-    def wrong(n, m):
-        J, *rest = simple_current(n, m)
-        J = J.copy()
-        J[[3, 4]] = J[[4, 3]]
-        return (J, *rest)
-
-    monkeypatch.setattr(operators, "_simple_current", wrong)
+    cone = dataclasses.replace(level_cone(3, 3))  # a copy, so the kept record keeps its J
+    J = cone.J.copy()
+    J[[3, 4]] = J[[4, 3]]
+    cone.__dict__["J"] = J
+    monkeypatch.setattr(operators, "level_cone", lambda n, m: cone)
     with pytest.raises(GradingViolation, match="does not commute with M_1"):
         _raw_spectrum(ModelParams.locked(3, 3, 0.7, 0.6), random.Random(0))
 
@@ -386,15 +382,15 @@ def test_a_changed_sector_count_raises(monkeypatch):
 
 
 def test_simple_current_tables_are_kept_per_cone():
-    J, parents, children, orbit = _simple_current(3, 2)
-    labels = enumerate_level(3, 2)
+    cone = level_cone(3, 2)
+    J, (parents, children), orbit, labels = cone.J, cone.tree, cone.orbit, cone.labels
     # labels: (0,0,0) (1,0,0) (2,0,0) (1,1,0) (2,1,0) (2,2,0); J(lam) = (2 - lam_2, lam_1 - lam_2, 0)
     assert [labels[i] for i in J] == [(2, 0, 0), (2, 1, 0), (2, 2, 0), (1, 0, 0), (1, 1, 0), (0, 0, 0)]
     assert [labels[i] for i in orbit] == [(0, 0, 0), (2, 0, 0), (2, 2, 0)]
     assert children.tolist() == list(range(1, len(labels)))
     assert all(weight(labels[a]) + 1 == weight(labels[b]) for a, b in zip(parents, children))
     assert not J.flags.writeable
-    assert _simple_current(3, 2) is _simple_current(3, 2)
+    assert level_cone(3, 2) is cone and cone.J is J and cone.tree[1] is children
 
 
 def test_the_spectral_path_never_imports_numpy_random():
@@ -729,7 +725,8 @@ def synthetic_path(monkeypatch):
 
     monkeypatch.setattr(operators, "_raw_spectrum", raw)
     monkeypatch.setattr(operators, "spectral_points_p0", lambda params: dict(zip(labels, points(0.0))))
-    monkeypatch.setattr(operators, "_label_charges", lambda labels, n: np.zeros(len(labels), dtype=np.intp))
+    cone = dataclasses.replace(level_cone(2, 1), weights=np.zeros(2, dtype=np.int16))  # one charge for both labels
+    monkeypatch.setattr(operators, "level_cone", lambda n, m: cone)
     coeffs.clear_coeff_caches()
     yield set_delta
     coeffs.clear_coeff_caches()
@@ -880,3 +877,18 @@ def test_tiny_eigenvalues_never_give_a_silently_bad_s(n, m, g, p):
     except ComputationError:
         return
     assert sm.identity_residual() < 1e-8
+
+
+def test_clustered_combinations_raise_after_every_attempt(monkeypatch):
+    """Identity operators make every random combination cluster: DegenerateCombination after the last eigh."""
+    conjugated = operators.conjugated_matrices
+
+    def identities(params):
+        mats, w, labels = conjugated(params)
+        return [np.eye(len(labels), dtype=complex) for _ in mats], w, labels
+
+    monkeypatch.setattr(operators, "conjugated_matrices", identities)
+    calls = _counting_eig(monkeypatch)
+    with pytest.raises(DegenerateCombination, match="clustered eigenvalues"):
+        _raw_spectrum(ModelParams.locked(3, 2, 0.7, 0.3), random.Random(0))
+    assert calls == [(6, 6)] * operators._COMBO_ATTEMPTS

@@ -1,13 +1,16 @@
 import math
-from itertools import product
+from itertools import combinations, product
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ellfusion.partitions import (
     canonical_key,
     check_partition,
     dominance_leq,
     enumerate_level,
+    level_cone,
     partitions_of_weight,
     r_index,
     span,
@@ -117,3 +120,62 @@ def test_check_partition_rejects_bad_input():
         check_partition((1, -1))
     with pytest.raises(ValueError):
         check_partition(())
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 6), m=st.integers(0, 6))
+@example(n=6, m=6)
+@example(n=2, m=0)
+def test_level_cone_record_matches_brute_force(n, m):
+    """Every field of the kept record against its definition, written out without the record's code."""
+    cone = level_cone(n, m)
+    assert level_cone(n, m) is cone
+    tuples = [lam + (0,) for lam in product(range(m + 1), repeat=n - 1)]
+    labels = sorted((lam for lam in tuples if all(a >= b for a, b in zip(lam, lam[1:]))), key=canonical_key)
+    assert cone.labels == tuple(labels) and len(labels) == math.comb(n - 1 + m, m)
+    N, where = len(labels), {lam: i for i, lam in enumerate(labels)}
+    assert dict(cone.index) == where
+    assert cone.keys.tolist() == [list(lam) for lam in labels] and cone.keys.flags.f_contiguous
+    assert cone.weights.tolist() == [sum(lam) for lam in labels]
+    assert cone.keys.dtype == cone.weights.dtype == np.int16
+    pairs = list(combinations(range(n), 2))
+    assert cone.d.tolist() == [[lam[j] - lam[k] for j, k in pairs] for lam in labels]
+    assert cone.s.tolist() == [k - j for j, k in pairs]
+
+    # The simple current: a permutation of order n that adds m to the weight mod n.
+    J = cone.J.tolist()
+    assert sorted(J) == list(range(N))
+    for i, lam in enumerate(labels):
+        assert labels[J[i]] == tuple(x - lam[n - 2] for x in (m,) + lam[: n - 1])
+        assert (sum(labels[J[i]]) - sum(lam) - m) % n == 0
+        image = i
+        for _ in range(n):
+            image = J[image]
+        assert image == i
+    orbit = [0]
+    for _ in range(n - 1):
+        orbit.append(J[orbit[-1]])
+    assert cone.orbit.tolist() == orbit
+
+    # The strips of each size that stay in the cone, label by label.
+    for r in range(1, n + 1):
+        rows, cols, diff = cone.strips(r)
+        want = [(i, where[underline(nu)], [(nu[j] - lam[j]) - (nu[k] - lam[k]) for j, k in pairs])
+                for i, lam in enumerate(labels) for nu in vertical_strips(lam, r) if span(nu) <= m]
+        assert list(zip(rows.tolist(), cols.tolist(), diff.tolist())) == want
+        assert cone.strips(r)[0] is rows
+
+    # The spanning tree: each edge is a strip of D_1 adding one box, and every label is reached from the empty one.
+    parents, children = (a.tolist() for a in cone.tree)
+    assert sorted(children) == list(range(1, N))
+    edges = set(zip(*(a.tolist() for a in cone.strips(1)[:2])))
+    for a, b in zip(parents, children):
+        assert (a, b) in edges and sum(labels[b]) == sum(labels[a]) + 1
+    reached = {0}
+    for _ in range(N):
+        reached |= {b for a, b in zip(parents, children) if a in reached}
+    assert reached == set(range(N))
+
+    arrays = [cone.keys, cone.weights, cone.d, cone.s, cone.J, cone.orbit, *cone.tree]
+    arrays += [a for r in range(1, n + 1) for a in cone.strips(r)]
+    assert not any(a.flags.writeable for a in arrays)
