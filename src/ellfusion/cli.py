@@ -39,7 +39,6 @@ from .polynomials import build_P
 from .fusion import _table_rows, fusion_pieri, fusion_table, s_matrix
 from .verification import SUITES, run_suite
 from . import coeffs
-from .kernel import realify
 
 
 def _partition_arg(text: str) -> tuple[int, ...]:
@@ -402,7 +401,7 @@ def _cmd_pieri(args, parser) -> int:
         lam = check_partition(args.lam)
         if len(lam) != params.n:
             raise ValueError(f"partition length {len(lam)} does not match n={params.n}")
-        table = {nu: realify(coeffs.psi_prime(lam, nu, params)) for nu in vertical_strips(lam, args.r)}
+        table = {nu: coeffs.psi_prime(lam, nu, params) for nu in vertical_strips(lam, args.r)}
     return _emit_entries(args, params, table, lam=list(args.lam), r=args.r)
 
 

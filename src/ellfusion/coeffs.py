@@ -14,9 +14,10 @@ its LRU bounds all that is kept per parameter set.  A coefficient is a
 product of factor cells taken in order: the scalar functions multiply the
 cells of one strip or label, and ``level_hops``, ``level_psi``,
 ``level_delta`` and ``level_c`` gather the cells of a whole level cone from
-the same array, so both give the same bits (a test pins this).  Values are
-complex and real in the level-locked regime; callers convert them at API
-boundaries.
+the same array, so both give the same bits (a test pins this).  The
+coupling, the nome and the phase scale are real, so every bracket [a + b*g]
+is real: the table keeps the real part of each, the one place where a
+complex kernel value becomes real, and every coefficient is a float.
 
 Denominator brackets below ``SINGULAR_TOL`` in magnitude make their factor
 NaN, and the table records which bracket vanished there, so a NaN product
@@ -27,6 +28,7 @@ zeros and pass through.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from functools import lru_cache
@@ -42,7 +44,6 @@ from .partitions import Partition, _read_only, is_partition, level_cone
 # |p| along its homotopy paths, rejected steps included (the -p legs read the
 # spectra kept at p); the bound leaves room for several such sweeps.
 TABLE_LIMIT = 256
-_NAN = complex(float("nan"), 0.0)
 
 
 def strip_pattern(lam: Partition, nu: Partition) -> tuple[int, ...]:
@@ -63,11 +64,14 @@ _C, _HEAD, _TAIL = 3, 4, 5
 class BracketTable:
     """Brackets [a + b*g] for 0 <= a < rows, 0 <= b < cols at one parameter set.
 
-    ``values[a, b]`` is ``bracket(a + b*g, params)``, bit for bit.  Every
-    factor of the four coefficient families is a cell ``factors[layer, a, s]``
-    with the pair distance 1 <= s <= cols-2; a product of cells taken in
-    order is the coefficient, so the scalar functions and the gathers over a
-    level cone read the same array and give the same bits.  The layers are
+    ``values[a, b]`` is the real part of ``bracket(a + b*g, params)``, whose
+    imaginary part is exactly 0 for a real argument; both arrays are float64,
+    and the factors are divided in Python floats, which give the bits of the
+    real part of the complex quotient.  Every factor of the four coefficient
+    families is a cell ``factors[layer, a, s]`` with the pair distance
+    1 <= s <= cols-2; a product of cells taken in order is the coefficient,
+    so the scalar functions and the gathers over a level cone read the same
+    array and give the same bits.  The layers are
 
     * 0, 1, 2: [a + (s+t)g] / [a + sg] with t = layer - 1 in {-1, 0, 1}: the
       hopping factor of a pair at distance a whose strip increments differ
@@ -94,7 +98,7 @@ class BracketTable:
 
     def __init__(self, params: ModelParams):
         self.params = params
-        self.values = np.empty((0, 0), dtype=complex)
+        self.values = np.empty((0, 0))
         self.polys: dict = {}
         self.rings: dict = {}
         self.spectra: dict = {}
@@ -106,22 +110,21 @@ class BracketTable:
         g, params = self.params.g, self.params
         B = self.values.tolist()
         for a, row in enumerate(B):
-            row.extend(bracket(a + b * g, params) for b in range(K, cols))
-        B += [[bracket(a + b * g, params) for b in range(cols)] for a in range(R, rows)]
-        self.values = np.array(B, dtype=complex).reshape(rows, cols)
+            row.extend(bracket(a + b * g, params).real for b in range(K, cols))
+        B += [[bracket(a + b * g, params).real for b in range(cols)] for a in range(R, rows)]
+        self.values = np.array(B, dtype=float).reshape(rows, cols)
         self._derive(B)
 
-    def _derive(self, B: list[list[complex]]) -> None:
+    def _derive(self, B: list[list[float]]) -> None:
         (R, K), g = self.values.shape, self.params.g
 
-        def ratio(num: complex, den: complex) -> complex:
-            # Python's complex division: numpy's differs in the last bit.
-            return _NAN if abs(den) < SINGULAR_TOL else num / den
+        def ratio(num: float, den: float) -> float:
+            return math.nan if abs(den) < SINGULAR_TOL else num / den
 
-        factors = [[[_NAN] * K for _ in range(R)] for _ in range(6)]
+        factors = [[[math.nan] * K for _ in range(R)] for _ in range(6)]
         hop, c, head, tail = factors[:3], factors[_C], factors[_HEAD], factors[_TAIL]
         for s in range(1, K - 1):
-            cum_c = cum_tail = 1.0 + 0.0j
+            cum_c = cum_tail = 1.0
             for a in range(R):
                 for t in (-1, 0, 1):
                     hop[t + 1][a][s] = ratio(B[a][s + t], B[a][s])
@@ -131,7 +134,7 @@ class BracketTable:
                 cum_c *= ratio(B[a][s], B[a][s + 1])
                 if a + 1 < R:
                     cum_tail *= ratio(B[a][s + 1], B[a + 1][s - 1])
-        self.factors = np.array(factors, dtype=complex).reshape(6, R, K)
+        self.factors = np.array(factors, dtype=float).reshape(6, R, K)
 
         # The argument a + b*g of each vanished denominator.  A running product
         # (layers 3 and 5) records its first, which is also its least: its
@@ -183,10 +186,10 @@ def bracket_table(params: ModelParams, rows: int, cols: int) -> np.ndarray:
     return _table(params, rows, cols).values[:rows, :cols]
 
 
-def _product(table: BracketTable, cells: list[tuple[int, int, int]]) -> complex:
+def _product(table: BracketTable, cells: list[tuple[int, int, int]]) -> float:
     """Product of the factor cells (layer, a, s), in order, from 1; raises if a cell vanished."""
     factors = table.factors
-    out = 1.0 + 0.0j
+    out = 1.0
     for cell in cells:
         out *= factors.item(cell)
     if out != out:
@@ -194,7 +197,7 @@ def _product(table: BracketTable, cells: list[tuple[int, int, int]]) -> complex:
     return out
 
 
-def hop_B(lam: Partition, nu: Partition, params: ModelParams) -> complex:
+def hop_B(lam: Partition, nu: Partition, params: ModelParams) -> float:
     """Hopping weight of the discrete difference operator for the move lam -> nu.
 
     Product over all pairs j < k of
@@ -206,7 +209,7 @@ def hop_B(lam: Partition, nu: Partition, params: ModelParams) -> complex:
     return _product(table, [(theta[j] - theta[k] + 1, lam[j] - lam[k], k - j) for j, k in combinations(range(n), 2)])
 
 
-def psi_prime(lam: Partition, nu: Partition, params: ModelParams) -> complex:
+def psi_prime(lam: Partition, nu: Partition, params: ModelParams) -> float:
     """Recurrence/Pieri weight for the strip nu over lam.
 
     Product over pairs j < k with theta_j - theta_k = -1 of
@@ -229,7 +232,7 @@ def _check_partition(mu: Partition) -> None:
         raise ValueError(f"{mu} is not a partition")
 
 
-def c_norm(mu: Partition, params: ModelParams) -> complex:
+def c_norm(mu: Partition, params: ModelParams) -> float:
     """Normalization coefficient: product of elliptic-factorial ratios.
 
     Product over pairs j < k, with d = mu_j - mu_k and s = k - j, of
@@ -242,7 +245,7 @@ def c_norm(mu: Partition, params: ModelParams) -> complex:
     return _product(table, [(_C, mu[j] - mu[k], k - j) for j, k in combinations(range(n), 2)])
 
 
-def delta_weight(lam: Partition, params: ModelParams) -> complex:
+def delta_weight(lam: Partition, params: ModelParams) -> float:
     """Orthogonality weight of the inner product on the level cone.
 
     Product over pairs j < k, with d = lam_j - lam_k and s = k - j, of

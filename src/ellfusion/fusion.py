@@ -32,8 +32,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ComputationError
-from .kernel import ModelParams, realify
-from .operators import SpectrumResult, _realify_all, joint_spectrum, norm_vectors, value_table
+from .kernel import ModelParams
+from .operators import SpectrumResult, joint_spectrum, norm_vectors, value_table
 from .partitions import (
     LevelCone,
     Partition,
@@ -71,8 +71,12 @@ def fusion_pieri(lam, r: int, params: ModelParams) -> dict[Partition, float]:
 
     These are the recurrence weights psi' of the level-admissible strips,
     re-keyed by underline; analytic in g > 0, so valid at resonant couplings.
-    They are the rows of the matrices E_r of the ring route.
+    They are the rows of the matrices E_r of the ring route.  Without the level
+    lock the keys of span > m form no ideal, so free parameters raise
+    ``ValueError``.
     """
+    if not params.level_locked:
+        raise ValueError("the fusion Pieri rule requires level-locked parameters")
     lam = check_partition(lam)
     if len(lam) != params.n:
         raise ValueError(f"partition length {len(lam)} does not match n={params.n}")
@@ -81,7 +85,7 @@ def fusion_pieri(lam, r: int, params: ModelParams) -> dict[Partition, float]:
     out: dict[Partition, float] = {}
     for nu in vertical_strips(lam, r):
         if span(nu) <= params.m:
-            out[underline(nu)] = realify(coeffs.psi_prime(lam, nu, params))
+            out[underline(nu)] = coeffs.psi_prime(lam, nu, params)
     return out
 
 
@@ -160,7 +164,7 @@ def _ring_table(params: ModelParams) -> np.ndarray:
     E = np.zeros((params.n, N, N))
     for r in range(1, params.n):
         rows, cols, vals = coeffs.level_psi(r, params)
-        E[r, rows, cols] = _realify_all(vals, "Pieri weights")
+        E[r, rows, cols] = vals
     values = np.empty((N, N, N))
     values[0] = np.eye(N)  # labels[0] is the empty partition
     for top in sorted(labels[1:], key=lambda kappa: (weight(kappa), kappa)):

@@ -42,12 +42,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ComputationError, GenericityViolation, NonConvergent, SingularDenominator
+from .errors import GenericityViolation, NonConvergent, SingularDenominator
 
 TRUNCATION_RTOL = 1e-16
 SINGULAR_TOL = 1e-12
 GENERICITY_TOL = 1e-8
-IMAG_TOL = 1e-11
 DEFAULT_GATE_WINDOW = 12
 _MAX_TERMS = 600
 _TWO_PI = 2.0 * math.pi
@@ -227,14 +226,6 @@ def _bracket_mp(z: complex, alpha: float, p: float, digits: int) -> complex:
 def qpow(alpha: float, x: float) -> complex:
     """q^x for q = exp(i*alpha), kept on the ray exp(i*alpha*x)."""
     return cmath.exp(1j * alpha * x)
-
-
-def realify(value: complex, tol: float = IMAG_TOL) -> float:
-    """Convert a complex value that must be real; rejects large residues."""
-    value = complex(value)
-    if abs(value.imag) > tol * max(1.0, abs(value.real)):
-        raise ComputationError(f"unexpected imaginary residue in {value!r}")
-    return float(value.real)
 
 
 @lru_cache(maxsize=4096)

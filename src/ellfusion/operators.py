@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ComputationError, DegenerateCombination, GradingViolation, TrackingAmbiguity
-from .kernel import IMAG_TOL, ModelParams, qpow
+from .kernel import ModelParams, qpow
 from .partitions import Partition, level_cone, vertical_strips, weight
 from .polynomials import build_P, elementary_symmetric, evaluate_batch
 from . import coeffs
@@ -97,21 +97,17 @@ def build_truncated(r: int, params: ModelParams) -> TruncatedOperator:
         raise ValueError(f"need 1 <= r <= n-1, got r={r}")
     labels = level_cone(params.n, params.m).labels
     rows, cols, vals = coeffs.level_hops(r, params)
+    # The weights are real, but the matrix stays complex: ``conjugated_matrices``
+    # divides it by w, and numpy divides a complex array by a real one through
+    # the reciprocal, so a real matrix would move the last bit of the spectrum.
     mat = np.zeros((len(labels), len(labels)), dtype=complex)
     mat[rows, cols] = vals
     return TruncatedOperator(r, params, labels, mat)
 
 
-def _realify_all(values: np.ndarray, what: str) -> np.ndarray:
-    """Real parts of values that must be real, as ``realify`` checks one value."""
-    if np.any(np.abs(values.imag) > IMAG_TOL * np.maximum(1.0, np.abs(values.real))):
-        raise ComputationError(f"unexpected imaginary residue in the {what}")
-    return values.real.copy()
-
-
 def delta_vector(params: ModelParams) -> np.ndarray:
-    """Orthogonality weights over the level cone, checked real positive."""
-    vals = _realify_all(coeffs.level_delta(params), "orthogonality weights")
+    """Orthogonality weights over the level cone, checked positive."""
+    vals = coeffs.level_delta(params)
     if np.any(vals <= 0):
         raise ComputationError("orthogonality weights must be positive on the level cone")
     return vals
@@ -439,8 +435,7 @@ def value_table(params: ModelParams, spec: SpectrumResult) -> np.ndarray:
 
 def norm_vectors(params: ModelParams, spec: SpectrumResult):
     """c_lam, Delta_lam and the dual norms over the labels of a spectrum (the level cone)."""
-    cvec = _realify_all(coeffs.level_c(params), "normalizations")
-    return cvec, delta_vector(params), spec.dual_norms
+    return coeffs.level_c(params), delta_vector(params), spec.dual_norms
 
 
 def dual_orthogonality_check(

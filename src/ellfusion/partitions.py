@@ -7,7 +7,8 @@ zero rows.  Partitions serialize as plain JSON integer arrays.
 
 ``level_cone(n, m)`` is the one home of the per-cone index data: the labels
 of the level cone with their index, label array, weights and pair distances,
-the strips of each size that stay in the cone, and the simple current.
+the strips of each size that stay in the cone, the simple current and the
+charge conjugation.
 """
 
 from __future__ import annotations
@@ -110,7 +111,8 @@ class LevelCone:
     position.  ``keys``: the label array in column order, and ``weights``,
     both int16 wherever the weights fit (each pass of a support mask is then
     cheaper).  ``d[i, q]``: the pair distances of label i (``_pair_distances``);
-    ``s[q]`` = k - j.  The strips and the simple current are built on first use.
+    ``s[q]`` = k - j.  The strips, the simple current and the charge
+    conjugation are built on first use.
     """
 
     n: int
@@ -145,6 +147,17 @@ class LevelCone:
         J permutes the cone, with J^n = 1 (Gepner & Witten, Nucl. Phys. B 278 (1986)).
         """
         image = [tuple(x - lam[-2] for x in (self.m, *lam[:-1])) for lam in self.labels]
+        return _read_only(np.array([self.index[lam] for lam in image], dtype=np.intp))[0]
+
+    @cached_property
+    def conjugation(self) -> np.ndarray:
+        """conjugation[i] is the index of the charge conjugate lam* = (lam_1 - lam_n, lam_1 - lam_{n-1}, ..., 0) of labels[i].
+
+        lam -> lam* reverses the Dynkin labels lam_j - lam_{j+1}, so it is the
+        highest weight of the conjugate representation of su(n), and an
+        involution of the cone.
+        """
+        image = [tuple(lam[0] - x for x in reversed(lam)) for lam in self.labels]
         return _read_only(np.array([self.index[lam] for lam in image], dtype=np.intp))[0]
 
     @cached_property

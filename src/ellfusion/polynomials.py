@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GenericityViolation
-from .kernel import GENERICITY_TOL, ModelParams, g_regularity_margin, realify
+from .kernel import GENERICITY_TOL, ModelParams, g_regularity_margin
 from .partitions import (
     Partition,
     check_partition,
@@ -178,7 +178,7 @@ def _poly(mu: Partition, params: ModelParams, polys: dict) -> PolynomialInE:
 
         acc = _shift_by_column(polys[lam], r)
         for nu in siblings:
-            w = realify(coeffs.psi_prime(lam, nu, params))
+            w = coeffs.psi_prime(lam, nu, params)
             for k, v in polys[nu].items():
                 acc[k] = acc.get(k, 0.0) - w * v
         acc[top] = 1.0  # unit leading coefficient, set rather than computed
@@ -246,7 +246,7 @@ def evaluation_scale(P: PolynomialInE, e) -> float:
 def normalized_p(mu, e, params: ModelParams) -> complex:
     """Normalized lattice value c_mu * P_mu(e)."""
     mu = check_partition(mu)
-    c = realify(coeffs.c_norm(mu, params))
+    c = coeffs.c_norm(mu, params)
     return c * evaluate(_build_P(mu, params), e)
 
 

@@ -23,11 +23,12 @@ from typing import Callable
 
 import numpy as np
 
-from .kernel import ModelParams, qpow, realify, trig_bracket
+from .kernel import ModelParams, qpow, trig_bracket
 from .littlewood import lr_coefficients
 from .operators import (
     apply_D,
     build_truncated,
+    delta_vector,
     dual_orthogonality_check,
     joint_spectrum,
     norm_vectors,
@@ -169,7 +170,7 @@ def _pieri_ring_identity(ctx, n, max_weight=4, g=0.65, p_values=(0.0, 0.4)):
                 lhs = {add(k, column(n, s)): v for k, v in P.items()}
                 rhs: dict[Partition, float] = {}
                 for nu in vertical_strips(mu, s):
-                    wgt = realify(coeffs.psi_prime(mu, nu, params))
+                    wgt = coeffs.psi_prime(mu, nu, params)
                     for k, v in build_P(nu, params).items():
                         rhs[k] = rhs.get(k, 0.0) + wgt * v
                 scale = max(abs(v) for v in lhs.values())
@@ -259,6 +260,39 @@ def _route_agreement(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
         fusion_table(params, route="lr").max_difference(ctx.table(params))
         for params in _locked(n, m, g_values, p_values)
     )
+
+
+def _both_tables(ctx, n, m, g_values, p_values):
+    """(params, values [lam, mu, kappa]) of the ring-route table, then the Verlinde one, at each grid point."""
+    for params in _locked(n, m, g_values, p_values):
+        yield params, fusion_table(params, route="lr").values
+        yield params, ctx.table(params).values
+
+
+def _fusion_conjugation(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
+    """N^{kappa*}_{lam* mu*} = N^kappa_{lam mu} on both tables, relative to max |N|."""
+    star = level_cone(n, m).conjugation
+    return max(
+        float(np.abs(N[np.ix_(star, star, star)] - N).max() / np.abs(N).max())
+        for _, N in _both_tables(ctx, n, m, g_values, p_values)
+    )
+
+
+def _fusion_duality(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
+    """N^kappa_{lam mu} w_kappa = N^mu_{lam* kappa} w_mu with w = 1/(c^2 Delta), on both tables.
+
+    Multiplication by P_lam is adjoint to multiplication by P_lam* under the
+    Delta orthogonality, w being the diagonal of the dual Gram matrix.
+    Relative to max |N^kappa_{lam mu} w_kappa|.
+    """
+    star = level_cone(n, m).conjugation
+    worst = 0.0
+    for params, N in _both_tables(ctx, n, m, g_values, p_values):
+        w = 1.0 / (coeffs.level_c(params) ** 2 * delta_vector(params))
+        lhs = N * w
+        rhs = N[star].transpose(0, 2, 1) * w[:, None]  # [lam, mu, kappa] = N^mu_{lam* kappa} w_mu
+        worst = max(worst, float(np.abs(lhs - rhs).max() / np.abs(lhs).max()))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +520,7 @@ def _principal_specialization(ctx, n, m, g=0.8):
     for nu, value in zip(labels, values.tolist()):
         want = principal_normalization_p0(nu, params.alpha, g)
         got = qpow(params.alpha, -weight(nu) * (n - 1) * g / 2.0) * value
-        pairs += [(got, want), (1.0 / realify(coeffs.c_norm(nu, params)), want)]
+        pairs += [(got, want), (1.0 / coeffs.c_norm(nu, params), want)]
     return _worst(pairs)
 
 
@@ -569,6 +603,8 @@ REGISTRY: tuple[Check, ...] = (
     Check("lr_macdonald_p0", ("ring",), 1e-9, _lr_macdonald_p0, free=True),
     Check("route_agreement", ("ring",), 1e-7, _route_agreement,
           10, "ring route vs spectral route", _NM),
+    Check("fusion_conjugation", ("ring",), 1e-9, _fusion_conjugation),
+    Check("fusion_duality", ("ring",), 1e-9, _fusion_duality),
     # spectrum
     Check("truncated_commutativity", ("spectrum",), 1e-9, _truncated_commutativity,
           1, "truncated operator commutativity", _grid((2, 3, 4), (1, 2, 3))),

@@ -8,7 +8,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 from ellfusion import coeffs, fusion
 from ellfusion.errors import GenericityViolation, NotAStrip, SingularDenominator
-from ellfusion.kernel import ModelParams, bracket, realify
+from ellfusion.kernel import ModelParams, bracket
 from ellfusion.oracles import macdonald_pieri_p0
 from ellfusion.partitions import enumerate_level, partitions_of_weight, span, underline, vertical_strips
 
@@ -77,7 +77,7 @@ def test_normalization_examples():
 def test_normalization_positive_on_level_cone(g, p):
     params = ModelParams.locked(2, 2, g, p)
     for mu in enumerate_level(2, 2):
-        assert realify(coeffs.c_norm(mu, params)) > 0.0
+        assert coeffs.c_norm(mu, params) > 0.0
 
 
 def test_delta_examples():
@@ -100,7 +100,7 @@ def test_delta_examples():
 def test_delta_positive_on_level_cone(n, m, g, p):
     params = ModelParams.locked(n, m, g, p)
     for lam in enumerate_level(n, m):
-        assert realify(coeffs.delta_weight(lam, params)) > 0.0
+        assert coeffs.delta_weight(lam, params) > 0.0
 
 
 @pytest.mark.parametrize("g", [0.3, 1.0, 1.7])
@@ -122,7 +122,7 @@ def test_recurrence_weights_real_positive_on_cone(g, p):
     for lam in enumerate_level(3, 2):
         for r in (1, 2, 3):
             for nu in vertical_strips(lam, r):
-                v = realify(coeffs.psi_prime(lam, nu, params))
+                v = coeffs.psi_prime(lam, nu, params)
                 if span(nu) <= params.m:
                     assert v > 0.0
                 else:
@@ -135,7 +135,7 @@ def test_trigonometric_degeneration_of_recurrence_weight():
         for lam in partitions_of_weight(3, w, max_part=4):
             for r in (1, 2, 3):
                 for nu in vertical_strips(lam, r):
-                    got = realify(coeffs.psi_prime(lam, nu, params))
+                    got = coeffs.psi_prime(lam, nu, params)
                     want = macdonald_pieri_p0(lam, nu, params.alpha, params.g)
                     assert abs(got - want) < 1e-12
 
@@ -151,6 +151,54 @@ def test_coupling_one_limit_of_recurrence_weight():
 
 # -- the bracket table and the level-cone gathers ------------------------------
 
+# (least |p|, largest |p|, precision) of each kernel regime.
+_REGIMES = {"direct": (0.0, 0.49, "double"), "modular": (0.5, 0.99, "double"), "mp": (0.0, 0.99, "mp30")}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    m=st.integers(0, 4),
+    g=st.floats(0.1, 2.0),
+    regime=st.sampled_from(sorted(_REGIMES)),
+    nome=st.floats(0.0, 1.0),
+    sign=st.sampled_from((1.0, -1.0)),
+    alpha=st.floats(0.3, 3.0),
+    locked=st.booleans(),
+    a=st.integers(0, 12),
+    b=st.integers(0, 6),
+)
+def test_brackets_of_real_arguments_are_real_and_coefficients_are_floats(
+    n, m, g, regime, nome, sign, alpha, locked, a, b
+):
+    """[a + b*g] has imaginary part exactly 0, so every coefficient is a float, scalar and gathered."""
+    lo, hi, precision = _REGIMES[regime]
+    p = sign * (lo + (hi - lo) * nome)
+    if locked:
+        params = ModelParams.locked(n, m, g, p, precision=precision)
+    else:
+        try:
+            params = ModelParams.free(n, g=g, p=p, alpha=alpha, m=m, precision=precision)
+        except GenericityViolation:
+            reject()
+    assert bracket(a + b * params.g, params).imag == 0.0
+    labels = enumerate_level(n, m)
+    try:
+        scalars = [f(lam, params) for lam in labels for f in (coeffs.c_norm, coeffs.delta_weight)]
+        scalars += [
+            f(lam, nu, params)
+            for lam in labels
+            for r in range(1, n + 1)
+            for nu in vertical_strips(lam, r)
+            for f in (coeffs.hop_B, coeffs.psi_prime)
+        ]
+        gathers = [coeffs.level_c(params), coeffs.level_delta(params)]
+        gathers += [f(r, params)[2] for r in range(1, n) for f in (coeffs.level_hops, coeffs.level_psi)]
+    except SingularDenominator:
+        reject()  # a free coupling on a bracket zero
+    assert all(type(x) is float for x in scalars)
+    assert all(v.dtype == np.float64 for v in gathers)
+
 
 @settings(max_examples=80, deadline=None)
 @given(
@@ -163,7 +211,7 @@ def test_coupling_one_limit_of_recurrence_weight():
     rows=st.lists(st.integers(1, 12), min_size=1, max_size=3),
 )
 def test_bracket_table_entries_are_the_scalar_bracket(n, m, g, p, alpha, locked, rows):
-    """Every entry is bracket(a + b*g) bit for bit, however the table grew."""
+    """Every entry is the real part of bracket(a + b*g) bit for bit, however the table grew."""
     if locked:
         params = ModelParams.locked(n, m, g, p)
     else:
@@ -176,10 +224,7 @@ def test_bracket_table_entries_are_the_scalar_bracket(n, m, g, p, alpha, locked,
         coeffs.bracket_table(params, r, n + 1 + min(i, 1))
     shape = (max(rows), n + 1 + min(len(rows) - 1, 1))
     table = coeffs.bracket_table(params, *shape)
-    want = np.array(
-        [[bracket(a + b * params.g, params) for b in range(shape[1])] for a in range(shape[0])],
-        dtype=complex,
-    )
+    want = np.array([[bracket(a + b * params.g, params).real for b in range(shape[1])] for a in range(shape[0])])
     assert table.shape == shape
     assert np.array_equal(table.view(np.int64), want.view(np.int64))
     assert not table.flags.writeable
@@ -271,7 +316,7 @@ def test_level_gathers_match_scalar_products(n, m):
             for kappa, v in fusion.fusion_pieri(lam, r, params).items()
         }
         assert list(zip(rows.tolist(), cols.tolist())) == list(pieri)
-        assert _bits(vals.real.tolist()).tolist() == _bits(list(pieri.values())).tolist()
+        assert _bits(vals).tolist() == _bits(list(pieri.values())).tolist()
     for lam in labels:
         for r in range(1, n + 1):
             for nu in vertical_strips(lam, r):
@@ -302,7 +347,7 @@ def test_scalar_coefficients_are_their_gathers_bit_for_bit(n, m):
                     rows, _, vals = gather(r, params)
                     want = [scalar(labels[i], nu, params) for i, nu in listed]
                     assert rows.tolist() == [i for i, _ in listed]
-                    assert _bits(vals).tolist() == _bits(np.array(want, dtype=complex)).tolist()
+                    assert _bits(vals).tolist() == _bits(want).tolist()
 
 
 def _resonant(n: int, m: int, zero: float) -> ModelParams:
@@ -421,5 +466,5 @@ def test_concurrent_growth_keeps_every_entry():
     assert not any(t.is_alive() for t in threads) and errors == []
     assert got == want
     table = coeffs.bracket_table(params, 30, 4)
-    expected = np.array([[bracket(a + b * params.g, params) for b in range(4)] for a in range(30)])
+    expected = np.array([[bracket(a + b * params.g, params).real for b in range(4)] for a in range(30)])
     assert np.array_equal(table.view(np.int64), expected.view(np.int64))

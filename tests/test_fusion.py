@@ -8,7 +8,7 @@ from hypothesis import example, given, reject, settings, strategies as st
 
 from ellfusion import coeffs, fusion, operators, polynomials
 from ellfusion.errors import ComputationError, TrackingAmbiguity
-from ellfusion.kernel import ModelParams, realify, trig_bracket
+from ellfusion.kernel import ModelParams, trig_bracket
 from ellfusion.littlewood import lr_coefficients
 from ellfusion.fusion import (
     fusion_pieri,
@@ -47,7 +47,7 @@ def test_fusion_pieri_drops_boundary_strips():
     params = ModelParams.locked(2, 1, 0.8, 0.3)
     got = fusion_pieri((1, 0), 1, params)
     # the (2,0) strip leaves the level cone; only (1,1) -> (0,0) survives
-    want = realify(coeffs.psi_prime((1, 0), (1, 1), params))
+    want = coeffs.psi_prime((1, 0), (1, 1), params)
     assert set(got) == {(0, 0)}
     assert abs(got[(0, 0)] - want) < 1e-14
 
@@ -57,11 +57,20 @@ def test_fusion_pieri_rejects_a_partition_of_another_length():
         fusion_pieri((1, 0), 1, ModelParams.locked(3, 2, 0.7, 0.3))
 
 
+def test_fusion_pieri_rejects_free_parameters():
+    """Free mode has no level ideal: no m = 0 default, and no m = 2 'fusion' weights."""
+    for m in (0, 2):
+        params = ModelParams.free(3, g=0.65, p=0.3, alpha=2.0, m=m)
+        for lam in ((1, 0, 0), (2, 1, 0)):
+            with pytest.raises(ValueError, match="level-locked"):
+                fusion_pieri(lam, 1, params)
+
+
 def test_two_site_fusion_at_general_coupling():
     for g in (0.7, 1.3):
         params = ModelParams.locked(2, 1, g, 0.3)
         got = structure_constants_verlinde((1, 0), (1, 0), params)
-        want = realify(coeffs.psi_prime((1, 0), (1, 1), params))
+        want = coeffs.psi_prime((1, 0), (1, 1), params)
         assert set(got) == {(0, 0)}
         assert abs(got[(0, 0)] - want) < 1e-9
 
@@ -280,7 +289,7 @@ def _ring_symmetry_residuals(params, star=None, w=None):
     if star is None:
         star = _conjugation(params.n, params.m)
     if w is None:
-        w = 1.0 / (coeffs.level_c(params).real ** 2 * delta_vector(params))
+        w = 1.0 / (coeffs.level_c(params) ** 2 * delta_vector(params))
     conj = np.abs(values[np.ix_(star, star, star)] - values).max() / np.abs(values).max()
     lhs = values * w[None, None, :]
     rhs = values[star].transpose(0, 2, 1) * w[None, :, None]  # [lam, mu, kappa] = N^mu_{lam* kappa} w_mu
@@ -308,7 +317,7 @@ def test_a_wrong_conjugation_or_weight_breaks_the_ring_symmetries(wrong):
     elif wrong == "swap":
         star[1], star[2] = star[2], star[1]
     else:
-        w = 1.0 / coeffs.level_c(params).real
+        w = 1.0 / coeffs.level_c(params)
     assert max(_ring_symmetry_residuals(params, star, w)) > 0.1
 
 
@@ -716,7 +725,7 @@ def test_smatrix_first_row_and_identity():
     params = ModelParams.locked(3, 2, 0.7, 0.4)
     sm = s_matrix(params)
     for j, nu in enumerate(sm.labels):
-        want = 1.0 / realify(coeffs.c_norm(nu, params))
+        want = 1.0 / coeffs.c_norm(nu, params)
         assert abs(sm.S[0, j] - want) < 1e-12 * abs(want)
     assert sm.identity_residual() < 1e-8
     assert sm.det_residual() < 1e-6
@@ -754,7 +763,7 @@ def test_smatrix_gauge_factor_at_unit_coupling():
     sm0, smp = s_matrix(base), s_matrix(ell)
     ratio = np.array(
         [
-            realify(coeffs.c_norm(nu, base)) / realify(coeffs.c_norm(nu, ell))
+            coeffs.c_norm(nu, base) / coeffs.c_norm(nu, ell)
             for nu in sm0.labels
         ]
     )
@@ -815,7 +824,7 @@ def test_eigenvector_data_match_polynomial_values(n, m, g, p):
         spec = joint_spectrum(params)
     except TrackingAmbiguity:
         reject()
-    cvec = np.array([realify(coeffs.c_norm(lam, params)) for lam in spec.labels])
+    cvec = np.array([coeffs.c_norm(lam, params) for lam in spec.labels])
     S = s_matrix(params, spectrum=spec).S
     assert np.abs(S - value_table(params, spec) / cvec[None, :]).max() <= 1e-10 * np.abs(S).max()
     dvec = delta_vector(params)[:, None]

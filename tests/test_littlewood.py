@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ellfusion import coeffs
-from ellfusion.kernel import ModelParams, g_regularity_margin, realify
+from ellfusion.kernel import ModelParams, g_regularity_margin
 from ellfusion.littlewood import expand_in_P, lr_coefficients, multiply_monomial
 from ellfusion.oracles import macdonald_lr_p0
 from ellfusion.partitions import (
@@ -47,7 +47,7 @@ def test_expand_basis_element_is_delta():
 def test_expand_square_of_first_monomial():
     e1 = PolynomialInE(2, {(1, 0): 1.0})
     got = expand_in_P(multiply_monomial(e1, e1), FREE2)
-    psi = realify(coeffs.psi_prime((1, 0), (1, 1), FREE2))
+    psi = coeffs.psi_prime((1, 0), (1, 1), FREE2)
     assert abs(got[(2, 0)] - 1.0) < 1e-12
     assert abs(got[(1, 1)] - psi) < 1e-12
 
@@ -77,7 +77,7 @@ def test_lr_pieri_case_matches_strip_weights():
         for r in (1, 2, 3):
             got = lr_coefficients(lam, column(3, r), FREE3)
             want = {
-                nu: realify(coeffs.psi_prime(lam, nu, FREE3))
+                nu: coeffs.psi_prime(lam, nu, FREE3)
                 for nu in vertical_strips(lam, r)
             }
             assert set(got) == set(want)

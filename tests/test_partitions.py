@@ -157,6 +157,13 @@ def test_level_cone_record_matches_brute_force(n, m):
         orbit.append(J[orbit[-1]])
     assert cone.orbit.tolist() == orbit
 
+    # The charge conjugation: an involution reversing the Dynkin labels lam_j - lam_{j+1}.
+    star = cone.conjugation.tolist()
+    for i, lam in enumerate(labels):
+        dynkin = [lam[j] - lam[j + 1] for j in range(n - 1)]
+        assert [labels[star[i]][j] - labels[star[i]][j + 1] for j in range(n - 1)] == dynkin[::-1]
+        assert star[star[i]] == i
+
     # The strips of each size that stay in the cone, label by label.
     for r in range(1, n + 1):
         rows, cols, diff = cone.strips(r)
@@ -176,6 +183,6 @@ def test_level_cone_record_matches_brute_force(n, m):
         reached |= {b for a, b in zip(parents, children) if a in reached}
     assert reached == set(range(N))
 
-    arrays = [cone.keys, cone.weights, cone.d, cone.s, cone.J, cone.orbit, *cone.tree]
+    arrays = [cone.keys, cone.weights, cone.d, cone.s, cone.J, cone.orbit, cone.conjugation, *cone.tree]
     arrays += [a for r in range(1, n + 1) for a in cone.strips(r)]
     assert not any(a.flags.writeable for a in arrays)

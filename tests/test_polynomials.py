@@ -9,7 +9,7 @@ from hypothesis import given, reject, settings, strategies as st
 from ellfusion import coeffs
 from ellfusion.errors import GenericityViolation, TrackingAmbiguity
 from ellfusion.fusion import fusion_table
-from ellfusion.kernel import ModelParams, realify
+from ellfusion.kernel import ModelParams
 from ellfusion.littlewood import expand_in_P, lr_coefficients, multiply_monomial
 from ellfusion.operators import joint_spectrum
 from ellfusion.oracles import schur_eval, schur_in_elementary
@@ -48,7 +48,7 @@ def test_base_cases():
 
 def test_two_row_expansion_matches_hand_formula():
     P = build_P((2, 0), FREE2)
-    psi = realify(coeffs.psi_prime((1, 0), (1, 1), FREE2))
+    psi = coeffs.psi_prime((1, 0), (1, 1), FREE2)
     assert set(P.coeffs) == {(2, 0), (1, 1)}
     assert P.coeffs[(2, 0)] == 1.0
     assert abs(P.coeffs[(1, 1)] + psi) < 1e-14
@@ -71,7 +71,7 @@ def test_evaluate_examples():
 def test_normalized_values():
     e = (0.8 + 0.1j, 1.4 - 0.2j)
     assert normalized_p((0, 0), e, FREE2) == 1.0
-    c = realify(coeffs.c_norm((1, 0), FREE2))
+    c = coeffs.c_norm((1, 0), FREE2)
     assert abs(normalized_p((1, 0), e, FREE2) - c * e[0]) < 1e-14
 
 
@@ -107,7 +107,7 @@ def test_pieri_ring_identity():
                 lhs = {add(k, column(3, s)): v for k, v in P.items()}
                 rhs = {}
                 for nu in vertical_strips(mu, s):
-                    wgt = realify(coeffs.psi_prime(mu, nu, FREE3))
+                    wgt = coeffs.psi_prime(mu, nu, FREE3)
                     for k, v in build_P(nu, FREE3).items():
                         rhs[k] = rhs.get(k, 0.0) + wgt * v
                 scale = max(abs(v) for v in lhs.values())

@@ -84,6 +84,24 @@ def test_refined_check_compares_whole_arrays_over_the_labels():
         _report("fusion_g1_classical", StubContext(tuple(labels[1:])), n=3, m=2)
 
 
+@pytest.mark.parametrize("name", ["fusion_conjugation", "fusion_duality"])
+def test_symmetry_checks_read_both_tables(name):
+    """Each ring-route symmetry check passes, and sees one Verlinde entry N^lam_{lam,0} moved by 0.5."""
+    from ellfusion.partitions import level_cone
+
+    ctx = CheckContext()
+    assert _report(name, ctx, n=3, m=2).passed
+    lam = level_cone(3, 2).index[(1, 0, 0)]  # not self-conjugate: (1, 0, 0)* = (1, 1, 0)
+
+    class StubContext:
+        def table(self, params):
+            values = ctx.table(params).values.copy()
+            values[lam, 0, lam] += 0.5
+            return SimpleNamespace(values=values)
+
+    assert _report(name, StubContext(), n=3, m=2).max_abs > 0.05
+
+
 def test_run_suite_dispatch():
     assert run_suite("limits", 2, 1)
     with pytest.raises(ValueError):
