@@ -88,12 +88,12 @@ class BracketTable:
 
     ``polys`` (mu -> P_mu) is filled by ``polynomials``; ``rings`` ((n, m) ->
     the read-only ring-route table [lam, mu, kappa], level-locked only,
-    returned at p and at -p) by ``fusion``; ``spectra`` ((n, m, level_locked,
-    seed) -> the finished ``SpectrumResult``, returned at p and at -p) by
-    ``operators``.  The
-    recurrence weights and the truncated matrices are products of these
-    brackets, so all of these depend on the parameters only through this
-    table's key and their own keys; evicting the table frees them.
+    returned at p and at -p) by ``fusion``; ``spectra`` ((n, m, seed) -> the
+    finished ``SpectrumResult``, level-locked only, returned at p and at -p)
+    by ``operators``.  The recurrence weights and the truncated matrices are
+    products of these brackets, so all of these depend on the parameters
+    only through this table's key and their own keys; evicting the table
+    frees them.
     """
 
     def __init__(self, params: ModelParams):

@@ -9,11 +9,10 @@ combination A of them, its coefficients drawn from stdlib ``random`` (so the
 spectral path never imports ``numpy.random``).  It is obtained by one
 ``eigh``, refined by one first-order step against A, and the joint
 eigenvalues are read off as Rayleigh quotients.  The spectrum is graded by
-the simple current J of the level cone: the monomial matrix T with
-T[lam, J lam] = t_lam, its weights read from the edges of the conjugated
-D_1, commutes with every conjugated D_r (checked on every edge), and T^n =
-c I, so each spectral point carries a charge k, T's eigenvalue there being
-c^(1/n) w^k with w = exp(2 pi i / n); the charge is read from T's Rayleigh
+the simple current J of the level cone: its permutation matrix P_J
+commutes with every conjugated D_r (checked on every edge), and P_J^n = I,
+so each spectral point carries a charge k, P_J's eigenvalue there being
+w^k with w = exp(2 pi i / n); the charge is read from P_J's Rayleigh
 quotient and cannot change along the nome path.  At p = 0 the points have a
 trigonometric closed form, and the point nu has the charge k = -|nu| mod n
 (minus its n-ality, Schellekens & Yankielowicz, Int. J. Mod. Phys. A 5
@@ -54,11 +53,11 @@ LatticeFunction = dict[Partition, complex]
 _MIN_STEP = 1e-4
 _GAP_SAFETY = 0.5
 _COMBO_ATTEMPTS = 12
-# A relative residual of one edge of [T, M_r] above this raises GradingViolation;
+# A relative residual of one edge of [P_J, M_r] above this raises GradingViolation;
 # 4e-14 measured at n <= 5, m <= 8, up to p = 0.97.
 _COMMUTATOR_TOL = 1e-8
-# So does a phase of T's Rayleigh quotient further than this (in radians) from
-# every c^(1/n) w^k; 1e-15 measured on the same points.
+# So does a phase of P_J's Rayleigh quotient further than this (in radians) from
+# every w^k; 1e-15 measured on the same points.
 _PHASE_TOL = 1e-6
 
 
@@ -130,24 +129,21 @@ def normality_residual(op: TruncatedOperator) -> float:
     return float(np.linalg.norm(comm, "fro") / max(denom, 1e-300))
 
 
-def spectral_points_p0(params: ModelParams) -> dict[Partition, np.ndarray]:
-    """Trigonometric closed form of the joint eigenvalues at p = 0.
+def spectral_points_p0(params: ModelParams) -> np.ndarray:
+    """Trigonometric closed form of the joint eigenvalues at p = 0, one row per label of the level cone.
 
+    Row nu is (e_{1,nu}, ..., e_{n-1,nu}) with
     e_{r,nu} = q^(-r(|nu|/n + (n-1)g/2)) e_r(q^(nu_1+(n-1)g), ..., q^(nu_{n-1}+g), 1)
-    with q = exp(i*alpha).
+    and q = exp(i*alpha).
     """
     n, g, alpha = params.n, params.g, params.alpha
-    out: dict[Partition, np.ndarray] = {}
+    rows = []
     for nu in level_cone(params.n, params.m).labels:
         xs = [qpow(alpha, nu[j] + (n - 1 - j) * g) for j in range(n - 1)] + [1.0 + 0.0j]
         es = elementary_symmetric(xs)
         wnu = weight(nu)
-        vals = [
-            qpow(alpha, -r * (wnu / n + (n - 1) * g / 2.0)) * es[r - 1]
-            for r in range(1, n)
-        ]
-        out[nu] = np.array(vals, dtype=complex)
-    return out
+        rows.append([qpow(alpha, -r * (wnu / n + (n - 1) * g / 2.0)) * es[r - 1] for r in range(1, n)])
+    return np.array(rows, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,52 +173,35 @@ class SpectrumResult:
         return self.e[:, :-1]
 
 
-def _current_weights(mats: list[np.ndarray], n: int, m: int) -> np.ndarray:
-    """The weights t of the monomial T[lam, J lam] = t_lam, with t = 1 at the empty label.
-
-    T commutes with the conjugated M_r exactly when t_lam M_r[J lam, J kappa]
-    = M_r[lam, kappa] t_kappa on every edge, so the ratios
-    t_kappa / t_lam = M_1[J lam, J kappa] / M_1[lam, kappa] along the
-    spanning tree ``level_cone(n, m).tree`` fix t; ``_charges`` checks every other edge.
-    """
-    cone = level_cone(n, m)
-    J, (parents, children) = cone.J, cone.tree
-    M1 = mats[0]
-    with np.errstate(divide="ignore", invalid="ignore"):  # a vanished edge gives inf or NaN, which the check rejects
-        ratio = M1[J[parents], J[children]] / M1[parents, children]
-    t = [1.0 + 0.0j] * len(J)
-    for lam, kappa, x in zip(parents.tolist(), children.tolist(), ratio.tolist()):
-        t[kappa] = t[lam] * x
-    return np.array(t)
-
-
 def _charges(mats: list[np.ndarray], vecs: np.ndarray, n: int, m: int) -> np.ndarray:
     """The Z_n charge k of each column of vecs, a joint eigenvector of the conjugated M_r.
 
-    T (``_current_weights``) is checked to commute with every M_r, edge by
-    edge over the strips of D_r (``level_cone(n, m).strips(r)``), in O(nnz): a
-    relative residual above _COMMUTATOR_TOL raises ``GradingViolation``.
-    In the conjugated frame T / |c|^(1/n) is a unitary phase-permutation
-    with T^n = c I, c the product of t over the orbit of the empty label,
-    so T is normal and its eigenvalue at a joint eigenvector, read as the
-    Rayleigh quotient (T V is the gather t[:, None] * V[J]), is
-    c^(1/n) w^k, w = exp(2 pi i / n), the reference phase being arg(c) / n.
-    A phase further than _PHASE_TOL from every such value raises
-    ``GradingViolation``.
+    The simple current acts on the level cone as its permutation matrix P_J,
+    with no weights: the elliptic operators are J-invariant, B_{J nu/J lam}
+    = B_{nu/lam} and Delta_{J lam} = Delta_lam, as the reflection of the
+    bracket under the level lock predicts ([m + ng - z] = [z], since
+    theta_1(pi - w) = theta_1(w) and alpha (m + ng) = 2 pi); both hold to
+    about 1e-13 up to |p| = 0.95.  So M_r[J lam, J kappa] = M_r[lam, kappa]
+    on every edge, which is checked over the strips of D_r
+    (``level_cone(n, m).strips(r)``) in O(nnz): a relative residual above
+    _COMMUTATOR_TOL raises ``GradingViolation``.  P_J is unitary with
+    P_J^n = I, so its eigenvalue at a joint eigenvector, read as the
+    Rayleigh quotient (P_J V is the gather V[J]), is w^k, w = exp(2 pi i / n).
+    A phase further than _PHASE_TOL from every w^k raises ``GradingViolation``.
     """
     cone = level_cone(n, m)
-    J, t = cone.J, _current_weights(mats, n, m)
+    J = cone.J
     for r, M in enumerate(mats, start=1):
         rows, cols, _ = cone.strips(r)
-        lhs = t[rows] * M[J[rows], J[cols]]  # (T M_r)[lam, J kappa]
-        rhs = M[rows, cols] * t[cols]  # (M_r T)[lam, J kappa]
+        lhs = M[J[rows], J[cols]]  # (P_J M_r)[lam, J kappa]
+        rhs = M[rows, cols]  # (M_r P_J)[lam, J kappa]
         if not np.all(np.abs(lhs - rhs) <= _COMMUTATOR_TOL * (np.abs(lhs) + np.abs(rhs))):
             raise GradingViolation(f"the simple current does not commute with M_{r}")
-    quotients = np.einsum("ki,ki->i", vecs.conj(), t[:, None] * vecs[J])  # times a positive norm
-    turns = (np.angle(quotients) - np.angle(np.prod(t[cone.orbit])) / n) * (n / (2.0 * np.pi))
+    quotients = np.einsum("ki,ki->i", vecs.conj(), vecs[J])  # times a positive norm
+    turns = np.angle(quotients) * (n / (2.0 * np.pi))
     k = np.rint(turns)
     if not np.all(np.abs(turns - k) <= _PHASE_TOL * n / (2.0 * np.pi)):
-        raise GradingViolation("an eigenvalue of the simple current is off every c^(1/n) w^k")
+        raise GradingViolation("an eigenvalue of the simple current is off every w^k")
     return k.astype(np.intp) % n
 
 
@@ -323,7 +302,7 @@ def joint_spectrum(params: ModelParams, seed: int = 0) -> SpectrumResult:
 
     Labels come from the closed form at p = 0 and are continued to p by a
     guarded predictor-corrector (``_continue``).  The finished result is
-    kept on the bracket table of params, keyed (n, m, level_locked, seed),
+    kept on the bracket table of params, keyed (n, m, seed),
     and evicted with it.  The table is shared by p and -p, and the truncated
     matrices at -p are those at p bit for bit, so a call at either sign
     returns the kept arrays with ``params`` replaced and ``homotopy_steps``
@@ -333,7 +312,7 @@ def joint_spectrum(params: ModelParams, seed: int = 0) -> SpectrumResult:
         raise ValueError("the joint spectrum requires level-locked parameters")
     if params.n < 2:
         raise ValueError(f"the joint spectrum requires n >= 2, got n={params.n}")
-    key = (params.n, params.m, params.level_locked, seed)
+    key = (params.n, params.m, seed)
     kept = coeffs._table(params).spectra.get(key)
     if kept is None:
         kept = _continue(params, seed)
@@ -374,8 +353,7 @@ def _continue(params: ModelParams, seed: int) -> SpectrumResult:
     rng = random.Random(seed)
     target = params.p
     cone = level_cone(params.n, params.m)
-    closed = spectral_points_p0(params)
-    E_cur = np.array([closed[nu] for nu in cone.labels], dtype=complex)
+    E_cur = spectral_points_p0(params)
     sectors = -cone.weights.astype(np.intp) % params.n  # minus the n-ality
     sizes = np.bincount(sectors, minlength=params.n)
     t_prev = E_prev = None

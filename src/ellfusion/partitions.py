@@ -111,8 +111,9 @@ class LevelCone:
     position.  ``keys``: the label array in column order, and ``weights``,
     both int16 wherever the weights fit (each pass of a support mask is then
     cheaper).  ``d[i, q]``: the pair distances of label i (``_pair_distances``);
-    ``s[q]`` = k - j.  The strips, the simple current and the charge
-    conjugation are built on first use.
+    ``s[q]`` = k - j.  The strips, the simple current (a plain index
+    permutation: the level-truncated operators are invariant under it, so
+    it carries no weights) and the charge conjugation are built on first use.
     """
 
     n: int
@@ -159,25 +160,6 @@ class LevelCone:
         """
         image = [tuple(lam[0] - x for x in reversed(lam)) for lam in self.labels]
         return _read_only(np.array([self.index[lam] for lam in image], dtype=np.intp))[0]
-
-    @cached_property
-    def tree(self) -> tuple[np.ndarray, np.ndarray]:
-        """(parents, children): a spanning tree of D_1 whose edges add one box, children in label order.
-
-        A label's parent has one box less in its last nonzero row: of the labels
-        one box smaller, it comes first in canonical order, and before the child.
-        """
-        parents = []
-        for kappa in self.labels[1:]:
-            j = sum(x > 0 for x in kappa) - 1
-            parents.append(self.index[(*kappa[:j], kappa[j] - 1, *kappa[j + 1 :])])
-        return _read_only(np.array(parents, dtype=np.intp), np.arange(1, len(self.labels), dtype=np.intp))
-
-    @cached_property
-    def orbit(self) -> np.ndarray:
-        """(J^j(empty))_{j<n} = (m^j, 0^(n-j)), the orbit of the empty label under the simple current."""
-        orbit = [self.index[(self.m,) * j + (0,) * (self.n - j)] for j in range(self.n)]
-        return _read_only(np.array(orbit, dtype=np.intp))[0]
 
 
 @lru_cache(maxsize=64)

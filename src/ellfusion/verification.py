@@ -351,10 +351,7 @@ def _spectrum_p0(ctx, n, m, g=0.8):
     """Rayleigh eigenvalues at p = 0 against the trigonometric closed form."""
     params = ModelParams.locked(n, m, g, 0.0)
     spec = ctx.spectrum(params)
-    closed = spectral_points_p0(params)
-    return _worst(
-        pair for nu, e in zip(spec.labels, spec.e_matrix()) for pair in zip(e, closed[nu])
-    )
+    return _worst(zip(spec.e_matrix().ravel(), spectral_points_p0(params).ravel()))
 
 
 def _eigenvector_consistency(ctx, n, m, g=0.7, p=0.4):
