@@ -24,11 +24,7 @@ from .errors import (
 from .kernel import (
     ModelParams,
     bracket,
-    elliptic_factorial,
     g_regularity_margin,
-    theta1,
-    theta1_product,
-    theta1_prime0,
     trig_bracket,
     trig_factorial,
 )

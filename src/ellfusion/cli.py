@@ -53,7 +53,6 @@ def _add_model_flags(sub: argparse.ArgumentParser, locked_only: bool, require_gp
     sub.add_argument("--m", type=int, default=0, help="level (level-locked mode)")
     sub.add_argument("--g", type=float, required=require_gp, default=0.8, help="coupling")
     sub.add_argument("--p", type=float, required=require_gp, default=0.3, help="nome in (-1, 1)")
-    sub.add_argument("--precision", default="double", help="double or mp<digits>")
     if locked_only:
         return
     sub.add_argument("--alpha", type=float, default=None, help="phase scale (free mode)")
@@ -119,12 +118,10 @@ def _make_params(args, parser: argparse.ArgumentParser, locked_only: bool) -> Mo
     if locked_only or getattr(args, "level_locked", False):
         if getattr(args, "alpha", None) is not None and getattr(args, "level_locked", False):
             parser.error("--alpha conflicts with --level-locked")
-        return ModelParams.locked(args.n, args.m, args.g, args.p, precision=args.precision)
+        return ModelParams.locked(args.n, args.m, args.g, args.p)
     if args.alpha is None:
         parser.error("free mode needs --alpha (or pass --level-locked)")
-    return ModelParams.free(
-        args.n, g=args.g, p=args.p, alpha=args.alpha, m=args.m, precision=args.precision
-    )
+    return ModelParams.free(args.n, g=args.g, p=args.p, alpha=args.alpha, m=args.m)
 
 
 def _emit(chunks, out_path: str | None) -> None:

@@ -4,7 +4,7 @@ Four product formulas drive everything downstream: the hopping weights
 B_{nu/lam}, the recurrence/Pieri weights psi'_{nu/lam}, the normalization
 c_mu, and the orthogonality weights Delta_lam.  Every factor of all four is
 a ratio of theta brackets [a + b*g] with integers 0 <= a <= span(lam) and
-0 <= b <= n.  One bracket table per (alpha, g, |p|, precision) holds those
+0 <= b <= n.  One bracket table per (alpha, g, |p|) holds those
 brackets, filled by the scalar ``bracket`` and grown on demand, together
 with the factor table derived from it, as numpy arrays only; the brackets
 depend on the nome only through |p|, so -p reads the table of p.  The table
@@ -166,7 +166,7 @@ _TABLES_LOCK = threading.Lock()
 
 def _table(params: ModelParams, rows: int = 0, cols: int = 0) -> BracketTable:
     """The bracket table of params, grown to at least rows x cols (bounded LRU)."""
-    key = (params.alpha, params.g, abs(params.p), params.precision)
+    key = (params.alpha, params.g, abs(params.p))
     with _TABLES_LOCK:
         table = _TABLES.get(key)
         if table is None:

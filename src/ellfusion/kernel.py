@@ -1,4 +1,4 @@
-"""Scaled theta kernel, elliptic factorial, and model parameters.
+"""Scaled theta kernel and model parameters.
 
 The basic building block is the bracket
 
@@ -23,15 +23,14 @@ only through p^2.  Both are evaluated in binary64, in one of two regimes:
   bracket itself leaves the binary64 range (|p| > 0.9966 away from its
   zeros), where NonConvergent is raised.
 
-The crossover comes from a sweep against mpmath.jtheta at 60 digits over
-real w in [-20, 20]: the direct series keeps a worst relative error below
+The crossover comes from a sweep against a 60-digit theta1 (the oracle of
+the kernel tests) over real w in [-20, 20]: the direct series keeps a worst relative error below
 6e-13 up to |p| = 0.5 and degrades to 2e-12 at 0.6 and 1e-4 at 0.9, while the
 transformed form stays within 2e-15 from 0.3 to 0.75 and 2e-14 at 0.97, at
-the same cost per call as the direct series at 0.5.  mpmath is imported only
-for an explicit ``precision="mp<digits>"``.  All evaluators here are
-stateless and safe to call concurrently; the bracket is not cached here,
+the same cost per call as the direct series at 0.5.  All evaluators here
+are stateless and safe to call concurrently; the bracket is not cached here,
 because ``coeffs`` keeps one table of the brackets it needs per
-(alpha, g, |p|, precision).
+(alpha, g, |p|).
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 from .errors import GenericityViolation, NonConvergent, SingularDenominator
 
@@ -59,27 +59,20 @@ _PI_C = 1.2246467991473532e-16
 MODULAR_CROSSOVER = 0.5
 
 
-def _check_nome(p: float) -> None:
-    if not abs(p) < 1.0:
-        raise NonConvergent(f"nome p={p!r} must satisfy |p| < 1")
-
-
-def _sine_series(w: complex, p: float, rtol: float = TRUNCATION_RTOL, sin=cmath.sin) -> complex:
+def _sine_series(w: complex, p: float) -> complex:
     """sum_{l>=0} (-1)^l p^(l(l+1)) sin((2l+1) w), truncated adaptively.
 
-    Terms are added until two consecutive terms fall below rtol relative to
-    the running sum; l(l+1) is always even, so negative nomes need no
-    special casing.  In binary64 it is used below ``MODULAR_CROSSOVER``
-    only; with mpmath numbers for w, p and rtol and ``sin=mpmath.sin`` it
-    is the extended-precision series.
+    Terms are added until two consecutive terms fall below TRUNCATION_RTOL
+    relative to the running sum; l(l+1) is always even, so negative nomes
+    need no special casing.  Used below ``MODULAR_CROSSOVER`` only.
     """
     total = 0.0 + 0.0j
     power = 1.0  # p^(l(l+1))
     small = 0
     for l in range(_MAX_TERMS):
-        term = (-1) ** (l % 2) * power * sin((2 * l + 1) * w)
+        term = (-1) ** (l % 2) * power * cmath.sin((2 * l + 1) * w)
         total += term
-        if abs(term) <= rtol * max(abs(total), 1e-300):
+        if abs(term) <= TRUNCATION_RTOL * max(abs(total), 1e-300):
             small += 1
             if small >= 2:
                 return total
@@ -89,7 +82,7 @@ def _sine_series(w: complex, p: float, rtol: float = TRUNCATION_RTOL, sin=cmath.
     raise NonConvergent(f"theta series did not converge for p={p!r}")
 
 
-def _derivative_series0(p: float, rtol: float = TRUNCATION_RTOL) -> float:
+def _derivative_series0(p: float) -> float:
     """sum_{l>=0} (-1)^l (2l+1) p^(l(l+1)); never vanishes on |p| < 1."""
     total = 0.0
     power = 1.0
@@ -97,7 +90,7 @@ def _derivative_series0(p: float, rtol: float = TRUNCATION_RTOL) -> float:
     for l in range(_MAX_TERMS):
         term = (-1) ** (l % 2) * (2 * l + 1) * power
         total += term
-        if abs(term) <= rtol * max(abs(total), 1e-300):
+        if abs(term) <= TRUNCATION_RTOL * max(abs(total), 1e-300):
             small += 1
             if small >= 2:
                 return total
@@ -114,7 +107,7 @@ def _expm1(z: complex) -> complex:
     return complex(em1 - 2.0 * (em1 + 1.0) * half * half, (em1 + 1.0) * math.sin(z.imag))
 
 
-def _modular_series(w: complex, t: float, rtol: float) -> complex:
+def _modular_series(w: complex, t: float) -> complex:
     """t * sum_l (-1)^l p'^(l(l+1)) exp(-w^2/(pi t)) sinh((2l+1) w / t), p' = exp(-pi/t).
 
     This is theta1(w)/theta1'(0) times the modular derivative sum, after
@@ -141,7 +134,7 @@ def _modular_series(w: complex, t: float, rtol: float) -> complex:
         except OverflowError:
             raise NonConvergent(f"theta1({w!r}) leaves the binary64 range at t={t!r}") from None
         total += term if l % 2 == 0 else -term
-        if abs(term) <= rtol * max(abs(total), 1e-300):
+        if abs(term) <= TRUNCATION_RTOL * max(abs(total), 1e-300):
             small += 1
             if small >= 2:
                 return factor * total
@@ -161,66 +154,20 @@ def _modular_derivative0(t: float) -> float:
     raise NonConvergent(f"modular theta derivative series did not converge for t={t!r}")
 
 
-def _reduced_theta(w: complex, p: float, rtol: float = TRUNCATION_RTOL) -> tuple[complex, float, float]:
-    """(A, B, c) with S(w, p) = c*A and S'(0, p) = c*B, all in binary64.
+def _reduced_theta(w: complex, p: float) -> tuple[complex, float]:
+    """(A, B) with S(w, p) / S'(0, p) = A / B, both in binary64.
 
-    Below ``MODULAR_CROSSOVER``, A and B are the direct series and c = 1.
-    At and above it they come from the imaginary transformation with
-    t = -ln|p|/pi: A = _modular_series(w, t), B = _modular_derivative0(t)
-    and c = t^(-3/2) exp(pi (t - 1/t)/4).  The bracket needs only A/B, which
-    stays in range after c underflows (|p| > 0.9966).
+    Below ``MODULAR_CROSSOVER``, A and B are the direct series.  At and
+    above it they come from the imaginary transformation with
+    t = -ln|p|/pi: A = _modular_series(w, t), B = _modular_derivative0(t).
+    There S = c*A and S' = c*B share the modular scale
+    c = t^(-3/2) exp(pi (t - 1/t)/4), which cancels in the ratio and is
+    never formed, so A/B stays in range after c underflows (|p| > 0.9966).
     """
     if abs(p) < MODULAR_CROSSOVER:
-        return _sine_series(w, p, rtol), _derivative_series0(p), 1.0
+        return _sine_series(w, p), _derivative_series0(p)
     t = -math.log(abs(p)) / math.pi
-    scale = math.exp(0.25 * math.pi * (t - 1.0 / t)) / (t * math.sqrt(t))
-    return _modular_series(w, t, rtol), _modular_derivative0(t), scale
-
-
-def theta1(z, p: float, rtol: float = TRUNCATION_RTOL) -> complex:
-    """Odd Jacobi theta function 2*sum_{l>=0} (-1)^l p^((l+1/2)^2) sin((2l+1)z).
-
-    For negative nomes the common factor p^(1/4) is taken on the principal
-    branch; it cancels in every bracket ratio downstream.
-    """
-    _check_nome(p)
-    quarter = complex(p) ** 0.25
-    num, _, scale = _reduced_theta(complex(z), float(p), rtol)
-    return 2.0 * quarter * (scale * num)
-
-
-def theta1_product(z, p: float) -> complex:
-    """Product form 2 p^(1/4) sin(z) prod_{l>=1} (1-p^2l)(1-2 p^2l cos(2z)+p^4l)."""
-    _check_nome(p)
-    quarter = complex(p) ** 0.25
-    out = 2.0 * quarter * cmath.sin(complex(z))
-    p2l = 1.0
-    for _ in range(1, _MAX_TERMS):
-        p2l *= p * p
-        if abs(p2l) < 5e-17:
-            break
-        out *= (1.0 - p2l) * (1.0 - 2.0 * p2l * cmath.cos(2.0 * complex(z)) + p2l * p2l)
-    return out
-
-
-def theta1_prime0(p: float) -> complex:
-    """theta1'(0; p) from the reduced derivative sum S'(0, p)."""
-    _check_nome(p)
-    quarter = complex(p) ** 0.25
-    _, den, scale = _reduced_theta(0j, float(p))
-    return 2.0 * quarter * (scale * den)
-
-
-def _bracket_mp(z: complex, alpha: float, p: float, digits: int) -> complex:
-    """Extended-precision bracket: the direct series summed in mpmath, rounded to binary64."""
-    import mpmath
-
-    with mpmath.workdps(digits):
-        rtol = mpmath.mpf(10) ** (-digits)
-        pv = mpmath.mpf(p)
-        num = complex(_sine_series(mpmath.mpc(alpha * z / 2.0), pv, rtol, mpmath.sin))
-        den = float(_derivative_series0(pv, rtol))
-    return num / ((alpha / 2.0) * den)
+    return _modular_series(w, t), _modular_derivative0(t)
 
 
 def qpow(alpha: float, x: float) -> complex:
@@ -252,19 +199,6 @@ def g_regularity_margin(alpha: float, g: float, n: int, window: int, jmax: int |
     return worst
 
 
-def _check_precision(precision: str) -> None:
-    if precision == "double":
-        return
-    if precision.startswith("mp"):
-        try:
-            digits = int(precision[2:])
-        except ValueError:
-            digits = 0
-        if digits >= 16:
-            return
-    raise ValueError(f"precision must be 'double' or 'mp<digits>', got {precision!r}")
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Model parameters (n, m, g, p) with the phase scale alpha.
@@ -283,7 +217,9 @@ class ModelParams:
     p: float
     alpha: float
     level_locked: bool = True
-    precision: str = "double"
+    # Not a field: the bracket has one binary64 evaluation path.  The
+    # per-layer tracer of the benchmark (perfbench/layertrace.py) reads it.
+    precision: ClassVar[str] = "double"
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -300,10 +236,9 @@ class ModelParams:
             raise ValueError(f"alpha={self.alpha!r} must be finite and positive")
         if self.level_locked and abs(self.alpha * (self.m + self.n * self.g) - _TWO_PI) > 1e-14 * _TWO_PI:
             raise ValueError("alpha is not locked to 2*pi/(m + n*g)")
-        _check_precision(self.precision)
 
     @classmethod
-    def locked(cls, n: int, m: int, g: float, p: float, precision: str = "double") -> "ModelParams":
+    def locked(cls, n: int, m: int, g: float, p: float) -> "ModelParams":
         """Level-locked constructor: alpha = 2*pi/(m + n*g).
 
         m + n*g > 0 unless n, m or g is out of range; there alpha is NaN, not
@@ -311,20 +246,12 @@ class ModelParams:
         """
         level = m + n * float(g)
         alpha = _TWO_PI / level if level > 0 else math.nan
-        return cls(n, m, float(g), float(p), alpha, True, precision)
+        return cls(n, m, float(g), float(p), alpha, True)
 
     @classmethod
-    def free(
-        cls,
-        n: int,
-        g: float,
-        p: float,
-        alpha: float,
-        m: int = 0,
-        precision: str = "double",
-    ) -> "ModelParams":
+    def free(cls, n: int, g: float, p: float, alpha: float, m: int = 0) -> "ModelParams":
         """Free constructor: explicit alpha, validated, then rejected near coupling resonances."""
-        params = cls(n, m, float(g), float(p), float(alpha), False, precision)
+        params = cls(n, m, float(g), float(p), float(alpha), False)
         margin = g_regularity_margin(params.alpha, params.g, n, DEFAULT_GATE_WINDOW)
         if margin < GENERICITY_TOL:
             raise GenericityViolation(
@@ -351,24 +278,11 @@ def bracket(z, params: ModelParams) -> complex:
     exactly; at p = 0 this equals (2/alpha)*sin(alpha*z/2).  The reduced
     sums depend on p only through p^2, so the brackets at -p are those at p.
     Nothing is cached here: ``coeffs`` keeps one table of the brackets it
-    needs per (alpha, g, |p|, precision).
+    needs per (alpha, g, |p|).
     """
-    _check_nome(params.p)
     alpha = params.alpha
-    if params.precision != "double":
-        return _bracket_mp(complex(z), alpha, params.p, int(params.precision[2:]))
-    num, den, _ = _reduced_theta(alpha * complex(z) / 2.0, abs(params.p))
+    num, den = _reduced_theta(alpha * complex(z) / 2.0, abs(params.p))
     return num / ((alpha / 2.0) * den)
-
-
-def elliptic_factorial(z, k: int, params: ModelParams) -> complex:
-    """Ascending product [z][z+1]...[z+k-1]; the empty product (k = 0) is 1."""
-    if k < 0:
-        raise ValueError("factorial length k must be >= 0")
-    out = 1.0 + 0.0j
-    for l in range(k):
-        out *= bracket(z + l, params)
-    return out
 
 
 def trig_bracket(z: float, alpha: float) -> float:

@@ -204,7 +204,6 @@ def test_usage_errors_exit_2(capsys):
     for args in (
         ["lr", "--n", "3", "--lam", "1,2,0", "--mu", "1,0,0", *free],
         ["poly", "--n", "3", "--mu", "1,0", *free],
-        ["spectrum", "--n", "2", "--m", "2", *gp, "--precision", "quad"],
         ["spectrum", "--n", "0", "--m", "2", *gp],
         ["fusion", "--n", "2", "--m", "2", "--g", "-0.7", "--p", "0.3"],
         ["fusion", "--n", "2", "--m", "0", "--g", "0", "--p", "0.3"],  # m + n*g = 0
@@ -228,6 +227,11 @@ def test_usage_errors_exit_2(capsys):
         code, out, err = run_cli(args, capsys)
         assert code == 2, args
         assert out == "" and err.startswith("ellfusion: error: ") and err.count("\n") == 1, args
+    # the bracket has one evaluation path, so --precision is an unknown flag
+    code, out, err = run_cli(["spectrum", "--n", "2", "--m", "2", *gp, "--precision", "mp30"], capsys)
+    assert code == 2 and out == ""
+    assert err.rstrip("\n").endswith("unrecognized arguments: --precision mp30")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("mode", [["--alpha", "2.0"], ["--m", "2", "--level-locked"]])
@@ -349,6 +353,30 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_chain_runs_with_mpmath_and_scipy_blocked():
+    """numpy is the only runtime dependency: the chain runs with mpmath and scipy unimportable.
+
+    The smatrix call runs at p = 0.9, in the modular regime of the kernel.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = """
+import sys
+sys.modules["mpmath"] = None
+sys.modules["scipy"] = None
+import ellfusion
+from ellfusion.cli import main
+for args in (
+    ["lr", "--n", "3", "--lam", "2,1,0", "--mu", "1,1,0", "--g", "0.65", "--p", "0.3", "--alpha", "2.0"],
+    ["smatrix", "--n", "3", "--m", "3", "--g", "0.7", "--p", "0.9"],
+    ["verify", "--suite", "all", "--n", "2", "--m", "2"],
+):
+    assert main(args) == 0, args
+"""
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def _blocks(table):

@@ -151,8 +151,8 @@ def test_coupling_one_limit_of_recurrence_weight():
 
 # -- the bracket table and the level-cone gathers ------------------------------
 
-# (least |p|, largest |p|, precision) of each kernel regime.
-_REGIMES = {"direct": (0.0, 0.49, "double"), "modular": (0.5, 0.99, "double"), "mp": (0.0, 0.99, "mp30")}
+# (least |p|, largest |p|) of each kernel regime.
+_REGIMES = {"direct": (0.0, 0.49), "modular": (0.5, 0.99)}
 
 
 @settings(max_examples=100, deadline=None)
@@ -172,13 +172,13 @@ def test_brackets_of_real_arguments_are_real_and_coefficients_are_floats(
     n, m, g, regime, nome, sign, alpha, locked, a, b
 ):
     """[a + b*g] has imaginary part exactly 0, so every coefficient is a float, scalar and gathered."""
-    lo, hi, precision = _REGIMES[regime]
+    lo, hi = _REGIMES[regime]
     p = sign * (lo + (hi - lo) * nome)
     if locked:
-        params = ModelParams.locked(n, m, g, p, precision=precision)
+        params = ModelParams.locked(n, m, g, p)
     else:
         try:
-            params = ModelParams.free(n, g=g, p=p, alpha=alpha, m=m, precision=precision)
+            params = ModelParams.free(n, g=g, p=p, alpha=alpha, m=m)
         except GenericityViolation:
             reject()
     assert bracket(a + b * params.g, params).imag == 0.0

@@ -1,64 +1,44 @@
 import cmath
 import dataclasses
 import math
-import os
 import pickle
-import subprocess
-import sys
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import ellfusion
-
 from ellfusion.errors import GenericityViolation, NonConvergent, SingularDenominator
 from ellfusion.kernel import (
     ModelParams,
     bracket,
-    elliptic_factorial,
     g_regularity_margin,
-    theta1,
-    theta1_prime0,
-    theta1_product,
     trig_bracket,
     trig_factorial,
 )
 
 
-def test_theta1_vanishes_at_lattice_points():
-    for p in (0.0, 0.1, 0.3, -0.4):
-        assert abs(theta1(0.0, p)) < 1e-12
-    assert abs(theta1(math.pi, 0.3)) < 1e-12
+def _theta1_ratio_product(w, p):
+    """theta1(w)/theta1'(0) = sin w prod_{l>=1} (1 - 2 p^2l cos 2w + p^4l)/(1 - p^2l)^2.
+
+    The product form of theta1 (DLMF 20.5(i)) over theta1'(0) = 2 p^(1/4)
+    prod (1 - p^2l)^3: an oracle independent of both series of the kernel.
+    """
+    out = cmath.sin(w)
+    p2l = 1.0
+    while True:
+        p2l *= p * p
+        if abs(p2l) < 5e-17:
+            return out
+        out *= (1.0 - 2.0 * p2l * cmath.cos(2.0 * w) + p2l * p2l) / (1.0 - p2l) ** 2
 
 
-def test_theta1_series_matches_product():
-    got = theta1(math.pi / 2, 0.1)
-    want = theta1_product(math.pi / 2, 0.1)
-    assert abs(got - want) <= 1e-12 * abs(want)
-
-
-@pytest.mark.parametrize("p", [0.05, 0.3, 0.6, 0.9, -0.3, -0.9])
-@pytest.mark.parametrize("z", [0.3, 1.1, 2.7, 0.4 + 0.3j])
-def test_theta1_series_product_sweep(p, z):
-    got = theta1(z, p)
-    want = theta1_product(z, p)
-    assert abs(got - want) <= 1e-12 * max(abs(want), 1e-30)
-
-
-def test_theta1_rejects_bad_nome():
-    with pytest.raises(NonConvergent):
-        theta1(1.0, 1.0)
-    with pytest.raises(NonConvergent):
-        theta1(1.0, -1.2)
-
-
-def test_theta1_prime0_positive_and_consistent():
-    # finite difference of the series against the term-wise derivative
-    for p in (0.0, 0.2, 0.5):
-        h = 1e-6
-        fd = (theta1(h, p) - theta1(-h, p)) / (2 * h)
-        assert abs(fd - theta1_prime0(p)) < 1e-8 * max(1.0, abs(theta1_prime0(p)))
+@pytest.mark.parametrize("p", [0.05, 0.1, 0.3, 0.6, 0.9, -0.3, -0.9])
+@pytest.mark.parametrize("w", [0.3, math.pi / 2, 1.1, 2.7, 0.4 + 0.3j])
+def test_bracket_matches_product_form(p, w):
+    # alpha = 2 makes [w] = theta1(w)/theta1'(0) with no rescaling of w
+    params = ModelParams.free(2, g=0.7, p=p, alpha=2.0)
+    want = _theta1_ratio_product(complex(w), p)
+    assert abs(bracket(w, params) - want) <= 1e-12 * max(abs(want), 1e-30)
 
 
 def test_bracket_trigonometric_limit():
@@ -105,15 +85,6 @@ def test_bracket_positive_inside_fundamental_window():
             assert v.real > 0.0
 
 
-def test_elliptic_factorial():
-    params = ModelParams.locked(2, 1, 0.7, 0.2)
-    g = params.g
-    assert elliptic_factorial(1.3, 0, params) == 1.0
-    assert elliptic_factorial(1.0, 1, params) == bracket(1.0, params)
-    want = bracket(g, params) * bracket(g + 1, params)
-    assert abs(elliptic_factorial(g, 2, params) - want) < 1e-14 * abs(want)
-
-
 def test_trig_bracket_examples():
     assert trig_bracket(1.0, 1.3) == 1.0
     assert trig_bracket(0.0, 1.3) == 0.0
@@ -130,6 +101,17 @@ def test_model_params_level_lock():
     assert abs(params.q - cmath.exp(1j * params.alpha)) == 0.0
     bumped = params.with_p(0.4)
     assert bumped.p == 0.4 and bumped.alpha == params.alpha
+
+
+def test_model_params_fields_are_the_model_alone():
+    """The bracket has one binary64 path: no precision field or argument."""
+    assert [f.name for f in dataclasses.fields(ModelParams)] == ["n", "m", "g", "p", "alpha", "level_locked"]
+    for make in (
+        lambda: ModelParams.locked(2, 1, 0.7, 0.3, precision="mp30"),
+        lambda: ModelParams.free(2, g=0.7, p=0.3, alpha=2.0, precision="mp30"),
+    ):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_model_params_validation():
@@ -155,6 +137,7 @@ _BAD_ARGUMENTS = [
     ("locked", math.inf, 0.3, None, "g=inf"),
     ("locked", math.nan, 0.3, None, "g=nan"),
     ("locked", 0.7, 1.5, None, "p=1.5"),
+    ("locked", 0.7, -1.0, None, "p=-1.0"),
     ("locked", 0.7, math.nan, None, "p=nan"),
 ]
 
@@ -188,16 +171,6 @@ def test_regularity_margin():
     assert g_regularity_margin(params.alpha, 0.7, 3, 8, jmax=3) < 1e-12
 
 
-def test_extended_precision_backend_matches_double():
-    base = ModelParams.locked(2, 1, 0.7, 0.35)
-    wide = ModelParams.locked(2, 1, 0.7, 0.35, precision="mp40")
-    for z in (0.3, 1.4, 2.2):
-        a, b = bracket(z, base), bracket(z, wide)
-        assert abs(a - b) < 1e-13 * max(1.0, abs(a))
-    with pytest.raises(ValueError):
-        ModelParams.locked(2, 1, 0.7, 0.0, precision="single")
-
-
 def _jtheta_ratio(w, p):
     """theta1(w)/theta1'(0) and its w-derivative at 60 digits (sin, cos at p = 0)."""
     with mpmath.workdps(60):
@@ -213,7 +186,7 @@ def _jtheta_ratio(w, p):
     y=st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
     p=st.floats(-0.97, 0.97),
 )
-def test_bracket_and_theta1_match_jtheta(x, y, p):
+def test_bracket_matches_jtheta(x, y, p):
     # Both regimes are accurate to 1e-12 relative, except that the direct
     # series (|p| < 0.5) is only backward stable in w next to the zeros:
     # rounding (2l+1)w costs about eps*|w| in the argument, hence the
@@ -224,13 +197,9 @@ def test_bracket_and_theta1_match_jtheta(x, y, p):
     with mpmath.workdps(60):
         w = mpmath.mpf(params.alpha) * mpmath.mpc(z) / 2
         ref, dref = _jtheta_ratio(w, p)
-        theta_ref = complex(mpmath.jtheta(1, mpmath.mpc(z), p))
-        dtheta_ref = complex(mpmath.jtheta(1, mpmath.mpc(z), p, 1))
     half = params.alpha / 2.0
     got = bracket(z, params) * half
     assert abs(got - ref) <= 1e-12 * abs(ref) + 1e-14 * abs(w) * abs(dref) + 1e-30
-    got = theta1(z, p)
-    assert abs(got - theta_ref) <= 1e-12 * abs(theta_ref) + 1e-14 * abs(z) * abs(dtheta_ref) + 1e-30
 
 
 @pytest.mark.parametrize("p", [0.3, 0.6, 0.9, 0.97])
@@ -241,13 +210,6 @@ def test_bracket_is_exactly_even_in_the_nome(p):
         assert bracket(z, plus) == bracket(z, minus)
 
 
-@pytest.mark.parametrize("p", [0.5, 0.9, -0.97])
-def test_theta1_prime0_matches_jtheta(p):
-    with mpmath.workdps(60):
-        want = complex(mpmath.jtheta(1, 0, p, 1))
-    assert abs(theta1_prime0(p) - want) <= 1e-13 * abs(want)
-
-
 def test_bracket_beyond_binary64_range_raises_typed_error():
     params = ModelParams.locked(2, 1, 0.7, 0.999)
     # next to a zero the bracket is still representable ...
@@ -256,19 +218,6 @@ def test_bracket_beyond_binary64_range_raises_typed_error():
     # ... mid-period it is about exp(2470) and cannot be
     with pytest.raises(NonConvergent):
         bracket(1.2, params)
-
-
-def test_double_precision_never_imports_mpmath():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ellfusion.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
-        "import sys, ellfusion\n"
-        "sm = ellfusion.s_matrix(ellfusion.ModelParams.locked(3, 3, 0.7, 0.9))\n"
-        "assert sm.identity_residual() < 1e-8\n"
-        "print('mpmath' in sys.modules)\n"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
 
 
 def test_model_params_hash_is_consistent():

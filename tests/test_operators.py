@@ -870,9 +870,11 @@ def test_kept_spectrum_is_evicted_with_its_table(monkeypatch):
     coeffs.clear_coeff_caches()
     first = joint_spectrum(params, seed=0)
     assert coeffs._table(params).spectra[(3, 2, 0)] is first
+    key = (params.alpha, params.g, 0.4)
+    assert key in coeffs._TABLES
     for k in range(coeffs.TABLE_LIMIT):  # unfilled tables at other |p| push it out
         coeffs._table(params.with_p(0.5 + k / 1000))
-    assert (params.alpha, params.g, 0.4, params.precision) not in coeffs._TABLES
+    assert key not in coeffs._TABLES
     calls = _counting_eig(monkeypatch)
     second = joint_spectrum(params, seed=0)
     assert calls and second is not first
