@@ -15,6 +15,7 @@ from .errors import (
     DegenerateCombination,
     GenericityViolation,
     GradingViolation,
+    IllConditioned,
     NonConvergent,
     NonIntegral,
     NotAStrip,

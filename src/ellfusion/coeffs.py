@@ -9,8 +9,9 @@ brackets, filled by the scalar ``bracket`` and grown on demand, together
 with the factor table derived from it, as numpy arrays only; the brackets
 depend on the nome only through |p|, so -p reads the table of p.  The table
 also stores the eigenpolynomials built at its parameters, the ring-route
-tables of ``fusion`` and the finished joint spectra of ``operators``, so
-its LRU bounds all that is kept per parameter set.  A coefficient is a
+tables of ``fusion``, the finished joint spectra of ``operators`` and the
+spectral transforms built from them (S, Sinv and the value table), so its
+LRU bounds all that is kept per parameter set.  A coefficient is a
 product of factor cells taken in order: the scalar functions multiply the
 cells of one strip or label, and ``level_hops``, ``level_psi``,
 ``level_delta`` and ``level_c`` gather the cells of a whole level cone from
@@ -90,7 +91,11 @@ class BracketTable:
     the read-only ring-route table [lam, mu, kappa], level-locked only,
     returned at p and at -p) by ``fusion``; ``spectra`` ((n, m, seed) -> the
     finished ``SpectrumResult``, level-locked only, returned at p and at -p)
-    by ``operators``.  The recurrence weights and the truncated matrices are
+    by ``operators``; ``transforms`` ((n, m, seed) -> {source: arrays}, the
+    read-only arrays built from the kept spectrum's ``source`` array: S,
+    Sinv and the normalization from ``vectors`` by ``fusion``, the value
+    table and the projection weights from ``e`` by ``operators``) through
+    ``operators.kept_transform``.  The recurrence weights and the truncated matrices are
     products of these brackets, so all of these depend on the parameters
     only through this table's key and their own keys; evicting the table
     frees them.
@@ -102,6 +107,7 @@ class BracketTable:
         self.polys: dict = {}
         self.rings: dict = {}
         self.spectra: dict = {}
+        self.transforms: dict = {}
 
     def grow(self, rows: int, cols: int) -> None:
         """Extend to at least rows x cols, evaluating only the new brackets."""
@@ -321,6 +327,6 @@ def level_c(params: ModelParams) -> np.ndarray:
 
 
 def clear_coeff_caches() -> None:
-    """Drop every bracket table with its polynomials, ring tables and spectra (mainly for tests and long sweeps)."""
+    """Drop every bracket table with its polynomials, ring tables, spectra and transforms (mainly for tests and long sweeps)."""
     with _TABLES_LOCK:
         _TABLES.clear()

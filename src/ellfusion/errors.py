@@ -33,6 +33,10 @@ class GradingViolation(ComputationError):
     """The Z_n grading of the joint spectrum by the simple current failed a check."""
 
 
+class IllConditioned(ComputationError):
+    """The scales |c_lam| sqrt(Delta_lam) of the eigenbasis spread too far for a sound S-matrix."""
+
+
 class DegenerateCombination(ComputationError):
     """A random operator combination had (near-)repeated eigenvalues."""
 

@@ -31,9 +31,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ComputationError
+from .errors import ComputationError, IllConditioned
 from .kernel import ModelParams
-from .operators import SpectrumResult, joint_spectrum, norm_vectors, value_table
+from .operators import SpectrumResult, joint_spectrum, kept_transform, norm_vectors, projection_arrays
 from .partitions import (
     LevelCone,
     Partition,
@@ -49,6 +49,9 @@ from . import coeffs
 
 FUSION_IMAG_TOL = 1e-8
 _DROP_REL = 1e-12
+# kappa = max/min |c_lam| sqrt(Delta_lam) above this raises IllConditioned (see s_matrix):
+# kappa reaches 2.7e7 over n <= 4, m <= 3, |p| <= 0.9, and at 1.7e10 S Sinv - I is 3.6e-5.
+_KAPPA_LIMIT = 1e9
 
 
 def reduce_mod_ideal(expansion: dict[Partition, float], params: ModelParams) -> dict[Partition, float]:
@@ -206,9 +209,9 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SMatrixData:
-    """Spectral transform between the polynomial and point-mass bases."""
+    """Spectral transform between the polynomial and point-mass bases; each determinant log is computed once."""
 
     params: ModelParams
     labels: tuple[Partition, ...]
@@ -222,14 +225,19 @@ class SMatrixData:
         N = len(self.labels)
         return float(np.abs(self.S @ self.Sinv - np.eye(N)).max())
 
+    @cached_property
+    def _logs(self) -> tuple[float, float]:
+        cvec, dvec, dual = norm_vectors(self.params, self.spectrum)
+        closed = float(-np.sum(2.0 * np.log(np.abs(cvec)) + 0.5 * np.log(dvec * dual)))
+        return float(np.linalg.slogdet(self.S)[1]), closed
+
     def log_det_magnitude(self) -> float:
         """ln |det S|, summed from the LU factors so that it cannot overflow."""
-        return float(np.linalg.slogdet(self.S)[1])
+        return self._logs[0]
 
     def log_det_closed_form(self) -> float:
         """ln of the closed form |det S| = 1 / prod_lam c_lam^2 sqrt(Delta_lam * dual_lam)."""
-        cvec, dvec, dual = norm_vectors(self.params, self.spectrum)
-        return float(-np.sum(2.0 * np.log(np.abs(cvec)) + 0.5 * np.log(dvec * dual)))
+        return self._logs[1]
 
     def det_magnitude(self) -> float:
         """|det S|; inf where it leaves the binary64 range."""
@@ -255,20 +263,25 @@ def s_matrix(params: ModelParams, spectrum: SpectrumResult | None = None, seed: 
     S_{lam,nu} = f_nu(lam) / (c_lam c_nu); no polynomial is evaluated.
     The inverse comes from dual orthogonality:
     Sinv_{lam,nu} = c_lam^2 dual_lam conj(S_{nu,lam}) c_nu^2 Delta_nu.
-    The conventional normalization is n = sum_lam Delta_lam.
+    The conventional normalization is n = sum_lam Delta_lam.  All three are
+    kept, read-only, with the kept spectrum (``operators.kept_transform``).
+    S Sinv - I = D^-1 (U U^H - I) D with U the unit eigenvectors and
+    D = diag(|c| sqrt(Delta)), so kappa = max D / min D above _KAPPA_LIMIT
+    raises ``IllConditioned``.
     """
     spec = spectrum if spectrum is not None else joint_spectrum(params, seed=seed)
-    cvec, dvec, dual = norm_vectors(params, spec)
-    S = spec.vectors / (cvec[:, None] * cvec[None, :])
-    Sinv = (cvec**2 * dual)[:, None] * S.conj().T * (cvec**2 * dvec)[None, :]
-    return SMatrixData(
-        params=params,
-        labels=spec.labels,
-        S=S,
-        Sinv=Sinv,
-        normalization=float(dvec.sum()),
-        spectrum=spec,
-    )
+
+    def build():
+        cvec, dvec, dual = norm_vectors(params, spec)
+        scale = np.abs(cvec) * np.sqrt(dvec)
+        if not scale.max() <= _KAPPA_LIMIT * scale.min():
+            raise IllConditioned(f"eigenbasis scales spread by {scale.max() / scale.min():.3g} > {_KAPPA_LIMIT:g}")
+        S = spec.vectors / (cvec[:, None] * cvec[None, :])
+        Sinv = (cvec**2 * dual)[:, None] * S.conj().T * (cvec**2 * dvec)[None, :]
+        return S, Sinv, float(dvec.sum())
+
+    S, Sinv, normalization = kept_transform(params, spec, "vectors", build)
+    return SMatrixData(params=params, labels=spec.labels, S=S, Sinv=Sinv, normalization=normalization, spectrum=spec)
 
 
 def _support_row(keys: np.ndarray, w: np.ndarray, i: int, mus=slice(None)) -> np.ndarray:
@@ -346,9 +359,8 @@ def _verlinde_rows(sm: SMatrixData):
 
 def _projection_rows(params: ModelParams, spec: SpectrumResult):
     """Raw block i: c_kappa^2 Delta_kappa sum_nu P_i P_mu conj(P_kappa) dual_nu at e_nu, for mu in mus."""
-    V = value_table(params, spec)  # evaluated once for every row
-    cvec, dvec, dual = norm_vectors(params, spec)
-    paired = V.conj().T * (cvec**2 * dvec)[None, :]
+    V, weights = projection_arrays(params, spec)  # kept with the kept spectrum
+    paired, dual = V.conj().T * weights[None, :], spec.dual_norms
     return lambda i, mus=slice(None): (V[i] * dual * V[mus]) @ paired
 
 

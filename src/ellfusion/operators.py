@@ -32,7 +32,8 @@ costs no halving.  The finished spectrum is kept on the bracket table of
 its parameters, which p and -p share, so the mirror leg runs no eigensolve.
 The dual norms come from the eigenvectors; only ``value_table``, for the
 check routes, evaluates polynomials at the spectral points, all of them in
-one ``evaluate_batch`` call.
+one ``evaluate_batch`` call, kept with the kept spectrum as S is
+(``kept_transform``).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 
 from .errors import ComputationError, DegenerateCombination, GradingViolation, TrackingAmbiguity
 from .kernel import ModelParams, qpow
-from .partitions import Partition, level_cone, vertical_strips, weight
+from .partitions import Partition, _read_only, level_cone, vertical_strips, weight
 from .polynomials import build_P, elementary_symmetric, evaluate_batch
 from . import coeffs
 
@@ -406,9 +407,40 @@ def _continue(params: ModelParams, seed: int) -> SpectrumResult:
     )
 
 
+def kept_transform(params: ModelParams, spec: SpectrumResult, source: str, build):
+    """build() for spec, kept when spec's ``source`` array ("vectors" or "e") is the kept spectrum's own.
+
+    The kept spectrum at params and its -p mirror share that array object,
+    so both read one entry, kept read-only on the bracket table of params
+    under the spectrum's key (n, m, seed) and evicted with it.  Any other
+    spectrum gets a fresh build(), which is not stored.
+    """
+    table = coeffs._table(params)
+    key = (params.n, params.m, spec.seed)
+    kept = table.spectra.get(key)
+    if kept is None or getattr(kept, source) is not getattr(spec, source):
+        return build()
+    parts = table.transforms.setdefault(key, {})
+    if source not in parts:
+        built = build()
+        _read_only(*(x for x in built if isinstance(x, np.ndarray)))
+        parts[source] = built
+    return parts[source]
+
+
+def projection_arrays(params: ModelParams, spec: SpectrumResult) -> tuple[np.ndarray, np.ndarray]:
+    """``value_table`` and the projection weights c_kappa^2 Delta_kappa, kept with the kept spectrum's ``e``."""
+
+    def build():
+        cvec, dvec, _ = norm_vectors(params, spec)
+        return evaluate_batch([build_P(lam, params) for lam in spec.labels], spec.e)[0], cvec**2 * dvec
+
+    return kept_transform(params, spec, "e", build)
+
+
 def value_table(params: ModelParams, spec: SpectrumResult) -> np.ndarray:
-    """V[lam, nu] = P_lam(e_nu) over the labels of a spectrum, in one batch."""
-    return evaluate_batch([build_P(lam, params) for lam in spec.labels], spec.e)[0]
+    """V[lam, nu] = P_lam(e_nu) over the labels of a spectrum, in one batch, kept with the kept spectrum."""
+    return projection_arrays(params, spec)[0]
 
 
 def norm_vectors(params: ModelParams, spec: SpectrumResult):

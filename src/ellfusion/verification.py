@@ -5,12 +5,12 @@ the suites that run it, a tolerance, a measure function and the acceptance
 grid.  A measure function returns the worst deviation over its grid point;
 an entry with tolerance 0 is exact and counts violations.  ``run_suite``
 (the CLI ``verify`` command) and the acceptance tests both read the table,
-so each criterion is computed in one place.  Spectra, S-matrices and
-Verlinde tables are shared between the checks of one run through a
-:class:`CheckContext`.  Checks that hit a genuine parameter resonance (an
-exact boundary zero against a divergent normalization) re-verify the
-identity at couplings nudged by 1e-6 on both sides instead of skipping the
-grid point.
+so each criterion is computed in one place.  Verlinde tables are shared
+between the checks of one run through a :class:`CheckContext`; spectra,
+S-matrices and value tables are kept with the spectrum on the bracket
+table.  Checks that hit a genuine parameter resonance (an exact boundary
+zero against a divergent normalization) re-verify the identity at
+couplings nudged by 1e-6 on both sides instead of skipping the grid point.
 """
 
 from __future__ import annotations
@@ -78,19 +78,16 @@ SUITES = ("limits", "ring", "spectrum")
 
 
 class CheckContext:
-    """Results shared by the checks of one run, keyed by locked parameters.
+    """The run's seed and its Verlinde tables, one per locked parameter set, kept as long as the context.
 
-    Each joint spectrum, S-matrix and Verlinde table (built from that
-    S-matrix) is computed once per parameter set at the run's seed and kept
-    as long as the context.  The LR route is never stored here, so a check
+    Spectra, S-matrices and value tables are kept with the spectrum on the
+    bracket table instead.  The LR route is never stored here, so a check
     comparing it with the Verlinde table compares two computations.
     """
 
     def __init__(self, seed: int = 0):
         self.seed = seed
-        self.spectrum = cache(lambda params: joint_spectrum(params, seed=seed))
-        self.smatrix = cache(lambda params: s_matrix(params, spectrum=self.spectrum(params)))
-        self.table = cache(lambda params: _verlinde_table(self.smatrix(params)))
+        self.table = cache(lambda params: _verlinde_table(s_matrix(params, seed=seed)))
 
 
 def _worst(pairs) -> float:
@@ -343,21 +340,21 @@ def _normality(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
 
 def _spectrum_count(ctx, n, m, g=0.8):
     """|number of spectral points - binomial(n-1+m, m)|."""
-    spec = ctx.spectrum(ModelParams.locked(n, m, g, 0.0))
+    spec = joint_spectrum(ModelParams.locked(n, m, g, 0.0), seed=ctx.seed)
     return abs(len(spec.labels) - math.comb(n - 1 + m, m))
 
 
 def _spectrum_p0(ctx, n, m, g=0.8):
     """Rayleigh eigenvalues at p = 0 against the trigonometric closed form."""
     params = ModelParams.locked(n, m, g, 0.0)
-    spec = ctx.spectrum(params)
+    spec = joint_spectrum(params, seed=ctx.seed)
     return _worst(zip(spec.e_matrix().ravel(), spectral_points_p0(params).ravel()))
 
 
 def _eigenvector_consistency(ctx, n, m, g=0.7, p=0.4):
     """Matrix eigenvectors match the normalized polynomial values."""
     params = ModelParams.locked(n, m, g, p)
-    spec = ctx.spectrum(params)
+    spec = joint_spectrum(params, seed=ctx.seed)
     want = norm_vectors(params, spec)[0][:, None] * value_table(params, spec)
     # entries are pinned to 1 at the origin site, so 1 is the scale floor;
     # exactly-zero entries are compared absolutely
@@ -369,14 +366,14 @@ def _spectral_variety(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
     worst = 0.0
     for params in _locked(n, m, g_values, p_values):
         polys = [build_P(mu, params) for mu in _ideal_generators(n, m)]
-        values, scales = evaluate_batch(polys, ctx.spectrum(params).e)
+        values, scales = evaluate_batch(polys, joint_spectrum(params, seed=ctx.seed).e)
         worst = max(worst, float((np.abs(values) / scales).max(initial=0.0)))
     return worst
 
 
 def _dual_orthogonality(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
     return max(
-        dual_orthogonality_check(params, spectrum=ctx.spectrum(params))
+        dual_orthogonality_check(params, seed=ctx.seed)
         for params in _locked(n, m, g_values, p_values)
     )
 
@@ -384,19 +381,19 @@ def _dual_orthogonality(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
 def _smatrix_identity(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
     """|S Sinv - I|."""
     grid = _locked(n, m, g_values, p_values)
-    return max(ctx.smatrix(params).identity_residual() for params in grid)
+    return max(s_matrix(params, seed=ctx.seed).identity_residual() for params in grid)
 
 
 def _smatrix_determinant(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
     """log|det S| against its closed form."""
     grid = _locked(n, m, g_values, p_values)
-    return max(ctx.smatrix(params).det_residual() for params in grid)
+    return max(s_matrix(params, seed=ctx.seed).det_residual() for params in grid)
 
 
 def _verlinde_vs_projection(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
     """Spectral (S-matrix) sum against direct projection onto the spectrum."""
     return max(
-        ctx.table(params).max_difference(_projection_table(ctx.spectrum(params)))
+        ctx.table(params).max_difference(_projection_table(joint_spectrum(params, seed=ctx.seed)))
         for params in _locked(n, m, g_values, p_values)
     )
 
@@ -491,7 +488,7 @@ def _smatrix_kac_peterson(ctx, n, m):
     At p = 0 the gauge factor relating the two is identically 1.  The oracle's
     matrix is the one its classical fusion tensor uses, built once per (n, m).
     """
-    sm = ctx.smatrix(ModelParams.locked(n, m, 1.0, 0.0))
+    sm = s_matrix(ModelParams.locked(n, m, 1.0, 0.0), seed=ctx.seed)
     return float(np.abs(sm.S - _classical_transform(n, m)[2]).max())
 
 
@@ -502,7 +499,7 @@ def _kac_peterson_normalization(ctx, n, m):
         trig_bracket(k - j, alpha) ** 2 for j in range(n) for k in range(j + 1, n)
     )
     closed = (2.0 * math.sin(math.pi / (m + n))) ** (-n * (n - 1)) * n * (n + m) ** (n - 1) / denom
-    got = ctx.smatrix(ModelParams.locked(n, m, 1.0, 0.0)).normalization
+    got = s_matrix(ModelParams.locked(n, m, 1.0, 0.0), seed=ctx.seed).normalization
     return abs(got - closed) / abs(closed)
 
 

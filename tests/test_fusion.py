@@ -862,3 +862,112 @@ def test_spectrum_arrays_are_read_only():
     for arr in (spec.e, spec.vectors, spec.dual_norms, spec.e_matrix()):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_smatrix_data_compares_by_identity_and_hashes():
+    """Two S-matrices are equal only if they are one object, and hashing works, whether S is kept or not."""
+    params = ModelParams.locked(3, 2, 0.7, 0.3)
+    a, b = s_matrix(params), s_matrix(params)
+    assert a.S is b.S  # the kept arrays
+    assert a == a and not a == b and a != b
+    assert isinstance(hash(a), int) and hash(a) != hash(b)
+
+
+def _fresh(spec):
+    """The spectrum with copies of its arrays: no kept transform serves it."""
+    return dataclasses.replace(spec, e=spec.e.copy(), vectors=spec.vectors.copy())
+
+
+def test_smatrix_at_p_and_minus_p_share_the_kept_read_only_arrays():
+    params = ModelParams.locked(3, 3, 0.7, 0.4)
+    coeffs.clear_coeff_caches()
+    plus, minus = s_matrix(params), s_matrix(params.with_p(-0.4))
+    assert minus.params.p == -0.4 and minus.spectrum is not plus.spectrum
+    assert minus.S is plus.S and minus.Sinv is plus.Sinv and minus.normalization == plus.normalization
+    for arr in (plus.S, plus.Sinv):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+    assert coeffs._table(params).transforms[(3, 3, 0)]["vectors"][0] is plus.S
+
+
+def test_kept_transform_is_rebuilt_with_identical_bits():
+    """After clear_coeff_caches, and after its table is evicted, S and Sinv are rebuilt bit for bit."""
+    params = ModelParams.locked(3, 2, 0.7, 0.4)
+    coeffs.clear_coeff_caches()
+    first = s_matrix(params)
+    coeffs.clear_coeff_caches()
+    cleared = s_matrix(params)
+    for k in range(coeffs.TABLE_LIMIT):  # unfilled tables at other |p| push it out
+        coeffs._table(params.with_p(0.5 + k / 1000))
+    assert (params.alpha, params.g, 0.4) not in coeffs._TABLES
+    evicted = s_matrix(params)
+    for again in (cleared, evicted):
+        assert again.S is not first.S
+        assert again.S.tobytes() == first.S.tobytes() and again.Sinv.tobytes() == first.Sinv.tobytes()
+    coeffs.clear_coeff_caches()
+
+
+def test_a_spectrum_that_is_not_the_kept_one_gets_its_own_s():
+    """Only the kept spectrum (by the identity of its vectors) reads the kept S; nothing else is stored."""
+    params = ModelParams.locked(3, 3, 0.7, 0.4)
+    spec = joint_spectrum(params)
+    kept = s_matrix(params, spectrum=spec)
+    other = dataclasses.replace(spec, vectors=spec.vectors * 2.0)
+    own = s_matrix(params, spectrum=other)
+    assert own.S is not kept.S
+    assert np.array_equal(own.S, 2.0 * kept.S)
+    assert s_matrix(params).S is kept.S  # the store still holds the kept spectrum's S
+
+
+def test_warm_pair_calls_rebuild_no_transform(monkeypatch):
+    """Warm Verlinde and projection pair calls read the kept S and V: no norm_vectors, no evaluate_batch."""
+    params = ModelParams.locked(3, 3, 0.7, 0.4)
+    lam, mu = (1, 0, 0), (1, 1, 0)
+    want = structure_constants_verlinde(lam, mu, params), structure_constants_projection(lam, mu, params)
+    calls = []
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return counted
+
+    for module in (operators, fusion, polynomials):
+        for name in ("norm_vectors", "evaluate_batch"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for p in (0.4, -0.4):
+        got = structure_constants_verlinde(lam, mu, params.with_p(p)), structure_constants_projection(lam, mu, params.with_p(p))
+        assert got == want
+    assert calls == []
+
+
+@pytest.mark.parametrize("n,m,g", [(2, 3, 0.7), (3, 3, 0.45), (4, 2, 1.3)])
+@pytest.mark.parametrize("p", [0.0, 0.3, -0.6, 0.9])
+def test_kept_transform_has_the_bits_of_a_fresh_one(n, m, g, p):
+    """S, Sinv, V and both spectral tables read from the kept transform equal a fresh computation bit for bit."""
+    params = ModelParams.locked(n, m, g, p)
+    spec = joint_spectrum(params)
+    fresh = _fresh(spec)
+    kept, own = s_matrix(params, spectrum=spec), s_matrix(params, spectrum=fresh)
+    assert kept.S is not own.S
+    assert kept.S.tobytes() == own.S.tobytes() and kept.Sinv.tobytes() == own.Sinv.tobytes()
+    assert kept.normalization == own.normalization
+    assert value_table(params, spec).tobytes() == value_table(params, fresh).tobytes()
+    for route in (lambda s: fusion_table(params, spectrum=s), fusion._projection_table):
+        assert route(spec).values.tobytes() == route(fresh).values.tobytes()
+
+
+def test_smatrix_command_factors_s_once(monkeypatch, tmp_path):
+    """The smatrix payload reads three determinant values: one slogdet and one closed form per call."""
+    from ellfusion import cli
+
+    argv = ["smatrix", "--n", "3", "--m", "3", "--g", "0.7", "--p", "0.9", "--out", str(tmp_path / "s.json")]
+    s_matrix(ModelParams.locked(3, 3, 0.7, 0.9))  # S kept: the call below builds no transform
+    calls = []
+    slogdet, norms = np.linalg.slogdet, fusion.norm_vectors
+    monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append("slogdet") or slogdet(a))
+    monkeypatch.setattr(fusion, "norm_vectors", lambda *a: calls.append("norm_vectors") or norms(*a))
+    assert cli.main(argv) == 0
+    assert sorted(calls) == ["norm_vectors", "slogdet"]

@@ -11,7 +11,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from ellfusion import coeffs, fusion, operators
-from ellfusion.errors import ComputationError, DegenerateCombination, GradingViolation, TrackingAmbiguity
+from ellfusion.errors import (
+    ComputationError,
+    DegenerateCombination,
+    GradingViolation,
+    IllConditioned,
+    TrackingAmbiguity,
+)
 from ellfusion.kernel import ModelParams, bracket
 from ellfusion.operators import (
     _GAP_SAFETY,
@@ -882,7 +888,41 @@ def test_kept_spectrum_is_evicted_with_its_table(monkeypatch):
     coeffs.clear_coeff_caches()
 
 
-@pytest.mark.parametrize("n,m,g,p", [(2, 2, 2.5, 0.97), (2, 2, 1.3, -0.99), (3, 3, 2.5, 0.97)])
+def test_value_table_is_kept_with_the_kept_spectrum(monkeypatch):
+    """V at p and at -p is one read-only array, evaluated once; a spectrum with other e gets its own."""
+    params = ModelParams.locked(3, 3, 0.7, 0.4)
+    coeffs.clear_coeff_caches()
+    spec = joint_spectrum(params)
+    V = value_table(params, spec)
+    with pytest.raises(ValueError):
+        V[0, 0] = 0.0
+    calls = []
+    batch = operators.evaluate_batch
+    monkeypatch.setattr(operators, "evaluate_batch", lambda *a: calls.append(a) or batch(*a))
+    minus = params.with_p(-0.4)
+    assert value_table(minus, joint_spectrum(minus)) is V and calls == []
+    other = dataclasses.replace(spec, e=spec.e.copy())
+    own = value_table(params, other)
+    assert own is not V and len(calls) == 1 and own.tobytes() == V.tobytes()
+    assert value_table(params, spec) is V  # the other spectrum's V was not stored
+    coeffs.clear_coeff_caches()
+
+
+@pytest.mark.parametrize("n,m,g,p", [(3, 1, 0.25, 0.95), (4, 1, 0.25, 0.95)])
+def test_ill_conditioned_eigenbasis_raises(n, m, g, p):
+    """kappa = max/min |c| sqrt(Delta) of 1.7e10 and 4.7e15 raises instead of an S with S Sinv far from I."""
+    with pytest.raises(IllConditioned, match=r"^eigenbasis scales spread by \S+ > 1e\+09$"):
+        fusion.s_matrix(ModelParams.locked(n, m, g, p))
+
+
+def test_kappa_limit_passes_the_hypothesis_corner():
+    """kappa 2.7e7 at n=4 m=3 g=1.9 p=0.9, the worst of the property domain, builds S."""
+    assert fusion.s_matrix(ModelParams.locked(4, 3, 1.9, 0.9)).identity_residual() < 1e-6
+
+
+@pytest.mark.parametrize(
+    "n,m,g,p", [(2, 2, 2.5, 0.97), (2, 2, 1.3, -0.99), (3, 3, 2.5, 0.97), (4, 1, 0.25, 0.95)]
+)
 def test_tiny_eigenvalues_never_give_a_silently_bad_s(n, m, g, p):
     """Eigenvalues far below 1 in size: either a typed error or a sound S."""
     try:

@@ -116,31 +116,38 @@ def test_all_runs_each_check_once():
 
 
 def test_context_shares_spectra_within_a_run(monkeypatch):
-    from ellfusion import fusion, verification
+    """A run computes each spectrum, S-matrix and value table once per parameter set.
 
-    calls = {"joint_spectrum": [], "s_matrix": []}
+    The checks share them through the store on the bracket table: every
+    build is counted where it runs, in ``_continue`` and in the build of
+    ``kept_transform``.
+    """
+    from ellfusion import coeffs, fusion, operators
 
-    def counting(module, name):
-        real = getattr(module, name)
+    built = []
+    walk, keep = operators._continue, operators.kept_transform
 
-        def counted(params, *args, **kwargs):
-            calls[name].append(params)
-            return real(params, *args, **kwargs)
+    def continued(params, seed):
+        built.append(("spectrum", params))
+        return walk(params, seed)
 
-        return counted
+    def kept(params, spec, source, build):
+        return keep(params, spec, source, lambda: built.append((source, params)) or build())
 
-    for module in (fusion, verification):
-        for name in calls:
-            monkeypatch.setattr(module, name, counting(module, name))
+    coeffs.clear_coeff_caches()
+    monkeypatch.setattr(operators, "_continue", continued)
+    for module in (fusion, operators):
+        monkeypatch.setattr(module, "kept_transform", kept)
     run_suite("all", 2, 2)
-    for made in calls.values():
-        assert made and len(made) == len(set(made))
+    assert {what for what, _ in built} == {"spectrum", "vectors", "e"}
+    assert len(built) == len(set(built))
 
 
 def test_projection_check_evaluates_each_value_once(monkeypatch):
     """The projection route evaluates P_l(e_nu) once per label and spectral point."""
-    from ellfusion import fusion, operators, polynomials, verification
+    from ellfusion import coeffs, fusion, operators, polynomials, verification
 
+    coeffs.clear_coeff_caches()  # no value table kept by an earlier test
     ctx = CheckContext()
     grid = verification._locked(3, 3, (0.7, 1.3), (0.0, 0.4))
     for params in grid:  # the S-matrices and Verlinde tables of the check
@@ -158,7 +165,7 @@ def test_projection_check_evaluates_each_value_once(monkeypatch):
     for module in (fusion, operators, polynomials):
         monkeypatch.setattr(module, "evaluate_batch", counted, raising=False)
     assert _report("verlinde_vs_projection", n=3, m=3, ctx=ctx).passed
-    N = len(ctx.spectrum(grid[0]).labels)
+    N = len(operators.joint_spectrum(grid[0]).labels)
     assert sum(entries) == len(grid) * N * N
 
 
