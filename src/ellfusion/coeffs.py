@@ -89,7 +89,8 @@ class BracketTable:
 
     ``polys`` (mu -> P_mu) is filled by ``polynomials``; ``rings`` ((n, m) ->
     the read-only ring-route table [lam, mu, kappa], level-locked only,
-    returned at p and at -p) by ``fusion``; ``spectra`` ((n, m, seed) -> the
+    returned at p and at -p) and ``pairs`` ((n, m) -> the sparse index of that
+    table which pair calls read) by ``fusion``; ``spectra`` ((n, m, seed) -> the
     finished ``SpectrumResult``, level-locked only, returned at p and at -p)
     by ``operators``; ``transforms`` ((n, m, seed) -> {source: arrays}, the
     read-only arrays built from the kept spectrum's ``source`` array: S,
@@ -106,6 +107,7 @@ class BracketTable:
         self.values = np.empty((0, 0))
         self.polys: dict = {}
         self.rings: dict = {}
+        self.pairs: dict = {}
         self.spectra: dict = {}
         self.transforms: dict = {}
 
@@ -327,6 +329,6 @@ def level_c(params: ModelParams) -> np.ndarray:
 
 
 def clear_coeff_caches() -> None:
-    """Drop every bracket table with its polynomials, ring tables, spectra and transforms (mainly for tests and long sweeps)."""
+    """Drop every bracket table with all it keeps (see ``BracketTable``), mainly for tests and long sweeps."""
     with _TABLES_LOCK:
         _TABLES.clear()

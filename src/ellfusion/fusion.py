@@ -14,8 +14,9 @@ Its [mu, kappa] entry is N^kappa_{mu,lam} = N^kappa_{lam,mu}, as the ring
 is commutative.  It needs no spectrum and builds no polynomial, and holds at
 every positive level-locked coupling, resonant ones included; its table is
 kept on the bracket table of its parameters, so every pair call and table of
-the same (n, m) reads it.  Every route answers a pair call with the same
-off-cone rule (``_pair_index``).  N^kappa_{lam,mu} vanishes unless
+the same (n, m) reads it, pair calls through a sparse index of its nonzeros
+kept beside it (``_sparse_pairs``).  Every route answers a pair call with the
+same off-cone rule (``_pair_index``).  N^kappa_{lam,mu} vanishes unless
 s = (|lam| + |mu| - |kappa|) / n is an integer and
 s >= max_j(max(lam_j, mu_j) - kappa_j), that is, unless kappa + s 1^n (whose
 underline is kappa) contains lam and mu row by row.
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,6 +48,9 @@ from .partitions import (
     weight,
 )
 from . import coeffs
+
+if TYPE_CHECKING:
+    from array import array
 
 FUSION_IMAG_TOL = 1e-8
 _DROP_REL = 1e-12
@@ -134,6 +139,13 @@ def _spectral_pair(cone: LevelCone, pair: tuple[int, int] | None, raw, route: st
     return _nonzero(cone.labels, _fusion_row(raw(i, mus), cone.labels, i, route, mask, j)[0])
 
 
+def _ring_store(params: ModelParams) -> coeffs.BracketTable:
+    """The bracket table that keeps params' ring table and its pair index; free parameters raise ``ValueError``."""
+    if not params.level_locked:
+        raise ValueError("the ring route requires level-locked parameters")
+    return coeffs._table(params)
+
+
 def _ring_table(params: ModelParams) -> np.ndarray:
     """The ring-route values [lam, mu, kappa], read-only, kept on params' bracket table.
 
@@ -155,9 +167,7 @@ def _ring_table(params: ModelParams) -> np.ndarray:
     One entry per (n, m), shared by p and -p.  Without the level lock the
     keys of span > m form no ideal, so free parameters raise ``ValueError``.
     """
-    if not params.level_locked:
-        raise ValueError("the ring route requires level-locked parameters")
-    store = coeffs._table(params)
+    store = _ring_store(params)
     values = store.rings.get((params.n, params.m))
     if values is not None:
         return values
@@ -184,6 +194,39 @@ def _ring_table(params: ModelParams) -> np.ndarray:
     return values
 
 
+def _sparse_pairs(values: np.ndarray, labels: tuple[Partition, ...]) -> tuple[array, list[Partition], array]:
+    """The nonzero entries of a finished table values[lam, mu, kappa], pair by pair (CSR).
+
+    Pair p = N lam + mu holds entries ptr[p]:ptr[p + 1] of kappas (the label
+    tuples themselves) and vals, kappa ascending, the order of ``_nonzero``.
+    The three are sized exactly, 8 bytes per pair and 16 per nonzero, and
+    filled one lam block at a time, so no transient outgrows a block.
+    """
+    from array import array  # loaded by the first pair index, not by ``import ellfusion``
+
+    N = len(labels)
+    nnz = sum(np.count_nonzero(block) for block in values)
+    ptr, kappas, vals = array("q", [0]) * (N * N + 1), [None] * nnz, array("d", [0.0]) * nnz
+    ptr_view, vals_view = np.frombuffer(ptr, dtype=np.int64), np.frombuffer(vals)
+    label_of = np.fromiter(labels, dtype=object, count=N)
+    end = 0
+    for i, block in enumerate(values):
+        flat = np.flatnonzero(block != 0)  # a mask's nonzeros are found far faster than a float array's
+        mus, ks = np.divmod(flat, N)
+        start, end = end, end + len(flat)
+        ptr_view[i * N + 1 : (i + 1) * N + 1] = start + np.cumsum(np.bincount(mus, minlength=N))
+        kappas[start:end] = label_of[ks].tolist()
+        vals_view[start:end] = block.ravel()[flat]
+    return ptr, kappas, vals
+
+
+def _pair_dict(pairs: tuple[array, list[Partition], array], p: int) -> dict[Partition, float]:
+    """The entries of pair p of a ``_sparse_pairs`` index, as a fresh dict kappa -> value."""
+    ptr, kappas, vals = pairs
+    a, b = ptr[p], ptr[p + 1]
+    return dict(zip(kappas[a:b], vals[a:b]))
+
+
 def structure_constants_lr(
     lam, mu, params: ModelParams, return_flags: bool = False
 ):
@@ -191,14 +234,18 @@ def structure_constants_lr(
 
     The pair is read from the table of ``_ring_table``, which works at every
     positive level-locked coupling, resonant ones included, after the
-    off-cone rule of ``_pair_index``.  The result is a
-    fresh dict; with return_flags it comes with a set of flagged keys, which
-    is always empty.
+    off-cone rule of ``_pair_index``.  The first pair call of an (n, m)
+    keeps the ``_sparse_pairs`` index of that table beside it, and every
+    pair call reads it.  The result is a fresh dict; with return_flags it
+    comes with a set of flagged keys, which is always empty.
     """
     cone = level_cone(params.n, params.m)
     pair = _pair_index(lam, mu, cone)
-    values = _ring_table(params)  # free parameters raise, off the cone too
-    out = {} if pair is None else _nonzero(cone.labels, values[pair])
+    store = _ring_store(params)  # free parameters raise, off the cone too
+    pairs = store.pairs.get((params.n, params.m))
+    if pairs is None:
+        pairs = store.pairs[(params.n, params.m)] = _sparse_pairs(_ring_table(params), cone.labels)
+    out = {} if pair is None else _pair_dict(pairs, pair[0] * len(cone.labels) + pair[1])
     return (out, set()) if return_flags else out
 
 
@@ -410,9 +457,9 @@ class FusionTable:
     @cached_property
     def entries(self):
         """Read-only view: the nonzero values of each ordered pair, keyed by kappa."""
-        pairs = product(enumerate(self.labels), repeat=2)
-        view = {(a, b): _nonzero(self.labels, self.values[i, j]) for (i, a), (j, b) in pairs}
-        return MappingProxyType({pair: MappingProxyType(d) for pair, d in view.items()})
+        pairs = _sparse_pairs(self.values, self.labels)
+        keys = product(self.labels, repeat=2)
+        return MappingProxyType({key: MappingProxyType(_pair_dict(pairs, p)) for p, key in enumerate(keys)})
 
     def max_difference(self, other: "FusionTable") -> float:
         if self.labels != other.labels:

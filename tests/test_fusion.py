@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import re
+import sys
+from array import array
 
 import numpy as np
 import pytest
@@ -400,17 +402,19 @@ def test_lr_pair_outside_the_level_cone_at_a_resonance():
 
 
 def test_free_parameters_that_differ_in_m_share_a_table_but_not_rows():
-    """Free parameters share a bracket table across m, and the ring route raises for both."""
+    """Free parameters share a bracket table across m, and the ring route raises for both before building any table."""
     small = ModelParams.free(3, g=0.65, p=0.3, alpha=2.0, m=2)
     large = ModelParams.free(3, g=0.65, p=0.3, alpha=2.0, m=3)
     coeffs.clear_coeff_caches()
-    assert coeffs._table(small) is coeffs._table(large)
     for params in (small, large):
-        with pytest.raises(ValueError, match="level-locked"):
-            structure_constants_lr((2, 1, 0), (2, 0, 0), params)
+        for lam, mu in [((2, 1, 0), (2, 0, 0)), ((2, 1, 0), (3, 0, 0)), ([2, 1, 1], (1, 1, 1))]:
+            with pytest.raises(ValueError, match="level-locked"):
+                structure_constants_lr(lam, mu, params)
         with pytest.raises(ValueError, match="level-locked"):
             fusion_table(params, route="lr")
-    assert coeffs._table(small).rings == {}
+    assert coeffs._TABLES == {}  # the level lock is checked before any table is built
+    assert coeffs._table(small) is coeffs._table(large)
+    assert coeffs._table(small).rings == {} and coeffs._table(small).pairs == {}
     coeffs.clear_coeff_caches()
 
 
@@ -471,6 +475,159 @@ def test_lr_route_runs_without_the_spectrum(monkeypatch):
     assert fusion_table(params, route="lr").max_difference(want) < 1e-7
     store = coeffs._table(params)
     assert store.polys == {} and (3, 3) in store.rings  # the Pieri recurrence builds no eigenpolynomial
+    coeffs.clear_coeff_caches()
+
+
+def _lr_pair_mismatches(params):
+    """Pairs, in any spelling, whose ring-route pair call is not ``_nonzero`` of its table row, item for item.
+
+    Each pair of labels is also called with both factors one column of n
+    boxes taller, as lists (off the cone, underlined back to the pair), and
+    every label is paired with a factor of span m + 1, which gives {}.
+    """
+    n, m = params.n, params.m
+    labels = level_cone(n, m).labels
+    values = fusion._ring_table(params)
+    wide = (m + 1,) + (0,) * (n - 1)
+    bad = []
+    for i, lam in enumerate(labels):
+        for j, mu in enumerate(labels):
+            want = list(fusion._nonzero(labels, values[i, j]).items())
+            tall = structure_constants_lr([x + 1 for x in lam], [x + 1 for x in mu], params)
+            if list(structure_constants_lr(lam, mu, params).items()) != want or list(tall.items()) != want:
+                bad.append((lam, mu))
+        if structure_constants_lr(lam, wide, params) != {} or structure_constants_lr(wide, lam, params) != {}:
+            bad.append((lam, wide))
+    return bad
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ModelParams.locked(2, 2, 0.7, 0.3),
+        ModelParams.locked(3, 3, 0.7, 0.3),
+        ModelParams.locked(4, 5, 1.0, 0.3),  # resonant
+        ModelParams.locked(3, 8, 0.7, 0.3),
+    ],
+)
+def test_lr_pairs_read_the_kept_pair_index(params):
+    """Every pair call is its table row, key order included, read from an index of exact size."""
+    coeffs.clear_coeff_caches()
+    assert _lr_pair_mismatches(params) == []
+    labels = level_cone(params.n, params.m).labels
+    values = fusion._ring_table(params)
+    ptr, kappas, vals = coeffs._table(params).pairs[(params.n, params.m)]
+    nnz = int(np.count_nonzero(values))
+    assert len(ptr) == len(labels) ** 2 + 1 and ptr.itemsize == 8 and len(kappas) == len(vals) == nnz
+    assert sys.getsizeof(ptr) - sys.getsizeof(array("q")) == 8 * len(ptr)
+    assert sys.getsizeof(vals) - sys.getsizeof(array("d")) == 8 * nnz
+    assert sys.getsizeof(kappas) - sys.getsizeof([]) == 8 * nnz
+    assert {id(k) for k in kappas} <= {id(k) for k in labels}  # shared label tuples
+    got = structure_constants_lr(labels[-1], labels[-1], params)
+    want = dict(got)
+    got.clear()
+    got[labels[0]] = 99.0
+    assert structure_constants_lr(labels[-1], labels[-1], params) == want
+    coeffs.clear_coeff_caches()
+
+
+def test_entries_keep_what_nonzero_keeps_in_its_order():
+    """Negative values, -0.0 and subnormals of any table: ``entries`` keeps what ``_nonzero`` keeps, in its order."""
+    labels = level_cone(3, 2).labels
+    N = len(labels)
+    values = np.random.default_rng(3).choice([0.0, -0.0, -1.5, 2.0, 5e-324], size=(N, N, N))
+    table = fusion.FusionTable(params=ModelParams.locked(3, 2, 0.7, 0.3), labels=labels, values=values, route="lr")
+    for i, lam in enumerate(labels):
+        for j, mu in enumerate(labels):
+            assert list(table.entries[(lam, mu)].items()) == list(fusion._nonzero(labels, values[i, j]).items())
+
+
+def test_a_shifted_pair_index_fails_the_row_check():
+    """Mutation: offsets shifted by one make every pair call read a neighbour's entries."""
+    params = ModelParams.locked(3, 3, 0.7, 0.3)
+    coeffs.clear_coeff_caches()
+    assert _lr_pair_mismatches(params) == []
+    store = coeffs._table(params)
+    ptr, kappas, vals = store.pairs[(3, 3)]
+    store.pairs[(3, 3)] = (array("q", [0, *(x + 1 for x in ptr[1:-1]), ptr[-1]]), kappas, vals)
+    assert len(_lr_pair_mismatches(params)) > len(level_cone(3, 3).labels)
+    coeffs.clear_coeff_caches()
+
+
+def test_lr_table_and_row_writer_build_no_pair_index(tmp_path):
+    """Only a pair call keeps the pair index; the table, its rows and the CLI writer read the ring table alone."""
+    from ellfusion.cli import main
+
+    params = ModelParams.locked(3, 3, 0.7, 0.3)
+    coeffs.clear_coeff_caches()
+    fusion_table(params, route="lr")
+    labels, rows = fusion._table_rows(params, "lr")
+    assert len(list(rows)) == len(labels)
+    assert main(["fusion", "--route", "lr", "--n", "3", "--m", "3", "--g", "0.7", "--p", "0.3",
+                 "--out", str(tmp_path / "table.json")]) == 0
+    store = coeffs._table(params)
+    assert set(store.rings) == {(3, 3)} and store.pairs == {}
+    structure_constants_lr(labels[1], labels[2], params)
+    assert set(store.pairs) == {(3, 3)}
+    coeffs.clear_coeff_caches()
+
+
+def test_pair_index_is_dropped_with_its_bracket_table(monkeypatch):
+    """clear_coeff_caches and the LRU bound drop the pair index with the ring table."""
+    params, other = ModelParams.locked(3, 3, 0.7, 0.3), ModelParams.locked(3, 3, 0.7, 0.4)
+    coeffs.clear_coeff_caches()
+    structure_constants_lr((1, 0, 0), (1, 0, 0), params)
+    store = coeffs._table(params)
+    assert set(store.pairs) == {(3, 3)}
+    coeffs.clear_coeff_caches()
+    assert coeffs._TABLES == {} and coeffs._table(params).pairs == {}
+    structure_constants_lr((1, 0, 0), (1, 0, 0), params)
+    store = coeffs._table(params)
+    monkeypatch.setattr(coeffs, "TABLE_LIMIT", 1)
+    coeffs._table(other)  # evicts the table of params
+    assert list(coeffs._TABLES.values()) == [coeffs._table(other)]
+    assert coeffs._table(params) is not store and coeffs._table(params).pairs == {}
+    coeffs.clear_coeff_caches()
+
+
+def _covariance_residual(values, J, c):
+    """Simple-current covariance N^{J kappa}_{J lam, mu} = r N^kappa_{lam, mu} of a table, relative to max |N|.
+
+    r = c_lam c_{J kappa} / (c_{J lam} c_kappa).  Both sides are divided by
+    sqrt|r|, so that a large ratio scales them alike.
+    """
+    r = np.outer(c / c[J], c[J] / c)[:, None, :]  # [lam, ., kappa]
+    root = np.sqrt(np.abs(r))
+    return float(np.abs(values[J][:, :, J] / root - np.sign(r) * root * values).max() / np.abs(values).max())
+
+
+# Measured at these five points, relative to max |N|: 1.5e-15 - 3.9e-12 on the
+# pair calls of the ring route (the largest at n=4 m=8, growing with the depth of
+# the Pieri recurrence) and 2.1e-15 - 2.5e-14 on the Verlinde table.
+_COVARIANCE_TOL = {"lr": 2e-11, "verlinde": 2e-13}
+
+
+@pytest.mark.parametrize(
+    "n, m, g, p", [(3, 4, 0.7, 0.3), (4, 4, 1.3, 0.6), (4, 6, 0.7, 0.3), (3, 6, 0.5, 0.3), (4, 8, 0.7, 0.3)]
+)
+def test_simple_current_covariance(n, m, g, p):
+    """N^{J kappa}_{J lam, mu} = (c_lam c_{J kappa}) / (c_{J lam} c_kappa) N^kappa_{lam, mu} on the pair calls
+    of the ring route and on the Verlinde table; J is the cone's simple current and c comes from ``coeffs``."""
+    params = ModelParams.locked(n, m, g, p)
+    cone = level_cone(n, m)
+    labels, J, N = cone.labels, cone.J, len(cone.labels)
+    c = coeffs.level_c(params)
+    pairs = np.zeros((N, N, N))
+    for i, lam in enumerate(labels):
+        for j, mu in enumerate(labels):
+            got = structure_constants_lr(lam, mu, params)
+            pairs[i, j, [cone.index[k] for k in got]] = list(got.values())
+    verlinde = fusion_table(params).values
+    assert _covariance_residual(pairs, J, c) < _COVARIANCE_TOL["lr"]
+    assert _covariance_residual(verlinde, J, c) < _COVARIANCE_TOL["verlinde"]
+    swapped = J.copy()
+    swapped[[0, 1]] = J[[1, 0]]
+    assert _covariance_residual(verlinde, swapped, c) > 1e-3  # mutation: J composed with a transposition
     coeffs.clear_coeff_caches()
 
 
