@@ -8,9 +8,9 @@ a ratio of theta brackets [a + b*g] with integers 0 <= a <= span(lam) and
 brackets, filled by the scalar ``bracket`` and grown on demand, together
 with the factor table derived from it, as numpy arrays only; the brackets
 depend on the nome only through |p|, so -p reads the table of p.  The table
-also stores the eigenpolynomials built at its parameters, the ring-route
-tables of ``fusion``, the finished joint spectra of ``operators`` and the
-spectral transforms built from them (S, Sinv and the value table), so its
+also keeps the eigenpolynomials built at its parameters and, in one map read
+through ``_kept``, the ring-route tables of ``fusion`` and the finished joint
+spectra of ``operators`` (which carry the transforms built from them), so its
 LRU bounds all that is kept per parameter set.  A coefficient is a
 product of factor cells taken in order: the scalar functions multiply the
 cells of one strip or label, and ``level_hops``, ``level_psi``,
@@ -87,29 +87,21 @@ class BracketTable:
     NaN elsewhere, so the reader of a NaN product can name it.  The arrays
     are read-only and replaced, not written, when the table grows.
 
-    ``polys`` (mu -> P_mu) is filled by ``polynomials``; ``rings`` ((n, m) ->
-    the read-only ring-route table [lam, mu, kappa], level-locked only,
-    returned at p and at -p) and ``pairs`` ((n, m) -> the sparse index of that
-    table which pair calls read) by ``fusion``; ``spectra`` ((n, m, seed) -> the
-    finished ``SpectrumResult``, level-locked only, returned at p and at -p)
-    by ``operators``; ``transforms`` ((n, m, seed) -> {source: arrays}, the
-    read-only arrays built from the kept spectrum's ``source`` array: S,
-    Sinv and the normalization from ``vectors`` by ``fusion``, the value
-    table and the projection weights from ``e`` by ``operators``) through
-    ``operators.kept_transform``.  The recurrence weights and the truncated matrices are
-    products of these brackets, so all of these depend on the parameters
-    only through this table's key and their own keys; evicting the table
-    frees them.
+    ``polys`` (mu -> P_mu) is filled by ``polynomials``, and ``kept`` through
+    ``_kept``: ("ring", n, m) -> the read-only ring-route table
+    [lam, mu, kappa] and ("pairs", n, m) -> its sparse index for pair calls,
+    by ``fusion``; ("spectrum", n, m, seed) -> the finished ``SpectrumResult``
+    by ``operators``.  All are level-locked only and returned at p and at -p.
+    The recurrence weights and the truncated matrices are products of these
+    brackets, so all of these depend on the parameters only through this
+    table's key and their own keys; evicting the table frees them.
     """
 
     def __init__(self, params: ModelParams):
         self.params = params
         self.values = np.empty((0, 0))
         self.polys: dict = {}
-        self.rings: dict = {}
-        self.pairs: dict = {}
-        self.spectra: dict = {}
-        self.transforms: dict = {}
+        self.kept: dict = {}
 
     def grow(self, rows: int, cols: int) -> None:
         """Extend to at least rows x cols, evaluating only the new brackets."""
@@ -187,6 +179,15 @@ def _table(params: ModelParams, rows: int = 0, cols: int = 0) -> BracketTable:
         if rows > R or cols > K:
             table.grow(rows, cols)
     return table
+
+
+def _kept(params: ModelParams, key: tuple, build):
+    """The value kept under key on the bracket table of params, build() on a miss."""
+    value = _table(params).kept.get(key)
+    if value is None:
+        value = build()
+        _table(params).kept[key] = value  # looked up again: the build may have evicted it
+    return value
 
 
 def bracket_table(params: ModelParams, rows: int, cols: int) -> np.ndarray:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ComputationError, IllConditioned
 from .kernel import ModelParams
-from .operators import SpectrumResult, joint_spectrum, kept_transform, norm_vectors, projection_arrays
+from .operators import SpectrumResult, _spectrum_for, norm_vectors, projection_arrays
 from .partitions import (
     LevelCone,
     Partition,
@@ -139,13 +139,6 @@ def _spectral_pair(cone: LevelCone, pair: tuple[int, int] | None, raw, route: st
     return _nonzero(cone.labels, _fusion_row(raw(i, mus), cone.labels, i, route, mask, j)[0])
 
 
-def _ring_store(params: ModelParams) -> coeffs.BracketTable:
-    """The bracket table that keeps params' ring table and its pair index; free parameters raise ``ValueError``."""
-    if not params.level_locked:
-        raise ValueError("the ring route requires level-locked parameters")
-    return coeffs._table(params)
-
-
 def _ring_table(params: ModelParams) -> np.ndarray:
     """The ring-route values [lam, mu, kappa], read-only, kept on params' bracket table.
 
@@ -164,13 +157,16 @@ def _ring_table(params: ModelParams) -> np.ndarray:
     finished in place, with the finite-value and support checks of the
     spectral routes.
 
-    One entry per (n, m), shared by p and -p.  Without the level lock the
-    keys of span > m form no ideal, so free parameters raise ``ValueError``.
+    One entry ("ring", n, m), shared by p and -p.  Without the level lock
+    the keys of span > m form no ideal, so free parameters raise ``ValueError``.
     """
-    store = _ring_store(params)
-    values = store.rings.get((params.n, params.m))
-    if values is not None:
-        return values
+    if not params.level_locked:
+        raise ValueError("the ring route requires level-locked parameters")
+    return coeffs._kept(params, ("ring", params.n, params.m), lambda: _pieri_table(params))
+
+
+def _pieri_table(params: ModelParams) -> np.ndarray:
+    """The finished, read-only table of ``_ring_table``, built by the Pieri recurrence."""
     cone = level_cone(params.n, params.m)
     labels, index = cone.labels, cone.index
     N = len(labels)
@@ -190,7 +186,6 @@ def _ring_table(params: ModelParams) -> np.ndarray:
     for i, row in enumerate(_fusion_rows(cone, values.__getitem__, "lr")):
         values[i] = row
     values.flags.writeable = False
-    store.rings[(params.n, params.m)] = values
     return values
 
 
@@ -241,10 +236,13 @@ def structure_constants_lr(
     """
     cone = level_cone(params.n, params.m)
     pair = _pair_index(lam, mu, cone)
-    store = _ring_store(params)  # free parameters raise, off the cone too
-    pairs = store.pairs.get((params.n, params.m))
+    if not params.level_locked:  # off the cone too
+        raise ValueError("the ring route requires level-locked parameters")
+    key = ("pairs", params.n, params.m)
+    pairs = coeffs._table(params).kept.get(key)  # read directly: a warm call builds no closure
     if pairs is None:
-        pairs = store.pairs[(params.n, params.m)] = _sparse_pairs(_ring_table(params), cone.labels)
+        # Bound as defaults: a closure over params and cone would make them cells on every call.
+        pairs = coeffs._kept(params, key, lambda p=params, c=cone: _sparse_pairs(_ring_table(p), c.labels))
     out = {} if pair is None else _pair_dict(pairs, pair[0] * len(cone.labels) + pair[1])
     return (out, set()) if return_flags else out
 
@@ -311,15 +309,15 @@ def s_matrix(params: ModelParams, spectrum: SpectrumResult | None = None, seed: 
     The inverse comes from dual orthogonality:
     Sinv_{lam,nu} = c_lam^2 dual_lam conj(S_{nu,lam}) c_nu^2 Delta_nu.
     The conventional normalization is n = sum_lam Delta_lam.  All three are
-    kept, read-only, with the kept spectrum (``operators.kept_transform``).
+    kept on the spectrum, which must be at params up to the sign of p.
     S Sinv - I = D^-1 (U U^H - I) D with U the unit eigenvectors and
     D = diag(|c| sqrt(Delta)), so kappa = max D / min D above _KAPPA_LIMIT
     raises ``IllConditioned``.
     """
-    spec = spectrum if spectrum is not None else joint_spectrum(params, seed=seed)
+    spec = _spectrum_for(params, spectrum, seed)
 
     def build():
-        cvec, dvec, dual = norm_vectors(params, spec)
+        cvec, dvec, dual = norm_vectors(spec.params, spec)
         scale = np.abs(cvec) * np.sqrt(dvec)
         if not scale.max() <= _KAPPA_LIMIT * scale.min():
             raise IllConditioned(f"eigenbasis scales spread by {scale.max() / scale.min():.3g} > {_KAPPA_LIMIT:g}")
@@ -327,7 +325,7 @@ def s_matrix(params: ModelParams, spectrum: SpectrumResult | None = None, seed: 
         Sinv = (cvec**2 * dual)[:, None] * S.conj().T * (cvec**2 * dvec)[None, :]
         return S, Sinv, float(dvec.sum())
 
-    S, Sinv, normalization = kept_transform(params, spec, "vectors", build)
+    S, Sinv, normalization = spec.derived("s_matrix", build)
     return SMatrixData(params=params, labels=spec.labels, S=S, Sinv=Sinv, normalization=normalization, spectrum=spec)
 
 
@@ -406,7 +404,7 @@ def _verlinde_rows(sm: SMatrixData):
 
 def _projection_rows(params: ModelParams, spec: SpectrumResult):
     """Raw block i: c_kappa^2 Delta_kappa sum_nu P_i P_mu conj(P_kappa) dual_nu at e_nu, for mu in mus."""
-    V, weights = projection_arrays(params, spec)  # kept with the kept spectrum
+    V, weights = projection_arrays(params, spec)  # kept on the spectrum
     paired, dual = V.conj().T * weights[None, :], spec.dual_norms
     return lambda i, mus=slice(None): (V[i] * dual * V[mus]) @ paired
 
@@ -438,7 +436,7 @@ def structure_constants_projection(
     """
     cone = level_cone(params.n, params.m)
     pair = _pair_index(lam, mu, cone)
-    spec = spectrum if spectrum is not None else joint_spectrum(params, seed=seed)
+    spec = _spectrum_for(params, spectrum, seed)
     return _spectral_pair(cone, pair, _projection_rows(params, spec), "projection")
 
 

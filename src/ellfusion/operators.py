@@ -32,14 +32,13 @@ costs no halving.  The finished spectrum is kept on the bracket table of
 its parameters, which p and -p share, so the mirror leg runs no eigensolve.
 The dual norms come from the eigenvectors; only ``value_table``, for the
 check routes, evaluates polynomials at the spectral points, all of them in
-one ``evaluate_batch`` call, kept with the kept spectrum as S is
-(``kept_transform``).
+one ``evaluate_batch`` call, kept on the spectrum as S is.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -164,10 +163,20 @@ class SpectrumResult:
     dual_norms: np.ndarray
     seed: int
     homotopy_steps: tuple[float, ...]
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for arr in (self.e, self.vectors, self.dual_norms):
             arr.flags.writeable = False
+
+    def derived(self, name: str, build):
+        """build() of this spectrum's own values, kept read-only under name; its -p mirror shares it, copies do not."""
+        value = self._derived.get(name)
+        if value is None:
+            value = build()
+            _read_only(*(x for x in value if isinstance(x, np.ndarray)))
+            self._derived[name] = value
+        return value
 
     def e_matrix(self) -> np.ndarray:
         """Rows of truncated eigenvalues (without the trailing 1), label order."""
@@ -303,25 +312,32 @@ def joint_spectrum(params: ModelParams, seed: int = 0) -> SpectrumResult:
 
     Labels come from the closed form at p = 0 and are continued to p by a
     guarded predictor-corrector (``_continue``).  The finished result is
-    kept on the bracket table of params, keyed (n, m, seed),
+    kept on the bracket table of params, keyed ("spectrum", n, m, seed),
     and evicted with it.  The table is shared by p and -p, and the truncated
     matrices at -p are those at p bit for bit, so a call at either sign
     returns the kept arrays with ``params`` replaced and ``homotopy_steps``
-    given the sign of p, and runs no eigensolve.
+    given the sign of p, shares what is derived from them and runs no eigensolve.
     """
     if not params.level_locked:
         raise ValueError("the joint spectrum requires level-locked parameters")
     if params.n < 2:
         raise ValueError(f"the joint spectrum requires n >= 2, got n={params.n}")
-    key = (params.n, params.m, seed)
-    kept = coeffs._table(params).spectra.get(key)
-    if kept is None:
-        kept = _continue(params, seed)
-        coeffs._table(params).spectra[key] = kept  # looked up again: the path may have evicted it
+    kept = coeffs._kept(params, ("spectrum", params.n, params.m, seed), lambda: _continue(params, seed))
     if kept.params == params:
         return kept
     # The key leaves only the sign of p free.
-    return replace(kept, params=params, homotopy_steps=tuple(-s for s in kept.homotopy_steps))
+    mirror = replace(kept, params=params, homotopy_steps=tuple(-s for s in kept.homotopy_steps))
+    object.__setattr__(mirror, "_derived", kept._derived)
+    return mirror
+
+
+def _spectrum_for(params: ModelParams, spectrum: SpectrumResult | None, seed: int = 0) -> SpectrumResult:
+    """spectrum, if it is at params up to the sign of p, else ValueError; without one, the joint spectrum."""
+    if spectrum is None:
+        return joint_spectrum(params, seed=seed)
+    if abs(spectrum.params.p) != abs(params.p) or spectrum.params.with_p(params.p) != params:
+        raise ValueError(f"the spectrum is at {spectrum.params}, not at {params} up to the sign of p")
+    return spectrum
 
 
 def _continue(params: ModelParams, seed: int) -> SpectrumResult:
@@ -407,39 +423,19 @@ def _continue(params: ModelParams, seed: int) -> SpectrumResult:
     )
 
 
-def kept_transform(params: ModelParams, spec: SpectrumResult, source: str, build):
-    """build() for spec, kept when spec's ``source`` array ("vectors" or "e") is the kept spectrum's own.
-
-    The kept spectrum at params and its -p mirror share that array object,
-    so both read one entry, kept read-only on the bracket table of params
-    under the spectrum's key (n, m, seed) and evicted with it.  Any other
-    spectrum gets a fresh build(), which is not stored.
-    """
-    table = coeffs._table(params)
-    key = (params.n, params.m, spec.seed)
-    kept = table.spectra.get(key)
-    if kept is None or getattr(kept, source) is not getattr(spec, source):
-        return build()
-    parts = table.transforms.setdefault(key, {})
-    if source not in parts:
-        built = build()
-        _read_only(*(x for x in built if isinstance(x, np.ndarray)))
-        parts[source] = built
-    return parts[source]
-
-
 def projection_arrays(params: ModelParams, spec: SpectrumResult) -> tuple[np.ndarray, np.ndarray]:
-    """``value_table`` and the projection weights c_kappa^2 Delta_kappa, kept with the kept spectrum's ``e``."""
+    """``value_table`` and the projection weights c_kappa^2 Delta_kappa, kept on the spectrum."""
+    spec = _spectrum_for(params, spec)
 
     def build():
-        cvec, dvec, _ = norm_vectors(params, spec)
-        return evaluate_batch([build_P(lam, params) for lam in spec.labels], spec.e)[0], cvec**2 * dvec
+        cvec, dvec, _ = norm_vectors(spec.params, spec)
+        return evaluate_batch([build_P(lam, spec.params) for lam in spec.labels], spec.e)[0], cvec**2 * dvec
 
-    return kept_transform(params, spec, "e", build)
+    return spec.derived("projection", build)
 
 
 def value_table(params: ModelParams, spec: SpectrumResult) -> np.ndarray:
-    """V[lam, nu] = P_lam(e_nu) over the labels of a spectrum, in one batch, kept with the kept spectrum."""
+    """V[lam, nu] = P_lam(e_nu) over the labels of a spectrum, in one batch, kept on the spectrum."""
     return projection_arrays(params, spec)[0]
 
 
@@ -457,7 +453,7 @@ def dual_orthogonality_check(
     diagonals; diagonal entries are compared in relative error against
     1 / (c_lam^2 Delta_lam).
     """
-    spec = spectrum if spectrum is not None else joint_spectrum(params, seed=seed)
+    spec = _spectrum_for(params, spectrum, seed)
     vals = value_table(params, spec)
     cvec, dvec, dual = norm_vectors(params, spec)
     G = (vals * dual[None, :]) @ vals.conj().T

@@ -80,9 +80,9 @@ SUITES = ("limits", "ring", "spectrum")
 class CheckContext:
     """The run's seed and its Verlinde tables, one per locked parameter set, kept as long as the context.
 
-    Spectra, S-matrices and value tables are kept with the spectrum on the
-    bracket table instead.  The LR route is never stored here, so a check
-    comparing it with the Verlinde table compares two computations.
+    Spectra are kept on the bracket table instead, and their S-matrices and
+    value tables on each spectrum.  The LR route is never stored here, so a
+    check comparing it with the Verlinde table compares two computations.
     """
 
     def __init__(self, seed: int = 0):

@@ -414,7 +414,7 @@ def test_free_parameters_that_differ_in_m_share_a_table_but_not_rows():
             fusion_table(params, route="lr")
     assert coeffs._TABLES == {}  # the level lock is checked before any table is built
     assert coeffs._table(small) is coeffs._table(large)
-    assert coeffs._table(small).rings == {} and coeffs._table(small).pairs == {}
+    assert coeffs._table(small).kept == {}
     coeffs.clear_coeff_caches()
 
 
@@ -469,12 +469,13 @@ def test_lr_route_runs_without_the_spectrum(monkeypatch):
         raise AssertionError("the ring route reached the spectral chain")
 
     monkeypatch.setattr(operators, "joint_spectrum", refuse)
-    monkeypatch.setattr(fusion, "joint_spectrum", refuse)
+    monkeypatch.setattr(fusion, "_spectrum_for", refuse)
     monkeypatch.setattr(np.linalg, "eig", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     assert fusion_table(params, route="lr").max_difference(want) < 1e-7
     store = coeffs._table(params)
-    assert store.polys == {} and (3, 3) in store.rings  # the Pieri recurrence builds no eigenpolynomial
+    assert store.polys == {}  # the Pieri recurrence builds no eigenpolynomial
+    assert set(store.kept) == {("ring", 3, 3)}  # and keeps no spectrum
     coeffs.clear_coeff_caches()
 
 
@@ -516,7 +517,7 @@ def test_lr_pairs_read_the_kept_pair_index(params):
     assert _lr_pair_mismatches(params) == []
     labels = level_cone(params.n, params.m).labels
     values = fusion._ring_table(params)
-    ptr, kappas, vals = coeffs._table(params).pairs[(params.n, params.m)]
+    ptr, kappas, vals = coeffs._table(params).kept[("pairs", params.n, params.m)]
     nnz = int(np.count_nonzero(values))
     assert len(ptr) == len(labels) ** 2 + 1 and ptr.itemsize == 8 and len(kappas) == len(vals) == nnz
     assert sys.getsizeof(ptr) - sys.getsizeof(array("q")) == 8 * len(ptr)
@@ -548,8 +549,8 @@ def test_a_shifted_pair_index_fails_the_row_check():
     coeffs.clear_coeff_caches()
     assert _lr_pair_mismatches(params) == []
     store = coeffs._table(params)
-    ptr, kappas, vals = store.pairs[(3, 3)]
-    store.pairs[(3, 3)] = (array("q", [0, *(x + 1 for x in ptr[1:-1]), ptr[-1]]), kappas, vals)
+    ptr, kappas, vals = store.kept[("pairs", 3, 3)]
+    store.kept[("pairs", 3, 3)] = (array("q", [0, *(x + 1 for x in ptr[1:-1]), ptr[-1]]), kappas, vals)
     assert len(_lr_pair_mismatches(params)) > len(level_cone(3, 3).labels)
     coeffs.clear_coeff_caches()
 
@@ -566,9 +567,9 @@ def test_lr_table_and_row_writer_build_no_pair_index(tmp_path):
     assert main(["fusion", "--route", "lr", "--n", "3", "--m", "3", "--g", "0.7", "--p", "0.3",
                  "--out", str(tmp_path / "table.json")]) == 0
     store = coeffs._table(params)
-    assert set(store.rings) == {(3, 3)} and store.pairs == {}
+    assert set(store.kept) == {("ring", 3, 3)}
     structure_constants_lr(labels[1], labels[2], params)
-    assert set(store.pairs) == {(3, 3)}
+    assert set(store.kept) == {("ring", 3, 3), ("pairs", 3, 3)}
     coeffs.clear_coeff_caches()
 
 
@@ -578,15 +579,15 @@ def test_pair_index_is_dropped_with_its_bracket_table(monkeypatch):
     coeffs.clear_coeff_caches()
     structure_constants_lr((1, 0, 0), (1, 0, 0), params)
     store = coeffs._table(params)
-    assert set(store.pairs) == {(3, 3)}
+    assert ("pairs", 3, 3) in store.kept
     coeffs.clear_coeff_caches()
-    assert coeffs._TABLES == {} and coeffs._table(params).pairs == {}
+    assert coeffs._TABLES == {} and coeffs._table(params).kept == {}
     structure_constants_lr((1, 0, 0), (1, 0, 0), params)
     store = coeffs._table(params)
     monkeypatch.setattr(coeffs, "TABLE_LIMIT", 1)
     coeffs._table(other)  # evicts the table of params
     assert list(coeffs._TABLES.values()) == [coeffs._table(other)]
-    assert coeffs._table(params) is not store and coeffs._table(params).pairs == {}
+    assert coeffs._table(params) is not store and coeffs._table(params).kept == {}
     coeffs.clear_coeff_caches()
 
 
@@ -1044,7 +1045,9 @@ def test_smatrix_at_p_and_minus_p_share_the_kept_read_only_arrays():
     for arr in (plus.S, plus.Sinv):
         with pytest.raises(ValueError):
             arr[0, 0] = 0.0
-    assert coeffs._table(params).transforms[(3, 3, 0)]["vectors"][0] is plus.S
+    kept = coeffs._table(params).kept[("spectrum", 3, 3, 0)]
+    assert kept is plus.spectrum and kept._derived is minus.spectrum._derived
+    assert kept._derived["s_matrix"][0] is plus.S
 
 
 def test_kept_transform_is_rebuilt_with_identical_bits():
@@ -1114,6 +1117,60 @@ def test_kept_transform_has_the_bits_of_a_fresh_one(n, m, g, p):
     assert value_table(params, spec).tobytes() == value_table(params, fresh).tobytes()
     for route in (lambda s: fusion_table(params, spectrum=s), fusion._projection_table):
         assert route(spec).values.tobytes() == route(fresh).values.tobytes()
+
+
+def test_a_spectrum_with_other_dual_norms_gets_its_own_sinv():
+    """A copy that shares the kept spectrum's vectors but not its dual norms builds its own Sinv."""
+    params = ModelParams.locked(3, 3, 0.7, 0.4)
+    spec = joint_spectrum(params)
+    kept = s_matrix(params, spectrum=spec)
+    doubled = dataclasses.replace(spec, dual_norms=2 * spec.dual_norms)
+    own, fresh = s_matrix(params, spectrum=doubled), s_matrix(params, spectrum=_fresh(doubled))
+    assert own.S.tobytes() == kept.S.tobytes()
+    assert own.Sinv.tobytes() == fresh.Sinv.tobytes() == (2 * kept.Sinv).tobytes()
+
+
+# Every entry point that takes a spectrum, called at params with that spectrum.
+_SPECTRUM_CALLS = {
+    "s_matrix": lambda params, spec: s_matrix(params, spectrum=spec),
+    "verlinde_pair": lambda params, spec: structure_constants_verlinde((1, 0, 0), (1, 1, 0), params, spectrum=spec),
+    "projection_pair": lambda params, spec: structure_constants_projection((1, 0, 0), (1, 1, 0), params, spectrum=spec),
+    "fusion_table": lambda params, spec: fusion_table(params, spectrum=spec),
+    "dual_orthogonality_check": lambda params, spec: operators.dual_orthogonality_check(params, spectrum=spec),
+    "value_table": value_table,
+    "projection_arrays": operators.projection_arrays,
+}
+
+
+def _bits(result):
+    """The bytes of what an entry point of ``_SPECTRUM_CALLS`` returns."""
+    if isinstance(result, fusion.SMatrixData):
+        return result.S.tobytes(), result.Sinv.tobytes(), result.normalization
+    if isinstance(result, fusion.FusionTable):
+        return result.values.tobytes()
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
+    if isinstance(result, tuple):
+        return tuple(map(_bits, result))
+    return result
+
+
+@pytest.mark.parametrize("entry", sorted(_SPECTRUM_CALLS))
+def test_a_spectrum_at_other_parameters_raises(entry):
+    """Another |p|, m or g raises ValueError instead of mixing c and Delta of params with that spectrum."""
+    params = ModelParams.locked(3, 3, 0.7, 0.2)
+    others = [ModelParams.locked(3, 2, 0.7, 0.2), ModelParams.locked(3, 3, 0.45, 0.2)]
+    for other in [params.with_p(0.4), params.with_p(-0.4), *others]:
+        with pytest.raises(ValueError, match="up to the sign of p$"):
+            _SPECTRUM_CALLS[entry](params, joint_spectrum(other))
+
+
+@pytest.mark.parametrize("entry", sorted(_SPECTRUM_CALLS))
+def test_the_minus_p_spectrum_is_accepted(entry):
+    """The spectrum at -p gives what the spectrum at p gives, bit for bit."""
+    params = ModelParams.locked(3, 3, 0.7, 0.2)
+    call = _SPECTRUM_CALLS[entry]
+    assert _bits(call(params, joint_spectrum(params.with_p(-0.2)))) == _bits(call(params, joint_spectrum(params)))
 
 
 def test_smatrix_command_factors_s_once(monkeypatch, tmp_path):

@@ -875,7 +875,7 @@ def test_kept_spectrum_is_evicted_with_its_table(monkeypatch):
     params = ModelParams.locked(3, 2, 0.7, 0.4)
     coeffs.clear_coeff_caches()
     first = joint_spectrum(params, seed=0)
-    assert coeffs._table(params).spectra[(3, 2, 0)] is first
+    assert coeffs._table(params).kept[("spectrum", 3, 2, 0)] is first
     key = (params.alpha, params.g, 0.4)
     assert key in coeffs._TABLES
     for k in range(coeffs.TABLE_LIMIT):  # unfilled tables at other |p| push it out

@@ -120,26 +120,26 @@ def test_context_shares_spectra_within_a_run(monkeypatch):
 
     The checks share them through the store on the bracket table: every
     build is counted where it runs, in ``_continue`` and in the build of
-    ``kept_transform``.
+    ``SpectrumResult.derived``.  Each is recorded at |p|, so a build at p and
+    another at -p count as two builds of one parameter set.
     """
-    from ellfusion import coeffs, fusion, operators
+    from ellfusion import coeffs, operators
 
     built = []
-    walk, keep = operators._continue, operators.kept_transform
+    walk, derive = operators._continue, operators.SpectrumResult.derived
 
     def continued(params, seed):
-        built.append(("spectrum", params))
+        built.append(("spectrum", params.with_p(abs(params.p))))
         return walk(params, seed)
 
-    def kept(params, spec, source, build):
-        return keep(params, spec, source, lambda: built.append((source, params)) or build())
+    def derived(spec, name, build):
+        return derive(spec, name, lambda: built.append((name, spec.params.with_p(abs(spec.params.p)))) or build())
 
     coeffs.clear_coeff_caches()
     monkeypatch.setattr(operators, "_continue", continued)
-    for module in (fusion, operators):
-        monkeypatch.setattr(module, "kept_transform", kept)
+    monkeypatch.setattr(operators.SpectrumResult, "derived", derived)
     run_suite("all", 2, 2)
-    assert {what for what, _ in built} == {"spectrum", "vectors", "e"}
+    assert {what for what, _ in built} == {"spectrum", "s_matrix", "projection"}
     assert len(built) == len(set(built))
 
 
