@@ -5,11 +5,11 @@ canonical JSON (CSV for the tabular commands): keys in fixed order, floats
 in shortest round-trip form, complex numbers as {"re":, "im":} pairs, and
 the full parameter header plus RNG seed embedded in every payload.  The
 JSON is the bytes of ``json.dumps(payload, indent=2)``: the small values go
-through json.dumps, the bulk arrays (the fusion table, S and Sinv, the
-spectral points) through one row writer each.  Files are written
-atomically, chunk by chunk into a temp file that is renamed into place;
-stdout, and an --out target that is a device or a FIFO, get the whole
-text at once, so an error prints nothing.
+through json.dumps, the bulk arrays (the fusion rows, read one at a time
+from ``fusion._rows``; S and Sinv; the spectral points) through one row
+writer each.  Files are written atomically, chunk by chunk into a temp
+file that is renamed into place; stdout, and an --out target that is a
+device or a FIFO, get the whole text at once, so an error prints nothing.
 Exit codes: 0 success, 1 computational error
 (error class name on stderr), 2 usage error (a bad flag, a ValueError of
 the library's argument validation, or an --out path that cannot be
@@ -36,7 +36,7 @@ from .littlewood import lr_coefficients
 from .operators import SpectrumResult, joint_spectrum
 from .partitions import canonical_key, check_partition, vertical_strips
 from .polynomials import build_P
-from .fusion import _table_rows, fusion_pieri, fusion_table, s_matrix
+from .fusion import _rows, fusion_pieri, s_matrix
 from .verification import SUITES, run_suite
 from . import coeffs
 
@@ -423,24 +423,36 @@ def _fusion_csv_rows(labels, rows):
             yield [text[i], text[j], text[k], v]
 
 
+def _compared(rows, params: ModelParams, diff: dict):
+    """The Verlinde rows as they are read; diff["max_abs"] is their largest |difference| from the ring rows so far."""
+    try:
+        ring = _rows(params, "lr")[1]
+    except Exception:  # raised once every Verlinde row has been read, so that a Verlinde error comes first
+        yield from rows
+        raise
+    for row, other in zip(rows, ring):
+        diff["max_abs"] = max(diff["max_abs"], float(np.abs(row - other).max()))
+        yield row
+
+
 def _cmd_fusion(args, parser) -> int:
+    """Write the rows of a route from ``fusion._rows``; --route both checks each Verlinde row against the ring row."""
     params = _make_params(args, parser, locked_only=True)
     if args.route == "both" and args.format == "csv":
         parser.error("--format csv is not available with --route both")
+    labels, rows = _rows(params, "verlinde" if args.route == "both" else args.route, seed=args.seed)
+    if args.format == "csv":
+        _emit_csv(_fusion_csv_rows(labels, rows), ["lam", "mu", "kappa", "value"], args.out)
+        return 0
     payload = _header("fusion", params, args.seed)
     payload["route"] = args.route
-    if args.route in ("verlinde", "lr"):
-        labels, rows = _table_rows(params, args.route, seed=args.seed)  # never the whole table
-        if args.format == "csv":
-            _emit_csv(_fusion_csv_rows(labels, rows), ["lam", "mu", "kappa", "value"], args.out)
-            return 0
-        payload["table"] = partial(_fusion_table_chunks, labels, rows)
+    if args.route == "both":
+        diff = {"max_abs": 0.0}
+        payload["table"] = partial(_fusion_table_chunks, labels, _compared(rows, params, diff))
+        payload["lr_table"] = lambda newline: _fusion_table_chunks(*_rows(params, "lr"), newline)
+        payload["diff"] = diff  # filled as the table is written, before json.dumps reads it
     else:
-        t_v = fusion_table(params, route="verlinde", seed=args.seed)
-        t_lr = fusion_table(params, route="lr", seed=args.seed)
-        payload["table"] = partial(_fusion_table_chunks, t_v.labels, t_v.values)
-        payload["lr_table"] = partial(_fusion_table_chunks, t_lr.labels, t_lr.values)
-        payload["diff"] = {"max_abs": t_v.max_difference(t_lr)}
+        payload["table"] = partial(_fusion_table_chunks, labels, rows)
     _emit_json(payload, args.out)
     return 0
 

@@ -1,7 +1,7 @@
 """Level-truncated fusion ring: ideal reduction, structure constants, S-matrix.
 
 A fusion table is one float64 array ``values[lam, mu, kappa]`` over the
-level cone's labels in canonical order, built one row lam at a time.  The
+level cone's labels in canonical order, read row by row from ``_rows``.  The
 spectral (Verlinde) route, valid at every positive coupling, sums S-matrix
 entries over the joint spectrum; S comes straight from the eigenvectors, so
 this route evaluates no polynomial.  Its cross-check, the projection route,
@@ -125,12 +125,15 @@ def _pair_index(lam, mu, cone: LevelCone) -> tuple[int, int] | None:
     return index[underline(lam)], index[underline(mu)]
 
 
-def _spectral_pair(cone: LevelCone, pair: tuple[int, int] | None, raw, route: str) -> dict[Partition, float]:
-    """The nonzero N^kappa of a pair from ``_pair_index``, from the raw block raw(i, mus) of its row.
+def _spectral_pair(lam, mu, params: ModelParams, route: str, spectrum, seed: int) -> dict[Partition, float]:
+    """The nonzero N^kappa of a pair on a spectral route (``_raw_rows``), after the off-cone rule of ``_pair_index``.
 
     Only the block row [kappa] of mu = labels[j] is computed, with its row of
     the support mask, and finished by ``_fusion_row`` as a one-row block.
     """
+    cone = level_cone(params.n, params.m)
+    pair = _pair_index(lam, mu, cone)
+    raw = _raw_rows(params, route, spectrum, seed)
     if pair is None:
         return {}
     i, j = pair
@@ -402,8 +405,17 @@ def _verlinde_rows(sm: SMatrixData):
     return lambda i, mus=slice(None): (sm.S[i] * sm.S[mus] / sm.S[0]) @ sm.Sinv
 
 
-def _projection_rows(params: ModelParams, spec: SpectrumResult):
-    """Raw block i: c_kappa^2 Delta_kappa sum_nu P_i P_mu conj(P_kappa) dual_nu at e_nu, for mu in mus."""
+def _raw_rows(params: ModelParams, route: str, spectrum: SpectrumResult | None = None, seed: int = 0):
+    """The raw row source raw(i, mus) of spectral route "verlinde" or "projection", for ``_rows`` and the pair calls.
+
+    Projection block i, c_kappa^2 Delta_kappa sum_nu P_i P_mu conj(P_kappa) dual_nu at e_nu, reads no S.
+    Any other route raises ``ValueError`` before a spectrum is built.
+    """
+    if route == "verlinde":
+        return _verlinde_rows(s_matrix(params, spectrum=spectrum, seed=seed))
+    if route != "projection":
+        raise ValueError(f"unknown route {route!r}")
+    spec = _spectrum_for(params, spectrum, seed)
     V, weights = projection_arrays(params, spec)  # kept on the spectrum
     paired, dual = V.conj().T * weights[None, :], spec.dual_norms
     return lambda i, mus=slice(None): (V[i] * dual * V[mus]) @ paired
@@ -420,10 +432,7 @@ def structure_constants_verlinde(
 
     N^kappa_{lam,mu} = sum_nu S_{lam,nu} S_{mu,nu} Sinv_{nu,kappa} / S_{0,nu}.
     """
-    cone = level_cone(params.n, params.m)
-    pair = _pair_index(lam, mu, cone)
-    sm = s_matrix(params, spectrum=spectrum, seed=seed)
-    return _spectral_pair(cone, pair, _verlinde_rows(sm), "verlinde")
+    return _spectral_pair(lam, mu, params, "verlinde", spectrum, seed)
 
 
 def structure_constants_projection(
@@ -434,10 +443,7 @@ def structure_constants_projection(
     N^kappa = c_kappa^2 Delta_kappa sum_nu P_lam(e_nu) P_mu(e_nu)
     conj(P_kappa(e_nu)) dual_nu.  Used as a cross-check of the spectral sum.
     """
-    cone = level_cone(params.n, params.m)
-    pair = _pair_index(lam, mu, cone)
-    spec = _spectrum_for(params, spectrum, seed)
-    return _spectral_pair(cone, pair, _projection_rows(params, spec), "projection")
+    return _spectral_pair(lam, mu, params, "projection", spectrum, seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -465,50 +471,33 @@ class FusionTable:
         return float(np.abs(self.values - other.values).max())
 
 
-def _table(params: ModelParams, raw, route: str) -> FusionTable:
-    """The table of the rows of ``_fusion_rows``, written into one array [lam, mu, kappa]."""
-    cone = level_cone(params.n, params.m)
-    N = len(cone.labels)
-    values = np.empty((N, N, N))
-    for i, row in enumerate(_fusion_rows(cone, raw, route)):
-        values[i] = row
-    return FusionTable(params=params, labels=cone.labels, values=values, route=route)
-
-
-def _verlinde_table(sm: SMatrixData) -> FusionTable:
-    """The Verlinde-route table of one S-matrix."""
-    return _table(sm.params, _verlinde_rows(sm), "verlinde")
-
-
-def _projection_table(spec: SpectrumResult) -> FusionTable:
-    """The projection-route table of one spectrum, computed without S or Sinv."""
-    return _table(spec.params, _projection_rows(spec.params, spec), "projection")
-
-
 def fusion_table(
     params: ModelParams,
     route: str = "verlinde",
     spectrum: SpectrumResult | None = None,
     seed: int = 0,
 ) -> FusionTable:
-    """Structure constants for every ordered pair of labels on the level cone."""
-    if route == "verlinde":
-        return _verlinde_table(s_matrix(params, spectrum=spectrum, seed=seed))
-    if route != "lr":
-        raise ValueError(f"unknown route {route!r}")
-    labels = level_cone(params.n, params.m).labels
-    return FusionTable(params=params, labels=labels, values=_ring_table(params), route=route)
+    """Structure constants for every ordered pair of labels on the level cone: the rows of ``_rows`` as one array."""
+    labels, rows = _rows(params, route, spectrum, seed)
+    if not isinstance(rows, np.ndarray):  # spectral rows, computed as read; the ring route's are its kept table
+        values = np.empty((len(labels),) * 3)
+        for i, row in enumerate(rows):
+            values[i] = row
+        rows = values
+    return FusionTable(params=params, labels=labels, values=rows, route=route)
 
 
-def _table_rows(params: ModelParams, route: str, seed: int = 0):
-    """The labels and the rows values[lam] ([mu, kappa]) of ``fusion_table(params, route)``, in label order.
+def _rows(params: ModelParams, route: str, spectrum: SpectrumResult | None = None, seed: int = 0):
+    """The labels and the finished rows values[lam] ([mu, kappa]) of a route, in label order.
 
-    For a writer that never holds the whole table: on route "verlinde" the
-    rows are computed as they are read, on route "lr" they are views of the
-    kept read-only table.
+    With ``_raw_rows``, the one place where a route name picks a computation.
+    Spectral rows are computed as they are read.  Route "lr" gives the kept
+    read-only ring table itself, whose rows are views; a spectrum given to it
+    must be at params up to the sign of p, as on the spectral routes.
     """
     cone = level_cone(params.n, params.m)
-    if route == "verlinde":
-        sm = s_matrix(params, seed=seed)
-        return cone.labels, _fusion_rows(cone, _verlinde_rows(sm), "verlinde")
-    return cone.labels, iter(_ring_table(params))
+    if route != "lr":
+        return cone.labels, _fusion_rows(cone, _raw_rows(params, route, spectrum, seed), route)
+    if spectrum is not None:
+        _spectrum_for(params, spectrum)
+    return cone.labels, _ring_table(params)

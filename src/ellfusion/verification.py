@@ -51,13 +51,7 @@ from .partitions import (
     weight,
 )
 from .polynomials import build_P, elementary_symmetric, evaluate_R, evaluate_batch
-from .fusion import (
-    _projection_table,
-    _verlinde_table,
-    fusion_pieri,
-    fusion_table,
-    s_matrix,
-)
+from .fusion import _rows, fusion_pieri, fusion_table, s_matrix
 from .oracles import (
     OracleReport,
     _classical_transform,
@@ -78,16 +72,16 @@ SUITES = ("limits", "ring", "spectrum")
 
 
 class CheckContext:
-    """The run's seed and its Verlinde tables, one per locked parameter set, kept as long as the context.
+    """The run's seed and its Verlinde tables (``fusion_table``), one per locked parameter set, kept as long as it.
 
-    Spectra are kept on the bracket table instead, and their S-matrices and
-    value tables on each spectrum.  The LR route is never stored here, so a
-    check comparing it with the Verlinde table compares two computations.
+    Spectra are kept on the bracket table, S-matrices and value tables on each
+    spectrum.  The ring and projection routes are never stored here, so a check
+    comparing one with the Verlinde table compares two computations.
     """
 
     def __init__(self, seed: int = 0):
         self.seed = seed
-        self.table = cache(lambda params: _verlinde_table(s_matrix(params, seed=seed)))
+        self.table = cache(lambda params: fusion_table(params, seed=seed))
 
 
 def _worst(pairs) -> float:
@@ -391,11 +385,13 @@ def _smatrix_determinant(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
 
 
 def _verlinde_vs_projection(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
-    """Spectral (S-matrix) sum against direct projection onto the spectrum."""
-    return max(
-        ctx.table(params).max_difference(_projection_table(joint_spectrum(params, seed=ctx.seed)))
-        for params in _locked(n, m, g_values, p_values)
-    )
+    """Spectral (S-matrix) sum against direct projection onto the spectrum, one row of ``fusion._rows`` at a time."""
+    worst = 0.0
+    for params in _locked(n, m, g_values, p_values):
+        values = ctx.table(params).values
+        _, rows = _rows(params, "projection", seed=ctx.seed)
+        worst = max(worst, max(float(np.abs(values[i] - row).max()) for i, row in enumerate(rows)))
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -75,12 +75,13 @@ def test_fusion_both_routes_reports_diff(capsys):
 
 
 def test_fusion_both_csv_is_rejected_before_any_table(monkeypatch, capsys):
-    from ellfusion import cli
+    from ellfusion import cli, fusion
 
     def refuse(*args, **kwargs):
-        raise AssertionError("fusion_table called")
+        raise AssertionError("a table or its rows were built")
 
-    monkeypatch.setattr(cli, "fusion_table", refuse)
+    monkeypatch.setattr(cli, "_rows", refuse)
+    monkeypatch.setattr(fusion, "fusion_table", refuse)
     args = ["fusion", "--n", "4", "--m", "4", "--g", "0.7", "--p", "0.3"]
     code, out, err = run_cli([*args, "--route", "both", "--format", "csv"], capsys)
     assert code == 2
@@ -416,6 +417,10 @@ def _csv_rows(table):
         (2, 2, 0.7, 0.3, "lr"),
         (3, 2, 1.0, 0.0, "lr"),
         (3, 2, 0.7, 0.3, "both"),
+        (2, 3, 0.7, 0.3, "both"),
+        (4, 4, 0.7, -0.6, "both"),
+        (3, 6, 0.5, 0.3, "both"),
+        (3, 4, 1.0, 0.0, "both"),
     ],
 )
 def test_fusion_payload_is_the_indented_dump_of_its_blocks(n, m, g, p, route, capsys):
@@ -682,6 +687,16 @@ def _spy_verlinde_rows(monkeypatch, on_row):
     monkeypatch.setattr(fusion, "_verlinde_rows", spied)
 
 
+def _refuse_fusion_table(monkeypatch):
+    """Make any call of ``fusion_table``, the one builder of a dense spectral table, fail."""
+    from ellfusion import fusion
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense table was built")
+
+    monkeypatch.setattr(fusion, "fusion_table", refuse)
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_an_error_mid_table_writes_nothing(fmt, monkeypatch, tmp_path, capsys):
     """A row that raises mid-table: exit 1 and one stderr line; a file already at --out
@@ -705,17 +720,10 @@ def test_an_error_mid_table_writes_nothing(fmt, monkeypatch, tmp_path, capsys):
 
 def test_fusion_file_output_is_written_as_the_rows_are_computed(monkeypatch, tmp_path):
     """The first table block reaches the file handle before the last row is computed,
-    and the Verlinde route builds no dense (N, N, N) table."""
-    from ellfusion import cli, fusion
-
+    and the Verlinde route builds no dense (N, N, N) table: ``fusion_table`` is never called."""
     events = []
     _spy_verlinde_rows(monkeypatch, lambda i: events.append(("row", i)))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the dense table was built")
-
-    monkeypatch.setattr(fusion, "_table", refuse)
-    monkeypatch.setattr(cli, "fusion_table", refuse)
+    _refuse_fusion_table(monkeypatch)
     fdopen = os.fdopen
 
     class Handle:
@@ -748,11 +756,59 @@ def test_fusion_file_output_is_written_as_the_rows_are_computed(monkeypatch, tmp
     assert path.read_text() == "".join(what for kind, what in events if kind == "write")
 
 
+def test_fusion_both_streams_each_verlinde_row_once(monkeypatch, tmp_path):
+    """--route both computes each Verlinde row exactly once, in label order, and builds no dense table."""
+    params = ModelParams.locked(3, 3, 0.7, 0.3)
+    t_v, t_lr = fusion_table(params), fusion_table(params, route="lr")
+    events = []
+    _spy_verlinde_rows(monkeypatch, events.append)
+    _refuse_fusion_table(monkeypatch)
+    path = tmp_path / "both.json"
+    assert main(["fusion", "--route", "both", "--n", "3", "--m", "3", "--g", "0.7", "--p", "0.3",
+                 "--out", str(path)]) == 0
+    assert events == list(range(len(t_v.labels)))
+    payload = {"command": "fusion", "params": params.as_dict(), "seed": 0, "route": "both",
+               "table": _blocks(t_v), "lr_table": _blocks(t_lr), "diff": {"max_abs": t_v.max_difference(t_lr)}}
+    assert path.read_text() == json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def test_fusion_both_reports_a_verlinde_error_before_a_ring_error(monkeypatch, capsys):
+    """A ring-table error is raised only after the last Verlinde row, so a Verlinde row error comes first."""
+    from ellfusion import fusion
+
+    def ring_fails(params):
+        raise ComputationError("ring table failed")
+
+    monkeypatch.setattr(fusion, "_ring_table", ring_fails)
+    events = []
+    _spy_verlinde_rows(monkeypatch, events.append)
+    args = ["fusion", "--route", "both", "--n", "3", "--m", "2", "--g", "0.7", "--p", "0.3"]
+    assert run_cli(args, capsys) == (1, "", "ComputationError: ring table failed\n")
+    assert events == list(range(len(enumerate_level(3, 2))))
+
+    def fail_at_row_3(i):
+        if i == 3:
+            raise ComputationError("row 3 failed")
+
+    _spy_verlinde_rows(monkeypatch, fail_at_row_3)
+    assert run_cli(args, capsys) == (1, "", "ComputationError: row 3 failed\n")
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_fusion_both_names_the_verlinde_error_where_both_routes_raise(m, capsys):
+    """At n=5 g=0.3 p=0.9 both routes raise; --route both reports the Verlinde route's error."""
+    args = ["fusion", "--n", "5", "--m", str(m), "--g", "0.3", "--p", "0.9"]
+    code, out, err = run_cli([*args, "--route", "verlinde"], capsys)
+    assert code == 1 and "(verlinde)" in err
+    assert run_cli([*args, "--route", "lr"], capsys)[0] == 1
+    assert run_cli([*args, "--route", "both"], capsys) == (code, out, err)
+
+
 def test_lr_rows_are_views_of_the_kept_ring_table():
     from ellfusion import fusion
 
     params = ModelParams.locked(3, 3, 0.7, 0.3)
-    labels, rows = fusion._table_rows(params, "lr")
+    labels, rows = fusion._rows(params, "lr")
     table = fusion._ring_table(params)
     rows = list(rows)
     assert len(rows) == len(labels) == len(table)

@@ -562,7 +562,7 @@ def test_lr_table_and_row_writer_build_no_pair_index(tmp_path):
     params = ModelParams.locked(3, 3, 0.7, 0.3)
     coeffs.clear_coeff_caches()
     fusion_table(params, route="lr")
-    labels, rows = fusion._table_rows(params, "lr")
+    labels, rows = fusion._rows(params, "lr")
     assert len(list(rows)) == len(labels)
     assert main(["fusion", "--route", "lr", "--n", "3", "--m", "3", "--g", "0.7", "--p", "0.3",
                  "--out", str(tmp_path / "table.json")]) == 0
@@ -604,8 +604,9 @@ def _covariance_residual(values, J, c):
 
 # Measured at these five points, relative to max |N|: 1.5e-15 - 3.9e-12 on the
 # pair calls of the ring route (the largest at n=4 m=8, growing with the depth of
-# the Pieri recurrence) and 2.1e-15 - 2.5e-14 on the Verlinde table.
-_COVARIANCE_TOL = {"lr": 2e-11, "verlinde": 2e-13}
+# the Pieri recurrence), 2.1e-15 - 2.5e-14 on the Verlinde table and 2.1e-15 -
+# 4.9e-12 on the projection table (the largest at n=4 m=8).
+_COVARIANCE_TOL = {"lr": 2e-11, "verlinde": 2e-13, "projection": 5e-11}
 
 
 @pytest.mark.parametrize(
@@ -613,7 +614,8 @@ _COVARIANCE_TOL = {"lr": 2e-11, "verlinde": 2e-13}
 )
 def test_simple_current_covariance(n, m, g, p):
     """N^{J kappa}_{J lam, mu} = (c_lam c_{J kappa}) / (c_{J lam} c_kappa) N^kappa_{lam, mu} on the pair calls
-    of the ring route and on the Verlinde table; J is the cone's simple current and c comes from ``coeffs``."""
+    of the ring route and on the Verlinde and projection tables; J is the cone's simple current and c comes
+    from ``coeffs``."""
     params = ModelParams.locked(n, m, g, p)
     cone = level_cone(n, m)
     labels, J, N = cone.labels, cone.J, len(cone.labels)
@@ -623,12 +625,13 @@ def test_simple_current_covariance(n, m, g, p):
         for j, mu in enumerate(labels):
             got = structure_constants_lr(lam, mu, params)
             pairs[i, j, [cone.index[k] for k in got]] = list(got.values())
-    verlinde = fusion_table(params).values
     assert _covariance_residual(pairs, J, c) < _COVARIANCE_TOL["lr"]
-    assert _covariance_residual(verlinde, J, c) < _COVARIANCE_TOL["verlinde"]
     swapped = J.copy()
     swapped[[0, 1]] = J[[1, 0]]
-    assert _covariance_residual(verlinde, swapped, c) > 1e-3  # mutation: J composed with a transposition
+    for route in ("verlinde", "projection"):
+        values = fusion_table(params, route=route).values
+        assert _covariance_residual(values, J, c) < _COVARIANCE_TOL[route]
+        assert _covariance_residual(values, swapped, c) > 1e-3  # mutation: J composed with a transposition
     coeffs.clear_coeff_caches()
 
 
@@ -722,7 +725,7 @@ def test_table_rows_and_pairs_agree():
     params = ModelParams.locked(3, 3, 0.7, 0.3)
     sm = s_matrix(params)
     table = fusion_table(params, spectrum=sm.spectrum)
-    projection = fusion._projection_table(sm.spectrum)
+    projection = fusion_table(params, route="projection", spectrum=sm.spectrum)
     assert table.max_difference(projection) < 1e-8
     labels = table.labels
     for i, lam in enumerate(labels):
@@ -742,7 +745,7 @@ def test_spectral_pair_calls_are_the_table_rows(n, m):
     sm = s_matrix(params)
     tables = {
         structure_constants_verlinde: fusion_table(params, spectrum=sm.spectrum),
-        structure_constants_projection: fusion._projection_table(sm.spectrum),
+        structure_constants_projection: fusion_table(params, route="projection", spectrum=sm.spectrum),
     }
     labels = sm.labels
     rng = np.random.default_rng(5)
@@ -753,18 +756,19 @@ def test_spectral_pair_calls_are_the_table_rows(n, m):
 
 
 @pytest.mark.parametrize("bad", [1e-3, math.nan])
-def test_spectral_pair_errors_name_the_pair(bad):
+def test_spectral_pair_errors_name_the_pair(bad, monkeypatch):
     """A pair finished as a one-row block names its own (lam, mu) in a check error."""
-    sm = s_matrix(ModelParams.locked(3, 2, 0.7, 0.3))
+    params = ModelParams.locked(3, 2, 0.7, 0.3)
+    sm = s_matrix(params)
     Sinv = sm.Sinv.copy()
     Sinv[2, 3] += bad
-    rows = fusion._verlinde_rows(dataclasses.replace(sm, Sinv=Sinv))
+    monkeypatch.setattr(fusion, "s_matrix", lambda *args, **kwargs: dataclasses.replace(sm, Sinv=Sinv))
     labels = sm.labels
     raised = set()
-    for i, lam in enumerate(labels):
+    for lam in labels:
         for j, mu in enumerate(labels):
             try:
-                fusion._spectral_pair(level_cone(3, 2), (i, j), rows, "verlinde")
+                structure_constants_verlinde(lam, mu, params)
             except ComputationError as exc:
                 assert str(exc).endswith(f" in {lam} x {mu} (verlinde)"), (lam, mu, str(exc))
                 raised.add(j)
@@ -781,14 +785,16 @@ def test_fusion_table_is_read_only_and_compares_equal_labels_only():
         table.max_difference(fusion_table(ModelParams.locked(2, 2, 0.7, 0.3)))
 
 
-def test_perturbed_inverse_is_caught_by_the_support():
-    sm = s_matrix(ModelParams.locked(3, 2, 0.7, 0.3))
+def test_perturbed_inverse_is_caught_by_the_support(monkeypatch):
+    params = ModelParams.locked(3, 2, 0.7, 0.3)
+    sm = s_matrix(params)
     Sinv = sm.Sinv.copy()
     Sinv[2, 3] += 1e-3
+    monkeypatch.setattr(fusion, "s_matrix", lambda *args, **kwargs: dataclasses.replace(sm, Sinv=Sinv))
     label = r"\(\d, \d, \d\)"
     message = rf"^fusion .+: {label} -> .+ in {label} x {label} \(verlinde\)$"
     with pytest.raises(ComputationError, match=message):
-        fusion._verlinde_table(dataclasses.replace(sm, Sinv=Sinv))
+        fusion_table(params)
 
 
 @pytest.mark.parametrize("route", ["verlinde", "projection"])
@@ -798,7 +804,7 @@ def test_non_finite_raw_value_raises(route, bad, on_support):
     """A NaN or infinity in a raw row is an error naming the pair and route, never a 0.0."""
     params = ModelParams.locked(2, 2, 0.7, 0.3)
     sm = s_matrix(params)
-    rows = fusion._verlinde_rows(sm) if route == "verlinde" else fusion._projection_rows(params, sm.spectrum)
+    rows = fusion._raw_rows(params, route, sm.spectrum)
     labels, i = sm.labels, 1
     keys = np.array(labels)
     mask = fusion._support_row(keys, keys.sum(axis=1), i)
@@ -1115,8 +1121,9 @@ def test_kept_transform_has_the_bits_of_a_fresh_one(n, m, g, p):
     assert kept.S.tobytes() == own.S.tobytes() and kept.Sinv.tobytes() == own.Sinv.tobytes()
     assert kept.normalization == own.normalization
     assert value_table(params, spec).tobytes() == value_table(params, fresh).tobytes()
-    for route in (lambda s: fusion_table(params, spectrum=s), fusion._projection_table):
-        assert route(spec).values.tobytes() == route(fresh).values.tobytes()
+    for route in ("verlinde", "projection"):
+        kept_bits, fresh_bits = (fusion_table(params, route, spectrum=s).values.tobytes() for s in (spec, fresh))
+        assert kept_bits == fresh_bits
 
 
 def test_a_spectrum_with_other_dual_norms_gets_its_own_sinv():
@@ -1136,6 +1143,8 @@ _SPECTRUM_CALLS = {
     "verlinde_pair": lambda params, spec: structure_constants_verlinde((1, 0, 0), (1, 1, 0), params, spectrum=spec),
     "projection_pair": lambda params, spec: structure_constants_projection((1, 0, 0), (1, 1, 0), params, spectrum=spec),
     "fusion_table": lambda params, spec: fusion_table(params, spectrum=spec),
+    "projection_table": lambda params, spec: fusion_table(params, route="projection", spectrum=spec),
+    "lr_table": lambda params, spec: fusion_table(params, route="lr", spectrum=spec),
     "dual_orthogonality_check": lambda params, spec: operators.dual_orthogonality_check(params, spectrum=spec),
     "value_table": value_table,
     "projection_arrays": operators.projection_arrays,
@@ -1171,6 +1180,40 @@ def test_the_minus_p_spectrum_is_accepted(entry):
     params = ModelParams.locked(3, 3, 0.7, 0.2)
     call = _SPECTRUM_CALLS[entry]
     assert _bits(call(params, joint_spectrum(params.with_p(-0.2)))) == _bits(call(params, joint_spectrum(params)))
+
+
+def test_ring_route_checks_a_spectrum_but_builds_none(monkeypatch):
+    """The ring route accepts the kept spectrum and reads the kept ring table; without a spectrum it builds none."""
+    params = ModelParams.locked(3, 3, 0.7, 0.2)
+    coeffs.clear_coeff_caches()
+    kept = fusion_table(params, route="lr", spectrum=joint_spectrum(params)).values
+    assert kept is fusion._ring_table(params)
+    coeffs.clear_coeff_caches()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a spectrum was built")
+
+    monkeypatch.setattr(operators, "joint_spectrum", refuse)
+    assert fusion_table(params, route="lr").values.tobytes() == kept.tobytes()
+    coeffs.clear_coeff_caches()
+
+
+@pytest.mark.parametrize("route", ["both", "ring", "Verlinde", ""])
+def test_an_unknown_route_raises_before_any_spectrum_or_table(route, monkeypatch):
+    params = ModelParams.locked(3, 3, 0.7, 0.2)
+    spec = joint_spectrum(params)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a spectrum or a table was built")
+
+    for module, name in [(operators, "joint_spectrum"), (fusion, "s_matrix"), (fusion, "_spectrum_for"),
+                         (fusion, "_ring_table"), (fusion, "projection_arrays")]:
+        monkeypatch.setattr(module, name, refuse)
+    for spectrum in (None, spec):
+        with pytest.raises(ValueError, match=f"^unknown route {re.escape(repr(route))}$"):
+            fusion_table(params, route=route, spectrum=spectrum)
+        with pytest.raises(ValueError, match="^unknown route"):
+            fusion._rows(params, route, spectrum)
 
 
 def test_smatrix_command_factors_s_once(monkeypatch, tmp_path):
