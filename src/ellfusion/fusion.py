@@ -465,11 +465,6 @@ class FusionTable:
         keys = product(self.labels, repeat=2)
         return MappingProxyType({key: MappingProxyType(_pair_dict(pairs, p)) for p, key in enumerate(keys)})
 
-    def max_difference(self, other: "FusionTable") -> float:
-        if self.labels != other.labels:
-            raise ValueError("the tables have different labels")
-        return float(np.abs(self.values - other.values).max())
-
 
 def fusion_table(
     params: ModelParams,

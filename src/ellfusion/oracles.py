@@ -295,7 +295,7 @@ def classical_fusion(lam, mu, n: int, m: int) -> dict[Partition, int]:
 
 
 def refined_tensor(n: int, m: int, g: float) -> tuple[list[Partition], np.ndarray]:
-    """Labels and the refined level-m fusion tensor at p = 0, built on every call.
+    """Labels and the refined level-m fusion tensor at p = 0, built on every call into one array.
 
     The real part of the Verlinde rows of V[kappa, nu] = P^trig_kappa(e_nu) (Aganagic &
     Shakirov, arXiv:1105.5117) at the closed-form points e_{r,nu} = e_r(q^(nu_j + (n-1-j)g
@@ -310,7 +310,7 @@ def refined_tensor(n: int, m: int, g: float) -> tuple[list[Partition], np.ndarra
     table: dict = {}
     polys = [_trig_polys(kappa, alpha, g, table) for kappa in labels]
     V = np.array([np.fromiter(P.values(), float) @ np.prod(e ** -np.diff(list(P))[:, None], axis=2) for P in polys])
-    return labels, np.array([row.real for row in _verlinde_rows(V)])
+    return labels, np.fromiter((row.real for row in _verlinde_rows(V)), np.dtype((float, V.shape)), len(V))
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ an entry with tolerance 0 is exact and counts violations.  ``run_suite``
 so each criterion is computed in one place.  Verlinde tables are shared
 between the checks of one run through a :class:`CheckContext`; spectra,
 S-matrices and value tables are kept with the spectrum on the bracket
-table.  Checks that hit a genuine parameter resonance (an exact boundary
-zero against a divergent normalization) re-verify the identity at
-couplings nudged by 1e-6 on both sides instead of skipping the grid point.
+table.  Table checks take their maxima row by row (``_largest``).  Checks
+that hit a genuine parameter resonance (an exact boundary zero against a
+divergent normalization) re-verify the identity at couplings nudged by
+1e-6 on both sides instead of skipping the grid point.
 """
 
 from __future__ import annotations
@@ -72,11 +73,11 @@ SUITES = ("limits", "ring", "spectrum")
 
 
 class CheckContext:
-    """The run's seed and its Verlinde tables (``fusion_table``), one per locked parameter set, kept as long as it.
+    """The run's seed and dense Verlinde tables (``fusion_table``), one per locked parameter set, kept as long as it.
 
     Spectra are kept on the bracket table, S-matrices and value tables on each
     spectrum.  The ring and projection routes are never stored here, so a check
-    comparing one with the Verlinde table compares two computations.
+    comparing one with the Verlinde table compares two computations, row by row.
     """
 
     def __init__(self, seed: int = 0):
@@ -87,6 +88,13 @@ class CheckContext:
 def _worst(pairs) -> float:
     """Largest |computed - expected| over (computed, expected) pairs."""
     return max((abs(complex(a) - complex(b)) for a, b in pairs), default=0.0)
+
+
+def _largest(rows, others=None) -> float:
+    """Max |row - other| over two tables (arrays or row streams, equally long) side by side, else max |row|; per row."""
+    if others is None:
+        return max(float(np.abs(row).max()) for row in rows)
+    return max(float(np.abs(row - other).max()) for row, other in zip(rows, others, strict=True))
 
 
 def _dict_deviation(a: dict, b: dict) -> float:
@@ -248,7 +256,7 @@ def _lr_macdonald_p0(ctx, n, g=0.65, max_weight=3):
 def _route_agreement(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
     """Ring-route and spectral-route fusion tables agree at generic couplings."""
     return max(
-        fusion_table(params, route="lr").max_difference(ctx.table(params))
+        _largest(_rows(params, "lr")[1], ctx.table(params).values)
         for params in _locked(n, m, g_values, p_values)
     )
 
@@ -264,7 +272,7 @@ def _fusion_conjugation(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
     """N^{kappa*}_{lam* mu*} = N^kappa_{lam mu} on both tables, relative to max |N|."""
     star = level_cone(n, m).conjugation
     return max(
-        float(np.abs(N[np.ix_(star, star, star)] - N).max() / np.abs(N).max())
+        _largest((N[i][np.ix_(star, star)] for i in star), N) / _largest(N)
         for _, N in _both_tables(ctx, n, m, g_values, p_values)
     )
 
@@ -280,9 +288,8 @@ def _fusion_duality(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
     worst = 0.0
     for params, N in _both_tables(ctx, n, m, g_values, p_values):
         w = 1.0 / (coeffs.level_c(params) ** 2 * delta_vector(params))
-        lhs = N * w
-        rhs = N[star].transpose(0, 2, 1) * w[:, None]  # [lam, mu, kappa] = N^mu_{lam* kappa} w_mu
-        worst = max(worst, float(np.abs(lhs - rhs).max() / np.abs(lhs).max()))
+        rhs = (N[i].T * w[:, None] for i in star)  # row lam: [mu, kappa] = N^mu_{lam* kappa} w_mu
+        worst = max(worst, _largest((row * w for row in N), rhs) / _largest(row * w for row in N))
     return worst
 
 
@@ -386,12 +393,10 @@ def _smatrix_determinant(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
 
 def _verlinde_vs_projection(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
     """Spectral (S-matrix) sum against direct projection onto the spectrum, one row of ``fusion._rows`` at a time."""
-    worst = 0.0
-    for params in _locked(n, m, g_values, p_values):
-        values = ctx.table(params).values
-        _, rows = _rows(params, "projection", seed=ctx.seed)
-        worst = max(worst, max(float(np.abs(values[i] - row).max()) for i, row in enumerate(rows)))
-    return worst
+    return max(
+        _largest(_rows(params, "projection", seed=ctx.seed)[1], ctx.table(params).values)
+        for params in _locked(n, m, g_values, p_values)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -454,28 +459,26 @@ def _table_values(ctx, params, labels) -> np.ndarray:
 
 
 def _refined_fusion_p0(ctx, n, m, g=0.8):
-    """Spectral-route fusion at p = 0 against the trigonometric Verlinde tensor, as whole arrays."""
+    """Spectral-route fusion at p = 0 against the trigonometric Verlinde tensor, row by row."""
     labels, tensor = refined_tensor(n, m, g)
-    return float(np.abs(_table_values(ctx, ModelParams.locked(n, m, g, 0.0), labels) - tensor).max())
+    return _largest(_table_values(ctx, ModelParams.locked(n, m, g, 0.0), labels), tensor)
 
 
 def _fusion_g1_classical(ctx, n, m):
     """Fusion table at g = 1 against the classical coefficients."""
     labels, _, _, classical = _classical_transform(n, m)
-    return float(np.abs(_table_values(ctx, ModelParams.locked(n, m, 1.0, 0.0), labels) - classical).max())
+    return _largest(_table_values(ctx, ModelParams.locked(n, m, 1.0, 0.0), labels), classical)
 
 
 def _fusion_g1_integers(ctx, n, m):
-    """Table values at g = 1 that do not round (half to even) to the classical, nonnegative integer."""
+    """Table values at g = 1 that round (half to even) off the classical integer, or lie below -_CLASSICAL_TOL."""
     labels, _, _, classical = _classical_transform(n, m)
-    values = _table_values(ctx, ModelParams.locked(n, m, 1.0, 0.0), labels)
-    nearest = np.rint(values)
-    return int(np.count_nonzero((nearest != classical) | (nearest < 0) | (values < -_CLASSICAL_TOL)))
+    pairs = zip(_table_values(ctx, ModelParams.locked(n, m, 1.0, 0.0), labels), classical, strict=True)
+    return sum(int(np.count_nonzero((np.rint(row) != want) | (row < -_CLASSICAL_TOL))) for row, want in pairs)
 
 
 def _fusion_g1_p_independent(ctx, n, m, p=0.5):
-    tables = [ctx.table(ModelParams.locked(n, m, 1.0, q)) for q in (0.0, p)]
-    return tables[0].max_difference(tables[1])
+    return _largest(*(ctx.table(ModelParams.locked(n, m, 1.0, q)).values for q in (0.0, p)))
 
 
 def _smatrix_kac_peterson(ctx, n, m):

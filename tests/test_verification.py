@@ -102,6 +102,62 @@ def test_symmetry_checks_read_both_tables(name):
     assert _report(name, StubContext(), n=3, m=2).max_abs > 0.05
 
 
+@pytest.mark.parametrize("name", ["route_agreement", "verlinde_vs_projection", "fusion_g1_p_independent"])
+def test_streamed_comparisons_read_every_row(name):
+    """A p = 0 Verlinde table moved by 0.5 in its last row reads 0.5; one with a row fewer raises, not compares a prefix."""
+    import numpy as np
+
+    ctx = CheckContext()
+
+    class StubContext:
+        seed = 0
+
+        def __init__(self, edit):
+            self.edit = edit
+
+        def table(self, params):
+            values = ctx.table(params).values
+            return SimpleNamespace(values=self.edit(values.copy()) if params.p == 0.0 else values)
+
+    def moved(values):
+        values[-1] += 0.5
+        return values
+
+    assert abs(_report(name, StubContext(moved), n=3, m=2).max_abs - 0.5) < 1e-9
+    with pytest.raises(ValueError):
+        _report(name, StubContext(lambda values: values[:-1]), n=3, m=2)
+    assert np.isclose(_report(name, StubContext(lambda values: values), n=3, m=2).max_abs, 0.0, atol=1e-7)
+
+
+def test_table_checks_make_no_table_sized_temporary():
+    """With every table of the run kept, no table check peaks at a quarter of one N^3 float table (N=56).
+
+    The checks compare row by row.  refined_fusion_p0 builds its oracle
+    tensor on every call, one table, so it is bounded by one and a half.
+    """
+    import tracemalloc
+
+    n, m = 4, 5
+    table = 56**3 * 8
+    names = ("route_agreement", "fusion_conjugation", "fusion_duality", "verlinde_vs_projection",
+             "fusion_g1_classical", "fusion_g1_classical_integers", "fusion_g1_p_independent", "refined_fusion_p0")
+    checks = [c for c in REGISTRY if c.name in names]
+    assert len(checks) == len(names)
+    ctx = CheckContext()
+    for check in checks:  # fill the context and the kept spectra and ring tables
+        check.measure(ctx, n=n, m=m)
+    peaks = {}
+    for check in checks:
+        tracemalloc.start()
+        try:
+            check.measure(ctx, n=n, m=m)
+            peaks[check.name] = tracemalloc.get_traced_memory()[1] / table
+        finally:
+            tracemalloc.stop()
+    assert peaks.pop("refined_fusion_p0") < 1.5
+    assert max(peaks.values()) < 0.25, peaks
+
+
 def test_run_suite_dispatch():
     assert run_suite("limits", 2, 1)
     with pytest.raises(ValueError):
