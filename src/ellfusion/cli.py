@@ -395,9 +395,7 @@ def _cmd_pieri(args, parser) -> int:
     if params.level_locked:
         table = fusion_pieri(args.lam, args.r, params)
     else:
-        lam = check_partition(args.lam)
-        if len(lam) != params.n:
-            raise ValueError(f"partition length {len(lam)} does not match n={params.n}")
+        lam = check_partition(args.lam, params.n)
         table = {nu: coeffs.psi_prime(lam, nu, params) for nu in vertical_strips(lam, args.r)}
     return _emit_entries(args, params, table, lam=list(args.lam), r=args.r)
 

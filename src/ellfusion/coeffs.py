@@ -29,7 +29,6 @@ zeros and pass through.
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import OrderedDict
 from functools import lru_cache
@@ -39,7 +38,7 @@ import numpy as np
 
 from .errors import NotAStrip, SingularDenominator
 from .kernel import SINGULAR_TOL, ModelParams, bracket
-from .partitions import Partition, _read_only, is_partition, level_cone
+from .partitions import Partition, _read_only, check_partition, is_partition, level_cone
 
 # One nome_sweep pass (n=4 m=4, p = +-0.3, +-0.6, +-0.9) visits 26 distinct
 # |p| along its homotopy paths, rejected steps included (the -p legs read the
@@ -67,8 +66,8 @@ class BracketTable:
 
     ``values[a, b]`` is the real part of ``bracket(a + b*g, params)``, whose
     imaginary part is exactly 0 for a real argument; both arrays are float64,
-    and the factors are divided in Python floats, which give the bits of the
-    real part of the complex quotient.  Every factor of the four coefficient
+    and the float64 quotients of the factors give the bits of the real part
+    of the complex quotient.  Every factor of the four coefficient
     families is a cell ``factors[layer, a, s]`` with the pair distance
     1 <= s <= cols-2; a product of cells taken in order is the coefficient,
     so the scalar functions and the gathers over a level cone read the same
@@ -113,28 +112,29 @@ class BracketTable:
             row.extend(bracket(a + b * g, params).real for b in range(K, cols))
         B += [[bracket(a + b * g, params).real for b in range(cols)] for a in range(R, rows)]
         self.values = np.array(B, dtype=float).reshape(rows, cols)
-        self._derive(B)
+        self._derive()
 
-    def _derive(self, B: list[list[float]]) -> None:
-        (R, K), g = self.values.shape, self.params.g
+    def _derive(self) -> None:
+        V, g = self.values, self.params.g
+        R, K = V.shape
 
-        def ratio(num: float, den: float) -> float:
-            return math.nan if abs(den) < SINGULAR_TOL else num / den
+        def ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+            return np.where(np.abs(den) < SINGULAR_TOL, np.nan, num / den)
 
-        factors = [[[math.nan] * K for _ in range(R)] for _ in range(6)]
-        hop, c, head, tail = factors[:3], factors[_C], factors[_HEAD], factors[_TAIL]
-        for s in range(1, K - 1):
-            cum_c = cum_tail = 1.0
-            for a in range(R):
-                for t in (-1, 0, 1):
-                    hop[t + 1][a][s] = ratio(B[a][s + t], B[a][s])
-                head[a][s] = ratio(B[a][s], B[0][s])
-                c[a][s] = cum_c
-                tail[a][s] = cum_tail
-                cum_c *= ratio(B[a][s], B[a][s + 1])
-                if a + 1 < R:
-                    cum_tail *= ratio(B[a][s + 1], B[a + 1][s - 1])
-        self.factors = np.array(factors, dtype=float).reshape(6, R, K)
+        def running(terms: np.ndarray) -> np.ndarray:
+            """Row a holds the product of the rows l < a of terms, from 1 (row 0)."""
+            return np.cumprod(np.concatenate([np.ones((1, terms.shape[1])), terms]), axis=0)[:R]
+
+        mid = V[:, 1:-1]  # [a + sg] at the pair distances s = 1, ..., K-2
+        factors = np.full((6, R, K), np.nan)
+        with np.errstate(divide="ignore", invalid="ignore"):  # quotients by a vanished bracket become NaN
+            factors[0, :, 1:-1] = ratio(V[:, :-2], mid)
+            factors[1, :, 1:-1] = ratio(mid, mid)
+            factors[2, :, 1:-1] = ratio(V[:, 2:], mid)
+            factors[_C, :, 1:-1] = running(ratio(mid, V[:, 2:]))
+            factors[_HEAD, :, 1:-1] = ratio(mid, V[:1, 1:-1])
+            factors[_TAIL, :, 1:-1] = running(ratio(V[:-1, 2:], V[1:, :-2]))
+        self.factors = factors
 
         # The argument a + b*g of each vanished denominator.  A running product
         # (layers 3 and 5) records its first, which is also its least: its
@@ -212,8 +212,10 @@ def hop_B(lam: Partition, nu: Partition, params: ModelParams) -> float:
     Product over all pairs j < k of
     [lam_j - lam_k + g(k - j + theta_j - theta_k)] / [lam_j - lam_k + g(k - j)].
     """
+    n = params.n
+    if len(lam) != n:  # the gate raises; the length alone is compared on this hot path
+        check_partition(lam, n)
     theta = strip_pattern(lam, nu)
-    n = len(lam)
     table = _table(params, lam[0] - lam[-1] + 1, n + 1)
     return _product(table, [(theta[j] - theta[k] + 1, lam[j] - lam[k], k - j) for j, k in combinations(range(n), 2)])
 
@@ -225,8 +227,10 @@ def psi_prime(lam: Partition, nu: Partition, params: ModelParams) -> float:
     [nu_j-nu_k+g(k-j+1)]/[nu_j-nu_k+g(k-j)] *
     [lam_j-lam_k+g(k-j-1)]/[lam_j-lam_k+g(k-j)].
     """
+    n = params.n
+    if len(lam) != n:  # the gate raises; the length alone is compared on this hot path
+        check_partition(lam, n)
     theta = strip_pattern(lam, nu)
-    n = len(lam)
     table = _table(params, lam[0] - lam[-1] + 1, n + 1)
     cells = []
     for j, k in combinations(range(n), 2):
@@ -236,11 +240,6 @@ def psi_prime(lam: Partition, nu: Partition, params: ModelParams) -> float:
     return _product(table, cells)
 
 
-def _check_partition(mu: Partition) -> None:
-    if not is_partition(mu):
-        raise ValueError(f"{mu} is not a partition")
-
-
 def c_norm(mu: Partition, params: ModelParams) -> float:
     """Normalization coefficient: product of elliptic-factorial ratios.
 
@@ -248,8 +247,8 @@ def c_norm(mu: Partition, params: ModelParams) -> float:
     prod_{l<d} [l + sg] / [l + (s+1)g].  Positive for mu in the level cone
     when g > 0 in level-locked mode.
     """
-    _check_partition(mu)
-    n = len(mu)
+    n = params.n
+    mu = check_partition(mu, n)
     table = _table(params, mu[0] - mu[-1] + 1, n + 1)
     return _product(table, [(_C, mu[j] - mu[k], k - j) for j, k in combinations(range(n), 2)])
 
@@ -260,8 +259,8 @@ def delta_weight(lam: Partition, params: ModelParams) -> float:
     Product over pairs j < k, with d = lam_j - lam_k and s = k - j, of
     [d + sg]/[sg] * prod_{l<d} [l + (s+1)g] / [l + 1 + (s-1)g].
     """
-    _check_partition(lam)
-    n = len(lam)
+    n = params.n
+    lam = check_partition(lam, n)
     table = _table(params, lam[0] - lam[-1] + 1, n + 1)
     cells = [(layer, lam[j] - lam[k], k - j) for j, k in combinations(range(n), 2) for layer in (_HEAD, _TAIL)]
     return _product(table, cells)

@@ -63,10 +63,12 @@ def reduce_mod_ideal(expansion: dict[Partition, float], params: ModelParams) -> 
     """Reduce a basis expansion modulo the level ideal.
 
     Keys with span > m are dropped; surviving keys are re-keyed to their
-    underline and accumulated.
+    underline and accumulated.  A key of another length than n raises
+    ``ValueError``.
     """
     out: dict[Partition, float] = {}
     for nu, v in expansion.items():
+        nu = check_partition(nu, params.n)
         if span(nu) > params.m:
             continue
         key = underline(nu)
@@ -85,9 +87,7 @@ def fusion_pieri(lam, r: int, params: ModelParams) -> dict[Partition, float]:
     """
     if not params.level_locked:
         raise ValueError("the fusion Pieri rule requires level-locked parameters")
-    lam = check_partition(lam)
-    if len(lam) != params.n:
-        raise ValueError(f"partition length {len(lam)} does not match n={params.n}")
+    lam = check_partition(lam, params.n)
     if not 1 <= r <= params.n - 1:
         raise ValueError(f"need 1 <= r <= n-1, got r={r}")
     out: dict[Partition, float] = {}
@@ -103,23 +103,18 @@ def _pair_index(lam, mu, cone: LevelCone) -> tuple[int, int] | None:
     Factors that are labels of the cone, as they are, take one lookup each.
     Any other spelling (a list, an array, a factor off the cone or malformed)
     goes through ``check_partition`` first; a key that compares equal to a
-    label (numpy ints, True) is one it turns into that label.  A partition of
+    label (numpy ints, True) is one it turns into that label, and one of
     another length than n raises ``ValueError``.  A factor outside the level
     cone stands for its underline, since e_n = 1 in the ring; one of span > m
     lies in the level ideal, so the pair has no structure constants and the
     result is None.
     """
-    index, n = cone.index, cone.n
+    index = cone.index
     try:
         return index[lam], index[mu]
     except (KeyError, TypeError):  # off the cone, malformed, or unhashable
         pass
-    lam, mu = check_partition(lam), check_partition(mu)
-    if lam in index and mu in index:
-        return index[lam], index[mu]
-    for part in (lam, mu):
-        if len(part) != n:
-            raise ValueError(f"partition length {len(part)} does not match n={n}")
+    lam, mu = check_partition(lam, cone.n), check_partition(mu, cone.n)
     if span(lam) > cone.m or span(mu) > cone.m:
         return None
     return index[underline(lam)], index[underline(mu)]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ComputationError
 from .kernel import ModelParams
-from .partitions import Partition, add, check_partition, contains, is_partition, weight
+from .partitions import Partition, add, check_partition, contains, weight
 from .polynomials import PolynomialInE, _poly, basis_keys
 from . import coeffs
 
@@ -65,14 +65,13 @@ def expand_in_P(F: PolynomialInE, params: ModelParams) -> dict[Partition, float]
     Keys are grouped by weight; each group is substituted back over the
     basis keys bounded by its largest first part and smallest last part.
     Exact zeros are left out.  A key that is not a partition with n rows
-    raises ValueError.
+    raises the ValueError of ``check_partition``.
     """
     if F.n != params.n:
         raise ValueError(f"polynomial has n={F.n}, parameters have n={params.n}")
     groups: dict[int, dict[Partition, float]] = {}
     for key, v in F.items():
-        if len(key) != params.n or not is_partition(key):
-            raise ValueError(f"key {key} is not a partition with {params.n} rows")
+        key = check_partition(key, params.n)
         groups.setdefault(weight(key), {})[key] = v
     out: dict[Partition, float] = {}
     for w, f in sorted(groups.items()):
@@ -90,7 +89,7 @@ def lr_coefficients(lam, mu, params: ModelParams) -> dict[Partition, float]:
     error naming the largest such key.  Keys come in descending
     lexicographic order.
     """
-    lam, mu = check_partition(lam), check_partition(mu)
+    lam, mu = check_partition(lam, params.n), check_partition(mu, params.n)
     w = weight(lam) + weight(mu)
     # The gate runs on store hits too: the store is shared across m, locking and the sign of p.
     keys = basis_keys(params, w, lam[0] + mu[0], lam[-1] + mu[-1], (lam, mu))

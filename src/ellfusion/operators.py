@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import ComputationError, DegenerateCombination, GradingViolation, TrackingAmbiguity
 from .kernel import ModelParams, qpow
-from .partitions import Partition, _read_only, level_cone, vertical_strips, weight
+from .partitions import Partition, _read_only, check_partition, level_cone, vertical_strips, weight
 from .polynomials import build_P, elementary_symmetric, evaluate_batch
 from . import coeffs
 
@@ -62,9 +62,10 @@ _PHASE_TOL = 1e-6
 
 
 def apply_D(r: int, f: LatticeFunction, lam: Partition, params: ModelParams) -> complex:
-    """Value of the r-th difference operator applied to f, at the site lam."""
+    """Value of the r-th difference operator applied to f, at the site lam, a partition of length n."""
     if not 1 <= r <= params.n:
         raise ValueError(f"need 1 <= r <= n, got r={r}")
+    lam = check_partition(lam, params.n)
     total = 0.0 + 0.0j
     for nu in vertical_strips(lam, r):
         fv = f.get(nu)
@@ -112,12 +113,11 @@ def delta_vector(params: ModelParams) -> np.ndarray:
     return vals
 
 
-def conjugated_matrices(params: ModelParams) -> tuple[list[np.ndarray], np.ndarray, tuple[Partition, ...]]:
-    """W D_r W^-1 for r = 1..n-1 with W = diag(sqrt(Delta)); these are normal."""
-    ops = [build_truncated(r, params) for r in range(1, params.n)]
+def conjugated_matrices(params: ModelParams) -> tuple[list[np.ndarray], np.ndarray]:
+    """W D_r W^-1 for r = 1..n-1 with W = diag(sqrt(Delta)), and sqrt(Delta); the matrices are normal."""
+    ops = [build_truncated(r, params).matrix for r in range(1, params.n)]
     w = np.sqrt(delta_vector(params))
-    mats = [(w[:, None] * op.matrix) / w[None, :] for op in ops]
-    return mats, w, ops[0].labels
+    return [(w[:, None] * D) / w[None, :] for D in ops], w
 
 
 def normality_residual(op: TruncatedOperator) -> float:
@@ -231,10 +231,11 @@ def _raw_spectrum(params: ModelParams, rng: random.Random):
     Rayleigh quotients of the refined vectors, and their Z_n charges are
     read by ``_charges``.  Every product is a dense BLAS one: sparse gathers
     over the few nonzeros per row of M_r took longer with numpy at every
-    size measured, up to N = 495.
+    size measured, up to N = 495.  The result is (E, vectors, w, charges),
+    with w = sqrt(Delta) of ``conjugated_matrices``.
     """
-    mats, w, labels = conjugated_matrices(params)
-    N, k = len(labels), len(mats)
+    mats, w = conjugated_matrices(params)
+    N, k = len(w), len(mats)
     for _ in range(_COMBO_ATTEMPTS):
         z = [rng.gauss(0.0, 1.0) for _ in range(2 * k)]
         A = sum(complex(a, b) * Mi for a, b, Mi in zip(z[:k], z[k:], mats))
@@ -255,7 +256,7 @@ def _raw_spectrum(params: ModelParams, rng: random.Random):
     conj = vecs.conj()
     nrm = np.einsum("ki,ki->i", conj, vecs)
     E = np.stack([np.einsum("ki,ki->i", conj, M @ vecs) for M in mats], axis=1) / nrm[:, None]
-    return E, vecs, w, labels, _charges(mats, vecs, params.n, params.m)
+    return E, vecs, w, _charges(mats, vecs, params.n, params.m)
 
 
 def _sector_distances(E_a: np.ndarray, k_a: np.ndarray, E_b: np.ndarray, k_b: np.ndarray) -> np.ndarray:
@@ -385,7 +386,7 @@ def _continue(params: ModelParams, seed: int) -> SpectrumResult:
             E_pred = E_cur
         else:
             E_pred = E_cur + (h / (t_cur - t_prev)) * (E_cur - E_prev)
-        E_new, vecs_new, w_new, _, k_new = _raw_spectrum(params.with_p(target * t_next), rng)
+        E_new, vecs_new, w_new, k_new = _raw_spectrum(params.with_p(target * t_next), rng)
         if not np.array_equal(np.bincount(k_new, minlength=params.n), sizes):
             raise GradingViolation(
                 f"charge sector sizes at p={target * t_next} differ from those of -|nu| mod n"

@@ -24,8 +24,12 @@ import numpy as np
 Partition = tuple[int, ...]
 
 
-def check_partition(parts) -> Partition:
-    """Validate and normalize an iterable of parts into a partition tuple."""
+def check_partition(parts, n: int | None = None) -> Partition:
+    """Validate and normalize an iterable of parts into a partition tuple, of length n if n is given.
+
+    The one gate of a factor: every coefficient is a product over the row
+    pairs of an n-row partition, so one of another length belongs to no model.
+    """
     lam = tuple(int(x) for x in parts)
     if not lam:
         raise ValueError("a partition needs at least one row")
@@ -33,6 +37,8 @@ def check_partition(parts) -> Partition:
         raise ValueError(f"negative part in {lam}")
     if any(lam[j] < lam[j + 1] for j in range(len(lam) - 1)):
         raise ValueError(f"parts must be non-increasing: {lam}")
+    if n is not None and len(lam) != n:
+        raise ValueError(f"partition length {len(lam)} does not match n={n}")
     return lam
 
 

@@ -110,13 +110,11 @@ def _admits(params: ModelParams, w: int, top: int) -> bool:
 
 
 def _check_buildable(mu: Partition, params: ModelParams) -> None:
-    """Admission gate of a request for P_mu: its length, then the coupling.
+    """Admission gate of a request for P_mu, a partition of length n: the coupling.
 
     The polynomials are stored per bracket table, which is shared across m,
     ``level_locked`` and the sign of p, so the gate runs on every request.
     """
-    if len(mu) != params.n:
-        raise ValueError(f"partition length {len(mu)} does not match n={params.n}")
     if not _admits(params, weight(mu), span(mu)):
         raise GenericityViolation(
             f"cannot build P_{mu}: coupling g={params.g} is resonant for this span "
@@ -139,11 +137,11 @@ def build_P(mu, params: ModelParams) -> PolynomialInE:
 
     The dependency cone is resolved with an explicit worklist.
     """
-    return _build_P(check_partition(mu), params)
+    return _build_P(check_partition(mu, params.n), params)
 
 
 def _build_P(mu: Partition, params: ModelParams) -> PolynomialInE:
-    """``build_P`` of a partition tuple that is already validated."""
+    """``build_P`` of a partition tuple of length n that is already validated."""
     _check_buildable(mu, params)
     return _poly(mu, params, coeffs._table(params).polys)
 
@@ -205,7 +203,7 @@ def basis_keys(params: ModelParams, w: int, M: int, L: int = 0, heads=()) -> lis
     M = min(M, w - (n - 1) * L)
     keys = partitions_of_weight(n, w - n * L, max_part=M - L) if M >= L else []
     keys = [tuple(x + L for x in k) for k in reversed(keys)]
-    if not (all(len(mu) == n for mu in heads) and _admits(params, w, M - L)):
+    if not _admits(params, w, M - L):
         for mu in (*heads, *keys):
             _check_buildable(mu, params)
     return keys
@@ -245,7 +243,7 @@ def evaluation_scale(P: PolynomialInE, e) -> float:
 
 def normalized_p(mu, e, params: ModelParams) -> complex:
     """Normalized lattice value c_mu * P_mu(e)."""
-    mu = check_partition(mu)
+    mu = check_partition(mu, params.n)
     c = coeffs.c_norm(mu, params)
     return c * evaluate(_build_P(mu, params), e)
 
@@ -261,7 +259,7 @@ def elementary_symmetric(x) -> list[complex]:
 
 def evaluate_R(mu, x, params: ModelParams) -> complex:
     """Symmetric-polynomial embedding: P_mu evaluated at e_r = e_r(x)."""
-    mu = check_partition(mu)
+    mu = check_partition(mu, params.n)
     if len(x) != params.n:
         raise ValueError(f"point has {len(x)} variables, expected n={params.n}")
     return evaluate(_build_P(mu, params), elementary_symmetric(x))

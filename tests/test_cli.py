@@ -260,8 +260,8 @@ def test_clustered_combinations_exit_1(monkeypatch, capsys):
     conjugated = operators.conjugated_matrices
 
     def identities(params):
-        mats, w, labels = conjugated(params)
-        return [np.eye(len(labels), dtype=complex) for _ in mats], w, labels
+        mats, w = conjugated(params)
+        return [np.eye(len(w), dtype=complex) for _ in mats], w
 
     monkeypatch.setattr(operators, "conjugated_matrices", identities)
     coeffs.clear_coeff_caches()  # no kept spectrum may answer the call

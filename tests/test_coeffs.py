@@ -8,7 +8,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 from ellfusion import coeffs, fusion
 from ellfusion.errors import GenericityViolation, NotAStrip, SingularDenominator
-from ellfusion.kernel import ModelParams, bracket
+from ellfusion.kernel import SINGULAR_TOL, ModelParams, bracket
 from ellfusion.oracles import macdonald_pieri_p0
 from ellfusion.partitions import enumerate_level, partitions_of_weight, span, underline, vertical_strips
 
@@ -389,6 +389,54 @@ def test_level_gathers_of_an_empty_strip_set():
         rows, cols, vals = coeffs.level_hops(r, params)
         assert rows.dtype == cols.dtype == np.intp and vals.shape == (0,)
     assert coeffs.level_delta(params).tolist() == [1.0] and coeffs.level_c(params).tolist() == [1.0]
+
+
+def _factor_cells(values: np.ndarray) -> np.ndarray:
+    """The six factor layers of ``BracketTable`` from values, cell by cell in Python floats."""
+    B = values.tolist()
+    R, K = values.shape
+
+    def ratio(num, den):
+        return math.nan if abs(den) < SINGULAR_TOL else num / den
+
+    out = np.full((6, R, K), math.nan)
+    for s in range(1, K - 1):
+        c = tail = 1.0
+        for a in range(R):
+            for t in (-1, 0, 1):
+                out[t + 1, a, s] = ratio(B[a][s + t], B[a][s])
+            out[3, a, s], out[4, a, s], out[5, a, s] = c, ratio(B[a][s], B[0][s]), tail
+            c *= ratio(B[a][s], B[a][s + 1])
+            if a + 1 < R:
+                tail *= ratio(B[a][s + 1], B[a + 1][s - 1])
+    return out
+
+
+@pytest.mark.parametrize(
+    "params, shape",
+    [
+        (ModelParams.locked(1, 3, 0.7, 0.3), (4, 2)),  # n = 1: no pair distance, every cell NaN
+        (ModelParams.locked(3, 3, 0.7, 0.3), (1, 3)),
+        (ModelParams.locked(3, 3, 0.7, 0.3), (1, 4)),
+        (ModelParams.locked(3, 3, 0.7, 0.3), (2, 2)),
+        (ModelParams.locked(4, 5, 1.0, 0.3), (10, 6)),  # resonant: NaN cells
+        (ModelParams.locked(3, 6, 0.5, 0.3), (9, 5)),
+        (_resonant(2, 1, 1.0), (4, 4)),
+        (ModelParams.locked(4, 4, 0.7, -0.9), (5, 5)),
+    ],
+)
+def test_factor_layers_are_the_cellwise_ratios(params, shape):
+    """The array layers of ``BracketTable`` are the cell-by-cell ratios and running products, bit for bit."""
+    table = coeffs.BracketTable(params)
+    table.grow(*shape)
+    assert table.factors.shape == (6, *shape)
+    assert table.factors.tobytes() == _factor_cells(table.values).tobytes()
+
+
+def test_one_row_coefficients_are_empty_products():
+    params = ModelParams.locked(1, 3, 0.7, 0.3)
+    assert coeffs.c_norm((3,), params) == coeffs.delta_weight((2,), params) == 1.0
+    assert coeffs.hop_B((2,), (3,), params) == coeffs.psi_prime((2,), (3,), params) == 1.0
 
 
 def test_opposite_nome_reuses_every_bracket(monkeypatch):

@@ -240,9 +240,9 @@ def test_lr_path_validates_each_factor_once(monkeypatch):
 
     calls = []
 
-    def counted(parts):
+    def counted(parts, n=None):
         calls.append(parts)
-        return partitions.check_partition(parts)
+        return partitions.check_partition(parts, n)
 
     for module in (fusion, littlewood, polynomials):
         monkeypatch.setattr(module, "check_partition", counted)

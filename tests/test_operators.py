@@ -37,7 +37,7 @@ from ellfusion.operators import (
     spectral_points_p0,
     value_table,
 )
-from ellfusion.partitions import add, enumerate_level, level_cone, vertical_strips, weight
+from ellfusion.partitions import add, level_cone, vertical_strips, weight
 from ellfusion.polynomials import normalized_p
 
 
@@ -252,8 +252,8 @@ def test_row_gaps_match_pair_loop(N, k):
 
 def test_rayleigh_quotients_match_per_vector_loop():
     params = ModelParams.locked(3, 3, 0.7, 0.6)
-    E, vecs, _, _, _ = _raw_spectrum(params, random.Random(1))
-    mats, _, _ = conjugated_matrices(params)
+    E, vecs, _, _ = _raw_spectrum(params, random.Random(1))
+    mats, _ = conjugated_matrices(params)
     for i in range(vecs.shape[1]):
         v = vecs[:, i]
         for r, M in enumerate(mats):
@@ -266,7 +266,8 @@ def test_rayleigh_quotients_match_per_vector_loop():
 
 def _current_matrix(params):
     """P_J as a dense matrix, P_J[lam, J lam] = 1, with J from its formula, and the conjugated ops."""
-    mats, _, labels = conjugated_matrices(params)
+    mats, _ = conjugated_matrices(params)
+    labels = level_cone(params.n, params.m).labels
     index = {lam: i for i, lam in enumerate(labels)}
     n, m = params.n, params.m
     J = [index[tuple(x - lam[n - 2] for x in (m,) + lam[: n - 1])] for lam in labels]
@@ -313,7 +314,7 @@ def test_simple_current_commutes_and_keeps_the_sector_sizes(n, m, g, p):
     for M in mats:
         assert np.abs(T @ M - M @ T).max() <= 1e-12 * np.abs(M).max()
     try:
-        sizes = [np.bincount(_raw_spectrum(pp, random.Random(0))[4], minlength=n) for pp in (params.with_p(0.0), params)]
+        sizes = [np.bincount(_raw_spectrum(pp, random.Random(0))[3], minlength=n) for pp in (params.with_p(0.0), params)]
     except DegenerateCombination:
         assume(False)
     assert sizes[0].tolist() == sizes[1].tolist()
@@ -332,9 +333,10 @@ def test_charge_at_p0_is_a_function_of_the_weight_mod_n(n, m, g):
     """
     params = ModelParams.locked(n, m, g, 0.0)
     try:
-        E, _, _, labels, charge = _raw_spectrum(params, random.Random(0))
+        E, _, _, charge = _raw_spectrum(params, random.Random(0))
     except DegenerateCombination:
         assume(False)
+    labels = level_cone(n, m).labels
     C = spectral_points_p0(params)
     one = np.zeros(len(labels), dtype=np.intp)
     perm = _match_rows(E, one, C, one)
@@ -361,9 +363,9 @@ def test_one_scaled_edge_of_an_operator_raises(monkeypatch, edge):
     rows, cols, _ = level_cone(4, 3).strips(1)
 
     def scaled(params):
-        mats, w, labels = conjugated(params)
+        mats, w = conjugated(params)
         mats[0][rows[edge], cols[edge]] *= 1.0 + 1e-6
-        return mats, w, labels
+        return mats, w
 
     monkeypatch.setattr(operators, "conjugated_matrices", scaled)
     with pytest.raises(GradingViolation, match="does not commute with M_1"):
@@ -373,7 +375,7 @@ def test_one_scaled_edge_of_an_operator_raises(monkeypatch, edge):
 def test_a_mixed_eigenvector_has_no_charge():
     """A vector spanning two charge sectors has a Rayleigh quotient between two w^k."""
     params = ModelParams.locked(3, 3, 0.7, 0.3)
-    _, vecs, _, _, charge = _raw_spectrum(params, random.Random(0))
+    _, vecs, _, charge = _raw_spectrum(params, random.Random(0))
     mats = conjugated_matrices(params)[0]
     assert _charges(mats, vecs, 3, 3).tolist() == charge.tolist()
     other = int(np.flatnonzero(charge != charge[0])[0])
@@ -387,11 +389,11 @@ def test_a_changed_sector_count_raises(monkeypatch):
     raw = operators._raw_spectrum
 
     def moved(params, rng):
-        E, vecs, w, labels, charge = raw(params, rng)
+        E, vecs, w, charge = raw(params, rng)
         if params.p:
             charge = charge.copy()
             charge[0] = (charge[0] + 1) % params.n
-        return E, vecs, w, labels, charge
+        return E, vecs, w, charge
 
     monkeypatch.setattr(operators, "_raw_spectrum", moved)
     coeffs.clear_coeff_caches()
@@ -426,7 +428,7 @@ def test_the_spectral_path_never_imports_numpy_random():
 
 def _joint_residual(params, spec):
     """max_r max|M_r V - V diag(E_r)| / max_r max|M_r| on the conjugated ops, V the unit eigenvectors."""
-    mats, w, _ = conjugated_matrices(params)
+    mats, w = conjugated_matrices(params)
     V = w[:, None] * spec.vectors
     V = V / np.linalg.norm(V, axis=0)
     E = spec.e_matrix()
@@ -621,11 +623,11 @@ def test_a_nan_row_rejects_the_step(monkeypatch):
     raw = operators._raw_spectrum
 
     def poisoned(params, rng):
-        E, vecs, w, labels, charge = raw(params, rng)
+        E, vecs, w, charge = raw(params, rng)
         if params.p > 0.5:
             E = E.copy()
             E[1, 0] = complex(math.nan, 0.0)
-        return E, vecs, w, labels, charge
+        return E, vecs, w, charge
 
     monkeypatch.setattr(operators, "_raw_spectrum", poisoned)
     coeffs.clear_coeff_caches()
@@ -649,8 +651,8 @@ def _fixed_step_reference(params, steps, seed=0):
     and the ratio returned is inf.
     """
     rng = random.Random(seed)
-    E, _, _, labels, _ = _raw_spectrum(params.with_p(0.0), rng)
-    one = np.zeros(len(labels), dtype=np.intp)
+    E = _raw_spectrum(params.with_p(0.0), rng)[0]
+    one = np.zeros(len(E), dtype=np.intp)
     E = E[_match_rows(E, one, spectral_points_p0(params), one)]
     worst = 0.0
     for k in range(1, steps + 1):
@@ -725,7 +727,6 @@ def synthetic_path(monkeypatch):
     is cleared before and after, so that no synthetic spectrum outlives the
     test.
     """
-    labels = enumerate_level(2, 1)
     delta = [0.0]
 
     def points(p):
@@ -734,7 +735,7 @@ def synthetic_path(monkeypatch):
 
     def raw(params, rng):  # both points of one charge: the ungraded case
         vecs = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
-        return points(params.p)[::-1], vecs, np.ones(2), labels, np.zeros(2, dtype=np.intp)
+        return points(params.p)[::-1], vecs, np.ones(2), np.zeros(2, dtype=np.intp)
 
     def set_delta(value):
         delta[0] = value
@@ -937,8 +938,8 @@ def test_clustered_combinations_raise_after_every_attempt(monkeypatch):
     conjugated = operators.conjugated_matrices
 
     def identities(params):
-        mats, w, labels = conjugated(params)
-        return [np.eye(len(labels), dtype=complex) for _ in mats], w, labels
+        mats, w = conjugated(params)
+        return [np.eye(len(w), dtype=complex) for _ in mats], w
 
     monkeypatch.setattr(operators, "conjugated_matrices", identities)
     calls = _counting_eig(monkeypatch)

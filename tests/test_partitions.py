@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ellfusion import cli, coeffs, fusion, littlewood, operators, polynomials
+from ellfusion.kernel import ModelParams
 from ellfusion.partitions import (
     canonical_key,
     check_partition,
@@ -120,6 +122,69 @@ def test_check_partition_rejects_bad_input():
         check_partition((1, -1))
     with pytest.raises(ValueError):
         check_partition(())
+
+
+# -- the one partition gate ----------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), m=st.integers(0, 4), parts=st.lists(st.integers(0, 5), min_size=1, max_size=6))
+def test_check_partition_passes_the_labels_and_no_other_length(n, m, parts):
+    """Every label of the cone comes back unchanged; a partition of any other length than n raises."""
+    for lam in level_cone(n, m).labels:
+        assert check_partition(lam, n) == lam
+    parts = sorted(parts, reverse=True)
+    if len(parts) == n:
+        assert check_partition(parts, n) == tuple(parts)
+    else:
+        with pytest.raises(ValueError, match=f"^partition length {len(parts)} does not match n={n}$"):
+            check_partition(parts, n)
+
+
+_GATE = ModelParams.locked(3, 3, 0.7, 0.3)
+
+
+def _cli_pieri(lam, *flags):
+    """``cli._cmd_pieri`` itself, so that its ValueError is seen before ``main`` turns it into exit code 2."""
+    argv = ["pieri", "--n", "3", "--lam", ",".join(map(str, lam)), "--r", "1", "--g", "0.7", "--p", "0.3", *flags]
+    parser = cli.build_parser()
+    return cli._cmd_pieri(parser.parse_args(argv), parser)
+
+
+def _strip(lam):
+    """The strip lam + 1^1 of lam, of the same length."""
+    return (lam[0] + 1, *lam[1:])
+
+
+# Every entry that takes a factor, called with a factor lam of another length than n = 3.
+_GATED = {
+    "hop_B": lambda lam: coeffs.hop_B(lam, _strip(lam), _GATE),
+    "psi_prime": lambda lam: coeffs.psi_prime(lam, _strip(lam), _GATE),
+    "c_norm": lambda lam: coeffs.c_norm(lam, _GATE),
+    "delta_weight": lambda lam: coeffs.delta_weight(lam, _GATE),
+    "apply_D": lambda lam: operators.apply_D(1, {_strip(lam): 1.0}, lam, _GATE),
+    "reduce_mod_ideal": lambda lam: fusion.reduce_mod_ideal({lam: 2.0}, _GATE),
+    "fusion_pieri": lambda lam: fusion.fusion_pieri(lam, 1, _GATE),
+    "structure_constants_lr": lambda lam: fusion.structure_constants_lr(lam, (1, 0, 0), _GATE),
+    "structure_constants_verlinde": lambda lam: fusion.structure_constants_verlinde(lam, (1, 0, 0), _GATE),
+    "structure_constants_projection": lambda lam: fusion.structure_constants_projection(lam, (1, 0, 0), _GATE),
+    "build_P": lambda lam: polynomials.build_P(lam, _GATE),
+    "evaluate_R": lambda lam: polynomials.evaluate_R(lam, (0.5, 0.25, 1.0), _GATE),
+    "normalized_p": lambda lam: polynomials.normalized_p(lam, (0.5, 0.25, 1.0), _GATE),
+    "lr_coefficients": lambda lam: littlewood.lr_coefficients((1, 0, 0), lam, _GATE),
+    "expand_in_P": lambda lam: littlewood.expand_in_P(polynomials.PolynomialInE(3, {lam: 1.0}), _GATE),
+    "cli_pieri_free": lambda lam: _cli_pieri(lam, "--alpha", "2.0"),
+    "cli_pieri_locked": lambda lam: _cli_pieri(lam, "--m", "3", "--level-locked"),
+}
+
+
+@pytest.mark.parametrize("length", [2, 4])
+@pytest.mark.parametrize("entry", sorted(_GATED))
+def test_every_factor_of_another_length_raises_the_gate_error(entry, length):
+    """A factor of length n - 1 or n + 1 belongs to no model at n: the ValueError of ``check_partition``."""
+    lam = (2, 1) + (0,) * (length - 2)
+    with pytest.raises(ValueError, match=f"^partition length {length} does not match n=3$"):
+        _GATED[entry](lam)
 
 
 @settings(max_examples=30, deadline=None)
