@@ -146,7 +146,7 @@ class BracketTable:
         vanished = np.full((6, R, K), np.nan)
         vanished[:3, :, 1:-1] = zero[:, 1:-1]
         vanished[_C, :, 1:-1] = c_zero[:, 2:]
-        vanished[_HEAD, :, 1:-1] = zero[0, 1:-1]
+        vanished[_HEAD, :, 1:-1] = zero[:1, 1:-1]  # row 0, also for a table of no rows
         vanished[_TAIL, :, 1:-1] = tail_zero[:, :-2]
         self.vanished = vanished
         _read_only(self.values, self.factors, self.vanished)

@@ -64,8 +64,10 @@ def reduce_mod_ideal(expansion: dict[Partition, float], params: ModelParams) -> 
 
     Keys with span > m are dropped; surviving keys are re-keyed to their
     underline and accumulated.  A key of another length than n raises
-    ``ValueError``.
+    ``ValueError``, as do free parameters, whose keys of span > m form no ideal.
     """
+    if not params.level_locked:
+        raise ValueError("the level ideal requires level-locked parameters")
     out: dict[Partition, float] = {}
     for nu, v in expansion.items():
         nu = check_partition(nu, params.n)
@@ -270,7 +272,7 @@ class SMatrixData:
 
     @cached_property
     def _logs(self) -> tuple[float, float]:
-        cvec, dvec, dual = norm_vectors(self.params, self.spectrum)
+        cvec, dvec, dual = norm_vectors(self.spectrum)
         closed = float(-np.sum(2.0 * np.log(np.abs(cvec)) + 0.5 * np.log(dvec * dual)))
         return float(np.linalg.slogdet(self.S)[1]), closed
 
@@ -315,7 +317,7 @@ def s_matrix(params: ModelParams, spectrum: SpectrumResult | None = None, seed: 
     spec = _spectrum_for(params, spectrum, seed)
 
     def build():
-        cvec, dvec, dual = norm_vectors(spec.params, spec)
+        cvec, dvec, dual = norm_vectors(spec)
         scale = np.abs(cvec) * np.sqrt(dvec)
         if not scale.max() <= _KAPPA_LIMIT * scale.min():
             raise IllConditioned(f"eigenbasis scales spread by {scale.max() / scale.min():.3g} > {_KAPPA_LIMIT:g}")
@@ -395,19 +397,16 @@ def _fusion_rows(cone: LevelCone, raw, route: str):
         yield _fusion_row(raw(i), cone.labels, i, route, _support_row(cone.keys, cone.weights, i))
 
 
-def _verlinde_rows(sm: SMatrixData):
-    """Raw block i: sum_nu S_{i,nu} S_{mu,nu} Sinv_{nu,kappa} / S_{0,nu}, for mu in the slice mus."""
-    return lambda i, mus=slice(None): (sm.S[i] * sm.S[mus] / sm.S[0]) @ sm.Sinv
-
-
 def _raw_rows(params: ModelParams, route: str, spectrum: SpectrumResult | None = None, seed: int = 0):
     """The raw row source raw(i, mus) of spectral route "verlinde" or "projection", for ``_rows`` and the pair calls.
 
+    Verlinde block i is sum_nu S_{i,nu} S_{mu,nu} Sinv_{nu,kappa} / S_{0,nu}, for mu in the slice mus.
     Projection block i, c_kappa^2 Delta_kappa sum_nu P_i P_mu conj(P_kappa) dual_nu at e_nu, reads no S.
     Any other route raises ``ValueError`` before a spectrum is built.
     """
     if route == "verlinde":
-        return _verlinde_rows(s_matrix(params, spectrum=spectrum, seed=seed))
+        sm = s_matrix(params, spectrum=spectrum, seed=seed)
+        return lambda i, mus=slice(None): (sm.S[i] * sm.S[mus] / sm.S[0]) @ sm.Sinv
     if route != "projection":
         raise ValueError(f"unknown route {route!r}")
     spec = _spectrum_for(params, spectrum, seed)

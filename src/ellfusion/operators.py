@@ -30,9 +30,9 @@ is the optimal assignment, and no assignment solver is needed; points of
 different charge are never compared, so a near-crossing between sectors
 costs no halving.  The finished spectrum is kept on the bracket table of
 its parameters, which p and -p share, so the mirror leg runs no eigensolve.
-The dual norms come from the eigenvectors; only ``value_table``, for the
-check routes, evaluates polynomials at the spectral points, all of them in
-one ``evaluate_batch`` call, kept on the spectrum as S is.
+The dual norms come from the eigenvectors; only ``projection_arrays``, for
+the check routes, evaluates polynomials at the spectral points, all of them
+in one ``evaluate_batch`` call, kept on the spectrum as S is.
 """
 
 from __future__ import annotations
@@ -63,8 +63,6 @@ _PHASE_TOL = 1e-6
 
 def apply_D(r: int, f: LatticeFunction, lam: Partition, params: ModelParams) -> complex:
     """Value of the r-th difference operator applied to f, at the site lam, a partition of length n."""
-    if not 1 <= r <= params.n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}")
     lam = check_partition(lam, params.n)
     total = 0.0 + 0.0j
     for nu in vertical_strips(lam, r):
@@ -425,24 +423,19 @@ def _continue(params: ModelParams, seed: int) -> SpectrumResult:
 
 
 def projection_arrays(params: ModelParams, spec: SpectrumResult) -> tuple[np.ndarray, np.ndarray]:
-    """``value_table`` and the projection weights c_kappa^2 Delta_kappa, kept on the spectrum."""
+    """V[lam, nu] = P_lam(e_nu) over a spectrum's labels, in one batch, and the weights c_kappa^2 Delta_kappa, kept on it."""
     spec = _spectrum_for(params, spec)
 
     def build():
-        cvec, dvec, _ = norm_vectors(spec.params, spec)
+        cvec, dvec, _ = norm_vectors(spec)
         return evaluate_batch([build_P(lam, spec.params) for lam in spec.labels], spec.e)[0], cvec**2 * dvec
 
     return spec.derived("projection", build)
 
 
-def value_table(params: ModelParams, spec: SpectrumResult) -> np.ndarray:
-    """V[lam, nu] = P_lam(e_nu) over the labels of a spectrum, in one batch, kept on the spectrum."""
-    return projection_arrays(params, spec)[0]
-
-
-def norm_vectors(params: ModelParams, spec: SpectrumResult):
-    """c_lam, Delta_lam and the dual norms over the labels of a spectrum (the level cone)."""
-    return coeffs.level_c(params), delta_vector(params), spec.dual_norms
+def norm_vectors(spec: SpectrumResult):
+    """c_lam, Delta_lam (even in p) and the dual norms over the labels of a spectrum, at its own parameters."""
+    return coeffs.level_c(spec.params), delta_vector(spec.params), spec.dual_norms
 
 
 def dual_orthogonality_check(
@@ -455,8 +448,8 @@ def dual_orthogonality_check(
     1 / (c_lam^2 Delta_lam).
     """
     spec = _spectrum_for(params, spectrum, seed)
-    vals = value_table(params, spec)
-    cvec, dvec, dual = norm_vectors(params, spec)
+    vals = projection_arrays(params, spec)[0]
+    cvec, dvec, dual = norm_vectors(spec)
     G = (vals * dual[None, :]) @ vals.conj().T
     targets = 1.0 / (cvec**2 * dvec)
     diag = np.abs(np.diag(G))

@@ -25,6 +25,7 @@ from .partitions import (
     check_partition,
     enumerate_level,
     is_partition,
+    level_cone,
     r_index,
     vertical_strips,
     weight,
@@ -262,7 +263,7 @@ def _verlinde_rows(V: np.ndarray):
 
 @lru_cache(maxsize=4)
 def _classical_transform(n: int, m: int):
-    """(labels, label index, S, N) of the sine-form matrix, built once per (n, m); read-only.
+    """(labels, S, N) of the sine-form matrix, built once per (n, m); read-only.
 
     N = rint of the Verlinde rows of V = S / S[0], and an entry more than 1e-6 from its
     integer raises NonIntegral.  N is N^3 floats (36 MB at N = 165): few are kept.
@@ -276,7 +277,7 @@ def _classical_transform(n: int, m: int):
             j, k = np.unravel_index(off.argmax(), off.shape)
             raise NonIntegral(f"value {complex(raw[j, k])} for {labels[k]} in {lam} x {labels[j]} is not integral")
     S.flags.writeable = table.flags.writeable = False
-    return labels, {l: i for i, l in enumerate(labels)}, S, table
+    return labels, S, table
 
 
 def classical_fusion(lam, mu, n: int, m: int) -> dict[Partition, int]:
@@ -286,7 +287,8 @@ def classical_fusion(lam, mu, n: int, m: int) -> dict[Partition, int]:
     integer; a rounding residue above 1e-6 anywhere raises NonIntegral, and a
     factor off the (n, m) cone raises ValueError.
     """
-    labels, index, _, table = _classical_transform(n, m)
+    labels, _, table = _classical_transform(n, m)
+    index = level_cone(n, m).index
     try:
         row = table[index[check_partition(lam)], index[check_partition(mu)]]
     except KeyError as err:

@@ -29,8 +29,15 @@ def check_partition(parts, n: int | None = None) -> Partition:
 
     The one gate of a factor: every coefficient is a product over the row
     pairs of an n-row partition, so one of another length belongs to no model.
+    A part must equal an integer: 2.0, numpy ints and True pass as theirs.
     """
-    lam = tuple(int(x) for x in parts)
+    parts = tuple(parts)
+    try:
+        lam = tuple(int(x) for x in parts)
+    except (OverflowError, ValueError):  # inf, nan, "2.5"
+        lam = None
+    if lam != parts:  # also a truncated part, or a string
+        raise ValueError(f"parts must be integers: {parts}")
     if not lam:
         raise ValueError("a partition needs at least one row")
     if any(x < 0 for x in lam):

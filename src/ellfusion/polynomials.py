@@ -21,8 +21,8 @@ admission gate.
 
 Polynomials are evaluated in one place, ``evaluate_batch``: many
 polynomials at many points as one coefficient-by-monomial matrix product,
-with the absolute-value sums that scale its errors.  ``evaluate`` and
-``evaluation_scale`` are its one-point calls.
+with the absolute-value sums that scale its errors.  ``evaluate`` is its
+one-point call.
 """
 
 from __future__ import annotations
@@ -52,24 +52,17 @@ class PolynomialInE:
 
     __slots__ = ("n", "coeffs", "_arrays")
 
-    def __init__(self, n: int, coeffs: dict[Partition, float] | None = None, prune: bool = True):
+    def __init__(self, n: int, coeffs: dict[Partition, float] | None = None):
+        """Keep the coefficients above PRUNE_REL relative to the largest one."""
         self.n = n
-        self.coeffs: dict[Partition, float] = dict(coeffs or {})
+        coeffs = coeffs or {}
+        cut = PRUNE_REL * max(map(abs, coeffs.values()), default=0.0)
+        self.coeffs: dict[Partition, float] = {k: v for k, v in coeffs.items() if abs(v) > cut}
         self._arrays = None
-        if prune:
-            self.prune()
 
     @classmethod
     def one(cls, n: int) -> "PolynomialInE":
-        return cls(n, {zero(n): 1.0}, prune=False)
-
-    def prune(self) -> None:
-        """Drop coefficients below PRUNE_REL relative to the largest one."""
-        if not self.coeffs:
-            return
-        cut = PRUNE_REL * max(abs(v) for v in self.coeffs.values())
-        self.coeffs = {k: v for k, v in self.coeffs.items() if abs(v) > cut}
-        self._arrays = None
+        return cls(n, {zero(n): 1.0})
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Keys as an int64 (terms, n) array and the matching coefficients.
@@ -137,11 +130,7 @@ def build_P(mu, params: ModelParams) -> PolynomialInE:
 
     The dependency cone is resolved with an explicit worklist.
     """
-    return _build_P(check_partition(mu, params.n), params)
-
-
-def _build_P(mu: Partition, params: ModelParams) -> PolynomialInE:
-    """``build_P`` of a partition tuple of length n that is already validated."""
+    mu = check_partition(mu, params.n)
     _check_buildable(mu, params)
     return _poly(mu, params, coeffs._table(params).polys)
 
@@ -236,16 +225,10 @@ def evaluate(P: PolynomialInE, e) -> complex:
     return complex(evaluate_batch([P], [e])[0][0, 0])
 
 
-def evaluation_scale(P: PolynomialInE, e) -> float:
-    """Conditioning scale of P at e: the sum of its terms in absolute value, at least 1."""
-    return float(evaluate_batch([P], [e])[1][0, 0])
-
-
 def normalized_p(mu, e, params: ModelParams) -> complex:
     """Normalized lattice value c_mu * P_mu(e)."""
-    mu = check_partition(mu, params.n)
     c = coeffs.c_norm(mu, params)
-    return c * evaluate(_build_P(mu, params), e)
+    return c * evaluate(build_P(mu, params), e)
 
 
 def elementary_symmetric(x) -> list[complex]:
@@ -259,7 +242,7 @@ def elementary_symmetric(x) -> list[complex]:
 
 def evaluate_R(mu, x, params: ModelParams) -> complex:
     """Symmetric-polynomial embedding: P_mu evaluated at e_r = e_r(x)."""
-    mu = check_partition(mu, params.n)
+    P = build_P(mu, params)
     if len(x) != params.n:
         raise ValueError(f"point has {len(x)} variables, expected n={params.n}")
-    return evaluate(_build_P(mu, params), elementary_symmetric(x))
+    return evaluate(P, elementary_symmetric(x))

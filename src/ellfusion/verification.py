@@ -34,8 +34,8 @@ from .operators import (
     joint_spectrum,
     norm_vectors,
     normality_residual,
+    projection_arrays,
     spectral_points_p0,
-    value_table,
 )
 from .partitions import (
     Partition,
@@ -356,7 +356,7 @@ def _eigenvector_consistency(ctx, n, m, g=0.7, p=0.4):
     """Matrix eigenvectors match the normalized polynomial values."""
     params = ModelParams.locked(n, m, g, p)
     spec = joint_spectrum(params, seed=ctx.seed)
-    want = norm_vectors(params, spec)[0][:, None] * value_table(params, spec)
+    want = norm_vectors(spec)[0][:, None] * projection_arrays(params, spec)[0]
     # entries are pinned to 1 at the origin site, so 1 is the scale floor;
     # exactly-zero entries are compared absolutely
     return float((np.abs(spec.vectors - want) / np.maximum(np.abs(want), 1.0)).max())
@@ -466,13 +466,13 @@ def _refined_fusion_p0(ctx, n, m, g=0.8):
 
 def _fusion_g1_classical(ctx, n, m):
     """Fusion table at g = 1 against the classical coefficients."""
-    labels, _, _, classical = _classical_transform(n, m)
+    labels, _, classical = _classical_transform(n, m)
     return _largest(_table_values(ctx, ModelParams.locked(n, m, 1.0, 0.0), labels), classical)
 
 
 def _fusion_g1_integers(ctx, n, m):
     """Table values at g = 1 that round (half to even) off the classical integer, or lie below -_CLASSICAL_TOL."""
-    labels, _, _, classical = _classical_transform(n, m)
+    labels, _, classical = _classical_transform(n, m)
     pairs = zip(_table_values(ctx, ModelParams.locked(n, m, 1.0, 0.0), labels), classical, strict=True)
     return sum(int(np.count_nonzero((np.rint(row) != want) | (row < -_CLASSICAL_TOL))) for row, want in pairs)
 
@@ -488,7 +488,7 @@ def _smatrix_kac_peterson(ctx, n, m):
     matrix is the one its classical fusion tensor uses, built once per (n, m).
     """
     sm = s_matrix(ModelParams.locked(n, m, 1.0, 0.0), seed=ctx.seed)
-    return float(np.abs(sm.S - _classical_transform(n, m)[2]).max())
+    return float(np.abs(sm.S - _classical_transform(n, m)[1]).max())
 
 
 def _kac_peterson_normalization(ctx, n, m):

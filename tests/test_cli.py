@@ -670,21 +670,23 @@ def test_a_stdout_error_is_not_an_out_error(monkeypatch):
 
 
 def _spy_verlinde_rows(monkeypatch, on_row):
-    """Patch the Verlinde row source so that on_row(i) runs before raw row i is computed."""
+    """Patch the raw row source so that on_row(i) runs before raw Verlinde row i is computed."""
     from ellfusion import fusion
 
-    verlinde_rows = fusion._verlinde_rows
+    raw_rows = fusion._raw_rows
 
-    def spied(sm):
-        raw = verlinde_rows(sm)
+    def spied(params, route, *args, **kwargs):
+        raw = raw_rows(params, route, *args, **kwargs)
+        if route != "verlinde":
+            return raw
 
-        def row(i):
+        def row(i, mus=slice(None)):
             on_row(i)
-            return raw(i)
+            return raw(i, mus)
 
         return row
 
-    monkeypatch.setattr(fusion, "_verlinde_rows", spied)
+    monkeypatch.setattr(fusion, "_raw_rows", spied)
 
 
 def _refuse_fusion_table(monkeypatch):

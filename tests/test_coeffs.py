@@ -433,6 +433,21 @@ def test_factor_layers_are_the_cellwise_ratios(params, shape):
     assert table.factors.tobytes() == _factor_cells(table.values).tobytes()
 
 
+def test_a_table_of_no_rows_is_empty_and_grows_to_the_bits_of_a_fresh_one():
+    """Grown to zero rows, a table holds empty arrays of its width; grown on, it is bit for bit a table built at once."""
+    params = ModelParams.locked(3, 2, 0.7, 0.3)
+    table, fresh = coeffs.BracketTable(params), coeffs.BracketTable(params)
+    table.grow(0, 5)
+    assert table.values.shape == (0, 5) and table.factors.shape == table.vanished.shape == (6, 0, 5)
+    table.grow(3, 5)
+    fresh.grow(3, 5)
+    for name in ("values", "factors", "vanished"):
+        assert getattr(table, name).tobytes() == getattr(fresh, name).tobytes()
+    coeffs.clear_coeff_caches()
+    assert coeffs.bracket_table(params, 0, 5).shape == (0, 5)
+    coeffs.clear_coeff_caches()
+
+
 def test_one_row_coefficients_are_empty_products():
     params = ModelParams.locked(1, 3, 0.7, 0.3)
     assert coeffs.c_norm((3,), params) == coeffs.delta_weight((2,), params) == 1.0

@@ -21,7 +21,7 @@ from ellfusion.fusion import (
     structure_constants_projection,
     structure_constants_verlinde,
 )
-from ellfusion.operators import delta_vector, joint_spectrum, value_table
+from ellfusion.operators import delta_vector, joint_spectrum, projection_arrays
 from ellfusion.oracles import kac_peterson_smatrix, macdonald_pieri_p0
 from ellfusion.partitions import (
     contains,
@@ -43,6 +43,14 @@ def test_reduce_mod_ideal_examples():
     assert reduce_mod_ideal({}, params) == {}
     table = {(1, 0): 0.5, (0, 0): 1.25}
     assert reduce_mod_ideal(table, params) == table
+
+
+def test_reduce_mod_ideal_refuses_free_parameters():
+    """Without the level lock the keys of span > m form no ideal: free parameters raise, as in fusion_pieri."""
+    free = ModelParams.free(3, 0.7, 0.3, 2.0, m=2)
+    for expansion in ({(3, 0, 0): 1.0, (2, 1, 1): 2.0}, {}):
+        with pytest.raises(ValueError, match="level-locked"):
+            reduce_mod_ideal(expansion, free)
 
 
 def test_fusion_pieri_drops_boundary_strips():
@@ -824,7 +832,7 @@ def test_fusion_row_names_the_first_bad_value():
     sm = s_matrix(params)
     labels, i = sm.labels, 2
     mask = fusion._support_row(level_cone(3, 2).keys, level_cone(3, 2).weights, i)
-    raw = fusion._verlinde_rows(sm)(i)
+    raw = fusion._raw_rows(params, "verlinde")(i)
     clean = fusion._fusion_row(raw, labels, i, "verlinde", mask)
     on, off = (tuple(map(int, np.argwhere(m)[-1])) for m in (mask, ~mask))
 
@@ -1012,7 +1020,7 @@ def test_eigenvector_data_match_polynomial_values(n, m, g, p):
         reject()
     cvec = np.array([coeffs.c_norm(lam, params) for lam in spec.labels])
     S = s_matrix(params, spectrum=spec).S
-    assert np.abs(S - value_table(params, spec) / cvec[None, :]).max() <= 1e-10 * np.abs(S).max()
+    assert np.abs(S - projection_arrays(params, spec)[0] / cvec[None, :]).max() <= 1e-10 * np.abs(S).max()
     dvec = delta_vector(params)[:, None]
     values, scales = evaluate_batch([build_P(lam, params) for lam in spec.labels], spec.e)
     f, bound = cvec[:, None] * values, cvec[:, None] * scales  # [lam, nu]
@@ -1142,7 +1150,7 @@ def test_kept_transform_has_the_bits_of_a_fresh_one(n, m, g, p):
     assert kept.S is not own.S
     assert kept.S.tobytes() == own.S.tobytes() and kept.Sinv.tobytes() == own.Sinv.tobytes()
     assert kept.normalization == own.normalization
-    assert value_table(params, spec).tobytes() == value_table(params, fresh).tobytes()
+    assert projection_arrays(params, spec)[0].tobytes() == projection_arrays(params, fresh)[0].tobytes()
     for route in ("verlinde", "projection"):
         kept_bits, fresh_bits = (fusion_table(params, route, spectrum=s).values.tobytes() for s in (spec, fresh))
         assert kept_bits == fresh_bits
@@ -1168,8 +1176,7 @@ _SPECTRUM_CALLS = {
     "projection_table": lambda params, spec: fusion_table(params, route="projection", spectrum=spec),
     "lr_table": lambda params, spec: fusion_table(params, route="lr", spectrum=spec),
     "dual_orthogonality_check": lambda params, spec: operators.dual_orthogonality_check(params, spectrum=spec),
-    "value_table": value_table,
-    "projection_arrays": operators.projection_arrays,
+    "projection_arrays": projection_arrays,
 }
 
 

@@ -34,8 +34,8 @@ from ellfusion.operators import (
     joint_spectrum,
     norm_vectors,
     normality_residual,
+    projection_arrays,
     spectral_points_p0,
-    value_table,
 )
 from ellfusion.partitions import add, level_cone, vertical_strips, weight
 from ellfusion.polynomials import normalized_p
@@ -199,8 +199,8 @@ def test_dual_orthogonality_examples():
 def test_dual_orthogonality_matches_pair_loop():
     params = ModelParams.locked(3, 3, 0.7, 0.4)
     spec = joint_spectrum(params, seed=0)
-    vals = value_table(params, spec)
-    cvec, dvec, dual = norm_vectors(params, spec)
+    vals = projection_arrays(params, spec)[0]
+    cvec, dvec, dual = norm_vectors(spec)
     G = (vals * dual[None, :]) @ vals.conj().T
     targets = 1.0 / (cvec**2 * dvec)
     want = 0.0
@@ -469,7 +469,7 @@ def test_joint_spectrum_is_accurate_or_raises(n, m, g, p):
     except ComputationError:
         return
     assert _joint_residual(params, spec) <= 1e-12
-    cvec, dvec, _ = norm_vectors(params, spec)
+    cvec, dvec, _ = norm_vectors(spec)
     scale = np.abs(cvec) * np.sqrt(dvec)
     assert sm.identity_residual() < max(1e-8, 1e-13 * scale.max() / scale.min())
 
@@ -894,18 +894,18 @@ def test_value_table_is_kept_with_the_kept_spectrum(monkeypatch):
     params = ModelParams.locked(3, 3, 0.7, 0.4)
     coeffs.clear_coeff_caches()
     spec = joint_spectrum(params)
-    V = value_table(params, spec)
+    V = projection_arrays(params, spec)[0]
     with pytest.raises(ValueError):
         V[0, 0] = 0.0
     calls = []
     batch = operators.evaluate_batch
     monkeypatch.setattr(operators, "evaluate_batch", lambda *a: calls.append(a) or batch(*a))
     minus = params.with_p(-0.4)
-    assert value_table(minus, joint_spectrum(minus)) is V and calls == []
+    assert projection_arrays(minus, joint_spectrum(minus))[0] is V and calls == []
     other = dataclasses.replace(spec, e=spec.e.copy())
-    own = value_table(params, other)
+    own = projection_arrays(params, other)[0]
     assert own is not V and len(calls) == 1 and own.tobytes() == V.tobytes()
-    assert value_table(params, spec) is V  # the other spectrum's V was not stored
+    assert projection_arrays(params, spec)[0] is V  # the other spectrum's V was not stored
     coeffs.clear_coeff_caches()
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations, product
 
 import numpy as np
@@ -185,6 +186,44 @@ def test_every_factor_of_another_length_raises_the_gate_error(entry, length):
     lam = (2, 1) + (0,) * (length - 2)
     with pytest.raises(ValueError, match=f"^partition length {length} does not match n=3$"):
         _GATED[entry](lam)
+
+
+# hop_B and psi_prime compare only the length on their hot path; the CLI parses its parts as integers.
+_READ_THROUGH_THE_GATE = sorted(set(_GATED) - {"hop_B", "psi_prime", "cli_pieri_free", "cli_pieri_locked"})
+
+
+_NON_INTEGRAL = [(2.5, 1, 0), (1.7, 0, 0), (1.9, 0.2, 0), (2, 1, 0.5), (math.inf, 0, 0), (math.nan, 0, 0)]
+
+
+@pytest.mark.parametrize("lam", _NON_INTEGRAL, ids=str)
+@pytest.mark.parametrize("entry", _READ_THROUGH_THE_GATE)
+def test_every_factor_with_a_non_integral_part_raises_the_gate_error(entry, lam):
+    """A part that is not an integer value is no row length: the gate names the parts instead of truncating them."""
+    with pytest.raises(ValueError, match=f"^parts must be integers: {re.escape(str(lam))}$"):
+        _GATED[entry](lam)
+
+
+@pytest.mark.parametrize("parts", [(2.5, 1), (1, 0.5), (math.inf, 0), (-math.inf,), (math.nan,), ("2", 1)], ids=str)
+def test_check_partition_rejects_a_part_that_is_no_integer(parts):
+    with pytest.raises(ValueError, match=f"^parts must be integers: {re.escape(str(parts))}$"):
+        check_partition(parts)
+
+
+@pytest.mark.parametrize(
+    "spelling",
+    [(2.0, 1.0, 0.0), (np.int64(2), np.int32(1), np.uint8(0)), (2, True, False), np.array([2, 1, 0]),
+     [np.float64(2), 1, 0]],
+    ids=["floats", "numpy-ints", "bools", "array", "numpy-float"],
+)
+def test_an_integral_spelling_is_its_label(spelling):
+    """Parts equal to integers pass the gate as those Python ints, and every entry reads the label they spell."""
+    params = ModelParams.locked(3, 2, 0.7, 0.3)
+    lam = check_partition(spelling, 3)
+    assert lam == (2, 1, 0) and all(type(x) is int for x in lam)
+    assert coeffs.c_norm(spelling, params) == coeffs.c_norm(lam, params)
+    assert polynomials.build_P(spelling, params) is polynomials.build_P(lam, params)
+    pair = fusion.structure_constants_verlinde(spelling, (1, 0, 0), params)
+    assert pair == fusion.structure_constants_verlinde(lam, (1, 0, 0), params) and pair
 
 
 @settings(max_examples=30, deadline=None)

@@ -28,7 +28,6 @@ from ellfusion.polynomials import (
     evaluate,
     evaluate_batch,
     evaluate_R,
-    evaluation_scale,
     normalized_p,
 )
 
@@ -169,7 +168,7 @@ def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         evaluate(build_P((1, 0), FREE2), (1.0, 2.0, 3.0))
     with pytest.raises(ValueError):
-        evaluation_scale(build_P((1, 0), FREE2), (1.0,))
+        evaluate_batch([build_P((1, 0), FREE2)], [(1.0,)])
 
 
 def test_evaluate_batch_edge_cases():

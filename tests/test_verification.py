@@ -48,7 +48,7 @@ def test_unit_coupling_checks_see_one_entry_off_by_a_half():
 
     table = CheckContext().table(ModelParams.locked(3, 2, 1.0, 0.0))
     values = table.values.copy()
-    entry = tuple(np.argwhere(_classical_transform(3, 2)[3] == 1)[-1])
+    entry = tuple(np.argwhere(_classical_transform(3, 2)[2] == 1)[-1])
     values[entry] += 0.5
 
     class StubContext:
