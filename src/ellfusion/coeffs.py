@@ -10,8 +10,8 @@ with the factor table derived from it, as numpy arrays only; the brackets
 depend on the nome only through |p|, so -p reads the table of p.  The table
 also keeps the eigenpolynomials built at its parameters and, in one map read
 through ``_kept``, the ring-route tables of ``fusion`` and the finished joint
-spectra of ``operators`` (which carry the transforms built from them), so its
-LRU bounds all that is kept per parameter set.  A coefficient is a
+spectra of ``operators`` with their -p mirrors (which share the transforms
+built from them), so its LRU bounds all that is kept per parameter set.  A coefficient is a
 product of factor cells taken in order: the scalar functions multiply the
 cells of one strip or label, and ``level_hops``, ``level_psi``,
 ``level_delta`` and ``level_c`` gather the cells of a whole level cone from
@@ -90,7 +90,8 @@ class BracketTable:
     ``_kept``: ("ring", n, m) -> the read-only ring-route table
     [lam, mu, kappa] and ("pairs", n, m) -> its sparse index for pair calls,
     by ``fusion``; ("spectrum", n, m, seed) -> the finished ``SpectrumResult``
-    by ``operators``.  All are level-locked only and returned at p and at -p.
+    and ("mirror", n, m, seed, p) -> its mirror at the other sign p, by
+    ``operators``.  All are level-locked only and returned at p and at -p.
     The recurrence weights and the truncated matrices are products of these
     brackets, so all of these depend on the parameters only through this
     table's key and their own keys; evicting the table frees them.
@@ -111,11 +112,14 @@ class BracketTable:
         for a, row in enumerate(B):
             row.extend(bracket(a + b * g, params).real for b in range(K, cols))
         B += [[bracket(a + b * g, params).real for b in range(cols)] for a in range(R, rows)]
-        self.values = np.array(B, dtype=float).reshape(rows, cols)
-        self._derive()
+        values = np.array(B, dtype=float).reshape(rows, cols)
+        self._derive(values)
+        # Published last: a reader that sees the grown shape reads the grown factors.
+        self.values = values
 
-    def _derive(self) -> None:
-        V, g = self.values, self.params.g
+    def _derive(self, V: np.ndarray) -> None:
+        """Set ``factors`` and ``vanished`` from the bracket array V, made read-only."""
+        g = self.params.g
         R, K = V.shape
 
         def ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -134,12 +138,11 @@ class BracketTable:
             factors[_C, :, 1:-1] = running(ratio(mid, V[:, 2:]))
             factors[_HEAD, :, 1:-1] = ratio(mid, V[:1, 1:-1])
             factors[_TAIL, :, 1:-1] = running(ratio(V[:-1, 2:], V[1:, :-2]))
-        self.factors = factors
 
         # The argument a + b*g of each vanished denominator.  A running product
         # (layers 3 and 5) records its first, which is also its least: its
         # denominators [l + b*g] run up l = 0, 1, ... in one column b.
-        zero = np.where(np.abs(self.values) < SINGULAR_TOL, np.arange(R)[:, None] + np.arange(K) * g, np.nan)
+        zero = np.where(np.abs(V) < SINGULAR_TOL, np.arange(R)[:, None] + np.arange(K) * g, np.nan)
         none = np.full((1, K), np.nan)
         c_zero = np.fmin.accumulate(np.vstack([none, zero[:-1]]), axis=0)  # least over l < a
         tail_zero = np.fmin.accumulate(np.vstack([none, zero[1:]]), axis=0)  # least over 1 <= l <= a
@@ -148,8 +151,8 @@ class BracketTable:
         vanished[_C, :, 1:-1] = c_zero[:, 2:]
         vanished[_HEAD, :, 1:-1] = zero[:1, 1:-1]  # row 0, also for a table of no rows
         vanished[_TAIL, :, 1:-1] = tail_zero[:, :-2]
-        self.vanished = vanished
-        _read_only(self.values, self.factors, self.vanished)
+        _read_only(V, factors, vanished)
+        self.factors, self.vanished = factors, vanished
 
 
 def _raise_vanished(arguments) -> None:
@@ -160,23 +163,32 @@ def _raise_vanished(arguments) -> None:
 
 
 _TABLES: OrderedDict[tuple, BracketTable] = OrderedDict()
-# Growing replaces the table's arrays, so two threads must not grow one table at once.
+# Taken to create, evict or grow a table, never to read one: a hit is one
+# ``get`` and one ``move_to_end``, each atomic, and ``grow`` publishes
+# ``values`` after the arrays derived from it, so a reader that sees a shape
+# reads factors at least that large.
 _TABLES_LOCK = threading.Lock()
 
 
 def _table(params: ModelParams, rows: int = 0, cols: int = 0) -> BracketTable:
     """The bracket table of params, grown to at least rows x cols (bounded LRU)."""
     key = (params.alpha, params.g, abs(params.p))
-    with _TABLES_LOCK:
-        table = _TABLES.get(key)
-        if table is None:
-            table = _TABLES[key] = BracketTable(params)
-            if len(_TABLES) > TABLE_LIMIT:
-                _TABLES.popitem(last=False)
-        else:
+    table = _TABLES.get(key)
+    if table is None:
+        with _TABLES_LOCK:
+            table = _TABLES.get(key)
+            if table is None:
+                table = _TABLES[key] = BracketTable(params)
+                if len(_TABLES) > TABLE_LIMIT:
+                    _TABLES.popitem(last=False)
+    else:
+        try:
             _TABLES.move_to_end(key)
-        R, K = table.values.shape
-        if rows > R or cols > K:
+        except KeyError:  # evicted by another thread since the get; the table is still whole
+            pass
+    R, K = table.values.shape
+    if rows > R or cols > K:
+        with _TABLES_LOCK:
             table.grow(rows, cols)
     return table
 
@@ -215,9 +227,12 @@ def hop_B(lam: Partition, nu: Partition, params: ModelParams) -> float:
     n = params.n
     if len(lam) != n:  # the gate raises; the length alone is compared on this hot path
         check_partition(lam, n)
-    theta = strip_pattern(lam, nu)
-    table = _table(params, lam[0] - lam[-1] + 1, n + 1)
-    return _product(table, [(theta[j] - theta[k] + 1, lam[j] - lam[k], k - j) for j, k in combinations(range(n), 2)])
+    try:
+        theta = strip_pattern(lam, nu)
+        table = _table(params, lam[0] - lam[-1] + 1, n + 1)
+        return _product(table, [(theta[j] - theta[k] + 1, lam[j] - lam[k], k - j) for j, k in combinations(range(n), 2)])
+    except TypeError:  # a part that is no int indexes no cell: the gate raises, or maps 2.0 to 2
+        return hop_B(check_partition(lam, n), check_partition(nu, n), params)
 
 
 def psi_prime(lam: Partition, nu: Partition, params: ModelParams) -> float:
@@ -230,14 +245,17 @@ def psi_prime(lam: Partition, nu: Partition, params: ModelParams) -> float:
     n = params.n
     if len(lam) != n:  # the gate raises; the length alone is compared on this hot path
         check_partition(lam, n)
-    theta = strip_pattern(lam, nu)
-    table = _table(params, lam[0] - lam[-1] + 1, n + 1)
-    cells = []
-    for j, k in combinations(range(n), 2):
-        if theta[k] - theta[j] == 1:
-            d = lam[j] - lam[k]  # >= 1, and nu_j - nu_k = d - 1
-            cells += [(2, d - 1, k - j), (0, d, k - j)]
-    return _product(table, cells)
+    try:
+        theta = strip_pattern(lam, nu)
+        table = _table(params, lam[0] - lam[-1] + 1, n + 1)
+        cells = []
+        for j, k in combinations(range(n), 2):
+            if theta[k] - theta[j] == 1:
+                d = lam[j] - lam[k]  # >= 1, and nu_j - nu_k = d - 1
+                cells += [(2, d - 1, k - j), (0, d, k - j)]
+        return _product(table, cells)
+    except TypeError:  # a part that is no int indexes no cell: the gate raises, or maps 2.0 to 2
+        return psi_prime(check_partition(lam, n), check_partition(nu, n), params)
 
 
 def c_norm(mu: Partition, params: ModelParams) -> float:

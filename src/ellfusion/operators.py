@@ -29,7 +29,8 @@ gaps are disjoint within a charge sector, so a match that passes that test
 is the optimal assignment, and no assignment solver is needed; points of
 different charge are never compared, so a near-crossing between sectors
 costs no halving.  The finished spectrum is kept on the bracket table of
-its parameters, which p and -p share, so the mirror leg runs no eigensolve.
+its parameters, which p and -p share, and so is its -p mirror, built once:
+the mirror leg runs no eigensolve and, warm, builds nothing.
 The dual norms come from the eigenvectors; only ``projection_arrays``, for
 the check routes, evaluates polynomials at the spectral points, all of them
 in one ``evaluate_batch`` call, kept on the spectrum as S is.
@@ -168,7 +169,12 @@ class SpectrumResult:
             arr.flags.writeable = False
 
     def derived(self, name: str, build):
-        """build() of this spectrum's own values, kept read-only under name; its -p mirror shares it, copies do not."""
+        """build() of this spectrum's own values, kept read-only under name.
+
+        The kept -p mirror of ``joint_spectrum`` shares this dict with the
+        kept spectrum, so a value built at either sign serves both; a copy
+        made by ``dataclasses.replace`` builds its own.
+        """
         value = self._derived.get(name)
         if value is None:
             value = build()
@@ -313,20 +319,30 @@ def joint_spectrum(params: ModelParams, seed: int = 0) -> SpectrumResult:
     guarded predictor-corrector (``_continue``).  The finished result is
     kept on the bracket table of params, keyed ("spectrum", n, m, seed),
     and evicted with it.  The table is shared by p and -p, and the truncated
-    matrices at -p are those at p bit for bit, so a call at either sign
-    returns the kept arrays with ``params`` replaced and ``homotopy_steps``
-    given the sign of p, shares what is derived from them and runs no eigensolve.
+    matrices at -p are those at p bit for bit, so the first call at the other
+    sign builds the mirror: the kept arrays with ``params`` replaced by its
+    own and ``homotopy_steps`` given the sign of p, sharing what is derived
+    from them.  The mirror is kept beside the spectrum, keyed ("mirror", n,
+    m, seed, p) with its own signed p, so no race between first calls at
+    both signs can file it under the wrong sign, and it is returned by every
+    later call at that sign; neither runs an eigensolve.
     """
     if not params.level_locked:
         raise ValueError("the joint spectrum requires level-locked parameters")
     if params.n < 2:
         raise ValueError(f"the joint spectrum requires n >= 2, got n={params.n}")
-    kept = coeffs._kept(params, ("spectrum", params.n, params.m, seed), lambda: _continue(params, seed))
-    if kept.params == params:
+    n, m = params.n, params.m
+    kept = coeffs._kept(params, ("spectrum", n, m, seed), lambda: _continue(params, seed))
+    if kept.params.p == params.p:  # the key leaves only the sign of p free
         return kept
-    # The key leaves only the sign of p free.
-    mirror = replace(kept, params=params, homotopy_steps=tuple(-s for s in kept.homotopy_steps))
-    object.__setattr__(mirror, "_derived", kept._derived)
+    return coeffs._kept(params, ("mirror", n, m, seed, params.p), lambda: _mirror(kept, params))
+
+
+def _mirror(spec: SpectrumResult, params: ModelParams) -> SpectrumResult:
+    """spec at params, the other sign of p: its arrays, signed steps, and its ``_derived``, shared."""
+    mirror = replace(spec, params=params, homotopy_steps=tuple(-s for s in spec.homotopy_steps))
+    # Shared, not kept in it: the mirror in spec's own dict would be a reference cycle.
+    object.__setattr__(mirror, "_derived", spec._derived)
     return mirror
 
 

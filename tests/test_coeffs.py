@@ -37,6 +37,19 @@ def test_hop_weight_rejects_non_strips():
         coeffs.psi_prime((0, 0), (0, 1), FREE)
 
 
+@pytest.mark.parametrize("weight", [coeffs.hop_B, coeffs.psi_prime])
+def test_float_parts_go_through_the_gate(weight):
+    """An integral float is its label, as in ``c_norm``; any other part raises the gate's ValueError."""
+    params = ModelParams.locked(3, 2, 0.7, 0.3)
+    coeffs.clear_coeff_caches()  # the float reaches the growth of a fresh table, too
+    assert weight((2.0, 1, 0), (3, 1, 0), params) == weight((2, 1, 0), (3, 1, 0), params)
+    assert weight((2, 1, 0), (3.0, 1.0, 0), params) == weight((2, 1, 0), (3, 1, 0), params)
+    with pytest.raises(ValueError, match=r"^parts must be integers: \(2\.5, 1, 0\)$"):
+        weight((2.5, 1, 0), (3.5, 1, 0), params)
+    assert coeffs.c_norm((2.0, 1, 0), params) == coeffs.c_norm((2, 1, 0), params)
+    coeffs.clear_coeff_caches()
+
+
 def test_recurrence_weight_of_leading_column_is_one():
     params = ModelParams.locked(3, 3, 0.55, 0.4)
     for lam in [(0, 0, 0), (1, 0, 0), (2, 2, 0)]:
@@ -531,3 +544,77 @@ def test_concurrent_growth_keeps_every_entry():
     table = coeffs.bracket_table(params, 30, 4)
     expected = np.array([[bracket(a + b * params.g, params).real for b in range(4)] for a in range(30)])
     assert np.array_equal(table.view(np.int64), expected.view(np.int64))
+
+
+def test_lock_free_hits_under_growth_and_eviction(monkeypatch):
+    """Four threads hit, grow and evict tables at 8 values of |p| through a store of 4: the single-threaded bits."""
+    monkeypatch.setattr(coeffs, "TABLE_LIMIT", 4)
+    sweep = [ModelParams.free(3, g=0.65, p=p, alpha=1.3) for p in (0.1, -0.2, 0.3, -0.4, 0.5, -0.6, 0.7, -0.8)]
+    lams = [(w, w // 3, 0) for w in range(2, 24)]
+    coeffs.clear_coeff_caches()
+    want = {(params, lam): coeffs.c_norm(lam, params) for lam in lams for params in sweep}
+    coeffs.clear_coeff_caches()
+    got: dict = {}
+    errors: list = []
+
+    def work(k):
+        try:
+            for lam in lams:  # each lam grows its rows, and each |p| evicts another table
+                for params in sweep[k:] + sweep[:k]:
+                    got[params, lam] = coeffs.c_norm(lam, params)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(2 * k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert got.keys() == want.keys()
+    assert np.array([got[key] for key in want]).tobytes() == np.array(list(want.values())).tobytes()
+    assert len(coeffs._TABLES) <= coeffs.TABLE_LIMIT
+    coeffs.clear_coeff_caches()
+
+
+def test_a_hit_takes_no_lock(monkeypatch):
+    """A table that is there and large enough is served without the lock; a growth takes it."""
+
+    class Refused:
+        def __enter__(self):
+            raise AssertionError("the lock was taken")
+
+        def __exit__(self, *exc):
+            return False
+
+    params = ModelParams.locked(3, 2, 0.7, 0.3)
+    coeffs.clear_coeff_caches()
+    table = coeffs._table(params, 3, 4)
+    monkeypatch.setattr(coeffs, "_TABLES_LOCK", Refused())
+    assert coeffs._table(params.with_p(-0.3), 2, 3) is table
+    assert coeffs.c_norm((2, 1, 0), params) > 0
+    with pytest.raises(AssertionError, match="the lock was taken"):
+        coeffs._table(params, 4, 4)
+    monkeypatch.undo()
+    coeffs.clear_coeff_caches()
+
+
+def test_growth_publishes_the_brackets_last():
+    """``grow`` sets ``factors`` and ``vanished`` before ``values``: a reader seeing the grown shape reads grown arrays."""
+    order = []
+
+    class Recorded(coeffs.BracketTable):
+        def __setattr__(self, name, value):
+            order.append(name)
+            super().__setattr__(name, value)
+
+    table = Recorded(ModelParams.locked(3, 2, 0.7, 0.3))
+    order.clear()
+    table.grow(3, 4)
+    assert order.index("values") > max(order.index("factors"), order.index("vanished"))
+    assert table.factors.shape == (6, *table.values.shape)

@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import math
 import os
 import random
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -810,6 +812,59 @@ def test_mirrored_spectrum_runs_no_eig(monkeypatch):
     joint_spectrum(params, seed=1)  # another seed is another entry
     assert calls
     coeffs.clear_coeff_caches()
+
+
+def test_mirror_is_kept_beside_its_spectrum(monkeypatch):
+    """A second -p call returns the first call's mirror: no eigh, and one ``replace`` per kept spectrum."""
+    params = ModelParams.locked(3, 3, 0.7, 0.6)
+    minus = params.with_p(-0.6)
+    coeffs.clear_coeff_caches()
+    plus = joint_spectrum(params, seed=0)
+    calls = _counting_eig(monkeypatch)
+    replaced = []
+    monkeypatch.setattr(operators, "replace", lambda *a, **k: replaced.append(a) or dataclasses.replace(*a, **k))
+    first = joint_spectrum(minus, seed=0)
+    assert first.params is minus and first._derived is plus._derived
+    assert coeffs._table(params).kept[("mirror", 3, 3, 0, -0.6)] is first
+    for _ in range(3):
+        assert joint_spectrum(params.with_p(-0.6), seed=0) is first
+        assert fusion.s_matrix(minus).spectrum is first
+    assert joint_spectrum(params, seed=0) is plus
+    assert calls == [] and len(replaced) == 1
+    joint_spectrum(params, seed=1)
+    assert joint_spectrum(minus, seed=1) is joint_spectrum(minus, seed=1)
+    assert len(replaced) == 2  # another seed is another kept spectrum, mirrored once
+    coeffs.clear_coeff_caches()
+
+
+def test_mirror_of_a_minus_p_spectrum_is_at_plus_p():
+    """The first call fixes the kept sign; the other sign is the kept mirror, either way round."""
+    params = ModelParams.locked(3, 2, 0.7, -0.4)
+    coeffs.clear_coeff_caches()
+    kept = joint_spectrum(params, seed=0)
+    mirror = joint_spectrum(params.with_p(0.4), seed=0)
+    assert mirror.params.p == 0.4 and mirror.homotopy_steps == tuple(-s for s in kept.homotopy_steps)
+    assert joint_spectrum(params.with_p(0.4), seed=0) is mirror
+    coeffs.clear_coeff_caches()
+
+
+def test_kept_spectrum_and_mirror_form_no_cycle():
+    """With the collector off, clearing the store frees the spectrum, its mirror and their derived values."""
+    params = ModelParams.locked(3, 3, 0.7, 0.6)
+    coeffs.clear_coeff_caches()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        kept = weakref.ref(joint_spectrum(params, seed=0))
+        mirror = weakref.ref(joint_spectrum(params.with_p(-0.6), seed=0))
+        fusion.s_matrix(params.with_p(-0.6))
+        projection_arrays(params, None)
+        assert kept() is not None and mirror() is not None
+        coeffs.clear_coeff_caches()
+        assert kept() is None and mirror() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 
