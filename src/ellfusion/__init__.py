@@ -8,7 +8,15 @@ commuting normal operators whose joint spectrum diagonalizes the fusion
 ring, with structure constants recovered either by the Pieri rule on the
 level cone or by a spectral (S-matrix) sum.  Independent Schur/trigonometric/sine-matrix
 oracles pin down all degeneration endpoints.
+
+``import ellfusion`` loads the chain from the bracket to the fusion table.
+The LR products (``littlewood``), the oracles and the check registry
+(``verification``) load on first use: the names below in ``_DEFERRED`` are
+resolved from their submodule when first read, and ``from ellfusion import *``
+binds them all.
 """
+
+from importlib import import_module as _import_module
 
 from .errors import (
     ComputationError,
@@ -40,7 +48,6 @@ from .partitions import (
 )
 from .coeffs import c_norm, delta_weight, hop_B, psi_prime
 from .polynomials import PolynomialInE, build_P, evaluate, evaluate_R, evaluate_batch, normalized_p
-from .littlewood import expand_in_P, lr_coefficients, multiply_monomial
 from .operators import (
     SpectrumResult,
     TruncatedOperator,
@@ -59,15 +66,38 @@ from .fusion import (
     structure_constants_lr,
     structure_constants_verlinde,
 )
-from .oracles import (
-    OracleReport,
-    classical_fusion,
-    kac_peterson_smatrix,
-    macdonald_lr_p0,
-    macdonald_pieri_p0,
-    schur_eval,
-    schur_in_elementary,
-)
-from .verification import run_suite
 
 __version__ = "0.1.0"
+
+# The names of ``verify --suite``; here so that the CLI reads them without loading ``verification``.
+SUITES = ("limits", "ring", "spectrum")
+
+# Name -> the submodule that defines it, imported when the name is first read.
+_DEFERRED = {
+    "expand_in_P": "littlewood",
+    "lr_coefficients": "littlewood",
+    "multiply_monomial": "littlewood",
+    "OracleReport": "oracles",
+    "classical_fusion": "oracles",
+    "kac_peterson_smatrix": "oracles",
+    "macdonald_lr_p0": "oracles",
+    "macdonald_pieri_p0": "oracles",
+    "schur_eval": "oracles",
+    "schur_in_elementary": "oracles",
+    "run_suite": "verification",
+}
+
+
+def __getattr__(name: str):
+    module = _DEFERRED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Not cached here: the name stays the submodule's object, also when that is patched.
+    return getattr(_import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_DEFERRED})
+
+
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | {*_DEFERRED, *_DEFERRED.values()})

@@ -32,13 +32,11 @@ import numpy as np
 
 from .errors import ComputationError
 from .kernel import ModelParams
-from .littlewood import lr_coefficients
 from .operators import SpectrumResult, joint_spectrum
 from .partitions import canonical_key, check_partition, vertical_strips
 from .polynomials import build_P
 from .fusion import _rows, fusion_pieri, s_matrix
-from .verification import SUITES, run_suite
-from . import coeffs
+from . import SUITES, coeffs
 
 
 def _partition_arg(text: str) -> tuple[int, ...]:
@@ -385,6 +383,8 @@ def _emit_entries(args, params: ModelParams, table: dict, **fields) -> int:
 
 
 def _cmd_lr(args, parser) -> int:
+    from .littlewood import lr_coefficients  # loaded by this command alone
+
     params = _make_params(args, parser, locked_only=False)
     table = lr_coefficients(args.lam, args.mu, params)
     return _emit_entries(args, params, table, lam=list(args.lam), mu=list(args.mu))
@@ -475,6 +475,8 @@ def _cmd_smatrix(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
+    from .verification import run_suite  # loaded by this command alone, with the oracles and littlewood
+
     params = _make_params(args, parser, locked_only=True)
     reports = run_suite(args.suite, params.n, params.m, seed=args.seed)
     width = max(len(r.comparison) for r in reports)

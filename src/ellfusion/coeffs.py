@@ -231,7 +231,9 @@ def hop_B(lam: Partition, nu: Partition, params: ModelParams) -> float:
         theta = strip_pattern(lam, nu)
         table = _table(params, lam[0] - lam[-1] + 1, n + 1)
         return _product(table, [(theta[j] - theta[k] + 1, lam[j] - lam[k], k - j) for j, k in combinations(range(n), 2)])
-    except TypeError:  # a part that is no int indexes no cell: the gate raises, or maps 2.0 to 2
+    except (TypeError, NotAStrip):  # a part that is no int: the gate raises, or maps 2.0 to 2 for a second call
+        if all(isinstance(x, int) for x in (*lam, *nu)):
+            raise
         return hop_B(check_partition(lam, n), check_partition(nu, n), params)
 
 
@@ -254,7 +256,9 @@ def psi_prime(lam: Partition, nu: Partition, params: ModelParams) -> float:
                 d = lam[j] - lam[k]  # >= 1, and nu_j - nu_k = d - 1
                 cells += [(2, d - 1, k - j), (0, d, k - j)]
         return _product(table, cells)
-    except TypeError:  # a part that is no int indexes no cell: the gate raises, or maps 2.0 to 2
+    except (TypeError, NotAStrip):  # a part that is no int: the gate raises, or maps 2.0 to 2 for a second call
+        if all(isinstance(x, int) for x in (*lam, *nu)):
+            raise
         return psi_prime(check_partition(lam, n), check_partition(nu, n), params)
 
 

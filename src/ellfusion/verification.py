@@ -63,13 +63,11 @@ from .oracles import (
     schur_eval,
     schur_in_elementary,
 )
-from . import coeffs
+from . import SUITES, coeffs
 
 _FREE_ALPHA = 2.0
 _NUDGE = 1e-6
 _CLASSICAL_TOL = 1e-5
-
-SUITES = ("limits", "ring", "spectrum")
 
 
 class CheckContext:

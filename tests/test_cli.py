@@ -336,6 +336,16 @@ def test_non_finite_payload_value_raises(bad, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_an_unknown_suite_is_a_usage_error(capsys):
+    code, out, err = run_cli(["verify", "--suite", "nope", "--n", "2", "--m", "2"], capsys)
+    assert code == 2
+    assert "argument --suite: invalid choice: 'nope'" in err
+    assert "Traceback" not in err
+    code, out, err = run_cli(["verify", "--help"], capsys)
+    assert code == 0
+    assert "{limits,ring,spectrum,all}" in out
+
+
 def test_cli_and_lr_path_load_no_scipy():
     """Importing the CLI, an LR product, an expansion and a verify run load no scipy module."""
     src = str(Path(__file__).resolve().parents[1] / "src")

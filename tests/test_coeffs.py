@@ -50,6 +50,20 @@ def test_float_parts_go_through_the_gate(weight):
     coeffs.clear_coeff_caches()
 
 
+@pytest.mark.parametrize("weight", [coeffs.hop_B, coeffs.psi_prime])
+def test_a_non_integral_factor_raises_the_gate_not_a_strip(weight):
+    """A part that is no integer is a usage error; a true non-strip stays ``NotAStrip``."""
+    params = ModelParams.locked(3, 2, 0.7, 0.3)
+    with pytest.raises(ValueError, match=r"^parts must be integers: \(2\.5, 1, 0\)$"):
+        weight((2, 1, 0), (2.5, 1, 0), params)
+    with pytest.raises(ValueError, match=r"^parts must be integers: \(1\.5, 1, 0\)$"):
+        weight((1.5, 1, 0), (2, 1, 0), params)
+    with pytest.raises(NotAStrip, match="is not a vertical strip"):
+        weight((2, 1, 0), (4, 1, 0), params)
+    with pytest.raises(NotAStrip, match="is not a vertical strip"):
+        weight((2.0, 1, 0), (4, 1, 0), params)
+
+
 def test_recurrence_weight_of_leading_column_is_one():
     params = ModelParams.locked(3, 3, 0.55, 0.4)
     for lam in [(0, 0, 0), (1, 0, 0), (2, 2, 0)]:

@@ -415,17 +415,47 @@ def test_simple_current_tables_are_kept_per_cone():
     assert level_cone(3, 2) is cone and cone.J is J
 
 
-def test_the_spectral_path_never_imports_numpy_random():
+def _fresh_interpreter(code, cwd=None):
+    """The stdout of ``code`` run by a fresh interpreter that imports this checkout's ellfusion."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(operators.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True, check=True).stdout
+
+
+def test_the_spectral_path_never_imports_numpy_random():
     code = (
         "import sys, ellfusion\n"
         "sm = ellfusion.s_matrix(ellfusion.ModelParams.locked(3, 3, 0.7, 0.6))\n"
         "assert sm.identity_residual() < 1e-8\n"
         "print('numpy.random' in sys.modules)\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _fresh_interpreter(code).strip() == "False"
+
+
+def test_the_chain_never_imports_littlewood_oracles_or_verification(tmp_path):
+    """The S-matrix, both fusion routes, the ring pair call and the smatrix and fusion commands load none of the three."""
+    code = """
+import sys
+import ellfusion
+from ellfusion import cli
+
+def loaded():
+    return sorted(m for m in ("ellfusion.littlewood", "ellfusion.oracles", "ellfusion.verification") if m in sys.modules)
+
+params = ellfusion.ModelParams.locked(3, 3, 0.7, 0.3)
+ellfusion.s_matrix(params)
+ellfusion.fusion_table(params, route="verlinde")
+ellfusion.fusion_table(params, route="lr")
+ellfusion.structure_constants_lr((1, 0, 0), (1, 1, 0), params)
+assert cli.main(["smatrix", "--n", "3", "--m", "3", "--g", "0.7", "--p", "0.9", "--out", "s.json"]) == 0
+assert cli.main(["fusion", "--n", "3", "--m", "3", "--g", "0.7", "--p", "0.3", "--route", "both", "--out", "f.json"]) == 0
+print(loaded())
+assert cli.main(["verify", "--suite", "all", "--n", "2", "--m", "2", "--out", "v.json"]) == 0
+print(loaded())
+"""
+    before, after = [line for line in _fresh_interpreter(code, cwd=tmp_path).splitlines() if line.startswith("[")]
+    assert before == "[]"
+    assert after == "['ellfusion.littlewood', 'ellfusion.oracles', 'ellfusion.verification']"
 
 
 def _joint_residual(params, spec):
