@@ -36,24 +36,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import NotAStrip, SingularDenominator
+from .errors import SingularDenominator
 from .kernel import SINGULAR_TOL, ModelParams, bracket
-from .partitions import Partition, _read_only, check_partition, is_partition, level_cone
+from .partitions import Partition, _read_only, check_partition, check_strip, level_cone
 
 # One nome_sweep pass (n=4 m=4, p = +-0.3, +-0.6, +-0.9) visits 26 distinct
 # |p| along its homotopy paths, rejected steps included (the -p legs read the
 # spectra kept at p); the bound leaves room for several such sweeps.
 TABLE_LIMIT = 256
-
-
-def strip_pattern(lam: Partition, nu: Partition) -> tuple[int, ...]:
-    """Increment pattern theta = nu - lam, validated as a vertical strip."""
-    if len(lam) != len(nu):
-        raise NotAStrip(f"length mismatch between {lam} and {nu}")
-    theta = tuple(b - a for a, b in zip(lam, nu))
-    if any(t not in (0, 1) for t in theta) or not is_partition(nu) or not is_partition(lam):
-        raise NotAStrip(f"{nu} is not a vertical strip over {lam}")
-    return theta
 
 
 # Layers of the factor table, see ``BracketTable``: the hopping factor with
@@ -218,23 +208,34 @@ def _product(table: BracketTable, cells: list[tuple[int, int, int]]) -> float:
     return out
 
 
+def _hop(lam: Partition, nu: Partition, params: ModelParams) -> float:
+    """``hop_B`` of a strip that passed ``check_strip``: the product of its cells."""
+    n = params.n
+    theta = [b - a for a, b in zip(lam, nu)]
+    table = _table(params, lam[0] - lam[-1] + 1, n + 1)
+    return _product(table, [(theta[j] - theta[k] + 1, lam[j] - lam[k], k - j) for j, k in combinations(range(n), 2)])
+
+
 def hop_B(lam: Partition, nu: Partition, params: ModelParams) -> float:
     """Hopping weight of the discrete difference operator for the move lam -> nu.
 
     Product over all pairs j < k of
     [lam_j - lam_k + g(k - j + theta_j - theta_k)] / [lam_j - lam_k + g(k - j)].
     """
+    return _hop(*check_strip(lam, nu, params.n), params)
+
+
+def _psi(lam: Partition, nu: Partition, params: ModelParams) -> float:
+    """``psi_prime`` of a strip that passed ``check_strip``: the product of its cells."""
     n = params.n
-    if len(lam) != n:  # the gate raises; the length alone is compared on this hot path
-        check_partition(lam, n)
-    try:
-        theta = strip_pattern(lam, nu)
-        table = _table(params, lam[0] - lam[-1] + 1, n + 1)
-        return _product(table, [(theta[j] - theta[k] + 1, lam[j] - lam[k], k - j) for j, k in combinations(range(n), 2)])
-    except (TypeError, NotAStrip):  # a part that is no int: the gate raises, or maps 2.0 to 2 for a second call
-        if all(isinstance(x, int) for x in (*lam, *nu)):
-            raise
-        return hop_B(check_partition(lam, n), check_partition(nu, n), params)
+    theta = [b - a for a, b in zip(lam, nu)]
+    table = _table(params, lam[0] - lam[-1] + 1, n + 1)
+    cells = []
+    for j, k in combinations(range(n), 2):
+        if theta[k] - theta[j] == 1:
+            d = lam[j] - lam[k]  # >= 1, and nu_j - nu_k = d - 1
+            cells += [(2, d - 1, k - j), (0, d, k - j)]
+    return _product(table, cells)
 
 
 def psi_prime(lam: Partition, nu: Partition, params: ModelParams) -> float:
@@ -244,22 +245,7 @@ def psi_prime(lam: Partition, nu: Partition, params: ModelParams) -> float:
     [nu_j-nu_k+g(k-j+1)]/[nu_j-nu_k+g(k-j)] *
     [lam_j-lam_k+g(k-j-1)]/[lam_j-lam_k+g(k-j)].
     """
-    n = params.n
-    if len(lam) != n:  # the gate raises; the length alone is compared on this hot path
-        check_partition(lam, n)
-    try:
-        theta = strip_pattern(lam, nu)
-        table = _table(params, lam[0] - lam[-1] + 1, n + 1)
-        cells = []
-        for j, k in combinations(range(n), 2):
-            if theta[k] - theta[j] == 1:
-                d = lam[j] - lam[k]  # >= 1, and nu_j - nu_k = d - 1
-                cells += [(2, d - 1, k - j), (0, d, k - j)]
-        return _product(table, cells)
-    except (TypeError, NotAStrip):  # a part that is no int: the gate raises, or maps 2.0 to 2 for a second call
-        if all(isinstance(x, int) for x in (*lam, *nu)):
-            raise
-        return psi_prime(check_partition(lam, n), check_partition(nu, n), params)
+    return _psi(*check_strip(lam, nu, params.n), params)
 
 
 def c_norm(mu: Partition, params: ModelParams) -> float:

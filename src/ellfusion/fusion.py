@@ -95,7 +95,7 @@ def fusion_pieri(lam, r: int, params: ModelParams) -> dict[Partition, float]:
     out: dict[Partition, float] = {}
     for nu in vertical_strips(lam, r):
         if span(nu) <= params.m:
-            out[underline(nu)] = coeffs.psi_prime(lam, nu, params)
+            out[underline(nu)] = coeffs._psi(lam, nu, params)
     return out
 
 

@@ -69,7 +69,7 @@ def apply_D(r: int, f: LatticeFunction, lam: Partition, params: ModelParams) -> 
     for nu in vertical_strips(lam, r):
         fv = f.get(nu)
         if fv:
-            total += coeffs.hop_B(lam, nu, params) * fv
+            total += coeffs._hop(lam, nu, params) * fv
     return total
 
 

@@ -18,13 +18,13 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import NonIntegral, NotAStrip
+from .errors import NonIntegral
 from .kernel import trig_bracket, trig_factorial
 from .partitions import (
     Partition,
     check_partition,
+    check_strip,
     enumerate_level,
-    is_partition,
     level_cone,
     r_index,
     vertical_strips,
@@ -121,11 +121,8 @@ def schur_in_elementary(mu, n: int) -> dict[Partition, int]:
 
 def macdonald_pieri_p0(lam, nu, alpha: float, g: float) -> float:
     """Trigonometric limit of the strip weight as a product of sine ratios."""
-    lam = check_partition(lam)
-    nu = tuple(int(v) for v in nu)
+    lam, nu = check_strip(lam, nu)
     theta = tuple(b - a for a, b in zip(lam, nu))
-    if any(t not in (0, 1) for t in theta) or not is_partition(nu):
-        raise NotAStrip(f"{nu} is not a vertical strip over {lam}")
     n = len(lam)
     out = 1.0
     for j in range(n):

@@ -21,6 +21,8 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .errors import NotAStrip
+
 Partition = tuple[int, ...]
 
 
@@ -47,6 +49,21 @@ def check_partition(parts, n: int | None = None) -> Partition:
     if n is not None and len(lam) != n:
         raise ValueError(f"partition length {len(lam)} does not match n={n}")
     return lam
+
+
+def check_strip(lam, nu, n: int | None = None) -> tuple[Partition, Partition]:
+    """Validate a vertical strip lam ⊂ nu ⊂ lam + 1^n and return both factors normalized.
+
+    The one gate of a strip: both factors go through ``check_partition``,
+    lam of length n if n is given and nu of the length of lam, so a
+    malformed factor raises its ``ValueError``; two partitions whose
+    increments nu - lam are not all 0 or 1 raise ``NotAStrip``.
+    """
+    lam = check_partition(lam, n)
+    nu = check_partition(nu, len(lam))
+    if any(b - a not in (0, 1) for a, b in zip(lam, nu)):
+        raise NotAStrip(f"{nu} is not a vertical strip over {lam}")
+    return lam, nu
 
 
 def is_partition(parts) -> bool:

@@ -165,7 +165,7 @@ def _poly(mu: Partition, params: ModelParams, polys: dict) -> PolynomialInE:
 
         acc = _shift_by_column(polys[lam], r)
         for nu in siblings:
-            w = coeffs.psi_prime(lam, nu, params)
+            w = coeffs._psi(lam, nu, params)
             for k, v in polys[nu].items():
                 acc[k] = acc.get(k, 0.0) - w * v
         acc[top] = 1.0  # unit leading coefficient, set rather than computed
@@ -242,7 +242,6 @@ def elementary_symmetric(x) -> list[complex]:
 
 def evaluate_R(mu, x, params: ModelParams) -> complex:
     """Symmetric-polynomial embedding: P_mu evaluated at e_r = e_r(x)."""
-    P = build_P(mu, params)
     if len(x) != params.n:
         raise ValueError(f"point has {len(x)} variables, expected n={params.n}")
-    return evaluate(P, elementary_symmetric(x))
+    return evaluate(build_P(mu, params), elementary_symmetric(x))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from ellfusion import coeffs, fusion
+from ellfusion import coeffs, fusion, operators
 from ellfusion.errors import GenericityViolation, NotAStrip, SingularDenominator
 from ellfusion.kernel import SINGULAR_TOL, ModelParams, bracket
 from ellfusion.oracles import macdonald_pieri_p0
@@ -29,11 +29,11 @@ def test_hop_weight_single_box():
 
 
 def test_hop_weight_rejects_non_strips():
-    with pytest.raises(NotAStrip):
+    with pytest.raises(ValueError, match="parts must be non-increasing"):
         coeffs.hop_B((0, 0), (0, 1), FREE)
     with pytest.raises(NotAStrip):
         coeffs.hop_B((1, 0), (3, 0), FREE)
-    with pytest.raises(NotAStrip):
+    with pytest.raises(ValueError, match="parts must be non-increasing"):
         coeffs.psi_prime((0, 0), (0, 1), FREE)
 
 
@@ -355,6 +355,8 @@ def test_level_gathers_match_scalar_products(n, m):
 def test_scalar_coefficients_are_their_gathers_bit_for_bit(n, m):
     """hop_B, psi_prime, c_norm and delta_weight equal their level-cone gathers in every bit.
 
+    So do the walks that read the weights without the strip gate: the row
+    of ``fusion_pieri`` at each label, and ``apply_D`` of each unit function.
     Both kernel regimes (|p| < 0.5 and |p| >= 0.5) at both signs of p, at
     couplings across [0.3, 1.9], a resonant one included.
     """
@@ -375,6 +377,15 @@ def test_scalar_coefficients_are_their_gathers_bit_for_bit(n, m):
                     want = [scalar(labels[i], nu, params) for i, nu in listed]
                     assert rows.tolist() == [i for i, _ in listed]
                     assert _bits(vals).tolist() == _bits(want).tolist()
+                    if gather is coeffs.level_psi:
+                        pieri = [fusion.fusion_pieri(lam, r, params) for lam in labels]
+                        assert sum(map(len, pieri)) == len(listed)
+                        got = [pieri[i][underline(nu)] for i, nu in listed]
+                    else:
+                        got = [operators.apply_D(r, {nu: 1.0}, labels[i], params) for i, nu in listed]
+                        assert all(v.imag == 0.0 for v in got)
+                        got = [v.real for v in got]
+                    assert _bits(got).tolist() == _bits(vals).tolist()
 
 
 def _resonant(n: int, m: int, zero: float) -> ModelParams:

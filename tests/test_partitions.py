@@ -188,8 +188,8 @@ def test_every_factor_of_another_length_raises_the_gate_error(entry, length):
         _GATED[entry](lam)
 
 
-# hop_B and psi_prime compare only the length on their hot path; the CLI parses its parts as integers.
-_READ_THROUGH_THE_GATE = sorted(set(_GATED) - {"hop_B", "psi_prime", "cli_pieri_free", "cli_pieri_locked"})
+# The CLI parses its parts as integers.
+_READ_THROUGH_THE_GATE = sorted(set(_GATED) - {"cli_pieri_free", "cli_pieri_locked"})
 
 
 _NON_INTEGRAL = [(2.5, 1, 0), (1.7, 0, 0), (1.9, 0.2, 0), (2, 1, 0.5), (math.inf, 0, 0), (math.nan, 0, 0)]

@@ -220,15 +220,16 @@ def test_evaluate_batch_matches_extended_precision(n, m, g, p):
             assert np.all(np.abs(values[:, j] - want) <= 1e-13 * scales[:, j])
 
 
-def _count_psi_prime(monkeypatch) -> list:
+def _count_psi(monkeypatch) -> list:
+    """Record the lam of every Pieri weight the recurrence reads (``coeffs._psi``, the weight without the strip gate)."""
     calls = []
-    real = coeffs.psi_prime
+    real = coeffs._psi
 
     def counted(lam, nu, params):
         calls.append(lam)
         return real(lam, nu, params)
 
-    monkeypatch.setattr(coeffs, "psi_prime", counted)
+    monkeypatch.setattr(coeffs, "_psi", counted)
     return calls
 
 
@@ -242,7 +243,7 @@ def test_evicting_a_bracket_table_drops_its_polynomials(monkeypatch):
     expansion = expand_in_P(F, params)
     products = lr_coefficients((2, 1, 0), (2, 2, 0), params)
     store = weakref.ref(coeffs._table(params, 0, 0))
-    calls = _count_psi_prime(monkeypatch)
+    calls = _count_psi(monkeypatch)
     for p in (0.4, 0.5):  # two more tables push the first one out
         build_P(mu, params.with_p(p))
     gc.collect()
