@@ -3,7 +3,8 @@
 Subcommands: poly, lr, pieri, spectrum, fusion, smatrix, verify.  Output is
 canonical JSON (CSV for the tabular commands): keys in fixed order, floats
 in shortest round-trip form, complex numbers as {"re":, "im":} pairs, and
-the full parameter header plus RNG seed embedded in every payload.  The
+the parameter header plus RNG seed embedded in every payload (n and m alone
+for verify, whose checks choose their own couplings and nomes).  The
 JSON is the bytes of ``json.dumps(payload, indent=2)``: the small values go
 through json.dumps, the bulk arrays (the fusion rows, read one at a time
 from ``fusion._rows``; S and Sinv; the spectral points) through one row
@@ -33,7 +34,7 @@ import numpy as np
 from .errors import ComputationError
 from .kernel import ModelParams
 from .operators import SpectrumResult, joint_spectrum
-from .partitions import canonical_key, check_partition, vertical_strips
+from .partitions import canonical_key, check_partition, level_cone, vertical_strips
 from .polynomials import build_P
 from .fusion import _rows, fusion_pieri, s_matrix
 from . import SUITES, coeffs
@@ -46,11 +47,11 @@ def _partition_arg(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}")
 
 
-def _add_model_flags(sub: argparse.ArgumentParser, locked_only: bool, require_gp: bool = True) -> None:
+def _add_model_flags(sub: argparse.ArgumentParser, locked_only: bool) -> None:
     sub.add_argument("--n", type=int, required=True, help="number of rows/variables")
     sub.add_argument("--m", type=int, default=0, help="level (level-locked mode)")
-    sub.add_argument("--g", type=float, required=require_gp, default=0.8, help="coupling")
-    sub.add_argument("--p", type=float, required=require_gp, default=0.3, help="nome in (-1, 1)")
+    sub.add_argument("--g", type=float, required=True, help="coupling")
+    sub.add_argument("--p", type=float, required=True, help="nome in (-1, 1)")
     if locked_only:
         return
     sub.add_argument("--alpha", type=float, default=None, help="phase scale (free mode)")
@@ -105,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sp)
 
     sp = subs.add_parser("verify", help="run a verification suite")
-    _add_model_flags(sp, locked_only=True, require_gp=False)
+    sp.add_argument("--n", type=int, required=True, help="number of rows/variables")
+    sp.add_argument("--m", type=int, default=0, help="level")
     _add_output_flags(sp)
     sp.add_argument("--suite", choices=(*SUITES, "all"), default="all")
 
@@ -208,15 +210,13 @@ def _fusion_table_chunks(labels, rows, newline: str):
     """The blocks of a fusion table as indented JSON, one row values[lam] ([mu, kappa]) at a time.
 
     One block per ordered pair (lam, mu), in label order: ``{"lam", "mu",
-    "entries": [{"kappa", "value"}, ...], "flagged": []}``, with the nonzero
-    values in kappa order; the ``"flagged"`` list of the published format is
-    always empty.  The chunks join to the bytes of ``json.dumps(blocks,
-    indent=2)`` at this depth.  The text of a row is one join over a flat
-    list of parts, all built once per table but the values: each mu's
-    ``"mu": ... "entries":`` head, each kappa's entry head (first in its pair,
-    or after another entry) and the ``"flagged": []`` tail of a pair.  A
-    non-finite value raises ValueError, as json.dumps does, before any chunk
-    of its row.
+    "entries": [{"kappa", "value"}, ...]}``, with the nonzero values in kappa
+    order.  The chunks join to the bytes of ``json.dumps(blocks, indent=2)``
+    at this depth.  The text of a row is one join over a flat list of parts,
+    all built once per table but the values: each mu's ``"mu": ...
+    "entries":`` head and each kappa's entry head (first in its pair, or
+    after another entry).  A non-finite value raises ValueError, as
+    json.dumps does, before any chunk of its row.
     """
     i1 = newline + "  "  # a block
     i2 = i1 + "  "  # its keys
@@ -232,7 +232,7 @@ def _fusion_table_chunks(labels, rows, newline: str):
     # heads[k] opens kappa's entry after another one, heads[N + k] the first entry of a pair
     heads = [i3 + "}," + i3 + h for h in entry_head] + ["[" + i3 + h for h in entry_head]
     entries_end = i3 + "}" + i2 + "]"
-    tail = "," + i2 + '"flagged": []' + i1 + "}"  # the end of a block
+    tail = i1 + "}"  # the end of a block
     lead = "[" + i1
     for i, row in zip(range(N), rows):
         if not np.isfinite(row).all():
@@ -477,19 +477,16 @@ def _cmd_smatrix(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     from .verification import run_suite  # loaded by this command alone, with the oracles and littlewood
 
-    params = _make_params(args, parser, locked_only=True)
-    reports = run_suite(args.suite, params.n, params.m, seed=args.seed)
+    level_cone(args.n, args.m)  # the usage error of a bad n or m, before any check runs
+    reports = run_suite(args.suite, args.n, args.m, seed=args.seed)
     width = max(len(r.comparison) for r in reports)
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
-        print(
-            f"{status}  {r.comparison:<{width}}  max_abs={r.max_abs:.3e}  "
-            f"max_rel={r.max_rel:.3e}  tol={r.tol:.1e}"
-        )
+        print(f"{status}  {r.comparison:<{width}}  max_abs={r.max_abs:.3e}  tol={r.tol:.1e}")
     passed = all(r.passed for r in reports)
     print(f"{'OK' if passed else 'FAILED'}: {sum(r.passed for r in reports)}/{len(reports)} checks passed")
     if args.out:
-        payload = _header("verify", params, args.seed)
+        payload = {"command": "verify", "params": {"n": args.n, "m": args.m}, "seed": args.seed}
         payload["suite"] = args.suite
         payload["reports"] = [r.as_dict() for r in reports]
         payload["passed"] = passed

@@ -17,8 +17,7 @@ cells of one strip or label, and ``level_hops``, ``level_psi``,
 ``level_delta`` and ``level_c`` gather the cells of a whole level cone from
 the same array, so both give the same bits (a test pins this).  The
 coupling, the nome and the phase scale are real, so every bracket [a + b*g]
-is real: the table keeps the real part of each, the one place where a
-complex kernel value becomes real, and every coefficient is a float.
+and every coefficient is a float.
 
 Denominator brackets below ``SINGULAR_TOL`` in magnitude make their factor
 NaN, and the table records which bracket vanished there, so a NaN product
@@ -54,11 +53,9 @@ _C, _HEAD, _TAIL = 3, 4, 5
 class BracketTable:
     """Brackets [a + b*g] for 0 <= a < rows, 0 <= b < cols at one parameter set.
 
-    ``values[a, b]`` is the real part of ``bracket(a + b*g, params)``, whose
-    imaginary part is exactly 0 for a real argument; both arrays are float64,
-    and the float64 quotients of the factors give the bits of the real part
-    of the complex quotient.  Every factor of the four coefficient
-    families is a cell ``factors[layer, a, s]`` with the pair distance
+    ``values[a, b]`` is ``bracket(a + b*g, params)``; both arrays are
+    float64.  Every factor of the four coefficient families is a cell
+    ``factors[layer, a, s]`` with the pair distance
     1 <= s <= cols-2; a product of cells taken in order is the coefficient,
     so the scalar functions and the gathers over a level cone read the same
     array and give the same bits.  The layers are
@@ -100,8 +97,8 @@ class BracketTable:
         g, params = self.params.g, self.params
         B = self.values.tolist()
         for a, row in enumerate(B):
-            row.extend(bracket(a + b * g, params).real for b in range(K, cols))
-        B += [[bracket(a + b * g, params).real for b in range(cols)] for a in range(R, rows)]
+            row.extend(bracket(a + b * g, params) for b in range(K, cols))
+        B += [[bracket(a + b * g, params) for b in range(cols)] for a in range(R, rows)]
         values = np.array(B, dtype=float).reshape(rows, cols)
         self._derive(values)
         # Published last: a reader that sees the grown shape reads the grown factors.

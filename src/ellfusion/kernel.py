@@ -12,8 +12,9 @@ so the bracket is evaluated from the reduced sums
     S(w, p)  = sum_{l>=0} (-1)^l p^(l(l+1)) sin((2l+1) w),
     S'(0, p) = sum_{l>=0} (-1)^l (2l+1) p^(l(l+1)),
 
-which stay real for real inputs, are analytic across p = 0 and depend on p
-only through p^2.  Both are evaluated in binary64, in one of two regimes:
+which are analytic across p = 0 and depend on p only through p^2.  The
+model evaluates the bracket only at real arguments a + b*g, so both are real
+sums, evaluated in binary64 in one of two regimes:
 
 * |p| < MODULAR_CROSSOVER (0.5): the series above, summed directly.
 * |p| >= MODULAR_CROSSOVER: Jacobi's imaginary transformation tau -> -1/tau
@@ -59,18 +60,18 @@ _PI_C = 1.2246467991473532e-16
 MODULAR_CROSSOVER = 0.5
 
 
-def _sine_series(w: complex, p: float) -> complex:
+def _sine_series(w: float, p: float) -> float:
     """sum_{l>=0} (-1)^l p^(l(l+1)) sin((2l+1) w), truncated adaptively.
 
     Terms are added until two consecutive terms fall below TRUNCATION_RTOL
     relative to the running sum; l(l+1) is always even, so negative nomes
     need no special casing.  Used below ``MODULAR_CROSSOVER`` only.
     """
-    total = 0.0 + 0.0j
+    total = 0.0
     power = 1.0  # p^(l(l+1))
     small = 0
     for l in range(_MAX_TERMS):
-        term = (-1) ** (l % 2) * power * cmath.sin((2 * l + 1) * w)
+        term = (-1) ** (l % 2) * power * math.sin((2 * l + 1) * w)
         total += term
         if abs(term) <= TRUNCATION_RTOL * max(abs(total), 1e-300):
             small += 1
@@ -100,37 +101,30 @@ def _derivative_series0(p: float) -> float:
     raise NonConvergent(f"theta derivative series did not converge for p={p!r}")
 
 
-def _expm1(z: complex) -> complex:
-    """exp(z) - 1 without cancellation at small |z| (cmath has no expm1)."""
-    em1 = math.expm1(z.real)
-    half = math.sin(0.5 * z.imag)
-    return complex(em1 - 2.0 * (em1 + 1.0) * half * half, (em1 + 1.0) * math.sin(z.imag))
-
-
-def _modular_series(w: complex, t: float) -> complex:
+def _modular_series(w: float, t: float) -> float:
     """t * sum_l (-1)^l p'^(l(l+1)) exp(-w^2/(pi t)) sinh((2l+1) w / t), p' = exp(-pi/t).
 
     This is theta1(w)/theta1'(0) times the modular derivative sum, after
     Jacobi's imaginary transformation of the nome p = exp(-pi t).  w is
-    first reduced to w0 = w - k*pi with Re w0 >= 0 (theta1 is odd and
+    first reduced to w0 = w - k*pi with w0 >= 0 (theta1 is odd and
     antiperiodic under w -> w + pi).  Term l is written as
     -exp(E_l) expm1(-2(2l+1) w0 / t) / 2 with the exponent
     E_l = (w0 - l*pi)((l+1)*pi - w0) / (pi t) taken whole, so neither the
     Gaussian nor sinh overflows on its own, and expm1 keeps full relative
     accuracy next to the zeros.
     """
-    k = round(w.real / math.pi)
+    k = round(w / math.pi)
     w0 = ((w - k * _PI_A) - k * _PI_B) - k * _PI_C
     factor = -0.5 * t if k % 2 == 0 else 0.5 * t
-    if w0.real < 0.0:
+    if w0 < 0.0:
         w0, factor = -w0, -factor
     pt = math.pi * t
-    total = 0.0 + 0.0j
+    total = 0.0
     small = 0
     for l in range(_MAX_TERMS):
         expo = (w0 - l * math.pi) * ((l + 1) * math.pi - w0) / pt
         try:
-            term = cmath.exp(expo) * _expm1(-2.0 * (2 * l + 1) * w0 / t)
+            term = math.exp(expo) * math.expm1(-2.0 * (2 * l + 1) * w0 / t)
         except OverflowError:
             raise NonConvergent(f"theta1({w!r}) leaves the binary64 range at t={t!r}") from None
         total += term if l % 2 == 0 else -term
@@ -154,7 +148,7 @@ def _modular_derivative0(t: float) -> float:
     raise NonConvergent(f"modular theta derivative series did not converge for t={t!r}")
 
 
-def _reduced_theta(w: complex, p: float) -> tuple[complex, float]:
+def _reduced_theta(w: float, p: float) -> tuple[float, float]:
     """(A, B) with S(w, p) / S'(0, p) = A / B, both in binary64.
 
     Below ``MODULAR_CROSSOVER``, A and B are the direct series.  At and
@@ -271,17 +265,18 @@ class ModelParams:
         return dataclasses.asdict(self)
 
 
-def bracket(z, params: ModelParams) -> complex:
-    """Scaled theta bracket [z] = theta1(alpha*z/2; p)/((alpha/2) theta1'(0; p)).
+def bracket(z: float, params: ModelParams) -> float:
+    """Scaled theta bracket [z] = theta1(alpha*z/2; p)/((alpha/2) theta1'(0; p)) at a real z.
 
     Evaluated from the reduced sums so the branch factor p^(1/4) cancels
-    exactly; at p = 0 this equals (2/alpha)*sin(alpha*z/2).  The reduced
+    exactly; at p = 0 this equals (2/alpha)*sin(alpha*z/2).  z goes through
+    ``float``, so a complex argument is a TypeError.  The reduced
     sums depend on p only through p^2, so the brackets at -p are those at p.
     Nothing is cached here: ``coeffs`` keeps one table of the brackets it
     needs per (alpha, g, |p|).
     """
     alpha = params.alpha
-    num, den = _reduced_theta(alpha * complex(z) / 2.0, abs(params.p))
+    num, den = _reduced_theta(alpha * float(z) / 2.0, abs(params.p))
     return num / ((alpha / 2.0) * den)
 
 

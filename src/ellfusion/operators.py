@@ -227,7 +227,7 @@ def _raw_spectrum(params: ModelParams, rng: random.Random):
     eigenvectors (Fuglede's theorem) and eigenvalues 2 Re(lambda_A).  The
     real parts of t, then the imaginary parts, are ``rng.gauss`` draws.
     ``eigh`` of H gives the eigenvectors as an orthonormal basis; a draw of
-    t is retried while two eigenvalues of H lie within 1e-7 * max(1, max|h|).
+    t is retried while two eigenvalues of H lie within 1e-7 * max|h|.
     One refinement step then removes the error of order eps * |A| / gap that
     H's conditioning leaves: with B = V^H A V and d = diag B, V <- V + V X,
     where X_ij = B_ij / (d_j - d_i) off the diagonal, and |d_j - d_i| is at
@@ -244,7 +244,7 @@ def _raw_spectrum(params: ModelParams, rng: random.Random):
         z = [rng.gauss(0.0, 1.0) for _ in range(2 * k)]
         A = sum(complex(a, b) * Mi for a, b, Mi in zip(z[:k], z[k:], mats))
         h, V = np.linalg.eigh(A + A.conj().T)
-        if N == 1 or np.diff(h).min() > 1e-7 * max(1.0, float(np.abs(h).max())):
+        if N == 1 or np.diff(h).min() > 1e-7 * float(np.abs(h).max()):
             break
     else:
         raise DegenerateCombination(

@@ -321,7 +321,6 @@ class OracleReport:
 
     comparison: str
     max_abs: float
-    max_rel: float
     tol: float
     passed: bool
 

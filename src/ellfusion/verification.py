@@ -548,7 +548,7 @@ class Check:
     def report(self, points, ctx: CheckContext) -> OracleReport:
         measured = float(max(self.measure(ctx, **point) for point in points))
         passed = measured == 0.0 if self.tol == 0.0 else measured < self.tol
-        return OracleReport(self.name, measured, measured, self.tol, passed)
+        return OracleReport(self.name, measured, self.tol, passed)
 
 
 _NM = _grid((2, 3), (1, 2))

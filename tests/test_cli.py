@@ -167,13 +167,43 @@ def test_smatrix_command_linear_det_in_range(capsys):
 
 
 def test_verify_command(capsys):
-    code, out, err = run_cli(
-        ["verify", "--suite", "limits", "--n", "2", "--m", "1", "--g", "0.8", "--p", "0.3"],
-        capsys,
-    )
+    code, out, err = run_cli(["verify", "--suite", "limits", "--n", "2", "--m", "1"], capsys)
     assert code == 0
     assert "OK" in out
     assert "FAIL" not in out.replace("FAILED", "")
+
+
+def test_verify_takes_no_model_flags(capsys):
+    """The checks choose their own couplings and nomes, so --g and --p are unknown flags."""
+    for flag in ("--g", "--p"):
+        code, out, err = run_cli(["verify", "--suite", "limits", "--n", "2", "--m", "1", flag, "0.7"], capsys)
+        assert code == 2 and out == ""
+        assert err.rstrip("\n").endswith(f"unrecognized arguments: {flag} 0.7")
+        assert "Traceback" not in err
+    code, out, err = run_cli(["verify", "--help"], capsys)
+    assert code == 0 and "--g" not in out and "--p" not in out
+
+
+@pytest.mark.parametrize("nm", [["--n", "0"], ["--n", "2", "--m", "-1"]])
+def test_verify_checks_n_and_m_before_any_check(nm, monkeypatch, capsys):
+    from ellfusion import verification
+
+    monkeypatch.setattr(verification, "run_suite", lambda *a, **k: pytest.fail("a check ran"))
+    code, out, err = run_cli(["verify", *nm], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("ellfusion: error: ") and err.count("\n") == 1
+
+
+def test_verify_report_fields(tmp_path, capsys):
+    path = tmp_path / "v.json"
+    code, out, err = run_cli(["verify", "--suite", "limits", "--n", "2", "--m", "1", "--out", str(path)], capsys)
+    assert code == 0
+    payload = json.loads(path.read_text())
+    assert payload["params"] == {"n": 2, "m": 1}
+    assert payload["reports"]
+    for report in payload["reports"]:
+        assert list(report) == ["comparison", "max_abs", "tol", "passed"]
+    assert all("  max_abs=" in line and "  tol=" in line and "max_rel" not in line for line in out.splitlines()[:-1])
 
 
 @pytest.mark.parametrize(
@@ -402,7 +432,6 @@ def _blocks(table):
                 for k, v in enumerate(table.values[i, j].tolist())
                 if v
             ],
-            "flagged": [],
         }
         for i, lam in enumerate(labels)
         for j, mu in enumerate(labels)

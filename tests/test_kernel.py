@@ -5,7 +5,7 @@ import pickle
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ellfusion.errors import GenericityViolation, NonConvergent, SingularDenominator
 from ellfusion.kernel import (
@@ -33,7 +33,7 @@ def _theta1_ratio_product(w, p):
 
 
 @pytest.mark.parametrize("p", [0.05, 0.1, 0.3, 0.6, 0.9, -0.3, -0.9])
-@pytest.mark.parametrize("w", [0.3, math.pi / 2, 1.1, 2.7, 0.4 + 0.3j])
+@pytest.mark.parametrize("w", [0.3, math.pi / 2, 1.1, 2.7])
 def test_bracket_matches_product_form(p, w):
     # alpha = 2 makes [w] = theta1(w)/theta1'(0) with no rescaling of w
     params = ModelParams.free(2, g=0.7, p=p, alpha=2.0)
@@ -181,24 +181,25 @@ def _jtheta_ratio(w, p):
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    x=st.floats(-20.0, 20.0),
-    y=st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
-    p=st.floats(-0.97, 0.97),
-)
-def test_bracket_matches_jtheta(x, y, p):
+@given(x=st.floats(-20.0, 20.0), p=st.floats(-0.97, 0.97))
+@example(x=1.3, p=0.4999)  # the last direct-series nome below the crossover
+@example(x=-7.1, p=-0.4999)
+@example(x=1.3, p=0.5)  # the first modular nome
+@example(x=-7.1, p=-0.5)
+@example(x=0.0, p=0.3)  # the zero z = 0 in both regimes
+@example(x=0.0, p=0.9)
+def test_bracket_matches_jtheta(x, p):
     # Both regimes are accurate to 1e-12 relative, except that the direct
     # series (|p| < 0.5) is only backward stable in w next to the zeros:
     # rounding (2l+1)w costs about eps*|w| in the argument, hence the
     # second tolerance term.  The floor 1e-30 absorbs the reference's own
     # error at the zero z = 0 (the 60-digit ratio reads 4e-34 there at |p| = 0.97).
     params = ModelParams.locked(2, 1, 0.7, p)
-    z = complex(x, y)
     with mpmath.workdps(60):
-        w = mpmath.mpf(params.alpha) * mpmath.mpc(z) / 2
+        w = mpmath.mpf(params.alpha) * mpmath.mpf(x) / 2
         ref, dref = _jtheta_ratio(w, p)
     half = params.alpha / 2.0
-    got = bracket(z, params) * half
+    got = bracket(x, params) * half
     assert abs(got - ref) <= 1e-12 * abs(ref) + 1e-14 * abs(w) * abs(dref) + 1e-30
 
 
@@ -206,7 +207,7 @@ def test_bracket_matches_jtheta(x, y, p):
 def test_bracket_is_exactly_even_in_the_nome(p):
     plus = ModelParams.locked(3, 2, 0.7, p)
     minus = ModelParams.locked(3, 2, 0.7, -p)
-    for z in (0.3, 1.1, 2.7, 3.8, -6.2, 0.4 + 0.3j):
+    for z in (0.3, 1.1, 2.7, 3.8, -6.2):
         assert bracket(z, plus) == bracket(z, minus)
 
 

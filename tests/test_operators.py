@@ -1018,6 +1018,19 @@ def test_tiny_eigenvalues_never_give_a_silently_bad_s(n, m, g, p):
     assert sm.identity_residual() < 1e-8
 
 
+def test_tiny_eigenvalues_separate_relative_to_their_size():
+    """At n=2 m=2 g=2.5 p=0.97 the eigenvalues of the conjugated D_1 are +-2.4e-11 and 0.
+
+    The clustering test scales with max|h|, so they resolve in one step to
+    joint eigenvectors; the eigenbasis scales spread by 3.5e21, which
+    ``s_matrix`` reports as IllConditioned.
+    """
+    params = ModelParams.locked(2, 2, 2.5, 0.97)
+    assert _joint_residual(params, joint_spectrum(params, seed=0)) <= 1e-13
+    with pytest.raises(IllConditioned):
+        fusion.s_matrix(params)
+
+
 def test_clustered_combinations_raise_after_every_attempt(monkeypatch):
     """Identity operators make every random combination cluster: DegenerateCombination after the last eigh."""
     conjugated = operators.conjugated_matrices

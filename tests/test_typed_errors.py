@@ -6,7 +6,7 @@ import pytest
 
 from ellfusion import coeffs, fusion, littlewood, operators, partitions, polynomials
 from ellfusion.errors import NotAStrip
-from ellfusion.kernel import ModelParams, trig_factorial
+from ellfusion.kernel import ModelParams, bracket, trig_factorial
 from ellfusion.oracles import macdonald_pieri_p0
 from ellfusion.polynomials import PolynomialInE
 
@@ -34,6 +34,7 @@ _RAISES = {
     "level_cone with n < 1": (lambda: partitions.level_cone(0, 2), ValueError, "n must be >= 1"),
     "level_cone with m < 0": (lambda: partitions.level_cone(3, -1), ValueError, "m must be >= 0"),
     "locked with m < 0": (lambda: ModelParams.locked(3, -1, 0.7, 0.3), ValueError, "m must be >= 0"),
+    "bracket at a complex argument": (lambda: bracket(0.4 + 0.3j, _PARAMS), TypeError, "not 'complex'"),
     "trig_factorial with k < 0": (lambda: trig_factorial(0.5, -1, 2.0), ValueError, "factorial length k must be >= 0"),
     "multiply_monomial across n": (
         lambda: littlewood.multiply_monomial(PolynomialInE.one(2), PolynomialInE.one(3)),

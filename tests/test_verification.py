@@ -30,7 +30,7 @@ def test_spectrum_suite_passes(n, m):
 
 def test_individual_checks_report_structure():
     r = _report("gauge_identity", n=2, m=1, g_values=(0.7,), p_values=(0.3,))
-    assert r.passed and r.max_abs >= 0.0 and r.max_rel >= 0.0
+    assert r.passed and r.max_abs >= 0.0
     assert _report("level_boundary", n=3, m=1).passed
     assert _report("route_agreement", n=2, m=1).passed
     assert _report("smatrix_kac_peterson", n=2, m=2).passed
