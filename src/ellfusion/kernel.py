@@ -39,6 +39,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar
@@ -269,12 +270,15 @@ def bracket(z: float, params: ModelParams) -> float:
     """Scaled theta bracket [z] = theta1(alpha*z/2; p)/((alpha/2) theta1'(0; p)) at a real z.
 
     Evaluated from the reduced sums so the branch factor p^(1/4) cancels
-    exactly; at p = 0 this equals (2/alpha)*sin(alpha*z/2).  z goes through
-    ``float``, so a complex argument is a TypeError.  The reduced
+    exactly; at p = 0 this equals (2/alpha)*sin(alpha*z/2).  A complex z,
+    Python's or numpy's, is a TypeError (``float`` alone would only warn on
+    a numpy complex and keep its real part).  The reduced
     sums depend on p only through p^2, so the brackets at -p are those at p.
     Nothing is cached here: ``coeffs`` keeps one table of the brackets it
     needs per (alpha, g, |p|).
     """
+    if type(z) is not float and isinstance(z, numbers.Complex) and not isinstance(z, numbers.Real):
+        raise TypeError(f"bracket takes a real z, not {type(z).__name__!r}")
     alpha = params.alpha
     num, den = _reduced_theta(alpha * float(z) / 2.0, abs(params.p))
     return num / ((alpha / 2.0) * den)

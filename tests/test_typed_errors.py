@@ -2,6 +2,7 @@
 
 import re
 
+import numpy as np
 import pytest
 
 from ellfusion import coeffs, fusion, littlewood, operators, partitions, polynomials
@@ -35,6 +36,12 @@ _RAISES = {
     "level_cone with m < 0": (lambda: partitions.level_cone(3, -1), ValueError, "m must be >= 0"),
     "locked with m < 0": (lambda: ModelParams.locked(3, -1, 0.7, 0.3), ValueError, "m must be >= 0"),
     "bracket at a complex argument": (lambda: bracket(0.4 + 0.3j, _PARAMS), TypeError, "not 'complex'"),
+    "bracket at a numpy complex64 argument": (
+        lambda: bracket(np.complex64(0.4 + 0.3j), _PARAMS), TypeError, "not 'complex64'"
+    ),
+    "bracket at a numpy complex128 argument": (
+        lambda: bracket(np.complex128(0.4 + 0.3j), _PARAMS), TypeError, "not 'complex128'"
+    ),
     "trig_factorial with k < 0": (lambda: trig_factorial(0.5, -1, 2.0), ValueError, "factorial length k must be >= 0"),
     "multiply_monomial across n": (
         lambda: littlewood.multiply_monomial(PolynomialInE.one(2), PolynomialInE.one(3)),
