@@ -50,7 +50,6 @@ from .coeffs import c_norm, delta_weight, hop_B, psi_prime
 from .polynomials import PolynomialInE, build_P, evaluate, evaluate_R, evaluate_batch, normalized_p
 from .operators import (
     SpectrumResult,
-    TruncatedOperator,
     apply_D,
     build_truncated,
     dual_orthogonality_check,

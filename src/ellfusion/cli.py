@@ -3,8 +3,11 @@
 Subcommands: poly, lr, pieri, spectrum, fusion, smatrix, verify.  Output is
 canonical JSON (CSV for the tabular commands): keys in fixed order, floats
 in shortest round-trip form, complex numbers as {"re":, "im":} pairs, and
-the parameter header plus RNG seed embedded in every payload (n and m alone
-for verify, whose checks choose their own couplings and nomes).  The
+the parameter header embedded in every payload (n and m alone for verify,
+whose checks choose their own couplings and nomes).  Only the commands that
+draw at random (spectrum, fusion, smatrix, verify) take --seed, and their
+payloads record it after the header; only lr, pieri and fusion take
+--format, as only they have a CSV form.  The
 JSON is the bytes of ``json.dumps(payload, indent=2)``: the small values go
 through json.dumps, the bulk arrays (the fusion rows, read one at a time
 from ``fusion._rows``; S and Sinv; the spectral points) through one row
@@ -47,6 +50,16 @@ def _partition_arg(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}")
 
 
+def _seed_arg(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"need a seed >= 0, got {seed}")
+    return seed
+
+
 def _add_model_flags(sub: argparse.ArgumentParser, locked_only: bool) -> None:
     sub.add_argument("--n", type=int, required=True, help="number of rows/variables")
     sub.add_argument("--m", type=int, default=0, help="level (level-locked mode)")
@@ -62,10 +75,12 @@ def _add_model_flags(sub: argparse.ArgumentParser, locked_only: bool) -> None:
     )
 
 
-def _add_output_flags(sub: argparse.ArgumentParser, formats=("json",)) -> None:
+def _add_output_flags(sub: argparse.ArgumentParser, *, csv: bool = False, seed: bool = False) -> None:
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
-    sub.add_argument("--format", choices=formats, default="json")
-    sub.add_argument("--seed", type=int, default=0, help="RNG seed, recorded in output")
+    if csv:
+        sub.add_argument("--format", choices=("json", "csv"), default="json")
+    if seed:
+        sub.add_argument("--seed", type=_seed_arg, default=0, help="RNG seed, recorded in output")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,33 +97,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("lr", help="structure coefficients of a basis product")
     _add_model_flags(sp, locked_only=False)
-    _add_output_flags(sp, formats=("json", "csv"))
+    _add_output_flags(sp, csv=True)
     sp.add_argument("--lam", type=_partition_arg, required=True)
     sp.add_argument("--mu", type=_partition_arg, required=True)
 
     sp = subs.add_parser("pieri", help="strip weights for multiplication by e_r")
     _add_model_flags(sp, locked_only=False)
-    _add_output_flags(sp, formats=("json", "csv"))
+    _add_output_flags(sp, csv=True)
     sp.add_argument("--lam", type=_partition_arg, required=True)
     sp.add_argument("--r", type=int, required=True)
 
     sp = subs.add_parser("spectrum", help="joint spectrum of the truncated operators")
     _add_model_flags(sp, locked_only=True)
-    _add_output_flags(sp)
+    _add_output_flags(sp, seed=True)
 
     sp = subs.add_parser("fusion", help="fusion structure constants over the level cone")
     _add_model_flags(sp, locked_only=True)
-    _add_output_flags(sp, formats=("json", "csv"))
+    _add_output_flags(sp, csv=True, seed=True)
     sp.add_argument("--route", choices=("verlinde", "lr", "both"), default="verlinde")
 
     sp = subs.add_parser("smatrix", help="spectral transform, its inverse, and checks")
     _add_model_flags(sp, locked_only=True)
-    _add_output_flags(sp)
+    _add_output_flags(sp, seed=True)
 
     sp = subs.add_parser("verify", help="run a verification suite")
     sp.add_argument("--n", type=int, required=True, help="number of rows/variables")
     sp.add_argument("--m", type=int, default=0, help="level")
-    _add_output_flags(sp)
+    _add_output_flags(sp, seed=True)
     sp.add_argument("--suite", choices=(*SUITES, "all"), default="all")
 
     return parser
@@ -346,8 +361,8 @@ def _emit_csv(rows, header: list[str], out_path: str | None) -> None:
     _emit(lines, out_path)
 
 
-def _header(command: str, params: ModelParams, seed: int) -> dict:
-    return {"command": command, "params": params.as_dict(), "seed": seed}
+def _header(command: str, params: ModelParams, **fields) -> dict:
+    return {"command": command, "params": params.as_dict(), **fields}
 
 
 def _fmt_partition(lam) -> str:
@@ -357,8 +372,7 @@ def _fmt_partition(lam) -> str:
 def _cmd_poly(args, parser) -> int:
     params = _make_params(args, parser, locked_only=False)
     P = build_P(args.mu, params)
-    payload = _header("poly", params, args.seed)
-    payload["mu"] = list(args.mu)
+    payload = _header("poly", params, mu=list(args.mu))
     payload["coeffs"] = [
         {"key": list(k), "value": v}
         for k, v in sorted(P.items(), key=lambda kv: canonical_key(kv[0]))
@@ -376,7 +390,7 @@ def _emit_entries(args, params: ModelParams, table: dict, **fields) -> int:
     if args.format == "csv":
         _emit_csv([[_fmt_partition(e["nu"]), e["value"]] for e in entries], ["nu", "value"], args.out)
         return 0
-    payload = _header(args.command, params, args.seed) | fields
+    payload = _header(args.command, params, **fields)
     payload["entries"] = entries
     _emit_json(payload, args.out)
     return 0
@@ -403,7 +417,7 @@ def _cmd_pieri(args, parser) -> int:
 def _cmd_spectrum(args, parser) -> int:
     params = _make_params(args, parser, locked_only=True)
     spec = joint_spectrum(params, seed=args.seed)
-    payload = _header("spectrum", params, args.seed)
+    payload = _header("spectrum", params, seed=args.seed)
     payload["labels"] = [list(nu) for nu in spec.labels]
     payload["points"] = partial(_points_chunks, spec)
     payload["homotopy_steps"] = list(spec.homotopy_steps)
@@ -442,7 +456,7 @@ def _cmd_fusion(args, parser) -> int:
     if args.format == "csv":
         _emit_csv(_fusion_csv_rows(labels, rows), ["lam", "mu", "kappa", "value"], args.out)
         return 0
-    payload = _header("fusion", params, args.seed)
+    payload = _header("fusion", params, seed=args.seed)
     payload["route"] = args.route
     if args.route == "both":
         diff = {"max_abs": 0.0}
@@ -458,15 +472,13 @@ def _cmd_fusion(args, parser) -> int:
 def _cmd_smatrix(args, parser) -> int:
     params = _make_params(args, parser, locked_only=True)
     sm = s_matrix(params, seed=args.seed)
-    payload = _header("smatrix", params, args.seed)
+    payload = _header("smatrix", params, seed=args.seed)
     payload["labels"] = [list(nu) for nu in sm.labels]
     payload["S"] = partial(_complex_rows_chunks, sm.S)
     payload["Sinv"] = partial(_complex_rows_chunks, sm.Sinv)
     payload["normalization"] = sm.normalization
     payload["identity_residual"] = sm.identity_residual()
-    # The linear values overflow binary64 at large nomes; their logs do not.
-    payload["det_magnitude"] = _finite_or_null(sm.det_magnitude())
-    payload["det_closed_form"] = _finite_or_null(sm.det_closed_form())
+    # |det S| and its closed form overflow binary64 at large nomes; their logs do not.
     payload["log_det_magnitude"] = _finite_or_null(sm.log_det_magnitude())
     payload["log_det_closed_form"] = _finite_or_null(sm.log_det_closed_form())
     payload["det_residual"] = sm.det_residual()

@@ -247,13 +247,6 @@ def structure_constants_lr(
     return (out, set()) if return_flags else out
 
 
-def _exp_or_inf(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 @dataclass(frozen=True, eq=False)
 class SMatrixData:
     """Spectral transform between the polynomial and point-mass bases; each determinant log is computed once."""
@@ -283,14 +276,6 @@ class SMatrixData:
     def log_det_closed_form(self) -> float:
         """ln of the closed form |det S| = 1 / prod_lam c_lam^2 sqrt(Delta_lam * dual_lam)."""
         return self._logs[1]
-
-    def det_magnitude(self) -> float:
-        """|det S|; inf where it leaves the binary64 range."""
-        return _exp_or_inf(self.log_det_magnitude())
-
-    def det_closed_form(self) -> float:
-        """The closed form of |det S|; inf where it leaves the binary64 range."""
-        return _exp_or_inf(self.log_det_closed_form())
 
     def det_residual(self) -> float:
         """Relative deviation of |det S| from its closed form.

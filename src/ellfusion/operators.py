@@ -73,18 +73,8 @@ def apply_D(r: int, f: LatticeFunction, lam: Partition, params: ModelParams) -> 
     return total
 
 
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """Level-truncated difference operator as a matrix over the level cone."""
-
-    r: int
-    params: ModelParams
-    labels: tuple[Partition, ...]
-    matrix: np.ndarray
-
-
-def build_truncated(r: int, params: ModelParams) -> TruncatedOperator:
-    """Matrix of the r-th truncated operator on the level-m cone.
+def build_truncated(r: int, params: ModelParams) -> np.ndarray:
+    """Matrix of the r-th truncated operator on the level-m cone, in the order of its labels.
 
     Row lam gets the hop weight B_{nu/lam} in column underline(nu) for every
     size-r strip nu with span(nu) <= m; other entries are zero.  The weights
@@ -94,14 +84,14 @@ def build_truncated(r: int, params: ModelParams) -> TruncatedOperator:
         raise ValueError("truncated operators require level-locked parameters")
     if not 1 <= r <= params.n - 1:
         raise ValueError(f"need 1 <= r <= n-1, got r={r}")
-    labels = level_cone(params.n, params.m).labels
+    N = len(level_cone(params.n, params.m).labels)
     rows, cols, vals = coeffs.level_hops(r, params)
     # The weights are real, but the matrix stays complex: ``conjugated_matrices``
     # divides it by w, and numpy divides a complex array by a real one through
     # the reciprocal, so a real matrix would move the last bit of the spectrum.
-    mat = np.zeros((len(labels), len(labels)), dtype=complex)
+    mat = np.zeros((N, N), dtype=complex)
     mat[rows, cols] = vals
-    return TruncatedOperator(r, params, labels, mat)
+    return mat
 
 
 def delta_vector(params: ModelParams) -> np.ndarray:
@@ -114,15 +104,13 @@ def delta_vector(params: ModelParams) -> np.ndarray:
 
 def conjugated_matrices(params: ModelParams) -> tuple[list[np.ndarray], np.ndarray]:
     """W D_r W^-1 for r = 1..n-1 with W = diag(sqrt(Delta)), and sqrt(Delta); the matrices are normal."""
-    ops = [build_truncated(r, params).matrix for r in range(1, params.n)]
+    ops = [build_truncated(r, params) for r in range(1, params.n)]
     w = np.sqrt(delta_vector(params))
     return [(w[:, None] * D) / w[None, :] for D in ops], w
 
 
-def normality_residual(op: TruncatedOperator) -> float:
-    """Relative Frobenius residual of M M* - M* M for M = W D W^-1."""
-    w = np.sqrt(delta_vector(op.params))
-    M = (w[:, None] * op.matrix) / w[None, :]
+def normality_residual(M: np.ndarray) -> float:
+    """Relative Frobenius residual of M M* - M* M, for M = W D W^-1 of ``conjugated_matrices``."""
     comm = M @ M.conj().T - M.conj().T @ M
     denom = np.linalg.norm(M, "fro") ** 2
     return float(np.linalg.norm(comm, "fro") / max(denom, 1e-300))

@@ -29,6 +29,7 @@ from .littlewood import lr_coefficients
 from .operators import (
     apply_D,
     build_truncated,
+    conjugated_matrices,
     delta_vector,
     dual_orthogonality_check,
     joint_spectrum,
@@ -298,7 +299,7 @@ def _truncated_commutativity(ctx, n, m, g_values=(0.6, 1.0, 1.7), p_values=(-0.4
     """Relative Frobenius norm of [D_r, D_s] (zero below n = 3: one operator)."""
     worst = 0.0
     for params in _locked(n, m, g_values, p_values) if n >= 3 else ():
-        mats = [build_truncated(r, params).matrix for r in range(1, n)]
+        mats = [build_truncated(r, params) for r in range(1, n)]
         for a, b in combinations(mats, 2):
             denom = np.linalg.norm(a, "fro") * np.linalg.norm(b, "fro")
             worst = max(worst, np.linalg.norm(a @ b - b @ a, "fro") / max(denom, 1e-300))
@@ -331,9 +332,9 @@ def _full_lattice_commutativity(ctx, n, g=0.65, p=0.3):
 
 def _normality(ctx, n, m, g_values=(0.7, 1.3), p_values=(0.0, 0.4)):
     return max(
-        normality_residual(build_truncated(r, params))
+        normality_residual(M)
         for params in _locked(n, m, g_values, p_values)
-        for r in range(1, n)
+        for M in conjugated_matrices(params)[0]
     )
 
 

@@ -138,8 +138,8 @@ def test_smatrix_command(capsys):
 
 
 def test_smatrix_command_writes_strict_json_at_large_nome(capsys, recwarn):
-    # |det S| and its closed form overflow binary64 here: their logs are
-    # written, the linear values are null, and numpy raises no warning.
+    # |det S| and its closed form overflow binary64 here: only their logs are
+    # written, and numpy raises no warning.
     code, out, err = run_cli(
         ["smatrix", "--n", "4", "--m", "4", "--g", "0.7", "--p", "0.9"], capsys
     )
@@ -149,21 +149,129 @@ def test_smatrix_command_writes_strict_json_at_large_nome(capsys, recwarn):
         raise ValueError(f"non-standard JSON constant {constant}")
 
     payload = json.loads(out, parse_constant=reject)
-    assert payload["det_magnitude"] is None
-    assert payload["det_closed_form"] is None
+    assert "det_magnitude" not in payload and "det_closed_form" not in payload
     assert math.isfinite(payload["log_det_magnitude"])
+    assert payload["log_det_magnitude"] > math.log(sys.float_info.max)  # |det S| itself overflows
     assert abs(payload["log_det_magnitude"] - payload["log_det_closed_form"]) < 1e-6
     assert payload["det_residual"] < 1e-6
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_smatrix_command_linear_det_in_range(capsys):
+    """Where |det S| is a binary64 number too, the payload writes its log alone."""
     code, out, err = run_cli(
         ["smatrix", "--n", "2", "--m", "2", "--g", "0.8", "--p", "0.2"], capsys
     )
+    assert code == 0
     payload = json.loads(out)
-    assert abs(math.log(payload["det_magnitude"]) - payload["log_det_magnitude"]) < 1e-12
-    assert abs(math.log(payload["det_closed_form"]) - payload["log_det_closed_form"]) < 1e-12
+    assert "det_magnitude" not in payload and "det_closed_form" not in payload
+    logs = payload["log_det_magnitude"], payload["log_det_closed_form"]
+    assert all(map(math.isfinite, logs))
+    assert abs(logs[0] - logs[1]) < 1e-6
+
+
+def test_smatrix_payload_keys(capsys):
+    code, out, err = run_cli(["smatrix", "--n", "2", "--m", "2", "--g", "0.8", "--p", "0.2"], capsys)
+    assert code == 0
+    assert list(json.loads(out)) == [
+        "command", "params", "seed", "labels", "S", "Sinv", "normalization", "identity_residual",
+        "log_det_magnitude", "log_det_closed_form", "det_residual",
+    ]
+
+
+_FREE = ["--n", "3", "--g", "0.7", "--p", "0.3", "--alpha", "2.0"]
+_LOCKED = ["--n", "3", "--m", "3", "--g", "0.7", "--p", "0.3", "--level-locked"]
+_POLY = ["poly", "--mu", "3,1,0"]
+_LR = ["lr", "--lam", "2,1,0", "--mu", "1,1,0"]
+_PIERI = ["pieri", "--lam", "2,1,0", "--r", "2"]
+
+
+@pytest.mark.parametrize("mode", [_FREE, _LOCKED], ids=["free", "locked"])
+@pytest.mark.parametrize(
+    "command, keys",
+    [
+        (_POLY, ["mu", "coeffs"]),
+        (_LR, ["lam", "mu", "entries"]),
+        (_PIERI, ["lam", "r", "entries"]),
+    ],
+    ids=["poly", "lr", "pieri"],
+)
+def test_commands_that_draw_nothing_write_no_seed(command, keys, mode, capsys):
+    """The poly, lr and pieri payloads are the header {command, params} and their own fields."""
+    code, out, err = run_cli([*command, *mode], capsys)
+    assert code == 0
+    assert list(json.loads(out)) == ["command", "params", *keys]
+
+
+_SPECTRUM = ["spectrum", "--n", "2", "--m", "2", "--g", "0.7", "--p", "0.4"]
+_FUSION = ["fusion", "--n", "2", "--m", "1", "--g", "0.7", "--p", "0.3"]
+_SMATRIX = ["smatrix", "--n", "2", "--m", "2", "--g", "0.8", "--p", "0.2"]
+_VERIFY = ["verify", "--suite", "limits", "--n", "2", "--m", "1"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        [*_POLY, *_FREE, "--seed", "1"],
+        [*_LR, *_FREE, "--seed", "1"],
+        [*_PIERI, *_LOCKED, "--seed", "1"],
+        [*_POLY, *_FREE, "--format", "json"],
+        [*_SPECTRUM, "--format", "json"],
+        [*_SMATRIX, "--format", "json"],
+        [*_VERIFY, "--format", "json"],
+    ],
+    ids=["poly-seed", "lr-seed", "pieri-seed", "poly-format", "spectrum-format", "smatrix-format", "verify-format"],
+)
+def test_a_flag_no_computation_reads_is_unrecognized(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.rstrip("\n").endswith(f"unrecognized arguments: {' '.join(args[-2:])}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, hidden",
+    [("poly", "--format"), ("spectrum", "--format"), ("smatrix", "--format"), ("verify", "--format"),
+     ("poly", "--seed"), ("lr", "--seed"), ("pieri", "--seed")],
+)
+def test_help_lists_only_the_flags_a_command_reads(command, hidden, capsys):
+    code, out, err = run_cli([command, "--help"], capsys)
+    assert code == 0 and "--out" in out
+    assert hidden not in out
+
+
+@pytest.mark.parametrize("args", [_SPECTRUM, _FUSION, _SMATRIX, _VERIFY], ids=["spectrum", "fusion", "smatrix", "verify"])
+def test_commands_that_draw_record_their_seed(args, tmp_path, capsys):
+    path = tmp_path / "out.json"
+    code, out, err = run_cli([*args, "--seed", "7", "--out", str(path)], capsys)
+    assert code == 0
+    payload = json.loads(path.read_text())
+    assert list(payload)[:3] == ["command", "params", "seed"]
+    assert payload["seed"] == 7
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+@pytest.mark.parametrize(
+    "args",
+    [_SPECTRUM, _FUSION, _SMATRIX, ["verify", "--suite", "spectrum", "--n", "2", "--m", "2"]],
+    ids=["spectrum", "fusion", "smatrix", "verify"],
+)
+def test_a_bad_seed_is_a_usage_error_before_any_computation(args, seed, monkeypatch, capsys):
+    """A negative --seed exits 2 naming the flag; it once ran as seed 1, or failed deep in numpy."""
+    from ellfusion import cli, verification
+
+    def refuse(*a, **k):
+        raise AssertionError("a spectrum was computed")
+
+    for module in (cli, operators, verification):
+        monkeypatch.setattr(module, "joint_spectrum", refuse)
+    monkeypatch.setattr(cli, "_rows", refuse)
+    monkeypatch.setattr(cli, "s_matrix", refuse)
+    monkeypatch.setattr(verification, "run_suite", refuse)
+    code, out, err = run_cli([*args, "--seed", seed], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith(f"ellfusion {args[0]}: error: argument --seed: ")
+    assert "Traceback" not in err
 
 
 def test_verify_command(capsys):
@@ -519,15 +627,10 @@ def _complex_pairs(matrix):
 def _smatrix_payload(params):
     """The smatrix payload of params as plain JSON data, the S rows as lists of {"re", "im"} dicts."""
     sm = s_matrix(params)
-
-    def finite(x):
-        return x if math.isfinite(x) else None
-
     return {
         "command": "smatrix", "params": params.as_dict(), "seed": 0,
         "labels": [list(nu) for nu in sm.labels], "S": _complex_pairs(sm.S), "Sinv": _complex_pairs(sm.Sinv),
         "normalization": sm.normalization, "identity_residual": sm.identity_residual(),
-        "det_magnitude": finite(sm.det_magnitude()), "det_closed_form": finite(sm.det_closed_form()),
         "log_det_magnitude": sm.log_det_magnitude(), "log_det_closed_form": sm.log_det_closed_form(),
         "det_residual": sm.det_residual(),
     }
@@ -544,7 +647,7 @@ def test_smatrix_payload_at_a_large_nome_is_the_indented_dump(capsys):
     code, out, err = run_cli(["smatrix", "--n", "4", "--m", "4", "--g", "0.7", "--p", "0.9"], capsys)
     assert code == 0
     payload = _smatrix_payload(ModelParams.locked(4, 4, 0.7, 0.9))
-    assert payload["det_magnitude"] is None  # the linear value overflows here
+    assert payload["log_det_magnitude"] > math.log(sys.float_info.max)  # |det S| itself overflows here
     assert out == json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 

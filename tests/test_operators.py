@@ -83,21 +83,29 @@ def test_full_lattice_commutator_on_random_function():
 
 def test_truncated_matrix_small_case():
     params = ModelParams.locked(2, 1, 0.7, 0.25)
-    op = build_truncated(1, params)
+    D = build_truncated(1, params)
     g = params.g
-    assert op.labels == ((0, 0), (1, 0))
+    assert level_cone(2, 1).labels == ((0, 0), (1, 0))  # the rows and columns of D
     up = bracket(2 * g, params) / bracket(g, params)
     down = bracket(1.0, params) / bracket(1 + g, params)
-    assert abs(op.matrix[0, 1] - up) < 1e-14 * abs(up)
-    assert abs(op.matrix[1, 0] - down) < 1e-14 * abs(down)
-    assert op.matrix[0, 0] == 0.0 and op.matrix[1, 1] == 0.0
+    assert abs(D[0, 1] - up) < 1e-14 * abs(up)
+    assert abs(D[1, 0] - down) < 1e-14 * abs(down)
+    assert D[0, 0] == 0.0 and D[1, 1] == 0.0
 
 
 def test_truncated_matrix_level_zero():
     params = ModelParams.locked(2, 0, 0.7, 0.25)
-    op = build_truncated(1, params)
-    assert op.matrix.shape == (1, 1)
-    assert op.matrix[0, 0] == 0.0
+    D = build_truncated(1, params)
+    assert D.shape == (1, 1)
+    assert D[0, 0] == 0.0
+
+
+def test_a_truncated_operator_is_its_complex_matrix():
+    """build_truncated returns the N x N complex array itself, N the size of the level cone."""
+    params = ModelParams.locked(3, 2, 0.7, 0.4)
+    D = build_truncated(1, params)
+    assert type(D) is np.ndarray and D.dtype == complex
+    assert D.shape == (len(level_cone(3, 2).labels),) * 2
 
 
 def test_truncated_requires_locked_and_valid_r():
@@ -111,8 +119,8 @@ def test_truncated_requires_locked_and_valid_r():
 
 def test_truncated_commutator():
     params = ModelParams.locked(3, 2, 0.7, 0.4)
-    D1 = build_truncated(1, params).matrix
-    D2 = build_truncated(2, params).matrix
+    D1 = build_truncated(1, params)
+    D2 = build_truncated(2, params)
     comm = np.linalg.norm(D1 @ D2 - D2 @ D1, "fro")
     assert comm < 1e-9 * np.linalg.norm(D1, "fro") * np.linalg.norm(D2, "fro")
 
@@ -121,8 +129,17 @@ def test_truncated_commutator():
 @pytest.mark.parametrize("p", [0.0, 0.4, -0.4])
 def test_weighted_normality(g, p):
     params = ModelParams.locked(3, 2, g, p)
-    for r in (1, 2):
-        assert normality_residual(build_truncated(r, params)) < 1e-9
+    mats = conjugated_matrices(params)[0]
+    assert len(mats) == 2
+    for M in mats:
+        assert normality_residual(M) < 1e-9
+
+
+def test_normality_residual_of_non_normal_matrices():
+    """A Jordan block, and a truncated operator before its conjugation by the weights, are not normal."""
+    assert normality_residual(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)) > 1e-9
+    params = ModelParams.locked(3, 2, 0.7, 0.4)
+    assert normality_residual(build_truncated(1, params)) > 1e-9
 
 
 def test_delta_vector_positive():
@@ -292,7 +309,7 @@ def test_the_operators_are_invariant_under_the_simple_current(n, m, g, p):
     cone = level_cone(n, m)
     J = cone.J
     for r in range(1, n):
-        D = build_truncated(r, params).matrix
+        D = build_truncated(r, params)
         rows, cols, _ = cone.strips(r)
         edges = D[rows, cols]
         assert np.all(np.abs(D[J[rows], J[cols]] - edges) <= 1e-11 * np.abs(edges))
