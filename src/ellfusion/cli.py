@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ComputationError
 from .kernel import ModelParams
 from .operators import SpectrumResult, joint_spectrum
-from .partitions import canonical_key, check_partition, level_cone, vertical_strips
+from .partitions import canonical_key, check_partition, vertical_strips
 from .polynomials import build_P
 from .fusion import _rows, fusion_pieri, s_matrix
 from . import SUITES, coeffs
@@ -420,7 +420,7 @@ def _cmd_spectrum(args, parser) -> int:
     payload = _header("spectrum", params, seed=args.seed)
     payload["labels"] = [list(nu) for nu in spec.labels]
     payload["points"] = partial(_points_chunks, spec)
-    payload["homotopy_steps"] = list(spec.homotopy_steps)
+    payload["homotopy_steps"] = [math.copysign(s, params.p) for s in spec.homotopy_steps]  # kept at |p|
     _emit_json(payload, args.out)
     return 0
 
@@ -489,7 +489,6 @@ def _cmd_smatrix(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     from .verification import run_suite  # loaded by this command alone, with the oracles and littlewood
 
-    level_cone(args.n, args.m)  # the usage error of a bad n or m, before any check runs
     reports = run_suite(args.suite, args.n, args.m, seed=args.seed)
     width = max(len(r.comparison) for r in reports)
     for r in reports:

@@ -10,8 +10,8 @@ with the factor table derived from it, as numpy arrays only; the brackets
 depend on the nome only through |p|, so -p reads the table of p.  The table
 also keeps the eigenpolynomials built at its parameters and, in one map read
 through ``_kept``, the ring-route tables of ``fusion`` and the finished joint
-spectra of ``operators`` with their -p mirrors (which share the transforms
-built from them), so its LRU bounds all that is kept per parameter set.  A coefficient is a
+spectra of ``operators``, one per |p| and seed, with the transforms built
+from them, so its LRU bounds all that is kept per parameter set.  A coefficient is a
 product of factor cells taken in order: the scalar functions multiply the
 cells of one strip or label, and ``level_hops``, ``level_psi``,
 ``level_delta`` and ``level_c`` gather the cells of a whole level cone from
@@ -77,8 +77,8 @@ class BracketTable:
     ``_kept``: ("ring", n, m) -> the read-only ring-route table
     [lam, mu, kappa] and ("pairs", n, m) -> its sparse index for pair calls,
     by ``fusion``; ("spectrum", n, m, seed) -> the finished ``SpectrumResult``
-    and ("mirror", n, m, seed, p) -> its mirror at the other sign p, by
-    ``operators``.  All are level-locked only and returned at p and at -p.
+    at |p|, by ``operators``.  All are level-locked only and returned at p
+    and at -p.
     The recurrence weights and the truncated matrices are products of these
     brackets, so all of these depend on the parameters only through this
     table's key and their own keys; evicting the table frees them.

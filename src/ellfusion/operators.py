@@ -28,9 +28,10 @@ matched to its nearest new point of the same charge: balls of half the own
 gaps are disjoint within a charge sector, so a match that passes that test
 is the optimal assignment, and no assignment solver is needed; points of
 different charge are never compared, so a near-crossing between sectors
-costs no halving.  The finished spectrum is kept on the bracket table of
-its parameters, which p and -p share, and so is its -p mirror, built once:
-the mirror leg runs no eigensolve and, warm, builds nothing.
+costs no halving.  The finished spectrum is kept once per |p| on the
+bracket table of its parameters, which p and -p share, and returned at
+both signs: its ``params`` and ``homotopy_steps`` are those of |p|, and the
+other sign runs no eigensolve.
 The dual norms come from the eigenvectors; only ``projection_arrays``, for
 the check routes, evaluates polynomials at the spectral points, all of them
 in one ``evaluate_batch`` call, kept on the spectrum as S is.
@@ -39,7 +40,7 @@ in one ``evaluate_batch`` call, kept on the spectrum as S is.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -140,7 +141,9 @@ class SpectrumResult:
     ``e[nu]`` is the full e-vector of the point nu (e_n = 1);
     ``vectors[lam, nu]`` = f_nu(lam) = c_lam P_lam(e_nu), the eigenvector of
     the point nu scaled to 1 at the origin row; ``dual_norms[nu]`` is
-    1 / sum_lam |f_nu(lam)|^2 Delta_lam.
+    1 / sum_lam |f_nu(lam)|^2 Delta_lam.  The model is even in the nome, so
+    a spectrum is made at |p|: ``params.p`` and the ``homotopy_steps`` are
+    non-negative, whichever sign was asked for.
     """
 
     params: ModelParams
@@ -148,7 +151,6 @@ class SpectrumResult:
     e: np.ndarray
     vectors: np.ndarray
     dual_norms: np.ndarray
-    seed: int
     homotopy_steps: tuple[float, ...]
     _derived: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -159,9 +161,8 @@ class SpectrumResult:
     def derived(self, name: str, build):
         """build() of this spectrum's own values, kept read-only under name.
 
-        The kept -p mirror of ``joint_spectrum`` shares this dict with the
-        kept spectrum, so a value built at either sign serves both; a copy
-        made by ``dataclasses.replace`` builds its own.
+        A call at -p reads what was built at p; a copy made by
+        ``dataclasses.replace`` builds its own.
         """
         value = self._derived.get(name)
         if value is None:
@@ -307,31 +308,22 @@ def joint_spectrum(params: ModelParams, seed: int = 0) -> SpectrumResult:
     guarded predictor-corrector (``_continue``).  The finished result is
     kept on the bracket table of params, keyed ("spectrum", n, m, seed),
     and evicted with it.  The table is shared by p and -p, and the truncated
-    matrices at -p are those at p bit for bit, so the first call at the other
-    sign builds the mirror: the kept arrays with ``params`` replaced by its
-    own and ``homotopy_steps`` given the sign of p, sharing what is derived
-    from them.  The mirror is kept beside the spectrum, keyed ("mirror", n,
-    m, seed, p) with its own signed p, so no race between first calls at
-    both signs can file it under the wrong sign, and it is returned by every
-    later call at that sign; neither runs an eigensolve.
+    matrices at -p are those at p bit for bit, so one result, made at |p|,
+    is returned at both signs.  The seed must be an int >= 0, checked before
+    any lookup: ``random.seed`` takes |seed|, so -1 would draw seed 1.
     """
+    check_seed(seed)
     if not params.level_locked:
         raise ValueError("the joint spectrum requires level-locked parameters")
     if params.n < 2:
         raise ValueError(f"the joint spectrum requires n >= 2, got n={params.n}")
-    n, m = params.n, params.m
-    kept = coeffs._kept(params, ("spectrum", n, m, seed), lambda: _continue(params, seed))
-    if kept.params.p == params.p:  # the key leaves only the sign of p free
-        return kept
-    return coeffs._kept(params, ("mirror", n, m, seed, params.p), lambda: _mirror(kept, params))
+    return coeffs._kept(params, ("spectrum", params.n, params.m, seed), lambda: _continue(params, seed))
 
 
-def _mirror(spec: SpectrumResult, params: ModelParams) -> SpectrumResult:
-    """spec at params, the other sign of p: its arrays, signed steps, and its ``_derived``, shared."""
-    mirror = replace(spec, params=params, homotopy_steps=tuple(-s for s in spec.homotopy_steps))
-    # Shared, not kept in it: the mirror in spec's own dict would be a reference cycle.
-    object.__setattr__(mirror, "_derived", spec._derived)
-    return mirror
+def check_seed(seed) -> None:
+    """ValueError naming seed unless it is an int >= 0, the seeds that draw distinct bits."""
+    if not (isinstance(seed, int) and seed >= 0):
+        raise ValueError(f"need an integer seed >= 0, got seed={seed!r}")
 
 
 def _spectrum_for(params: ModelParams, spectrum: SpectrumResult | None, seed: int = 0) -> SpectrumResult:
@@ -344,13 +336,15 @@ def _spectrum_for(params: ModelParams, spectrum: SpectrumResult | None, seed: in
 
 
 def _continue(params: ModelParams, seed: int) -> SpectrumResult:
-    """Labeled joint spectrum at params, continued from the closed form at p = 0.
+    """Labeled joint spectrum at |p|, continued from the closed form at p = 0.
 
     The walk starts at p = 0 from the trigonometric closed form
     (``spectral_points_p0``), whose point nu has the charge k = -|nu| mod n
     (from the weights of ``level_cone``); the charge cannot change along the
     path, so a solve whose sector sizes differ from those of the labels
-    raises ``GradingViolation``.  The path is p = target * t, so at p = 0 the walk
+    raises ``GradingViolation``.  The path is p = target * t, with the
+    signed p of params, so an error names the p asked for; the result and
+    its steps |target| * t are at |p|.  At p = 0 the walk
     is one solve, matched to the closed form, and records no step.  The
     first step tries the whole distance to p.  Once two points are accepted,
     the next points are predicted by the secant through the last two, and
@@ -401,7 +395,7 @@ def _continue(params: ModelParams, seed: int) -> SpectrumResult:
             w_cur = w_new
             t_cur = t_next
             if target:
-                steps.append(target * t_next)
+                steps.append(abs(target) * t_next)
         elif not target:
             raise TrackingAmbiguity("the p = 0 solve does not match the closed form")
         else:
@@ -416,12 +410,11 @@ def _continue(params: ModelParams, seed: int) -> SpectrumResult:
         raise ComputationError("eigenvector vanishes at the origin site")
     F = F / F[0]
     return SpectrumResult(
-        params=params,
+        params=params.with_p(abs(target)),
         labels=cone.labels,
         e=np.hstack([E_cur, np.ones((len(cone.labels), 1), dtype=complex)]),
         vectors=F,
         dual_norms=1.0 / (np.abs(F) ** 2 * delta_vector(params)[:, None]).sum(axis=0),
-        seed=seed,
         homotopy_steps=tuple(steps),
     )
 

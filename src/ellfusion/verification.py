@@ -29,6 +29,7 @@ from .littlewood import lr_coefficients
 from .operators import (
     apply_D,
     build_truncated,
+    check_seed,
     conjugated_matrices,
     delta_vector,
     dual_orthogonality_check,
@@ -618,9 +619,13 @@ REGISTRY: tuple[Check, ...] = (
 
 
 def run_suite(name: str, n: int, m: int, seed: int = 0) -> list[OracleReport]:
-    """Run every registry check of one suite (``all``: each check once)."""
+    """Run every registry check of one suite (``all``: each check once); bad arguments raise before any check."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    check_seed(seed)
+    if n < 2:  # one row has no joint spectrum, and the ideal generators have two
+        raise ValueError(f"the checks require n >= 2, got n={n}")
+    level_cone(n, m)  # the error of a negative m
     ctx = CheckContext(seed)
     return [
         check.report([{"n": n} if check.free else {"n": n, "m": m}], ctx)

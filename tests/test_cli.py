@@ -292,14 +292,16 @@ def test_verify_takes_no_model_flags(capsys):
     assert code == 0 and "--g" not in out and "--p" not in out
 
 
-@pytest.mark.parametrize("nm", [["--n", "0"], ["--n", "2", "--m", "-1"]])
+@pytest.mark.parametrize("nm", [["--n", "0"], ["--n", "2", "--m", "-1"], ["--n", "1", "--m", "2"]])
 def test_verify_checks_n_and_m_before_any_check(nm, monkeypatch, capsys):
+    """n = 1 has no joint spectrum and no ideal generators: a usage error, as n = 0 is, before any check runs."""
     from ellfusion import verification
 
-    monkeypatch.setattr(verification, "run_suite", lambda *a, **k: pytest.fail("a check ran"))
+    monkeypatch.setattr(verification.Check, "report", lambda *a, **k: pytest.fail("a check ran"))
     code, out, err = run_cli(["verify", *nm], capsys)
     assert code == 2 and out == ""
     assert err.startswith("ellfusion: error: ") and err.count("\n") == 1
+    assert f"n={nm[1]}" in err or "m must be >= 0" in err
 
 
 def test_verify_report_fields(tmp_path, capsys):
@@ -715,7 +717,7 @@ def _spectrum_payload(params):
             }
             for j, nu in enumerate(labels)
         ],
-        "homotopy_steps": list(spec.homotopy_steps),
+        "homotopy_steps": [-s if params.p < 0 else s for s in spec.homotopy_steps],  # kept at |p|
     }
 
 
@@ -729,6 +731,7 @@ def _spectrum_payload(params):
 def test_spectrum_payload_is_the_indented_dump(n, m, g, p, tmp_path, capsys):
     args = ["spectrum", "--n", str(n), "--m", str(m), "--g", str(g), "--p", str(p)]
     want = json.dumps(_spectrum_payload(ModelParams.locked(n, m, g, p)), indent=2, allow_nan=False) + "\n"
+    assert json.loads(want)["homotopy_steps"][-1:] == ([p] if p else [])  # the steps take the sign of --p
     path = tmp_path / "spectrum.json"
     assert main([*args, "--out", str(path)]) == 0
     assert path.read_text() == want

@@ -3,6 +3,7 @@ import gc
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -187,10 +188,12 @@ def test_spectrum_tracks_into_elliptic_regime():
 
 
 def test_spectrum_negative_nome():
+    """A spectrum asked for at a negative nome is the one at |p|: its params and steps are non-negative."""
     params = ModelParams.locked(2, 2, 0.9, -0.35)
     spec = joint_spectrum(params, seed=0)
     assert len(spec.labels) == 3
-    assert spec.homotopy_steps[-1] == -0.35
+    assert spec.params == params.with_p(0.35)
+    assert spec.homotopy_steps[-1] == 0.35 and min(spec.homotopy_steps) > 0
 
 
 def test_unit_coupling_spectrum_is_nome_independent():
@@ -251,7 +254,7 @@ def test_homotopy_steps_at_large_nome():
 @pytest.mark.parametrize("g,p", [(0.3125, 0.8984375), (0.3, 0.9), (0.3, -0.9)])
 def test_spectrum_tracks_small_coupling_at_large_nome(g, p):
     spec = joint_spectrum(ModelParams.locked(4, 1, g, p), seed=0)
-    assert spec.homotopy_steps[-1] == p
+    assert spec.homotopy_steps[-1] == abs(p)
 
 
 @pytest.mark.parametrize("N,k", [(1, 2), (2, 1), (7, 3), (35, 3), (60, 4)])
@@ -404,7 +407,9 @@ def test_a_mixed_eigenvector_has_no_charge():
         _charges(mats, mixed, 3, 3)
 
 
-def test_a_changed_sector_count_raises(monkeypatch):
+@pytest.mark.parametrize("p", [0.6, -0.6])
+def test_a_changed_sector_count_raises(p, monkeypatch):
+    """The walk runs at the signed p asked for, so its error names that p."""
     raw = operators._raw_spectrum
 
     def moved(params, rng):
@@ -417,8 +422,8 @@ def test_a_changed_sector_count_raises(monkeypatch):
     monkeypatch.setattr(operators, "_raw_spectrum", moved)
     coeffs.clear_coeff_caches()
     try:
-        with pytest.raises(GradingViolation, match="sector sizes at p=0.6 differ"):
-            joint_spectrum(ModelParams.locked(4, 3, 0.7, 0.6), seed=0)
+        with pytest.raises(GradingViolation, match=f"sector sizes at p={p} differ"):
+            joint_spectrum(ModelParams.locked(4, 3, 0.7, p), seed=0)
     finally:
         coeffs.clear_coeff_caches()
 
@@ -827,96 +832,86 @@ def _counting_eig(monkeypatch):
     return calls
 
 
-def test_mirrored_spectrum_equals_a_fresh_one_at_minus_p():
+def test_spectrum_first_made_at_minus_p_equals_a_fresh_one_at_p():
     """Evenness in the nome, tested by two separate computations."""
     params = ModelParams.locked(4, 3, 0.7, 0.6)
     coeffs.clear_coeff_caches()
     fresh = joint_spectrum(params.with_p(-0.6), seed=0)
     coeffs.clear_coeff_caches()
     joint_spectrum(params, seed=0)
-    mirrored = joint_spectrum(params.with_p(-0.6), seed=0)
+    kept = joint_spectrum(params.with_p(-0.6), seed=0)
     coeffs.clear_coeff_caches()
     for name in ("e", "vectors", "dual_norms"):
-        assert np.array_equal(getattr(fresh, name), getattr(mirrored, name))
-    assert fresh.homotopy_steps == mirrored.homotopy_steps
+        assert np.array_equal(getattr(fresh, name), getattr(kept, name))
+    assert fresh.homotopy_steps == kept.homotopy_steps
 
 
-def test_mirrored_spectrum_runs_no_eig(monkeypatch):
+def test_minus_p_runs_no_eig(monkeypatch):
+    """The other sign returns the kept spectrum itself: no eigensolve, the same bits."""
     params = ModelParams.locked(3, 3, 0.7, 0.9)
     coeffs.clear_coeff_caches()
     calls = _counting_eig(monkeypatch)
     plus = joint_spectrum(params, seed=0)
     assert calls
     calls.clear()
-    minus_params = params.with_p(-0.9)
-    minus = joint_spectrum(minus_params, seed=0)
+    assert joint_spectrum(params.with_p(-0.9), seed=0) is plus
     assert calls == []
-    assert minus.params is minus_params
-    assert minus.homotopy_steps == tuple(-s for s in plus.homotopy_steps)
-    assert minus.homotopy_steps[-1] == -0.9
-    assert minus.e is plus.e and minus.vectors is plus.vectors
+    assert plus.params == params and plus.homotopy_steps[-1] == 0.9
     assert joint_spectrum(params, seed=0) is plus
     joint_spectrum(params, seed=1)  # another seed is another entry
     assert calls
     coeffs.clear_coeff_caches()
 
 
-def test_mirror_is_kept_beside_its_spectrum(monkeypatch):
-    """A second -p call returns the first call's mirror: no eigh, and one ``replace`` per kept spectrum."""
+def test_one_spectrum_is_kept_per_abs_p_and_seed(monkeypatch):
+    """Calls at p and -p share one kept entry per seed, S included: no eigh, no second object."""
     params = ModelParams.locked(3, 3, 0.7, 0.6)
     minus = params.with_p(-0.6)
     coeffs.clear_coeff_caches()
     plus = joint_spectrum(params, seed=0)
     calls = _counting_eig(monkeypatch)
-    replaced = []
-    monkeypatch.setattr(operators, "replace", lambda *a, **k: replaced.append(a) or dataclasses.replace(*a, **k))
-    first = joint_spectrum(minus, seed=0)
-    assert first.params is minus and first._derived is plus._derived
-    assert coeffs._table(params).kept[("mirror", 3, 3, 0, -0.6)] is first
     for _ in range(3):
-        assert joint_spectrum(params.with_p(-0.6), seed=0) is first
-        assert fusion.s_matrix(minus).spectrum is first
-    assert joint_spectrum(params, seed=0) is plus
-    assert calls == [] and len(replaced) == 1
-    joint_spectrum(params, seed=1)
-    assert joint_spectrum(minus, seed=1) is joint_spectrum(minus, seed=1)
-    assert len(replaced) == 2  # another seed is another kept spectrum, mirrored once
+        assert joint_spectrum(minus, seed=0) is plus
+        assert fusion.s_matrix(minus).spectrum is plus
+    assert fusion.s_matrix(minus).S is fusion.s_matrix(params).S
+    assert calls == []
+    joint_spectrum(minus, seed=1)
+    assert joint_spectrum(params, seed=1) is joint_spectrum(minus, seed=1)
+    kept = coeffs._table(params).kept
+    assert sorted(key for key in kept if key[0] == "spectrum") == [("spectrum", 3, 3, 0), ("spectrum", 3, 3, 1)]
     coeffs.clear_coeff_caches()
 
 
-def test_mirror_of_a_minus_p_spectrum_is_at_plus_p():
-    """The first call fixes the kept sign; the other sign is the kept mirror, either way round."""
+def test_a_spectrum_first_asked_at_minus_p_is_at_plus_p():
+    """The first call's sign does not matter: the kept spectrum is at |p|, either way round."""
     params = ModelParams.locked(3, 2, 0.7, -0.4)
     coeffs.clear_coeff_caches()
     kept = joint_spectrum(params, seed=0)
-    mirror = joint_spectrum(params.with_p(0.4), seed=0)
-    assert mirror.params.p == 0.4 and mirror.homotopy_steps == tuple(-s for s in kept.homotopy_steps)
-    assert joint_spectrum(params.with_p(0.4), seed=0) is mirror
+    assert kept.params == params.with_p(0.4) and kept.homotopy_steps[-1] == 0.4
+    assert joint_spectrum(params.with_p(0.4), seed=0) is kept
     coeffs.clear_coeff_caches()
 
 
-def test_kept_spectrum_and_mirror_form_no_cycle():
-    """With the collector off, clearing the store frees the spectrum, its mirror and their derived values."""
+def test_kept_spectrum_forms_no_cycle():
+    """With the collector off, clearing the store frees the spectrum and its derived values."""
     params = ModelParams.locked(3, 3, 0.7, 0.6)
     coeffs.clear_coeff_caches()
     enabled = gc.isenabled()
     gc.disable()
     try:
-        kept = weakref.ref(joint_spectrum(params, seed=0))
-        mirror = weakref.ref(joint_spectrum(params.with_p(-0.6), seed=0))
-        fusion.s_matrix(params.with_p(-0.6))
-        projection_arrays(params, None)
-        assert kept() is not None and mirror() is not None
+        kept = weakref.ref(joint_spectrum(params.with_p(-0.6), seed=0))
+        S = weakref.ref(fusion.s_matrix(params).S)
+        projection_arrays(params.with_p(-0.6), None)
+        assert kept() is not None and S() is not None
         coeffs.clear_coeff_caches()
-        assert kept() is None and mirror() is None
+        assert kept() is None and S() is None
     finally:
         if enabled:
             gc.enable()
 
 
-
 def test_nonzero_nomes_solve_no_p0_spectrum(monkeypatch):
-    """The walk starts from the closed form: no solve at p = 0, and the -p leg runs no eigensolve."""
+    """The walk starts from the closed form: no solve at p = 0, and the -p call runs no eigensolve."""
     params = ModelParams.locked(4, 3, 0.7, 0.3)
     raw = operators._raw_spectrum
     solved = []
@@ -931,11 +926,45 @@ def test_nonzero_nomes_solve_no_p0_spectrum(monkeypatch):
         assert joint_spectrum(params.with_p(p), seed=0).homotopy_steps[-1] == p
     assert solved and 0.0 not in solved
     calls = _counting_eig(monkeypatch)
-    assert joint_spectrum(params.with_p(-0.6), seed=0).homotopy_steps[-1] == -0.6
+    assert joint_spectrum(params.with_p(-0.6), seed=0) is joint_spectrum(params.with_p(0.6), seed=0)
     assert calls == []
     assert joint_spectrum(params.with_p(0.0), seed=0).homotopy_steps == ()
     assert solved[-1] == 0.0 and len(calls) == 1  # p = 0 itself is one solve
     coeffs.clear_coeff_caches()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_a_bad_seed_raises_before_any_lookup(seed, monkeypatch):
+    """random.seed takes |seed|, so -1 would draw seed 1's bits under a key of its own."""
+    monkeypatch.setattr(coeffs, "_kept", lambda *a: pytest.fail("the store was read"))
+    with pytest.raises(ValueError, match=re.escape(f"got seed={seed}")):
+        joint_spectrum(ModelParams.locked(3, 3, 0.7, 0.6), seed=seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    m=st.integers(0, 3),
+    g=st.floats(0.3, 1.9),
+    p=st.floats(0.0, 0.9, exclude_min=True),
+    seed=st.integers(0, 3),
+)
+def test_p_and_minus_p_keep_one_spectrum(n, m, g, p, seed):
+    """A first call at -p gives the bits of a fresh first call at p; the other sign then returns that object."""
+    plus, minus = ModelParams.locked(n, m, g, p), ModelParams.locked(n, m, g, -p)
+    coeffs.clear_coeff_caches()
+    first = joint_spectrum(minus, seed=seed)
+    coeffs.clear_coeff_caches()
+    fresh = joint_spectrum(plus, seed=seed)
+    try:
+        for name in ("e", "vectors", "dual_norms"):
+            assert getattr(first, name).tobytes() == getattr(fresh, name).tobytes()
+        assert first.homotopy_steps == fresh.homotopy_steps and min(fresh.homotopy_steps) > 0
+        assert joint_spectrum(minus, seed=seed) is fresh
+        assert fusion.s_matrix(minus, seed=seed).S is fusion.s_matrix(plus, seed=seed).S
+        assert sum(key[0] == "spectrum" for key in coeffs._table(plus).kept) == 1
+    finally:
+        coeffs.clear_coeff_caches()
 
 
 @pytest.mark.parametrize("p", [0.6, -0.9])

@@ -10,6 +10,7 @@ from ellfusion.errors import NotAStrip
 from ellfusion.kernel import ModelParams, bracket, trig_factorial
 from ellfusion.oracles import macdonald_pieri_p0
 from ellfusion.polynomials import PolynomialInE
+from ellfusion.verification import run_suite
 
 _PARAMS = ModelParams.locked(3, 2, 0.7, 0.3)
 
@@ -68,6 +69,13 @@ _RAISES = {
         for name, call in _STRIP_ENTRIES.items()
         for case, nu, error, fragment in _STRIP_CASES
     },
+    "joint_spectrum with a negative seed": (
+        lambda: operators.joint_spectrum(ModelParams.locked(3, 3, 0.7, 0.6), seed=-1), ValueError, "got seed=-1"
+    ),
+    "joint_spectrum with a non-integral seed": (
+        lambda: operators.joint_spectrum(ModelParams.locked(3, 3, 0.7, 0.6), seed=1.5), ValueError, "got seed=1.5"
+    ),
+    "run_suite with a negative seed": (lambda: run_suite("all", 2, 2, seed=-1), ValueError, "got seed=-1"),
     "apply_D with r = 0": (lambda: operators.apply_D(0, {}, (1, 0, 0), _PARAMS), ValueError, "need 1 <= r <= n, got r=0"),
     "apply_D with r > n": (lambda: operators.apply_D(4, {}, (1, 0, 0), _PARAMS), ValueError, "need 1 <= r <= n, got r=4"),
 }

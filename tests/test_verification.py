@@ -1,7 +1,9 @@
+import re
 from types import SimpleNamespace
 
 import pytest
 
+from ellfusion import SUITES
 from ellfusion.verification import REGISTRY, CheckContext, run_suite
 
 
@@ -162,6 +164,26 @@ def test_run_suite_dispatch():
     assert run_suite("limits", 2, 1)
     with pytest.raises(ValueError):
         run_suite("bogus", 2, 1)
+
+
+@pytest.mark.parametrize(
+    "n, m, seed, fragment",
+    [
+        (1, 2, 0, "the checks require n >= 2, got n=1"),
+        (0, 2, 0, "the checks require n >= 2, got n=0"),
+        (2, -1, 0, "m must be >= 0"),
+        (2, 2, -1, "got seed=-1"),
+        (2, 2, 1.5, "got seed=1.5"),
+    ],
+)
+def test_run_suite_refuses_bad_arguments_before_any_check(n, m, seed, fragment, monkeypatch):
+    """n = 1 has no joint spectrum and its ideal generators have two rows; a negative seed has no numpy stream."""
+    from ellfusion import verification
+
+    monkeypatch.setattr(verification.Check, "report", lambda *a, **k: pytest.fail("a check ran"))
+    for suite in ("all", *SUITES):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            run_suite(suite, n, m, seed=seed)
 
 
 def test_all_runs_each_check_once():
