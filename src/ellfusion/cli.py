@@ -1,22 +1,22 @@
 """Command-line front end with deterministic, machine-readable output.
 
 Subcommands: poly, lr, pieri, spectrum, fusion, smatrix, verify.  Output is
-canonical JSON (CSV for the tabular commands): keys in fixed order, floats
-in shortest round-trip form, complex numbers as {"re":, "im":} pairs, and
-the parameter header embedded in every payload (n and m alone for verify,
-whose checks choose their own couplings and nomes).  Only the commands that
-draw at random (spectrum, fusion, smatrix, verify) take --seed, and their
-payloads record it after the header; only lr, pieri and fusion take
---format, as only they have a CSV form.  The
-JSON is the bytes of ``json.dumps(payload, indent=2)``: the small values go
-through json.dumps, the bulk arrays (the fusion rows, read one at a time
-from ``fusion._rows``; S and Sinv; the spectral points) through one row
-writer each.  Files are written atomically, chunk by chunk into a temp
-file that is renamed into place; stdout, and an --out target that is a
-device or a FIFO, get the whole text at once, so an error prints nothing.
-Exit codes: 0 success, 1 computational error
-(error class name on stderr), 2 usage error (a bad flag, a ValueError of
-the library's argument validation, or an --out path that cannot be
+canonical JSON (CSV for lr, pieri and fusion, the commands that take
+--format): keys in fixed order, floats in shortest round-trip form, complex
+numbers as {"re":, "im":} pairs, and the parameter header embedded in every
+payload (n and m alone for verify, whose checks choose their own couplings
+and nomes).  Only the commands that draw at random (spectrum, fusion,
+smatrix, verify) take --seed, and their payloads record it after the header.
+The JSON is the bytes of ``json.dumps(payload, indent=2)``, and json.dumps
+writes every byte of it but the bulk arrays' values: the small values
+directly, and the text around each value of a bulk array (the fusion rows,
+read one at a time from ``fusion._rows``; S and Sinv; the spectral points)
+from templates cut once per array from ``json.dumps`` of a skeleton.  Files
+are written atomically, chunk by chunk into a temp file renamed into place;
+stdout, and an --out target that is a device or a FIFO, get the whole text
+at once, so an error prints nothing.  Exit codes: 0 success, 1 computational
+error (error class name on stderr), 2 usage error (a bad flag, a ValueError
+of the library's argument validation, or an --out path that cannot be
 written, in one line on stderr).
 """
 
@@ -26,6 +26,7 @@ import argparse
 import json
 import math
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -187,38 +188,43 @@ def _is_special(path: str) -> bool:
     return not (stat.S_ISREG(mode) or stat.S_ISDIR(mode))
 
 
+_SLOT = "\x00"  # the value of a skeleton where a value of the payload goes
+_SLOT_TEXT = re.compile(r'"\\u0000"(?!:)')  # a slot as json.dumps writes it; a key "\x00" is followed by ":"
+
+
+def _cut(skeleton, newline: str) -> list[str]:
+    """The text of ``json.dumps(skeleton, indent=2)`` at the depth newline opens, cut at each _SLOT value."""
+    return _SLOT_TEXT.split(json.dumps(skeleton, indent=2).replace("\n", newline))
+
+
+def _template(skeleton, newline: str) -> str:
+    """The text of ``_cut(skeleton, newline)`` with a %s at each slot; its strings hold no "%"."""
+    return "%s".join(_cut(skeleton, newline))
+
+
+def _key_newline(head: str) -> str:
+    """The newline of the key line that head, a "{" or "," and then that newline and '"key": ', opens."""
+    return head[1 : head.index('"')]
+
+
 def _json_chunks(payload: dict):
     """The text of ``json.dumps(payload, indent=2, allow_nan=False)``, in chunks made as they are read.
 
-    payload is the top-level dict of a command.  A value is written by
-    ``json.dumps``, its newlines indented one level, unless it is callable:
-    then it is a bulk array's row writer, called with the newline of its
-    key's line (see ``_fusion_table_chunks``, ``_complex_rows_chunks`` and
-    ``_points_chunks``).  No JSON value is callable.
+    payload is the top-level dict of a command; the text between its values
+    is cut from ``dict.fromkeys(payload, _SLOT)``.  A value is written by
+    ``json.dumps`` at the newline of its key's line, unless it is callable:
+    then it is a bulk array's row writer, called with that newline.  No JSON
+    value is callable.
     """
-    sep = "{"
-    for key, value in payload.items():
-        head = sep + "\n  " + json.dumps(key) + ": "
+    *heads, tail = _cut(dict.fromkeys(payload, _SLOT), "\n")
+    for head, value in zip(heads, payload.values()):
+        newline = _key_newline(head)
+        yield head
         if callable(value):
-            yield head
-            yield from value("\n  ")
+            yield from value(newline)
         else:
-            yield head + json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
-        sep = ","
-    yield "\n}" if payload else "{}"
-
-
-def _list_text(items, newline: str) -> str:
-    """An indented JSON list of item texts, whose line starts with newline."""
-    inner = newline + "  "
-    text = ("," + inner).join(items)
-    return "[" + inner + text + newline + "]" if text else "[]"
-
-
-def _pair_text(newline: str) -> str:
-    """The template of a {"re", "im"} pair whose line starts with newline: two %s for the reprs."""
-    inner = newline + "  "
-    return "{" + inner + '"re": %s,' + inner + '"im": %s' + newline + "}"
+            yield json.dumps(value, indent=2, allow_nan=False).replace("\n", newline)
+    yield tail
 
 
 def _fusion_table_chunks(labels, rows, newline: str):
@@ -226,29 +232,26 @@ def _fusion_table_chunks(labels, rows, newline: str):
 
     One block per ordered pair (lam, mu), in label order: ``{"lam", "mu",
     "entries": [{"kappa", "value"}, ...]}``, with the nonzero values in kappa
-    order.  The chunks join to the bytes of ``json.dumps(blocks, indent=2)``
-    at this depth.  The text of a row is one join over a flat list of parts,
-    all built once per table but the values: each mu's ``"mu": ...
-    "entries":`` head and each kappa's entry head (first in its pair, or
-    after another entry).  A non-finite value raises ValueError, as
+    order, as ``json.dumps(blocks, indent=2)`` writes them at this depth.
+    The text between two values is cut from a block with two entries and a
+    block with none; a label's text is ``_template(list(lam))`` at its key's
+    newline.  A row is one join of its values and parts built once per table:
+    each mu's ``"mu": ... "entries":`` head and each kappa's entry head (first
+    in its pair, or after another).  A non-finite value raises ValueError, as
     json.dumps does, before any chunk of its row.
     """
-    i1 = newline + "  "  # a block
-    i2 = i1 + "  "  # its keys
-    i3 = i2 + "  "  # an entry
-    i4 = i3 + "  "  # an entry's keys
+    two, none = ({"lam": _SLOT, "mu": _SLOT, "entries": [{"kappa": _SLOT, "value": _SLOT}] * k} for k in (2, 0))
+    _, mu_key, entries_key, value_key, next_entry, _, next_block, _, last = _cut([two, none], newline)
+    entries_key, _, first_entry = entries_key.partition("[")  # ',"entries": ' and '{"kappa": '
+    full, _, block = next_block.partition(",")  # '}]}' ends a block with entries; '{"lam": ' opens one
+    empty = "[]" + full.rpartition("]")[2]  # '[]}' ends a block with none
     N = len(labels)
-    label_text = [_list_text(map(int.__repr__, lam), i2) for lam in labels]
-    mu_head = ["," + i2 + '"mu": ' + text + "," + i2 + '"entries": ' for text in label_text]
-    entry_head = [
-        "{" + i4 + '"kappa": ' + _list_text(map(int.__repr__, kappa), i4) + "," + i4 + '"value": '
-        for kappa in labels
-    ]
+    label_text = [_template(list(lam), _key_newline(mu_key)) for lam in labels]
+    mu_head = [mu_key + text + entries_key for text in label_text]
+    entry_head = [_template(list(kappa), _key_newline(value_key)) + value_key for kappa in labels]
     # heads[k] opens kappa's entry after another one, heads[N + k] the first entry of a pair
-    heads = [i3 + "}," + i3 + h for h in entry_head] + ["[" + i3 + h for h in entry_head]
-    entries_end = i3 + "}" + i2 + "]"
-    tail = i1 + "}"  # the end of a block
-    lead = "[" + i1
+    heads = [next_entry + h for h in entry_head] + ["[" + first_entry + h for h in entry_head]
+    lead = "["
     for i, row in zip(range(N), rows):
         if not np.isfinite(row).all():
             raise ValueError("Out of range float values are not JSON compliant")
@@ -259,22 +262,18 @@ def _fusion_table_chunks(labels, rows, newline: str):
         entries[0::2] = map(heads.__getitem__, (kappas + N * first).tolist())
         entries[1::2] = map(float.__repr__, row[nonzero].tolist())
         counts = np.bincount(mus, minlength=N).tolist()
-        block = "{" + i2 + '"lam": ' + label_text[i]
-        opened = "," + i1 + block  # the next block of the row
-        full, empty = entries_end + tail + opened, "[]" + tail + opened
-        closes = [full if count else empty for count in counts]  # the text after a pair's entries
-        closes[-1] = closes[-1][: -len(opened)]
-        parts = [lead, block]
+        opened = block + label_text[i]
+        sep = "," + opened  # before the next block of the row
+        parts = [lead, opened]
         end = 0
-        for head, count, close in zip(mu_head, counts, closes):
+        for head, count in zip(mu_head, counts):
+            start, end = end, end + 2 * count
             parts.append(head)
-            if count:
-                start, end = end, end + 2 * count
-                parts += entries[start:end]
-            parts.append(close)
-        yield "".join(parts)  # one chunk per row lam
-        lead = "," + i1
-    yield newline + "]"
+            parts += entries[start:end]
+            parts += (full if count else empty, sep)
+        yield "".join(parts[:-1])  # one chunk per row lam, without the sep after its last block
+        lead = ","
+    yield last.rpartition("}")[2]  # the ']' that ends the table
 
 
 def _re_im(matrix: np.ndarray) -> np.ndarray:
@@ -282,20 +281,22 @@ def _re_im(matrix: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(matrix, dtype=complex).view(float)
 
 
-def _template_rows(values: np.ndarray, template: str, heads, newline: str):
-    """An indented JSON list, one chunk per row of values: its head, then template %-formatted over the row.
+def _template_rows(values: np.ndarray, item, newline: str, heads=repeat(())):
+    """An indented JSON list, one chunk per row of values: the template of item, %-formatted over head and row.
 
-    The template is built once and holds a %s for each value of a row; a
-    value is written as its repr, as json.dumps writes a float.  A
-    non-finite value raises ValueError, as json.dumps does, before any chunk.
+    The template is built once, at the newline of a list item; the text
+    between two items is cut from a two-item list.  A row's slots take its
+    head's values as %s writes them, then its values' reprs, as json.dumps
+    writes a float.  A non-finite value raises ValueError before any chunk.
     """
     if not np.isfinite(values).all():
         raise ValueError("Out of range float values are not JSON compliant")
-    lead = "[" + newline + "  "
+    lead, sep, end = _cut([_SLOT, _SLOT], newline)
+    template = _template(item, lead[1:])  # lead is "[" and then the newline of an item
     for head, row in zip(heads, values):
-        yield lead + head + template % tuple(map(float.__repr__, row.tolist()))
-        lead = "," + newline + "  "
-    yield newline + "]" if len(values) else "[]"
+        yield lead + template % (*head, *map(float.__repr__, row.tolist()))
+        lead = sep
+    yield end if len(values) else "[]"
 
 
 def _complex_rows_chunks(matrix: np.ndarray, newline: str):
@@ -304,8 +305,7 @@ def _complex_rows_chunks(matrix: np.ndarray, newline: str):
     The chunks join to the bytes of ``json.dumps`` of the rows as lists of
     ``{"re": z.real, "im": z.imag}`` dicts at this depth.
     """
-    row = _list_text([_pair_text(newline + "    ")] * matrix.shape[1], newline + "  ")
-    return _template_rows(_re_im(matrix), row, repeat(""), newline)
+    return _template_rows(_re_im(matrix), [{"re": _SLOT, "im": _SLOT}] * matrix.shape[1], newline)
 
 
 def _points_chunks(spec: SpectrumResult, newline: str):
@@ -314,30 +314,14 @@ def _points_chunks(spec: SpectrumResult, newline: str):
     The chunks join to the bytes of ``json.dumps`` of the list of ``{"nu",
     "e": [{"re", "im"}, ...], "dual_norm", "eigenvector": [{"lam", "value":
     {"re", "im"}}, ...]}`` dicts at this depth, where "e" is the row e[nu]
-    and the eigenvector the column vectors[:, nu].  All of a point's text
-    but its "nu" head is one template, built once, with the "lam" of each
-    eigenvector entry in it.
+    and the eigenvector the column vectors[:, nu].  A point's text is one
+    template, built once, with a slot for each part of nu and each "lam" in it.
     """
-    i1 = newline + "  "  # a point
-    i2 = i1 + "  "  # its keys
-    i3 = i2 + "  "  # an e pair or an eigenvector entry
-    i4 = i3 + "  "  # an entry's keys
-    heads = [
-        "{" + i2 + '"nu": ' + _list_text(map(int.__repr__, nu), i2) + "," + i2 + '"e": '
-        for nu in spec.labels
-    ]
-    entries = [
-        "{" + i4 + '"lam": ' + _list_text(map(int.__repr__, lam), i4) + "," + i4
-        + '"value": ' + _pair_text(i4) + i3 + "}"
-        for lam in spec.labels
-    ]
-    point = (
-        _list_text([_pair_text(i3)] * spec.e.shape[1], i2)
-        + "," + i2 + '"dual_norm": %s,'
-        + i2 + '"eigenvector": ' + _list_text(entries, i2) + i1 + "}"
-    )
+    pair = {"re": _SLOT, "im": _SLOT}
+    point = {"nu": [_SLOT] * len(spec.labels[0]), "e": [pair] * spec.e.shape[1], "dual_norm": _SLOT,
+             "eigenvector": [{"lam": list(lam), "value": pair} for lam in spec.labels]}
     values = np.hstack([_re_im(spec.e), spec.dual_norms[:, None], _re_im(spec.vectors.T)])
-    return _template_rows(values, point, heads, newline)
+    return _template_rows(values, point, newline, spec.labels)
 
 
 def _emit_json(payload: dict, out_path: str | None) -> None:

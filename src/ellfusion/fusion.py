@@ -341,7 +341,8 @@ def _fusion_row(
 ) -> np.ndarray:
     """Real structure constants [mu, kappa] of the row lam = labels[i] from its raw block and support mask.
 
-    Block row j is that of mu = labels[first + j].  A non-finite value raises.  Per pair,
+    Block row j is that of mu = labels[first + j].  A value whose |raw| is not finite (NaN,
+    an infinity, or finite parts whose modulus overflows) raises.  Per pair,
     scale = max(1, max |raw|).  Off the support |raw| > FUSION_IMAG_TOL * scale, or on it
     an imaginary part > FUSION_IMAG_TOL * max(1, |real|), raises; real parts on the
     support up to _DROP_REL * scale become zero.
@@ -349,15 +350,13 @@ def _fusion_row(
     value off the support is too large; elsewhere it can flag nothing.
     """
     mag = np.abs(raw)
-    peak = mag.max(axis=1)  # NaN or inf exactly where a row holds a non-finite value (or |raw| overflows)
-    if not np.isfinite(peak).all():  # NaN fails every comparison below, and would be written as 0.0
-        finite = np.isfinite(raw)
-        if not finite.all():
-            j, k = np.argwhere(~finite)[0]
-            raise ComputationError(
-                f"fusion non-finite value: {labels[k]} -> {complex(raw[j, k])!r} "
-                f"in {labels[i]} x {labels[first + j]} ({route})"
-            )
+    peak = mag.max(axis=1)  # NaN or inf exactly where a row holds a non-finite |raw|
+    if not np.isfinite(peak).all():  # NaN fails every comparison below, and an inf scale zeroes its pair
+        j, k = np.argwhere(~np.isfinite(mag))[0]
+        raise ComputationError(
+            f"fusion non-finite value: {labels[k]} -> {complex(raw[j, k])!r} "
+            f"in {labels[i]} x {labels[first + j]} ({route})"
+        )
     re = raw.real
     scale = np.maximum(1.0, peak)[:, None]
     outside = mag > FUSION_IMAG_TOL * scale

@@ -201,9 +201,10 @@ class ModelParams:
     Level-locked mode ties alpha = 2*pi/(m + n*g), which places the bracket
     zero [m + n*g] = 0 that truncates everything to the level-m cone.  Free
     mode takes alpha directly and requires the coupling to clear the
-    genericity gate.  An argument out of range (a nome with |p| >= 1
-    included) is a ValueError that names it.  Instances are immutable and
-    hashable.
+    genericity gate.  An argument out of range (a nome with |p| >= 1 or a
+    non-integral n or m included) is a ValueError that names it; an
+    integral n or m (3.0, a numpy int) is stored as an int.  Instances are
+    immutable and hashable.
     """
 
     n: int
@@ -217,6 +218,15 @@ class ModelParams:
     precision: ClassVar[str] = "double"
 
     def __post_init__(self) -> None:
+        for name in ("n", "m"):
+            value = getattr(self, name)
+            try:
+                integral = int(value) == value
+            except (OverflowError, TypeError, ValueError):  # inf, nan, a complex, a string
+                integral = False
+            if not integral:
+                raise ValueError(f"{name}={value!r} must be an integer")
+            object.__setattr__(self, name, int(value))
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.m < 0:

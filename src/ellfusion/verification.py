@@ -316,12 +316,7 @@ def _full_lattice_commutativity(ctx, n, g=0.65, p=0.3):
     f = {kappa: complex(*rng.standard_normal(2)) for kappa in support if is_partition(kappa)}
 
     def compose(r, s, lam):
-        total = 0.0 + 0.0j
-        for nu in vertical_strips(lam, r):
-            inner = apply_D(s, f, nu, params)
-            if inner:
-                total += coeffs.hop_B(lam, nu, params) * inner
-        return total
+        return apply_D(r, {nu: apply_D(s, f, nu, params) for nu in vertical_strips(lam, r)}, lam, params)
 
     worst = 0.0
     for r, s in combinations(range(1, n + 1), 2):

@@ -467,6 +467,14 @@ def test_json_writer_edge_values():
         _json_text({"set": {1, 2}})
 
 
+def test_json_writer_on_keys_and_values_that_read_as_slots():
+    """A key or value "\x00", the slot of a template skeleton, or "%s" is written as json.dumps writes it."""
+    matrix = np.array([[1.0 + 2.0j, -0.5]])
+    payload = {"\x00": "\x00", "%s": ["\x00", "%s"], 'k": "\x00': partial(_complex_rows_chunks, matrix)}
+    want = {"\x00": "\x00", "%s": ["\x00", "%s"], 'k": "\x00': _complex_pairs(matrix)}
+    assert _json_text(payload) == json.dumps(want, indent=2)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_payload_value_raises(bad, capsys):
     with pytest.raises(ComputationError, match="non-finite value in the probe payload"):
@@ -570,6 +578,8 @@ def _csv_rows(table):
         (4, 4, 0.7, -0.6, "both"),
         (3, 6, 0.5, 0.3, "both"),
         (3, 4, 1.0, 0.0, "both"),
+        (2, 0, 0.7, 0.3, "both"),  # m = 0: the one-label cone
+        (3, 0, 1.0, 0.0, "lr"),
     ],
 )
 def test_fusion_payload_is_the_indented_dump_of_its_blocks(n, m, g, p, route, capsys):

@@ -805,10 +805,10 @@ def test_perturbed_inverse_is_caught_by_the_support(monkeypatch):
 
 
 @pytest.mark.parametrize("route", ["verlinde", "projection"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf), complex(1.5e308, 1.5e308)])
 @pytest.mark.parametrize("on_support", [True, False])
 def test_non_finite_raw_value_raises(route, bad, on_support):
-    """A NaN or infinity in a raw row is an error naming the pair and route, never a 0.0."""
+    """A NaN, an infinity or a modulus that overflows in a raw row is an error naming the pair and route, never a 0.0."""
     params = ModelParams.locked(2, 2, 0.7, 0.3)
     sm = s_matrix(params)
     rows = fusion._raw_rows(params, route, sm.spectrum)

@@ -36,6 +36,14 @@ _RAISES = {
     "level_cone with n < 1": (lambda: partitions.level_cone(0, 2), ValueError, "n must be >= 1"),
     "level_cone with m < 0": (lambda: partitions.level_cone(3, -1), ValueError, "m must be >= 0"),
     "locked with m < 0": (lambda: ModelParams.locked(3, -1, 0.7, 0.3), ValueError, "m must be >= 0"),
+    "locked with a non-integral n": (lambda: ModelParams.locked(2.5, 2, 0.7, 0.3), ValueError, "n=2.5 must be an integer"),
+    "locked with a non-integral m": (lambda: ModelParams.locked(3, 1.5, 0.7, 0.3), ValueError, "m=1.5 must be an integer"),
+    "free with a non-integral n": (
+        lambda: ModelParams.free(2.5, g=0.7, p=0.3, alpha=2.0), ValueError, "n=2.5 must be an integer"
+    ),
+    "free with a non-integral m": (
+        lambda: ModelParams.free(3, g=0.7, p=0.3, alpha=2.0, m=1.5), ValueError, "m=1.5 must be an integer"
+    ),
     "bracket at a complex argument": (lambda: bracket(0.4 + 0.3j, _PARAMS), TypeError, "not 'complex'"),
     "bracket at a numpy complex64 argument": (
         lambda: bracket(np.complex64(0.4 + 0.3j), _PARAMS), TypeError, "not 'complex64'"
@@ -92,3 +100,9 @@ def test_each_argument_check_raises_its_typed_error(case):
 def test_apply_D_reports_a_bad_partition_before_a_bad_r():
     with pytest.raises(ValueError, match="^partition length 2 does not match n=3$"):
         operators.apply_D(0, {}, (1, 0), _PARAMS)
+
+
+def test_an_integral_float_n_is_stored_as_an_int():
+    params = ModelParams.locked(3.0, np.int64(2), 0.7, 0.3)
+    assert params == ModelParams.locked(3, 2, 0.7, 0.3)
+    assert type(params.n) is int and type(params.m) is int
