@@ -39,9 +39,10 @@ from .errors import SingularDenominator
 from .kernel import SINGULAR_TOL, ModelParams, bracket
 from .partitions import Partition, _read_only, check_partition, check_strip, level_cone
 
-# One nome_sweep pass (n=4 m=4, p = +-0.3, +-0.6, +-0.9) visits 26 distinct
-# |p| along its homotopy paths, rejected steps included (the -p legs read the
-# spectra kept at p); the bound leaves room for several such sweeps.
+# One nome_sweep pass (n=4 m=4, p = +-0.3, +-0.6, +-0.9) visits 4 distinct
+# |p| along its homotopy paths, rejected steps included: the three nomes and
+# p = 0, whose spectrum the walk to 0.9 reads (the -p legs read the spectra
+# kept at p); the bound leaves room for many such sweeps.
 TABLE_LIMIT = 256
 
 

@@ -17,13 +17,18 @@ quotient and cannot change along the nome path.  At p = 0 the points have a
 trigonometric closed form, and the point nu has the charge k = -|nu| mod n
 (minus its n-ality, Schellekens & Yankielowicz, Int. J. Mod. Phys. A 5
 (1990)).  The labels are continued analytically in the nome from that
-closed form by a guarded predictor-corrector, which solves no p = 0
-spectrum unless p = 0 is asked for: the first step tries the whole
-distance, later points are predicted by the secant through the last two
-accepted points, and a step is halved unless every new point stays within
-half its prediction's own gap (the distance to the nearest other prediction
-of the same charge) from that prediction, and every prediction within half
-its current point's own gap from that point.  Each predicted point is
+closed form by a guarded predictor-corrector.  The first step tries the
+whole distance, with the closed form as its prediction.  Only if it is
+rejected does the walk read the spectrum at p = 0 (kept on the p = 0
+table, so one solve per coupling and seed); from then on each point is
+predicted by the Rayleigh quotients of the last accepted unit eigenvectors
+at the new matrices, read in the new eigenbasis, so that no matrix is
+formed twice.  A step is halved
+unless every new point stays within half its prediction's own gap (the
+distance to the nearest other prediction of the same charge) from that
+prediction, every matched unit eigenvector keeps a squared overlap above
+1/2 with its predecessor, and the difference of every pair of one charge
+keeps clear of 0 along the straight step.  Each predicted point is
 matched to its nearest new point of the same charge: balls of half the own
 gaps are disjoint within a charge sector, so a match that passes that test
 is the optimal assignment, and no assignment solver is needed; points of
@@ -344,25 +349,40 @@ def _continue(params: ModelParams, seed: int) -> SpectrumResult:
     path, so a solve whose sector sizes differ from those of the labels
     raises ``GradingViolation``.  The path is p = target * t, with the
     signed p of params, so an error names the p asked for; the result and
-    its steps |target| * t are at |p|.  At p = 0 the walk
-    is one solve, matched to the closed form, and records no step.  The
-    first step tries the whole distance to p.  Once two points are accepted,
-    the next points are predicted by the secant through the last two, and
-    each predicted point is matched to its nearest new point of the same
-    charge (``_match_rows``).  A step is accepted only if (a) every new point
-    lies within _GAP_SAFETY times its predicted point's own gap (the distance
-    to the nearest other predicted point of its charge) from that predicted
-    point, and (b) every predicted point lies within _GAP_SAFETY times its
-    current point's own gap among the current points of its charge from that
-    current point (``_within_gaps``); otherwise the step is halved, down to
-    _MIN_STEP, and at p = 0 a failed match raises at once.  Test (a) makes
-    the match exact, as those balls about the predicted points of one charge
-    are disjoint, and points of different charge are never swapped; test (b)
-    keeps the predictor from extrapolating through eigenvalues of one charge
-    that close in on each other, where it would swap labels.  Eigenvalues of
-    different charges may cross freely.  The step is never grown again:
-    growing it after each accepted step took more eigensolves at every
-    large-nome point measured.
+    its steps |target| * t are at |p|.  At p = 0 the walk is one solve,
+    matched to the closed form, and records no step.  The first step tries
+    the whole distance to p, with the closed form as its prediction.  If it
+    is rejected, the walk reads the spectrum at p = 0 (``joint_spectrum``,
+    kept on the p = 0 table, with a generator of its own) and re-tests the
+    solve already made at p, now predicted by the Rayleigh quotients
+    diag(U^H M_r(p) U) of the unit eigenvectors U = sqrt(Delta) f_nu / |.|
+    at p = 0, read in the eigenbasis of that solve (``_accepted_match``);
+    each later point is predicted by those of the last accepted vectors at
+    its own solve.  For normal M_r the
+    error of this prediction is quadratic in the change of the eigenvector
+    (Parlett, The Symmetric Eigenvalue Problem, ch. 4 and 11).  Each
+    predicted point is matched to its nearest new point of the same charge
+    (``_match_rows``), and the step is accepted only if (a) every new point
+    lies within _GAP_SAFETY times its predicted point's own gap (the
+    distance to the nearest other predicted point of its charge) from that
+    predicted point (``_within_gaps``); (o) once vectors are read, every
+    matched squared overlap |<u_i, v_i>|^2 with the new unit vectors v
+    exceeds 1/2; and (c) the chord of every pair of one charge keeps clear
+    of a collision (``_chords_clear``).  Otherwise the step is halved, down to _MIN_STEP,
+    and at p = 0 a failed match raises at once.  Test (a) makes the match
+    exact, as those balls about the predicted points of one charge are
+    disjoint, and points of different charge are never swapped.  The
+    columns of U are orthonormal, so by Bessel's inequality the squared
+    overlaps of one unit vector with them sum to at most 1: under test (o)
+    no new vector is matched twice.  By the sin theta theorem (Davis &
+    Kahan, SIAM J. Numer. Anal. 7 (1970)) an eigenvector turns by at most
+    the change of the matrices over its gap, so across a step that the gap
+    resolves the overlap stays near 1.  The
+    eigenvectors follow a diabatic state through a near-collision of one
+    charge as readily as the adiabatic one, so (a) and (o) alone could
+    swap two labels there; test (c) sees the difference of the pair pass
+    near 0 and halves the step instead.  Eigenvalues of different charges
+    may cross freely.  The step is never grown again.
     """
     rng = random.Random(seed)
     target = params.p
@@ -370,7 +390,7 @@ def _continue(params: ModelParams, seed: int) -> SpectrumResult:
     E_cur = spectral_points_p0(params)
     sectors = -cone.weights.astype(np.intp) % params.n  # minus the n-ality
     sizes = np.bincount(sectors, minlength=params.n)
-    t_prev = E_prev = None
+    U = None  # unit eigenvectors at the current point, once the p = 0 spectrum is read
     steps: list[float] = []
 
     # The path is p = target * t: t and the step h stay dyadic, so sums are
@@ -378,21 +398,21 @@ def _continue(params: ModelParams, seed: int) -> SpectrumResult:
     t_cur, h = 0.0, 1.0
     while t_cur < 1.0:
         t_next = t_cur + h  # at most 1: t_cur is a multiple of h
-        if E_prev is None:
-            E_pred = E_cur
-        else:
-            E_pred = E_cur + (h / (t_cur - t_prev)) * (E_cur - E_prev)
-        E_new, vecs_new, w_new, k_new = _raw_spectrum(params.with_p(target * t_next), rng)
+        E_new, vecs, w, k_new = _raw_spectrum(params.with_p(target * t_next), rng)
         if not np.array_equal(np.bincount(k_new, minlength=params.n), sizes):
             raise GradingViolation(
                 f"charge sector sizes at p={target * t_next} differ from those of -|nu| mod n"
             )
-        perm = _match_rows(E_new, k_new, E_pred, sectors)
-        if _within_gaps(E_new[perm], E_pred, sectors) and _within_gaps(E_pred, E_cur, sectors):
-            t_prev, E_prev = t_cur, E_cur
-            E_cur = E_new[perm]
-            vec_cur = vecs_new[:, perm]
-            w_cur = w_new
+        perm = _accepted_match(E_cur, U, E_new, vecs, k_new, sectors)
+        if perm is None and U is None and target:
+            start = joint_spectrum(params.with_p(0.0), seed)
+            E_cur = start.e_matrix()
+            U = _unit(np.sqrt(delta_vector(start.params))[:, None] * start.vectors)
+            perm = _accepted_match(E_cur, U, E_new, vecs, k_new, sectors)
+        if perm is not None:
+            E_cur, vec_cur, w_cur = E_new[perm], vecs[:, perm], w
+            if U is not None:
+                U = _unit(vec_cur)
             t_cur = t_next
             if target:
                 steps.append(abs(target) * t_next)
@@ -417,6 +437,61 @@ def _continue(params: ModelParams, seed: int) -> SpectrumResult:
         dual_norms=1.0 / (np.abs(F) ** 2 * delta_vector(params)[:, None]).sum(axis=0),
         homotopy_steps=tuple(steps),
     )
+
+
+def _accepted_match(E_cur, U, E_new, vecs, k_new, sectors) -> np.ndarray | None:
+    """The match of the new points to the current ones if the step passes tests (a), (o) and (c), else None.
+
+    The prediction is E_cur while U is None.  Otherwise it is the Rayleigh
+    quotients diag(U^H M_r U) of the unit vectors U at the new matrices,
+    read in the new eigenbasis: with V the new unit eigenvectors, M_r =
+    V diag(E_new[:, r]) V^H, so diag(U^H M_r U) = O E_new[:, r] with the
+    squared overlaps O[i, j] = |<u_i, v_j>|^2, which test (o) reads too.
+    The matrices of the solve are not formed again.  See ``_continue``.
+    """
+    if U is None:
+        E_pred = E_cur
+    else:
+        overlaps = np.abs(U.conj().T @ _unit(vecs)) ** 2
+        E_pred = overlaps @ E_new
+    perm = _match_rows(E_new, k_new, E_pred, sectors)
+    if not _within_gaps(E_new[perm], E_pred, sectors):
+        return None
+    if U is not None and not np.all(overlaps[np.arange(len(perm)), perm] > 0.5):  # test (o)
+        return None
+    if not _chords_clear(E_cur, E_new[perm], sectors):
+        return None
+    return perm
+
+
+def _unit(vecs: np.ndarray) -> np.ndarray:
+    """The columns of vecs scaled to unit length."""
+    return vecs / np.linalg.norm(vecs, axis=0)
+
+
+def _chords_clear(E_from: np.ndarray, E_to: np.ndarray, k: np.ndarray) -> bool:
+    """Whether every pair of rows of one charge keeps apart along the straight step from E_from to E_to.
+
+    Test (c) of ``_continue``: for rows i, j of charge k[i] = k[j], the
+    chord from E_from[i] - E_from[j] to E_to[i] - E_to[j] must stay at
+    least _GAP_SAFETY times the smaller of its end lengths away from 0.
+    Its nearest point to 0 is interior only where the pair turns about each
+    other; a swap through a near-collision turns the difference by about
+    pi and sends the chord through 0.  A NaN fails the test.
+    """
+    for c in set(k.tolist()):  # np.unique would import numpy.ma on its first call, about 16 ms
+        rows = np.flatnonzero(k == c)
+        a, b = E_from[rows], E_to[rows]
+        d0 = a[:, None, :] - a[None, :, :]
+        d1 = b[:, None, :] - b[None, :, :]
+        move = d1 - d0
+        square = np.einsum("ijr,ijr->ij", move.conj(), move).real
+        s = -np.einsum("ijr,ijr->ij", move.conj(), d0).real / np.where(square > 0.0, square, 1.0)
+        nearest = np.linalg.norm(d0 + np.clip(s, 0.0, 1.0)[:, :, None] * move, axis=2)
+        ends = np.minimum(np.linalg.norm(d0, axis=2), np.linalg.norm(d1, axis=2))
+        if not np.all(nearest >= _GAP_SAFETY * ends):
+            return False
+    return True
 
 
 def projection_arrays(params: ModelParams, spec: SpectrumResult) -> tuple[np.ndarray, np.ndarray]:

@@ -25,6 +25,7 @@ from ellfusion.kernel import ModelParams, bracket
 from ellfusion.operators import (
     _GAP_SAFETY,
     _charges,
+    _chords_clear,
     _match_rows,
     _raw_spectrum,
     _row_gaps,
@@ -246,8 +247,7 @@ def test_spectrum_deterministic_in_seed():
 def test_homotopy_steps_at_large_nome():
     params = ModelParams.locked(4, 4, 0.7, 0.9)
     spec = joint_spectrum(params, seed=0)
-    assert len(spec.homotopy_steps) == 6
-    assert len(spec.homotopy_steps) <= 39  # the fixed-start continuation's count
+    assert len(spec.homotopy_steps) == 1
     assert spec.homotopy_steps[-1] == 0.9
 
 
@@ -672,6 +672,22 @@ def test_per_row_gap_test_rejects_a_nan_row(where):
     assert not _within_gaps(E_new, E_ref, np.zeros(3, dtype=np.intp))
 
 
+@pytest.mark.parametrize(
+    "end,clear", [(1j, True), (-1.0, False), (-1.0 + 1.5j, True), (-1.0 + 0.9j, False), (complex(math.nan, 0.0), False)]
+)
+def test_chord_test_reads_the_nearest_approach_of_a_pair(end, clear):
+    """The difference of two rows of one charge goes from 1 to end; its chord must keep half the shorter end from 0.
+
+    From 1 to i it passes 0 at 0.71, from 1 to -1 + 1.5i at 0.6 and to
+    -1 + 0.9i at 0.41, all of an end distance 1; rows of two charges are
+    never compared, and a NaN fails the test.
+    """
+    E_from = np.array([[0.5], [-0.5]], dtype=complex)
+    E_to = np.array([[end / 2], [-end / 2]], dtype=complex)
+    assert _chords_clear(E_from, E_to, np.zeros(2, dtype=np.intp)) is clear
+    assert _chords_clear(E_from, E_to, np.arange(2, dtype=np.intp)) is bool(np.isfinite(end))  # a NaN fails alone
+
+
 def test_a_nan_row_rejects_the_step(monkeypatch):
     """A raw spectrum with a NaN row past p = 0.5 stops the walk there instead of labelling it."""
     raw = operators._raw_spectrum
@@ -719,8 +735,10 @@ def _fixed_step_reference(params, steps, seed=0):
     return E, worst
 
 
-def test_secant_does_not_extrapolate_through_closing_eigenvalues():
-    """At this point a secant predictor without the current-gap guard swapped all four labels."""
+def test_one_jump_keeps_the_labels_where_eigenvalues_close_in():
+    """Eigenvalues of one charge close in on the path to this point, where a predictor that
+    extrapolates them can swap all four labels.  The Rayleigh prediction from the p = 0 vectors
+    reaches it in one step, with the labels of a 1000-step path."""
     params = ModelParams.locked(2, 3, 1.6808, -0.9381)
     coeffs.clear_coeff_caches()
     spec = joint_spectrum(params, seed=0)
@@ -769,16 +787,60 @@ def test_continuation_matches_a_fine_fixed_step_path(n, m, g, p):
     assert np.abs(got - ref).max() <= 1e-10 * scale
 
 
+def _graded_reference(params, ps, seed=0):
+    """E at the last nome of ps, continued from p = 0 through ps, and the largest move/gap ratio.
+
+    Each step matches the new points to the current ones of the same charge
+    (``_match_rows``), and the ratio is the largest distance a point moved
+    over its own gap among the current points of its charge (``_row_gaps``).
+    """
+    rng = random.Random(seed)
+    sectors = -level_cone(params.n, params.m).weights.astype(np.intp) % params.n
+    E, _, _, charge = _raw_spectrum(params.with_p(0.0), rng)
+    E = E[_match_rows(E, charge, spectral_points_p0(params), sectors)]
+    worst = 0.0
+    for p in ps:
+        E_new, _, _, charge = _raw_spectrum(params.with_p(p), rng)
+        perm = _match_rows(E_new, charge, E, sectors)
+        worst = max(worst, float((np.linalg.norm(E_new[perm] - E, axis=1) / _row_gaps(E, sectors)).max()))
+        E = E_new[perm]
+    return E, worst
+
+
+def test_labels_at_n4_m2_g025_p095_match_a_graded_path():
+    """Points of one charge close in near p = 0.945; the walk reaches p = 0.95 in one step, with the reference's labels.
+
+    The reference path takes 1500 steps graded toward 0.95, p_k = 0.95
+    (1 - (1 - k/1500)^6); no point moves by more than 0.23 of its own gap
+    (0.224 measured), and the eigenvalues reach 1.8e7 in size.
+    """
+    params = ModelParams.locked(4, 2, 0.25, 0.95)
+    coeffs.clear_coeff_caches()
+    try:
+        spec = joint_spectrum(params, seed=0)
+        ref, worst = _graded_reference(params, 0.95 * (1.0 - (1.0 - np.arange(1, 1501) / 1500) ** 6))
+    finally:
+        coeffs.clear_coeff_caches()
+    assert spec.homotopy_steps == (0.95,)
+    assert worst < _GAP_SAFETY / 2  # the reference itself is unambiguous, with room
+    assert np.abs(spec.e_matrix() - ref).max() <= 1e-10 * max(1.0, float(np.abs(ref).max()))
+
+
 @pytest.fixture
 def synthetic_path(monkeypatch):
-    """Replace the spectrum at n=2 m=1 by the two points 3p -+ s(p), s(p) = sqrt((p - 0.6)^2 + delta^2).
+    """Replace the operators at n=2 m=1 by one avoided crossing, M(p) = 3p I + [[p - 0.6, delta], [delta, 0.6 - p]].
 
-    The lower point stays the lower one: the two come within 2 delta of each
-    other at p = 0.6 and part again, while both drift by 3p, so that the
-    first steps are rejected and the secant predictor is running when they
-    meet; its straight line through p = 0.6 ends on the other point.  Yields
-    a setter for delta that returns the points as a function of p; the store
-    is cleared before and after, so that no synthetic spectrum outlives the
+    Its eigenvalues are the two points 3p -+ s(p), s(p) = sqrt((p - 0.6)^2 +
+    delta^2), and the lower point stays the lower one: the two come within
+    2 delta of each other at p = 0.6 and part again, while both drift by 3p,
+    so that the first try from the closed form is rejected.  Across a window
+    of width about delta at p = 0.6 the eigenvectors turn by a right angle,
+    so that the Rayleigh quotients of the vectors on one side follow the
+    diagonal (diabatic) entries p - 0.6 and 0.6 - p, whose order is swapped
+    on the other side.  Both points have one charge, the weights are 1, and
+    the matrices go through the real ``_raw_spectrum``.  Yields a setter
+    for delta that returns the points as a function of p; the store is
+    cleared before and after, so that no synthetic spectrum outlives the
     test.
     """
     delta = [0.0]
@@ -787,15 +849,17 @@ def synthetic_path(monkeypatch):
         s = math.hypot(p - 0.6, delta[0])
         return np.array([[3.0 * p - s], [3.0 * p + s]], dtype=complex)
 
-    def raw(params, rng):  # both points of one charge: the ungraded case
-        vecs = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
-        return points(params.p)[::-1], vecs, np.ones(2), np.zeros(2, dtype=np.intp)
+    def conjugated(params):
+        p, a = params.p, params.p - 0.6
+        return [np.array([[3.0 * p + a, delta[0]], [delta[0], 3.0 * p - a]], dtype=complex)], np.ones(2)
 
     def set_delta(value):
         delta[0] = value
         return points
 
-    monkeypatch.setattr(operators, "_raw_spectrum", raw)
+    monkeypatch.setattr(operators, "conjugated_matrices", conjugated)
+    monkeypatch.setattr(operators, "delta_vector", lambda params: np.ones(2))
+    monkeypatch.setattr(operators, "_charges", lambda mats, vecs, n, m: np.zeros(2, dtype=np.intp))  # ungraded
     monkeypatch.setattr(operators, "spectral_points_p0", lambda params: points(0.0))
     cone = dataclasses.replace(level_cone(2, 1), weights=np.zeros(2, dtype=np.int16))  # one charge for both labels
     monkeypatch.setattr(operators, "level_cone", lambda n, m: cone)
@@ -814,6 +878,61 @@ def test_avoided_crossing_keeps_the_lower_point_lower(synthetic_path):
     points = synthetic_path(0.05)
     spec = joint_spectrum(ModelParams.locked(2, 1, 0.7, 0.9), seed=0)
     assert np.abs(spec.e_matrix() - points(0.9)).max() < 1e-12
+
+
+def test_without_the_chord_test_one_jump_follows_the_diabatic_vectors(synthetic_path, monkeypatch):
+    """The mutation that drops test (c) fails the avoided crossing above, in one step.
+
+    From the p = 0 vectors, nearly the basis vectors, the Rayleigh quotients
+    at p = 0.9 are about 3.0 and 2.4 (the diagonal), within 0.01 of the two
+    points but in swapped order, and each new vector overlaps its swapped
+    old one by 0.98: tests (a) and (o) accept the jump, and only the chord
+    of the pair, from -1.2 to +0.6, passes through 0.
+    """
+    points = synthetic_path(0.05)
+    monkeypatch.setattr(operators, "_chords_clear", lambda E_from, E_to, k: True)
+    spec = joint_spectrum(ModelParams.locked(2, 1, 0.7, 0.9), seed=0)
+    assert spec.homotopy_steps == (0.9,)
+    assert np.abs(spec.e_matrix() - points(0.9)[::-1]).max() < 1e-12
+
+
+@pytest.mark.parametrize("swap_values", [False, True])
+def test_the_overlap_test_rejects_swapped_eigenvectors(swap_values, monkeypatch):
+    """A solve that swaps two eigenvectors of one charge but not their eigenvalues is rejected by test (o).
+
+    Its eigenvalues are those of the sound solve, which tests (a) and (c)
+    accept, so the walk halves the step to the floor; at n=4 m=4 g=0.7
+    p=0.9 the first try from the closed form is rejected, so every step
+    reads vectors.  Swapped together with their eigenvalues, the two are a
+    reordering of the solve, and the walk gives the sound spectrum.
+    """
+    params = ModelParams.locked(4, 4, 0.7, 0.9)
+    raw = operators._raw_spectrum
+
+    def swapped(params, rng):
+        E, vecs, w, charge = raw(params, rng)
+        if params.p:
+            i, j = np.flatnonzero(charge == charge[0])[:2]
+            vecs = vecs.copy()
+            vecs[:, [i, j]] = vecs[:, [j, i]]
+            if swap_values:
+                E = E.copy()
+                E[[i, j]] = E[[j, i]]
+        return E, vecs, w, charge
+
+    coeffs.clear_coeff_caches()
+    sound = joint_spectrum(params, seed=0)
+    coeffs.clear_coeff_caches()
+    monkeypatch.setattr(operators, "_raw_spectrum", swapped)
+    try:
+        if swap_values:
+            got = joint_spectrum(params, seed=0)
+            assert np.array_equal(got.e, sound.e) and np.array_equal(got.vectors, sound.vectors)
+        else:
+            with pytest.raises(TrackingAmbiguity, match="homotopy step fell below"):
+                joint_spectrum(params, seed=0)
+    finally:
+        coeffs.clear_coeff_caches()
 
 
 # -- finished spectra on the per-parameter store -------------------------------
@@ -910,8 +1029,9 @@ def test_kept_spectrum_forms_no_cycle():
             gc.enable()
 
 
-def test_nonzero_nomes_solve_no_p0_spectrum(monkeypatch):
-    """The walk starts from the closed form: no solve at p = 0, and the -p call runs no eigensolve."""
+def test_nonzero_nomes_read_the_p0_spectrum_only_past_a_rejected_jump(monkeypatch):
+    """p = 0.3 and 0.6 are one jump from the closed form, with no solve at p = 0; p = 0.9 reads the
+    p = 0 spectrum once, and a later p = 0 call, like the -p call, runs no eigensolve."""
     params = ModelParams.locked(4, 3, 0.7, 0.3)
     raw = operators._raw_spectrum
     solved = []
@@ -922,14 +1042,15 @@ def test_nonzero_nomes_solve_no_p0_spectrum(monkeypatch):
 
     monkeypatch.setattr(operators, "_raw_spectrum", counted)
     coeffs.clear_coeff_caches()
-    for p in (0.3, 0.6, 0.9):
-        assert joint_spectrum(params.with_p(p), seed=0).homotopy_steps[-1] == p
-    assert solved and 0.0 not in solved
+    for p in (0.3, 0.6):
+        assert joint_spectrum(params.with_p(p), seed=0).homotopy_steps == (p,)
+    assert solved == [0.3, 0.6]
+    assert joint_spectrum(params.with_p(0.9), seed=0).homotopy_steps[-1] == 0.9
+    assert solved[2:4] == [0.9, 0.0] and solved.count(0.0) == 1  # the first try, then the p = 0 spectrum
     calls = _counting_eig(monkeypatch)
     assert joint_spectrum(params.with_p(-0.6), seed=0) is joint_spectrum(params.with_p(0.6), seed=0)
-    assert calls == []
     assert joint_spectrum(params.with_p(0.0), seed=0).homotopy_steps == ()
-    assert solved[-1] == 0.0 and len(calls) == 1  # p = 0 itself is one solve
+    assert calls == [] and solved.count(0.0) == 1  # the p = 0 spectrum read past the jump is kept
     coeffs.clear_coeff_caches()
 
 
